@@ -1,11 +1,10 @@
 package api
 
-import "sort"
-
 // DurationStats summarizes one theorem variant's session-duration
-// histogram: quantiles for /v1/stats, raw buckets for the Prometheus
-// exposition. Sum and Buckets are server-side rendering state, not part
-// of the JSON contract.
+// histogram — the same histogram /metrics exposes as
+// mediatord_session_duration_seconds{variant=...}. Sum and Buckets are
+// that histogram's raw state for in-process readers, not part of the
+// JSON contract.
 type DurationStats struct {
 	Count       int64   `json:"count"`
 	MeanSeconds float64 `json:"mean_seconds"`
@@ -31,17 +30,14 @@ type StatsTotals struct {
 	Durations map[string]DurationStats `json:"session_duration_by_variant,omitempty"`
 }
 
-// Variants lists the duration-histogram keys in sorted order.
-func (t StatsTotals) Variants() []string {
-	out := make([]string, 0, len(t.Durations))
-	for v := range t.Durations {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Stats is the farm-level aggregate — the body of GET /v1/stats.
+//
+// Terminal implies persisted implies counted: a session is persisted to
+// the durable store (when there is one) and counted here before it turns
+// done or failed. A client that has seen a session's terminal state by
+// any route (long-poll, GET, SSE) therefore finds it in sessions_completed,
+// outcomes and session_duration_by_variant on its next read. /metrics
+// renders the same counters, so the two surfaces cannot disagree.
 type Stats struct {
 	StatsTotals
 	SessionsCreated   int           `json:"sessions_created"`

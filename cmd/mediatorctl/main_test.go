@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,9 +16,9 @@ import (
 	"asyncmediator/internal/service"
 )
 
-// ctlFarm boots a farm behind httptest and returns a runner that invokes
-// the CLI against it, capturing stdout.
-func ctlFarm(t *testing.T) (*service.Service, func(args ...string) (string, int)) {
+// ctlFarmTo boots a farm behind httptest and returns a runner that
+// invokes the CLI against it, writing stdout to the given writer.
+func ctlFarmTo(t *testing.T) (*service.Service, func(stdout io.Writer, args ...string) int) {
 	t.Helper()
 	svc, err := service.New(service.Config{Workers: 2})
 	if err != nil {
@@ -27,17 +29,49 @@ func ctlFarm(t *testing.T) (*service.Service, func(args ...string) (string, int)
 		ts.Close()
 		svc.Close()
 	})
-	return svc, func(args ...string) (string, int) {
+	return svc, func(stdout io.Writer, args ...string) int {
 		t.Helper()
-		var stdout, stderr bytes.Buffer
+		var stderr bytes.Buffer
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
-		code := run(ctx, append([]string{"-addr", ts.URL}, args...), &stdout, &stderr)
+		code := run(ctx, append([]string{"-addr", ts.URL}, args...), stdout, &stderr)
 		if stderr.Len() > 0 {
 			t.Logf("stderr: %s", stderr.String())
 		}
+		return code
+	}
+}
+
+// captured turns a ctlFarmTo runner into one that returns stdout.
+func captured(runTo func(stdout io.Writer, args ...string) int) func(args ...string) (string, int) {
+	return func(args ...string) (string, int) {
+		var stdout bytes.Buffer
+		code := runTo(&stdout, args...)
 		return stdout.String(), code
 	}
+}
+
+// ctlFarm is ctlFarmTo with stdout captured and returned.
+func ctlFarm(t *testing.T) (*service.Service, func(args ...string) (string, int)) {
+	t.Helper()
+	svc, runTo := ctlFarmTo(t)
+	return svc, captured(runTo)
+}
+
+// firstWrite is the stdout of a streaming subcommand: it captures the
+// output and closes seen at the first write.
+type firstWrite struct {
+	mu   sync.Mutex
+	buf  bytes.Buffer
+	once sync.Once
+	seen chan struct{}
+}
+
+func (w *firstWrite) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.once.Do(func() { close(w.seen) })
+	return w.buf.Write(p)
 }
 
 // TestCtlSessionLifecycle is the CLI acceptance path CI also drives:
@@ -99,12 +133,23 @@ func TestCtlSessionLifecycle(t *testing.T) {
 // TestCtlCreateTypesWatchOneShot covers the -types/-watch convenience
 // and the events tail.
 func TestCtlCreateTypesWatchOneShot(t *testing.T) {
-	_, ctl := ctlFarm(t)
+	svc, runTo := ctlFarmTo(t)
+	ctl := captured(runTo)
+	history := svc.Events().Subscribe(0)
 
 	out, code := ctl("session", "create", "-types", "0,0,0,0,0", "-watch")
 	if code != 0 {
 		t.Fatalf("one-shot exit %d: %s", code, out)
 	}
+	// -watch long-polls, and a session turns terminal just before its
+	// terminal event is published: let that event pass before tailing, or
+	// the tail would count it as the first of its four lines.
+	for e := range history.C {
+		if e.Terminal {
+			break
+		}
+	}
+	history.Cancel()
 	var v api.SessionView
 	if err := json.Unmarshal([]byte(out), &v); err != nil || v.State != api.StateDone || len(v.Profile) != 5 {
 		t.Fatalf("one-shot output %q: %v", out, err)
@@ -114,13 +159,19 @@ func TestCtlCreateTypesWatchOneShot(t *testing.T) {
 	// least one line); run a second play while tailing is racy in a test,
 	// so tail the next play's four transitions.
 	done := make(chan struct{})
-	var tailOut string
+	tail := &firstWrite{seen: make(chan struct{})}
 	var tailCode int
 	go func() {
 		defer close(done)
-		tailOut, tailCode = ctl("events", "tail", "-kind", "session", "-n", "4")
+		tailCode = runTo(tail, "events", "tail", "-kind", "session", "-n", "4")
 	}()
-	time.Sleep(200 * time.Millisecond) // let the subscription open
+	// The tail prints the stream's hello frame first, and the server
+	// sends that only once the subscription is open.
+	select {
+	case <-tail.seen:
+	case <-done:
+		t.Fatalf("events tail exited %d before its hello line", tailCode)
+	}
 	if out, code := ctl("session", "create", "-types", "0,0,0,0,0", "-watch"); code != 0 {
 		t.Fatalf("second play exit %d: %s", code, out)
 	}
@@ -129,6 +180,7 @@ func TestCtlCreateTypesWatchOneShot(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("events tail did not finish")
 	}
+	tailOut := tail.buf.String() // the tail returned: no more writes
 	if tailCode != 0 {
 		t.Fatalf("tail exit %d: %s", tailCode, tailOut)
 	}

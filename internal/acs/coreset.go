@@ -54,10 +54,14 @@ func (c *CoreSet) baID(j int) string { return fmt.Sprintf("%s/ba/%d", c.inst, j)
 func (c *CoreSet) Start(ctx *proto.Ctx) {
 	c.inst = ctx.Instance()
 	c.bas = make([]*ba.BA, c.n)
-	for j := 0; j < c.n; j++ {
+	// Every agreement exists before the first is spawned: a spawn replays
+	// the traffic buffered for that instance, which on a party that lags
+	// its peers can decide it on the spot and (onBA) propose to the rest.
+	for j := range c.bas {
 		j := j
-		b := ba.New(c.t, c.coin, func(cc *proto.Ctx, d int) { c.onBA(cc, j, d) })
-		c.bas[j] = b
+		c.bas[j] = ba.New(c.t, c.coin, func(cc *proto.Ctx, d int) { c.onBA(cc, j, d) })
+	}
+	for j, b := range c.bas {
 		ctx.Spawn(c.baID(j), b)
 	}
 	for _, j := range c.early {

@@ -171,3 +171,58 @@ func equalInts(a, b []int) bool {
 	}
 	return true
 }
+
+// recorder keeps every message delivered to it and stays silent.
+type recorder struct{ msgs []async.Message }
+
+func (r *recorder) Start(env *async.Env)                    {}
+func (r *recorder) Deliver(env *async.Env, m async.Message) { r.msgs = append(r.msgs, m) }
+
+// TestCoreSetStartedBehindItsPeers: a party that spawns its core set only
+// after the other n-t have finished finds every agreement's traffic
+// buffered. Replaying it decides the first agreements inside Start, and
+// the n-t-th decision proposes 0 to agreements Start has not spawned yet.
+func TestCoreSetStartedBehindItsPeers(t *testing.T) {
+	const n, tf, late = 4, 1, 3
+	// What the three prompt parties send the late one while completing
+	// without it.
+	rec := &recorder{}
+	procs := make([]async.Process, n)
+	coin := ba.SharedCoin{Seed: 11}
+	for i := 0; i < late; i++ {
+		h := proto.NewHost()
+		cs := NewCoreSet(n, tf, coin, nil)
+		if err := h.Register("cs", cs); err != nil {
+			t.Fatal(err)
+		}
+		h.OnStart(func(env *async.Env) {
+			for j := 0; j < late; j++ {
+				cs.MarkReady(h.Ctx(env, "cs"), j)
+			}
+		})
+		procs[i] = h
+	}
+	procs[late] = rec
+	rt, err := async.New(async.Config{Procs: procs, Scheduler: &async.RoundRobinScheduler{}, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The late party: its host buffers all of that, then the core set
+	// starts.
+	var members []int
+	h := proto.NewHost()
+	env := async.NewRemote(late, n, 0, 11, func(async.PID, any) {}).Env()
+	h.Start(env)
+	for _, m := range rec.msgs {
+		h.Deliver(env, m)
+	}
+	cs := NewCoreSet(n, tf, coin, func(ctx *proto.Ctx, got []int) { members = got })
+	h.Ctx(env, "cs").Spawn("cs", cs)
+	if !equalInts(members, []int{0, 1, 2}) {
+		t.Fatalf("late party's core set %v, want [0 1 2]", members)
+	}
+}

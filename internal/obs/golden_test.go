@@ -2,6 +2,7 @@ package obs
 
 import (
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,8 +14,9 @@ var updateGolden = flag.Bool("update", false, "rewrite the WritePrometheus golde
 
 // TestWritePrometheusGolden pins the full text exposition byte-for-byte:
 // registration-order rendering, HELP escaping (backslash, newline),
-// non-finite gauge values (NaN, +Inf, -Inf), pull-time funcs, and
-// histogram cumulative buckets. A renderer change that is invisible to
+// non-finite gauge values (NaN, +Inf, -Inf), pull-time funcs,
+// histogram cumulative buckets, and single-label families (sorted,
+// escaped label values; the _other overflow series). A renderer change that is invisible to
 // substring assertions — reordered series, altered escaping — fails here.
 func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry()
@@ -35,6 +37,22 @@ newline must both be escaped.`).Set(36.6)
 	h := r.Histogram("gg_latency_seconds", "A three-bucket histogram.", []float64{0.1, 1, 10})
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
 		h.Observe(v)
+	}
+	// Families render their series in sorted label-value order, whatever
+	// order the values first appeared in; label values are escaped.
+	cv := r.CounterVec("hh_rejections_total", "A counter family.", "reason")
+	cv.With("under_floor").Add(2)
+	cv.With(`a "quoted\" reason`).Inc()
+	hv := r.HistogramVec("ii_duration_seconds", "A histogram family.", "variant", []float64{0.1, 1})
+	hv.With("4.2").Observe(0.5)
+	hv.With("4.1").Observe(0.05)
+	hv.With("4.1").Observe(5)
+	r.GaugeVecFunc("jj_in_state", "A pull-time gauge family.", "state",
+		func() map[string]float64 { return map[string]float64{"running": 1, "done": 2.5} })
+	// A family past its cardinality bound folds the surplus into _other.
+	over := r.CounterVec("ll_overflowed_total", "A counter family past MaxLabelValues.", "k")
+	for i := 0; i < MaxLabelValues+3; i++ {
+		over.With(fmt.Sprintf("k%02d", i)).Inc()
 	}
 
 	var sb strings.Builder

@@ -213,7 +213,70 @@ func (s HistSnapshot) FractionAbove(x float64) float64 {
 	return (float64(above) + part) / float64(total)
 }
 
-// metric is one registered series.
+// MaxLabelValues bounds the distinct label values of every vector: each
+// value is one exposed series (a whole bucket ladder for a histogram),
+// and an unbounded label set is how expositions melt scrapers. Values
+// beyond the bound aggregate under OverflowLabel.
+const MaxLabelValues = 32
+
+// OverflowLabel is the catch-all label value of a full vector.
+const OverflowLabel = "_other"
+
+// vec is the child table behind CounterVec and HistogramVec: one metric
+// per value of a single label, minted on first use. Lookups take the
+// table lock; updates on the returned child touch only its own atomics.
+type vec[T any] struct {
+	mu       sync.Mutex
+	children map[string]*T
+	mint     func() *T
+}
+
+// With returns the child for one label value — OverflowLabel's once the
+// family holds MaxLabelValues values.
+func (v *vec[T]) With(value string) *T {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	c := v.children[value]
+	if c == nil && len(v.children) >= MaxLabelValues {
+		value = OverflowLabel
+		c = v.children[value]
+	}
+	if c == nil {
+		if v.children == nil {
+			v.children = make(map[string]*T)
+		}
+		c = v.mint()
+		v.children[value] = c
+	}
+	return c
+}
+
+// readVec reads every child of a family: label value -> read(child).
+func readVec[T, V any](v *vec[T], read func(*T) V) map[string]V {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	out := make(map[string]V, len(v.children))
+	for k, c := range v.children {
+		out[k] = read(c)
+	}
+	return out
+}
+
+// CounterVec is a family of counters keyed by one label.
+type CounterVec struct{ vec[Counter] }
+
+// Values returns the current total per label value.
+func (c *CounterVec) Values() map[string]int64 { return readVec(&c.vec, (*Counter).Value) }
+
+// HistogramVec is a family of same-bounds histograms keyed by one label.
+type HistogramVec struct{ vec[Histogram] }
+
+// Snapshots returns a point-in-time copy of every child histogram.
+func (h *HistogramVec) Snapshots() map[string]HistSnapshot {
+	return readVec(&h.vec, (*Histogram).Snapshot)
+}
+
+// metric is one registered series, or one single-label family of them.
 type metric struct {
 	name string
 	help string
@@ -223,6 +286,11 @@ type metric struct {
 	gauge   *Gauge
 	hist    *Histogram
 	fn      func() float64 // pull-time value (wins over counter/gauge)
+
+	label string // the family's label name; "" for a plain series
+	cvec  *CounterVec
+	hvec  *HistogramVec
+	vecFn func() map[string]float64 // pull-time family
 }
 
 // Registry is an ordered set of named metrics rendered in Prometheus
@@ -281,8 +349,32 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(&metric{name: name, help: help, typ: "gauge", fn: fn})
 }
 
+// CounterVec registers (or returns the existing) counter family `name`,
+// one series per value of `label`.
+func (r *Registry) CounterVec(name, help, label string) *CounterVec {
+	cv := &CounterVec{vec[Counter]{mint: func() *Counter { return &Counter{} }}}
+	m := r.register(&metric{name: name, help: help, typ: "counter", label: label, cvec: cv})
+	return m.cvec
+}
+
+// HistogramVec registers (or returns the existing) histogram family
+// `name`, one histogram over `bounds` per value of `label`.
+func (r *Registry) HistogramVec(name, help, label string, bounds []float64) *HistogramVec {
+	hv := &HistogramVec{vec[Histogram]{mint: func() *Histogram { return NewHistogram(bounds) }}}
+	m := r.register(&metric{name: name, help: help, typ: "histogram", label: label, hvec: hv})
+	return m.hvec
+}
+
+// GaugeVecFunc registers a gauge family pulled at scrape time: fn returns
+// the current value per label value (per-peer or per-state values owned
+// by another subsystem).
+func (r *Registry) GaugeVecFunc(name, help, label string, fn func() map[string]float64) {
+	r.register(&metric{name: name, help: help, typ: "gauge", label: label, vecFn: fn})
+}
+
 // WritePrometheus renders every metric in registration order in the
-// Prometheus text exposition format.
+// Prometheus text exposition format; a family's series follow in sorted
+// label-value order.
 func (r *Registry) WritePrometheus(w io.Writer) {
 	r.mu.Lock()
 	metrics := append([]*metric(nil), r.metrics...)
@@ -297,17 +389,81 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		case m.gauge != nil:
 			fmt.Fprintf(w, "%s %s\n", m.name, formatFloat(m.gauge.Value()))
 		case m.hist != nil:
-			cum := int64(0)
-			for i, b := range m.hist.bounds {
-				cum += m.hist.counts[i].Load()
-				fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d\n", m.name, formatFloat(b), cum)
+			writeHistogram(w, m.name, "", m.hist.Snapshot())
+		case m.cvec != nil:
+			vals := m.cvec.Values()
+			for _, v := range sortedKeys(vals) {
+				fmt.Fprintf(w, "%s{%s} %d\n", m.name, labelPair(m.label, v), vals[v])
 			}
-			cum += m.hist.counts[len(m.hist.bounds)].Load()
-			fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", m.name, cum)
-			fmt.Fprintf(w, "%s_sum %s\n", m.name, formatFloat(m.hist.sum.Value()))
-			fmt.Fprintf(w, "%s_count %d\n", m.name, m.hist.count.Load())
+		case m.hvec != nil:
+			snaps := m.hvec.Snapshots()
+			for _, v := range sortedKeys(snaps) {
+				writeHistogram(w, m.name, labelPair(m.label, v), snaps[v])
+			}
+		case m.vecFn != nil:
+			vals := capLabelValues(m.vecFn())
+			for _, v := range sortedKeys(vals) {
+				fmt.Fprintf(w, "%s{%s} %s\n", m.name, labelPair(m.label, v), formatFloat(vals[v]))
+			}
 		}
 	}
+}
+
+// writeHistogram renders one histogram's cumulative buckets, sum and
+// count; labels is the family's `name="value"` pair, or "" for a plain
+// histogram.
+func writeHistogram(w io.Writer, name, labels string, s HistSnapshot) {
+	sep, braced := "", ""
+	if labels != "" {
+		sep, braced = labels+",", "{"+labels+"}"
+	}
+	cum := int64(0)
+	for i, b := range s.Bounds {
+		cum += s.Counts[i]
+		fmt.Fprintf(w, "%s_bucket{%sle=\"%s\"} %d\n", name, sep, formatFloat(b), cum)
+	}
+	cum += s.Counts[len(s.Bounds)]
+	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, sep, cum)
+	fmt.Fprintf(w, "%s_sum%s %s\n", name, braced, formatFloat(s.Sum))
+	fmt.Fprintf(w, "%s_count%s %d\n", name, braced, s.Count)
+}
+
+// capLabelValues applies the vector bound to a pulled family: the first
+// MaxLabelValues values in sorted order keep their series, the rest sum
+// under OverflowLabel.
+func capLabelValues(vals map[string]float64) map[string]float64 {
+	if len(vals) <= MaxLabelValues {
+		return vals
+	}
+	out := make(map[string]float64, MaxLabelValues+1)
+	for i, k := range sortedKeys(vals) {
+		if i < MaxLabelValues {
+			out[k] = vals[k]
+		} else {
+			out[OverflowLabel] += vals[k]
+		}
+	}
+	return out
+}
+
+// sortedKeys returns a map's keys in sorted order, for deterministic
+// label rendering.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// labelEscaper applies the exposition format's label-value escaping
+// (backslash, double quote, newline).
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// labelPair renders `name="value"`, escaped.
+func labelPair(name, value string) string {
+	return name + `="` + labelEscaper.Replace(value) + `"`
 }
 
 // formatFloat renders a float the way Prometheus clients expect.

@@ -3,11 +3,7 @@
 // set of goroutines draining a fixed-depth job queue. Both subsystems
 // execute their work — farm sessions, experiment trial shards — through
 // this one code path, so concurrency behaviour (queue bounds, drain
-// semantics, worker indexing) is defined exactly once.
-//
-// Each worker carries its index so downstream consumers can shard state
-// per worker (the farm's stats sink keys its lock-free counter shards on
-// it).
+// semantics) is defined exactly once.
 package pool
 
 import (
@@ -25,9 +21,8 @@ var ErrQueueFull = errors.New("pool: queue full")
 // ErrClosed marks a submit to a pool that is draining or drained.
 var ErrClosed = errors.New("pool: closed")
 
-// Job is one unit of work. The argument is the index of the worker
-// executing it, in [0, Workers()).
-type Job func(worker int)
+// Job is one unit of work.
+type Job func()
 
 // queued is one enqueued job plus its submission time, so the pool can
 // account for how long work sat behind the workers.
@@ -92,14 +87,13 @@ func New(workers, queue int) *Pool {
 	}
 	p := &Pool{jobs: make(chan queued, queue), workers: workers}
 	for w := 0; w < workers; w++ {
-		w := w
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
 			for q := range p.jobs {
 				p.waitMicros.Add(time.Since(q.enq).Microseconds())
 				p.active.Add(1)
-				q.j(w)
+				q.j()
 				p.active.Add(-1)
 				p.completed.Add(1)
 			}

@@ -10,7 +10,7 @@ func TestBackpressure(t *testing.T) {
 	block := make(chan struct{})
 	started := make(chan struct{})
 	p := New(1, 1)
-	job := func(int) {
+	job := func() {
 		started <- struct{}{}
 		<-block
 	}
@@ -40,34 +40,12 @@ func TestBlockingSubmitDrains(t *testing.T) {
 	p := New(4, 2) // queue much smaller than the job count
 	var ran atomic.Int64
 	for i := 0; i < jobs; i++ {
-		if err := p.Submit(func(int) { ran.Add(1) }); err != nil {
+		if err := p.Submit(func() { ran.Add(1) }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	p.Close()
 	if got := ran.Load(); got != jobs {
 		t.Fatalf("ran %d of %d jobs", got, jobs)
-	}
-}
-
-func TestWorkerIndices(t *testing.T) {
-	const workers = 3
-	p := New(workers, 64)
-	seen := make([]atomic.Int64, workers)
-	for i := 0; i < 64; i++ {
-		if err := p.Submit(func(w int) { seen[w].Add(1) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p.Close()
-	total := int64(0)
-	for w := range seen {
-		total += seen[w].Load()
-	}
-	if total != 64 {
-		t.Fatalf("jobs ran %d times, want 64", total)
-	}
-	if p.Workers() != workers {
-		t.Fatalf("Workers() = %d", p.Workers())
 	}
 }

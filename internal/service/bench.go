@@ -46,7 +46,7 @@ type BenchResult struct {
 }
 
 // Bench drives `cfg.Sessions` plays through a fresh farm via the same
-// registry/pool/sink path the HTTP API uses, and reports aggregate
+// registry/pool/accounting path the HTTP API uses, and reports aggregate
 // throughput. It is the measurement behind BenchmarkServiceThroughput and
 // cmd/mediatord's -bench mode.
 func Bench(cfg BenchConfig) (*BenchResult, error) {
@@ -93,6 +93,11 @@ func Bench(cfg BenchConfig) (*BenchResult, error) {
 	}
 	elapsed := time.Since(start)
 	tot := svc.Stats().StatsTotals
+	// Done implies counted; an under-count here would skew every figure
+	// below, so it is an error, not a smaller number.
+	if tot.Sessions != int64(cfg.Sessions) {
+		return nil, fmt.Errorf("service: bench drove %d sessions but stats count %d", cfg.Sessions, tot.Sessions)
+	}
 
 	res := &BenchResult{
 		Sessions:      cfg.Sessions,

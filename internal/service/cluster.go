@@ -368,7 +368,7 @@ func (s *Service) ClusterStart(req api.ClusterStartRequest) (api.ClusterStartRes
 	}
 
 	if req.Async {
-		if err := s.pool.TrySubmit(func(int) {
+		if err := s.pool.TrySubmit(func() {
 			resp := run()
 			// The terminal event delivers the outcomes under the cluster
 			// id — the async contract (GET /v1/events?session={cluster_id}).
@@ -380,7 +380,7 @@ func (s *Service) ClusterStart(req api.ClusterStartRequest) (api.ClusterStartRes
 		return api.ClusterStartResponse{ClusterID: req.ClusterID, Accepted: true}, nil
 	}
 	done := make(chan api.ClusterStartResponse, 1)
-	if err := s.pool.TrySubmit(func(int) { done <- run() }); err != nil {
+	if err := s.pool.TrySubmit(func() { done <- run() }); err != nil {
 		rollback()
 		return api.ClusterStartResponse{}, err
 	}
@@ -606,9 +606,7 @@ func (s *Service) runCluster(sess *Session, types []game.Type, peers []api.PeerS
 		}()
 	}
 	joinWG.Wait()
-	if s.joinHist != nil {
-		s.joinHist.Observe(time.Since(joinStart).Seconds())
-	}
+	s.joinHist.Observe(time.Since(joinStart).Seconds())
 	// Successful joins are released on exit even when a sibling failed.
 	for i, addr := range peerAddrs {
 		if joinErrs[i] != nil {

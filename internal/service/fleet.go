@@ -3,10 +3,10 @@ package service
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"asyncmediator/api"
 	"asyncmediator/internal/fleet"
+	"asyncmediator/internal/obs"
 )
 
 // This file wires the fleet telemetry plane (internal/fleet) into the
@@ -20,9 +20,8 @@ import (
 type fleetState struct {
 	mesh *fleet.Mesh
 
-	// alertCounts tallies fired alerts per rule for /metrics.
-	mu          sync.Mutex
-	alertCounts map[string]int64
+	// alerts counts fired alerts per rule.
+	alerts *obs.CounterVec
 }
 
 // startFleet joins the gossip mesh when the config asks for one. Called
@@ -49,7 +48,8 @@ func (s *Service) startFleet() error {
 	if self < 0 {
 		return fmt.Errorf("service: fleet listen address %q is not in the peer table %v", s.cfg.FleetListen, table)
 	}
-	s.fleet = &fleetState{alertCounts: make(map[string]int64)}
+	s.fleet = &fleetState{alerts: s.obsReg.CounterVec("mediatord_fleet_alerts_total",
+		"Fleet alerts fired since boot, by rule.", "rule")}
 	mesh, err := fleet.New(fleet.Config{
 		Self:           self,
 		N:              len(table),
@@ -68,7 +68,50 @@ func (s *Service) startFleet() error {
 	}
 	mesh.SetAddrs(table)
 	s.fleet.mesh = mesh
+	s.registerFleetMetrics(mesh)
 	return nil
+}
+
+// registerFleetMetrics exposes the mesh's eventually consistent view:
+// aggregated peer-state counts, the mesh's own counters, and per-peer
+// liveness and load.
+func (s *Service) registerFleetMetrics(mesh *fleet.Mesh) {
+	r := s.obsReg
+	r.GaugeVecFunc("mediatord_fleet_peers", "Fleet daemons per gossip liveness state (self included).", "state",
+		func() map[string]float64 {
+			v := mesh.View()
+			return map[string]float64{
+				"healthy": float64(v.Healthy), "suspect": float64(v.Suspect),
+				"expired": float64(v.Expired), "unknown": float64(v.Unknown),
+			}
+		})
+	r.GaugeFunc("mediatord_fleet_size", "Configured fleet size (gossip address table length).",
+		func() float64 { return float64(mesh.View().N) })
+	r.GaugeFunc("mediatord_fleet_floor", "Configured healthy-daemon floor (n > 4k+3t); 0 when unset.",
+		func() float64 { return float64(mesh.View().Floor) })
+	r.CounterFunc("mediatord_fleet_gossip_rounds_total", "Gossip rounds this daemon has run.",
+		func() float64 { return float64(mesh.View().Rounds) })
+	r.CounterFunc("mediatord_fleet_entries_merged_total", "Health entries merged from peers' gossip digests.",
+		func() float64 { return float64(mesh.View().EntriesMerged) })
+	r.CounterFunc("mediatord_fleet_sig_rejected_total", "Gossip digests rejected for a missing or bad signature.",
+		func() float64 { return float64(mesh.View().SigRejected) })
+	perPeer := func(get func(fleet.PeerView) float64) func() map[string]float64 {
+		return func() map[string]float64 {
+			out := make(map[string]float64)
+			for _, p := range mesh.View().Peers {
+				label := p.Addr
+				if label == "" {
+					label = fmt.Sprintf("peer-%d", p.Index)
+				}
+				out[label] = get(p)
+			}
+			return out
+		}
+	}
+	r.GaugeVecFunc("mediatord_peer_up", "Peer liveness as judged by gossip (1 healthy, 0 otherwise).", "peer",
+		perPeer(func(p fleet.PeerView) float64 { return boolGauge(p.State == fleet.StateHealthy) }))
+	r.GaugeVecFunc("mediatord_peer_queue_depth", "Each peer's gossiped worker-queue depth.", "peer",
+		perPeer(func(p fleet.PeerView) float64 { return float64(p.QueueDepth) }))
 }
 
 // fleetHealth samples this daemon's own load — the summary gossiped to
@@ -87,9 +130,7 @@ func (s *Service) fleetHealth() fleet.Health {
 	if s.st != nil {
 		h.StoreKeys = s.st.Metrics().Keys
 	}
-	if s.phaseHist != nil {
-		h.PhaseP99MS = s.phaseHist.Quantile(0.99) * 1000
-	}
+	h.PhaseP99MS = s.phaseHist.Quantile(0.99) * 1000
 	return h
 }
 
@@ -98,12 +139,8 @@ func (s *Service) fleetHealth() fleet.Health {
 // it starts: kind "fleet", state "alert.<rule>" (or "clear.<rule>"),
 // id = the subject peer's URL ("fleet" for fleet-wide rules).
 func (s *Service) publishFleetAlert(a fleet.Alert) {
-	if s.fleet != nil {
-		s.fleet.mu.Lock()
-		if !a.Cleared {
-			s.fleet.alertCounts[a.Rule]++
-		}
-		s.fleet.mu.Unlock()
+	if s.fleet != nil && !a.Cleared {
+		s.fleet.alerts.With(a.Rule).Inc()
 	}
 	state := "alert." + a.Rule
 	if a.Cleared {
@@ -121,20 +158,6 @@ func (s *Service) publishFleetAlert(a fleet.Alert) {
 		Value:   a.Value,
 		Cleared: a.Cleared,
 	})
-}
-
-// fleetAlertCounts snapshots the per-rule fired-alert tallies.
-func (s *Service) fleetAlertCounts() map[string]int64 {
-	if s.fleet == nil {
-		return nil
-	}
-	s.fleet.mu.Lock()
-	defer s.fleet.mu.Unlock()
-	out := make(map[string]int64, len(s.fleet.alertCounts))
-	for k, v := range s.fleet.alertCounts {
-		out[k] = v
-	}
-	return out
 }
 
 // FleetView maps the mesh's view to the wire DTO; ok is false when this
@@ -193,24 +216,6 @@ func (s *Service) FleetView() (api.FleetView, bool) {
 		}
 	}
 	return out, true
-}
-
-// observePhases folds a terminal play's phase spans into the rolling
-// phase-latency histogram (the p99 gossiped in the health summary).
-// Runs once per session on the worker goroutine — zero hot-path cost.
-func (s *Service) observePhases(tv *api.TraceView) {
-	if s.phaseHist == nil || tv == nil {
-		return
-	}
-	for _, sp := range tv.Spans {
-		switch sp.Name {
-		case "run", "sched":
-			continue // stages, not protocol phases
-		}
-		if d := sp.EndUS - sp.StartUS; d > 0 {
-			s.phaseHist.Observe(float64(d) / 1e6)
-		}
-	}
 }
 
 // DropFleetConns severs the gossip mesh's live connections (chaos hook,

@@ -131,7 +131,7 @@ func (s *Service) Handler() http.Handler {
 	// Unversioned infrastructure: scrape and probe endpoints stay where
 	// fleet tooling expects them.
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		s.writeMetrics(w, s.Stats())
+		s.writeMetrics(w)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, api.Health{Status: "ok"})

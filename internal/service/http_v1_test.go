@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"asyncmediator/api"
@@ -122,15 +123,30 @@ func TestV1ErrorContract(t *testing.T) {
 	if code, err := postJSON(t, client, ts.URL+"/v1/sessions", Spec{}, &sess2); err != nil || code != http.StatusCreated {
 		t.Fatalf("create 2: %d %v", code, err)
 	}
+	// Session 1's play owns the single worker until it is terminal, and
+	// the worker must be inside the first blocker before the second can
+	// take the queue slot — wait on both rather than race them. The
+	// blockers are released in a cleanup, so a failure below cannot leave
+	// them wedged under the farm's drain.
+	var first View
+	if code, err := getJSON(t, client, ts.URL+"/v1/sessions/"+created.ID+"?wait=30s", &first); err != nil || code != http.StatusOK || !first.State.Terminal() {
+		t.Fatalf("session 1 not terminal: %d %v %s", code, err, first.State)
+	}
 	release := make(chan struct{})
-	for i := 0; i < 2; i++ { // 1 running + 1 queued = saturated
-		if err := svc.pool.TrySubmit(func(int) { <-release }); err != nil {
-			t.Fatalf("block pool: %v", err)
-		}
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(unblock) // runs before httpFarm's svc.Close
+	started := make(chan struct{})
+	if err := svc.pool.Submit(func() { close(started); <-release }); err != nil {
+		t.Fatalf("block worker: %v", err)
+	}
+	<-started // 1 running
+	if err := svc.pool.TrySubmit(func() { <-release }); err != nil {
+		t.Fatalf("fill queue: %v", err) // + 1 queued = saturated
 	}
 	status, e = postEnvelope(t, client, ts.URL+"/v1/sessions/"+sess2.ID+"/types", `{"types":[0,0,0,0,0]}`)
 	expectCode(t, status, e, api.CodePoolSaturated)
-	close(release)
+	unblock()
 	// The rejected submission rolled back: the retry is accepted.
 	deadlineRetry := func() int {
 		for i := 0; i < 100; i++ {

@@ -147,11 +147,11 @@ func TestReadyWatermarkSheds(t *testing.T) {
 
 	// Wedge the single worker and stack jobs past the watermark.
 	release := make(chan struct{})
-	if err := svc.pool.Submit(func(int) { <-release }); err != nil {
+	if err := svc.pool.Submit(func() { <-release }); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := svc.pool.Submit(func(int) {}); err != nil {
+		if err := svc.pool.Submit(func() {}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,11 +184,11 @@ func TestReadyWatermarkSheds(t *testing.T) {
 	}
 	// A second saturation counts a second interval.
 	release2 := make(chan struct{})
-	if err := svc.pool.Submit(func(int) { <-release2 }); err != nil {
+	if err := svc.pool.Submit(func() { <-release2 }); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := svc.pool.Submit(func(int) {}); err != nil {
+		if err := svc.pool.Submit(func() {}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -5,170 +5,20 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
-
-	"asyncmediator/api"
 )
 
-// writeMetrics renders the farm's aggregate state in the Prometheus text
-// exposition format — hand-rolled (no client library dependency): counters
-// and gauges from StatsView, one proper histogram per theorem variant for
-// session durations (cumulative le buckets, _sum, _count), and the obs
-// registry's subsystem series (cluster links, worker pool, store).
-func (s *Service) writeMetrics(w http.ResponseWriter, sv StatsView) {
-	var sb strings.Builder
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n", name, help, name, name, fmtFloat(v))
-	}
-
-	counter("mediatord_sessions_completed_total", "Sessions that reached a terminal state.", sv.Sessions)
-	counter("mediatord_sessions_failed_total", "Sessions that ended in failure.", sv.Failed)
-	counter("mediatord_sessions_deadlocked_total", "Sessions whose play deadlocked.", sv.Deadlocked)
-	counter("mediatord_sessions_created_total", "Sessions ever created (including recovered).", int64(sv.SessionsCreated))
-	counter("mediatord_sessions_evicted_total", "Terminal sessions evicted from the in-memory cache.", sv.SessionsEvicted)
-	counter("mediatord_persist_errors_total", "Failed writes to the durable store.", sv.PersistErrors)
-	counter("mediatord_messages_sent_total", "Protocol messages sent across all plays.", sv.MessagesSent)
-	counter("mediatord_messages_delivered_total", "Protocol messages delivered across all plays.", sv.MessagesDelivered)
-	counter("mediatord_steps_total", "Simulation steps executed across all plays.", sv.Steps)
-	counter("mediatord_shed_intervals_total", "Entries into load-shedding readiness (queue at or above the watermark).", sv.ShedIntervals)
-	counter("mediatord_cluster_plays_hosted_total", "Plays co-hosted for remote coordinators (cluster mode).", sv.ClusterPlaysHosted)
-	placed, rejects := s.placementCounts()
-	counter("mediatord_placements_total", "Sessions placed by the fleet scheduler (placement mode auto).", placed)
-	if len(rejects) > 0 {
-		fmt.Fprintf(&sb, "# HELP mediatord_placement_rejections_total Placements the scheduler refused, by reason.\n# TYPE mediatord_placement_rejections_total counter\n")
-		for _, reason := range sortedKeys(rejects) {
-			fmt.Fprintf(&sb, "mediatord_placement_rejections_total{reason=%q} %d\n", reason, rejects[reason])
-		}
-	}
-	gauge("mediatord_sessions_live", "Sessions currently held in memory.", float64(sv.SessionsLive))
-	gauge("mediatord_sessions_persisted", "Session records in the durable store.", float64(sv.SessionsPersisted))
-	gauge("mediatord_queue_depth", "Jobs queued behind the worker pool.", float64(sv.QueueDepth))
-	gauge("mediatord_workers", "Worker-pool size.", float64(sv.Workers))
-	gauge("mediatord_uptime_seconds", "Seconds since the farm started.", sv.UptimeSeconds)
-
-	fmt.Fprintf(&sb, "# HELP mediatord_sessions_in_state Sessions per lifecycle state (in-memory).\n# TYPE mediatord_sessions_in_state gauge\n")
-	for _, st := range []State{StateAwaitingTypes, StateQueued, StateRunning, StateDone, StateFailed} {
-		fmt.Fprintf(&sb, "mediatord_sessions_in_state{state=%q} %d\n", string(st), sv.States[st])
-	}
-
-	if len(sv.Durations) > 0 {
-		bounds := DurationBounds()
-		name := "mediatord_session_duration_seconds"
-		fmt.Fprintf(&sb, "# HELP %s Session running wall time by theorem variant.\n# TYPE %s histogram\n", name, name)
-		for _, variant := range sv.Variants() {
-			ds := sv.Durations[variant]
-			var cum int64
-			for i, le := range bounds {
-				cum += ds.Buckets[i]
-				fmt.Fprintf(&sb, "%s_bucket{variant=%q,le=%q} %d\n", name, variant, fmtFloat(le), cum)
-			}
-			cum += ds.Buckets[len(bounds)]
-			fmt.Fprintf(&sb, "%s_bucket{variant=%q,le=\"+Inf\"} %d\n", name, variant, cum)
-			fmt.Fprintf(&sb, "%s_sum{variant=%q} %s\n", name, variant, fmtFloat(ds.Sum))
-			fmt.Fprintf(&sb, "%s_count{variant=%q} %d\n", name, variant, ds.Count)
-		}
-	}
-
-	// Fleet telemetry plane: aggregated peer-state counts plus per-peer
-	// load series. Labeled, so hand-rendered like the session series
-	// above (the obs registry is label-free by design).
-	if fv, ok := s.FleetView(); ok {
-		fmt.Fprintf(&sb, "# HELP mediatord_fleet_peers Fleet daemons per gossip liveness state (self included).\n# TYPE mediatord_fleet_peers gauge\n")
-		for _, st := range []struct {
-			name string
-			v    int
-		}{{"healthy", fv.Healthy}, {"suspect", fv.Suspect}, {"expired", fv.Expired}, {"unknown", fv.Unknown}} {
-			fmt.Fprintf(&sb, "mediatord_fleet_peers{state=%q} %d\n", st.name, st.v)
-		}
-		gauge("mediatord_fleet_size", "Configured fleet size (gossip address table length).", float64(fv.Size))
-		gauge("mediatord_fleet_floor", "Configured healthy-daemon floor (n > 4k+3t); 0 when unset.", float64(fv.Floor))
-		counter("mediatord_fleet_gossip_rounds_total", "Gossip rounds this daemon has run.", fv.GossipRounds)
-		counter("mediatord_fleet_entries_merged_total", "Health entries merged from peers' gossip digests.", fv.EntriesMerged)
-		counter("mediatord_fleet_sig_rejected_total", "Gossip digests rejected for a missing or bad signature.", fv.SigRejected)
-
-		peerLabel := func(p api.FleetPeer) string {
-			if p.Addr != "" {
-				return p.Addr
-			}
-			return fmt.Sprintf("peer-%d", p.Index)
-		}
-		fmt.Fprintf(&sb, "# HELP mediatord_peer_up Peer liveness as judged by gossip (1 healthy, 0 otherwise).\n# TYPE mediatord_peer_up gauge\n")
-		for _, p := range fv.Peers {
-			up := 0
-			if p.State == api.FleetPeerHealthy {
-				up = 1
-			}
-			fmt.Fprintf(&sb, "mediatord_peer_up{peer=%q} %d\n", peerLabel(p), up)
-		}
-		fmt.Fprintf(&sb, "# HELP mediatord_peer_queue_depth Each peer's gossiped worker-queue depth.\n# TYPE mediatord_peer_queue_depth gauge\n")
-		for _, p := range fv.Peers {
-			fmt.Fprintf(&sb, "mediatord_peer_queue_depth{peer=%q} %d\n", peerLabel(p), p.QueueDepth)
-		}
-		if counts := s.fleetAlertCounts(); len(counts) > 0 {
-			fmt.Fprintf(&sb, "# HELP mediatord_fleet_alerts_total Fleet alerts fired since boot, by rule.\n# TYPE mediatord_fleet_alerts_total counter\n")
-			for _, rule := range sortedKeys(counts) {
-				fmt.Fprintf(&sb, "mediatord_fleet_alerts_total{rule=%q} %d\n", rule, counts[rule])
-			}
-		}
-	}
-
-	// SLO burn rates: one labeled series pair per objective (the obs
-	// registry is label-free, so these render by hand like the fleet
-	// series), plus the firing latch as a 0/1 gauge.
-	if sloView, ok := s.SLOView(); ok && len(sloView.Objectives) > 0 {
-		fmt.Fprintf(&sb, "# HELP mediatord_slo_burn_ratio Short-window burn rate per SLO objective (1.0 = spending the error budget exactly).\n# TYPE mediatord_slo_burn_ratio gauge\n")
-		for _, o := range sloView.Objectives {
-			fmt.Fprintf(&sb, "mediatord_slo_burn_ratio{objective=%q} %s\n", o.Objective, fmtFloat(o.ShortBurn))
-		}
-		fmt.Fprintf(&sb, "# HELP mediatord_slo_burn_ratio_long Long-window burn rate per SLO objective.\n# TYPE mediatord_slo_burn_ratio_long gauge\n")
-		for _, o := range sloView.Objectives {
-			fmt.Fprintf(&sb, "mediatord_slo_burn_ratio_long{objective=%q} %s\n", o.Objective, fmtFloat(o.LongBurn))
-		}
-		fmt.Fprintf(&sb, "# HELP mediatord_slo_firing Whether alert.slo_burn is active per objective (1 firing, 0 clear).\n# TYPE mediatord_slo_firing gauge\n")
-		for _, o := range sloView.Objectives {
-			firing := 0
-			if o.Firing {
-				firing = 1
-			}
-			fmt.Fprintf(&sb, "mediatord_slo_firing{objective=%q} %d\n", o.Objective, firing)
-		}
-	}
-
+// writeMetrics answers GET /metrics: the obs registry — the same objects
+// /v1/stats reads — in the Prometheus text exposition format, after the
+// one two-label series the registry does not model.
+func (s *Service) writeMetrics(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	// Build identity: constant-1 gauge whose labels say what binary this
 	// is — the series fleet-rollout dashboards join everything else on.
 	goVersion, revision := buildIdentity()
-	fmt.Fprintf(&sb, "# HELP mediatord_build_info Build metadata as labels on a constant 1.\n# TYPE mediatord_build_info gauge\nmediatord_build_info{go_version=%q,revision=%q} 1\n",
+	fmt.Fprintf(w, "# HELP mediatord_build_info Build metadata as labels on a constant 1.\n# TYPE mediatord_build_info gauge\nmediatord_build_info{go_version=%q,revision=%q} 1\n",
 		goVersion, revision)
-
-	if s.obsReg != nil {
-		s.obsReg.WritePrometheus(&sb)
-	}
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write([]byte(sb.String()))
-}
-
-// fmtFloat renders a float the Prometheus way: shortest exact decimal.
-func fmtFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// sortedKeys returns a map's keys in sorted order, for deterministic
-// label rendering.
-func sortedKeys(m map[string]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	s.obsReg.WritePrometheus(w)
 }
 
 // buildIdentity resolves the build's Go version and VCS revision once.

@@ -7,15 +7,61 @@ import (
 
 	"asyncmediator/api"
 	"asyncmediator/internal/cluster"
+	"asyncmediator/internal/obs"
 	"asyncmediator/internal/pool"
 	"asyncmediator/internal/store"
 	"asyncmediator/internal/wire"
 )
 
-// This file is the farm's fleet-metrics glue: it folds the subsystem
-// counters (cluster transport links, worker pool, durable store) into the
-// api.Stats DTOs and registers the same series on the obs registry, so
-// /v1/stats and the Prometheus exposition read one source of truth.
+// This file is the farm's metrics glue: every series the daemon exposes
+// is registered here (or by the plane that owns it, at boot) on the one
+// obs registry. GET /metrics renders that registry; GET /v1/stats
+// assembles its DTOs from the same objects, so the two cannot disagree.
+
+// playStats is the farm's per-play accounting. exec counts every terminal
+// play here exactly once, before the session turns terminal for any
+// observer.
+type playStats struct {
+	sessions, failed, deadlocked *obs.Counter
+	steps, sent, delivered       *obs.Counter
+	outcomes                     *obs.CounterVec   // by outcome-profile key
+	durations                    *obs.HistogramVec // running wall time by theorem variant
+}
+
+// durBounds are the session-duration bucket upper bounds in seconds
+// (exponential, ms to minute scale — a hosted play is milliseconds in the
+// simulator and can reach seconds on the wire backend).
+var durBounds = []float64{
+	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
+}
+
+// totals renders the accounting as the /v1/stats wire shape.
+func (p *playStats) totals() api.StatsTotals {
+	t := api.StatsTotals{
+		Sessions:          p.sessions.Value(),
+		Failed:            p.failed.Value(),
+		Deadlocked:        p.deadlocked.Value(),
+		Steps:             p.steps.Value(),
+		MessagesSent:      p.sent.Value(),
+		MessagesDelivered: p.delivered.Value(),
+		Outcomes:          p.outcomes.Values(),
+		Durations:         make(map[string]api.DurationStats),
+	}
+	for variant, h := range p.durations.Snapshots() {
+		ds := api.DurationStats{
+			Count:      h.Count,
+			Sum:        h.Sum,
+			P50Seconds: h.Quantile(0.50),
+			P99Seconds: h.Quantile(0.99),
+			Buckets:    h.Counts,
+		}
+		if h.Count > 0 {
+			ds.MeanSeconds = h.Sum / float64(h.Count)
+		}
+		t.Durations[variant] = ds
+	}
+	return t
+}
 
 // addClusterCounters folds a transport snapshot's monotonic counters into
 // dst. The instantaneous depths (QueueLen, ResendBuffered) are excluded:
@@ -78,11 +124,62 @@ func storeStats(st *store.Store) api.StoreStats {
 	}
 }
 
-// registerObsMetrics registers the fleet series on the farm's metric
-// registry. Every series is pull-time: the scrape reads the subsystems'
-// own atomics, so instrumentation costs nothing between scrapes.
+// registerObsMetrics registers the farm's series on its metric registry:
+// the per-play accounting and the farm's own counters as obs objects,
+// everything owned by another subsystem (registry, pool, store, cluster
+// links) as pull-time funcs reading that subsystem's state at the scrape.
 func (s *Service) registerObsMetrics() {
 	r := s.obsReg
+
+	s.plays = playStats{
+		sessions:   r.Counter("mediatord_sessions_completed_total", "Sessions that reached a terminal state."),
+		failed:     r.Counter("mediatord_sessions_failed_total", "Sessions that ended in failure."),
+		deadlocked: r.Counter("mediatord_sessions_deadlocked_total", "Sessions whose play deadlocked."),
+		steps:      r.Counter("mediatord_steps_total", "Simulation steps executed across all plays."),
+		sent:       r.Counter("mediatord_messages_sent_total", "Protocol messages sent across all plays."),
+		delivered:  r.Counter("mediatord_messages_delivered_total", "Protocol messages delivered across all plays."),
+		outcomes: r.CounterVec("mediatord_session_outcomes_total",
+			"Completed plays by outcome profile.", "profile"),
+		durations: r.HistogramVec("mediatord_session_duration_seconds",
+			"Session running wall time by theorem variant.", "variant", durBounds),
+	}
+	r.CounterFunc("mediatord_sessions_created_total", "Sessions ever created (including recovered).",
+		func() float64 { return float64(s.reg.Created()) })
+	r.CounterFunc("mediatord_sessions_evicted_total", "Terminal sessions evicted from the in-memory cache.",
+		func() float64 { return float64(s.reg.Evicted()) })
+	s.persistErrs = r.Counter("mediatord_persist_errors_total", "Failed writes to the durable store.")
+	s.shedIntervals = r.Counter("mediatord_shed_intervals_total",
+		"Entries into load-shedding readiness (queue at or above the watermark).")
+	s.clusterHosted = r.Counter("mediatord_cluster_plays_hosted_total",
+		"Plays co-hosted for remote coordinators (cluster mode).")
+	s.placements = r.Counter("mediatord_placements_total",
+		"Sessions placed by the fleet scheduler (placement mode auto).")
+	s.placeRejects = r.CounterVec("mediatord_placement_rejections_total",
+		"Placements the scheduler refused, by reason.", "reason")
+	r.GaugeFunc("mediatord_sessions_live", "Sessions currently held in memory.",
+		func() float64 { return float64(s.reg.Len()) })
+	r.GaugeFunc("mediatord_sessions_persisted", "Session records in the durable store.",
+		func() float64 {
+			if s.st == nil {
+				return 0
+			}
+			return float64(s.st.Count(sessionKeyPrefix))
+		})
+	r.GaugeFunc("mediatord_queue_depth", "Jobs queued behind the worker pool.",
+		func() float64 { return float64(s.pool.QueueLen()) })
+	r.GaugeFunc("mediatord_workers", "Worker-pool size.",
+		func() float64 { return float64(s.cfg.Workers) })
+	r.GaugeFunc("mediatord_uptime_seconds", "Seconds since the farm started.",
+		func() float64 { return time.Since(s.start).Seconds() })
+	r.GaugeVecFunc("mediatord_sessions_in_state", "Sessions per lifecycle state (in-memory).", "state",
+		func() map[string]float64 {
+			counts := s.reg.StateCounts()
+			out := make(map[string]float64, 5)
+			for _, st := range []State{StateAwaitingTypes, StateQueued, StateRunning, StateDone, StateFailed} {
+				out[string(st)] = float64(counts[st])
+			}
+			return out
+		})
 
 	// Cluster transport links (live nodes + retired totals).
 	clusterCounter := func(name, help string, get func(api.ClusterLinkStats) int64) {
@@ -152,38 +249,26 @@ func (s *Service) registerObsMetrics() {
 		func() float64 { return s.pool.Stats().QueueWait.Seconds() })
 
 	// Durable store (series render as zero on a memory-only farm).
+	storeMetric := func(get func(store.Metrics) float64) func() float64 {
+		return func() float64 {
+			if s.st == nil {
+				return 0
+			}
+			return get(s.st.Metrics())
+		}
+	}
 	r.CounterFunc("mediatord_store_wal_appends_total",
 		"Records appended to the write-ahead log since boot.",
-		func() float64 {
-			if s.st == nil {
-				return 0
-			}
-			return float64(s.st.Metrics().WALAppends)
-		})
+		storeMetric(func(m store.Metrics) float64 { return float64(m.WALAppends) }))
 	r.CounterFunc("mediatord_store_compactions_total",
 		"Snapshot compactions since boot.",
-		func() float64 {
-			if s.st == nil {
-				return 0
-			}
-			return float64(s.st.Metrics().Compactions)
-		})
+		storeMetric(func(m store.Metrics) float64 { return float64(m.Compactions) }))
 	r.GaugeFunc("mediatord_store_keys",
 		"Live records in the durable store.",
-		func() float64 {
-			if s.st == nil {
-				return 0
-			}
-			return float64(s.st.Metrics().Keys)
-		})
+		storeMetric(func(m store.Metrics) float64 { return float64(m.Keys) }))
 	r.GaugeFunc("mediatord_store_replay_seconds",
 		"Time the last open spent replaying snapshot plus WAL.",
-		func() float64 {
-			if s.st == nil {
-				return 0
-			}
-			return s.st.Metrics().ReplayTime.Seconds()
-		})
+		storeMetric(func(m store.Metrics) float64 { return m.ReplayTime.Seconds() }))
 
 	// Play phase latencies, folded once per terminal session from the
 	// play's trace spans; the p99 rides the fleet gossip.
@@ -204,10 +289,8 @@ func (s *Service) registerObsMetrics() {
 	r.GaugeFunc("mediatord_shedding",
 		"1 while the readiness probe sheds load (queue depth at or above the watermark), else 0.",
 		func() float64 {
-			if wm := s.cfg.ReadyWatermark; wm > 0 && s.pool.QueueLen() >= wm {
-				return 1
-			}
-			return 0
+			wm := s.cfg.ReadyWatermark
+			return boolGauge(wm > 0 && s.pool.QueueLen() >= wm)
 		})
 	r.GaugeFunc("mediatord_goroutines",
 		"Live goroutines in the daemon process.",
@@ -225,6 +308,14 @@ func (s *Service) registerObsMetrics() {
 	r.CounterFunc("mediatord_gc_pause_seconds_total",
 		"Cumulative stop-the-world GC pause time.",
 		func() float64 { return float64(mem.sample().PauseTotalNs) / 1e9 })
+}
+
+// boolGauge is the 0/1 value of a yes/no series.
+func boolGauge(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // phaseLatencyBounds bucket the per-phase play latencies (seconds):

@@ -256,7 +256,7 @@ func TestExperimentJobAdmissionControl(t *testing.T) {
 	// Wedge the single worker so the first job's driver stays pending.
 	block := make(chan struct{})
 	started := make(chan struct{})
-	if err := svc.pool.TrySubmit(func(int) { started <- struct{}{}; <-block }); err != nil {
+	if err := svc.pool.TrySubmit(func() { started <- struct{}{}; <-block }); err != nil {
 		t.Fatal(err)
 	}
 	<-started
@@ -304,52 +304,5 @@ func TestViewBinaryContract(t *testing.T) {
 	}
 	if err := unmarshalView(nil, &back); err == nil {
 		t.Fatal("empty record accepted")
-	}
-}
-
-// TestSinkDurationHistograms feeds known durations and checks the
-// per-variant quantile summaries the farm serves in /stats and /metrics.
-func TestSinkDurationHistograms(t *testing.T) {
-	s := NewSink(2)
-	defer s.Close()
-	// 90 fast plays and 10 slow ones under variant 4.1; one other variant.
-	for i := 0; i < 90; i++ {
-		s.Record(0, Record{Variant: "4.1", Duration: 2 * time.Millisecond})
-	}
-	for i := 0; i < 10; i++ {
-		s.Record(1, Record{Variant: "4.1", Duration: 700 * time.Millisecond})
-	}
-	s.Record(0, Record{Variant: "4.4", Duration: 80 * time.Millisecond})
-
-	tot := s.Snapshot()
-	ds, ok := tot.Durations["4.1"]
-	if !ok {
-		t.Fatalf("no histogram for 4.1: %+v", tot.Durations)
-	}
-	if ds.Count != 100 {
-		t.Fatalf("count %d", ds.Count)
-	}
-	// p50 lands in the (1ms, 2.5ms] bucket; p99 in the (0.5s, 1s] bucket.
-	if ds.P50Seconds <= 0.001 || ds.P50Seconds > 0.0025 {
-		t.Fatalf("p50 %v", ds.P50Seconds)
-	}
-	if ds.P99Seconds <= 0.5 || ds.P99Seconds > 1.0 {
-		t.Fatalf("p99 %v", ds.P99Seconds)
-	}
-	if ds.MeanSeconds <= 0 {
-		t.Fatalf("mean %v", ds.MeanSeconds)
-	}
-	if got := tot.Durations["4.4"].Count; got != 1 {
-		t.Fatalf("variant 4.4 count %d", got)
-	}
-	if vs := tot.Variants(); len(vs) != 2 || vs[0] != "4.1" || vs[1] != "4.4" {
-		t.Fatalf("variants %v", vs)
-	}
-	var n int64
-	for _, c := range ds.Buckets {
-		n += c
-	}
-	if n != ds.Count {
-		t.Fatalf("buckets sum %d != count %d", n, ds.Count)
 	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // This file is the placement control plane's service glue: it feeds the
-// pure scheduler (internal/sched) from the gossip fleet view, tallies
-// its decisions for /metrics, and serves POST /v1/cluster/plan — the
+// pure scheduler (internal/sched) from the gossip fleet view, counts
+// its decisions, and serves POST /v1/cluster/plan — the
 // dry-run that answers the assignment a session create would get,
 // without creating anything.
 
@@ -44,36 +44,18 @@ func (s *Service) schedulePlacement(spec Spec, n int) (sched.Placement, []sched.
 	return pl, cands, err
 }
 
-// notePlacement tallies one scheduler decision for /metrics.
+// notePlacement counts one scheduler decision.
 func (s *Service) notePlacement(err error) {
-	reason := ""
 	switch {
 	case err == nil:
+		s.placements.Inc()
 	case errors.Is(err, sched.ErrInfeasible):
-		reason = "infeasible"
+		s.placeRejects.With("infeasible").Inc()
 	case errors.Is(err, sched.ErrUnderFloor):
-		reason = "under_floor"
+		s.placeRejects.With("under_floor").Inc()
 	default:
-		reason = "error"
+		s.placeRejects.With("error").Inc()
 	}
-	s.placeMu.Lock()
-	if reason == "" {
-		s.placements++
-	} else {
-		s.placeRejects[reason]++
-	}
-	s.placeMu.Unlock()
-}
-
-// placementCounts snapshots the placement tallies for /metrics.
-func (s *Service) placementCounts() (placed int64, rejects map[string]int64) {
-	s.placeMu.Lock()
-	defer s.placeMu.Unlock()
-	rejects = make(map[string]int64, len(s.placeRejects))
-	for k, v := range s.placeRejects {
-		rejects[k] = v
-	}
-	return s.placements, rejects
 }
 
 // handleClusterPlan answers POST /v1/cluster/plan: validate the spec and

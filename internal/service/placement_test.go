@@ -123,7 +123,7 @@ func TestAutoPlacementSpreadsAcrossFleet(t *testing.T) {
 			t.Fatalf("farm %d hosted %d plays, want 1", i, got)
 		}
 	}
-	placedN, rejects := coord.placementCounts()
+	placedN, rejects := coord.placements.Value(), coord.placeRejects.Values()
 	if placedN != 1 || len(rejects) != 0 {
 		t.Fatalf("placement counters %d/%v", placedN, rejects)
 	}
@@ -216,7 +216,7 @@ func TestPlacementRefusalCodes(t *testing.T) {
 	if v.State != StateFailed || !strings.Contains(v.Error, "under placement floor") {
 		t.Fatalf("under-floor session: %s %q", v.State, v.Error)
 	}
-	_, rejects := svc.placementCounts()
+	rejects := svc.placeRejects.Values()
 	if rejects["under_floor"] != 1 {
 		t.Fatalf("rejection counters %v", rejects)
 	}

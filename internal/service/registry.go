@@ -124,24 +124,27 @@ func (r *Registry) Lookup(id string) (View, bool) {
 	return v, true
 }
 
-// Spill persists a terminal session's view to the store and then enforces
-// the hot-cache bound, evicting the oldest terminal sessions. It is called
-// by the worker that finished the session.
-func (r *Registry) Spill(v View) error {
-	if r.st != nil {
-		data, err := marshalView(v)
-		if err != nil {
-			return err
-		}
-		if err := r.st.Put(v.ID, data); err != nil {
-			return err
-		}
+// Persist writes a terminal session's view to the store (a no-op on a
+// memory-only farm). The worker that ran the session calls it before the
+// session turns terminal, so "terminal" always implies "persisted".
+func (r *Registry) Persist(v View) error {
+	if r.st == nil {
+		return nil
 	}
+	data, err := marshalView(v)
+	if err != nil {
+		return err
+	}
+	return r.st.Put(v.ID, data)
+}
+
+// Retire queues a terminal, persisted session for eviction and enforces
+// the hot-cache bound, evicting the oldest terminal sessions.
+func (r *Registry) Retire(id string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.finished = append(r.finished, v.ID)
+	r.finished = append(r.finished, id)
 	r.evictLocked()
-	return nil
 }
 
 // evictLocked trims the hot cache down to maxLive by dropping terminal
@@ -242,13 +245,15 @@ func (r *Registry) Evicted() int64 {
 	return r.evicted
 }
 
-// IDs returns the in-memory session ids in creation order.
-func (r *Registry) IDs() []string {
+// InFlight returns the ids of the queued and running sessions, sorted.
+func (r *Registry) InFlight() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	ids := make([]string, 0, len(r.sessions))
-	for id := range r.sessions {
-		ids = append(ids, id)
+	var ids []string
+	for id, s := range r.sessions {
+		if st := s.stateNow(); st == StateQueued || st == StateRunning {
+			ids = append(ids, id)
+		}
 	}
 	sort.Strings(ids)
 	return ids

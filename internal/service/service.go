@@ -5,10 +5,11 @@
 // that makes the replacement operational — a registry of sessions backed
 // by a durable store (internal/store: WAL + snapshots, crash recovery), a
 // bounded worker pool executing them with per-session deterministic
-// seeds, a contention-free statistics sink with per-variant latency
-// histograms, an event bus (internal/events) pushing state transitions to
-// SSE and long-poll clients, and an HTTP/JSON control surface (http.go)
-// suitable for a daemon (cmd/mediatord).
+// seeds, one metric registry (internal/obs) that counts every play once
+// and backs both /v1/stats and /metrics, an event bus (internal/events)
+// pushing state transitions to SSE and long-poll clients, and an
+// HTTP/JSON control surface (http.go) suitable for a daemon
+// (cmd/mediatord).
 //
 // Two execution backends host the same compiled players: the
 // deterministic in-process simulator (default, the object of study of
@@ -19,6 +20,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"log"
 	"runtime"
 	"strconv"
 	"sync"
@@ -178,7 +180,6 @@ type Service struct {
 	reg    *Registry
 	pool   *pool.Pool
 	engine *sim.Engine
-	sink   *Sink
 	bus    *events.Bus
 	st     *store.Store // nil: memory-only
 	start  time.Time
@@ -204,9 +205,9 @@ type Service struct {
 	// shedding tracks whether the last readiness probe shed for load;
 	// shedIntervals counts entries into that state.
 	shedding      atomic.Bool
-	shedIntervals atomic.Int64
+	shedIntervals *obs.Counter
 
-	persistErrs atomic.Int64
+	persistErrs *obs.Counter
 
 	// Cluster mode: plays this daemon co-hosts for remote coordinators,
 	// plus every live cluster-transport node (local and co-hosted) for
@@ -214,17 +215,18 @@ type Service struct {
 	clusterMu     sync.Mutex
 	clusterPlays  map[string]*clusterPlay
 	clusterNodes  map[*wire.Node]struct{}
-	clusterHosted atomic.Int64
+	clusterHosted *obs.Counter
 	clusterTLS    *cluster.TLS
 	// clusterRetired accumulates the transport counters of closed nodes
 	// (guarded by clusterMu), so the fleet totals stay monotonic as
 	// plays come and go; clusterLinkStats folds live nodes on top.
 	clusterRetired api.ClusterLinkStats
 
-	// obsReg is the farm's metric registry: subsystem gauges/counters
-	// (cluster links, worker pool, store) registered at boot and
-	// rendered into /metrics alongside the sink's play statistics.
+	// obsReg is the farm's one metric registry: every series is
+	// registered on it at boot and GET /metrics renders it; plays is the
+	// per-play accounting on it that /v1/stats reads back.
 	obsReg *obs.Registry
+	plays  playStats
 
 	// phaseHist aggregates per-phase protocol latencies across plays
 	// (one fold per terminal session); its p99 rides the fleet gossip.
@@ -235,10 +237,9 @@ type Service struct {
 	joinHist *obs.Histogram
 
 	// Placement control plane counters: successful scheduler decisions
-	// and refusals by reason, for /metrics.
-	placeMu      sync.Mutex
-	placements   int64
-	placeRejects map[string]int64
+	// and refusals by reason.
+	placements   *obs.Counter
+	placeRejects *obs.CounterVec
 
 	// fleet is the gossip-mesh runtime (nil without FleetListen).
 	fleet *fleetState
@@ -284,7 +285,6 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:          cfg,
 		reg:          NewRegistry(cfg.BaseSeed, cfg.MaxN, cfg.MaxLiveSessions, st),
-		sink:         NewSink(cfg.Workers),
 		bus:          events.NewBus(),
 		st:           st,
 		stopc:        make(chan struct{}),
@@ -293,8 +293,9 @@ func New(cfg Config) (*Service, error) {
 		clusterNodes: make(map[*wire.Node]struct{}),
 		clusterTLS:   clusterTLS,
 		idem:         newIdemCache(1024, st),
-		placeRejects: make(map[string]int64),
+		obsReg:       obs.NewRegistry(),
 	}
+	s.registerObsMetrics()
 	// Keyed create responses recorded by the previous generation replay
 	// across the restart (Idempotency-Replayed), so a client retrying a
 	// create over the crash cannot double it.
@@ -303,8 +304,6 @@ func New(cfg Config) (*Service, error) {
 	s.recoverExperiments()
 	s.pool = pool.New(cfg.Workers, cfg.QueueDepth)
 	s.engine = sim.EngineOn(s.pool)
-	s.obsReg = obs.NewRegistry()
-	s.registerObsMetrics()
 	fail := func(err error) (*Service, error) {
 		s.beginShutdown()
 		s.sloWG.Wait()
@@ -313,7 +312,6 @@ func New(cfg Config) (*Service, error) {
 			_ = st.Close()
 		}
 		s.bus.Close()
-		s.sink.Close()
 		return nil, err
 	}
 	// The telemetry plane (trace retention + SLO engine) boots before the
@@ -345,7 +343,7 @@ func (s *Service) Readiness() api.Readiness {
 		if wm := s.cfg.ReadyWatermark; wm > 0 {
 			if depth := s.pool.QueueLen(); depth >= wm {
 				if s.shedding.CompareAndSwap(false, true) {
-					s.shedIntervals.Add(1)
+					s.shedIntervals.Inc()
 				}
 				return api.Readiness{Reason: fmt.Sprintf("shedding load: queue depth %d at or above watermark %d", depth, wm)}
 			}
@@ -433,7 +431,7 @@ func (s *Service) SubmitTypes(id string, types []game.Type) (*Session, error) {
 	// Announce queued before the pool can run it, so subscribers observe
 	// lifecycle order.
 	s.publish(kindSession, sess.ID, StateQueued, nil)
-	if err := s.pool.TrySubmit(func(worker int) { s.exec(worker, sess) }); err != nil {
+	if err := s.pool.TrySubmit(func() { s.exec(sess) }); err != nil {
 		sess.rollback() // the client may resubmit after backoff
 		s.publish(kindSession, sess.ID, StateAwaitingTypes, nil)
 		return nil, err
@@ -449,10 +447,13 @@ func (s *Service) Experiments(id string, o sim.Options) (*sim.Table, error) {
 	return s.engine.Run(id, o)
 }
 
-// exec runs one session on its backend, persists and announces the
-// terminal state, and folds the outcome into the sink. It is the
-// worker-pool callback.
-func (s *Service) exec(worker int, sess *Session) {
+// exec runs one session on its backend and then, in this order, persists
+// the terminal view (and its trace), counts the play, turns the session
+// terminal, and announces it. Whoever can observe the terminal state — a
+// long-poll, a plain GET, Session.Done, the SSE event — therefore finds
+// the play already in /v1/stats and, on a durable farm, already in the
+// store. It is the worker-pool callback.
+func (s *Service) exec(sess *Session) {
 	s.publish(kindSession, sess.ID, StateRunning, nil)
 	types := sess.begin()
 	tr := sess.beginTrace(!s.cfg.DisableTracing)
@@ -492,44 +493,48 @@ func (s *Service) exec(worker int, sess *Session) {
 		tr.Annotate("run", originLocal, "cpu_ms",
 			strconv.FormatFloat(float64(cpu)/float64(time.Millisecond), 'f', 3, 64))
 	}
-	sess.finish(prof, res, err)
+	view := sess.settle(prof, res, err)
 
-	view := sess.Snapshot()
-	// Fold the play's phase spans into the rolling latency histogram
-	// whose p99 rides the fleet gossip (one walk per terminal session).
-	s.observePhases(view.Trace)
-	// Feed the SLO objectives and retain the compacted trace on the
-	// telemetry ring. With retention on, the session record spills lean
-	// (trace stripped): the ring is the trace's durable home, so the
-	// session tier stops duplicating span data it never queries.
-	s.observeSLO(view)
-	s.retainTrace(view)
+	// Persist. With retention on, the session record spills lean (trace
+	// stripped): the ring is the trace's durable home, so the session
+	// tier stops duplicating span data it never queries.
+	s.retainTrace(view, s.observePlay(view))
 	lean := view
 	if s.traces != nil {
 		lean.Trace = nil
 	}
-	if serr := s.reg.Spill(lean); serr != nil {
-		// The session stays in memory (never evicted un-persisted); count
-		// the failure so /stats surfaces a sick disk.
-		s.persistErrs.Add(1)
+	perr := s.reg.Persist(lean)
+	if perr != nil {
+		s.persistErrs.Inc() // surfaces a sick disk in /v1/stats
+	}
+
+	// Count.
+	s.plays.sessions.Inc()
+	if err != nil {
+		s.plays.failed.Inc()
+	} else {
+		if res.Deadlocked {
+			s.plays.deadlocked.Inc()
+		}
+		s.plays.steps.Add(int64(res.Stats.Steps))
+		s.plays.sent.Add(int64(res.Stats.MessagesSent))
+		s.plays.delivered.Add(int64(res.Stats.MessagesDelivered))
+		s.plays.outcomes.With(prof.Key()).Inc()
+	}
+	if view.DurationSeconds > 0 {
+		s.plays.durations.With(sess.Spec.Variant).Observe(view.DurationSeconds)
+	}
+
+	// Wake waiters last. Only now may the hot cache evict the session: an
+	// evicted id is served from the store, which already says terminal. A
+	// session whose record failed to persist is never evicted.
+	sess.release(view.State)
+	if perr == nil {
+		s.reg.Retire(view.ID)
 	}
 	// The terminal event carries the full snapshot (trace included), so a
 	// subscriber needs no follow-up GET.
 	s.publish(kindSession, view.ID, view.State, view)
-
-	rec := Record{
-		Failed:   err != nil,
-		Variant:  sess.Spec.Variant,
-		Duration: sess.duration(),
-	}
-	if err == nil {
-		rec.Deadlocked = res.Deadlocked
-		rec.Steps = int64(res.Stats.Steps)
-		rec.Sent = int64(res.Stats.MessagesSent)
-		rec.Delivered = int64(res.Stats.MessagesDelivered)
-		rec.ProfileKey = prof.Key()
-	}
-	s.sink.Record(worker, rec)
 }
 
 // StatsView is the farm-level aggregate exposed at GET /v1/stats — the
@@ -538,20 +543,20 @@ type StatsView = api.Stats
 
 // Stats aggregates the farm counters.
 func (s *Service) Stats() StatsView {
-	tot := s.sink.Snapshot()
+	tot := s.plays.totals()
 	up := time.Since(s.start).Seconds()
 	v := StatsView{
 		StatsTotals:        tot,
 		SessionsCreated:    int(s.reg.Created()),
 		SessionsLive:       s.reg.Len(),
 		SessionsEvicted:    s.reg.Evicted(),
-		PersistErrors:      s.persistErrs.Load(),
+		PersistErrors:      s.persistErrs.Value(),
 		States:             s.reg.StateCounts(),
 		Workers:            s.cfg.Workers,
 		UptimeSeconds:      up,
 		QueueDepth:         s.pool.QueueLen(),
-		ShedIntervals:      s.shedIntervals.Load(),
-		ClusterPlaysHosted: s.clusterHosted.Load(),
+		ShedIntervals:      s.shedIntervals.Value(),
+		ClusterPlaysHosted: s.clusterHosted.Value(),
 	}
 	if s.st != nil {
 		v.SessionsPersisted = s.st.Count(sessionKeyPrefix)
@@ -569,7 +574,7 @@ func (s *Service) Stats() StatsView {
 	s.clusterMu.Lock()
 	liveNodes := len(s.clusterNodes)
 	s.clusterMu.Unlock()
-	if cl := s.clusterLinkStats(); liveNodes > 0 || s.clusterHosted.Load() > 0 || cl != (api.ClusterLinkStats{}) {
+	if cl := s.clusterLinkStats(); liveNodes > 0 || s.clusterHosted.Value() > 0 || cl != (api.ClusterLinkStats{}) {
 		v.Cluster = &cl
 	}
 	pl := poolStats(s.pool)
@@ -577,11 +582,23 @@ func (s *Service) Stats() StatsView {
 	return v
 }
 
+// drainWarnAfter is how long Close waits on in-flight work before it
+// logs what it is still waiting on. It keeps waiting after that: work
+// that must persist is never abandoned.
+const drainWarnAfter = 10 * time.Second
+
+// drainReport says what a drain is waiting on: the one-line diagnosis of
+// a Close that does not return.
+func (s *Service) drainReport() string {
+	ps := s.pool.Stats()
+	return fmt.Sprintf("service: drain still waiting after %v: %d active workers, %d queued jobs, sessions in flight %v, %d pending experiment jobs",
+		drainWarnAfter, ps.Active, ps.QueueLen, s.reg.InFlight(), s.expPending.Load())
+}
+
 // Close drains the farm: intake stops, queued and running sessions finish
 // (and persist), experiment-job drivers run their remaining shards inline
 // against the closed pool and persist, the store takes a final compacted
-// snapshot, the event bus closes every subscriber, then the stats
-// collector exits.
+// snapshot, then the event bus closes every subscriber.
 func (s *Service) Close() {
 	s.beginShutdown()
 	// The SLO ticker parks on stopc; wait it out before the bus (its
@@ -604,12 +621,13 @@ func (s *Service) Close() {
 	for _, id := range pending {
 		s.releaseClusterPlay(id)
 	}
+	slow := time.AfterFunc(drainWarnAfter, func() { log.Print(s.drainReport()) })
 	s.pool.Close()
 	s.jobs.Wait()
+	slow.Stop()
 	if s.st != nil {
 		_ = s.st.Compact() // graceful shutdown = snapshot + empty WAL
 		_ = s.st.Close()
 	}
 	s.bus.Close()
-	s.sink.Close()
 }

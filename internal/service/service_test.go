@@ -3,7 +3,6 @@ package service
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"asyncmediator/internal/game"
@@ -144,7 +143,7 @@ func TestFarmBackpressureSurfacesQueueFull(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
 	started := make(chan struct{})
-	if err := svc.pool.TrySubmit(func(int) {
+	if err := svc.pool.TrySubmit(func() {
 		started <- struct{}{}
 		<-block
 	}); err != nil {
@@ -167,49 +166,6 @@ func TestFarmBackpressureSurfacesQueueFull(t *testing.T) {
 	}
 	if st := sess.stateNow(); st != StateAwaitingTypes {
 		t.Fatalf("rejected session not rolled back: %s", st)
-	}
-}
-
-func TestSinkShardedAggregation(t *testing.T) {
-	const workers, perWorker = 8, 500
-	s := NewSink(workers)
-	defer s.Close()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				s.Record(w, Record{
-					Steps: 2, Sent: 3, Delivered: 1,
-					Deadlocked: i%10 == 0,
-					ProfileKey: fmt.Sprintf("p%d", w%2),
-				})
-			}
-		}()
-	}
-	wg.Wait()
-	tot := s.Snapshot()
-	want := int64(workers * perWorker)
-	if tot.Sessions != want {
-		t.Fatalf("sessions: got %d want %d", tot.Sessions, want)
-	}
-	if tot.Steps != 2*want || tot.MessagesSent != 3*want || tot.MessagesDelivered != want {
-		t.Fatalf("counter mismatch: %+v", tot)
-	}
-	if tot.Deadlocked != int64(workers*(perWorker/10)) {
-		t.Fatalf("deadlocked: got %d", tot.Deadlocked)
-	}
-	var hist int64
-	for _, c := range tot.Outcomes {
-		hist += c
-	}
-	if hist != want {
-		t.Fatalf("histogram total: got %d want %d", hist, want)
-	}
-	if len(tot.Outcomes) != 2 {
-		t.Fatalf("want 2 distinct outcomes, got %v", tot.Outcomes)
 	}
 }
 

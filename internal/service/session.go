@@ -280,44 +280,50 @@ func (s *Session) tracer() *obs.PlayTrace {
 	return s.trace
 }
 
-// finish records the outcome and closes Done. The play trace — complete
-// by now: the run ended and any peer spans are stitched — is compacted
-// to its flat view and the buffer released.
-func (s *Session) finish(profile game.Profile, res *async.Result, err error) {
+// settle records the play's outcome and returns the terminal view the
+// session will show, without turning it terminal yet: observers still see
+// it running until release, so the worker can persist and count the play
+// first. The play trace — complete by now: the run ended and any peer
+// spans are stitched — is compacted to its flat view and the buffer
+// released.
+func (s *Session) settle(profile game.Profile, res *async.Result, err error) View {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	state := StateDone
 	if err != nil {
-		s.state = StateFailed
+		state = StateFailed
 		s.err = err
 	} else {
-		s.state = StateDone
 		s.profile = profile
 		s.res = res
 	}
 	s.traceV = traceView(s.trace)
 	s.trace = nil
 	s.finished = time.Now()
-	s.mu.Unlock()
-	close(s.done)
+	return s.viewLocked(state)
 }
 
-// duration returns the wall time the session spent running (zero until
-// terminal).
-func (s *Session) duration() time.Duration {
+// release turns a settled session terminal and closes Done.
+func (s *Session) release(state State) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.state.Terminal() || s.started.IsZero() {
-		return 0
-	}
-	return s.finished.Sub(s.started)
+	s.state = state
+	s.mu.Unlock()
+	close(s.done)
 }
 
 // Snapshot returns a consistent view of the session.
 func (s *Session) Snapshot() View {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.viewLocked(s.state)
+}
+
+// viewLocked renders the session as of lifecycle state `state` (the
+// current one, or the terminal one a settled session is about to enter).
+func (s *Session) viewLocked(state State) View {
 	v := View{
 		ID:      s.ID,
-		State:   s.state,
+		State:   state,
 		Spec:    s.Spec,
 		Seed:    s.seed,
 		Variant: s.params.Variant.String(),
@@ -327,7 +333,7 @@ func (s *Session) Snapshot() View {
 	for _, tp := range s.types {
 		v.Types = append(v.Types, int(tp))
 	}
-	if s.state == StateDone {
+	if state == StateDone {
 		for _, a := range s.profile {
 			v.Profile = append(v.Profile, int(a))
 		}
@@ -337,13 +343,13 @@ func (s *Session) Snapshot() View {
 		v.MsgsSent = s.res.Stats.MessagesSent
 		v.MsgsDeliv = s.res.Stats.MessagesDelivered
 	}
-	if s.state.Terminal() && !s.started.IsZero() {
-		v.DurationSeconds = s.finished.Sub(s.started).Seconds()
-	}
-	if s.state.Terminal() {
+	if state.Terminal() {
+		if !s.started.IsZero() {
+			v.DurationSeconds = s.finished.Sub(s.started).Seconds()
+		}
 		v.Trace = s.traceV
 	}
-	if s.err != nil {
+	if state == StateFailed {
 		v.Error = s.err.Error()
 	}
 	return v

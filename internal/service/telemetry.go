@@ -59,10 +59,34 @@ func (s *Service) startTelemetry() error {
 		OnAlert:    s.publishSLOAlert,
 	})
 	if s.slo != nil {
+		s.registerSLOMetrics()
 		s.sloWG.Add(1)
 		go s.sloLoop()
 	}
 	return nil
+}
+
+// registerSLOMetrics exposes the engine's rolling state: the two burn
+// rates and the firing latch, one series per objective.
+func (s *Service) registerSLOMetrics() {
+	perObjective := func(get func(api.SLOObjectiveView) float64) func() map[string]float64 {
+		return func() map[string]float64 {
+			out := make(map[string]float64)
+			for _, o := range s.slo.Status() {
+				out[o.Objective] = get(o)
+			}
+			return out
+		}
+	}
+	s.obsReg.GaugeVecFunc("mediatord_slo_burn_ratio",
+		"Short-window burn rate per SLO objective (1.0 = spending the error budget exactly).", "objective",
+		perObjective(func(o api.SLOObjectiveView) float64 { return o.ShortBurn }))
+	s.obsReg.GaugeVecFunc("mediatord_slo_burn_ratio_long",
+		"Long-window burn rate per SLO objective.", "objective",
+		perObjective(func(o api.SLOObjectiveView) float64 { return o.LongBurn }))
+	s.obsReg.GaugeVecFunc("mediatord_slo_firing",
+		"Whether alert.slo_burn is active per objective (1 firing, 0 clear).", "objective",
+		perObjective(func(o api.SLOObjectiveView) float64 { return boolGauge(o.Firing) }))
 }
 
 // sloLoop drives the burn-rate windows, one tick per SLOInterval, until
@@ -81,14 +105,14 @@ func (s *Service) sloLoop() {
 	}
 }
 
-// observeSLO feeds one terminal play into the objectives: its
-// end-to-end latency (and failure flag) to the variant objectives, each
-// protocol-phase span to the phase objectives. The exemplar carried on
-// a breaching sample is the play's retained trace.
-func (s *Service) observeSLO(view View) {
-	if s.slo == nil {
-		return
-	}
+// observePlay feeds one terminal play's latencies to their consumers in
+// a single walk of its trace: the end-to-end latency (and failure flag)
+// to the SLO variant objectives, and each protocol-phase span to the SLO
+// phase objectives, to the rolling phase-latency histogram whose p99
+// rides the fleet gossip, and into the per-phase millisecond digest it
+// returns (what GET /v1/traces filters on). The exemplar carried on a
+// breaching SLO sample is the play's retained trace.
+func (s *Service) observePlay(view View) (phaseMS map[string]float64) {
 	traceID := ""
 	if view.Trace != nil {
 		traceID = view.Trace.TraceID
@@ -96,22 +120,31 @@ func (s *Service) observeSLO(view View) {
 	dur := time.Duration(view.DurationSeconds * float64(time.Second))
 	s.slo.Observe(telemetry.KindVariant, view.Variant, dur, view.State == StateFailed, view.ID, traceID)
 	if view.Trace == nil {
-		return
+		return nil
 	}
 	for _, sp := range view.Trace.Spans {
 		switch sp.Name {
 		case "run", "sched":
 			continue // stages, not protocol phases
 		}
-		if d := sp.EndUS - sp.StartUS; d > 0 {
-			s.slo.Observe(telemetry.KindPhase, sp.Name, time.Duration(d)*time.Microsecond, false, view.ID, traceID)
+		d := sp.EndUS - sp.StartUS
+		if d <= 0 {
+			continue
 		}
+		s.phaseHist.Observe(float64(d) / 1e6)
+		s.slo.Observe(telemetry.KindPhase, sp.Name, time.Duration(d)*time.Microsecond, false, view.ID, traceID)
+		if phaseMS == nil {
+			phaseMS = make(map[string]float64)
+		}
+		phaseMS[sp.Name] += float64(d) / 1000
 	}
+	return phaseMS
 }
 
-// retainTrace adds a terminal play's compacted trace to the ring. A
-// failed store write counts as a persist error, like a failed spill.
-func (s *Service) retainTrace(view View) {
+// retainTrace adds a terminal play's compacted trace to the ring under
+// its per-phase digest. A failed store write counts as a persist error,
+// like a failed session write.
+func (s *Service) retainTrace(view View, phaseMS map[string]float64) {
 	if s.traces == nil || view.Trace == nil {
 		return
 	}
@@ -122,31 +155,12 @@ func (s *Service) retainTrace(view View) {
 		State:          string(view.State),
 		DurationMS:     view.DurationSeconds * 1000,
 		FinishedUnixMS: time.Now().UnixMilli(),
-		PhaseMS:        phaseDurations(view.Trace),
+		PhaseMS:        phaseMS,
 		Spans:          len(view.Trace.Spans),
 	}
 	if err := s.traces.Add(sum, view.Trace); err != nil {
-		s.persistErrs.Add(1)
+		s.persistErrs.Inc()
 	}
-}
-
-// phaseDurations folds a trace's protocol-phase spans into per-phase
-// millisecond totals — the searchable digest GET /v1/traces filters on.
-func phaseDurations(tv *api.TraceView) map[string]float64 {
-	var out map[string]float64
-	for _, sp := range tv.Spans {
-		switch sp.Name {
-		case "run", "sched":
-			continue
-		}
-		if d := sp.EndUS - sp.StartUS; d > 0 {
-			if out == nil {
-				out = make(map[string]float64)
-			}
-			out[sp.Name] += float64(d) / 1000
-		}
-	}
-	return out
 }
 
 // publishSLOAlert republishes one burn-rate edge on the event bus the
@@ -156,9 +170,7 @@ func phaseDurations(tv *api.TraceView) map[string]float64 {
 // the transition also counts into the per-rule alert tallies.
 func (s *Service) publishSLOAlert(a telemetry.SLOAlert) {
 	if s.fleet != nil && !a.Cleared {
-		s.fleet.mu.Lock()
-		s.fleet.alertCounts[sloBurnRule]++
-		s.fleet.mu.Unlock()
+		s.fleet.alerts.With(sloBurnRule).Inc()
 	}
 	state := "alert." + sloBurnRule
 	if a.Cleared {

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"fmt"
 	"net/http"
 	"testing"
 	"time"
@@ -183,31 +182,5 @@ func TestClusterPlayStitchedTrace(t *testing.T) {
 	if tv.TraceID != tr.TraceID || len(tv.Spans) != len(tr.Spans) {
 		t.Fatalf("endpoint trace (%s, %d spans) != snapshot trace (%s, %d spans)",
 			tv.TraceID, len(tv.Spans), tr.TraceID, len(tr.Spans))
-	}
-}
-
-// TestDurationVariantCardinalityCap: the per-variant duration histogram
-// routes samples beyond maxDurationVariants distinct labels into the
-// overflow bucket instead of minting unbounded Prometheus series.
-func TestDurationVariantCardinalityCap(t *testing.T) {
-	s := NewSink(1)
-	defer s.Close()
-	const extra = 8
-	for i := 0; i < maxDurationVariants+extra; i++ {
-		s.Record(0, Record{Variant: fmt.Sprintf("v%03d", i), Duration: time.Millisecond})
-	}
-	tot := s.Snapshot()
-	if len(tot.Durations) != maxDurationVariants+1 {
-		t.Fatalf("%d duration series, want %d (+1 overflow)", len(tot.Durations), maxDurationVariants+1)
-	}
-	over, ok := tot.Durations[VariantOverflow]
-	if !ok {
-		t.Fatalf("no %q overflow series", VariantOverflow)
-	}
-	if over.Count != extra {
-		t.Fatalf("overflow count %d, want %d", over.Count, extra)
-	}
-	if _, ok := tot.Durations["v000"]; !ok {
-		t.Fatal("pre-cap variant lost its own series")
 	}
 }

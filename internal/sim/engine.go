@@ -80,7 +80,7 @@ func (e *Engine) forSpans(n, span int, fn func(shard, lo, hi int)) {
 			hi = n
 		}
 		wg.Add(1)
-		if err := e.p.Submit(func(int) {
+		if err := e.p.Submit(func() {
 			defer wg.Done()
 			fn(shard, lo, hi)
 		}); err != nil {

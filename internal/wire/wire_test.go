@@ -190,26 +190,37 @@ func TestMeshSurvivesConnDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Chaos: sever every live connection repeatedly during the play's
-	// opening window, then let the mesh heal — the transport must replay
-	// whatever the drops swallowed and the play must still terminate.
-	stop := make(chan struct{})
+	// Chaos: sever every live connection repeatedly until the play is
+	// over — the transport must replay whatever the drops swallowed and
+	// the play must still terminate. Links dial as soon as the mesh is
+	// built, so the play is held back until one established connection
+	// has been severed: however fast the broadcast runs, it runs on a
+	// mesh that has already had to heal.
+	stop, firstDrop := make(chan struct{}), make(chan struct{})
 	var chaos sync.WaitGroup
 	chaos.Add(1)
 	go func() {
 		defer chaos.Done()
-		for round := 0; round < 40; round++ {
+		var once sync.Once
+		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
 			for _, nd := range nodes {
-				nd.DropConns()
+				if nd.DropConns() > 0 {
+					once.Do(func() { close(firstDrop) })
+				}
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
 	}()
+	select {
+	case <-firstDrop:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no connection came up to sever")
+	}
 
 	moves := make([]any, n)
 	errs := make([]error, n)
