@@ -80,9 +80,9 @@ type ClusterStartRequest struct {
 }
 
 // ClusterPlayerResult is one co-hosted player's terminal state. Move and
-// Will are opaque gob frames (the same registered protocol payloads the
-// wire mesh exchanges), so arbitrary move types cross the HTTP boundary
-// without widening the JSON contract.
+// Will are opaque payloads in the wire mesh's binary codec (the same
+// encoding its protocol messages use), so any move type the codec knows
+// crosses the HTTP boundary without widening the JSON contract.
 type ClusterPlayerResult struct {
 	Index  int    `json:"index"`
 	Move   []byte `json:"move,omitempty"`

@@ -1,10 +1,11 @@
 // Network: the complete cheap-talk protocol over real TCP sockets.
 //
 // Four player processes — the same ones the deterministic experiments
-// compile — form a localhost mesh (one goroutine per node, gob frames on
-// the wire) and jointly evaluate the Section 6.4 lottery mediator under
-// Theorem 4.2's parameters. No process ever sees the lottery bit before
-// the joint opening; there is no trusted party anywhere.
+// compile — form a localhost mesh (one goroutine per node, binary-encoded
+// frames on the wire) and jointly evaluate the Section 6.4 lottery
+// mediator under Theorem 4.2's parameters. No process ever sees the
+// lottery bit before the joint opening; there is no trusted party
+// anywhere.
 package main
 
 import (

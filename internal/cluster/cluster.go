@@ -464,6 +464,7 @@ func (t *Transport) serveInbound(conn net.Conn) {
 		return
 	}
 
+	var ackFrame []byte // reused for every ACK on this connection
 	for {
 		kind, body, err := readRaw(conn)
 		if err != nil {
@@ -506,9 +507,9 @@ func (t *Transport) serveInbound(conn net.Conn) {
 			// sender still buffers everything unacknowledged and will
 			// replay contiguously on its live connection.
 		}
-		ack := st.delivered
+		ackFrame = appendAck(ackFrame[:0], st.delivered)
 		st.mu.Unlock()
-		if err := writeAck(conn, ack); err != nil {
+		if _, err := conn.Write(ackFrame); err != nil {
 			return
 		}
 		t.framesOut.Add(1)

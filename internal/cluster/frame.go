@@ -8,11 +8,15 @@ import (
 
 // ProtocolVersion is the handshake version this package speaks. A peer
 // announcing a different version is rejected during HELLO: transport
-// framing is a hard compatibility boundary between daemon generations.
-const ProtocolVersion uint16 = 1
+// framing and the payload codec riding in DATA frames are a hard
+// compatibility boundary between daemon generations. Version 2 carries
+// the wire package's binary codec; a version-1 peer would complete the
+// handshake and then send nothing this side can decode.
+const ProtocolVersion uint16 = 2
 
-// MaxFrameBytes bounds one transport frame (header + payload). It matches
-// the wire layer's historical 64 MiB gob cap.
+// MaxFrameBytes bounds one transport frame (kind byte + body): far above
+// any protocol payload, and small enough that a corrupt length prefix
+// cannot make a reader allocate without bound.
 const MaxFrameBytes = 64 << 20
 
 // The transport frame kinds. Every TCP segment stream this package opens
@@ -56,18 +60,21 @@ type hello struct {
 	TraceID   string
 }
 
+// appendHeader appends a frame's length prefix (kind byte plus a body of
+// bodyLen bytes) and kind byte.
+func appendHeader(b []byte, kind byte, bodyLen int) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(bodyLen+1))
+	return append(b, kind)
+}
+
 // writeRaw emits one length-prefixed frame: kind byte plus body.
 func writeRaw(w io.Writer, kind byte, body []byte) error {
 	if len(body)+1 > MaxFrameBytes {
 		return fmt.Errorf("cluster: frame of %d bytes exceeds limit", len(body)+1)
 	}
-	hdr := make([]byte, 5, 5+len(body))
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)+1))
-	hdr[4] = kind
-	if _, err := w.Write(append(hdr, body...)); err != nil {
-		return err
-	}
-	return nil
+	frame := appendHeader(make([]byte, 0, 5+len(body)), kind, len(body))
+	_, err := w.Write(append(frame, body...))
+	return err
 }
 
 // readRaw reads one length-prefixed frame, returning its kind and body.
@@ -140,12 +147,24 @@ func writeReject(w io.Writer, reason string) error {
 	return writeRaw(w, kindReject, []byte(reason))
 }
 
-// writeData frames one sequence-numbered payload.
-func writeData(w io.Writer, seq uint64, payload []byte) error {
-	body := make([]byte, 8+len(payload))
-	binary.BigEndian.PutUint64(body[:8], seq)
-	copy(body[8:], payload)
-	return writeRaw(w, kindData, body)
+// appendData appends one DATA frame: header, 8-byte sequence number,
+// payload.
+func appendData(b []byte, seq uint64, payload []byte) []byte {
+	b = binary.BigEndian.AppendUint64(appendHeader(b, kindData, 8+len(payload)), seq)
+	return append(b, payload...)
+}
+
+// writeData writes one sequence-numbered payload as a single frame built
+// in buf, the caller's scratch buffer, and returns buf for the next frame:
+// a writer that keeps it copies each payload once and allocates only
+// while buf grows.
+func writeData(w io.Writer, buf []byte, seq uint64, payload []byte) ([]byte, error) {
+	if 1+8+len(payload) > MaxFrameBytes {
+		return buf, fmt.Errorf("cluster: frame of %d bytes exceeds limit", 1+8+len(payload))
+	}
+	buf = appendData(buf[:0], seq, payload)
+	_, err := w.Write(buf)
+	return buf, err
 }
 
 // parseData splits a DATA body into its sequence number and payload.
@@ -156,11 +175,9 @@ func parseData(body []byte) (uint64, []byte, error) {
 	return binary.BigEndian.Uint64(body[:8]), body[8:], nil
 }
 
-// writeAck emits a cumulative ack: every seq <= n has been delivered.
-func writeAck(w io.Writer, n uint64) error {
-	var body [8]byte
-	binary.BigEndian.PutUint64(body[:], n)
-	return writeRaw(w, kindAck, body[:])
+// appendAck appends a cumulative ack: every seq <= n has been delivered.
+func appendAck(b []byte, n uint64) []byte {
+	return binary.BigEndian.AppendUint64(appendHeader(b, kindAck, 8), n)
 }
 
 // parseU64 decodes the 8-byte body shared by WELCOME and ACK.

@@ -201,10 +201,13 @@ func (l *link) serve(conn net.Conn, cursor uint64) {
 	}()
 
 	// The receiver has everything up to cursor; drop that prefix and
-	// replay the rest in order.
+	// replay the rest in order. Every DATA frame of this connection is
+	// built in the one scratch buffer.
+	var scratch []byte
+	var err error
 	l.ackTo(cursor)
 	for _, f := range l.replaySnapshot() {
-		if err := writeData(conn, f.seq, f.payload); err != nil {
+		if scratch, err = writeData(conn, scratch, f.seq, f.payload); err != nil {
 			return
 		}
 		l.t.resent.Add(1)
@@ -220,7 +223,7 @@ func (l *link) serve(conn net.Conn, cursor uint64) {
 			f := dataFrame{seq: l.nextSeq, payload: payload}
 			l.buf = append(l.buf, f)
 			l.mu.Unlock()
-			if err := writeData(conn, f.seq, f.payload); err != nil {
+			if scratch, err = writeData(conn, scratch, f.seq, f.payload); err != nil {
 				return // frame stays buffered; the redial replays it
 			}
 			l.t.framesOut.Add(1)

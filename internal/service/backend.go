@@ -38,10 +38,10 @@ func runSim(s *Session, types []game.Type) (game.Profile, *async.Result, error) 
 
 // runWire plays one session as a real distributed system: the compiled
 // player processes form a loopback TCP mesh (one node and goroutine per
-// player, gob frames on the wire) and the operating system's scheduler
-// replaces the simulated environment. The run result is assembled from
-// each node's local game state, then resolved exactly like a simulated
-// play.
+// player, binary-encoded frames on the wire) and the operating system's
+// scheduler replaces the simulated environment. The run result is
+// assembled from each node's local game state, then resolved exactly like
+// a simulated play.
 func runWire(s *Session, types []game.Type, timeout time.Duration) (game.Profile, *async.Result, error) {
 	collect := newCollector(s.tracer())
 	procs, err := core.BuildProcs(core.RunConfig{Params: s.params, Types: types, Wrap: collect.wrap()})

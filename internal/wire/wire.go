@@ -1,8 +1,10 @@
 // Package wire runs the repository's protocol processes over real TCP
-// sockets: a full mesh of length-prefixed gob-encoded messages. The same
-// Process implementations that the deterministic simulator executes —
-// reliable broadcast, Byzantine agreement, the full cheap-talk players —
-// run unmodified across machine boundaries.
+// sockets: a full mesh exchanging protocol messages in one strict binary
+// codec (codec.go: a tag byte per payload type, varint lengths, no
+// reflection and no type registry). The same Process implementations
+// that the deterministic simulator executes — reliable broadcast,
+// Byzantine agreement, the full cheap-talk players — run unmodified
+// across machine boundaries.
 //
 // The mesh rides on the hardened cluster transport (internal/cluster):
 // per-peer outbound write queues, a versioned HELLO handshake scoped to
@@ -15,123 +17,20 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"asyncmediator/internal/async"
-	"asyncmediator/internal/avss"
-	"asyncmediator/internal/ba"
 	"asyncmediator/internal/cluster"
-	"asyncmediator/internal/field"
-	"asyncmediator/internal/game"
-	"asyncmediator/internal/mediator"
-	"asyncmediator/internal/proto"
-	"asyncmediator/internal/rbc"
 )
-
-// RegisterTypes registers every protocol payload with gob. It is
-// idempotent and must run in every binary before Encode/Decode.
-func RegisterTypes() {
-	registerOnce.Do(func() {
-		gob.Register(proto.Envelope{})
-		gob.Register(rbc.MsgInit{})
-		gob.Register(rbc.MsgEcho{})
-		gob.Register(rbc.MsgReady{})
-		gob.Register(ba.MsgEst{})
-		gob.Register(ba.MsgAux{})
-		gob.Register(ba.MsgDone{})
-		gob.Register(avss.MsgRow{})
-		gob.Register(avss.MsgPoint{})
-		gob.Register(avss.MsgReady{})
-		gob.Register(avss.MsgShare{})
-		gob.Register(mediator.MsgInput{})
-		gob.Register(mediator.MsgRound{})
-		gob.Register(mediator.MsgStop{})
-		gob.Register(mediator.MsgHint{})
-		gob.Register(field.Element(0))
-		gob.Register(game.Action(0))
-		gob.Register("")
-	})
-}
-
-var registerOnce sync.Once
 
 // ErrTimeout marks a Run that hit its deadline before the process halted
 // — the wire-level analogue of a deadlocked play. Callers distinguish it
 // from transport failures with errors.Is.
 var ErrTimeout = errors.New("wire: timeout")
-
-// frame is the gob-framed unit the transport's opaque payloads carry.
-type frame struct {
-	From    async.PID
-	To      async.PID
-	Payload any
-}
-
-// Encode serializes a frame with a 4-byte big-endian length prefix.
-func Encode(w io.Writer, f frame) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&f); err != nil {
-		return fmt.Errorf("wire: encode: %w", err)
-	}
-	var lenb [4]byte
-	binary.BigEndian.PutUint32(lenb[:], uint32(buf.Len()))
-	if _, err := w.Write(lenb[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(buf.Bytes())
-	return err
-}
-
-// Decode reads one length-prefixed frame.
-func Decode(r io.Reader) (frame, error) {
-	var lenb [4]byte
-	if _, err := io.ReadFull(r, lenb[:]); err != nil {
-		return frame{}, err
-	}
-	n := binary.BigEndian.Uint32(lenb[:])
-	if n > 64<<20 {
-		return frame{}, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return frame{}, err
-	}
-	var f frame
-	if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(&f); err != nil {
-		return frame{}, fmt.Errorf("wire: decode: %w", err)
-	}
-	return f, nil
-}
-
-// EncodePayload gob-frames one registered protocol value as opaque
-// bytes — how cluster mode ships moves and wills between daemons
-// without widening the JSON contract.
-func EncodePayload(v any) ([]byte, error) {
-	RegisterTypes()
-	var buf bytes.Buffer
-	if err := Encode(&buf, frame{Payload: v}); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodePayload reverses EncodePayload.
-func DecodePayload(b []byte) (any, error) {
-	RegisterTypes()
-	f, err := Decode(bytes.NewReader(b))
-	if err != nil {
-		return nil, err
-	}
-	return f.Payload, nil
-}
 
 // NodeConfig configures one mesh participant.
 type NodeConfig struct {
@@ -176,24 +75,28 @@ type Node struct {
 	done    chan struct{}
 	stopped sync.Once
 
-	sent      atomic.Int64
-	delivered atomic.Int64
+	sent        atomic.Int64
+	delivered   atomic.Int64
+	undecodable atomic.Int64
 }
 
 // NodeStats are the node's cumulative traffic counters. Sent counts every
 // payload handed to the transport (loopback included); Delivered counts
-// frames consumed by the process's Deliver loop. Transport carries the
-// underlying link counters (resends, reconnects, duplicates).
+// frames consumed by the process's Deliver loop; Undecodable counts
+// inbound frames Run dropped because they were not one valid payload — a
+// peer speaking another codec, or a corrupt or hostile one. Transport
+// carries the underlying link counters (resends, reconnects, duplicates).
 type NodeStats struct {
-	Sent      int64
-	Delivered int64
-	Transport cluster.Stats
+	Sent        int64
+	Delivered   int64
+	Undecodable int64
+	Transport   cluster.Stats
 }
 
 // Stats returns a snapshot of the traffic counters. Safe to call from any
 // goroutine, including while Run is in flight.
 func (n *Node) Stats() NodeStats {
-	st := NodeStats{Sent: n.sent.Load(), Delivered: n.delivered.Load()}
+	st := NodeStats{Sent: n.sent.Load(), Delivered: n.delivered.Load(), Undecodable: n.undecodable.Load()}
 	if n.tr != nil {
 		st.Transport = n.tr.Stats()
 	}
@@ -206,7 +109,6 @@ func (n *Node) Remote() *async.Remote { return n.remote }
 
 // NewNode creates a node (not yet listening).
 func NewNode(cfg NodeConfig) (*Node, error) {
-	RegisterTypes()
 	if int(cfg.Self) < 0 || int(cfg.Self) >= len(cfg.Addrs) {
 		return nil, fmt.Errorf("wire: self %d out of range", cfg.Self)
 	}
@@ -336,12 +238,12 @@ func (n *Node) Addr() string {
 // to distinct peers never contend on a shared mutex, and a temporarily
 // disconnected peer buffers rather than silently dropping.
 func (n *Node) send(to async.PID, payload any) {
-	n.sent.Add(1)
-	var buf bytes.Buffer
-	if err := Encode(&buf, frame{From: n.cfg.Self, To: to, Payload: payload}); err != nil {
-		return // unencodable payload: a bug caught by the gob round-trip tests
+	b, err := EncodePayload(payload)
+	if err != nil {
+		return // unencodable payload: a bug the codec's round-trip tests catch
 	}
-	n.tr.Send(int(to), buf.Bytes())
+	n.sent.Add(1)
+	n.tr.Send(int(to), b)
 }
 
 // Run starts the process and pumps transport frames until the process
@@ -365,15 +267,15 @@ func (n *Node) Run(timeout time.Duration) (move any, decided bool, err error) {
 	for !n.remote.Halted() {
 		select {
 		case cf := <-n.tr.Inbox():
-			f, derr := Decode(bytes.NewReader(cf.Payload))
+			payload, derr := DecodePayload(cf.Payload)
 			if derr != nil {
-				continue // skip an undecodable frame rather than kill the play
+				n.undecodable.Add(1) // skip it rather than kill the play
+				continue
 			}
-			// The sender identity is the transport's, not the gob frame's:
-			// the HELLO handshake (and mTLS) authenticated the stream, so a
-			// peer cannot forge another player's From by lying in the
-			// payload envelope.
-			msg := async.Message{From: async.PID(cf.From), To: n.cfg.Self, Seq: seq, Payload: f.Payload}
+			// The sender identity is the transport's: the HELLO handshake
+			// (and mTLS) authenticated the stream, and the payload carries
+			// no sender a peer could forge.
+			msg := async.Message{From: async.PID(cf.From), To: n.cfg.Self, Seq: seq, Payload: payload}
 			seq++
 			n.delivered.Add(1)
 			n.cfg.Proc.Deliver(env, msg)

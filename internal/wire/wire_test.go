@@ -1,9 +1,9 @@
 package wire
 
 import (
-	"bytes"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,36 +14,34 @@ import (
 )
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	RegisterTypes()
-	var buf bytes.Buffer
-	in := frame{From: 1, To: 2, Payload: proto.Envelope{
-		Instance: "rbc", Body: rbc.MsgEcho{V: []byte("hello")},
-	}}
-	if err := Encode(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := Decode(&buf)
+	in := proto.Envelope{Instance: "rbc", Body: rbc.MsgEcho{V: []byte("hello")}}
+	b, err := EncodePayload(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.From != 1 || out.To != 2 {
-		t.Fatalf("header mismatch: %+v", out)
+	out, err := DecodePayload(b)
+	if err != nil {
+		t.Fatal(err)
 	}
-	env, ok := out.Payload.(proto.Envelope)
+	env, ok := out.(proto.Envelope)
 	if !ok {
-		t.Fatalf("payload type %T", out.Payload)
+		t.Fatalf("payload type %T", out)
 	}
 	echo, ok := env.Body.(rbc.MsgEcho)
-	if !ok || string(echo.V) != "hello" {
-		t.Fatalf("body %+v", env.Body)
+	if env.Instance != "rbc" || !ok || string(echo.V) != "hello" {
+		t.Fatalf("round trip gave %+v", env)
 	}
 }
 
+// TestDecodeRejectsGiantFrame: a length claiming more bytes than the
+// input holds is refused before anything is allocated for it.
 func TestDecodeRejectsGiantFrame(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := Decode(&buf); err == nil {
-		t.Fatal("expected frame-size error")
+	b := []byte{tagRBCInit, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 2, 3}
+	if _, err := DecodePayload(b); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("got %v, want a length error", err)
+	}
+	if alloc := decodeAllocPerRun(b, 1000); alloc > 1024 {
+		t.Fatalf("refusing a giant length allocated %d bytes", alloc)
 	}
 }
 
@@ -67,40 +65,12 @@ func freePorts(t *testing.T, n int) []string {
 }
 
 func TestRBCOverTCP(t *testing.T) {
-	// Four real nodes on localhost run Bracha reliable broadcast; all
-	// must deliver the dealer's value.
-	n, tf := 4, 1
+	// Four real nodes on pre-agreed localhost ports run Bracha reliable
+	// broadcast; all must deliver the dealer's value.
+	const n = 4
 	addrs := freePorts(t, n)
-
-	type result struct {
-		v   []byte
-		err error
-	}
-	results := make([]result, n)
-	var wg sync.WaitGroup
 	nodes := make([]*Node, n)
-
-	for i := 0; i < n; i++ {
-		i := i
-		h := proto.NewHost()
-		delivered := make(chan []byte, 1)
-		var inst *rbc.RBC
-		cb := func(ctx *proto.Ctx, v []byte) {
-			select {
-			case delivered <- v:
-			default:
-			}
-			ctx.Env().Decide(string(v))
-			ctx.Env().Halt()
-		}
-		if i == 0 {
-			inst = rbc.NewDealer(0, tf, []byte("networked"), cb)
-		} else {
-			inst = rbc.New(0, tf, cb)
-		}
-		if err := h.Register("rbc", inst); err != nil {
-			t.Fatal(err)
-		}
+	for i, h := range rbcProcs(t, n, "networked") {
 		node, err := NewNode(NodeConfig{
 			Self: async.PID(i), Addrs: addrs, Proc: h, Seed: int64(i),
 		})
@@ -112,34 +82,112 @@ func TestRBCOverTCP(t *testing.T) {
 		}
 		nodes[i] = node
 	}
+	runMesh(t, nodes, "networked", 20*time.Second)
+}
+
+// TestLocalMeshRBC forms an ephemeral-port mesh (no pre-agreed addresses)
+// and runs reliable broadcast across it, exercising NewLocalMesh end to
+// end plus the node traffic counters.
+func TestLocalMeshRBC(t *testing.T) {
+	const n = 4
+	nodes, err := NewLocalMesh(rbcProcs(t, n, "mesh"), 0, 900)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runMesh(t, nodes, "mesh", 20*time.Second)
+	for i, nd := range nodes {
+		if st := nd.Stats(); st.Sent == 0 || st.Delivered == 0 {
+			t.Errorf("node %d: counters not advancing: %+v", i, st)
+		}
+	}
+}
+
+// TestUndecodableFrameCounted injects one garbage DATA frame into a live
+// mesh ahead of the play: Run must count and skip it, and the play must
+// still finish.
+func TestUndecodableFrameCounted(t *testing.T) {
+	const n = 4
+	nodes, err := NewLocalMesh(rbcProcs(t, n, "garbage"), 0, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Node 1's transport carries the garbage to node 0 over the real link;
+	// the play starts only once it sits in node 0's inbox, so Run reads it
+	// first whatever the schedule.
+	nodes[1].tr.Send(0, []byte{0xFF, 0xFF})
+	deadline := time.Now().Add(10 * time.Second)
+	for nodes[0].tr.Stats().Delivered == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the garbage frame never reached node 0")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	runMesh(t, nodes, "garbage", 20*time.Second)
+	for i, nd := range nodes {
+		want := int64(0)
+		if i == 0 {
+			want = 1
+		}
+		if got := nd.Stats().Undecodable; got != want {
+			t.Errorf("node %d: Undecodable = %d, want %d", i, got, want)
+		}
+	}
+}
+
+// rbcProcs builds n hosts running one reliable broadcast of value from
+// dealer 0; each decides the delivered value and halts.
+func rbcProcs(t *testing.T, n int, value string) []async.Process {
+	t.Helper()
+	const tf = 1
+	procs := make([]async.Process, n)
 	for i := 0; i < n; i++ {
+		h := proto.NewHost()
+		cb := func(ctx *proto.Ctx, v []byte) {
+			ctx.Env().Decide(string(v))
+			ctx.Env().Halt()
+		}
+		inst := rbc.New(0, tf, cb)
+		if i == 0 {
+			inst = rbc.NewDealer(0, tf, []byte(value), cb)
+		}
+		if err := h.Register("rbc", inst); err != nil {
+			t.Fatal(err)
+		}
+		procs[i] = h
+	}
+	return procs
+}
+
+// runMesh runs every node of a mesh to completion, stops them, and
+// asserts each decided want.
+func runMesh(t *testing.T, nodes []*Node, want string, timeout time.Duration) {
+	t.Helper()
+	moves := make([]any, len(nodes))
+	errs := make([]error, len(nodes))
+	var wg sync.WaitGroup
+	for i := range nodes {
 		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			mv, ok, err := nodes[i].Run(20 * time.Second)
-			if err != nil {
-				results[i] = result{err: err}
-				return
+			mv, ok, err := nodes[i].Run(timeout)
+			if err == nil && !ok {
+				err = fmt.Errorf("no decision")
 			}
-			if !ok {
-				results[i] = result{err: fmt.Errorf("no decision")}
-				return
-			}
-			results[i] = result{v: []byte(mv.(string))}
+			moves[i], errs[i] = mv, err
 		}()
 	}
 	wg.Wait()
-	for i := 0; i < n; i++ {
-		nodes[i].Stop()
-		nodes[i].Wait()
+	for _, nd := range nodes {
+		nd.Stop()
+		nd.Wait()
 	}
-	for i, r := range results {
-		if r.err != nil {
-			t.Fatalf("node %d: %v", i, r.err)
+	for i := range nodes {
+		if errs[i] != nil {
+			t.Fatalf("node %d: %v", i, errs[i])
 		}
-		if string(r.v) != "networked" {
-			t.Fatalf("node %d delivered %q", i, r.v)
+		if moves[i] != want {
+			t.Fatalf("node %d delivered %v", i, moves[i])
 		}
 	}
 }
@@ -163,29 +211,11 @@ func TestNodeConfigValidation(t *testing.T) {
 
 // TestMeshSurvivesConnDrops runs reliable broadcast over a mesh whose
 // connections are severed repeatedly while the play is in flight: the
-// cluster transport's reconnect-with-resend must deliver every gob frame
+// cluster transport's reconnect-with-resend must deliver every frame
 // exactly once, so all nodes still decide the dealer's value.
 func TestMeshSurvivesConnDrops(t *testing.T) {
-	const n, tf = 4, 1
-	procs := make([]async.Process, n)
-	for i := 0; i < n; i++ {
-		h := proto.NewHost()
-		cb := func(ctx *proto.Ctx, v []byte) {
-			ctx.Env().Decide(string(v))
-			ctx.Env().Halt()
-		}
-		var inst *rbc.RBC
-		if i == 0 {
-			inst = rbc.NewDealer(0, tf, []byte("stormy"), cb)
-		} else {
-			inst = rbc.New(0, tf, cb)
-		}
-		if err := h.Register("rbc", inst); err != nil {
-			t.Fatal(err)
-		}
-		procs[i] = h
-	}
-	nodes, err := NewLocalMesh(procs, 0, 7)
+	const n = 4
+	nodes, err := NewLocalMesh(rbcProcs(t, n, "stormy"), 0, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,44 +246,21 @@ func TestMeshSurvivesConnDrops(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 		}
 	}()
+	defer func() {
+		close(stop)
+		chaos.Wait()
+	}()
 	select {
 	case <-firstDrop:
 	case <-time.After(10 * time.Second):
 		t.Fatal("no connection came up to sever")
 	}
 
-	moves := make([]any, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			mv, ok, err := nodes[i].Run(30 * time.Second)
-			if err == nil && !ok {
-				err = fmt.Errorf("no decision")
-			}
-			moves[i], errs[i] = mv, err
-		}()
-	}
-	wg.Wait()
-	close(stop)
-	chaos.Wait()
+	runMesh(t, nodes, "stormy", 30*time.Second)
 	dropped := false
-	for i := 0; i < n; i++ {
-		if st := nodes[i].Stats(); st.Transport.ConnsDropped > 0 {
+	for _, nd := range nodes {
+		if nd.Stats().Transport.ConnsDropped > 0 {
 			dropped = true
-		}
-		nodes[i].Stop()
-		nodes[i].Wait()
-	}
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("node %d: %v", i, errs[i])
-		}
-		if moves[i] != "stormy" {
-			t.Fatalf("node %d delivered %v", i, moves[i])
 		}
 	}
 	if !dropped {
