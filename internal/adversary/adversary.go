@@ -224,7 +224,8 @@ func (s *BaitScheduler) Next(v *async.View) (async.Event, bool) {
 		s.droppedBatch = make(map[async.BatchKey]bool)
 	}
 	// Identify the mediator's first batch (the hints).
-	for _, m := range v.Pending {
+	pending := v.Pending()
+	for _, m := range pending {
 		if m.From == s.Mediator && int(m.To) < v.Players {
 			if !s.haveFirst {
 				s.haveFirst = true
@@ -235,8 +236,8 @@ func (s *BaitScheduler) Next(v *async.View) (async.Event, bool) {
 	}
 	var held []async.MsgMeta
 	var drops []async.BatchKey
-	remaining := make([]async.MsgMeta, 0, len(v.Pending))
-	for _, m := range v.Pending {
+	remaining := make([]async.MsgMeta, 0, len(pending))
+	for _, m := range pending {
 		late := s.haveFirst && m.From == s.Mediator && int(m.To) < v.Players && m.Batch != s.firstBatch
 		if !late {
 			remaining = append(remaining, m)
@@ -255,9 +256,7 @@ func (s *BaitScheduler) Next(v *async.View) (async.Event, bool) {
 			remaining = append(remaining, m) // released
 		}
 	}
-	filtered := *v
-	filtered.Pending = remaining
-	ev, ok := s.Base.Next(&filtered)
+	ev, ok := s.Base.Next(v.WithPending(remaining))
 	if !ok {
 		if len(drops) > 0 {
 			return async.Event{Player: 0, DropBatches: drops}, true

@@ -9,6 +9,15 @@
 // numbers — never message contents, matching the paper's secure-channels
 // assumption (Section 6.1 exploits exactly this interface).
 //
+// A scheduler sees the pattern through a View: a read-only handle on the
+// runtime's indexed pending set, valid only during Scheduler.Next. The
+// index answers the questions the fair schedulers ask — how many messages
+// are deliverable, the k-th of them in ID order, the oldest one for a
+// process — in O(log pending) or better, so one step of a run costs
+// O(log pending) rather than O(pending) and a play is not quadratic in its
+// message count. Filtering schedulers (delay, drop, bait) materialise the
+// pending list in O(pending) and hand their base a filtered view.
+//
 // Two runtimes share the Process interface:
 //
 //   - Runtime: the scheduler-driven, single-goroutine simulator used by all
@@ -83,7 +92,8 @@ type envBackend interface {
 }
 
 // Env is the capability handed to a process during one activation.
-// It must not be retained across activations.
+// It must not be retained across activations: the Runtime reuses one Env
+// for every activation of every process.
 type Env struct {
 	b    envBackend
 	self PID
@@ -164,25 +174,111 @@ type BatchKey struct {
 	Batch int
 }
 
-// View is the scheduler-observable state: the message pattern plus
-// public lifecycle facts. Contents of messages are not exposed.
+// View is the scheduler-observable state: public lifecycle facts plus the
+// message pattern of the pending set. Contents of messages are not
+// exposed.
+//
+// A View is read only: the slices alias the runtime's own state, and the
+// pending set is queried through methods, not copied. The runtime passes
+// its view to Scheduler.Next; a filtering scheduler may build a view over
+// a subset of the pending messages with WithPending. Costs, for the
+// runtime's view (a WithPending view answers every query by scanning its
+// list, O(len)):
+//
+//   - Deliverable: O(1);
+//   - KthDeliverable: O(log pending);
+//   - OldestFor: amortised O(1);
+//   - Pending: O(pending), a fresh slice.
 type View struct {
 	N       int
 	Players int
-	Pending []MsgMeta // in ID (send) order
 	Started []bool
 	Halted  []bool
 	Decided []bool
 	Steps   int
+
+	pend *pendingSet // the runtime's index; nil for a WithPending view
+	list []MsgMeta   // a WithPending view's pending set, in ID order
+}
+
+// Deliverable returns the number of pending messages addressed to a
+// process that has not halted.
+func (v *View) Deliverable() int {
+	if v.pend != nil {
+		return v.pend.deliverable
+	}
+	n := 0
+	for _, m := range v.list {
+		if !v.Halted[m.To] {
+			n++
+		}
+	}
+	return n
+}
+
+// KthDeliverable returns the k-th (0-based) deliverable message in ID
+// order. It requires 0 <= k < Deliverable().
+func (v *View) KthDeliverable(k int) MsgMeta {
+	if v.pend != nil {
+		return meta(v.pend.slots[v.pend.kth(k)].msg)
+	}
+	for _, m := range v.list {
+		if !v.Halted[m.To] {
+			if k == 0 {
+				return m
+			}
+			k--
+		}
+	}
+	panic(fmt.Sprintf("async: KthDeliverable(%d) beyond %d deliverable messages", k, v.Deliverable()))
+}
+
+// OldestFor returns the pending message to p with the smallest ID, or
+// ok = false if none is pending.
+func (v *View) OldestFor(p PID) (m MsgMeta, ok bool) {
+	if v.pend != nil {
+		pos := v.pend.oldest(p)
+		if pos < 0 {
+			return MsgMeta{}, false
+		}
+		return meta(v.pend.slots[pos].msg), true
+	}
+	for _, m := range v.list {
+		if m.To == p {
+			return m, true
+		}
+	}
+	return MsgMeta{}, false
+}
+
+// Pending returns every pending message, in ID (send) order, including
+// those addressed to halted processes. Callers must not modify the slice:
+// on a WithPending view it is the list the view was built from.
+func (v *View) Pending() []MsgMeta {
+	if v.pend != nil {
+		return v.pend.list()
+	}
+	return v.list
+}
+
+// WithPending returns a view with v's lifecycle facts whose pending set is
+// list, which must be in ID order. Filtering schedulers use it to offer
+// their base scheduler a subset of the pending messages.
+func (v *View) WithPending(list []MsgMeta) *View {
+	return &View{
+		N: v.N, Players: v.Players, Started: v.Started, Halted: v.Halted,
+		Decided: v.Decided, Steps: v.Steps, list: list,
+	}
 }
 
 // Scheduler is the environment strategy. Next returns the next event; ok =
 // false ends the run (legal for relaxed schedulers, or when no deliverable
 // messages remain).
 //
-// The view and its slices are valid only for the duration of the call:
-// the runtime reuses their backing storage between steps. A scheduler
-// that needs state across steps must copy what it keeps.
+// The view is valid only for the duration of the call and is read only:
+// its slices are the runtime's live state and its methods query the
+// runtime's index. A scheduler that needs state across steps must copy
+// what it keeps.
 type Scheduler interface {
 	Next(v *View) (ev Event, ok bool)
 }
@@ -262,25 +358,26 @@ var (
 
 // Runtime executes an asynchronous game under a scheduler.
 type Runtime struct {
-	cfg     Config
-	procs   []Process
-	rngs    []*rand.Rand
-	pending []Message // ID order
-	byID    map[MsgID]int
-	nextID  MsgID
-	seq     map[[2]PID]int
-	batch   []int // per-process activation counter
-	started []bool
-	halted  []bool
-	moves   map[PID]any
-	wills   map[PID]any
-	steps   int
-	stats   Stats
-	current PID // process being activated (for batch attribution)
-	sentNow []MsgMeta
-	dropped map[BatchKey]bool
-	touched map[BatchKey]bool // batches with at least one delivered message
-	scratch View              // per-step scheduler view, backing storage reused (see Scheduler)
+	cfg       Config
+	procs     []Process
+	rngs      []*rand.Rand
+	pend      pendingSet
+	nextID    MsgID
+	seq       []int // per (From,To) sequence counter, at From*len(procs)+To
+	batch     []int // per-process activation counter
+	started   []bool
+	halted    []bool
+	decided   []bool
+	moves     map[PID]any
+	wills     map[PID]any
+	steps     int
+	stats     Stats
+	perSender []int
+	sentNow   []MsgMeta         // this step's sends; kept only with Config.Trace
+	dropped   map[BatchKey]bool // relaxed runs only
+	touched   map[BatchKey]bool // relaxed runs only: batches with a delivered message
+	view      View              // the scheduler's handle (see Scheduler)
+	env       Env               // the activation's Env (see Env: not retained)
 }
 
 // New creates a Runtime. It returns an error for malformed configs.
@@ -302,20 +399,28 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	n := len(cfg.Procs)
 	rt := &Runtime{
-		cfg:     cfg,
-		procs:   cfg.Procs,
-		rngs:    make([]*rand.Rand, n),
-		byID:    make(map[MsgID]int),
-		seq:     make(map[[2]PID]int),
-		batch:   make([]int, n),
-		started: make([]bool, n),
-		halted:  make([]bool, n),
-		moves:   make(map[PID]any),
-		wills:   make(map[PID]any),
-		dropped: make(map[BatchKey]bool),
-		touched: make(map[BatchKey]bool),
+		cfg:       cfg,
+		procs:     cfg.Procs,
+		rngs:      make([]*rand.Rand, n),
+		seq:       make([]int, n*n),
+		batch:     make([]int, n),
+		started:   make([]bool, n),
+		halted:    make([]bool, n),
+		decided:   make([]bool, n),
+		moves:     make(map[PID]any),
+		wills:     make(map[PID]any),
+		perSender: make([]int, n),
 	}
-	rt.stats.PerSender = make(map[PID]int)
+	if cfg.Relaxed {
+		rt.dropped = make(map[BatchKey]bool)
+		rt.touched = make(map[BatchKey]bool)
+	}
+	rt.pend = newPendingSet(rt.halted)
+	rt.view = View{
+		N: n, Players: cfg.Players,
+		Started: rt.started, Halted: rt.halted, Decided: rt.decided,
+		pend: &rt.pend,
+	}
 	for i := range rt.rngs {
 		// Independent, reproducible streams per process.
 		rt.rngs[i] = rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i)))
@@ -326,22 +431,27 @@ func New(cfg Config) (*Runtime, error) {
 var _ envBackend = (*Runtime)(nil)
 
 func (rt *Runtime) decide(p PID, move any) {
-	if _, done := rt.moves[p]; !done {
+	if !rt.decided[p] {
+		rt.decided[p] = true
 		rt.moves[p] = move
 	}
 }
 
-func (rt *Runtime) hasDecided(p PID) bool {
-	_, done := rt.moves[p]
-	return done
-}
-
+func (rt *Runtime) hasDecided(p PID) bool     { return rt.decided[p] }
 func (rt *Runtime) setWill(p PID, move any)   { rt.wills[p] = move }
-func (rt *Runtime) halt(p PID)                { rt.halted[p] = true }
 func (rt *Runtime) procRand(p PID) *rand.Rand { return rt.rngs[p] }
 func (rt *Runtime) numProcs() int             { return len(rt.procs) }
 func (rt *Runtime) numPlayers() int           { return rt.cfg.Players }
 func (rt *Runtime) now() int                  { return rt.steps }
+
+// halt marks p halted, taking its pending messages out of the
+// deliverable index once.
+func (rt *Runtime) halt(p PID) {
+	if !rt.halted[p] {
+		rt.pend.halt(p)
+		rt.halted[p] = true
+	}
+}
 
 func (rt *Runtime) send(from, to PID, payload any) {
 	if to < 0 || int(to) >= len(rt.procs) {
@@ -349,7 +459,7 @@ func (rt *Runtime) send(from, to PID, payload any) {
 		// process must not be able to crash the runtime.
 		return
 	}
-	key := [2]PID{from, to}
+	key := int(from)*len(rt.procs) + int(to)
 	m := Message{
 		ID:      rt.nextID,
 		From:    from,
@@ -360,56 +470,16 @@ func (rt *Runtime) send(from, to PID, payload any) {
 	}
 	rt.nextID++
 	rt.seq[key]++
-	rt.byID[m.ID] = len(rt.pending)
-	rt.pending = append(rt.pending, m)
+	rt.pend.add(m)
 	rt.stats.MessagesSent++
-	rt.stats.PerSender[from]++
-	rt.sentNow = append(rt.sentNow, meta(m))
+	rt.perSender[from]++
+	if rt.cfg.Trace != nil {
+		rt.sentNow = append(rt.sentNow, meta(m))
+	}
 }
 
 func meta(m Message) MsgMeta {
 	return MsgMeta{ID: m.ID, From: m.From, To: m.To, Seq: m.Seq, Batch: m.Batch}
-}
-
-// view refreshes the runtime's scratch View. The backing storage is
-// reused across steps — the dominant allocation of a run otherwise —
-// which is safe because schedulers may not retain the view (see the
-// Scheduler contract).
-func (rt *Runtime) view() *View {
-	v := &rt.scratch
-	v.N = len(rt.procs)
-	v.Players = rt.cfg.Players
-	v.Steps = rt.steps
-	v.Pending = v.Pending[:0]
-	for _, m := range rt.pending {
-		v.Pending = append(v.Pending, meta(m))
-	}
-	v.Started = append(v.Started[:0], rt.started...)
-	v.Halted = append(v.Halted[:0], rt.halted...)
-	if cap(v.Decided) < len(rt.procs) {
-		v.Decided = make([]bool, len(rt.procs))
-	}
-	v.Decided = v.Decided[:len(rt.procs)]
-	for p := range rt.procs {
-		_, v.Decided[p] = rt.moves[PID(p)]
-	}
-	return v
-}
-
-// removePending removes message id from the pending set and returns it.
-func (rt *Runtime) removePending(id MsgID) (Message, bool) {
-	idx, ok := rt.byID[id]
-	if !ok {
-		return Message{}, false
-	}
-	m := rt.pending[idx]
-	// Order-preserving removal keeps the ID-sorted invariant.
-	rt.pending = append(rt.pending[:idx], rt.pending[idx+1:]...)
-	delete(rt.byID, id)
-	for i := idx; i < len(rt.pending); i++ {
-		rt.byID[rt.pending[i].ID] = i
-	}
-	return m, true
 }
 
 // Run executes the game to completion and returns the Result.
@@ -427,9 +497,10 @@ func (rt *Runtime) Run() (*Result, error) {
 		if rt.allHalted() || rt.quiescent() {
 			break
 		}
-		ev, ok := rt.cfg.Scheduler.Next(rt.view())
+		rt.view.Steps = rt.steps
+		ev, ok := rt.cfg.Scheduler.Next(&rt.view)
 		if !ok {
-			if !rt.cfg.Relaxed && len(rt.pending) > 0 && !rt.allRecipientsHalted() {
+			if !rt.cfg.Relaxed && rt.pend.deliverable > 0 {
 				return nil, ErrUnfairStop
 			}
 			break
@@ -450,17 +521,6 @@ func (rt *Runtime) allHalted() bool {
 	return true
 }
 
-// allRecipientsHalted reports whether every pending message is addressed
-// to a halted process (such messages can never be consumed).
-func (rt *Runtime) allRecipientsHalted() bool {
-	for _, m := range rt.pending {
-		if !rt.halted[m.To] {
-			return false
-		}
-	}
-	return true
-}
-
 // quiescent reports that no further progress is possible: every process
 // has started (so no start signals remain) and no pending message has a
 // live recipient.
@@ -470,7 +530,7 @@ func (rt *Runtime) quiescent() bool {
 			return false
 		}
 	}
-	return rt.allRecipientsHalted()
+	return rt.pend.deliverable == 0
 }
 
 func (rt *Runtime) exec(ev Event) error {
@@ -492,26 +552,15 @@ func (rt *Runtime) exec(ev Event) error {
 		}
 		// Remove all pending messages in dropped batches (all-or-none is
 		// enforced by dropping whole batch keys).
-		kept := rt.pending[:0]
-		for _, m := range rt.pending {
-			if rt.dropped[BatchKey{From: m.From, Batch: m.Batch}] {
-				rt.stats.MessagesDropped++
-				delete(rt.byID, m.ID)
-			} else {
-				kept = append(kept, m)
-			}
-		}
-		rt.pending = kept
-		rt.byID = make(map[MsgID]int, len(rt.pending))
-		for i, m := range rt.pending {
-			rt.byID[m.ID] = i
-		}
+		rt.stats.MessagesDropped += rt.pend.removeIf(func(m *Message) bool {
+			return rt.dropped[BatchKey{From: m.From, Batch: m.Batch}]
+		})
 	}
 
 	rt.steps++
-	rt.current = p
-	rt.sentNow = nil
-	env := &Env{b: rt, self: p}
+	tracing := rt.cfg.Trace != nil
+	rt.env = Env{b: rt, self: p}
+	env := &rt.env
 
 	var delivered []MsgMeta
 	startedNow := false
@@ -519,7 +568,8 @@ func (rt *Runtime) exec(ev Event) error {
 	if rt.halted[p] {
 		// Scheduling a halted process is a no-op; its messages are gone.
 		for _, id := range ev.Deliver {
-			if _, ok := rt.removePending(id); ok {
+			if pos := rt.pend.find(id); pos >= 0 {
+				rt.pend.remove(pos)
 				rt.stats.MessagesDropped++
 			}
 		}
@@ -535,28 +585,34 @@ func (rt *Runtime) exec(ev Event) error {
 			if rt.halted[p] {
 				break
 			}
-			m, ok := rt.removePending(id)
-			if !ok {
+			pos := rt.pend.find(id)
+			if pos < 0 {
 				return fmt.Errorf("%w: message %d not pending", ErrBadEvent, id)
 			}
-			if m.To != p {
-				return fmt.Errorf("%w: message %d addressed to %d, delivered to %d", ErrBadEvent, id, m.To, p)
+			if to := rt.pend.slots[pos].msg.To; to != p {
+				return fmt.Errorf("%w: message %d addressed to %d, delivered to %d", ErrBadEvent, id, to, p)
 			}
+			m := rt.pend.remove(pos)
 			rt.stats.MessagesDelivered++
-			rt.touched[BatchKey{From: m.From, Batch: m.Batch}] = true
-			delivered = append(delivered, meta(m))
+			if rt.touched != nil {
+				rt.touched[BatchKey{From: m.From, Batch: m.Batch}] = true
+			}
+			if tracing {
+				delivered = append(delivered, meta(m))
+			}
 			rt.procs[p].Deliver(env, m)
 		}
 	}
 
-	if rt.cfg.Trace != nil {
+	if tracing {
 		rt.cfg.Trace(TraceEntry{
 			Step:      rt.steps,
 			Player:    p,
 			Delivered: delivered,
-			Sent:      append([]MsgMeta(nil), rt.sentNow...),
+			Sent:      rt.sentNow,
 			Started:   startedNow,
 		})
+		rt.sentNow = nil // the entry owns the slice now
 	}
 	return nil
 }
@@ -574,15 +630,17 @@ func (rt *Runtime) result() *Result {
 		res.Wills[k] = v
 	}
 	for p := 0; p < rt.cfg.Players; p++ {
-		if _, decided := rt.moves[PID(p)]; !decided && !rt.halted[p] {
+		if !rt.decided[p] && !rt.halted[p] {
 			res.Deadlocked = true
 		}
 	}
 	rt.stats.Steps = rt.steps
 	res.Stats = rt.stats
-	res.Stats.PerSender = make(map[PID]int, len(rt.stats.PerSender))
-	for k, v := range rt.stats.PerSender {
-		res.Stats.PerSender[k] = v
+	res.Stats.PerSender = make(map[PID]int)
+	for p, sent := range rt.perSender {
+		if sent > 0 {
+			res.Stats.PerSender[PID(p)] = sent
+		}
 	}
 	return res
 }

@@ -206,7 +206,7 @@ func TestUnfairStopRejected(t *testing.T) {
 	procs := []Process{&sender{to: 1, payloads: []any{"x"}}, &doubleDecider{}}
 	sched := &StallScheduler{
 		Base:    FIFOScheduler{},
-		Trigger: func(v *View) bool { return len(v.Pending) > 0 },
+		Trigger: func(v *View) bool { return len(v.Pending()) > 0 },
 	}
 	rt, _ := New(Config{Procs: procs, Scheduler: sched, Seed: 8})
 	_, err := rt.Run()
@@ -219,7 +219,7 @@ func TestRelaxedStallProducesDeadlock(t *testing.T) {
 	procs := []Process{&sender{to: 1, payloads: []any{"x"}}, &doubleDecider{}}
 	sched := &StallScheduler{
 		Base:    FIFOScheduler{},
-		Trigger: func(v *View) bool { return len(v.Pending) > 0 },
+		Trigger: func(v *View) bool { return len(v.Pending()) > 0 },
 	}
 	rt, _ := New(Config{Procs: procs, Scheduler: sched, Seed: 9, Relaxed: true})
 	res, err := rt.Run()
@@ -273,7 +273,7 @@ func (s *firstThenDrop) Next(v *View) (Event, bool) {
 		return Event{Player: 0}, true // sender start: emits batch 1
 	case 1:
 		s.phase++
-		return Event{Player: 1, Deliver: []MsgID{v.Pending[0].ID}}, true
+		return Event{Player: 1, Deliver: []MsgID{v.Pending()[0].ID}}, true
 	case 2:
 		s.phase++
 		return Event{Player: 1, DropBatches: []BatchKey{{From: 0, Batch: 1}}}, true

@@ -39,29 +39,28 @@ var _ Scheduler = (*RandomScheduler)(nil)
 
 // Next implements Scheduler.
 func (s *RandomScheduler) Next(v *View) (Event, bool) {
-	// Collect schedulable choices: unstarted processes and deliverable
-	// messages (those addressed to non-halted processes).
-	var unstarted []PID
+	// Schedulable choices: unstarted processes in PID order, then
+	// deliverable messages (addressed to non-halted processes) in ID order.
+	unstarted := 0
 	for p, st := range v.Started {
 		if !st && !v.Halted[p] {
-			unstarted = append(unstarted, PID(p))
+			unstarted++
 		}
 	}
-	var deliverable []MsgMeta
-	for _, m := range v.Pending {
-		if !v.Halted[m.To] {
-			deliverable = append(deliverable, m)
-		}
-	}
-	total := len(unstarted) + len(deliverable)
+	total := unstarted + v.Deliverable()
 	if total == 0 {
 		return Event{}, false
 	}
 	k := s.rng.Intn(total)
-	if k < len(unstarted) {
-		return Event{Player: unstarted[k]}, true
+	for p, st := range v.Started {
+		if !st && !v.Halted[p] {
+			if k == 0 {
+				return Event{Player: PID(p)}, true
+			}
+			k--
+		}
 	}
-	m := deliverable[k-len(unstarted)]
+	m := v.KthDeliverable(k)
 	return Event{Player: m.To, Deliver: []MsgID{m.ID}}, true
 }
 
@@ -86,10 +85,8 @@ func (s *RoundRobinScheduler) Next(v *View) (Event, bool) {
 		if !v.Started[p] {
 			return Event{Player: p}, true
 		}
-		for _, m := range v.Pending {
-			if m.To == p {
-				return Event{Player: p, Deliver: []MsgID{m.ID}}, true
-			}
+		if m, ok := v.OldestFor(p); ok {
+			return Event{Player: p, Deliver: []MsgID{m.ID}}, true
 		}
 	}
 	return Event{}, false
@@ -109,12 +106,11 @@ func (FIFOScheduler) Next(v *View) (Event, bool) {
 			return Event{Player: PID(p)}, true
 		}
 	}
-	for _, m := range v.Pending {
-		if !v.Halted[m.To] {
-			return Event{Player: m.To, Deliver: []MsgID{m.ID}}, true
-		}
+	if v.Deliverable() == 0 {
+		return Event{}, false
 	}
-	return Event{}, false
+	m := v.KthDeliverable(0)
+	return Event{Player: m.To, Deliver: []MsgID{m.ID}}, true
 }
 
 // DelayScheduler wraps a base scheduler but refuses to deliver messages
@@ -131,13 +127,12 @@ var _ Scheduler = (*DelayScheduler)(nil)
 func (s *DelayScheduler) Next(v *View) (Event, bool) {
 	// Present the base scheduler a filtered view without slow-party
 	// messages; fall back to the true view when the filtered one is empty.
-	filtered := *v
-	filtered.Pending = nil
-	for _, m := range v.Pending {
+	var fast []MsgMeta
+	for _, m := range v.Pending() {
 		if s.Slow[m.From] || s.Slow[m.To] {
 			continue
 		}
-		filtered.Pending = append(filtered.Pending, m)
+		fast = append(fast, m)
 	}
 	anyUnstartedFast := false
 	for p, st := range v.Started {
@@ -145,8 +140,8 @@ func (s *DelayScheduler) Next(v *View) (Event, bool) {
 			anyUnstartedFast = true
 		}
 	}
-	if len(filtered.Pending) > 0 || anyUnstartedFast {
-		if ev, ok := s.Base.Next(&filtered); ok {
+	if len(fast) > 0 || anyUnstartedFast {
+		if ev, ok := s.Base.Next(v.WithPending(fast)); ok {
 			return ev, true
 		}
 	}
@@ -195,8 +190,9 @@ func (s *DropScheduler) Next(v *View) (Event, bool) {
 	}
 	// Identify new batches to drop.
 	var drops []BatchKey
-	remaining := make([]MsgMeta, 0, len(v.Pending))
-	for _, m := range v.Pending {
+	pending := v.Pending()
+	remaining := make([]MsgMeta, 0, len(pending))
+	for _, m := range pending {
 		bk := BatchKey{From: m.From, Batch: m.Batch}
 		if s.dropped[bk] {
 			continue
@@ -210,9 +206,7 @@ func (s *DropScheduler) Next(v *View) (Event, bool) {
 		}
 		remaining = append(remaining, m)
 	}
-	filtered := *v
-	filtered.Pending = remaining
-	ev, ok := s.Base.Next(&filtered)
+	ev, ok := s.Base.Next(v.WithPending(remaining))
 	if !ok {
 		if len(drops) > 0 {
 			// Still need to register the drops; attach them to a no-op
