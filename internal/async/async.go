@@ -230,7 +230,7 @@ func (v *View) KthDeliverable(k int) MsgMeta {
 			k--
 		}
 	}
-	panic(fmt.Sprintf("async: KthDeliverable(%d) beyond %d deliverable messages", k, v.Deliverable()))
+	panic("async: KthDeliverable index out of range")
 }
 
 // OldestFor returns the pending message to p with the smallest ID, or

@@ -97,26 +97,13 @@ func TestStorageBoundedByPeakPending(t *testing.T) {
 	}
 }
 
-// flooder sends count messages to process 1 on start; process 1 sinks them.
-type flooder struct{ count int }
-
-func (f *flooder) Start(env *Env) {
-	for i := 0; i < f.count; i++ {
-		env.Send(1, "x")
-	}
-}
-func (f *flooder) Deliver(env *Env, m Message) {}
-
-type sink struct{}
-
-func (sink) Start(env *Env)              {}
-func (sink) Deliver(env *Env, m Message) {}
-
-// bytesPerDelivery runs one flood of count messages under the random
-// scheduler and returns the bytes allocated per delivered message.
+// bytesPerDelivery has process 0 send count messages to process 1 on
+// start, runs the random scheduler until all are delivered, and returns
+// the bytes allocated per delivered message.
 func bytesPerDelivery(t *testing.T, count int) float64 {
 	t.Helper()
-	rt, err := New(Config{Procs: []Process{&flooder{count: count}, sink{}}, Scheduler: NewRandomScheduler(5), Seed: 5})
+	procs := []Process{&sender{to: 1, payloads: make([]any, count)}, &doubleDecider{}}
+	rt, err := New(Config{Procs: procs, Scheduler: NewRandomScheduler(5), Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
