@@ -9,7 +9,10 @@ import (
 	"asyncmediator/internal/store"
 )
 
-// runSessions drives n sessions through the farm to completion.
+// runSessions drives n sessions through the farm to completion. Only a
+// one-worker farm finishes them in creation order; a test that takes
+// ids[0] to be the first to finish (and so the first evicted) needs
+// Workers: 1.
 func runSessions(t *testing.T, svc *Service, n int) []string {
 	t.Helper()
 	ids := make([]string, 0, n)
@@ -105,7 +108,7 @@ func TestServiceRestartRoundTrip(t *testing.T) {
 // through the store, and are counted in /stats.
 func TestEvictionBoundsHotCache(t *testing.T) {
 	dir := t.TempDir()
-	svc := newFarm(t, Config{Workers: 2, DataDir: dir, MaxLiveSessions: 4})
+	svc := newFarm(t, Config{Workers: 1, DataDir: dir, MaxLiveSessions: 4})
 	ids := runSessions(t, svc, 12)
 	svc.pool.Close() // drain so every Spill ran
 
@@ -141,7 +144,7 @@ func TestEvictionBoundsHotCache(t *testing.T) {
 // -max-live-sessions still bounds memory, at the cost of losing evicted
 // terminal sessions entirely.
 func TestEvictionWithoutStoreDropsSessions(t *testing.T) {
-	svc := newFarm(t, Config{Workers: 2, MaxLiveSessions: 2})
+	svc := newFarm(t, Config{Workers: 1, MaxLiveSessions: 2})
 	ids := runSessions(t, svc, 6)
 	svc.pool.Close()
 	if got := svc.reg.Len(); got > 2 {

@@ -20,7 +20,7 @@ import (
 // failure modes the pre-retention farm lost traces to.
 func TestTraceSurvivesEvictionAndRestart(t *testing.T) {
 	dir := t.TempDir()
-	svc := newFarm(t, Config{Workers: 2, DataDir: dir, MaxLiveSessions: 1})
+	svc := newFarm(t, Config{Workers: 1, DataDir: dir, MaxLiveSessions: 1})
 	ids := runSessions(t, svc, 4)
 	svc.pool.Close() // drain so every spill and retention write ran
 
@@ -222,7 +222,7 @@ func TestTracesEndpointDisabled(t *testing.T) {
 // service layer: the oldest retained traces leave, the newest stay, and
 // the eviction counter advances.
 func TestRetentionBoundEvictsOldest(t *testing.T) {
-	svc := newFarm(t, Config{Workers: 2, TraceRetention: 4})
+	svc := newFarm(t, Config{Workers: 1, TraceRetention: 4})
 	defer svc.Close()
 	ids := runSessions(t, svc, 8)
 	svc.pool.Close()
