@@ -32,9 +32,11 @@ const (
 	// CodeInternal is an unexpected server fault (e.g. a recovered
 	// panic). HTTP 500.
 	CodeInternal ErrorCode = "internal"
-	// CodePlacementInfeasible rejects a placement no fleet could serve:
-	// session parameters under the paper's n > 4k + 3t floor, an unknown
-	// strategy, or a contradictory pinned-peer list. HTTP 400.
+	// CodePlacementInfeasible is the placement scheduler refusing the
+	// spec itself: n under the theorem variant's floor (n > 4k+4t, 3k+3t,
+	// 3k+4t or 2k+3t for 4.1, 4.2, 4.4 or 4.5), an unknown strategy, or a
+	// contradictory pinned-peer list. The farm validates the same at
+	// create time, answering CodeInvalidArgument first. HTTP 400.
 	CodePlacementInfeasible ErrorCode = "placement_infeasible"
 	// CodeFleetUnderFloor rejects a placement the fleet cannot serve
 	// right now: fewer healthy daemons than the requested minimum, or a

@@ -83,7 +83,8 @@ type FleetView struct {
 	// Size is the configured fleet size (gossip address table length).
 	Size int `json:"size"`
 	// Floor, when > 0, is the healthy-daemon minimum the operator
-	// configured (the n > 4k + 3t bound); fewer fires fleet_floor.
+	// configured (its count of live failure domains); fewer fires
+	// fleet_floor.
 	Floor int `json:"floor,omitempty"`
 	// GossipIntervalMS, SuspectAfterMS, ExpireAfterMS are the mesh's
 	// timing parameters.

@@ -67,7 +67,8 @@ type PlacementAssignment struct {
 type PlacementView struct {
 	// Strategy is the effective strategy (defaults made explicit).
 	Strategy string `json:"strategy"`
-	// Floor is the spec's 4k + 3t + 1 player floor.
+	// Floor is the least n the spec's theorem variant admits: 4k+4t+1,
+	// 3k+3t+1, 3k+4t+1 or 2k+3t+1 for 4.1, 4.2, 4.4 or 4.5.
 	Floor int `json:"floor"`
 	// Daemons counts the distinct daemons used.
 	Daemons int `json:"daemons"`

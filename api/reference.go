@@ -59,7 +59,7 @@ var errorCodeDocs = []struct {
 	{CodePoolSaturated, "worker queue full; the request had no effect — back off and retry"},
 	{CodeNotReady, "daemon booting (store recovery) or draining for shutdown"},
 	{CodeInternal, "unexpected server fault (recovered panic)"},
-	{CodePlacementInfeasible, "no fleet could place this spec: n under the n > 4k+3t floor, unknown strategy, or contradictory pinned peers"},
+	{CodePlacementInfeasible, "the placement scheduler refused the spec itself: n under its theorem variant's floor, unknown strategy, or contradictory pinned peers (the farm runs the same checks at create time and answers those with invalid_argument first)"},
 	{CodeFleetUnderFloor, "the fleet cannot place this right now: too few healthy daemons for min_daemons, or a strict placement's fault budget is unattainable — retry when the fleet recovers"},
 }
 
@@ -118,8 +118,9 @@ func Reference() string {
 	b.WriteString("daemon consults its gossip fleet view, filters suspect/expired/shedding\n")
 	b.WriteString("peers, and spreads the players across healthy daemons least-loaded\n")
 	b.WriteString("first, deterministically (ties break on the sorted daemon URL). Specs\n")
-	b.WriteString("under the paper's n > 4k+3t floor are rejected as\n")
-	b.WriteString("`placement_infeasible`; fleets too unhealthy for the requested\n")
+	b.WriteString("under their theorem variant's floor (n > 4k+4t, 3k+3t, 3k+4t or\n")
+	b.WriteString("2k+3t for 4.1, 4.2, 4.4 or 4.5) are rejected as `invalid_argument`\n")
+	b.WriteString("before any placement; fleets too unhealthy for the requested\n")
 	b.WriteString("placement answer `fleet_under_floor`. `POST /v1/cluster/plan` dry-runs\n")
 	b.WriteString("the same decision; the chosen assignment rides the SessionView as\n")
 	b.WriteString("`placement`.\n")

@@ -1,7 +1,8 @@
-// Top-level benchmarks: one per experiment in DESIGN.md's index. Each
-// bench regenerates (a slice of) the corresponding table's workload; the
-// experiment tables themselves are printed by cmd/mediatorsim and recorded
-// in EXPERIMENTS.md.
+// Top-level benchmarks: one per experiment E1-E8 of package sim's
+// catalog (`mediatorsim -h` lists it). Each bench regenerates (a slice of)
+// the corresponding table's workload; the tables themselves are printed
+// by cmd/mediatorsim, and no expected table is committed. The end-to-end
+// cost of a served play is measured by bench/ (`bash bench/run.sh`).
 package main
 
 import (
@@ -11,7 +12,6 @@ import (
 	"asyncmediator/internal/core"
 	"asyncmediator/internal/game"
 	"asyncmediator/internal/mediator"
-	"asyncmediator/internal/service"
 	"asyncmediator/internal/sim"
 )
 
@@ -181,54 +181,6 @@ func BenchmarkExperimentSweep(b *testing.B) {
 					}
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkServiceThroughput measures the session farm (internal/service):
-// b.N plays pushed through the bounded worker pool, reported as
-// sessions/sec and msgs/sec. This is the serving-layer number of the perf
-// trajectory — how many concurrent mediator-free plays one process hosts.
-// The "persist" variants run the same workload with the durable store
-// (WAL + eviction) enabled; the acceptance line is a < 15% sessions/sec
-// regression against the matching in-memory case.
-func BenchmarkServiceThroughput(b *testing.B) {
-	cases := []struct {
-		name    string
-		spec    service.Spec
-		persist bool
-		notrace bool
-	}{
-		// The default serving configuration: Theorem 4.1's n > 4t with
-		// k=0, t=1 (the asynchronous service-free regime).
-		{"default-n=5,t=1", service.Spec{}, false, false},
-		{"default-n=5,t=1-persist", service.Spec{}, true, false},
-		// The untraced baseline: same workload with per-play trace
-		// collection off. The acceptance line is tracing overhead <= 5%
-		// sessions/sec against the traced default case.
-		{"default-n=5,t=1-notrace", service.Spec{}, false, true},
-		// The cheapest hosted play: Theorem 4.2 at its bound n=4.
-		{"epsilon-n=4,k=1", service.Spec{N: 4, K: 1, T: 0, Variant: "4.2"}, false, false},
-		{"epsilon-n=4,k=1-persist", service.Spec{N: 4, K: 1, T: 0, Variant: "4.2"}, true, false},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			cfg := service.BenchConfig{Sessions: b.N, Spec: c.spec, DisableTracing: c.notrace}
-			if c.persist {
-				cfg.DataDir = b.TempDir()
-				cfg.MaxLiveSessions = 256
-			}
-			res, err := service.Bench(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Failed > 0 {
-				b.Fatalf("%d sessions failed", res.Failed)
-			}
-			b.ReportMetric(res.SessionsPerSec, "sessions/sec")
-			b.ReportMetric(res.MessagesPerSec, "msgs/sec")
-			b.ReportMetric(res.MeanMsgsPerPlay, "msgs/play")
 		})
 	}
 }

@@ -1,24 +1,16 @@
-// Command benchsummary converts `go test -bench` text output (stdin) into
-// a machine-readable JSON summary (stdout). CI pipes the benchmark run
-// through it and uploads the result (BENCH_ci.json) as a workflow
-// artifact, so the perf trajectory — experiment-sweep throughput, farm
-// sessions/sec, per-theorem msgs/run — is tracked per commit instead of
-// eyeballed.
+// Command benchsummary is the kernel perf gate. It converts `go test
+// -bench` text output (stdin) into a machine-readable JSON summary
+// (stdout) and, with -kernels SEED.json, compares the field/poly/rs/shamir
+// kernel micro-benchmarks (metric ns/op) against a committed baseline,
+// EXITING NON-ZERO when any case slowed down more than 20%:
 //
-//	go test -bench . -benchtime 1x -run '^$' ./... | benchsummary > BENCH_ci.json
+//	go test -bench . -run '^$' ./internal/field/ ./internal/poly/ ./internal/rs/ ./internal/shamir/ \
+//	    | benchsummary -kernels BENCH_kernels.json > BENCH_kernels_ci.json
 //
-// With -diff SEED.json it also compares the farm-throughput benchmarks
-// (BenchmarkServiceThroughput, metric sessions/sec) against a committed
-// seed summary and warns on stderr when a case regressed more than 20%.
-// The diff never fails the run — single-shot CI benchmarks are too noisy
-// to gate on — it makes the regression visible in the job log.
-//
-// With -kernels SEED.json it instead compares the field/poly/rs/shamir
-// kernel micro-benchmarks (metric ns/op) against a committed kernel
-// baseline and EXITS NON-ZERO when any case slowed down more than 20%.
-// Unlike the end-to-end farm benchmarks, the kernels are tight arithmetic
-// loops with stable timings, so a hard gate is reliable: a >20% ns/op
-// jump on MulVec or batch interpolation is a real regression, not noise.
+// The kernels are tight arithmetic loops with stable timings, so a hard
+// gate is reliable: a >20% ns/op jump on MulVec or batch interpolation is
+// a real regression, not noise. End-to-end play cost is measured by
+// bench/ (`bash bench/run.sh`), not here.
 package main
 
 import (
@@ -103,44 +95,13 @@ func parseBenchLine(line string) (Benchmark, bool) {
 	return b, true
 }
 
-// throughputPrefix selects the benchmarks the -diff mode compares, and
-// throughputMetric is the unit it compares on.
-const (
-	throughputPrefix = "BenchmarkServiceThroughput"
-	throughputMetric = "sessions/sec"
-	regressionFrac   = 0.20
-)
-
-// diffThroughput compares cur's farm-throughput results against the
-// seed summary and writes one warning line per case that regressed more
-// than regressionFrac. Cases missing on either side are skipped — the
-// seed predates them or the run filtered them out.
-func diffThroughput(w io.Writer, seed, cur *Summary) {
-	base := map[string]float64{}
-	for _, b := range seed.Benchmarks {
-		if strings.HasPrefix(b.Name, throughputPrefix) {
-			if v, ok := b.Metrics[throughputMetric]; ok && v > 0 {
-				base[b.Name] = v
-			}
-		}
-	}
-	for _, b := range cur.Benchmarks {
-		want, ok := base[b.Name]
-		if !ok {
-			continue
-		}
-		got := b.Metrics[throughputMetric]
-		if got < want*(1-regressionFrac) {
-			fmt.Fprintf(w, "benchsummary: WARNING: %s regressed: %.1f %s vs seed %.1f (-%.0f%%, threshold %.0f%%)\n",
-				b.Name, got, throughputMetric, want, 100*(1-got/want), 100*regressionFrac)
-		}
-	}
-}
-
 // kernelMetric is the unit the -kernels gate compares on, and kernelPkgs
 // lists the packages whose benchmarks it gates. Lower is better for
 // ns/op, so the gate trips when cur > seed * (1 + regressionFrac).
-const kernelMetric = "ns/op"
+const (
+	kernelMetric   = "ns/op"
+	regressionFrac = 0.20
+)
 
 var kernelPkgs = map[string]bool{
 	"asyncmediator/internal/field":  true,
@@ -193,21 +154,12 @@ func loadSummary(path string) (*Summary, error) {
 }
 
 func main() {
-	diff := flag.String("diff", "", "seed summary JSON to compare farm throughput against (warn-only)")
 	kernels := flag.String("kernels", "", "seed summary JSON to gate kernel ns/op against (hard-fail)")
 	flag.Parse()
 	s, err := Parse(os.Stdin)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchsummary:", err)
 		os.Exit(1)
-	}
-	if *diff != "" {
-		seed, err := loadSummary(*diff)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchsummary:", err)
-			os.Exit(1)
-		}
-		diffThroughput(os.Stderr, seed, s)
 	}
 	failures := 0
 	if *kernels != "" {

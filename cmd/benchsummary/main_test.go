@@ -11,7 +11,7 @@ pkg: asyncmediator
 cpu: Intel(R) Xeon(R) Processor @ 2.70GHz
 BenchmarkExperimentSweep/workers=1         	       1	2451599519 ns/op
 BenchmarkExperimentSweep/workers=4         	       1	1102383032 ns/op
-BenchmarkServiceThroughput/default-n=5,t=1-4 	     256	   4143520 ns/op	       241.3 sessions/sec	    195000 msgs/sec	       812.0 msgs/play	  513344 B/op	    7042 allocs/op
+BenchmarkE1_Theorem41/k=1,t=0,n=5-4      	     256	   4143520 ns/op	       812.0 msgs/run	  513344 B/op	    7042 allocs/op
 PASS
 ok  	asyncmediator	8.093s
 `
@@ -34,9 +34,9 @@ func TestParse(t *testing.T) {
 	if b.Metrics["ns/op"] != 2451599519 {
 		t.Fatalf("bad ns/op: %v", b.Metrics)
 	}
-	svc := s.Benchmarks[2]
-	if svc.Metrics["sessions/sec"] != 241.3 || svc.Metrics["allocs/op"] != 7042 {
-		t.Fatalf("bad multi-metric parse: %+v", svc.Metrics)
+	e1 := s.Benchmarks[2]
+	if e1.Metrics["msgs/run"] != 812 || e1.Metrics["allocs/op"] != 7042 {
+		t.Fatalf("bad multi-metric parse: %+v", e1.Metrics)
 	}
 }
 
@@ -52,14 +52,14 @@ func TestParseSkipsMalformed(t *testing.T) {
 }
 
 // kernelSummary builds a Summary with one field-package kernel benchmark
-// at the given ns/op, plus a non-kernel throughput benchmark the gate
+// at the given ns/op, plus a non-kernel root-package benchmark the gate
 // must ignore.
 func kernelSummary(nsop, other float64) *Summary {
 	return &Summary{Benchmarks: []Benchmark{
 		{Pkg: "asyncmediator/internal/field", Name: "BenchmarkMulVec",
 			Iterations: 1000, Metrics: map[string]float64{"ns/op": nsop}},
-		{Pkg: "asyncmediator/internal/service", Name: "BenchmarkServiceThroughput/default",
-			Iterations: 10, Metrics: map[string]float64{"ns/op": other, "sessions/sec": 100}},
+		{Pkg: "asyncmediator", Name: "BenchmarkExperimentSweep/workers=1",
+			Iterations: 10, Metrics: map[string]float64{"ns/op": other}},
 	}}
 }
 
@@ -77,7 +77,7 @@ func TestKernelGateFailsOnInjectedRegression(t *testing.T) {
 	if !strings.Contains(sb.String(), "FAIL") || !strings.Contains(sb.String(), "BenchmarkMulVec") {
 		t.Fatalf("missing FAIL diagnostics: %q", sb.String())
 	}
-	if strings.Contains(sb.String(), "ServiceThroughput") {
+	if strings.Contains(sb.String(), "ExperimentSweep") {
 		t.Fatalf("non-kernel benchmark must not be gated: %q", sb.String())
 	}
 }
@@ -110,19 +110,5 @@ func TestKernelGateSkipsUnknownCases(t *testing.T) {
 	var sb strings.Builder
 	if got := diffKernels(&sb, seed, cur); got != 0 {
 		t.Fatalf("new benchmark must not be gated: %s", sb.String())
-	}
-}
-
-func TestDiffThroughputWarnOnly(t *testing.T) {
-	seed := &Summary{Benchmarks: []Benchmark{
-		{Name: "BenchmarkServiceThroughput/default", Metrics: map[string]float64{"sessions/sec": 100}},
-	}}
-	cur := &Summary{Benchmarks: []Benchmark{
-		{Name: "BenchmarkServiceThroughput/default", Metrics: map[string]float64{"sessions/sec": 50}},
-	}}
-	var sb strings.Builder
-	diffThroughput(&sb, seed, cur)
-	if !strings.Contains(sb.String(), "WARNING") {
-		t.Fatalf("expected a throughput warning: %q", sb.String())
 	}
 }

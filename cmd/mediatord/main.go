@@ -73,10 +73,6 @@
 //	mediatorctl obs profiles -pprof http://127.0.0.1:6060
 //	curl -s 'localhost:8080/v1/traces?variant=4.1&limit=10'
 //
-// Or measure throughput without the HTTP layer:
-//
-//	mediatord -bench 512 -workers 8
-//
 // SIGINT/SIGTERM trigger a graceful shutdown: /readyz flips to 503 so
 // load balancers drain, the listener stops, queued and in-flight
 // sessions finish, then the process exits.
@@ -129,7 +125,7 @@ func run(args []string) error {
 	fleetPeers := fs.String("fleet-peers", "", "comma-separated gossip address table of the WHOLE fleet, -fleet-listen included verbatim")
 	advertiseURL := fs.String("advertise-url", "", "API base URL gossiped to peers so fleet views name this daemon (default: derived from -addr)")
 	gossipInterval := fs.Duration("gossip-interval", 0, "fleet health-gossip period (0: 1s); suspicion is 3x, expiry 10x")
-	fleetFloor := fs.Int("fleet-floor", 0, "healthy-daemon minimum (the n > 4k+3t bound); fewer fires the fleet_floor alert (0: disabled)")
+	fleetFloor := fs.Int("fleet-floor", 0, "healthy-daemon minimum (the operator's count of live failure domains); fewer fires the fleet_floor alert (0: disabled)")
 	fleetSecret := fs.String("fleet-secret", "", "shared HMAC key signing gossip digests; unsigned digests are rejected when set")
 	chaos := fs.Bool("chaos", false, "mount POST /v1/cluster/drop, the fault-injection hook severing live cluster connections (testing only)")
 	pprofListen := fs.String("pprof-listen", "", "bind net/http/pprof on this separate address (empty: disabled; keep it off public interfaces)")
@@ -141,13 +137,6 @@ func run(args []string) error {
 	profileInterval := fs.Duration("profile-interval", 0, "continuous-profiling capture period; writes cpu+heap pprof files to a bounded on-disk ring (0: disabled)")
 	profileDir := fs.String("profile-dir", "", "continuous-profiling ring directory (default <data-dir>/profiles)")
 	profileKeep := fs.Int("profile-keep", 0, "profile files kept on the ring, oldest deleted first (0: default 32)")
-	bench := fs.Int("bench", 0, "run a throughput benchmark of SESSIONS plays and exit")
-	benchGame := fs.String("bench-game", "section64", "benchmark game: section64 or consensus")
-	benchN := fs.Int("bench-n", 5, "benchmark players per session")
-	benchK := fs.Int("bench-k", 0, "benchmark coalition bound")
-	benchT := fs.Int("bench-t", 1, "benchmark malicious bound")
-	benchVariant := fs.String("bench-variant", "4.1", "benchmark theorem variant")
-	benchBackend := fs.String("bench-backend", "sim", "benchmark backend: sim or wire")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -198,25 +187,6 @@ func run(args []string) error {
 				log.Printf("mediatord: pprof listener failed: %v", err)
 			}
 		}()
-	}
-
-	if *bench > 0 {
-		cfg := service.BenchConfig{
-			Sessions:       *bench,
-			Workers:        *workers,
-			BaseSeed:       *seed,
-			DisableTracing: *noTrace,
-			Spec: service.Spec{
-				Game: *benchGame, N: *benchN, K: *benchK, T: *benchT,
-				Variant: *benchVariant, Backend: *benchBackend,
-			},
-		}
-		res, err := service.Bench(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Table(cfg).Render())
-		return nil
 	}
 
 	cfg := service.Config{

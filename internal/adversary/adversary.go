@@ -13,9 +13,10 @@
 //   - deadlock baiting with a colluding relaxed scheduler (the Section 6.4
 //     attack: HintPooler + BaitScheduler)
 //
-// Out of scope, per DESIGN.md: wrong-value resharing inside multiplication
-// (requires the companion paper's verified-multiplication machinery to
-// defeat, which the paper cites as [10]).
+// Out of scope: wrong-value resharing inside multiplication. Package mpc
+// does not verify reshared products (that needs the companion paper's
+// verified-multiplication machinery, which the paper cites as [10]), so a
+// strategy here would succeed rather than test a defence.
 package adversary
 
 import (

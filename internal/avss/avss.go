@@ -12,8 +12,11 @@
 // The sharing completes when a party holds a (verified or recovered) row
 // and has n-t READYs; its share is f_i(0).
 //
-// With n > 4t this errorless construction has the standard guarantees
-// (see DESIGN.md for the simplifications relative to full BCG). With
+// With n > 4t this errorless construction has the standard guarantees.
+// It is simpler than full BCG in two ways: READY is a plain multicast,
+// not a reliable broadcast, and there is no complaint round — a party
+// whose row disagrees with its peers stays silent and, once enough READYs
+// arrive, recovers its row by online error correction. With
 // n > 3t the same skeleton is used by the paper's epsilon-theorems: an
 // honest dealer still completes everywhere, while a malicious dealer can
 // cause an epsilon-probability failure, which the game layer accounts for

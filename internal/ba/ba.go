@@ -11,9 +11,13 @@
 //     surely but slower (an ablation measured in the benchmarks).
 //
 // The common coin is provided by an interface. SharedCoin derives the bit
-// from a seed shared at setup — Rabin's predistributed-coin model; see
-// DESIGN.md for the substitution note. The game-theoretic layer above is
-// agnostic to the coin's realization.
+// from a seed shared at setup — Rabin's predistributed-coin model. That is
+// a substitution: every party, and the scheduler, can compute the coin of
+// any round in advance, while the O(1)-round termination argument assumes
+// the round-r coin stays unpredictable until some honest party reaches
+// round r. No scheduler here reads the coin, so the expected round count
+// is measured against oblivious schedules only. The game-theoretic layer
+// above is agnostic to the coin's realization.
 package ba
 
 import (

@@ -23,8 +23,9 @@ const (
 	// are flapping.
 	RuleRedialStorm = "redial_storm"
 	// RuleFleetFloor: healthy daemons fell below the configured floor
-	// (the operator's n > 4k + 3t bound). Armed only after the fleet
-	// first reaches the floor, so a rolling start is not an alert.
+	// (the operator's count of live failure domains). Armed only after
+	// the fleet first reaches the floor, so a rolling start is not an
+	// alert.
 	RuleFleetFloor = "fleet_floor"
 )
 
@@ -230,7 +231,7 @@ func (e *engine) evaluate(v View) {
 		if e.floorSeen && v.Healthy < e.cfg.floor {
 			set(fKey, Alert{
 				Rule: RuleFleetFloor, Index: -1,
-				Message: fmt.Sprintf("fleet has %d healthy daemons, below the configured floor %d (n > 4k+3t)", v.Healthy, e.cfg.floor),
+				Message: fmt.Sprintf("fleet has %d healthy daemons, below the configured floor %d", v.Healthy, e.cfg.floor),
 				Value:   float64(v.Healthy),
 			})
 		} else if v.Healthy >= e.cfg.floor {

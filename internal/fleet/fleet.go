@@ -23,8 +23,9 @@
 // turns suspect after SuspectAfter and expired after ExpireAfter, per
 // the observer's own clock. On top of the view sits a small alert-rule
 // engine (alerts.go) that turns threshold crossings — silent peers,
-// saturated queues, redial storms, the fleet shrinking below the
-// n > 4k + 3t floor — into edge-triggered alerts for the event bus.
+// saturated queues, redial storms, the fleet shrinking below its
+// configured healthy-daemon floor — into edge-triggered alerts for the
+// event bus.
 package fleet
 
 import (
@@ -92,8 +93,8 @@ type Config struct {
 	SuspectAfter time.Duration
 	ExpireAfter  time.Duration
 	// Floor, when > 0, is the minimum healthy-daemon count the fleet
-	// needs (the operator's n > 4k + 3t bound); dropping below it fires
-	// a fleet_floor alert.
+	// needs (the operator's count of live failure domains); dropping
+	// below it fires a fleet_floor alert.
 	Floor int
 	// QueueWatermark, when > 0, arms the queue_saturated alert rule at
 	// that gossiped depth; QueueIntervals consecutive saturated rounds

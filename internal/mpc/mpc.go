@@ -27,10 +27,12 @@
 //  4. Output: each output wire is opened towards its designated player
 //     with online error correction.
 //
-// Known gap, documented in DESIGN.md: a malicious party inside a
-// multiplication's agreed resharing set can reshare a wrong product value
-// undetected; the full verified-multiplication machinery of the paper's
-// companion reference [10] is out of scope. The deviation library used by
+// Known gap: a malicious party inside a multiplication's agreed resharing
+// set can reshare a wrong product value undetected; the full
+// verified-multiplication machinery of the paper's companion reference
+// [10] is out of scope. So for a circuit with a secret x secret gate,
+// output = circuit evaluation holds only while every resharing set is
+// honest. The deviation library used by
 // the robustness experiments covers input lying, crash/abort, scheduling
 // collusion, share corruption at openings, and deadlock baiting.
 package mpc

@@ -39,35 +39,6 @@ func randPoints(rng *rand.Rand, n int) []Point {
 	return pts
 }
 
-// TestMulNTTVsSchoolbook cross-checks the NTT product against schoolbook
-// on shapes straddling the dispatch crossover, including adversarial
-// degenerate inputs.
-func TestMulNTTVsSchoolbook(t *testing.T) {
-	rng := rand.New(rand.NewSource(30))
-	cases := []struct {
-		name string
-		p, q Poly
-	}{
-		{"zero-times-big", nil, randPoly(rng, 300)},
-		{"big-times-zero", randPoly(rng, 300), New(0)},
-		{"constant", New(7), randPoly(rng, 200)},
-		{"below-crossover", randPoly(rng, 40), randPoly(rng, 40)},
-		{"at-crossover", randPoly(rng, 63), randPoly(rng, 64)},
-		{"above-crossover", randPoly(rng, 128), randPoly(rng, 200)},
-		{"max-degree-balanced", randPoly(rng, 511), randPoly(rng, 511)},
-		{"lopsided", randPoly(rng, 1), randPoly(rng, 1000)},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			got := c.p.Mul(c.q)
-			want := c.p.mulSchoolbook(c.q)
-			if !got.Equal(want) {
-				t.Fatalf("Mul != schoolbook (degrees %d, %d)", c.p.Degree(), c.q.Degree())
-			}
-		})
-	}
-}
-
 // TestInterpolateKernelVsRef checks the kernel interpolation against the
 // retained scalar reference on random and adversarial point sets,
 // demanding identical coefficients and identical errors.
@@ -300,14 +271,9 @@ func BenchmarkMul256(b *testing.B) {
 	rng := rand.New(rand.NewSource(41))
 	p := randPoly(rng, 255)
 	q := randPoly(rng, 255)
-	b.Run("ntt", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = p.Mul(q)
-		}
-	})
 	b.Run("schoolbook", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = p.mulSchoolbook(q)
+			_ = p.Mul(q)
 		}
 	})
 }

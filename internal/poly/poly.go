@@ -7,9 +7,8 @@
 // The exported entry points run on the batched field.Vec kernels: one
 // batch inversion per interpolation instead of one per basis polynomial,
 // O(n^2) master-polynomial interpolation instead of O(n^3) basis
-// rebuilding, vectorized multi-point Horner evaluation, and NTT
-// multiplication past the schoolbook crossover. The original scalar
-// implementations remain in ref.go as the correctness oracle (see
+// rebuilding, and vectorized multi-point Horner evaluation. The original
+// scalar implementations remain in ref.go as the correctness oracle (see
 // UseReference).
 package poly
 
@@ -153,47 +152,21 @@ func (p Poly) Sub(q Poly) Poly {
 	return out.trim()
 }
 
-// nttMulMin is the product length at which Mul switches from schoolbook
-// to the GF(p^2) NTT. Below it the O(d^2) inner loop wins on constants;
-// protocol-sized polynomials (degree <= a few dozen) always stay
-// schoolbook.
-const nttMulMin = 128
-
-// Mul returns p * q. Small products use schoolbook multiplication;
-// products of nttMulMin coefficients or more go through the O(n log n)
-// extension-field NTT (see field.NTTMul).
+// Mul returns p * q by schoolbook multiplication. Protocol polynomials
+// have degree at most 2(k+t), far below where a transform would pay off.
 func (p Poly) Mul(q Poly) Poly {
 	if p.IsZero() || q.IsZero() {
 		return nil
 	}
-	if useRef.Load() {
-		return p.mulSchoolbook(q)
+	out := make(Poly, len(p)+len(q)-1)
+	for i, a := range p {
+		if a == 0 {
+			continue
+		}
+		for j, b := range q {
+			out[i+j] = out[i+j].Add(a.Mul(b))
+		}
 	}
-	outLen := len(p) + len(q) - 1
-	if outLen < nttMulMin || field.NTTSize(outLen) == 0 {
-		return p.mulSchoolbook(q)
-	}
-	return p.mulNTT(q)
-}
-
-// mulNTT multiplies via the extension-field transform.
-func (p Poly) mulNTT(q Poly) Poly {
-	outLen := len(p) + len(q) - 1
-	av := field.AcquireVec(len(p))
-	bv := field.AcquireVec(len(q))
-	ov := field.AcquireVec(outLen)
-	defer field.ReleaseVec(av)
-	defer field.ReleaseVec(bv)
-	defer field.ReleaseVec(ov)
-	for i, c := range p {
-		av[i] = uint64(c)
-	}
-	for i, c := range q {
-		bv[i] = uint64(c)
-	}
-	field.NTTMul(ov, av, bv)
-	out := make(Poly, outLen)
-	field.FromVec(out, ov)
 	return out.trim()
 }
 

@@ -7,7 +7,7 @@ import (
 	"asyncmediator/internal/field"
 )
 
-// useRef routes Interpolate/EvalAt/LagrangeCoeffsAtZero/Mul through the
+// useRef routes Interpolate/EvalAt/LagrangeCoeffsAtZero through the
 // original scalar implementations below. The kernel paths are the
 // default; the reference paths are the correctness oracle for the
 // differential tests, the scalar baseline for the kernel benchmarks, and
@@ -18,23 +18,6 @@ var useRef atomic.Bool
 // Intended for tests and benchmarks only; do not toggle concurrently
 // with in-flight protocol work.
 func UseReference(on bool) { useRef.Store(on) }
-
-// mulSchoolbook is the quadratic reference multiplication.
-func (p Poly) mulSchoolbook(q Poly) Poly {
-	if p.IsZero() || q.IsZero() {
-		return nil
-	}
-	out := make(Poly, len(p)+len(q)-1)
-	for i, a := range p {
-		if a == 0 {
-			continue
-		}
-		for j, b := range q {
-			out[i+j] = out[i+j].Add(a.Mul(b))
-		}
-	}
-	return out.trim()
-}
 
 // interpolateRef is the original O(n^3) Lagrange interpolation with one
 // field inversion per basis polynomial.
@@ -60,7 +43,7 @@ func interpolateRef(points []Point) (Poly, error) {
 				continue
 			}
 			// basis *= (x - x_j)
-			basis = basis.mulSchoolbook(Poly{points[j].X.Neg(), 1})
+			basis = basis.Mul(Poly{points[j].X.Neg(), 1})
 			denom = denom.Mul(points[i].X.Sub(points[j].X))
 		}
 		scale := points[i].Y.Div(denom)

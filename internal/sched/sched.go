@@ -1,10 +1,12 @@
 // Package sched is the fleet placement scheduler: given a session's
 // (n, k, t) and the gossip-derived fleet view, it decides which daemon
 // hosts which player. It is the control-plane half of the paper's
-// threshold story — a mediator-free play only exists when n > 4k + 3t
-// correct machines actually co-host it (Abraham-Dolev-Geffner-Halpern,
-// PODC 2019; the bound is tight per Abraham-Dolev-Halpern 2008) — so the
-// scheduler refuses specs under that floor outright and, per strategy,
+// threshold story — a mediator-free play only exists when enough
+// machines actually co-host it: n > 4k+4t, 3k+3t, 3k+4t or 2k+3t for
+// Theorems 4.1, 4.2, 4.4 and 4.5 (Abraham-Dolev-Geffner-Halpern, PODC
+// 2019; tight per Abraham-Dolev-Halpern 2008 and Geffner-Halpern 2021).
+// The caller passes that floor in (core.Variant.Bound owns the bound);
+// the scheduler refuses specs under it outright and, per strategy,
 // refuses or flags fleets whose failure domains cannot absorb t daemon
 // losses.
 //
@@ -39,8 +41,8 @@ const (
 	StrategyStrict = "strict"
 )
 
-// ErrInfeasible marks a spec no fleet could place: parameters under the
-// paper's n > 4k + 3t floor, or a contradictory fixed-peer list.
+// ErrInfeasible marks a spec no fleet could place: n under its theorem
+// variant's floor, or a contradictory fixed-peer list.
 var ErrInfeasible = errors.New("sched: placement infeasible")
 
 // ErrUnderFloor marks a fleet currently too small or too unhealthy for
@@ -65,8 +67,11 @@ type Daemon struct {
 
 // Request asks for one placement.
 type Request struct {
-	// N, K, T are the play's parameters; N > 4K + 3T is enforced.
+	// N, K, T are the play's parameters.
 	N, K, T int
+	// Floor is the least N the play's theorem variant admits,
+	// core.Variant.Bound(K, T); N < Floor is refused as ErrInfeasible.
+	Floor int
 	// Strategy is one of the Strategy constants ("" = spread).
 	Strategy string
 	// Fixed pins players to daemons (a caller-supplied partial peers
@@ -74,7 +79,7 @@ type Request struct {
 	Fixed []api.PeerSpec
 	// MinDaemons refuses placements using fewer distinct healthy daemons
 	// than this (0: no constraint). Callers typically pass the fleet's
-	// configured floor when they want hard n > 4k + 3t domain isolation.
+	// configured floor when they want hard failure-domain isolation.
 	MinDaemons int
 }
 
@@ -118,10 +123,9 @@ func Place(req Request, daemons []Daemon) (Placement, error) {
 	if req.N <= 0 || req.K < 0 || req.T < 0 {
 		return Placement{}, fmt.Errorf("%w: n=%d k=%d t=%d out of range", ErrInfeasible, req.N, req.K, req.T)
 	}
-	floor := 4*req.K + 3*req.T + 1
-	if req.N < floor {
-		return Placement{}, fmt.Errorf("%w: n=%d violates n > 4k+3t (need n >= %d for k=%d, t=%d)",
-			ErrInfeasible, req.N, floor, req.K, req.T)
+	if req.N < req.Floor {
+		return Placement{}, fmt.Errorf("%w: n=%d is under the variant's floor (need n >= %d for k=%d, t=%d)",
+			ErrInfeasible, req.N, req.Floor, req.K, req.T)
 	}
 
 	fixed := make(map[int]string, len(req.Fixed))
@@ -201,7 +205,7 @@ func Place(req Request, daemons []Daemon) (Placement, error) {
 		h.placed++
 	}
 
-	pl := Placement{Strategy: strategy, Floor: floor}
+	pl := Placement{Strategy: strategy, Floor: req.Floor}
 	used := make([]*hostLoad, 0, len(byURL))
 	for _, h := range byURL {
 		if h.players(assign) != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"asyncmediator/api"
+	"asyncmediator/internal/core"
 )
 
 func healthy(url string, self bool, queue, sessions int) Daemon {
@@ -32,9 +33,9 @@ func placed(t *testing.T, req Request, daemons []Daemon) Placement {
 }
 
 func TestSpreadIsEvenAndDeterministic(t *testing.T) {
-	req := Request{N: 5, K: 0, T: 1}
+	req := Request{N: 5, K: 0, T: 1, Floor: core.Exact41.Bound(0, 1)}
 	first := placed(t, req, threeIdle())
-	if first.Strategy != StrategySpread || first.Daemons != 3 || first.Floor != 4 {
+	if first.Strategy != StrategySpread || first.Daemons != 3 || first.Floor != 5 {
 		t.Fatalf("placement header: %+v", first)
 	}
 	// 5 players over 3 idle daemons: 2/2/1, coordinator first among
@@ -105,15 +106,26 @@ func TestSingleDaemonDegeneratesToLocalPlay(t *testing.T) {
 	}
 }
 
+// TestFloorBoundaryExactly places every theorem variant at its bound and
+// one below: the floor is whatever core.Variant.Bound says (4k+4t+1,
+// 3k+3t+1, 3k+4t+1, 2k+3t+1), n = Bound places and n = Bound-1 is
+// ErrInfeasible, and the placement reports that floor.
 func TestFloorBoundaryExactly(t *testing.T) {
-	// n = 4k + 3t is rejected; n = 4k + 3t + 1 is the tight bound.
-	for _, tc := range []struct{ k, t int }{{0, 1}, {1, 0}, {1, 1}, {2, 3}} {
-		floor := 4*tc.k + 3*tc.t + 1
-		if _, err := Place(Request{N: floor - 1, K: tc.k, T: tc.t}, threeIdle()); !errors.Is(err, ErrInfeasible) {
-			t.Fatalf("k=%d t=%d n=%d: err=%v, want ErrInfeasible", tc.k, tc.t, floor-1, err)
-		}
-		if _, err := Place(Request{N: floor, K: tc.k, T: tc.t}, threeIdle()); err != nil {
-			t.Fatalf("k=%d t=%d n=%d (at floor): %v", tc.k, tc.t, floor, err)
+	for _, v := range []core.Variant{core.Exact41, core.Epsilon42, core.Punish44, core.Punish45} {
+		for _, tc := range []struct{ k, t int }{{0, 1}, {1, 0}, {1, 1}, {2, 3}} {
+			floor := v.Bound(tc.k, tc.t)
+			req := Request{N: floor - 1, K: tc.k, T: tc.t, Floor: floor}
+			if _, err := Place(req, threeIdle()); !errors.Is(err, ErrInfeasible) {
+				t.Fatalf("%v k=%d t=%d n=%d: err=%v, want ErrInfeasible", v, tc.k, tc.t, req.N, err)
+			}
+			req.N = floor
+			pl, err := Place(req, threeIdle())
+			if err != nil {
+				t.Fatalf("%v k=%d t=%d n=%d (at floor): %v", v, tc.k, tc.t, floor, err)
+			}
+			if pl.Floor != floor {
+				t.Fatalf("%v k=%d t=%d: placement floor %d, want %d", v, tc.k, tc.t, pl.Floor, floor)
+			}
 		}
 	}
 	if _, err := Place(Request{N: 0}, nil); !errors.Is(err, ErrInfeasible) {

@@ -87,7 +87,7 @@ func (s *Service) registerFleetMetrics(mesh *fleet.Mesh) {
 		})
 	r.GaugeFunc("mediatord_fleet_size", "Configured fleet size (gossip address table length).",
 		func() float64 { return float64(mesh.View().N) })
-	r.GaugeFunc("mediatord_fleet_floor", "Configured healthy-daemon floor (n > 4k+3t); 0 when unset.",
+	r.GaugeFunc("mediatord_fleet_floor", "Configured healthy-daemon floor; 0 when unset.",
 		func() float64 { return float64(mesh.View().Floor) })
 	r.CounterFunc("mediatord_fleet_gossip_rounds_total", "Gossip rounds this daemon has run.",
 		func() float64 { return float64(mesh.View().Rounds) })

@@ -5,6 +5,7 @@ import (
 	"net/http"
 
 	"asyncmediator/api"
+	"asyncmediator/internal/core"
 	"asyncmediator/internal/sched"
 )
 
@@ -19,8 +20,8 @@ import (
 // the remaining players across healthy daemons. On a daemon without a
 // fleet plane the whole play degenerates to the coordinator — a valid
 // single-daemon placement, not an error.
-func (s *Service) placeSession(spec Spec, n int) (sched.Placement, error) {
-	pl, _, err := s.schedulePlacement(spec, n)
+func (s *Service) placeSession(spec Spec, params core.Params) (sched.Placement, error) {
+	pl, _, err := s.schedulePlacement(spec, params)
 	s.notePlacement(err)
 	return pl, err
 }
@@ -28,15 +29,18 @@ func (s *Service) placeSession(spec Spec, n int) (sched.Placement, error) {
 // schedulePlacement runs the pure scheduler against the live fleet view
 // without tallying the decision — the shared core of placeSession (real
 // placements, counted) and handleClusterPlan (dry runs, not counted).
-func (s *Service) schedulePlacement(spec Spec, n int) (sched.Placement, []sched.Daemon, error) {
+// The placement floor is the theorem variant's own bound, so sched and
+// core cannot disagree on which plays exist.
+func (s *Service) schedulePlacement(spec Spec, params core.Params) (sched.Placement, []sched.Daemon, error) {
 	var cands []sched.Daemon
 	if fv, ok := s.FleetView(); ok {
 		cands = sched.Candidates(fv)
 	}
 	pl, err := sched.Place(sched.Request{
-		N:          n,
-		K:          spec.K,
-		T:          spec.T,
+		N:          params.Game.N,
+		K:          params.K,
+		T:          params.T,
+		Floor:      params.Variant.Bound(params.K, params.T),
 		Strategy:   spec.Placement.Strategy,
 		Fixed:      spec.Peers,
 		MinDaemons: spec.Placement.MinDaemons,
@@ -78,7 +82,7 @@ func (s *Service) handleClusterPlan(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, apiError(err, api.CodeInvalidArgument))
 		return
 	}
-	pl, cands, err := s.schedulePlacement(spec, params.Game.N)
+	pl, cands, err := s.schedulePlacement(spec, params)
 	if err != nil {
 		writeAPIError(w, apiError(err, api.CodeInvalidArgument))
 		return

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -11,7 +12,9 @@ import (
 	"time"
 
 	"asyncmediator/api"
+	"asyncmediator/internal/core"
 	"asyncmediator/internal/game"
+	"asyncmediator/internal/sched"
 	"asyncmediator/pkg/client"
 )
 
@@ -150,8 +153,8 @@ func TestClusterPlanPredictsSpread(t *testing.T) {
 	if resp.HealthyDaemons != 3 || resp.Placement.Daemons != 3 {
 		t.Fatalf("plan %+v", resp)
 	}
-	if resp.Placement.Floor != 4 {
-		t.Fatalf("floor %d for k=0 t=1, want 4", resp.Placement.Floor)
+	if resp.Placement.Floor != 5 {
+		t.Fatalf("floor %d for Theorem 4.1 at k=0 t=1, want 4k+4t+1 = 5", resp.Placement.Floor)
 	}
 	if got := coord.Stats().SessionsCreated; got != 0 {
 		t.Fatalf("plan created %d sessions", got)
@@ -173,8 +176,49 @@ func TestClusterPlanPredictsSpread(t *testing.T) {
 	}
 }
 
+// TestPlanFloorFollowsVariant plans each theorem variant at exactly its
+// bound and one below: at n = Bound the plan succeeds and reports Bound as
+// its floor; at n = Bound-1 core refuses the spec before any placement.
+func TestPlanFloorFollowsVariant(t *testing.T) {
+	_, ts := httpFarm(t, Config{Workers: 1}) // fleetless: 1 usable daemon
+	httpc := ts.Client()
+	for _, tc := range []struct {
+		variant string
+		v       core.Variant
+		k, t    int
+	}{
+		{"4.1", core.Exact41, 1, 0},
+		{"4.2", core.Epsilon42, 1, 0}, // n = 3k+3t+1 = 4, under 4k+3t+1
+		{"4.4", core.Punish44, 1, 0},
+		{"4.5", core.Punish45, 1, 1},
+	} {
+		bound := tc.v.Bound(tc.k, tc.t)
+		for _, n := range []int{bound, bound - 1} {
+			spec := api.SessionSpec{Game: "consensus", N: n, K: tc.k, T: tc.t, Variant: tc.variant}
+			var out struct {
+				api.ClusterPlanResponse
+				api.ErrorEnvelope
+			}
+			resp := postKeyed(t, httpc, ts.URL+"/v1/cluster/plan", fmt.Sprintf("plan-%s-%d", tc.variant, n),
+				api.ClusterPlanRequest{Spec: spec}, &out)
+			if n < bound {
+				if resp.StatusCode != http.StatusBadRequest || out.Error == nil || out.Error.Code != api.CodeInvalidArgument {
+					t.Fatalf("%s n=%d under its bound: %d %+v", tc.variant, n, resp.StatusCode, out.Error)
+				}
+				continue
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s n=%d k=%d t=%d at its bound: %d %+v", tc.variant, n, tc.k, tc.t, resp.StatusCode, out.Error)
+			}
+			if out.Placement.Floor != bound || out.Placement.Daemons != 1 {
+				t.Fatalf("%s plan at its bound: %+v, want floor %d on 1 daemon", tc.variant, out.Placement, bound)
+			}
+		}
+	}
+}
+
 // TestPlacementRefusalCodes pins the two refusal codes to their HTTP
-// faces: a spec under the paper's n > 4k+3t floor answers 400
+// faces: a scheduler refusal (sched.ErrInfeasible) answers 400
 // placement_infeasible; a fleet smaller than the requested min_daemons
 // answers 503 fleet_under_floor (retryable).
 func TestPlacementRefusalCodes(t *testing.T) {
@@ -188,12 +232,14 @@ func TestPlacementRefusalCodes(t *testing.T) {
 		return resp, env
 	}
 
-	resp, env := post(api.SessionSpec{Game: "consensus", N: 4, K: 1, Variant: "4.2"})
-	if resp.StatusCode != http.StatusBadRequest || env.Error == nil || env.Error.Code != api.CodePlacementInfeasible {
-		t.Fatalf("under-floor spec: %d %+v", resp.StatusCode, env.Error)
+	// The farm validates a spec against core before placing it, so no
+	// well-formed request reaches the scheduler's own refusal; pin its
+	// mapping directly.
+	if e := apiError(fmt.Errorf("%w: n=3", sched.ErrInfeasible), api.CodeInternal); e.Code != api.CodePlacementInfeasible || e.Code.HTTPStatus() != http.StatusBadRequest {
+		t.Fatalf("scheduler refusal maps to %s (%d)", e.Code, e.Code.HTTPStatus())
 	}
 
-	resp, env = post(api.SessionSpec{N: 5, T: 1, Placement: &api.PlacementSpec{Mode: api.PlacementModeAuto, MinDaemons: 5}})
+	resp, env := post(api.SessionSpec{N: 5, T: 1, Placement: &api.PlacementSpec{Mode: api.PlacementModeAuto, MinDaemons: 5}})
 	if resp.StatusCode != http.StatusServiceUnavailable || env.Error == nil || env.Error.Code != api.CodeFleetUnderFloor {
 		t.Fatalf("under-floor fleet: %d %+v", resp.StatusCode, env.Error)
 	}

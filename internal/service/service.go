@@ -128,7 +128,8 @@ type Config struct {
 	// and expiry derive from it (3x and 10x).
 	GossipInterval time.Duration
 	// FleetFloor, when > 0, arms the fleet_floor alert: fewer healthy
-	// daemons than this (the operator's n > 4k + 3t bound) fires it.
+	// daemons than this (the operator's count of live failure domains)
+	// fires it.
 	FleetFloor int
 	// FleetSecret, when set, HMAC-signs every gossiped digest; digests
 	// failing verification are discarded.
@@ -471,7 +472,7 @@ func (s *Service) exec(sess *Session) {
 	peers := sess.Spec.Peers
 	if sess.Spec.Placement != nil {
 		var pl sched.Placement
-		if pl, err = s.placeSession(sess.Spec, sess.params.Game.N); err == nil {
+		if pl, err = s.placeSession(sess.Spec, sess.params); err == nil {
 			sess.setPlacement(&pl)
 			peers = pl.Peers
 		}

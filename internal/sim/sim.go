@@ -1,11 +1,12 @@
 // Package sim is the experiment harness: it regenerates, as text tables
 // and machine-readable JSON, the quantitative content of every claim in
-// the paper's Theorems 4.1-4.5 and Section 6.4 (experiments E1-E8 of
-// DESIGN.md). The Engine shards each experiment's (params x trial) grid
+// the paper's Theorems 4.1-4.5 and Section 6.4 (experiments E1-E8, indexed
+// by Catalog). The Engine shards each experiment's (params x trial) grid
 // across the shared bounded worker pool (internal/pool, the same pool
 // implementation that executes the session farm's plays); cmd/mediatorsim
-// prints the tables; bench_test.go wraps them as benchmarks;
-// EXPERIMENTS.md records paper-vs-measured.
+// prints the tables; bench_test.go wraps them as benchmarks. No
+// paper-vs-measured record is committed: each table's title and notes
+// state the claim it checks, and a run regenerates the measurement.
 package sim
 
 import (

@@ -10,9 +10,10 @@
 // bit) with threshold d = k+t at n > 3(k+t) — one full k+t below the
 // asynchronous exact bound n > 4(k+t), which is experiment E7's crossover.
 //
-// Fault model (documented substitution; see DESIGN.md): crashes and stalls
-// are tolerated outright (synchrony turns silence into erasures, which
-// cost no decoding redundancy), while corrupted shares are *detected* —
+// Fault model (a substitution for ADGH's full Byzantine model): crashes
+// and stalls are tolerated outright (synchrony turns silence into
+// erasures, which cost no decoding redundancy), while corrupted shares are
+// *detected* —
 // the degree check fails and honest parties abstain rather than output a
 // wrong value. Full Byzantine correction in this regime needs the
 // accusation/elimination machinery of ADGH's synchronous construction,

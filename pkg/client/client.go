@@ -39,8 +39,9 @@ var (
 	ErrPoolSaturated = errors.New("client: pool saturated")
 	// ErrNotReady: the daemon is booting or draining.
 	ErrNotReady = errors.New("client: daemon not ready")
-	// ErrPlacementInfeasible: the spec violates the paper's n > 4k+3t
-	// placement floor (or is otherwise unplaceable on any fleet).
+	// ErrPlacementInfeasible: the placement scheduler refused the spec
+	// itself (a spec under its theorem's bound is ErrInvalidArgument
+	// first).
 	ErrPlacementInfeasible = errors.New("client: placement infeasible")
 	// ErrFleetUnderFloor: the fleet is currently too small or unhealthy
 	// for the requested placement; retry after it recovers.

@@ -47,9 +47,10 @@ func (c *Client) ClusterFinish(ctx context.Context, req api.ClusterFinishRequest
 
 // ClusterPlan dry-runs the daemon's placement scheduler: the assignment
 // a session created with this spec would get against the current fleet
-// view, without creating anything. Infeasible specs yield
-// ErrPlacementInfeasible; a fleet too unhealthy for the requested
-// placement yields ErrFleetUnderFloor.
+// view, without creating anything. A spec under its theorem's bound
+// yields ErrInvalidArgument, a scheduler refusal ErrPlacementInfeasible,
+// and a fleet too unhealthy for the requested placement
+// ErrFleetUnderFloor.
 func (c *Client) ClusterPlan(ctx context.Context, req api.ClusterPlanRequest) (api.ClusterPlanResponse, error) {
 	var resp api.ClusterPlanResponse
 	err := c.do(ctx, http.MethodPost, "/v1/cluster/plan", nil, req, &resp)
