@@ -71,8 +71,11 @@ func TestKernelGateFailsOnInjectedRegression(t *testing.T) {
 	seed := kernelSummary(1000, 1000)
 	cur := kernelSummary(1250, 1250) // +25% on both
 	var sb strings.Builder
-	if got := diffKernels(&sb, seed, cur); got != 1 {
-		t.Fatalf("injected 25%% kernel regression: %d failures, want 1\n%s", got, sb.String())
+	if gate(&sb, seed, cur) {
+		t.Fatalf("injected 25%% kernel regression passed the gate\n%s", sb.String())
+	}
+	if !strings.Contains(sb.String(), "1 kernel benchmark(s) regressed") {
+		t.Fatalf("want exactly one failing case: %q", sb.String())
 	}
 	if !strings.Contains(sb.String(), "FAIL") || !strings.Contains(sb.String(), "BenchmarkMulVec") {
 		t.Fatalf("missing FAIL diagnostics: %q", sb.String())
@@ -92,7 +95,7 @@ func TestKernelGatePassesWithinThreshold(t *testing.T) {
 		kernelSummary(1000, 1000), // unchanged
 	} {
 		var sb strings.Builder
-		if got := diffKernels(&sb, seed, cur); got != 0 {
+		if !gate(&sb, seed, cur) {
 			t.Fatalf("unexpected gate failure at %v ns/op: %s",
 				cur.Benchmarks[0].Metrics["ns/op"], sb.String())
 		}
@@ -103,12 +106,63 @@ func TestKernelGatePassesWithinThreshold(t *testing.T) {
 // benches) or from the current run (filtered out) are not gated.
 func TestKernelGateSkipsUnknownCases(t *testing.T) {
 	seed := kernelSummary(1000, 1000)
+	cur := kernelSummary(1000, 1000)
+	cur.Benchmarks = append(cur.Benchmarks, Benchmark{Pkg: "asyncmediator/internal/field",
+		Name: "BenchmarkBrandNew", Iterations: 1, Metrics: map[string]float64{"ns/op": 9e9}})
+	var sb strings.Builder
+	if compared, bad := diffKernels(&sb, seed, cur); compared != 1 || bad != 0 {
+		t.Fatalf("compared %d, failed %d; want only BenchmarkMulVec compared, passing: %s", compared, bad, sb.String())
+	}
+}
+
+// TestKernelGateFailsWhenNothingMatches: a run sharing no kernel case
+// with the seed checked nothing, and must fail rather than pass vacuously.
+func TestKernelGateFailsWhenNothingMatches(t *testing.T) {
+	seed := kernelSummary(1000, 1000)
 	cur := &Summary{Benchmarks: []Benchmark{
 		{Pkg: "asyncmediator/internal/field", Name: "BenchmarkBrandNew",
 			Iterations: 1, Metrics: map[string]float64{"ns/op": 9e9}},
 	}}
 	var sb strings.Builder
-	if got := diffKernels(&sb, seed, cur); got != 0 {
-		t.Fatalf("new benchmark must not be gated: %s", sb.String())
+	if gate(&sb, seed, cur) {
+		t.Fatal("a run matching no seed case passed the gate")
+	}
+	if !strings.Contains(sb.String(), "checked nothing") {
+		t.Fatalf("missing zero-match diagnostic: %q", sb.String())
+	}
+}
+
+// TestKernelGateStripsProcsSuffix: `go test -bench` names carry a -N
+// GOMAXPROCS suffix on multi-core runners that the seed lacks. Parsed from
+// real output, they are still compared, including sub-benchmarks whose
+// own names end in digits, and a 25% regression behind the suffix fails.
+func TestKernelGateStripsProcsSuffix(t *testing.T) {
+	seed, err := Parse(strings.NewReader(`pkg: asyncmediator/internal/poly
+BenchmarkInterpolate/kernel-16 100 1000 ns/op
+BenchmarkInterpolate/kernel-64 100 8000 ns/op
+BenchmarkMul256/schoolbook 100 5000 ns/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := Parse(strings.NewReader(`pkg: asyncmediator/internal/poly
+BenchmarkInterpolate/kernel-16-2 100 1250 ns/op
+BenchmarkInterpolate/kernel-64-2 100 8000 ns/op
+BenchmarkMul256/schoolbook-2 100 5000 ns/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	compared, bad := diffKernels(&sb, seed, cur)
+	if compared != 3 || bad != 1 {
+		t.Fatalf("compared %d, failed %d; want 3 and 1\n%s", compared, bad, sb.String())
+	}
+	if !strings.Contains(sb.String(), "BenchmarkInterpolate/kernel-16-2 regressed") {
+		t.Fatalf("the regression was not pinned on kernel-16: %q", sb.String())
+	}
+	// A -cpu 1 run carries no suffix and matches exactly.
+	if compared, _ := diffKernels(&sb, seed, seed); compared != 3 {
+		t.Fatalf("unsuffixed run compared %d cases, want 3", compared)
 	}
 }

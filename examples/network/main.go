@@ -55,7 +55,7 @@ func run() error {
 			return err
 		}
 		node, err := wire.NewNode(wire.NodeConfig{
-			Self: async.PID(i), Addrs: addrs, Proc: pl, Seed: int64(i) + 100,
+			Self: async.PID(i), Addrs: addrs, Proc: pl, Seed: 100,
 		})
 		if err != nil {
 			return err

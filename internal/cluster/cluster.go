@@ -24,9 +24,19 @@
 // and stream endpoints (and, under TLS, the peer certificate against the
 // cluster CA). A fresh handshake for a stream supersedes the previous
 // connection, so a half-dead socket cannot shadow its replacement.
+//
+// I/O is batched per burst, not per frame, with the wire bytes unchanged.
+// A link's writer takes one queued payload plus whatever else is already
+// queued (up to 64 KiB of frames), stamps and buffers them all for
+// resend, and writes them as one coalesced write. Both ends read through
+// one buffered reader per connection. The receiver acknowledges only
+// when it has consumed every buffered byte, so one cumulative ACK covers
+// a whole burst. The handshake frames read before a peer is admitted are
+// bounded to 4 KiB.
 package cluster
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -117,7 +127,7 @@ type Stats struct {
 	// ConnsDropped counts connections severed by DropConns (chaos).
 	ConnsDropped int64
 	// Acks counts cumulative-ack frames this node received on its
-	// outbound links.
+	// outbound links: one per burst the peer consumed, not one per frame.
 	Acks int64
 	// FramesIn/FramesOut and BytesIn/BytesOut count steady-state traffic
 	// (DATA, ACK, and GOSSIP frames, header included; handshakes
@@ -425,14 +435,18 @@ const handshakeTimeout = 5 * time.Second
 
 // serveInbound runs one accepted connection: verify the HELLO, adopt the
 // stream (superseding any previous connection), then deliver DATA frames
-// through the dedup cursor, acknowledging cumulatively.
+// through the dedup cursor, acknowledging cumulatively once per burst.
 func (t *Transport) serveInbound(conn net.Conn) {
 	defer t.wg.Done()
 	defer t.unregister(conn)
 	defer conn.Close()
 
+	// One buffered reader for the connection's whole life: a burst of
+	// frames costs one read, and the HELLO read must not strand the bytes
+	// behind it.
+	br := bufio.NewReader(conn)
 	_ = conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	kind, body, err := readRaw(conn)
+	kind, body, err := readFrame(br, maxHandshakeBytes)
 	if err != nil || kind != kindHello {
 		t.rejected.Add(1)
 		return
@@ -465,56 +479,75 @@ func (t *Transport) serveInbound(conn net.Conn) {
 	}
 
 	var ackFrame []byte // reused for every ACK on this connection
+	unacked := false    // a DATA frame arrived since the last ACK
 	for {
-		kind, body, err := readRaw(conn)
+		kind, body, err := readRaw(br)
 		if err != nil {
 			return
 		}
 		t.framesIn.Add(1)
 		t.bytesIn.Add(int64(5 + len(body)))
-		if kind == kindGossip {
+		switch kind {
+		case kindGossip:
 			t.gossipIn.Add(1)
 			if fn := t.cfg.GossipHandler; fn != nil {
 				fn(h.From, body)
 			}
-			continue // unsequenced: no ack, no dedup cursor
-		}
-		if kind != kindData {
-			continue // tolerate unknown-but-framed kinds from newer peers
-		}
-		seq, payload, err := parseData(body)
-		if err != nil {
-			return
-		}
-		st.mu.Lock()
-		switch {
-		case seq == st.delivered+1:
-			// The next frame of the stream: deliver exactly once. The lock
-			// is held across the inbox send so a superseding connection
-			// cannot interleave a later frame ahead of this one.
-			select {
-			case t.inbox <- Frame{From: h.From, To: t.cfg.Self, Seq: seq, Payload: payload}:
-				st.delivered = seq
-				t.delivered.Add(1)
-			case <-t.done:
-				st.mu.Unlock()
+			// Unsequenced: no dedup cursor, and no ACK of its own.
+		case kindData:
+			seq, payload, err := parseData(body)
+			if err != nil {
 				return
 			}
-		case seq <= st.delivered:
-			t.duplicates.Add(1) // replayed frame we already delivered
+			if !t.deliver(st, Frame{From: h.From, To: t.cfg.Self, Seq: seq, Payload: payload}) {
+				return
+			}
+			unacked = true
 		default:
-			// A gap: frames from a superseded connection era. Drop; the
-			// sender still buffers everything unacknowledged and will
-			// replay contiguously on its live connection.
+			// Tolerate unknown-but-framed kinds from newer peers.
 		}
+		// The ACK is cumulative, so one written when the burst's bytes are
+		// used up covers every frame of it.
+		if !unacked || br.Buffered() > 0 {
+			continue
+		}
+		st.mu.Lock()
 		ackFrame = appendAck(ackFrame[:0], st.delivered)
 		st.mu.Unlock()
 		if _, err := conn.Write(ackFrame); err != nil {
 			return
 		}
+		unacked = false
 		t.framesOut.Add(1)
 		t.bytesOut.Add(5 + 8)
 	}
+}
+
+// deliver passes one DATA frame through the stream's dedup cursor: the
+// next frame of the stream goes to the inbox exactly once, a replayed one
+// is counted and dropped. It reports false once the transport closes.
+func (t *Transport) deliver(st *inbound, f Frame) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	switch {
+	case f.Seq == st.delivered+1:
+		// The lock is held across the inbox send so a superseding
+		// connection cannot interleave a later frame ahead of this one.
+		select {
+		case t.inbox <- f:
+			st.delivered = f.Seq
+			t.delivered.Add(1)
+		case <-t.done:
+			return false
+		}
+	case f.Seq <= st.delivered:
+		t.duplicates.Add(1) // replayed frame we already delivered
+	default:
+		// A gap: frames from a superseded connection era. Drop; the
+		// sender still buffers everything unacknowledged and will replay
+		// contiguously on its live connection.
+	}
+	return true
 }
 
 // vetHello validates an inbound handshake, returning a rejection reason

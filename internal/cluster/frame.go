@@ -77,19 +77,49 @@ func writeRaw(w io.Writer, kind byte, body []byte) error {
 	return err
 }
 
-// readRaw reads one length-prefixed frame, returning its kind and body.
-func readRaw(r io.Reader) (byte, []byte, error) {
+// maxHandshakeBytes bounds the frames read before a peer is admitted
+// (HELLO) and by a dialer awaiting admission (WELCOME or REJECT). A HELLO
+// frame is 17 bytes plus its cluster and trace ids, a WELCOME 9, a REJECT
+// one line of reason. So 4 KiB is ample, and an unauthenticated client
+// cannot make the listener allocate more.
+const maxHandshakeBytes = 4 << 10
+
+// eagerFrameBytes is the largest frame body readFrame allocates in one
+// piece from the length prefix alone. Anything larger is read into a
+// buffer that grows with the bytes actually received, so a length prefix
+// claiming megabytes costs memory only once those bytes arrive.
+const eagerFrameBytes = 64 << 10
+
+// readRaw reads one steady-state frame (at most MaxFrameBytes),
+// returning its kind and body.
+func readRaw(r io.Reader) (byte, []byte, error) { return readFrame(r, MaxFrameBytes) }
+
+// readFrame reads one length-prefixed frame of at most limit bytes
+// (kind byte plus body), returning its kind and body. The body is
+// freshly allocated: callers may keep it.
+func readFrame(r io.Reader, limit int) (byte, []byte, error) {
 	var lenb [4]byte
 	if _, err := io.ReadFull(r, lenb[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(lenb[:])
-	if n < 1 || n > MaxFrameBytes {
+	n := int64(binary.BigEndian.Uint32(lenb[:]))
+	if n < 1 || n > int64(limit) {
 		return 0, nil, fmt.Errorf("cluster: frame of %d bytes out of range", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, err
+	var buf []byte
+	if n <= eagerFrameBytes {
+		buf = make([]byte, n)
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return 0, nil, err
+		}
+	} else {
+		var err error
+		if buf, err = io.ReadAll(io.LimitReader(r, n)); err != nil {
+			return 0, nil, err
+		}
+		if int64(len(buf)) < n {
+			return 0, nil, io.ErrUnexpectedEOF
+		}
 	}
 	return buf[0], buf[1:], nil
 }
@@ -147,24 +177,17 @@ func writeReject(w io.Writer, reason string) error {
 	return writeRaw(w, kindReject, []byte(reason))
 }
 
+// dataOverhead is a DATA frame's size beyond its payload: length prefix,
+// kind byte and sequence number.
+const dataOverhead = 4 + 1 + 8
+
 // appendData appends one DATA frame: header, 8-byte sequence number,
-// payload.
+// payload. Frames appended back to back are exactly the bytes of the same
+// frames written one by one, which is what lets a link coalesce a burst
+// into one write.
 func appendData(b []byte, seq uint64, payload []byte) []byte {
 	b = binary.BigEndian.AppendUint64(appendHeader(b, kindData, 8+len(payload)), seq)
 	return append(b, payload...)
-}
-
-// writeData writes one sequence-numbered payload as a single frame built
-// in buf, the caller's scratch buffer, and returns buf for the next frame:
-// a writer that keeps it copies each payload once and allocates only
-// while buf grows.
-func writeData(w io.Writer, buf []byte, seq uint64, payload []byte) ([]byte, error) {
-	if 1+8+len(payload) > MaxFrameBytes {
-		return buf, fmt.Errorf("cluster: frame of %d bytes exceeds limit", 1+8+len(payload))
-	}
-	buf = appendData(buf[:0], seq, payload)
-	_, err := w.Write(buf)
-	return buf, err
 }
 
 // parseData splits a DATA body into its sequence number and payload.

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bufio"
 	"crypto/tls"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -107,7 +109,7 @@ func (l *link) run() {
 			return
 		default:
 		}
-		conn, cursor, err := l.connect()
+		conn, br, cursor, err := l.connect()
 		if err != nil {
 			l.t.dialErrs.Add(1)
 			if !sleepFor(backoff, l.t.done) {
@@ -127,19 +129,21 @@ func (l *link) run() {
 			l.t.reconnects.Add(1)
 		}
 		served = true
-		l.serve(conn, cursor)
+		l.serve(conn, br, cursor)
 		l.t.unregister(conn)
 		conn.Close()
 	}
 }
 
 // connect dials the peer (with optional TLS), sends the HELLO, and waits
-// for the WELCOME carrying the receiver's delivery cursor.
-func (l *link) connect() (net.Conn, uint64, error) {
+// for the WELCOME carrying the receiver's delivery cursor. It returns the
+// buffered reader the WELCOME came through: it may already hold the
+// connection's first ACKs.
+func (l *link) connect() (net.Conn, *bufio.Reader, uint64, error) {
 	addr := l.currentAddr()
 	conn, err := net.DialTimeout("tcp", addr, l.t.cfg.DialTimeout)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	if l.t.cfg.TLS != nil {
 		conn = tls.Client(conn, l.t.cfg.TLS.clientConfig(addr))
@@ -154,37 +158,45 @@ func (l *link) connect() (net.Conn, uint64, error) {
 	})
 	if err != nil {
 		conn.Close()
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
-	kind, body, err := readRaw(conn)
+	br := bufio.NewReader(conn)
+	kind, body, err := readFrame(br, maxHandshakeBytes)
 	if err != nil || kind != kindWelcome {
 		conn.Close()
 		if err == nil {
 			err = errRejected(kind, body)
 		}
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	cursor, err := parseU64(body)
 	if err != nil {
 		conn.Close()
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	_ = conn.SetDeadline(time.Time{})
-	return conn, cursor, nil
+	return conn, br, cursor, nil
 }
 
+// maxBatchBytes caps one coalesced write: the DATA frames a link builds
+// from one pass over its queue. Well above a protocol burst at n=5, and
+// small enough that the per-connection scratch buffer stays modest.
+const maxBatchBytes = 64 << 10
+
 // serve owns one live connection: replay everything past the receiver's
-// cursor, then write queued payloads as they arrive, stamping each with
-// the next stream sequence number *before* the write so a failed write
-// leaves the frame safely in the resend buffer. A companion goroutine
-// reads cumulative ACKs and trims the buffer; its exit (read error)
-// wakes the writer so an idle link still notices a dead connection.
-func (l *link) serve(conn net.Conn, cursor uint64) {
+// cursor, then write queued payloads as they arrive. Each pass takes one
+// payload plus whatever else is already queued, stamps each with the next
+// stream sequence number and puts it in the resend buffer *before* the
+// write, so a failed write leaves the whole batch safely buffered, then
+// issues the batch as one write. A companion goroutine reads cumulative
+// ACKs through br and trims the buffer; its exit (read error) wakes the
+// writer so an idle link still notices a dead connection.
+func (l *link) serve(conn net.Conn, br *bufio.Reader, cursor uint64) {
 	broken := make(chan struct{})
 	go func() {
 		defer close(broken)
 		for {
-			kind, body, err := readRaw(conn)
+			kind, body, err := readRaw(br)
 			if err != nil {
 				return
 			}
@@ -203,31 +215,23 @@ func (l *link) serve(conn net.Conn, cursor uint64) {
 	// The receiver has everything up to cursor; drop that prefix and
 	// replay the rest in order. Every DATA frame of this connection is
 	// built in the one scratch buffer.
-	var scratch []byte
-	var err error
+	var batch []dataFrame
 	l.ackTo(cursor)
-	for _, f := range l.replaySnapshot() {
-		if scratch, err = writeData(conn, scratch, f.seq, f.payload); err != nil {
-			return
-		}
-		l.t.resent.Add(1)
-		l.t.framesOut.Add(1)
-		l.t.bytesOut.Add(int64(5 + 8 + len(f.payload)))
+	scratch, written, err := l.writeFrames(conn, nil, l.replaySnapshot())
+	l.t.resent.Add(int64(written))
+	if err != nil {
+		return
 	}
 
 	for {
 		select {
 		case payload := <-l.queue:
-			l.mu.Lock()
-			l.nextSeq++
-			f := dataFrame{seq: l.nextSeq, payload: payload}
-			l.buf = append(l.buf, f)
-			l.mu.Unlock()
-			if scratch, err = writeData(conn, scratch, f.seq, f.payload); err != nil {
-				return // frame stays buffered; the redial replays it
+			batch = l.take(batch[:0], payload)
+			scratch, _, err = l.writeFrames(conn, scratch, batch)
+			clear(batch) // drop payload references until the next pass
+			if err != nil {
+				return // the batch stays buffered; the redial replays it
 			}
-			l.t.framesOut.Add(1)
-			l.t.bytesOut.Add(int64(5 + 8 + len(f.payload)))
 		case payload := <-l.gossip:
 			// Best effort: no sequence number, no resend buffer. A write
 			// error just drops the digest along with the connection.
@@ -253,7 +257,53 @@ func (l *link) depths() (queued, buffered int) {
 	return len(l.queue), buffered
 }
 
-// ackTo drops every buffered frame the cumulative ack n covers.
+// take stamps payload, and whatever else is already queued (without
+// blocking, up to maxBatchBytes of frames), with the next stream sequence
+// numbers, appends each to the resend buffer and to batch, and returns
+// batch.
+func (l *link) take(batch []dataFrame, payload []byte) []dataFrame {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for size := 0; ; {
+		l.nextSeq++
+		f := dataFrame{seq: l.nextSeq, payload: payload}
+		l.buf = append(l.buf, f)
+		batch = append(batch, f)
+		if size += dataOverhead + len(payload); size >= maxBatchBytes {
+			return batch
+		}
+		select {
+		case payload = <-l.queue:
+		default:
+			return batch
+		}
+	}
+}
+
+// writeFrames writes frames as DATA frames built in scratch, one write
+// per maxBatchBytes, and returns scratch for reuse and how many frames
+// were written. Callers that keep scratch copy each payload once and
+// allocate only while scratch grows.
+func (l *link) writeFrames(conn io.Writer, scratch []byte, frames []dataFrame) ([]byte, int, error) {
+	written := 0
+	for written < len(frames) {
+		b, i := scratch[:0], written
+		for ; i < len(frames) && len(b) < maxBatchBytes; i++ {
+			b = appendData(b, frames[i].seq, frames[i].payload)
+		}
+		scratch = b
+		if _, err := conn.Write(b); err != nil {
+			return scratch, written, err
+		}
+		l.t.framesOut.Add(int64(i - written))
+		l.t.bytesOut.Add(int64(len(b)))
+		written = i
+	}
+	return scratch, written, nil
+}
+
+// ackTo drops every buffered frame the cumulative ack n covers, trimming
+// the buffer in place.
 func (l *link) ackTo(n uint64) {
 	l.mu.Lock()
 	i := 0
@@ -261,7 +311,9 @@ func (l *link) ackTo(n uint64) {
 		i++
 	}
 	if i > 0 {
-		l.buf = append([]dataFrame(nil), l.buf[i:]...)
+		kept := copy(l.buf, l.buf[i:])
+		clear(l.buf[kept:]) // release the acknowledged payloads
+		l.buf = l.buf[:kept]
 	}
 	l.mu.Unlock()
 }

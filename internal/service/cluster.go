@@ -208,7 +208,7 @@ func (s *Service) ClusterJoin(req api.ClusterJoinRequest) (api.ClusterJoinRespon
 			ClusterID:     req.ClusterID,
 			TLS:           s.clusterTLS,
 			Proc:          procs[p],
-			Seed:          req.Seed + int64(p),
+			Seed:          req.Seed,
 			TraceID:       req.TraceID,
 		})
 		if err == nil {
@@ -533,7 +533,7 @@ func (s *Service) runCluster(sess *Session, types []game.Type, peers []api.PeerS
 			ClusterID:     clusterID,
 			TLS:           s.clusterTLS,
 			Proc:          procs[p],
-			Seed:          sess.Seed() + int64(p),
+			Seed:          sess.Seed(),
 			TraceID:       traceID,
 		})
 		if err == nil {

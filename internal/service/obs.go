@@ -204,7 +204,7 @@ func (s *Service) registerObsMetrics() {
 		"Failed dial or handshake attempts.",
 		func(c api.ClusterLinkStats) int64 { return c.DialErrors })
 	clusterCounter("mediatord_cluster_link_acks_total",
-		"Cumulative-ack frames received on outbound links.",
+		"Cumulative-ack frames received on outbound links, one per burst the peer consumed.",
 		func(c api.ClusterLinkStats) int64 { return c.Acks })
 	clusterCounter("mediatord_cluster_link_rejected_total",
 		"Inbound handshakes refused.",

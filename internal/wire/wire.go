@@ -55,7 +55,10 @@ type NodeConfig struct {
 	Players int
 	// Proc is the protocol process to run.
 	Proc async.Process
-	// Seed seeds this node's private randomness.
+	// Seed is the play's session seed, the same on every node. The node
+	// derives its private randomness from it and Self exactly as
+	// async.Runtime derives party Self's, so a cluster node draws what the
+	// simulator's party draws for the same session seed.
 	Seed int64
 	// DialTimeout bounds one dial attempt (the transport retries with
 	// backoff until the node stops).
@@ -186,7 +189,7 @@ func (n *Node) DropConns() int {
 // every node gets its own ephemeral 127.0.0.1 port (no port agreement
 // needed) and is already listening when this returns, so Run may be called
 // on all nodes concurrently. players follows NodeConfig.Players semantics;
-// node i's randomness derives from seed and i. This is the single-daemon
+// seed is the session seed (NodeConfig.Seed). This is the single-daemon
 // special case of the cluster transport: same handshake, same framing,
 // same reconnect semantics, all failure domains in one process.
 func NewLocalMesh(procs []async.Process, players int, seed int64) ([]*Node, error) {
@@ -206,7 +209,7 @@ func NewLocalMesh(procs []async.Process, players int, seed int64) ([]*Node, erro
 		node, err := NewNode(NodeConfig{
 			Self: async.PID(i), Addrs: make([]string, len(procs)),
 			ListenAddr: "127.0.0.1:0", Players: players,
-			Proc: proc, Seed: seed + int64(i),
+			Proc: proc, Seed: seed,
 		})
 		if err != nil {
 			cleanup()

@@ -267,3 +267,47 @@ func TestMeshSurvivesConnDrops(t *testing.T) {
 		t.Error("chaos loop severed no connections; the test exercised nothing")
 	}
 }
+
+// drawProc records its first private random draw and halts.
+type drawProc struct{ draw *int64 }
+
+func (p drawProc) Start(env *async.Env) {
+	*p.draw = env.Rand().Int63()
+	env.Halt()
+}
+
+func (drawProc) Deliver(*async.Env, async.Message) {}
+
+// TestNodeRandMatchesRuntime pins one seed derivation for every runtime:
+// for the same session seed, mesh node i's first Env.Rand() draw equals
+// the simulator's party i's.
+func TestNodeRandMatchesRuntime(t *testing.T) {
+	const n, seed = 5, 42
+	simDraws := make([]int64, n)
+	procs := make([]async.Process, n)
+	for i := range procs {
+		procs[i] = drawProc{&simDraws[i]}
+	}
+	rt, err := async.New(async.Config{Procs: procs, Scheduler: &async.RoundRobinScheduler{}, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	nodes, err := NewLocalMesh(procs, 0, seed) // never started: only their Envs draw
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, nd := range nodes {
+			nd.Stop()
+		}
+	}()
+	for i, nd := range nodes {
+		if got := nd.Remote().Env().Rand().Int63(); got != simDraws[i] {
+			t.Errorf("node %d drew %d, simulator party %d drew %d", i, got, i, simDraws[i])
+		}
+	}
+}
