@@ -215,7 +215,6 @@ func (l *link) serve(conn net.Conn, br *bufio.Reader, cursor uint64) {
 	// The receiver has everything up to cursor; drop that prefix and
 	// replay the rest in order. Every DATA frame of this connection is
 	// built in the one scratch buffer.
-	var batch []dataFrame
 	l.ackTo(cursor)
 	scratch, written, err := l.writeFrames(conn, nil, l.replaySnapshot())
 	l.t.resent.Add(int64(written))
@@ -223,6 +222,7 @@ func (l *link) serve(conn net.Conn, br *bufio.Reader, cursor uint64) {
 		return
 	}
 
+	var batch []dataFrame
 	for {
 		select {
 		case payload := <-l.queue:
@@ -284,7 +284,7 @@ func (l *link) take(batch []dataFrame, payload []byte) []dataFrame {
 // per maxBatchBytes, and returns scratch for reuse and how many frames
 // were written. Callers that keep scratch copy each payload once and
 // allocate only while scratch grows.
-func (l *link) writeFrames(conn io.Writer, scratch []byte, frames []dataFrame) ([]byte, int, error) {
+func (l *link) writeFrames(w io.Writer, scratch []byte, frames []dataFrame) ([]byte, int, error) {
 	written := 0
 	for written < len(frames) {
 		b, i := scratch[:0], written
@@ -292,7 +292,7 @@ func (l *link) writeFrames(conn io.Writer, scratch []byte, frames []dataFrame) (
 			b = appendData(b, frames[i].seq, frames[i].payload)
 		}
 		scratch = b
-		if _, err := conn.Write(b); err != nil {
+		if _, err := w.Write(b); err != nil {
 			return scratch, written, err
 		}
 		l.t.framesOut.Add(int64(i - written))
