@@ -11,12 +11,8 @@ package api
 //     listener per local player and answers with their addresses. The
 //     coordinator joins all peers in parallel.
 //  2. POST /v1/cluster/start — carry the complete player->address
-//     table; the daemon runs its local players to termination. In the
-//     default synchronous mode the response carries their outcomes; with
-//     Async set the call returns immediately (Accepted) and the daemon
-//     publishes the outcomes as a terminal session-kind event under the
-//     cluster id on its event bus (GET /v1/events?session={cluster_id}),
-//     so no connection is held for the play's duration.
+//     table; the daemon runs its local players to termination and the
+//     response carries their outcomes.
 //
 // The coordinator merges the outcomes with its own players', resolves
 // the joint action profile exactly as a single-process play would, and
@@ -51,7 +47,8 @@ type ClusterJoinRequest struct {
 	Types []int `json:"types"`
 	// Players are the indices this daemon hosts.
 	Players []int `json:"players"`
-	// Seed anchors the play's determinism: player i derives seed+i.
+	// Seed is the session seed; every node derives its player's private
+	// randomness from it exactly as the simulator does.
 	Seed int64 `json:"seed"`
 	// TraceID is the coordinator's trace id for the play; the daemon's
 	// local spans are recorded under it and travel back in the start
@@ -73,10 +70,6 @@ type ClusterJoinResponse struct {
 type ClusterStartRequest struct {
 	ClusterID string   `json:"cluster_id"`
 	Addrs     []string `json:"addrs"`
-	// Async makes the call return immediately (Accepted set, no
-	// Results); the outcomes arrive as a terminal session-kind event
-	// under the cluster id on this daemon's event bus.
-	Async bool `json:"async,omitempty"`
 }
 
 // ClusterPlayerResult is one co-hosted player's terminal state. Move and
@@ -98,8 +91,7 @@ type ClusterPlayerResult struct {
 }
 
 // ClusterStartResponse carries every local player's outcome back to the
-// coordinator — inline for a synchronous start, as the terminal event's
-// payload for an async one.
+// coordinator.
 type ClusterStartResponse struct {
 	ClusterID string                `json:"cluster_id"`
 	Results   []ClusterPlayerResult `json:"results"`
@@ -107,9 +99,6 @@ type ClusterStartResponse struct {
 	// join's trace id); the coordinator merges them into the session's
 	// stitched trace. Omitted when the join carried no trace id.
 	Trace *TraceView `json:"trace,omitempty"`
-	// Accepted acknowledges an async start: the play is admitted and
-	// running; Results will ride the terminal event instead.
-	Accepted bool `json:"accepted,omitempty"`
 }
 
 // ClusterPlanRequest is the body of POST /v1/cluster/plan: a dry-run of

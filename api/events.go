@@ -37,10 +37,7 @@ type Event struct {
 	Terminal bool `json:"terminal,omitempty"`
 	// Data optionally carries the subject's snapshot (terminal events):
 	// a SessionView for KindSession, an ExperimentJobView for
-	// KindExperiment — so a subscriber needs no follow-up GET. On a
-	// co-hosting daemon, the terminal event of an async cluster start is
-	// also KindSession, with the cluster id as ID and a
-	// ClusterStartResponse as Data.
+	// KindExperiment — so a subscriber needs no follow-up GET.
 	Data json.RawMessage `json:"data,omitempty"`
 }
 

@@ -5,17 +5,17 @@
 // same value, preferably the majority of the true bits. With a trusted
 // mediator this is trivial: send the bits in, get the majority back. Here
 // the players run the compiled cheap-talk protocol instead (Theorem 4.2,
-// n=4 > 3k+3t with k=1, t=0), evaluating the majority circuit jointly —
-// and we run them on the goroutine-per-player ConcurrentRuntime, with
-// real channel-based message passing and random delivery delays, rather
-// than the deterministic scheduler used by the experiments.
+// n=4 > 3k+3t with k=1, t=0), evaluating the majority circuit jointly.
+// Every round runs under the random scheduler: the environment picks the
+// next player and the messages it receives at random, from a seed, so any
+// round replays exactly with the same seed. (examples/network runs
+// compiled players over real sockets.)
 package main
 
 import (
 	"fmt"
 	"log"
 	"math/rand"
-	"time"
 
 	"asyncmediator/internal/async"
 	"asyncmediator/internal/core"
@@ -42,32 +42,21 @@ func run() error {
 		Epsilon: 0.05, CoinSeed: 11,
 	}
 
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
+	rng := rand.New(rand.NewSource(1))
 	agree, onMajority := 0, 0
 	rounds := 5
 	for r := 0; r < rounds; r++ {
 		types := g.SampleTypes(rng)
-		procs := make([]async.Process, n)
-		for i := 0; i < n; i++ {
-			pl, err := core.NewPlayer(params, i, types[i])
-			if err != nil {
-				return err
-			}
-			procs[i] = pl
-		}
-		rt, err := async.NewConcurrent(async.ConcurrentConfig{
-			Procs: procs, Seed: rng.Int63(), MaxDelay: 200 * time.Microsecond,
+		seed := rng.Int63()
+		prof, _, err := core.Run(core.RunConfig{
+			Params: params, Types: types,
+			Scheduler: async.NewRandomScheduler(seed), Seed: seed,
 		})
 		if err != nil {
 			return err
 		}
-		res, err := rt.Run(60 * time.Second)
-		if err != nil {
-			return err
-		}
-		prof := mediator.ResolveMoves(g, types, res, game.ApproachAH)
 		u := g.Utility(types, prof)
-		fmt.Printf("round %d: inputs=%v outputs=%v utility=%.0f\n", r+1, types, prof, u[0])
+		fmt.Printf("round %d (seed %d): inputs=%v outputs=%v utility=%.0f\n", r+1, seed, types, prof, u[0])
 		if u[0] >= 1 {
 			agree++
 		}
@@ -76,6 +65,6 @@ func run() error {
 		}
 	}
 	fmt.Printf("\n%d/%d rounds agreed; %d/%d on the true majority\n", agree, rounds, onMajority, rounds)
-	fmt.Println("(every round ran on goroutines + channels with randomized delivery)")
+	fmt.Println("(every round ran under a seeded random delivery schedule)")
 	return nil
 }

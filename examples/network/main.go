@@ -11,7 +11,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"net"
 	"sync"
 	"time"
 
@@ -44,26 +43,21 @@ func run() error {
 		Epsilon: 0.05, CoinSeed: 5,
 	}
 
-	addrs, err := freePorts(n)
+	procs := make([]async.Process, n)
+	for i := range procs {
+		if procs[i], err = core.NewPlayer(params, i, 0); err != nil {
+			return err
+		}
+	}
+	// Every node binds its own ephemeral loopback port and keeps it, so
+	// the mesh is addressed before any node runs.
+	nodes, err := wire.NewLocalMesh(procs, 0, 100)
 	if err != nil {
 		return err
 	}
-	nodes := make([]*wire.Node, n)
-	for i := 0; i < n; i++ {
-		pl, err := core.NewPlayer(params, i, 0)
-		if err != nil {
-			return err
-		}
-		node, err := wire.NewNode(wire.NodeConfig{
-			Self: async.PID(i), Addrs: addrs, Proc: pl, Seed: 100,
-		})
-		if err != nil {
-			return err
-		}
-		if err := node.Listen(); err != nil {
-			return err
-		}
-		nodes[i] = node
+	addrs := make([]string, n)
+	for i, node := range nodes {
+		addrs[i] = node.Addr()
 	}
 
 	fmt.Printf("4 players listening on %v\n", addrs)
@@ -107,21 +101,4 @@ func run() error {
 	}
 	fmt.Printf("all players agreed on bit %d — computed jointly over TCP, no mediator\n", moves[0])
 	return nil
-}
-
-func freePorts(n int) ([]string, error) {
-	addrs := make([]string, n)
-	lns := make([]net.Listener, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-	return addrs, nil
 }

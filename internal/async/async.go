@@ -18,12 +18,13 @@
 // message count. Filtering schedulers (delay, drop, bait) materialise the
 // pending list in O(pending) and hand their base a filtered view.
 //
-// Two runtimes share the Process interface:
-//
-//   - Runtime: the scheduler-driven, single-goroutine simulator used by all
-//     experiments and adversarial analyses.
-//   - ConcurrentRuntime (concurrent.go): a goroutine-and-channel runtime
-//     with real nondeterministic interleaving, used by the examples.
+// One in-process runtime executes Processes: Runtime, the
+// scheduler-driven, single-goroutine simulator behind every experiment
+// and adversarial analysis. The paper's bounds are stated against
+// an explicit environment, so that environment stays an object the caller
+// chooses (a Scheduler), never goroutine interleaving. Real asynchrony
+// comes from real networks instead: Remote (remote.go) adapts one
+// Process to an external transport, and package wire runs it on TCP.
 //
 // Relaxed schedulers (Section 5) are supported: a relaxed scheduler may
 // drop message batches forever, subject to the all-or-none rule for
@@ -77,8 +78,8 @@ type Process interface {
 	Deliver(env *Env, msg Message)
 }
 
-// envBackend is the runtime surface behind an Env. Both the deterministic
-// Runtime and the goroutine-based ConcurrentRuntime implement it.
+// envBackend is the runtime surface behind an Env. The deterministic
+// Runtime and the transport adapter Remote implement it.
 type envBackend interface {
 	send(from, to PID, payload any)
 	decide(p PID, move any)

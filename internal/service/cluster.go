@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -61,10 +60,11 @@ type clusterPlay struct {
 // daemon never joined or already finished.
 var ErrClusterUnknown = errors.New("service: unknown cluster play")
 
-// clusterTimeout bounds each side of a cross-process play. The
-// coordinator grants peers its own wire timeout plus slack for the HTTP
-// round trips.
-func (s *Service) clusterTimeout() time.Duration { return s.cfg.WireTimeout }
+// wireTimeout bounds each daemon's side of a wire play: a node still
+// running at the deadline resolves its player through the will, like
+// any undecided player. Twice it is how long a parked or lingering
+// co-hosted play waits for its coordinator.
+const wireTimeout = 60 * time.Second
 
 // clusterListenAddr is where co-hosted players bind their transport
 // listeners: the configured cluster host with an ephemeral port.
@@ -231,7 +231,7 @@ func (s *Service) ClusterJoin(req api.ClusterJoinRequest) (api.ClusterJoinRespon
 	s.clusterPlays[req.ClusterID] = play
 	// Reap a play whose coordinator never starts it, so its listeners
 	// and goroutines cannot leak.
-	play.expire = time.AfterFunc(2*s.clusterTimeout(), func() { s.releaseClusterPlay(req.ClusterID) })
+	play.expire = time.AfterFunc(2*wireTimeout, func() { s.releaseClusterPlay(req.ClusterID) })
 	s.clusterMu.Unlock()
 
 	resp := api.ClusterJoinResponse{ClusterID: req.ClusterID, Addrs: make([]string, n)}
@@ -293,12 +293,12 @@ func (s *Service) ClusterFinish(req api.ClusterFinishRequest) (api.ClusterFinish
 // arrives, the parked nodes learn their peers, and the local players run
 // to termination — on the farm's bounded worker pool, so co-hosted
 // admission obeys the same backpressure as local plays (a full queue
-// answers pool_saturated with the play still startable). The synchronous
-// mode blocks and carries the outcomes inline; with req.Async the call
-// returns immediately (Accepted) and the outcomes ride a terminal
-// session-kind event under the cluster id. A repeated start for a play
-// whose outcome is already gathered (still lingering) answers the cached
-// response, so a restarted coordinator's keyed retry cannot conflict.
+// answers pool_saturated with the play still startable). The call
+// blocks until the local players finish and carries their outcomes
+// inline. A repeated start for a play whose outcome is already gathered
+// (still lingering) answers the cached response, so a restarted
+// coordinator's retry cannot conflict; a keyed retry of a running start
+// waits on the idempotency layer's single-flight entry instead.
 func (s *Service) ClusterStart(req api.ClusterStartRequest) (api.ClusterStartResponse, error) {
 	s.clusterMu.Lock()
 	play, ok := s.clusterPlays[req.ClusterID]
@@ -312,13 +312,6 @@ func (s *Service) ClusterStart(req api.ClusterStartRequest) (api.ClusterStartRes
 			s.clusterMu.Unlock()
 			return resp, nil
 		}
-		if req.Async {
-			// The play is running and its outcome will ride the terminal
-			// event: re-accepting is the idempotent answer to a retry whose
-			// original accept was lost in transit.
-			s.clusterMu.Unlock()
-			return api.ClusterStartResponse{ClusterID: req.ClusterID, Accepted: true}, nil
-		}
 		s.clusterMu.Unlock()
 		return api.ClusterStartResponse{}, fmt.Errorf("%w: cluster %s already started", ErrConflict, req.ClusterID)
 	}
@@ -331,18 +324,9 @@ func (s *Service) ClusterStart(req api.ClusterStartRequest) (api.ClusterStartRes
 	play.expire.Stop()
 	s.clusterMu.Unlock()
 
-	// rollback un-claims the start after a pool rejection: the play
-	// returns to parked (expire re-armed) so a backed-off retry succeeds.
-	rollback := func() {
-		s.clusterMu.Lock()
-		if cur, ok := s.clusterPlays[req.ClusterID]; ok && cur == play {
-			play.started = false
-			play.expire = time.AfterFunc(2*s.clusterTimeout(), func() { s.releaseClusterPlay(req.ClusterID) })
-		}
-		s.clusterMu.Unlock()
-	}
-	run := func() api.ClusterStartResponse {
-		results := runClusterNodes(play.nodes, req.Addrs, s.clusterTimeout())
+	done := make(chan api.ClusterStartResponse, 1)
+	err := s.pool.TrySubmit(func() {
+		results := runClusterNodes(play.nodes, req.Addrs, wireTimeout)
 		// Fold the per-process phase buffers into the trace before it
 		// ships back. The transports linger past this point (relay
 		// contract), so late deliveries can still tick the buffers —
@@ -361,27 +345,20 @@ func (s *Service) ClusterStart(req api.ClusterStartRequest) (api.ClusterStartRes
 		s.clusterMu.Lock()
 		play.lingering = true
 		play.result = &resp
-		play.expire = time.AfterFunc(2*s.clusterTimeout(), func() { s.releaseClusterPlay(req.ClusterID) })
+		play.expire = time.AfterFunc(2*wireTimeout, func() { s.releaseClusterPlay(req.ClusterID) })
 		s.clusterMu.Unlock()
 		s.clusterHosted.Add(1)
-		return resp
-	}
-
-	if req.Async {
-		if err := s.pool.TrySubmit(func() {
-			resp := run()
-			// The terminal event delivers the outcomes under the cluster
-			// id — the async contract (GET /v1/events?session={cluster_id}).
-			s.publish(kindSession, req.ClusterID, StateDone, resp)
-		}); err != nil {
-			rollback()
-			return api.ClusterStartResponse{}, err
+		done <- resp
+	})
+	if err != nil {
+		// Un-claim the start after a pool rejection: the play returns to
+		// parked (expire re-armed) so a backed-off retry succeeds.
+		s.clusterMu.Lock()
+		if cur, ok := s.clusterPlays[req.ClusterID]; ok && cur == play {
+			play.started = false
+			play.expire = time.AfterFunc(2*wireTimeout, func() { s.releaseClusterPlay(req.ClusterID) })
 		}
-		return api.ClusterStartResponse{ClusterID: req.ClusterID, Accepted: true}, nil
-	}
-	done := make(chan api.ClusterStartResponse, 1)
-	if err := s.pool.TrySubmit(func() { done <- run() }); err != nil {
-		rollback()
+		s.clusterMu.Unlock()
 		return api.ClusterStartResponse{}, err
 	}
 	return <-done, nil
@@ -478,17 +455,17 @@ func peerError(op, addr string, err error) error {
 	return api.Errorf(api.CodeInternal, "cluster %s %s: %v", op, addr, err).WithDetail("peer", addr)
 }
 
-// runCluster plays one session across several daemons: it is to cluster
-// mode what runWire is to the single-process mesh. The coordinator hosts
-// the players no peer claimed, invites each peer daemon over the typed
-// SDK (all joins in parallel, each bounded by the join timeout),
-// distributes the merged address table, starts every peer asynchronously
-// (outcomes delivered over the peer's event bus), and folds every
+// runCluster plays one wire-backend session on real nodes. The
+// coordinator hosts the players no peer claimed, invites each peer daemon
+// over the typed SDK (all joins in parallel, each bounded by the join
+// timeout), distributes the merged address table, starts every peer
+// (each start call returns that daemon's outcomes), and folds every
 // daemon's terminal player states into one async.Result — which then
 // resolves through mediator.ResolveMoves exactly like any other play.
-// peers is the resolved assignment: the spec's literal peer list, or the
-// placement scheduler's output for a placement:"auto" session.
-func (s *Service) runCluster(sess *Session, types []game.Type, peers []api.PeerSpec, timeout time.Duration) (game.Profile, *async.Result, error) {
+// peers is the resolved assignment: the spec's literal peer list, the
+// placement scheduler's output for a placement:"auto" session, or empty,
+// in which case every player runs here.
+func (s *Service) runCluster(sess *Session, types []game.Type, peers []api.PeerSpec) (game.Profile, *async.Result, error) {
 	params := sess.Params()
 	n := params.Game.N
 	clusterID := fmt.Sprintf("%s.%d", sess.ID, sess.Seed())
@@ -554,7 +531,7 @@ func (s *Service) runCluster(sess *Session, types []game.Type, peers []api.PeerS
 	// calls ride the SDK's idempotent retry under keys derived from the
 	// cluster id, so a blip on the control plane does not fail the play
 	// and even a restarted coordinator's retry replays.
-	ctx, cancel := context.WithTimeout(context.Background(), 2*timeout+30*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*wireTimeout+30*time.Second)
 	defer cancel()
 	clients := make(map[string]*client.Client, len(peerAddrs))
 	for _, addr := range peerAddrs {
@@ -606,7 +583,9 @@ func (s *Service) runCluster(sess *Session, types []game.Type, peers []api.PeerS
 		}()
 	}
 	joinWG.Wait()
-	s.joinHist.Observe(time.Since(joinStart).Seconds())
+	if len(peerAddrs) > 0 {
+		s.joinHist.Observe(time.Since(joinStart).Seconds())
+	}
 	// Successful joins are released on exit even when a sibling failed.
 	for i, addr := range peerAddrs {
 		if joinErrs[i] != nil {
@@ -626,10 +605,9 @@ func (s *Service) runCluster(sess *Session, types []game.Type, peers []api.PeerS
 		}
 	}
 
-	// Start every daemon's players concurrently: peers over the async
-	// start protocol (the outcome arrives as a terminal event on the
-	// peer's bus, so no HTTP connection is held for the play's duration),
-	// local nodes in-process.
+	// Start every daemon's players concurrently: each peer's start call
+	// blocks until its players finish and answers their outcomes, local
+	// nodes run in-process.
 	type startReply struct {
 		addr string
 		resp api.ClusterStartResponse
@@ -639,14 +617,14 @@ func (s *Service) runCluster(sess *Session, types []game.Type, peers []api.PeerS
 	for _, addr := range peerAddrs {
 		addr := addr
 		go func() {
-			resp, err := s.startPeer(ctx, clients[addr], clusterID, addrs)
+			resp, err := clients[addr].ClusterStart(ctx, api.ClusterStartRequest{ClusterID: clusterID, Addrs: addrs})
 			if err != nil {
 				err = peerError("start", addr, err)
 			}
 			replies <- startReply{addr: addr, resp: resp, err: err}
 		}()
 	}
-	localResults := runClusterNodes(local, addrs, timeout)
+	localResults := runClusterNodes(local, addrs, wireTimeout)
 	// The coordinator's own players are done; fold their phase buffers in
 	// before peer spans stitch on top. The local transports stay up (the
 	// deferred stop) to relay for slower daemons — late deliveries after
@@ -714,37 +692,6 @@ func (s *Service) runCluster(sess *Session, types []game.Type, peers []api.PeerS
 	}
 	prof := mediator.ResolveMoves(params.Game, types, res, params.Approach)
 	return prof, res, nil
-}
-
-// startPeer runs one peer daemon's players via the async start protocol:
-// subscribe to the peer's event bus under the cluster id FIRST (so the
-// terminal event cannot be missed), post the start with Async set, then
-// wait for the outcome event. A peer that answers with the outcomes
-// inline — a replay of an already-gathered start — short-circuits.
-func (s *Service) startPeer(ctx context.Context, cl *client.Client, clusterID string, addrs []string) (api.ClusterStartResponse, error) {
-	es, err := cl.StreamEvents(ctx, client.StreamOptions{Session: clusterID})
-	if err != nil {
-		return api.ClusterStartResponse{}, err
-	}
-	defer es.Close()
-	resp, err := cl.ClusterStart(ctx, api.ClusterStartRequest{ClusterID: clusterID, Addrs: addrs, Async: true})
-	if err != nil || !resp.Accepted {
-		return resp, err
-	}
-	for {
-		ev, err := es.Next()
-		if err != nil {
-			return api.ClusterStartResponse{}, err
-		}
-		if !ev.Terminal || ev.ID != clusterID {
-			continue
-		}
-		var out api.ClusterStartResponse
-		if err := json.Unmarshal(ev.Data, &out); err != nil {
-			return api.ClusterStartResponse{}, fmt.Errorf("bad terminal event payload: %w", err)
-		}
-		return out, nil
-	}
 }
 
 // intTypes converts a game type profile to the contract's ints.

@@ -164,14 +164,8 @@ func (s *Service) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, resp)
 }
 
-// handleClusterStart answers POST /v1/cluster/start. Synchronous starts
-// block while the local players run and return their terminal outcomes.
-// With async set the call answers 202 {accepted:true} immediately and
-// the outcomes ride a terminal session-kind event under the cluster id.
-// The accept is flagged no-store for the idempotency cache: caching it
-// would make a keyed retry wait on an event that may never come again;
-// instead the retry re-enters ClusterStart, which replays the gathered
-// result itself.
+// handleClusterStart answers POST /v1/cluster/start: it blocks while the
+// local players run and returns their terminal outcomes.
 func (s *Service) handleClusterStart(w http.ResponseWriter, r *http.Request) {
 	var req api.ClusterStartRequest
 	if e := decodeBody(w, r, &req); e != nil {
@@ -181,11 +175,6 @@ func (s *Service) handleClusterStart(w http.ResponseWriter, r *http.Request) {
 	resp, err := s.ClusterStart(req)
 	if err != nil {
 		writeAPIError(w, apiError(err, api.CodeInvalidArgument))
-		return
-	}
-	if resp.Accepted {
-		w.Header().Set(idemNoStoreHeader, "1")
-		writeJSON(w, http.StatusAccepted, resp)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)

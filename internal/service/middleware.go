@@ -246,13 +246,13 @@ func (c *idemCache) begin(key string) (*idemEntry, bool) {
 }
 
 // finish records the owner's outcome. Transient failures (5xx,
-// backpressure) and handler-flagged no-store responses are not cached:
-// the key is released so a retry truly re-executes. The release checks
-// entry identity, so it can never remove a newer entry that has since
-// claimed the same key. With durable set (and a store attached), a
-// cached outcome is also persisted, so it replays across a restart.
-func (c *idemCache) finish(key string, e *idemEntry, status int, contentType string, body []byte, cacheIt, durable bool) {
-	cacheIt = cacheIt && status < http.StatusInternalServerError && status != http.StatusServiceUnavailable
+// backpressure) are not cached: the key is released so a retry truly
+// re-executes. The release checks entry identity, so it can never remove
+// a newer entry that has since claimed the same key. With durable set
+// (and a store attached), a cached outcome is also persisted, so it
+// replays across a restart.
+func (c *idemCache) finish(key string, e *idemEntry, status int, contentType string, body []byte, durable bool) {
+	cacheIt := status < http.StatusInternalServerError && status != http.StatusServiceUnavailable
 	durable = durable && cacheIt && c.st != nil
 	if durable {
 		if data, err := marshalView(idemRecord{Status: status, ContentType: contentType, Body: body}); err == nil {
@@ -294,15 +294,6 @@ func (r *responseRecorder) Write(b []byte) (int, error) {
 	}
 	return r.buf.Write(b)
 }
-
-// idemNoStoreHeader is an internal response header a handler sets to
-// opt a specific response out of idempotency caching. The async cluster
-// start accept uses it: caching {accepted:true} would make a keyed
-// retry after a coordinator restart hang forever waiting for a terminal
-// event that no longer has a play behind it — the retry must instead
-// reach the service layer, which replays the gathered result itself.
-// The wrapper strips the header before the response leaves the daemon.
-const idemNoStoreHeader = "X-Mediator-Idem-No-Store"
 
 // idempotent wraps a POST handler in the Idempotency-Key protocol: a
 // keyed request executes at most once; repeats (including concurrent
@@ -364,9 +355,7 @@ func (s *Service) idempotentWith(h http.HandlerFunc, durable bool) http.HandlerF
 			rec.status = http.StatusOK
 		}
 		body := rec.buf.Bytes()
-		cacheIt := rec.hdr.Get(idemNoStoreHeader) == ""
-		rec.hdr.Del(idemNoStoreHeader)
-		s.idem.finish(key, e, rec.status, rec.hdr.Get("Content-Type"), body, cacheIt, durable)
+		s.idem.finish(key, e, rec.status, rec.hdr.Get("Content-Type"), body, durable)
 		for k, vs := range rec.hdr {
 			for _, v := range vs {
 				w.Header().Add(k, v)

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -352,21 +353,14 @@ func TestClusterJoinFanOutIsParallel(t *testing.T) {
 	}
 }
 
-// TestAsyncClusterStartDeliversOverSSE drives the async start protocol
-// exactly like a coordinator: subscribe to the peer's event stream under
-// the cluster id, post the start with async set, and receive the
-// terminal outcomes as an event. A follow-up synchronous start replays
-// the gathered result while the play lingers.
-func TestAsyncClusterStartDeliversOverSSE(t *testing.T) {
+// TestClusterStartIsRetrySafe pins the synchronous start's retry
+// contract. Two concurrent keyed starts of one joined play run it once:
+// one executes, the other waits on its single-flight entry (or finds it
+// cached) and replays the outcome. An unkeyed re-start while the play
+// lingers replays the gathered result, and finish then releases it.
+func TestClusterStartIsRetrySafe(t *testing.T) {
 	peer, ts := httpFarm(t, Config{Workers: 2})
-	cl, err := client.New(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
-	const clusterID = "c-async"
+	const clusterID = "c-retry"
 	join, err := peer.ClusterJoin(api.ClusterJoinRequest{
 		ClusterID: clusterID,
 		Spec:      Spec{Game: "consensus", N: 4, K: 1, Variant: "4.2"},
@@ -377,55 +371,63 @@ func TestAsyncClusterStartDeliversOverSSE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	es, err := cl.StreamEvents(ctx, client.StreamOptions{Session: clusterID})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer es.Close()
-
-	resp, err := cl.ClusterStart(ctx, api.ClusterStartRequest{ClusterID: clusterID, Addrs: join.Addrs, Async: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Accepted || len(resp.Results) != 0 {
-		t.Fatalf("async start answered %+v, want a bare accept", resp)
-	}
-
-	var out api.ClusterStartResponse
-	for {
-		ev, err := es.Next()
-		if err != nil {
-			t.Fatal(err)
+	req := api.ClusterStartRequest{ClusterID: clusterID, Addrs: join.Addrs}
+	url := ts.URL + "/v1/cluster/start"
+	checkResults := func(what string, out api.ClusterStartResponse) {
+		t.Helper()
+		if len(out.Results) != 4 {
+			t.Fatalf("%s: results %+v", what, out.Results)
 		}
-		if !ev.Terminal || ev.ID != clusterID {
-			continue
-		}
-		if err := json.Unmarshal(ev.Data, &out); err != nil {
-			t.Fatal(err)
-		}
-		break
-	}
-	if len(out.Results) != 4 {
-		t.Fatalf("terminal event results %+v", out.Results)
-	}
-	for _, r := range out.Results {
-		if r.Error != "" || r.TimedOut || len(r.Move) == 0 {
-			t.Fatalf("player %d result %+v", r.Index, r)
+		for _, r := range out.Results {
+			if r.Error != "" || r.TimedOut || len(r.Move) == 0 {
+				t.Fatalf("%s: player %d result %+v", what, r.Index, r)
+			}
 		}
 	}
 
-	// The play lingers: a synchronous re-start replays the gathered
-	// outcome instead of conflicting (a restarted coordinator's retry).
-	replay, err := peer.ClusterStart(api.ClusterStartRequest{ClusterID: clusterID, Addrs: join.Addrs})
-	if err != nil {
-		t.Fatal(err)
+	// A coordinator of the old async start protocol is refused up front,
+	// not left waiting for an event that never comes.
+	oldStart := map[string]any{"cluster_id": clusterID, "addrs": join.Addrs, "async": true}
+	if code, _ := postJSON(t, ts.Client(), url, oldStart, nil); code != http.StatusBadRequest {
+		t.Fatalf("async:true start answered %d, want 400 invalid_argument", code)
 	}
-	if len(replay.Results) != 4 {
-		t.Fatalf("replayed start %+v", replay)
+
+	outs := make([]api.ClusterStartResponse, 2)
+	replayed := make([]bool, 2)
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp := postKeyed(t, ts.Client(), url, "cluster-start-"+clusterID, req, &outs[i])
+			replayed[i] = resp.StatusCode == http.StatusOK && resp.Header.Get(api.IdempotencyReplayedHeader) == "true"
+		}()
 	}
-	if _, err := peer.ClusterFinish(api.ClusterFinishRequest{ClusterID: clusterID}); err != nil {
-		t.Fatal(err)
+	wg.Wait()
+	for i, out := range outs {
+		checkResults(fmt.Sprintf("keyed start %d", i), out)
+	}
+	if replayed[0] == replayed[1] {
+		t.Fatalf("replayed flags %v: exactly one keyed start must replay", replayed)
+	}
+	if got := peer.Stats().ClusterPlaysHosted; got != 1 {
+		t.Fatalf("two keyed starts hosted %d plays, want 1", got)
+	}
+
+	// The play lingers: an unkeyed re-start (a restarted coordinator
+	// without the key) replays the gathered outcome instead of
+	// conflicting.
+	var again api.ClusterStartResponse
+	if code, err := postJSON(t, ts.Client(), url, req, &again); err != nil || code != http.StatusOK {
+		t.Fatalf("unkeyed re-start: %d %v", code, err)
+	}
+	checkResults("unkeyed re-start", again)
+	if got := peer.Stats().ClusterPlaysHosted; got != 1 {
+		t.Fatalf("re-start re-ran the play: hosted %d", got)
+	}
+	fin, err := peer.ClusterFinish(api.ClusterFinishRequest{ClusterID: clusterID})
+	if err != nil || !fin.Released {
+		t.Fatalf("finish: %+v %v", fin, err)
 	}
 }
 

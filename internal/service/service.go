@@ -12,9 +12,11 @@
 // (cmd/mediatord).
 //
 // Two execution backends host the same compiled players: the
-// deterministic in-process simulator (default, the object of study of
-// every experiment) and a loopback TCP mesh of real nodes (package wire),
-// where the operating system schedules.
+// deterministic in-process simulator (runSim; default, the object of
+// study of every experiment) and real nodes on the cluster transport
+// (runCluster, package wire), where the operating system schedules. A
+// wire play hosts every player no peer daemon claimed, so a play without
+// peers is simply a cluster play on one daemon.
 package service
 
 import (
@@ -71,8 +73,6 @@ type Config struct {
 	BaseSeed int64
 	// MaxN caps the per-session player count (default 64).
 	MaxN int
-	// WireTimeout bounds a wire-backend session (default 60s).
-	WireTimeout time.Duration
 	// JoinTimeout bounds each cluster-mode join call a coordinator makes
 	// against a peer daemon (default 30s). Joins fan out in parallel, so
 	// it also bounds the whole join phase — one slow peer cannot stall
@@ -163,9 +163,6 @@ func (c *Config) normalize() {
 	}
 	if c.BaseSeed == 0 {
 		c.BaseSeed = 1
-	}
-	if c.WireTimeout == 0 {
-		c.WireTimeout = 60 * time.Second
 	}
 	if c.JoinTimeout == 0 {
 		c.JoinTimeout = 30 * time.Second
@@ -479,10 +476,8 @@ func (s *Service) exec(sess *Session) {
 	}
 	switch {
 	case err != nil: // placement refused; nothing ran
-	case len(peers) > 0:
-		prof, res, err = s.runCluster(sess, types, peers, s.cfg.WireTimeout)
 	case sess.Spec.Backend == "wire":
-		prof, res, err = runWire(sess, types, s.cfg.WireTimeout)
+		prof, res, err = s.runCluster(sess, types, peers)
 	default:
 		prof, res, err = runSim(sess, types)
 	}

@@ -3,7 +3,9 @@ package service
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
+	"time"
 
 	"asyncmediator/internal/game"
 )
@@ -224,6 +226,49 @@ func TestWireBackendSession(t *testing.T) {
 	}
 	if v.MsgsSent == 0 {
 		t.Fatal("wire stats not collected")
+	}
+}
+
+// TestWireSessionIsClusterPlay pins that a wire play without peers runs
+// on the cluster transport like any co-hosted play: the chaos hook
+// reaches its links mid-play, the play still ends done with the
+// unanimous profile, and its frames count in the cluster stats.
+func TestWireSessionIsClusterPlay(t *testing.T) {
+	svc := newFarm(t, Config{Workers: 2})
+	defer svc.Close()
+	want := []int{0, 0, 0, 0}
+	dropped := 0
+	// A play can finish before any link is live; retry until a drop
+	// lands mid-play.
+	for attempt := 0; attempt < 10 && dropped == 0; attempt++ {
+		sess, err := svc.CreateSession(Spec{Game: "consensus", N: 4, K: 1, Variant: "4.2", Backend: "wire"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.SubmitTypes(sess.ID, make([]game.Type, 4)); err != nil {
+			t.Fatal(err)
+		}
+		for running := true; running; {
+			if dropped == 0 {
+				dropped = svc.DropClusterConns()
+			}
+			select {
+			case <-sess.Done():
+				running = false
+			case <-time.After(100 * time.Microsecond):
+			}
+		}
+		v := sess.Snapshot()
+		if v.State != StateDone || v.Deadlock || !reflect.DeepEqual(v.Profile, want) {
+			t.Fatalf("wire play under drops: state %s deadlock %v profile %v (%s)", v.State, v.Deadlock, v.Profile, v.Error)
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("DropClusterConns never reached a live link of a single-daemon wire play")
+	}
+	st := svc.Stats().Cluster
+	if st == nil || st.Sent == 0 {
+		t.Fatalf("Stats().Cluster = %+v, want the wire play's frames counted", st)
 	}
 }
 

@@ -10,10 +10,11 @@
 // per-peer outbound write queues, a versioned HELLO handshake scoped to
 // one cluster session, optional mutual TLS, and automatic reconnect with
 // sequence-numbered resend buffers, so a dropped connection replays its
-// unacknowledged frames instead of silently muting a peer. The loopback
-// mesh a single daemon forms (NewLocalMesh) is simply the one-failure-
-// domain special case of that transport; cross-process sessions differ
-// only in configuration (addresses, cluster id, TLS), not code path.
+// unacknowledged frames instead of silently muting a peer. A daemon
+// builds every wire play node by node (NewNode, Listen, SetAddrs),
+// whether one daemon hosts all players or several share them; only the
+// addresses differ. NewLocalMesh is the one-process shorthand for
+// programs and tests that host a whole mesh themselves.
 package wire
 
 import (
@@ -189,9 +190,9 @@ func (n *Node) DropConns() int {
 // every node gets its own ephemeral 127.0.0.1 port (no port agreement
 // needed) and is already listening when this returns, so Run may be called
 // on all nodes concurrently. players follows NodeConfig.Players semantics;
-// seed is the session seed (NodeConfig.Seed). This is the single-daemon
-// special case of the cluster transport: same handshake, same framing,
-// same reconnect semantics, all failure domains in one process.
+// seed is the session seed (NodeConfig.Seed). Same handshake, framing
+// and reconnect semantics as any cluster mesh, all failure domains in
+// one process.
 func NewLocalMesh(procs []async.Process, players int, seed int64) ([]*Node, error) {
 	if len(procs) == 0 {
 		return nil, fmt.Errorf("wire: empty mesh")

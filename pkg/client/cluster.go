@@ -23,13 +23,10 @@ func (c *Client) ClusterJoin(ctx context.Context, req api.ClusterJoinRequest) (a
 	return resp, err
 }
 
-// ClusterStart hands the daemon the complete player->address table. A
-// synchronous start blocks while the daemon's local players run and
-// returns their terminal outcomes; with req.Async set, the daemon
-// answers Accepted immediately and the outcomes arrive as a terminal
-// session-kind event under the cluster id (StreamEvents). Also
-// idempotency-keyed: a retried start replays the first completed
-// response rather than re-running the play.
+// ClusterStart hands the daemon the complete player->address table. It
+// blocks while the daemon's local players run and returns their terminal
+// outcomes. Also idempotency-keyed: a retried start waits for or replays
+// the first completed response rather than re-running the play.
 func (c *Client) ClusterStart(ctx context.Context, req api.ClusterStartRequest) (api.ClusterStartResponse, error) {
 	var resp api.ClusterStartResponse
 	err := c.doKeyed(ctx, http.MethodPost, "/v1/cluster/start", nil, "cluster-start-"+req.ClusterID, req, &resp)
