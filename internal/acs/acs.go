@@ -22,7 +22,10 @@ import (
 type ACS struct {
 	n, t int
 	coin ba.Coin
-	inst string // own instance id, fixed at Start
+	// Child instance ids, formatted at Start from the ACS's own id (NOT
+	// from the id of whatever child context a callback happens to run
+	// under).
+	rbcIDs, baIDs []string
 
 	value    []byte
 	haveVal  bool
@@ -60,27 +63,29 @@ func New(n, t int, coin ba.Coin, onComplete func(ctx *proto.Ctx, values map[int]
 // Completed reports whether the common subset has been output.
 func (a *ACS) Completed() bool { return a.completed }
 
-// Child instance ids are derived from the ACS's own id, NOT from the id of
-// whatever child context a callback happens to run under.
-func (a *ACS) rbcID(j int) string { return fmt.Sprintf("%s/rbc/%d", a.inst, j) }
-func (a *ACS) baID(j int) string  { return fmt.Sprintf("%s/ba/%d", a.inst, j) }
-
 // Start implements proto.Module: it spawns all child instances. The
 // party's own proposal arrives via Propose.
 func (a *ACS) Start(ctx *proto.Ctx) {
-	a.inst = ctx.Instance()
+	inst := ctx.Instance()
 	a.started = true
+	a.rbcIDs = make([]string, a.n)
+	a.baIDs = make([]string, a.n)
+	for j := 0; j < a.n; j++ {
+		a.rbcIDs[j] = fmt.Sprintf("%s/rbc/%d", inst, j)
+		a.baIDs[j] = fmt.Sprintf("%s/ba/%d", inst, j)
+	}
 	for j := 0; j < a.n; j++ {
 		j := j
 		r := rbc.New(async.PID(j), a.t, func(c *proto.Ctx, v []byte) { a.onRBC(c, j, v) })
 		a.rbcs[j] = r
-		ctx.Spawn(a.rbcID(j), r)
+		ctx.Spawn(a.rbcIDs[j], r)
 		b := ba.New(a.t, a.coin, func(c *proto.Ctx, d int) { a.onBA(c, j, d) })
 		a.bas[j] = b
-		ctx.Spawn(a.baID(j), b)
+		ctx.Spawn(a.baIDs[j], b)
 	}
 	if a.haveVal {
-		a.rbcs[int(ctx.Self())].Input(ctx.For(a.rbcID(int(ctx.Self()))), a.value)
+		self := int(ctx.Self())
+		a.rbcs[self].Input(ctx.For(a.rbcIDs[self]), a.value)
 	}
 }
 
@@ -94,7 +99,7 @@ func (a *ACS) Propose(ctx *proto.Ctx, v []byte) {
 	a.haveVal = true
 	if a.started {
 		self := int(ctx.Self())
-		a.rbcs[self].Input(ctx.For(a.rbcID(self)), a.value)
+		a.rbcs[self].Input(ctx.For(a.rbcIDs[self]), a.value)
 	}
 }
 
@@ -138,7 +143,7 @@ func (a *ACS) propose(ctx *proto.Ctx, j, v int) {
 		return
 	}
 	a.proposed[j] = true
-	a.bas[j].Propose(ctx.For(a.baID(j)), v)
+	a.bas[j].Propose(ctx.For(a.baIDs[j]), v)
 }
 
 func (a *ACS) tryComplete(ctx *proto.Ctx) {

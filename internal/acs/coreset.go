@@ -16,9 +16,9 @@ import (
 // marked ready by at least one honest party, whose evidence (by AVSS
 // totality) eventually reaches everyone.
 type CoreSet struct {
-	n, t int
-	coin ba.Coin
-	inst string
+	n, t  int
+	coin  ba.Coin
+	baIDs []string // child agreement ids, formatted at Start
 
 	bas      []*ba.BA
 	early    []int // MarkReady calls arriving before Start
@@ -48,21 +48,21 @@ func NewCoreSet(n, t int, coin ba.Coin, onComplete func(ctx *proto.Ctx, members 
 // Completed reports completion and the members.
 func (c *CoreSet) Completed() ([]int, bool) { return c.members, c.completed }
 
-func (c *CoreSet) baID(j int) string { return fmt.Sprintf("%s/ba/%d", c.inst, j) }
-
 // Start implements proto.Module.
 func (c *CoreSet) Start(ctx *proto.Ctx) {
-	c.inst = ctx.Instance()
+	inst := ctx.Instance()
 	c.bas = make([]*ba.BA, c.n)
+	c.baIDs = make([]string, c.n)
 	// Every agreement exists before the first is spawned: a spawn replays
 	// the traffic buffered for that instance, which on a party that lags
 	// its peers can decide it on the spot and (onBA) propose to the rest.
 	for j := range c.bas {
 		j := j
 		c.bas[j] = ba.New(c.t, c.coin, func(cc *proto.Ctx, d int) { c.onBA(cc, j, d) })
+		c.baIDs[j] = fmt.Sprintf("%s/ba/%d", inst, j)
 	}
 	for j, b := range c.bas {
-		ctx.Spawn(c.baID(j), b)
+		ctx.Spawn(c.baIDs[j], b)
 	}
 	for _, j := range c.early {
 		c.propose(ctx, j, 1)
@@ -93,7 +93,7 @@ func (c *CoreSet) propose(ctx *proto.Ctx, j, v int) {
 		return
 	}
 	c.proposed[j] = true
-	c.bas[j].Propose(ctx.For(c.baID(j)), v)
+	c.bas[j].Propose(ctx.For(c.baIDs[j]), v)
 }
 
 func (c *CoreSet) onBA(ctx *proto.Ctx, j, d int) {

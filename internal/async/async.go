@@ -162,6 +162,10 @@ func (e *Env) Halt() {
 // listed pending messages to it first (possibly none). DropBatches lists
 // batch ids the scheduler abandons forever; it is legal only for relaxed
 // runs.
+//
+// Deliver may alias storage the scheduler owns (the fair schedulers reuse
+// a one-slot array), so it stays valid only until the scheduler's next
+// Next call; a caller that keeps an event must copy Deliver.
 type Event struct {
 	Player      PID
 	Deliver     []MsgID
@@ -279,7 +283,8 @@ func (v *View) WithPending(list []MsgMeta) *View {
 // The view is valid only for the duration of the call and is read only:
 // its slices are the runtime's live state and its methods query the
 // runtime's index. A scheduler that needs state across steps must copy
-// what it keeps.
+// what it keeps. The returned Event.Deliver may alias storage the
+// scheduler owns and is valid only until the next call to Next.
 type Scheduler interface {
 	Next(v *View) (ev Event, ok bool)
 }

@@ -38,6 +38,9 @@ type pendingSet struct {
 	halted      []bool  // the runtime's halted flags (shared, read only)
 	live        int
 	deliverable int
+	// last is the position kth or oldest last returned: the message a
+	// scheduler picks there is the one the runtime then asks find for.
+	last int
 }
 
 func newPendingSet(halted []bool) pendingSet {
@@ -66,8 +69,14 @@ func (s *pendingSet) add(m Message) {
 }
 
 // find returns the position of pending message id, or -1 if id is not
-// pending (never sent, already delivered or dropped, or out of range).
+// pending (never sent, already delivered or dropped, or out of range). It
+// tries the last looked-up position first, which a delivery or a
+// compaction may since have killed or moved, and binary-searches if that
+// slot does not hold id alive.
 func (s *pendingSet) find(id MsgID) int {
+	if p := s.last; p < len(s.slots) && s.slots[p].msg.ID == id && s.slots[p].live {
+		return p
+	}
 	pos := sort.Search(len(s.slots), func(i int) bool { return s.slots[i].msg.ID >= id })
 	if pos == len(s.slots) || s.slots[pos].msg.ID != id || !s.slots[pos].live {
 		return -1
@@ -123,6 +132,7 @@ func (s *pendingSet) kth(k int) int {
 			rem -= s.tree[next]
 		}
 	}
+	s.last = pos
 	return pos // the 1-based index pos+1, as a 0-based position
 }
 
@@ -140,6 +150,7 @@ func (s *pendingSet) oldest(p PID) int {
 	if len(lane) == 0 {
 		return -1
 	}
+	s.last = lane[0]
 	return lane[0]
 }
 

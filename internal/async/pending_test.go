@@ -190,3 +190,75 @@ func TestIndexMatchesScan(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// scanFind is find by linear scan: the position of the live slot holding
+// id, or -1.
+func scanFind(s *pendingSet, id MsgID) int {
+	for i := range s.slots {
+		if s.slots[i].msg.ID == id && s.slots[i].live {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestFindMatchesScan drives a pendingSet through random sends, removals,
+// kth and oldest lookups and one halt, across many compactions, and after
+// every operation checks find against a linear scan: for the message the
+// last lookup returned (still live, since removed, or moved by a
+// compaction) and for a random id.
+func TestFindMatchesScan(t *testing.T) {
+	const n, ops = 4, 3000
+	rng := rand.New(rand.NewSource(9))
+	var dead, moved, compactions int
+	for trial := 0; trial < 20; trial++ {
+		halted := make([]bool, n)
+		s := newPendingSet(halted)
+		var next MsgID
+		looked := MsgID(-1) // the message kth or oldest last returned
+		haltAt := rng.Intn(ops)
+		for op := 0; op < ops; op++ {
+			switch r := rng.Intn(10); {
+			case op == haltAt:
+				s.halt(1)
+				halted[1] = true
+			case r < 4:
+				before := len(s.slots)
+				s.add(Message{ID: next, To: PID(rng.Intn(n))})
+				next++
+				if len(s.slots) <= before {
+					compactions++
+				}
+			case r < 6 && s.live > 0:
+				// Half the time remove what the last lookup returned, as
+				// the runtime does after a scheduler picks it.
+				pos := scanFind(&s, looked)
+				if pos < 0 || rng.Intn(2) == 0 {
+					for pos = rng.Intn(len(s.slots)); !s.slots[pos].live; pos = (pos + 1) % len(s.slots) {
+					}
+				}
+				s.remove(pos)
+			case r < 8 && s.deliverable > 0:
+				looked = s.slots[s.kth(rng.Intn(s.deliverable))].msg.ID
+			case r >= 8:
+				if pos := s.oldest(PID(rng.Intn(n))); pos >= 0 {
+					looked = s.slots[pos].msg.ID
+				}
+			}
+			switch pos := scanFind(&s, looked); {
+			case looked >= 0 && pos < 0:
+				dead++
+			case pos >= 0 && pos != s.last:
+				moved++
+			}
+			for _, id := range []MsgID{looked, MsgID(rng.Int63n(int64(next)+2)) - 1} {
+				if got, want := s.find(id), scanFind(&s, id); got != want {
+					t.Fatalf("trial %d op %d: find(%d) = %d, scan says %d", trial, op, id, got, want)
+				}
+			}
+		}
+	}
+	if dead == 0 || moved == 0 || compactions == 0 {
+		t.Fatalf("never exercised a case: %d dead, %d moved, %d compactions", dead, moved, compactions)
+	}
+}

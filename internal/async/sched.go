@@ -27,7 +27,8 @@ func SchedulerByName(name string, seed int64) (Scheduler, error) {
 // to their count). Every message is eventually delivered almost surely, so
 // it is a *fair* environment strategy in the paper's sense.
 type RandomScheduler struct {
-	rng *rand.Rand
+	rng     *rand.Rand
+	deliver [1]MsgID // backs the Deliver of the event Next returns
 }
 
 // NewRandomScheduler returns a fair random scheduler with its own stream.
@@ -61,7 +62,8 @@ func (s *RandomScheduler) Next(v *View) (Event, bool) {
 		}
 	}
 	m := v.KthDeliverable(k)
-	return Event{Player: m.To, Deliver: []MsgID{m.ID}}, true
+	s.deliver[0] = m.ID
+	return Event{Player: m.To, Deliver: s.deliver[:]}, true
 }
 
 // RoundRobinScheduler cycles deterministically over processes; each turn it
@@ -69,7 +71,8 @@ func (s *RandomScheduler) Next(v *View) (Event, bool) {
 // It is fair and fully deterministic, which makes it the default for
 // reproducible protocol tests.
 type RoundRobinScheduler struct {
-	next PID
+	next    PID
+	deliver [1]MsgID // backs the Deliver of the event Next returns
 }
 
 var _ Scheduler = (*RoundRobinScheduler)(nil)
@@ -86,7 +89,8 @@ func (s *RoundRobinScheduler) Next(v *View) (Event, bool) {
 			return Event{Player: p}, true
 		}
 		if m, ok := v.OldestFor(p); ok {
-			return Event{Player: p, Deliver: []MsgID{m.ID}}, true
+			s.deliver[0] = m.ID
+			return Event{Player: p, Deliver: s.deliver[:]}, true
 		}
 	}
 	return Event{}, false

@@ -21,7 +21,6 @@
 package ba
 
 import (
-	"hash/fnv"
 	"math/rand"
 
 	"asyncmediator/internal/async"
@@ -50,15 +49,26 @@ var _ Coin = SharedCoin{}
 
 // Bit implements Coin.
 func (c SharedCoin) Bit(instance string, round int) int {
-	h := fnv.New64a()
-	var buf [16]byte
+	return int(coinHash(c.Seed, instance, round) & 1)
+}
+
+// coinHash is FNV-1a 64 over the seed's 8 little-endian bytes, the
+// round's 8 little-endian bytes and then the instance id: hash/fnv's
+// result, computed without its allocations (the coin runs every round of
+// every agreement).
+func coinHash(seed int64, instance string, round int) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
 	for i := 0; i < 8; i++ {
-		buf[i] = byte(c.Seed >> (8 * i))
-		buf[8+i] = byte(round >> (8 * i))
+		h = (h ^ uint64(byte(seed>>(8*i)))) * prime
 	}
-	_, _ = h.Write(buf[:])
-	_, _ = h.Write([]byte(instance))
-	return int(h.Sum64() & 1)
+	for i := 0; i < 8; i++ {
+		h = (h ^ uint64(byte(round>>(8*i)))) * prime
+	}
+	for i := 0; i < len(instance); i++ {
+		h = (h ^ uint64(instance[i])) * prime
+	}
+	return h
 }
 
 // LocalCoin flips an independent per-party coin (Ben-Or style). Kept for

@@ -1,6 +1,8 @@
 package ba
 
 import (
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -238,5 +240,36 @@ func TestProposeValidation(t *testing.T) {
 	b.Propose(nil, 2)
 	if b.proposed {
 		t.Fatal("invalid proposals must not register")
+	}
+}
+
+// TestSharedCoinIsFNV1a pins the coin's inline hash to hash/fnv's FNV-1a
+// 64 over the seed's and the round's little-endian bytes and then the
+// instance id: every seeded run's coins, and so the determinism digests,
+// rest on it.
+func TestSharedCoinIsFNV1a(t *testing.T) {
+	ref := func(seed int64, instance string, round int) uint64 {
+		h := fnv.New64a()
+		var buf [16]byte
+		for i := 0; i < 8; i++ {
+			buf[i] = byte(seed >> (8 * i))
+			buf[8+i] = byte(round >> (8 * i))
+		}
+		_, _ = h.Write(buf[:])
+		_, _ = h.Write([]byte(instance))
+		return h.Sum64()
+	}
+	for _, seed := range []int64{0, 1, 42, -7, math.MaxInt64, math.MinInt64} {
+		for _, inst := range []string{"", "ba", "ct/core/ba/3", "ct/mulcs/12/ba/7", "\x00\xff"} {
+			for _, round := range []int{0, 1, 2, 31, maxRounds, -1, 1 << 30} {
+				want := ref(seed, inst, round)
+				if got := coinHash(seed, inst, round); got != want {
+					t.Errorf("coinHash(%d, %q, %d) = %#x, want %#x", seed, inst, round, got, want)
+				}
+				if got := (SharedCoin{Seed: seed}).Bit(inst, round); got != int(want&1) {
+					t.Errorf("Bit(%d, %q, %d) = %d, want %d", seed, inst, round, got, want&1)
+				}
+			}
+		}
 	}
 }

@@ -295,3 +295,28 @@ func TestVariantString(t *testing.T) {
 		t.Error("unknown variant should still print")
 	}
 }
+
+// TestPlayAllocationBudget guards what one play allocates: the n=8, k=1,
+// t=1 Theorem 4.4 play (the benchmark's lib-n8 shape) under the random
+// scheduler, seed 1. Per-message costs dominate the count, so a handler
+// path that starts allocating per message, per recipient or per callback
+// again shows here (per-message costs put it near 30k; per-instance ones
+// near 11k).
+func TestPlayAllocationBudget(t *testing.T) {
+	const budget = 14_000
+	p, err := Section64Params(8, 1, 1, Punish44)
+	if err != nil {
+		t.Fatal(err)
+	}
+	types := make([]game.Type, 8)
+	allocs := testing.AllocsPerRun(3, func() {
+		cfg := RunConfig{Params: p, Types: types, Seed: 1, Scheduler: async.NewRandomScheduler(1)}
+		if _, _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > budget {
+		t.Fatalf("a play allocates %.0f times, budget %d", allocs, budget)
+	}
+	t.Logf("%.0f allocations per play", allocs)
+}

@@ -117,14 +117,20 @@ type Engine struct {
 	inst string
 	self int
 
-	// Dealing state.
-	inAVSS   map[string]*avss.AVSS // instance id -> module
-	inShare  map[string]field.Element
-	inDone   map[string]bool
-	coreSet  *acs.CoreSet
-	core     []int
-	haveCore bool
-	coreMk   map[int]bool
+	// Dealing state. Start formats the dealing and output ids once, into
+	// tables every later lookup reads; pendingDeals[d] counts dealer d's
+	// dealings not yet completed here.
+	inIDs        [][]string   // [player][slot]
+	rhoIDs       [][]string   // [gate][dealer]; nil unless a random-bit gate
+	maskIDs      [][][]string // [gate][l-1][dealer]; errorless regime only
+	outIDs       []string     // [output]
+	pendingDeals []int
+	inShare      map[string]field.Element
+	inDone       map[string]bool
+	coreSet      *acs.CoreSet
+	core         []int
+	haveCore     bool
+	coreMk       []bool
 
 	wires []wireVal
 	muls  map[int]*mulState
@@ -182,10 +188,8 @@ func New(cfg Config) (*Engine, error) {
 	}
 	return &Engine{
 		cfg:      cfg,
-		inAVSS:   make(map[string]*avss.AVSS),
 		inShare:  make(map[string]field.Element),
 		inDone:   make(map[string]bool),
-		coreMk:   make(map[int]bool),
 		muls:     make(map[int]*mulState),
 		rbs:      make(map[int]*rbState),
 		lagCache: make(map[string][]field.Element),
@@ -205,17 +209,60 @@ func (e *Engine) Errorless() bool {
 // Completed reports whether this party obtained all its outputs.
 func (e *Engine) Completed() bool { return e.completed }
 
-// Instance id helpers: all parties derive identical ids.
-func (e *Engine) idIn(p, s int) string      { return fmt.Sprintf("%s/in/%d/%d", e.inst, p, s) }
-func (e *Engine) idRho(g, d int) string     { return fmt.Sprintf("%s/rho/%d/%d", e.inst, g, d) }
-func (e *Engine) idMask(g, l, d int) string { return fmt.Sprintf("%s/w/%d/%d/%d", e.inst, g, l, d) }
+// Instance id helpers: all parties derive identical ids. The dealing and
+// output ids are read from the tables formatIDs fills.
+func (e *Engine) idRho(g, d int) string     { return e.rhoIDs[g][d] }
+func (e *Engine) idMask(g, l, d int) string { return e.maskIDs[g][l-1][d] }
 func (e *Engine) idCore() string            { return e.inst + "/core" }
 func (e *Engine) idMul(g, d int) string     { return fmt.Sprintf("%s/mul/%d/%d", e.inst, g, d) }
 func (e *Engine) idMulCS(g int) string      { return fmt.Sprintf("%s/mulcs/%d", e.inst, g) }
 func (e *Engine) idRBOpen(g int) string     { return fmt.Sprintf("%s/rbopen/%d", e.inst, g) }
 func (e *Engine) idRBMul(g, d int) string   { return fmt.Sprintf("%s/rbmul/%d/%d", e.inst, g, d) }
 func (e *Engine) idRBMulCS(g int) string    { return fmt.Sprintf("%s/rbmulcs/%d", e.inst, g) }
-func (e *Engine) idOut(oi int) string       { return fmt.Sprintf("%s/out/%d", e.inst, oi) }
+func (e *Engine) idOut(oi int) string       { return e.outIDs[oi] }
+
+// formatIDs fills the id tables and counts each dealer's dealings.
+func (e *Engine) formatIDs() {
+	n, c := e.cfg.N, e.cfg.Circuit
+	e.pendingDeals = make([]int, n)
+	e.coreMk = make([]bool, n)
+	e.inIDs = make([][]string, n)
+	for p := range e.inIDs {
+		e.inIDs[p] = make([]string, c.InputSlots(p))
+		for s := range e.inIDs[p] {
+			e.inIDs[p][s] = fmt.Sprintf("%s/in/%d/%d", e.inst, p, s)
+		}
+		e.pendingDeals[p] = len(e.inIDs[p])
+	}
+	gates := c.Gates()
+	e.rhoIDs = make([][]string, len(gates))
+	e.maskIDs = make([][][]string, len(gates))
+	for g, gate := range gates {
+		if gate.Op != circuit.OpRandBit {
+			continue
+		}
+		e.rhoIDs[g] = make([]string, n)
+		for d := range e.rhoIDs[g] {
+			e.rhoIDs[g][d] = fmt.Sprintf("%s/rho/%d/%d", e.inst, g, d)
+			e.pendingDeals[d]++
+		}
+		if !e.Errorless() {
+			continue
+		}
+		e.maskIDs[g] = make([][]string, e.cfg.Deg)
+		for l := range e.maskIDs[g] {
+			e.maskIDs[g][l] = make([]string, n)
+			for d := range e.maskIDs[g][l] {
+				e.maskIDs[g][l][d] = fmt.Sprintf("%s/w/%d/%d/%d", e.inst, g, l+1, d)
+				e.pendingDeals[d]++
+			}
+		}
+	}
+	e.outIDs = make([]string, len(c.Outputs()))
+	for oi := range e.outIDs {
+		e.outIDs[oi] = fmt.Sprintf("%s/out/%d", e.inst, oi)
+	}
+}
 
 // Start implements proto.Module: spawns the dealing-phase instances and
 // the global core agreement.
@@ -225,6 +272,7 @@ func (e *Engine) Start(ctx *proto.Ctx) {
 	n, t := e.cfg.N, e.cfg.T
 	c := e.cfg.Circuit
 	e.wires = make([]wireVal, len(c.Gates()))
+	e.formatIDs()
 
 	// Output openings (targets are static).
 	for oi, out := range c.Outputs() {
@@ -241,8 +289,7 @@ func (e *Engine) Start(ctx *proto.Ctx) {
 
 	// Input sharings for every (player, slot).
 	for p := 0; p < n; p++ {
-		for s := 0; s < c.InputSlots(p); s++ {
-			id := e.idIn(p, s)
+		for s, id := range e.inIDs[p] {
 			var inst *avss.AVSS
 			cb := e.dealingDone(id, p)
 			if p == e.self {
@@ -254,7 +301,6 @@ func (e *Engine) Start(ctx *proto.Ctx) {
 			} else {
 				inst = avss.NewWithDegree(async.PID(p), n, e.cfg.Deg, t, cb)
 			}
-			e.inAVSS[id] = inst
 			ctx.Spawn(id, inst)
 		}
 	}
@@ -297,7 +343,6 @@ func (e *Engine) spawnDealing(ctx *proto.Ctx, id string, dealer int) {
 	} else {
 		inst = avss.NewWithDegree(async.PID(dealer), e.cfg.N, e.cfg.Deg, e.cfg.T, cb)
 	}
-	e.inAVSS[id] = inst
 	ctx.Spawn(id, inst)
 }
 
@@ -307,38 +352,17 @@ func (e *Engine) dealingDone(id string, dealer int) func(*proto.Ctx, field.Eleme
 	return func(ctx *proto.Ctx, share field.Element) {
 		e.inShare[id] = share
 		e.inDone[id] = true
+		e.pendingDeals[dealer]--
 		e.checkDealerReady(ctx)
 		e.step(ctx)
 	}
 }
 
-// checkDealerReady marks dealers whose full dealing set completed locally.
+// checkDealerReady marks, in dealer order, every dealer whose full dealing
+// set completed locally.
 func (e *Engine) checkDealerReady(ctx *proto.Ctx) {
-	n := e.cfg.N
-	c := e.cfg.Circuit
-	for d := 0; d < n; d++ {
-		if e.coreMk[d] {
-			continue
-		}
-		ready := true
-		for s := 0; s < c.InputSlots(d) && ready; s++ {
-			ready = e.inDone[e.idIn(d, s)]
-		}
-		for g, gate := range c.Gates() {
-			if !ready {
-				break
-			}
-			if gate.Op != circuit.OpRandBit {
-				continue
-			}
-			ready = e.inDone[e.idRho(g, d)]
-			if e.Errorless() {
-				for l := 1; l <= e.cfg.Deg && ready; l++ {
-					ready = e.inDone[e.idMask(g, l, d)]
-				}
-			}
-		}
-		if ready {
+	for d, left := range e.pendingDeals {
+		if left == 0 && !e.coreMk[d] {
 			e.coreMk[d] = true
 			e.coreSet.MarkReady(ctx.For(e.idCore()), d)
 		}
@@ -436,7 +460,7 @@ func combineLinear(op circuit.Op, a, b wireVal) wireVal {
 }
 
 func (e *Engine) evalInput(ctx *proto.Ctx, g int, gate circuit.Gate) bool {
-	id := e.idIn(gate.Player, gate.Slot)
+	id := e.inIDs[gate.Player][gate.Slot]
 	if !e.coreHas(gate.Player) {
 		// Excluded dealer: public default input.
 		e.wires[g] = wireVal{ready: true, public: true, v: e.cfg.DefaultInput}

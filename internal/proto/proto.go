@@ -40,7 +40,10 @@ type Module interface {
 }
 
 // Ctx is the capability a module uses to interact with the network and
-// with its host. A Ctx is only valid during the callback that received it.
+// with its host. A Ctx is only valid during the callback that received it:
+// the host keeps one Ctx per registered instance and rebinds it to each
+// callback's Env, so retaining a Ctx (in a module field, or in a closure
+// that runs after the callback returns) is a bug.
 type Ctx struct {
 	host *Host
 	env  *async.Env
@@ -71,10 +74,12 @@ func (c *Ctx) SendTo(to async.PID, instance string, body any) {
 }
 
 // Broadcast sends body to the same instance at every participant,
-// including self (n point-to-point sends; not atomic).
+// including self (n point-to-point sends; not atomic). The n sends carry
+// one boxed Envelope: a payload is read only once sent.
 func (c *Ctx) Broadcast(body any) {
-	for p := 0; p < c.N(); p++ {
-		c.Send(async.PID(p), body)
+	var e any = Envelope{Instance: c.inst, Body: body}
+	for p, n := 0, c.N(); p < n; p++ {
+		c.env.Send(async.PID(p), e)
 	}
 }
 
@@ -87,14 +92,17 @@ func (c *Ctx) Spawn(instance string, m Module) Module {
 
 // Lookup returns the module registered under instance, if any.
 func (c *Ctx) Lookup(instance string) (Module, bool) {
-	m, ok := c.host.modules[instance]
-	return m, ok
+	e, ok := c.host.modules[instance]
+	if !ok {
+		return nil, false
+	}
+	return e.m, true
 }
 
 // For returns a Ctx bound to a different instance id, so a parent module
 // can invoke a child module's methods (which send under the child's id).
 func (c *Ctx) For(instance string) *Ctx {
-	return &Ctx{host: c.host, env: c.env, inst: instance}
+	return c.host.Ctx(c.env, instance)
 }
 
 // Env exposes the underlying game environment, for game-level actions
@@ -104,7 +112,7 @@ func (c *Ctx) Env() *async.Env { return c.env }
 // Host multiplexes modules over one async.Process. The zero value is not
 // usable; call NewHost.
 type Host struct {
-	modules map[string]Module
+	modules map[string]*entry
 	buffer  map[string][]buffered
 	started bool
 	// onStart runs when the host process starts, before any module starts.
@@ -115,6 +123,19 @@ type Host struct {
 	unknown int
 }
 
+// entry is one registered instance: its module and the Ctx every callback
+// into the module receives.
+type entry struct {
+	m   Module
+	ctx Ctx
+}
+
+// bind points the entry's Ctx at env and returns it.
+func (e *entry) bind(env *async.Env) *Ctx {
+	e.ctx.env = env
+	return &e.ctx
+}
+
 type buffered struct {
 	from async.PID
 	body any
@@ -123,7 +144,7 @@ type buffered struct {
 // NewHost returns an empty Host.
 func NewHost() *Host {
 	return &Host{
-		modules: make(map[string]Module),
+		modules: make(map[string]*entry),
 		buffer:  make(map[string][]buffered),
 	}
 }
@@ -134,9 +155,15 @@ func (h *Host) Register(instance string, m Module) error {
 	if _, dup := h.modules[instance]; dup {
 		return fmt.Errorf("proto: duplicate instance %q", instance)
 	}
-	h.modules[instance] = m
-	h.startOrder = append(h.startOrder, instance)
+	h.add(instance, m)
 	return nil
+}
+
+func (h *Host) add(instance string, m Module) *entry {
+	e := &entry{m: m, ctx: Ctx{host: h, inst: instance}}
+	h.modules[instance] = e
+	h.startOrder = append(h.startOrder, instance)
+	return e
 }
 
 // OnStart sets a hook invoked when the host process receives the start
@@ -147,9 +174,14 @@ func (h *Host) OnStart(f func(env *async.Env)) { h.onStart = f }
 // module claimed them by the end of the run (malformed or malicious).
 func (h *Host) UnknownCount() int { return h.unknown }
 
-// Ctx builds a context bound to the given instance, for host-level code
-// (such as OnStart hooks) that needs to call into a module's methods.
+// Ctx returns a context bound to the given instance and env, for
+// host-level code (such as OnStart hooks) that needs to call into a
+// module's methods. A registered instance's own Ctx is returned, rebound
+// to env; an id not registered yet gets a fresh one.
 func (h *Host) Ctx(env *async.Env, instance string) *Ctx {
+	if e, ok := h.modules[instance]; ok {
+		return e.bind(env)
+	}
 	return &Ctx{host: h, env: env, inst: instance}
 }
 
@@ -162,8 +194,8 @@ func (h *Host) Start(env *async.Env) {
 		h.onStart(env)
 	}
 	for _, id := range h.startOrder {
-		m := h.modules[id]
-		m.Start(&Ctx{host: h, env: env, inst: id})
+		e := h.modules[id]
+		e.m.Start(e.bind(env))
 		h.flush(env, id)
 	}
 }
@@ -175,24 +207,23 @@ func (h *Host) Deliver(env *async.Env, msg async.Message) {
 		h.unknown++
 		return
 	}
-	m, ok := h.modules[envlp.Instance]
+	e, ok := h.modules[envlp.Instance]
 	if !ok {
 		// Buffer for a module that may be spawned later.
 		h.buffer[envlp.Instance] = append(h.buffer[envlp.Instance],
 			buffered{from: msg.From, body: envlp.Body})
 		return
 	}
-	m.Handle(&Ctx{host: h, env: env, inst: envlp.Instance}, msg.From, envlp.Body)
+	e.m.Handle(e.bind(env), msg.From, envlp.Body)
 }
 
 func (h *Host) spawn(env *async.Env, instance string, m Module) Module {
 	if existing, ok := h.modules[instance]; ok {
-		return existing
+		return existing.m
 	}
-	h.modules[instance] = m
-	h.startOrder = append(h.startOrder, instance)
+	e := h.add(instance, m)
 	if h.started {
-		m.Start(&Ctx{host: h, env: env, inst: instance})
+		m.Start(e.bind(env))
 		h.flush(env, instance)
 	}
 	return m
@@ -207,9 +238,9 @@ func (h *Host) flush(env *async.Env, instance string) {
 			return
 		}
 		delete(h.buffer, instance)
-		m := h.modules[instance]
+		e := h.modules[instance]
 		for _, b := range pending {
-			m.Handle(&Ctx{host: h, env: env, inst: instance}, b.from, b.body)
+			e.m.Handle(e.bind(env), b.from, b.body)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"asyncmediator/internal/async"
@@ -173,5 +175,92 @@ func TestSelfDeliveryViaBroadcast(t *testing.T) {
 	})
 	if !selfGot {
 		t.Fatal("broadcast must include self")
+	}
+}
+
+// TestCtxFollowsCallbackEnv: one Ctx serves every callback of an
+// instance, rebound to each callback's Env, so a module sends through the
+// Env of the delivery it is handling. The deliveries alternate between a
+// plain Env and a HookedEnv that tags what passes through it.
+func TestCtxFollowsCallbackEnv(t *testing.T) {
+	var sent []any
+	plain := async.NewRemote(0, 2, 0, 1, func(_ async.PID, p any) {
+		sent = append(sent, p.(Envelope).Body)
+	}).Env()
+	hooked := async.HookedEnv(plain, func(_ async.PID, p any) (any, bool) {
+		e := p.(Envelope)
+		e.Body = fmt.Sprint("hooked:", e.Body)
+		return e, true
+	})
+	var ctxs []*Ctx
+	h := NewHost()
+	if err := h.Register("m", &FuncModule{OnHandle: func(ctx *Ctx, _ async.PID, body any) {
+		ctxs = append(ctxs, ctx)
+		ctx.Send(1, body)
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	h.Start(plain)
+	for i, env := range []*async.Env{plain, hooked, plain, hooked} {
+		h.Deliver(env, async.Message{From: 1, Payload: Envelope{Instance: "m", Body: i}})
+	}
+	if want := []any{0, "hooked:1", 2, "hooked:3"}; !reflect.DeepEqual(sent, want) {
+		t.Fatalf("sent %v, want %v", sent, want)
+	}
+	if ctxs[0] != ctxs[1] || ctxs[1] != ctxs[3] {
+		t.Error("the host should hand an instance the same Ctx on every callback")
+	}
+}
+
+// TestBroadcastOneEnvelope: a broadcast reaches every participant, self
+// included, each send carrying the caller's instance and the same body.
+func TestBroadcastOneEnvelope(t *testing.T) {
+	const n = 4
+	var to []async.PID
+	var got []any
+	env := async.NewRemote(2, n, 0, 1, func(p async.PID, payload any) {
+		to = append(to, p)
+		got = append(got, payload)
+	}).Env()
+	body := &struct{ v int }{7}
+	h := NewHost()
+	if err := h.Register("b", &FuncModule{OnStart: func(ctx *Ctx) { ctx.Broadcast(body) }}); err != nil {
+		t.Fatal(err)
+	}
+	h.Start(env)
+	if len(got) != n {
+		t.Fatalf("broadcast made %d sends, want %d", len(got), n)
+	}
+	want := any(Envelope{Instance: "b", Body: body})
+	for i := range got {
+		if to[i] != async.PID(i) || got[i] != want {
+			t.Errorf("send %d: %v to %d, want %v to %d", i, got[i], to[i], want, i)
+		}
+	}
+}
+
+// TestForBeforeSpawn: For on an id no module holds yet returns a working
+// Ctx; spawning through it registers the module, and sends made through
+// that early Ctx reach the spawned module at every party.
+func TestForBeforeSpawn(t *testing.T) {
+	got := make([]any, 2)
+	runHosts(t, 2, func(i int, h *Host) {
+		if err := h.Register("root", &FuncModule{OnStart: func(ctx *Ctx) {
+			early := ctx.For("child")
+			early.Spawn("child", &FuncModule{OnHandle: func(_ *Ctx, _ async.PID, body any) { got[i] = body }})
+			if _, ok := ctx.Lookup("child"); !ok {
+				t.Error("child not registered")
+			}
+			if ctx.Self() == 0 {
+				early.Broadcast("hi")
+			}
+		}}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for i, b := range got {
+		if b != "hi" {
+			t.Errorf("party %d's child got %v, want hi", i, b)
+		}
 	}
 }
