@@ -2,9 +2,10 @@
 // cross-process cheap-talk session: length-prefixed framed connections
 // with optional mutual TLS, a versioned HELLO handshake that names the
 // cluster session and the directed player stream each connection carries,
-// per-peer outbound write queues (no global send mutex), and automatic
-// redial with sequence-numbered resend buffers, so a dropped connection
-// replays its unacknowledged frames instead of silently muting a peer.
+// per-peer pending queues that Send appends to without ever blocking (no
+// global send mutex), and automatic redial with sequence-numbered resend
+// buffers, so a dropped connection replays its unacknowledged frames
+// instead of silently muting a peer.
 //
 // The paper's asynchronous model assumes a loss-free network: every
 // message sent between honest players is eventually delivered, exactly
@@ -26,13 +27,21 @@
 // connection, so a half-dead socket cannot shadow its replacement.
 //
 // I/O is batched per burst, not per frame, with the wire bytes unchanged.
-// A link's writer takes one queued payload plus whatever else is already
-// queued (up to 64 KiB of frames), stamps and buffers them all for
-// resend, and writes them as one coalesced write. Both ends read through
-// one buffered reader per connection. The receiver acknowledges only
-// when it has consumed every buffered byte, so one cumulative ACK covers
-// a whole burst. The handshake frames read before a peer is admitted are
-// bounded to 4 KiB.
+// A link's writer takes everything pending for its peer under one lock,
+// stamps and buffers it all for resend, and writes it in coalesced
+// writes of up to 64 KiB of frames. Both ends read through one buffered
+// reader per connection. ACKs are delayed: an ACK only trims the
+// sender's resend buffer (a reconnect replays from the receiver's WELCOME
+// cursor), so the receiver sends one cumulative ACK when 256 frames are
+// unacknowledged or the stream has been idle for 20 ms. The handshake
+// frames read before a peer is admitted are bounded to 4 KiB.
+//
+// Memory is bounded by a play's traffic, not by capacities fixed in
+// advance: the pending queues and the resend buffers hold what the play
+// sent and its peers have not yet taken or acknowledged, and the
+// delivery inbox is small. Self-addressed payloads ride a loopback
+// stream of their own, so the inbox's consumer can send to itself while
+// the inbox is full.
 package cluster
 
 import (
@@ -44,7 +53,9 @@ import (
 	"time"
 )
 
-// Config describes one transport endpoint (one protocol node).
+// Config describes one transport endpoint (one protocol node). It sizes
+// no queue or inbox: Send never blocks, and the transport's memory is
+// bounded by the traffic of the play it carries.
 type Config struct {
 	// Self is this node's player index in [0, N).
 	Self int
@@ -62,14 +73,9 @@ type Config struct {
 	// TLS enables mutual TLS on every connection (nil: plaintext).
 	TLS *TLS
 	// DialTimeout bounds one dial attempt (default 1s). Dialing retries
-	// with backoff until the transport closes, so mesh formation tolerates
-	// peers that bind late.
+	// with backoff until the transport closes or is quiesced, so mesh
+	// formation tolerates peers that bind late.
 	DialTimeout time.Duration
-	// QueueDepth bounds each per-peer outbound queue (default 1024).
-	// Send blocks when a peer's queue is full: backpressure, not loss.
-	QueueDepth int
-	// InboxDepth bounds the delivery channel (default 4096).
-	InboxDepth int
 	// TraceID, when set, is announced in every outbound HELLO so the
 	// play's distributed trace is visible at the transport layer; peers
 	// that predate the field ignore it.
@@ -98,12 +104,6 @@ func (c *Config) normalize() error {
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = time.Second
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1024
-	}
-	if c.InboxDepth <= 0 {
-		c.InboxDepth = 4096
-	}
 	return nil
 }
 
@@ -127,7 +127,9 @@ type Stats struct {
 	// ConnsDropped counts connections severed by DropConns (chaos).
 	ConnsDropped int64
 	// Acks counts cumulative-ack frames this node received on its
-	// outbound links: one per burst the peer consumed, not one per frame.
+	// outbound links. Receivers delay their ACKs (one per 256 frames, or
+	// once a stream has been idle for 20 ms), so this is far below the
+	// DATA frame count.
 	Acks int64
 	// FramesIn/FramesOut and BytesIn/BytesOut count steady-state traffic
 	// (DATA, ACK, and GOSSIP frames, header included; handshakes
@@ -143,10 +145,14 @@ type Stats struct {
 	GossipReceived int64
 	GossipDropped  int64
 	// QueueLen is the instantaneous sum of unsent payloads across the
-	// per-peer outbound queues.
+	// per-peer pending queues and the loopback stream. The queues are
+	// unbounded: Send never blocks, so a peer not yet reached makes this
+	// grow with the traffic sent to it.
 	QueueLen int
 	// ResendBuffered is the instantaneous sum of sent-but-unacknowledged
-	// frames held for replay across links.
+	// frames held for replay across links. With delayed ACKs it reads up
+	// to a few hundred frames per link mid-play and drains to zero once
+	// each stream has been idle for the ACK delay.
 	ResendBuffered int
 }
 
@@ -158,6 +164,12 @@ type inbound struct {
 	conn      net.Conn
 }
 
+// inboxDepth sizes the delivery channel. Every inbound stream's reader
+// and the loopback stream block on a full inbox, which backpressures the
+// sending link through TCP, never Send; a few bursts of slack keeps the
+// readers from stalling on every frame.
+const inboxDepth = 256
+
 // Transport is one node's endpoint in the cluster mesh.
 type Transport struct {
 	cfg   Config
@@ -165,14 +177,15 @@ type Transport struct {
 	links []*link
 	in    []*inbound
 	inbox chan Frame
-
-	selfSeq atomic.Uint64
+	loop  sendQueue // self-addressed payloads, fed to the inbox by loopback
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 
 	done    chan struct{}
 	stopped sync.Once
+	quiet   chan struct{} // closed by Quiesce: links stop redialing
+	quieted sync.Once
 	wg      sync.WaitGroup
 
 	sent, resent, delivered, duplicates       atomic.Int64
@@ -202,21 +215,24 @@ func New(cfg Config) (*Transport, error) {
 		ln:    ln,
 		links: make([]*link, cfg.N),
 		in:    make([]*inbound, cfg.N),
-		inbox: make(chan Frame, cfg.InboxDepth),
+		inbox: make(chan Frame, inboxDepth),
+		loop:  newSendQueue(),
 		conns: make(map[net.Conn]struct{}),
 		done:  make(chan struct{}),
+		quiet: make(chan struct{}),
 	}
 	for p := 0; p < cfg.N; p++ {
 		t.in[p] = &inbound{}
 		if p == cfg.Self {
 			continue
 		}
-		t.links[p] = newLink(t, p, cfg.QueueDepth)
+		t.links[p] = newLink(t, p)
 		t.wg.Add(1)
 		go t.links[p].run()
 	}
-	t.wg.Add(1)
+	t.wg.Add(2)
 	go t.acceptLoop()
+	go t.loopback()
 	return t, nil
 }
 
@@ -251,25 +267,55 @@ func (t *Transport) SetAddrs(addrs []string) {
 	}
 }
 
-// Send enqueues one payload for a peer (loopback for self). It blocks
-// only on a full per-peer queue — backpressure — and becomes a no-op
-// once the transport closes. The payload buffer is owned by the
+// Send appends one payload to a peer's pending queue (the loopback
+// stream for self) and returns. It never blocks and applies no
+// backpressure: what the caller sends is held until the peer
+// acknowledges it, so memory is bounded by the play's traffic. Send is
+// a no-op once the transport closes. The payload buffer is owned by the
 // transport from here on.
 func (t *Transport) Send(to int, payload []byte) {
 	if to < 0 || to >= t.cfg.N {
 		return
 	}
+	select {
+	case <-t.done:
+		return
+	default:
+	}
 	t.sent.Add(1)
 	if to == t.cfg.Self {
-		f := Frame{From: to, To: to, Seq: t.selfSeq.Add(1), Payload: payload}
-		select {
-		case t.inbox <- f:
-			t.delivered.Add(1)
-		case <-t.done:
-		}
+		t.loop.push(payload)
 		return
 	}
-	t.links[to].enqueue(payload)
+	t.links[to].pending.push(payload)
+}
+
+// loopback is the self stream's reader: it feeds self-addressed payloads
+// into the inbox in send order, as each inbound stream's reader does for
+// its peer, so a consumer that sends to itself never waits on its own
+// full inbox.
+func (t *Transport) loopback() {
+	defer t.wg.Done()
+	var payloads [][]byte
+	var seq uint64
+	for {
+		select {
+		case <-t.loop.wake:
+		case <-t.done:
+			return
+		}
+		payloads = t.loop.swap(payloads)
+		for i, p := range payloads {
+			seq++
+			select {
+			case t.inbox <- Frame{From: t.cfg.Self, To: t.cfg.Self, Seq: seq, Payload: p}:
+				t.delivered.Add(1)
+			case <-t.done:
+				return
+			}
+			payloads[i] = nil
+		}
+	}
 }
 
 // Gossip enqueues one best-effort payload for a peer. It never blocks:
@@ -328,6 +374,7 @@ func (t *Transport) Stats() Stats {
 		GossipReceived: t.gossipIn.Load(),
 		GossipDropped:  t.gossipDropped.Load(),
 	}
+	s.QueueLen = t.loop.len()
 	for _, l := range t.links {
 		if l == nil {
 			continue
@@ -338,6 +385,15 @@ func (t *Transport) Stats() Stats {
 	}
 	return s
 }
+
+// Quiesce tells the transport its play is over: from now on a link whose
+// connection breaks exits instead of redialing, and a link not yet
+// connected gives up. Live connections keep carrying frames until Close.
+// Call it on every node of a finished play before closing any, so that
+// closing one is not taken by the others' links as a fault to heal — a
+// redial of a closed listener that would count as a dial error. DropConns
+// on a transport that is not quiesced still redials.
+func (t *Transport) Quiesce() { t.quieted.Do(func() { close(t.quiet) }) }
 
 // PeerTraceID returns the trace id most recently announced by an inbound
 // handshake ("" until a tracing peer connects).
@@ -435,7 +491,7 @@ const handshakeTimeout = 5 * time.Second
 
 // serveInbound runs one accepted connection: verify the HELLO, adopt the
 // stream (superseding any previous connection), then deliver DATA frames
-// through the dedup cursor, acknowledging cumulatively once per burst.
+// through the dedup cursor, acknowledging them cumulatively and late.
 func (t *Transport) serveInbound(conn net.Conn) {
 	defer t.wg.Done()
 	defer t.unregister(conn)
@@ -478,8 +534,8 @@ func (t *Transport) serveInbound(conn net.Conn) {
 		return
 	}
 
-	var ackFrame []byte // reused for every ACK on this connection
-	unacked := false    // a DATA frame arrived since the last ACK
+	ack := &acker{t: t, conn: conn}
+	defer ack.stop()
 	for {
 		kind, body, err := readRaw(br)
 		if err != nil {
@@ -499,34 +555,110 @@ func (t *Transport) serveInbound(conn net.Conn) {
 			if err != nil {
 				return
 			}
-			if !t.deliver(st, Frame{From: h.From, To: t.cfg.Self, Seq: seq, Payload: payload}) {
+			cursor, ok := t.deliver(st, Frame{From: h.From, To: t.cfg.Self, Seq: seq, Payload: payload})
+			if !ok || ack.note(cursor) != nil {
 				return
 			}
-			unacked = true
 		default:
 			// Tolerate unknown-but-framed kinds from newer peers.
 		}
-		// The ACK is cumulative, so one written when the burst's bytes are
-		// used up covers every frame of it.
-		if !unacked || br.Buffered() > 0 {
-			continue
-		}
-		st.mu.Lock()
-		ackFrame = appendAck(ackFrame[:0], st.delivered)
-		st.mu.Unlock()
-		if _, err := conn.Write(ackFrame); err != nil {
-			return
-		}
-		unacked = false
-		t.framesOut.Add(1)
-		t.bytesOut.Add(5 + 8)
 	}
+}
+
+// The receiver's ACK policy. An ACK only trims the sender's resend
+// buffer — a reconnect replays from the WELCOME cursor, not from the last
+// ACK — so the receiver delays it: one cumulative ACK once ackEvery DATA
+// frames are unacknowledged, or once the stream has been idle for
+// ackIdle. ackEvery bounds a link's resend buffer while a stream is busy;
+// ackIdle is how long a finished burst stays buffered.
+const (
+	ackEvery = 256
+	ackIdle  = 20 * time.Millisecond
+)
+
+// acker writes one inbound connection's cumulative ACKs: from the
+// stream's reader when ackEvery frames are unacknowledged, and from an
+// idle timer otherwise.
+type acker struct {
+	t    *Transport
+	conn net.Conn
+
+	mu      sync.Mutex
+	cursor  uint64 // the stream's delivery cursor after the last DATA frame
+	unacked int    // DATA frames read since the last ACK
+	seen    int    // unacked when the timer was armed; 0: not armed
+	stopped bool
+	timer   *time.Timer
+	frame   []byte // reused for every ACK on this connection
+}
+
+// note records one DATA frame read, leaving the stream's cursor at
+// cursor. It acknowledges at once when ackEvery frames are
+// unacknowledged and otherwise makes sure the idle timer is armed.
+func (a *acker) note(cursor uint64) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.cursor = cursor
+	if a.unacked++; a.unacked >= ackEvery {
+		return a.write()
+	}
+	if a.seen == 0 {
+		a.seen = a.unacked
+		if a.timer == nil {
+			a.timer = time.AfterFunc(ackIdle, a.idle)
+		} else {
+			a.timer.Reset(ackIdle)
+		}
+	}
+	return nil
+}
+
+// idle runs ackIdle after the timer was armed: if no frame arrived since,
+// the stream is idle and its frames are acknowledged; otherwise it waits
+// another ackIdle. A failed write closes nothing here: the reader sees
+// the broken connection on its next read.
+func (a *acker) idle() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	switch {
+	case a.stopped || a.unacked == 0:
+		a.seen = 0
+	case a.unacked != a.seen:
+		a.seen = a.unacked
+		a.timer.Reset(ackIdle)
+	default:
+		_ = a.write()
+	}
+}
+
+// write sends one cumulative ACK for the cursor; a.mu is held.
+func (a *acker) write() error {
+	a.frame = appendAck(a.frame[:0], a.cursor)
+	a.unacked, a.seen = 0, 0
+	if _, err := a.conn.Write(a.frame); err != nil {
+		return err
+	}
+	a.t.framesOut.Add(1)
+	a.t.bytesOut.Add(int64(len(a.frame)))
+	return nil
+}
+
+// stop disarms the timer once the connection's reader exits; no ACK is
+// written after stop returns.
+func (a *acker) stop() {
+	a.mu.Lock()
+	a.stopped = true
+	if a.timer != nil {
+		a.timer.Stop()
+	}
+	a.mu.Unlock()
 }
 
 // deliver passes one DATA frame through the stream's dedup cursor: the
 // next frame of the stream goes to the inbox exactly once, a replayed one
-// is counted and dropped. It reports false once the transport closes.
-func (t *Transport) deliver(st *inbound, f Frame) bool {
+// is counted and dropped. It returns the stream's delivery cursor
+// afterwards, and false once the transport closes.
+func (t *Transport) deliver(st *inbound, f Frame) (uint64, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	switch {
@@ -538,7 +670,7 @@ func (t *Transport) deliver(st *inbound, f Frame) bool {
 			st.delivered = f.Seq
 			t.delivered.Add(1)
 		case <-t.done:
-			return false
+			return st.delivered, false
 		}
 	case f.Seq <= st.delivered:
 		t.duplicates.Add(1) // replayed frame we already delivered
@@ -547,7 +679,7 @@ func (t *Transport) deliver(st *inbound, f Frame) bool {
 		// sender still buffers everything unacknowledged and will replay
 		// contiguously on its live connection.
 	}
-	return true
+	return st.delivered, true
 }
 
 // vetHello validates an inbound handshake, returning a rejection reason

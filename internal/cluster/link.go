@@ -16,17 +16,57 @@ type dataFrame struct {
 	payload []byte
 }
 
-// link is one outbound stream (self -> to): a bounded write queue, a
-// resend buffer of unacknowledged frames, and a writer goroutine that
-// owns the connection — dialing, handshaking, replaying, and redialing
-// for as long as the transport lives. Per-peer queues mean a slow or
-// dead peer backpressures only its own stream; no global mutex
-// serializes writes to unrelated peers.
+// sendQueue is a FIFO of payloads that never blocks its producers: push
+// appends under a mutex and signals a one-slot wake channel, and the
+// single consumer takes everything pending in one swap. Its memory is
+// what the traffic puts in it, not a capacity fixed in advance.
+type sendQueue struct {
+	mu    sync.Mutex
+	items [][]byte
+	wake  chan struct{}
+}
+
+func newSendQueue() sendQueue { return sendQueue{wake: make(chan struct{}, 1)} }
+
+// push appends one payload and wakes the consumer.
+func (q *sendQueue) push(payload []byte) {
+	q.mu.Lock()
+	q.items = append(q.items, payload)
+	q.mu.Unlock()
+	select {
+	case q.wake <- struct{}{}:
+	default: // a wake is already pending; the consumer takes this too
+	}
+}
+
+// swap hands the consumer every pending payload and keeps spare, emptied,
+// as the next pending list, so the two slices alternate without
+// allocating. The consumer must clear what it got before passing it back.
+func (q *sendQueue) swap(spare [][]byte) [][]byte {
+	q.mu.Lock()
+	got := q.items
+	q.items = spare[:0]
+	q.mu.Unlock()
+	return got
+}
+
+func (q *sendQueue) len() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.items)
+}
+
+// link is one outbound stream (self -> to): a pending queue that Send
+// appends to without blocking, a resend buffer of unacknowledged frames,
+// and a writer goroutine that owns the connection — dialing,
+// handshaking, replaying, and redialing until the transport closes or is
+// quiesced. Per-peer queues mean a slow or dead peer holds up only its
+// own stream; no global mutex serializes writes to unrelated peers.
 type link struct {
-	t      *Transport
-	to     int
-	queue  chan []byte
-	gossip chan []byte // best-effort lane; dropped, never backpressured
+	t       *Transport
+	to      int
+	pending sendQueue
+	gossip  chan []byte // best-effort lane; dropped, never backpressured
 
 	mu      sync.Mutex
 	addr    string
@@ -42,11 +82,11 @@ type link struct {
 // anything beyond that is stale by construction and better dropped.
 const gossipQueueDepth = 8
 
-func newLink(t *Transport, to, depth int) *link {
+func newLink(t *Transport, to int) *link {
 	return &link{
 		t:         t,
 		to:        to,
-		queue:     make(chan []byte, depth),
+		pending:   newSendQueue(),
 		gossip:    make(chan []byte, gossipQueueDepth),
 		addrKnown: make(chan struct{}),
 	}
@@ -68,18 +108,9 @@ func (l *link) currentAddr() string {
 	return l.addr
 }
 
-// enqueue adds one payload to the write queue, blocking on a full queue
-// (backpressure) and dropping once the transport closes.
-func (l *link) enqueue(payload []byte) {
-	select {
-	case l.queue <- payload:
-	case <-l.t.done:
-	}
-}
-
-// enqueueGossip adds one payload to the best-effort lane. Unlike enqueue
-// it never blocks: a full lane (dead or slow peer) drops the digest and
-// reports false — the next gossip interval carries fresher state anyway.
+// enqueueGossip adds one payload to the best-effort lane. It never
+// blocks: a full lane (dead or slow peer) drops the digest and reports
+// false — the next gossip interval carries fresher state anyway.
 func (l *link) enqueueGossip(payload []byte) bool {
 	select {
 	case l.gossip <- payload:
@@ -90,14 +121,16 @@ func (l *link) enqueueGossip(payload []byte) bool {
 }
 
 // run is the link's writer loop: wait for an address, dial, handshake,
-// replay the unacknowledged tail, then pump the queue — and start over
-// whenever the connection dies. Every frame stays in the resend buffer
-// until the receiver's cumulative ack covers it, so a connection drop
-// loses nothing.
+// replay the unacknowledged tail, then pump the pending queue — and start
+// over whenever the connection dies, unless the transport has been
+// quiesced. Every frame stays in the resend buffer until the receiver's
+// cumulative ack covers it, so a connection drop loses nothing.
 func (l *link) run() {
 	defer l.t.wg.Done()
 	select {
 	case <-l.addrKnown:
+	case <-l.t.quiet:
+		return
 	case <-l.t.done:
 		return
 	}
@@ -105,6 +138,8 @@ func (l *link) run() {
 	served := false
 	for {
 		select {
+		case <-l.t.quiet:
+			return
 		case <-l.t.done:
 			return
 		default:
@@ -135,6 +170,11 @@ func (l *link) run() {
 	}
 }
 
+// dialReadBytes sizes the dialer's reader. It reads only WELCOME, REJECT
+// and ACK frames: 13 bytes each, but for a REJECT's reason, which just
+// takes more reads.
+const dialReadBytes = 64
+
 // connect dials the peer (with optional TLS), sends the HELLO, and waits
 // for the WELCOME carrying the receiver's delivery cursor. It returns the
 // buffered reader the WELCOME came through: it may already hold the
@@ -160,7 +200,7 @@ func (l *link) connect() (net.Conn, *bufio.Reader, uint64, error) {
 		conn.Close()
 		return nil, nil, 0, err
 	}
-	br := bufio.NewReader(conn)
+	br := bufio.NewReaderSize(conn, dialReadBytes)
 	kind, body, err := readFrame(br, maxHandshakeBytes)
 	if err != nil || kind != kindWelcome {
 		conn.Close()
@@ -178,19 +218,21 @@ func (l *link) connect() (net.Conn, *bufio.Reader, uint64, error) {
 	return conn, br, cursor, nil
 }
 
-// maxBatchBytes caps one coalesced write: the DATA frames a link builds
-// from one pass over its queue. Well above a protocol burst at n=5, and
-// small enough that the per-connection scratch buffer stays modest.
+// maxBatchBytes caps one coalesced write: a link writes whatever is
+// pending in writes of at most this many bytes of frames. Well above a
+// protocol burst at n=5, and small enough that the per-connection
+// scratch buffer stays modest.
 const maxBatchBytes = 64 << 10
 
 // serve owns one live connection: replay everything past the receiver's
-// cursor, then write queued payloads as they arrive. Each pass takes one
-// payload plus whatever else is already queued, stamps each with the next
-// stream sequence number and puts it in the resend buffer *before* the
-// write, so a failed write leaves the whole batch safely buffered, then
-// issues the batch as one write. A companion goroutine reads cumulative
-// ACKs through br and trims the buffer; its exit (read error) wakes the
-// writer so an idle link still notices a dead connection.
+// cursor, then write pending payloads as they arrive. Each pass takes
+// everything pending, stamps each payload with the next stream sequence
+// number and puts it in the resend buffer *before* the write, so a
+// failed write leaves the whole batch safely buffered, then issues the
+// batch in as few writes as maxBatchBytes allows. A companion goroutine
+// reads cumulative ACKs through br and trims the buffer; its exit (read
+// error) wakes the writer so an idle link still notices a dead
+// connection.
 func (l *link) serve(conn net.Conn, br *bufio.Reader, cursor uint64) {
 	broken := make(chan struct{})
 	go func() {
@@ -222,11 +264,14 @@ func (l *link) serve(conn net.Conn, br *bufio.Reader, cursor uint64) {
 		return
 	}
 
+	var payloads [][]byte
 	var batch []dataFrame
 	for {
 		select {
-		case payload := <-l.queue:
-			batch = l.take(batch[:0], payload)
+		case <-l.pending.wake:
+			payloads = l.pending.swap(payloads)
+			batch = l.stamp(batch[:0], payloads)
+			clear(payloads) // the batch and resend buffer hold them now
 			scratch, _, err = l.writeFrames(conn, scratch, batch)
 			clear(batch) // drop payload references until the next pass
 			if err != nil {
@@ -249,35 +294,27 @@ func (l *link) serve(conn net.Conn, br *bufio.Reader, cursor uint64) {
 	}
 }
 
-// depths reports the link's instantaneous queue and resend-buffer sizes.
-func (l *link) depths() (queued, buffered int) {
+// depths reports the link's instantaneous pending and resend-buffer
+// sizes.
+func (l *link) depths() (pending, buffered int) {
 	l.mu.Lock()
 	buffered = len(l.buf)
 	l.mu.Unlock()
-	return len(l.queue), buffered
+	return l.pending.len(), buffered
 }
 
-// take stamps payload, and whatever else is already queued (without
-// blocking, up to maxBatchBytes of frames), with the next stream sequence
-// numbers, appends each to the resend buffer and to batch, and returns
-// batch.
-func (l *link) take(batch []dataFrame, payload []byte) []dataFrame {
+// stamp gives each payload the next stream sequence number, appends it
+// to the resend buffer and to batch, and returns batch.
+func (l *link) stamp(batch []dataFrame, payloads [][]byte) []dataFrame {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for size := 0; ; {
+	for _, payload := range payloads {
 		l.nextSeq++
 		f := dataFrame{seq: l.nextSeq, payload: payload}
 		l.buf = append(l.buf, f)
 		batch = append(batch, f)
-		if size += dataOverhead + len(payload); size >= maxBatchBytes {
-			return batch
-		}
-		select {
-		case payload = <-l.queue:
-		default:
-			return batch
-		}
 	}
+	return batch
 }
 
 // writeFrames writes frames as DATA frames built in scratch, one write

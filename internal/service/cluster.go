@@ -261,6 +261,11 @@ func (s *Service) releaseClusterPlay(id string) bool {
 	if !ok {
 		return false
 	}
+	// Quiesce every node before stopping any, so the survivors' links do
+	// not redial the listeners of the nodes stopped first.
+	for _, nd := range play.nodes {
+		nd.Quiesce()
+	}
 	for _, nd := range play.nodes {
 		s.unregisterClusterNode(nd)
 		nd.Stop()
@@ -543,9 +548,14 @@ func (s *Service) runCluster(sess *Session, types []game.Type, peers []api.PeerS
 	}
 	var joined []string
 	defer func() {
-		// Release every joined peer's lingering transports now that all
-		// outcomes (or the failure) are in hand. Best effort: a peer we
-		// cannot reach reaps itself on its linger timer.
+		// The play is over. Quiesce the local nodes before any node of the
+		// play stops, so no link redials a listener that closed with its
+		// node. Then release every joined peer's lingering transports now
+		// that all outcomes (or the failure) are in hand. Best effort: a
+		// peer we cannot reach reaps itself on its linger timer.
+		for _, nd := range local {
+			nd.Quiesce()
+		}
 		for _, addr := range joined {
 			fctx, fcancel := context.WithTimeout(context.Background(), 15*time.Second)
 			_, _ = clients[addr].ClusterFinish(fctx, api.ClusterFinishRequest{ClusterID: clusterID})

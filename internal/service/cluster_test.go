@@ -161,6 +161,34 @@ func TestClusterSessionSurvivesConnDrop(t *testing.T) {
 	}
 }
 
+// TestCleanTeardownRecordsNoDialErrors: a finished play quiesces every
+// node before stopping any, so no surviving link redials a listener that
+// closed with its node. Clean plays, across two daemons and on one,
+// record no dial errors and no redials on either daemon.
+func TestCleanTeardownRecordsNoDialErrors(t *testing.T) {
+	coord, peer, _, peerURL := twoFarms(t, Config{Workers: 2})
+	types := []game.Type{0, 0, 0, 0}
+	for i := 0; i < 10; i++ {
+		if v := playCluster(t, coord, clusterSpec(peerURL), types); v.State != StateDone {
+			t.Fatalf("two-daemon play %d ended %s (%s)", i, v.State, v.Error)
+		}
+	}
+	local := Spec{Game: "consensus", N: 4, K: 1, Variant: "4.2", Backend: "wire"}
+	for i := 0; i < 20; i++ {
+		if v := playCluster(t, coord, local, types); v.State != StateDone {
+			t.Fatalf("single-daemon play %d ended %s (%s)", i, v.State, v.Error)
+		}
+	}
+	for _, d := range []struct {
+		name string
+		svc  *Service
+	}{{"coordinator", coord}, {"peer", peer}} {
+		if st := d.svc.clusterLinkStats(); st.DialErrors != 0 || st.Redials != 0 {
+			t.Errorf("%s: %d dial errors, %d redials after clean plays", d.name, st.DialErrors, st.Redials)
+		}
+	}
+}
+
 // TestClusterJoinStartValidation covers the daemon-to-daemon error
 // surface: unknown cluster ids, double joins, bad address tables.
 func TestClusterJoinStartValidation(t *testing.T) {

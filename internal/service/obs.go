@@ -204,7 +204,7 @@ func (s *Service) registerObsMetrics() {
 		"Failed dial or handshake attempts.",
 		func(c api.ClusterLinkStats) int64 { return c.DialErrors })
 	clusterCounter("mediatord_cluster_link_acks_total",
-		"Cumulative-ack frames received on outbound links, one per burst the peer consumed.",
+		"Cumulative-ack frames received on outbound links; receivers delay them (one per 256 frames, or after 20 ms idle).",
 		func(c api.ClusterLinkStats) int64 { return c.Acks })
 	clusterCounter("mediatord_cluster_link_rejected_total",
 		"Inbound handshakes refused.",
@@ -222,7 +222,7 @@ func (s *Service) registerObsMetrics() {
 		"Bytes written to cluster connections (frame headers included).",
 		func(c api.ClusterLinkStats) int64 { return c.BytesOut })
 	r.GaugeFunc("mediatord_cluster_link_queue_len",
-		"Unsent payloads queued across live per-peer outbound queues.",
+		"Unsent payloads pending across live per-peer and loopback queues.",
 		func() float64 { return float64(s.clusterLinkStats().QueueLen) })
 	r.GaugeFunc("mediatord_cluster_link_resend_buffered",
 		"Sent-but-unacknowledged frames buffered for replay across live links.",

@@ -7,10 +7,11 @@
 // across machine boundaries.
 //
 // The mesh rides on the hardened cluster transport (internal/cluster):
-// per-peer outbound write queues, a versioned HELLO handshake scoped to
-// one cluster session, optional mutual TLS, and automatic reconnect with
-// sequence-numbered resend buffers, so a dropped connection replays its
-// unacknowledged frames instead of silently muting a peer. A daemon
+// per-peer pending queues that never block a send, a versioned HELLO
+// handshake scoped to one cluster session, optional mutual TLS, and
+// automatic reconnect with sequence-numbered resend buffers, so a
+// dropped connection replays its unacknowledged frames instead of
+// silently muting a peer. A daemon
 // builds every wire play node by node (NewNode, Listen, SetAddrs),
 // whether one daemon hosts all players or several share them; only the
 // addresses differ. NewLocalMesh is the one-process shorthand for
@@ -177,6 +178,16 @@ func (n *Node) SetAddrs(addrs []string) {
 	}
 }
 
+// Quiesce ends the node's redialing once its play is over on every node:
+// a link whose connection then breaks exits instead of dialing again.
+// Call it on every node of the play before stopping any, so stopping one
+// is not a fault the others' links try to heal.
+func (n *Node) Quiesce() {
+	if n.tr != nil {
+		n.tr.Quiesce()
+	}
+}
+
 // DropConns severs every live transport connection (fault injection);
 // links reconnect and replay. It returns the number closed.
 func (n *Node) DropConns() int {
@@ -238,9 +249,10 @@ func (n *Node) Addr() string {
 }
 
 // send transmits a payload to a peer through the transport's per-peer
-// write queue (loopback for self). Unlike the pre-cluster mesh, writes
-// to distinct peers never contend on a shared mutex, and a temporarily
-// disconnected peer buffers rather than silently dropping.
+// pending queue (the loopback stream for self). It never blocks, not even
+// when the node's own inbox is full; writes to distinct peers never
+// contend on a shared mutex, and a temporarily disconnected peer buffers
+// rather than silently dropping.
 func (n *Node) send(to async.PID, payload any) {
 	b, err := EncodePayload(payload)
 	if err != nil {
