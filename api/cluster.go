@@ -7,8 +7,9 @@ package api
 // against each co-hosting daemon:
 //
 //  1. POST /v1/cluster/join  — carry the play's spec, types, seed, and
-//     the player indices that daemon hosts; it binds one transport
-//     listener per local player and answers with their addresses. The
+//     the player indices that daemon hosts; it opens one transport per
+//     local player on its cluster endpoint (one listener for the whole
+//     daemon) and answers with the endpoint's address for each. The
 //     coordinator joins all peers in parallel.
 //  2. POST /v1/cluster/start — carry the complete player->address
 //     table; the daemon runs its local players to termination and the
@@ -57,9 +58,10 @@ type ClusterJoinRequest struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// ClusterJoinResponse acknowledges a join: the transport addresses of
-// the players this daemon bound, indexed by player (empty entries for
-// players hosted elsewhere).
+// ClusterJoinResponse acknowledges a join. Addrs is indexed by player:
+// each player this daemon hosts maps to the address of the daemon's one
+// cluster endpoint (the same address for all of them), and players
+// hosted elsewhere have empty entries.
 type ClusterJoinResponse struct {
 	ClusterID string   `json:"cluster_id"`
 	Addrs     []string `json:"addrs"`

@@ -34,7 +34,7 @@ func Routes() []Route {
 		{Method: "GET", Path: "/experiments/{name}", Summary: "run a catalog experiment synchronously in the request, returning its Table", Query: "trials, seed, maxsteps"},
 		{Method: "POST", Path: "/jobs", Summary: "create a persisted asynchronous experiment job (body: ExperimentRequest)"},
 		{Method: "GET", Path: "/jobs/{id}", Summary: "experiment-job snapshot; ?wait= long-polls until terminal", Query: "wait"},
-		{Method: "POST", Path: "/cluster/join", Summary: "co-host a play: bind transport listeners for the named players (body: ClusterJoinRequest)"},
+		{Method: "POST", Path: "/cluster/join", Summary: "co-host a play: open the named players' transports on the daemon's cluster endpoint (body: ClusterJoinRequest)"},
 		{Method: "POST", Path: "/cluster/start", Summary: "run the co-hosted players to termination with the full address table and answer their outcomes (body: ClusterStartRequest)"},
 		{Method: "POST", Path: "/cluster/finish", Summary: "release a finished play's lingering transports once the coordinator gathered every outcome (body: ClusterFinishRequest)"},
 		{Method: "POST", Path: "/cluster/plan", Summary: "dry-run the placement scheduler against the live fleet view: validate the spec and answer the daemon assignment without creating anything (body: ClusterPlanRequest)"},

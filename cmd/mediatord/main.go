@@ -40,8 +40,8 @@
 //
 // Cluster mode: several daemons co-host one play, each running only its
 // local players over the hardened transport (reconnect + resend,
-// optional mutual TLS via -tls-cert/-tls-key/-tls-ca, listeners bound on
-// -cluster-listen):
+// optional mutual TLS via -tls-cert/-tls-key/-tls-ca, one cluster
+// endpoint per daemon bound on -cluster-listen):
 //
 //	mediatord -addr :8080 -cluster-listen 10.0.0.1 &   # coordinator
 //	mediatord -addr :8081 -cluster-listen 10.0.0.2 &   # peer
@@ -115,7 +115,7 @@ func run(args []string) error {
 	maxLive := fs.Int("max-live-sessions", 0, "bound on in-memory sessions; terminal sessions beyond it evict to the store (0: unlimited)")
 	snapEvery := fs.Int("snapshot-every", 0, "WAL records between compacted store snapshots (0: store default)")
 	quiet := fs.Bool("quiet", false, "disable the per-request HTTP log")
-	clusterListen := fs.String("cluster-listen", "", "host cluster-mode transport listeners bind and advertise; must be reachable from peer daemons (default 127.0.0.1)")
+	clusterListen := fs.String("cluster-listen", "", "host the daemon's cluster endpoint binds (one ephemeral port, bound on the first wire play and shared by every player it hosts) and advertises; must be reachable from peer daemons (default 127.0.0.1)")
 	joinTimeout := fs.Duration("join-timeout", 0, "per-peer deadline of the parallel cluster-join fan-out (0: 30s); start deadlines stay on the wire timeout")
 	tlsCert := fs.String("tls-cert", "", "PEM certificate for mutual TLS on cluster transport connections")
 	tlsKey := fs.String("tls-key", "", "PEM private key paired with -tls-cert")

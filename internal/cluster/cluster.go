@@ -18,19 +18,43 @@
 // separate machines) therefore see exactly the delivery semantics the
 // protocol's (k,t)-robustness proof assumes.
 //
-// Topology: node i owns one outbound link per peer j, carrying DATA
-// frames i->j; the same TCP connection carries cumulative ACK frames
-// j->i written by the receiver. Inbound connections are accepted from
-// any peer after a handshake that verifies protocol version, cluster id,
-// and stream endpoints (and, under TLS, the peer certificate against the
-// cluster CA). A fresh handshake for a stream supersedes the previous
-// connection, so a half-dead socket cannot shadow its replacement.
+// Topology: a Transport is one player's node in one play's mesh. Node i
+// owns one outbound link per peer j, carrying DATA frames i->j; the same
+// TCP connection carries cumulative ACK frames j->i written by the
+// receiver. A HELLO verifies the protocol version, cluster id and stream
+// endpoints (and, under TLS, the peer certificate against the cluster
+// CA). A fresh handshake for a stream supersedes the connection that
+// served it, so a half-dead socket cannot shadow its replacement.
+//
+// Endpoint: the transports of one process share an Endpoint, which owns
+// one listener and every connection. The endpoint routes an inbound HELLO
+// to the transport registered for its (cluster id, To). Connections
+// outlive streams: when a transport closes, its connections are detached,
+// not closed. The dialer's connection goes to the endpoint's idle pool,
+// keyed by peer address, and a link takes a pooled connection before it
+// dials; the acceptor's connection waits for its next HELLO. A HELLO on a
+// live connection re-attaches it to a new stream, so back-to-back plays
+// between the same daemons open no TCP connection at all. One endpoint
+// goroutine reads each connection for its whole life; DATA frames for a
+// stream whose transport has closed are dropped, and a HELLO for one that
+// closed within the handshake timeout is welcomed into such a detached
+// stream rather than refused, so the daemons of a play may finish it in
+// any order. A connection at rest for idleTimeout is closed, and a pooled
+// connection found dead at handshake time is replaced by a fresh dial at
+// once.
+//
+// ACK isolation: an ACK only ever trims the resend buffer of the stream
+// it was written for. On a re-attach the acceptor stops the old stream's
+// acker, waiting out an ACK its timer is writing, before it writes the new
+// stream's WELCOME; the dialer drops every ACK it reads before that
+// WELCOME. So no stale ACK can trim a new stream.
 //
 // I/O is batched per burst, not per frame, with the wire bytes unchanged.
 // A link's writer takes everything pending for its peer under one lock,
 // stamps and buffers it all for resend, and writes it in coalesced
 // writes of up to 64 KiB of frames. Both ends read through one buffered
-// reader per connection. ACKs are delayed: an ACK only trims the
+// reader per connection, which carves small frame bodies out of a slab
+// allocated once per burst. ACKs are delayed: an ACK only trims the
 // sender's resend buffer (a reconnect replays from the receiver's WELCOME
 // cursor), so the receiver sends one cumulative ACK when 256 frames are
 // unacknowledged or the stream has been idle for 20 ms. The handshake
@@ -45,7 +69,6 @@
 package cluster
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -53,9 +76,10 @@ import (
 	"time"
 )
 
-// Config describes one transport endpoint (one protocol node). It sizes
-// no queue or inbox: Send never blocks, and the transport's memory is
-// bounded by the traffic of the play it carries.
+// Config describes one player's transport in one play. It sizes no
+// queue or inbox: Send never blocks, and the transport's memory is
+// bounded by the traffic of the play it carries. Where it listens and how
+// it secures its connections belong to its Endpoint.
 type Config struct {
 	// Self is this node's player index in [0, N).
 	Self int
@@ -64,24 +88,12 @@ type Config struct {
 	// ClusterID names the play this mesh carries; handshakes from any
 	// other cluster are rejected. Defaults to "local".
 	ClusterID string
-	// ListenAddr is the TCP address to bind ("127.0.0.1:0" by default:
-	// loopback, ephemeral port).
-	ListenAddr string
-	// AdvertiseHost, when set, replaces the host in Addr() — for daemons
-	// that bind a wildcard interface but advertise a routable name.
-	AdvertiseHost string
-	// TLS enables mutual TLS on every connection (nil: plaintext).
-	TLS *TLS
-	// DialTimeout bounds one dial attempt (default 1s). Dialing retries
-	// with backoff until the transport closes or is quiesced, so mesh
-	// formation tolerates peers that bind late.
-	DialTimeout time.Duration
 	// TraceID, when set, is announced in every outbound HELLO so the
 	// play's distributed trace is visible at the transport layer; peers
 	// that predate the field ignore it.
 	TraceID string
 	// GossipHandler, when set, receives every inbound GOSSIP payload.
-	// It runs on the stream's read goroutine, so it must be fast and
+	// It runs on the connection's read goroutine, so it must be fast and
 	// never block; heavy work belongs on the receiver's own goroutine.
 	// Peers that predate the GOSSIP kind skip the frames silently, so a
 	// mixed-generation mesh degrades to "no gossip", not to errors.
@@ -98,12 +110,6 @@ func (c *Config) normalize() error {
 	if c.ClusterID == "" {
 		c.ClusterID = "local"
 	}
-	if c.ListenAddr == "" {
-		c.ListenAddr = "127.0.0.1:0"
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = time.Second
-	}
 	return nil
 }
 
@@ -117,12 +123,20 @@ type Stats struct {
 	Delivered int64
 	// Duplicates counts inbound frames dropped by the dedup cursor.
 	Duplicates int64
+	// Dials counts the TCP connections the links opened. A link takes a
+	// connection from its endpoint's idle pool when one is there, so once
+	// the pool is warm, plays between the same endpoints dial nothing.
+	Dials int64
 	// Reconnects counts re-established outbound connections (the first
 	// connection of a link does not count).
 	Reconnects int64
-	// DialErrors counts failed dial or handshake attempts.
+	// DialErrors counts failed dial or handshake attempts. A pooled
+	// connection found dead at handshake time is replaced by a fresh dial
+	// at once and does not count.
 	DialErrors int64
-	// Rejected counts inbound handshakes this node refused.
+	// Rejected counts inbound handshakes refused. A transport reads it
+	// only from an endpoint of its own (New); on a shared endpoint it
+	// reads 0, and the endpoint's Stats count the endpoint's refusals.
 	Rejected int64
 	// ConnsDropped counts connections severed by DropConns (chaos).
 	ConnsDropped int64
@@ -156,12 +170,35 @@ type Stats struct {
 	ResendBuffered int
 }
 
+// add sums o into s, field by field.
+func (s *Stats) add(o Stats) {
+	s.Sent += o.Sent
+	s.Resent += o.Resent
+	s.Delivered += o.Delivered
+	s.Duplicates += o.Duplicates
+	s.Dials += o.Dials
+	s.Reconnects += o.Reconnects
+	s.DialErrors += o.DialErrors
+	s.Rejected += o.Rejected
+	s.ConnsDropped += o.ConnsDropped
+	s.Acks += o.Acks
+	s.FramesIn += o.FramesIn
+	s.FramesOut += o.FramesOut
+	s.BytesIn += o.BytesIn
+	s.BytesOut += o.BytesOut
+	s.GossipSent += o.GossipSent
+	s.GossipReceived += o.GossipReceived
+	s.GossipDropped += o.GossipDropped
+	s.QueueLen += o.QueueLen
+	s.ResendBuffered += o.ResendBuffered
+}
+
 // inbound is the receive state of one directed stream (peer -> self):
 // the dedup/ordering cursor and the connection currently serving it.
 type inbound struct {
 	mu        sync.Mutex
 	delivered uint64
-	conn      net.Conn
+	conn      *conn
 }
 
 // inboxDepth sizes the delivery channel. Every inbound stream's reader
@@ -170,56 +207,59 @@ type inbound struct {
 // readers from stalling on every frame.
 const inboxDepth = 256
 
-// Transport is one node's endpoint in the cluster mesh.
+// Transport is one player's node in one play's mesh, opened on an
+// Endpoint.
 type Transport struct {
 	cfg   Config
-	ln    net.Listener
+	ep    *Endpoint
+	ownEP bool // New made ep for this transport alone; Close closes it
 	links []*link
 	in    []*inbound
 	inbox chan Frame
 	loop  sendQueue // self-addressed payloads, fed to the inbox by loopback
 
 	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
+	conns  map[*conn]struct{} // the connections serving this transport's streams
 
 	done    chan struct{}
 	stopped sync.Once
-	quiet   chan struct{} // closed by Quiesce: links stop redialing
-	quieted sync.Once
 	wg      sync.WaitGroup
 
-	sent, resent, delivered, duplicates       atomic.Int64
-	reconnects, dialErrs, rejected, chaosDrop atomic.Int64
-	acks, framesIn, framesOut                 atomic.Int64
-	bytesIn, bytesOut                         atomic.Int64
-	gossipSent, gossipIn, gossipDropped       atomic.Int64
+	sent, resent, delivered, duplicates  atomic.Int64
+	dials, reconnects, dialErrs          atomic.Int64
+	chaosDrop, acks, framesIn, framesOut atomic.Int64
+	bytesIn, bytesOut                    atomic.Int64
+	gossipSent, gossipIn, gossipDropped  atomic.Int64
 
 	// peerTraceID remembers the last trace id announced by an inbound
 	// HELLO (string; empty until a tracing peer connects).
 	peerTraceID atomic.Value
 }
 
-// New binds the listen address and starts accepting. Peer addresses may
-// be supplied now or later (SetPeerAddr); links dial lazily with retry,
-// so construction order across the mesh does not matter.
+// New opens a transport on an endpoint of its own, listening on an
+// ephemeral loopback port; Close closes both.
 func New(cfg Config) (*Transport, error) {
-	if err := cfg.normalize(); err != nil {
+	ep := NewEndpoint(EndpointConfig{})
+	t, err := ep.Open(cfg)
+	if err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", cfg.ListenAddr)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: listen %s: %w", cfg.ListenAddr, err)
-	}
+	t.ownEP = true
+	return t, nil
+}
+
+// newTransport builds a transport on ep and starts its links and its
+// loopback stream.
+func newTransport(ep *Endpoint, cfg Config) *Transport {
 	t := &Transport{
 		cfg:   cfg,
-		ln:    ln,
+		ep:    ep,
 		links: make([]*link, cfg.N),
 		in:    make([]*inbound, cfg.N),
 		inbox: make(chan Frame, inboxDepth),
 		loop:  newSendQueue(),
-		conns: make(map[net.Conn]struct{}),
+		conns: make(map[*conn]struct{}),
 		done:  make(chan struct{}),
-		quiet: make(chan struct{}),
 	}
 	for p := 0; p < cfg.N; p++ {
 		t.in[p] = &inbound{}
@@ -230,25 +270,13 @@ func New(cfg Config) (*Transport, error) {
 		t.wg.Add(1)
 		go t.links[p].run()
 	}
-	t.wg.Add(2)
-	go t.acceptLoop()
+	t.wg.Add(1)
 	go t.loopback()
-	return t, nil
+	return t
 }
 
-// Addr returns the address peers should dial: the bound listener's,
-// with the advertise host substituted when configured.
-func (t *Transport) Addr() string {
-	addr := t.ln.Addr().String()
-	if t.cfg.AdvertiseHost == "" {
-		return addr
-	}
-	_, port, err := net.SplitHostPort(addr)
-	if err != nil {
-		return addr
-	}
-	return net.JoinHostPort(t.cfg.AdvertiseHost, port)
-}
+// Addr returns the address peers should dial: its endpoint's.
+func (t *Transport) Addr() string { return t.ep.Addr() }
 
 // SetPeerAddr supplies (or updates) the dial address of one peer. Links
 // without an address wait; links with one dial it with retry.
@@ -277,10 +305,8 @@ func (t *Transport) Send(to int, payload []byte) {
 	if to < 0 || to >= t.cfg.N {
 		return
 	}
-	select {
-	case <-t.done:
+	if t.closing() {
 		return
-	default:
 	}
 	t.sent.Add(1)
 	if to == t.cfg.Self {
@@ -288,6 +314,16 @@ func (t *Transport) Send(to int, payload []byte) {
 		return
 	}
 	t.links[to].pending.push(payload)
+}
+
+// closing reports whether Close has begun.
+func (t *Transport) closing() bool {
+	select {
+	case <-t.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // loopback is the self stream's reader: it feeds self-addressed payloads
@@ -327,10 +363,8 @@ func (t *Transport) Gossip(to int, payload []byte) bool {
 	if to < 0 || to >= t.cfg.N {
 		return false
 	}
-	select {
-	case <-t.done:
+	if t.closing() {
 		return false
-	default:
 	}
 	if to == t.cfg.Self {
 		if fn := t.cfg.GossipHandler; fn != nil {
@@ -360,9 +394,9 @@ func (t *Transport) Stats() Stats {
 		Resent:       t.resent.Load(),
 		Delivered:    t.delivered.Load(),
 		Duplicates:   t.duplicates.Load(),
+		Dials:        t.dials.Load(),
 		Reconnects:   t.reconnects.Load(),
 		DialErrors:   t.dialErrs.Load(),
-		Rejected:     t.rejected.Load(),
 		ConnsDropped: t.chaosDrop.Load(),
 		Acks:         t.acks.Load(),
 		FramesIn:     t.framesIn.Load(),
@@ -373,6 +407,9 @@ func (t *Transport) Stats() Stats {
 		GossipSent:     t.gossipSent.Load(),
 		GossipReceived: t.gossipIn.Load(),
 		GossipDropped:  t.gossipDropped.Load(),
+	}
+	if t.ownEP {
+		s.Rejected = t.ep.rejected.Load()
 	}
 	s.QueueLen = t.loop.len()
 	for _, l := range t.links {
@@ -386,15 +423,6 @@ func (t *Transport) Stats() Stats {
 	return s
 }
 
-// Quiesce tells the transport its play is over: from now on a link whose
-// connection breaks exits instead of redialing, and a link not yet
-// connected gives up. Live connections keep carrying frames until Close.
-// Call it on every node of a finished play before closing any, so that
-// closing one is not taken by the others' links as a fault to heal — a
-// redial of a closed listener that would count as a dial error. DropConns
-// on a transport that is not quiesced still redials.
-func (t *Transport) Quiesce() { t.quieted.Do(func() { close(t.quiet) }) }
-
 // PeerTraceID returns the trace id most recently announced by an inbound
 // handshake ("" until a tracing peer connects).
 func (t *Transport) PeerTraceID() string {
@@ -404,164 +432,81 @@ func (t *Transport) PeerTraceID() string {
 	return ""
 }
 
-// DropConns severs every live connection — the chaos hook behind
-// mediatord's fault-injection endpoint and the transport tests. Links
-// redial and replay their unacknowledged frames; the mesh heals without
-// losing or duplicating a payload. It returns the number of connections
-// closed.
+// DropConns severs every connection serving this transport's streams —
+// the chaos hook behind wire.Node.DropConns and fleet.Mesh.DropConns. Links redial and replay their
+// unacknowledged frames; the mesh heals without losing or duplicating a
+// payload. It returns the number of connections closed.
 func (t *Transport) DropConns() int {
 	t.connMu.Lock()
-	conns := make([]net.Conn, 0, len(t.conns))
+	cs := make([]*conn, 0, len(t.conns))
 	for c := range t.conns {
-		conns = append(conns, c)
+		cs = append(cs, c)
 	}
 	t.connMu.Unlock()
-	for _, c := range conns {
-		c.Close()
+	for _, c := range cs {
+		c.nc.Close()
 	}
-	t.chaosDrop.Add(int64(len(conns)))
-	return len(conns)
+	t.chaosDrop.Add(int64(len(cs)))
+	return len(cs)
 }
 
-// register tracks a live connection for DropConns/Close. It refuses —
-// and the caller must close the connection — once the transport is
-// shutting down, so a connection accepted concurrently with Close can
-// never be orphaned past Close's sweep (which holds connMu after done
-// closes: register either ran before the sweep, and the sweep closes
-// the conn, or after, and sees done).
-func (t *Transport) register(c net.Conn) bool {
+// track records a connection serving one of the transport's streams, for
+// DropConns and Close. It refuses once the transport is closing, so a
+// connection attached concurrently with Close is never left serving it:
+// Close closes done before it sweeps the set under connMu.
+func (t *Transport) track(c *conn) bool {
 	t.connMu.Lock()
 	defer t.connMu.Unlock()
-	select {
-	case <-t.done:
+	if t.closing() {
 		return false
-	default:
 	}
 	t.conns[c] = struct{}{}
 	return true
 }
 
-// unregister forgets a connection once its serving goroutine exits.
-func (t *Transport) unregister(c net.Conn) {
+// untrack forgets a connection that no longer serves the transport.
+func (t *Transport) untrack(c *conn) {
 	t.connMu.Lock()
 	delete(t.conns, c)
 	t.connMu.Unlock()
 }
 
-// Close tears the transport down: listener, every connection, every
-// link goroutine. Frames still in flight are dropped; the consumer's
-// protocol layer owns end-of-play semantics.
+// closeWriteGrace is how long Close lets a link's write or handshake in
+// progress run before giving up on it. Either completes in far less with
+// a peer that reads, and the connection goes back to the pool whole; one
+// stuck on a peer that stopped reading is cut, and that connection is
+// closed.
+const closeWriteGrace = 100 * time.Millisecond
+
+// Close tears the transport down. Its connections stay open for the
+// endpoint to reuse: each link lets go of its connection once a write or
+// handshake in progress has finished (or been given up after
+// closeWriteGrace), and each inbound connection is detached to wait for
+// its next HELLO. Frames still in flight are dropped; the consumer's
+// protocol layer owns end-of-play semantics. A transport from New closes
+// its endpoint too.
 func (t *Transport) Close() {
 	t.stopped.Do(func() {
 		close(t.done)
-		t.ln.Close()
+		t.ep.unroute(t)
+		var inbound []*conn
 		t.connMu.Lock()
 		for c := range t.conns {
-			c.Close()
+			if c.addr != "" {
+				_ = c.nc.SetWriteDeadline(time.Now().Add(closeWriteGrace))
+			} else {
+				inbound = append(inbound, c)
+			}
 		}
 		t.connMu.Unlock()
+		for _, c := range inbound {
+			c.detach(t)
+		}
 	})
 	t.wg.Wait()
-}
-
-// acceptLoop admits inbound connections and hands each to a serving
-// goroutine after (optional) TLS wrapping.
-func (t *Transport) acceptLoop() {
-	defer t.wg.Done()
-	for {
-		conn, err := t.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		if t.cfg.TLS != nil {
-			conn = tlsServer(conn, t.cfg.TLS)
-		}
-		if !t.register(conn) {
-			conn.Close() // transport closing; never serve an untracked conn
-			return
-		}
-		t.wg.Add(1)
-		go t.serveInbound(conn)
-	}
-}
-
-// handshakeTimeout bounds how long an inbound connection may take to
-// present a valid HELLO (and, for the dialer, to receive the WELCOME).
-const handshakeTimeout = 5 * time.Second
-
-// serveInbound runs one accepted connection: verify the HELLO, adopt the
-// stream (superseding any previous connection), then deliver DATA frames
-// through the dedup cursor, acknowledging them cumulatively and late.
-func (t *Transport) serveInbound(conn net.Conn) {
-	defer t.wg.Done()
-	defer t.unregister(conn)
-	defer conn.Close()
-
-	// One buffered reader for the connection's whole life: a burst of
-	// frames costs one read, and the HELLO read must not strand the bytes
-	// behind it.
-	br := bufio.NewReader(conn)
-	_ = conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	kind, body, err := readFrame(br, maxHandshakeBytes)
-	if err != nil || kind != kindHello {
-		t.rejected.Add(1)
-		return
-	}
-	h, err := parseHello(body)
-	if err != nil {
-		t.rejected.Add(1)
-		return
-	}
-	if reason := t.vetHello(h); reason != "" {
-		t.rejected.Add(1)
-		_ = writeReject(conn, reason)
-		return
-	}
-	if h.TraceID != "" {
-		t.peerTraceID.Store(h.TraceID)
-	}
-	_ = conn.SetReadDeadline(time.Time{})
-
-	st := t.in[h.From]
-	st.mu.Lock()
-	if st.conn != nil && st.conn != conn {
-		st.conn.Close() // a fresh handshake supersedes the old connection
-	}
-	st.conn = conn
-	cursor := st.delivered
-	st.mu.Unlock()
-	if err := writeWelcome(conn, cursor); err != nil {
-		return
-	}
-
-	ack := &acker{t: t, conn: conn}
-	defer ack.stop()
-	for {
-		kind, body, err := readRaw(br)
-		if err != nil {
-			return
-		}
-		t.framesIn.Add(1)
-		t.bytesIn.Add(int64(5 + len(body)))
-		switch kind {
-		case kindGossip:
-			t.gossipIn.Add(1)
-			if fn := t.cfg.GossipHandler; fn != nil {
-				fn(h.From, body)
-			}
-			// Unsequenced: no dedup cursor, and no ACK of its own.
-		case kindData:
-			seq, payload, err := parseData(body)
-			if err != nil {
-				return
-			}
-			cursor, ok := t.deliver(st, Frame{From: h.From, To: t.cfg.Self, Seq: seq, Payload: payload})
-			if !ok || ack.note(cursor) != nil {
-				return
-			}
-		default:
-			// Tolerate unknown-but-framed kinds from newer peers.
-		}
+	t.ep.retire(t)
+	if t.ownEP {
+		t.ep.Close()
 	}
 }
 
@@ -576,9 +521,10 @@ const (
 	ackIdle  = 20 * time.Millisecond
 )
 
-// acker writes one inbound connection's cumulative ACKs: from the
-// stream's reader when ackEvery frames are unacknowledged, and from an
-// idle timer otherwise.
+// acker writes the cumulative ACKs of the stream an inbound connection
+// serves: from the connection's reader when ackEvery frames are
+// unacknowledged, and from an idle timer otherwise. A connection keeps
+// one acker for its whole life and resets it for each stream it serves.
 type acker struct {
 	t    *Transport
 	conn net.Conn
@@ -598,6 +544,9 @@ type acker struct {
 func (a *acker) note(cursor uint64) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if a.stopped {
+		return nil
+	}
 	a.cursor = cursor
 	if a.unacked++; a.unacked >= ackEvery {
 		return a.write()
@@ -643,8 +592,20 @@ func (a *acker) write() error {
 	return nil
 }
 
-// stop disarms the timer once the connection's reader exits; no ACK is
-// written after stop returns.
+// reset readies the acker for a new stream of transport t. It runs
+// after stop and before the stream's WELCOME; as no frame of the new
+// stream has been noted yet, a timer callback left over from the old
+// stream finds nothing to acknowledge.
+func (a *acker) reset(t *Transport, conn net.Conn) {
+	a.mu.Lock()
+	a.t, a.conn = t, conn
+	a.cursor, a.unacked, a.seen, a.stopped = 0, 0, 0, false
+	a.mu.Unlock()
+}
+
+// stop disarms the timer when the stream ends; it waits out an ACK the
+// timer is writing, and no ACK is written after stop returns until the
+// next reset.
 func (a *acker) stop() {
 	a.mu.Lock()
 	a.stopped = true
@@ -657,10 +618,16 @@ func (a *acker) stop() {
 // deliver passes one DATA frame through the stream's dedup cursor: the
 // next frame of the stream goes to the inbox exactly once, a replayed one
 // is counted and dropped. It returns the stream's delivery cursor
-// afterwards, and false once the transport closes.
+// afterwards, and false once the transport closes. Close detaches each
+// inbound connection under st.mu after closing done, so nothing is
+// counted once Close has detached the stream: the endpoint's totals,
+// which take the transport's counters when it closes, miss nothing.
 func (t *Transport) deliver(st *inbound, f Frame) (uint64, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if t.closing() {
+		return st.delivered, false
+	}
 	switch {
 	case f.Seq == st.delivered+1:
 		// The lock is held across the inbox send so a superseding
@@ -680,20 +647,4 @@ func (t *Transport) deliver(st *inbound, f Frame) (uint64, bool) {
 		// contiguously on its live connection.
 	}
 	return st.delivered, true
-}
-
-// vetHello validates an inbound handshake, returning a rejection reason
-// ("" to accept).
-func (t *Transport) vetHello(h hello) string {
-	switch {
-	case h.Version != ProtocolVersion:
-		return fmt.Sprintf("version %d, want %d", h.Version, ProtocolVersion)
-	case h.ClusterID != t.cfg.ClusterID:
-		return fmt.Sprintf("cluster %q, want %q", h.ClusterID, t.cfg.ClusterID)
-	case h.To != t.cfg.Self:
-		return fmt.Sprintf("stream addressed to %d, this node is %d", h.To, t.cfg.Self)
-	case h.From < 0 || h.From >= t.cfg.N || h.From == t.cfg.Self:
-		return fmt.Sprintf("bad peer index %d", h.From)
-	}
-	return ""
 }

@@ -21,21 +21,12 @@ func mesh(t *testing.T, n int, tlsCfg []*TLS) []*Transport {
 	t.Helper()
 	trs := make([]*Transport, n)
 	for i := 0; i < n; i++ {
-		cfg := Config{Self: i, N: n, ClusterID: "test"}
+		var ecfg EndpointConfig
 		if tlsCfg != nil {
-			cfg.TLS = tlsCfg[i]
+			ecfg.TLS = tlsCfg[i]
 		}
-		tr, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		trs[i] = tr
+		trs[i] = openOn(t, NewEndpoint(ecfg), Config{Self: i, N: n, ClusterID: "test"})
 	}
-	t.Cleanup(func() {
-		for _, tr := range trs {
-			tr.Close()
-		}
-	})
 	for i, tr := range trs {
 		for j, peer := range trs {
 			if i != j {
@@ -44,6 +35,18 @@ func mesh(t *testing.T, n int, tlsCfg []*TLS) []*Transport {
 		}
 	}
 	return trs
+}
+
+// openOn opens a transport on ep; the test's cleanup closes ep, and with
+// it the transport.
+func openOn(t *testing.T, ep *Endpoint, cfg Config) *Transport {
+	t.Helper()
+	t.Cleanup(ep.Close)
+	tr, err := ep.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 // payload stamps a (sender, index) pair into 16 bytes.
@@ -361,16 +364,8 @@ func TestTLSRejectsWrongCA(t *testing.T) {
 
 	// b trusts the real CA; a (the dialer) presents a rogue certificate
 	// and trusts the rogue CA — both directions of verification fail.
-	b, err := New(Config{Self: 1, N: 2, ClusterID: "tls", TLS: NewTLS(issue(), pool)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	a, err := New(Config{Self: 0, N: 2, ClusterID: "tls", TLS: NewTLS(rogueIssue(), roguePool)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
+	b := openOn(t, NewEndpoint(EndpointConfig{TLS: NewTLS(issue(), pool)}), Config{Self: 1, N: 2, ClusterID: "tls"})
+	a := openOn(t, NewEndpoint(EndpointConfig{TLS: NewTLS(rogueIssue(), roguePool)}), Config{Self: 0, N: 2, ClusterID: "tls"})
 	a.SetPeerAddr(1, b.Addr())
 	a.Send(1, payload(0, 0))
 

@@ -10,9 +10,11 @@ import (
 // announcing a different version is rejected during HELLO: transport
 // framing and the payload codec riding in DATA frames are a hard
 // compatibility boundary between daemon generations. Version 2 carries
-// the wire package's binary codec; a version-1 peer would complete the
-// handshake and then send nothing this side can decode.
-const ProtocolVersion uint16 = 2
+// the wire package's binary codec; version 3 keeps a connection open
+// across streams, so a HELLO may follow DATA frames on one connection and
+// re-attach it to a new stream. A version-2 peer would take that HELLO for
+// the first frame of a fresh connection, so the two refuse each other.
+const ProtocolVersion uint16 = 3
 
 // MaxFrameBytes bounds one transport frame (kind byte + body): far above
 // any protocol payload, and small enough that a corrupt length prefix
@@ -84,22 +86,36 @@ func writeRaw(w io.Writer, kind byte, body []byte) error {
 // cannot make the listener allocate more.
 const maxHandshakeBytes = 4 << 10
 
-// eagerFrameBytes is the largest frame body readFrame allocates in one
-// piece from the length prefix alone. Anything larger is read into a
+// eagerFrameBytes is the largest frame body a frameReader allocates in
+// one piece from the length prefix alone. Anything larger is read into a
 // buffer that grows with the bytes actually received, so a length prefix
 // claiming megabytes costs memory only once those bytes arrive.
 const eagerFrameBytes = 64 << 10
 
-// readRaw reads one steady-state frame (at most MaxFrameBytes),
-// returning its kind and body.
-func readRaw(r io.Reader) (byte, []byte, error) { return readFrame(r, MaxFrameBytes) }
+// A frameReader carves the bodies of small frames out of a slab of
+// slabBytes and allocates the next slab only when the current one is
+// full, so a burst of frames costs one allocation, not one per frame. A
+// body is at most slabFrameBytes long to share a slab; a larger one gets
+// an allocation of its own, which bounds the slab space a frame that does
+// not fit can leave unused. Slabs are never reused: a body stays valid,
+// and unaliased by later frames, for as long as a caller keeps it.
+const (
+	slabBytes      = 8 << 10
+	slabFrameBytes = 1 << 10
+)
 
-// readFrame reads one length-prefixed frame of at most limit bytes
-// (kind byte plus body), returning its kind and body. The body is
-// freshly allocated: callers may keep it.
-func readFrame(r io.Reader, limit int) (byte, []byte, error) {
+// frameReader reads length-prefixed frames from one connection's
+// buffered reader.
+type frameReader struct {
+	r    io.Reader
+	slab []byte
+}
+
+// next reads one frame of at most limit bytes (kind byte plus body),
+// returning its kind and body. Callers may keep the body.
+func (fr *frameReader) next(limit int) (byte, []byte, error) {
 	var lenb [4]byte
-	if _, err := io.ReadFull(r, lenb[:]); err != nil {
+	if _, err := io.ReadFull(fr.r, lenb[:]); err != nil {
 		return 0, nil, err
 	}
 	n := int64(binary.BigEndian.Uint32(lenb[:]))
@@ -107,19 +123,28 @@ func readFrame(r io.Reader, limit int) (byte, []byte, error) {
 		return 0, nil, fmt.Errorf("cluster: frame of %d bytes out of range", n)
 	}
 	var buf []byte
-	if n <= eagerFrameBytes {
-		buf = make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return 0, nil, err
+	switch {
+	case n <= slabFrameBytes:
+		if int64(cap(fr.slab)-len(fr.slab)) < n {
+			fr.slab = make([]byte, 0, slabBytes)
 		}
-	} else {
+		off := len(fr.slab)
+		fr.slab = fr.slab[:off+int(n)]
+		buf = fr.slab[off : off+int(n) : off+int(n)]
+	case n <= eagerFrameBytes:
+		buf = make([]byte, n)
+	default:
 		var err error
-		if buf, err = io.ReadAll(io.LimitReader(r, n)); err != nil {
+		if buf, err = io.ReadAll(io.LimitReader(fr.r, n)); err != nil {
 			return 0, nil, err
 		}
 		if int64(len(buf)) < n {
 			return 0, nil, io.ErrUnexpectedEOF
 		}
+		return buf[0], buf[1:], nil
+	}
+	if _, err := io.ReadFull(fr.r, buf); err != nil {
+		return 0, nil, err
 	}
 	return buf[0], buf[1:], nil
 }

@@ -20,6 +20,11 @@ func writeData(w io.Writer, buf []byte, seq uint64, payload []byte) ([]byte, err
 	return buf, err
 }
 
+// readRaw reads one steady-state frame (at most MaxFrameBytes) from r.
+func readRaw(r io.Reader) (byte, []byte, error) {
+	return (&frameReader{r: r}).next(MaxFrameBytes)
+}
+
 // TestDataAndAckGoldenBytes pins the DATA and ACK frames byte for byte:
 // building them in one buffer (and reusing it) must not change what goes
 // on the wire.
@@ -69,15 +74,15 @@ func TestHandshakeRejectsOldVersion(t *testing.T) {
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := writeHello(conn, hello{Version: 1, ClusterID: "v", From: 0, To: 1}); err != nil {
+	if err := writeHello(conn, hello{Version: 2, ClusterID: "v", From: 0, To: 1}); err != nil {
 		t.Fatal(err)
 	}
 	kind, body, err := readRaw(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind != kindReject || string(body) != "version 1, want 2" {
-		t.Fatalf("got kind %d %q, want a REJECT naming versions 1 and 2", kind, body)
+	if kind != kindReject || string(body) != "version 2, want 3" {
+		t.Fatalf("got kind %d %q, want a REJECT naming versions 2 and 3", kind, body)
 	}
 	if tr.Stats().Rejected != 1 {
 		t.Errorf("Rejected = %d, want 1", tr.Stats().Rejected)
@@ -183,13 +188,14 @@ type parsedFrame struct {
 }
 
 // decodeStream reads b the way a listener reads a connection, through
-// one buffered reader: the first frame under the handshake bound, the
-// rest as steady-state frames, until the first read error.
+// one buffered frame reader: the first frame under the handshake bound,
+// the rest (DATA, and a HELLO that re-attaches the connection) as
+// steady-state frames, until the first read error.
 func decodeStream(b []byte) []parsedFrame {
-	br := bufio.NewReader(bytes.NewReader(b))
+	fr := frameReader{r: bufio.NewReader(bytes.NewReader(b))}
 	var out []parsedFrame
 	for off, limit := 0, maxHandshakeBytes; ; limit = MaxFrameBytes {
-		kind, body, err := readFrame(br, limit)
+		kind, body, err := fr.next(limit)
 		if err != nil {
 			return out
 		}

@@ -1,8 +1,8 @@
 package cluster
 
 import (
-	"bufio"
 	"crypto/tls"
+	"errors"
 	"io"
 	"net"
 	"sync"
@@ -58,10 +58,11 @@ func (q *sendQueue) len() int {
 
 // link is one outbound stream (self -> to): a pending queue that Send
 // appends to without blocking, a resend buffer of unacknowledged frames,
-// and a writer goroutine that owns the connection — dialing,
-// handshaking, replaying, and redialing until the transport closes or is
-// quiesced. Per-peer queues mean a slow or dead peer holds up only its
-// own stream; no global mutex serializes writes to unrelated peers.
+// and a writer goroutine that holds one connection at a time — taking
+// it from the endpoint's idle pool or dialing, handshaking, replaying,
+// and starting over when the connection dies, until the transport
+// closes. Per-peer queues mean a slow or dead peer holds up only its own
+// stream; no global mutex serializes writes to unrelated peers.
 type link struct {
 	t       *Transport
 	to      int
@@ -120,32 +121,27 @@ func (l *link) enqueueGossip(payload []byte) bool {
 	}
 }
 
-// run is the link's writer loop: wait for an address, dial, handshake,
-// replay the unacknowledged tail, then pump the pending queue — and start
-// over whenever the connection dies, unless the transport has been
-// quiesced. Every frame stays in the resend buffer until the receiver's
-// cumulative ack covers it, so a connection drop loses nothing.
+// run is the link's writer loop: wait for an address, get a connection
+// and open the stream on it, replay the unacknowledged tail, then pump
+// the pending queue — and start over whenever the connection dies. Every
+// frame stays in the resend buffer until the receiver's cumulative ack
+// covers it, so a connection drop loses nothing. When the transport
+// closes, a healthy connection goes back to the endpoint's idle pool.
 func (l *link) run() {
 	defer l.t.wg.Done()
 	select {
 	case <-l.addrKnown:
-	case <-l.t.quiet:
-		return
 	case <-l.t.done:
 		return
 	}
 	backoff := 20 * time.Millisecond
 	served := false
-	for {
-		select {
-		case <-l.t.quiet:
-			return
-		case <-l.t.done:
-			return
-		default:
-		}
-		conn, br, cursor, err := l.connect()
+	for !l.t.closing() {
+		c, cursor, err := l.connect()
 		if err != nil {
+			if err == errTransportClosed || err == errEndpointClosed {
+				return
+			}
 			l.t.dialErrs.Add(1)
 			if !sleepFor(backoff, l.t.done) {
 				return
@@ -156,66 +152,58 @@ func (l *link) run() {
 			continue
 		}
 		backoff = 20 * time.Millisecond
-		if !l.t.register(conn) {
-			conn.Close() // transport closing
+		if !l.t.track(c) {
+			l.t.ep.park(c) // transport closing
 			return
 		}
 		if served {
 			l.t.reconnects.Add(1)
 		}
 		served = true
-		l.serve(conn, br, cursor)
-		l.t.unregister(conn)
-		conn.Close()
+		err = l.serve(c, cursor)
+		l.t.untrack(c)
+		if err != nil {
+			c.nc.Close()
+			continue
+		}
+		l.t.ep.park(c)
 	}
 }
 
-// dialReadBytes sizes the dialer's reader. It reads only WELCOME, REJECT
-// and ACK frames: 13 bytes each, but for a REJECT's reason, which just
-// takes more reads.
-const dialReadBytes = 64
-
-// connect dials the peer (with optional TLS), sends the HELLO, and waits
-// for the WELCOME carrying the receiver's delivery cursor. It returns the
-// buffered reader the WELCOME came through: it may already hold the
-// connection's first ACKs.
-func (l *link) connect() (net.Conn, *bufio.Reader, uint64, error) {
-	addr := l.currentAddr()
-	conn, err := net.DialTimeout("tcp", addr, l.t.cfg.DialTimeout)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if l.t.cfg.TLS != nil {
-		conn = tls.Client(conn, l.t.cfg.TLS.clientConfig(addr))
-	}
-	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	err = writeHello(conn, hello{
+// connect gets a connection to the peer, from the endpoint's idle pool
+// or by dialing, and opens the link's stream on it, returning the
+// receiver's delivery cursor. A pooled connection that fails its
+// handshake for any reason but a REJECT died at rest: the next one is
+// tried, or a fresh one dialed, at once.
+func (l *link) connect() (*conn, uint64, error) {
+	h := hello{
 		Version:   ProtocolVersion,
 		ClusterID: l.t.cfg.ClusterID,
 		From:      l.t.cfg.Self,
 		To:        l.to,
 		TraceID:   l.t.cfg.TraceID,
-	})
-	if err != nil {
-		conn.Close()
-		return nil, nil, 0, err
 	}
-	br := bufio.NewReaderSize(conn, dialReadBytes)
-	kind, body, err := readFrame(br, maxHandshakeBytes)
-	if err != nil || kind != kindWelcome {
-		conn.Close()
-		if err == nil {
-			err = errRejected(kind, body)
+	for !l.t.closing() {
+		addr := l.currentAddr()
+		c := l.t.ep.take(addr)
+		pooled := c != nil
+		if !pooled {
+			l.t.dials.Add(1)
+			var err error
+			if c, err = l.t.ep.dial(addr); err != nil {
+				return nil, 0, err
+			}
 		}
-		return nil, nil, 0, err
+		cursor, err := c.open(l, h)
+		if err == nil {
+			return c, cursor, nil
+		}
+		var rej rejectError
+		if !pooled || errors.As(err, &rej) {
+			return nil, 0, err
+		}
 	}
-	cursor, err := parseU64(body)
-	if err != nil {
-		conn.Close()
-		return nil, nil, 0, err
-	}
-	_ = conn.SetDeadline(time.Time{})
-	return conn, br, cursor, nil
+	return nil, 0, errTransportClosed
 }
 
 // maxBatchBytes caps one coalesced write: a link writes whatever is
@@ -224,44 +212,27 @@ func (l *link) connect() (net.Conn, *bufio.Reader, uint64, error) {
 // scratch buffer stays modest.
 const maxBatchBytes = 64 << 10
 
-// serve owns one live connection: replay everything past the receiver's
-// cursor, then write pending payloads as they arrive. Each pass takes
-// everything pending, stamps each payload with the next stream sequence
-// number and puts it in the resend buffer *before* the write, so a
-// failed write leaves the whole batch safely buffered, then issues the
-// batch in as few writes as maxBatchBytes allows. A companion goroutine
-// reads cumulative ACKs through br and trims the buffer; its exit (read
-// error) wakes the writer so an idle link still notices a dead
-// connection.
-func (l *link) serve(conn net.Conn, br *bufio.Reader, cursor uint64) {
-	broken := make(chan struct{})
-	go func() {
-		defer close(broken)
-		for {
-			kind, body, err := readRaw(br)
-			if err != nil {
-				return
-			}
-			l.t.framesIn.Add(1)
-			l.t.bytesIn.Add(int64(5 + len(body)))
-			if kind != kindAck {
-				continue
-			}
-			l.t.acks.Add(1)
-			if n, err := parseU64(body); err == nil {
-				l.ackTo(n)
-			}
-		}
-	}()
-
+// serve writes the link's stream on one connection: replay everything
+// past the receiver's cursor, then write pending payloads as they
+// arrive. Each pass takes everything pending, stamps each payload with
+// the next stream sequence number and puts it in the resend buffer
+// *before* the write, so a failed write leaves the whole batch safely
+// buffered, then issues the batch in as few writes as maxBatchBytes
+// allows. The connection's reader trims the buffer on each ACK; its exit
+// (read error) closes c.dead, so an idle link still notices a dead
+// connection. serve returns nil when the transport closes with the
+// connection healthy, and the error that broke it otherwise.
+func (l *link) serve(c *conn, cursor uint64) error {
 	// The receiver has everything up to cursor; drop that prefix and
-	// replay the rest in order. Every DATA frame of this connection is
-	// built in the one scratch buffer.
+	// replay the rest in order. Every DATA frame is built in the
+	// connection's one scratch buffer.
 	l.ackTo(cursor)
-	scratch, written, err := l.writeFrames(conn, nil, l.replaySnapshot())
+	var written int
+	var err error
+	c.wbuf, written, err = l.writeFrames(c.nc, c.wbuf, l.replaySnapshot())
 	l.t.resent.Add(int64(written))
 	if err != nil {
-		return
+		return err
 	}
 
 	var payloads [][]byte
@@ -269,27 +240,30 @@ func (l *link) serve(conn net.Conn, br *bufio.Reader, cursor uint64) {
 	for {
 		select {
 		case <-l.pending.wake:
+			if l.t.closing() {
+				return nil // the transport is closing: leave this batch
+			}
 			payloads = l.pending.swap(payloads)
 			batch = l.stamp(batch[:0], payloads)
 			clear(payloads) // the batch and resend buffer hold them now
-			scratch, _, err = l.writeFrames(conn, scratch, batch)
+			c.wbuf, _, err = l.writeFrames(c.nc, c.wbuf, batch)
 			clear(batch) // drop payload references until the next pass
 			if err != nil {
-				return // the batch stays buffered; the redial replays it
+				return err // the batch stays buffered; the redial replays it
 			}
 		case payload := <-l.gossip:
 			// Best effort: no sequence number, no resend buffer. A write
 			// error just drops the digest along with the connection.
-			if err := writeRaw(conn, kindGossip, payload); err != nil {
-				return
+			if err := writeRaw(c.nc, kindGossip, payload); err != nil {
+				return err
 			}
 			l.t.gossipSent.Add(1)
 			l.t.framesOut.Add(1)
 			l.t.bytesOut.Add(int64(5 + len(payload)))
-		case <-broken:
-			return
+		case <-c.dead:
+			return errConnClosed
 		case <-l.t.done:
-			return
+			return nil
 		}
 	}
 }

@@ -163,6 +163,7 @@ type peerEntry struct {
 // Mesh is one daemon's endpoint in the fleet gossip mesh.
 type Mesh struct {
 	cfg Config
+	ep  *cluster.Endpoint
 	t   *cluster.Transport
 
 	mu    sync.Mutex
@@ -206,15 +207,15 @@ func New(cfg Config) (*Mesh, error) {
 		redialStormDelta: cfg.RedialStormDelta,
 		emit:             cfg.OnAlert,
 	})
-	t, err := cluster.New(cluster.Config{
+	m.ep = cluster.NewEndpoint(cluster.EndpointConfig{ListenAddr: cfg.ListenAddr, TLS: cfg.TLS})
+	t, err := m.ep.Open(cluster.Config{
 		Self:          cfg.Self,
 		N:             cfg.N,
 		ClusterID:     cfg.ClusterID,
-		ListenAddr:    cfg.ListenAddr,
-		TLS:           cfg.TLS,
 		GossipHandler: m.receive,
 	})
 	if err != nil {
+		m.ep.Close()
 		return nil, err
 	}
 	m.t = t
@@ -237,11 +238,12 @@ func (m *Mesh) DropConns() int { return m.t.DropConns() }
 // received, and dropped GOSSIP frames among them).
 func (m *Mesh) TransportStats() cluster.Stats { return m.t.Stats() }
 
-// Close stops the tick loop and tears down the transport.
+// Close stops the tick loop and tears down the transport and its
+// endpoint.
 func (m *Mesh) Close() {
 	m.stopped.Do(func() { close(m.done) })
 	m.wg.Wait()
-	m.t.Close()
+	m.ep.Close()
 }
 
 // loop is the mesh heartbeat: sample, judge, alert, broadcast.

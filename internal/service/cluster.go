@@ -11,6 +11,7 @@ import (
 
 	"asyncmediator/api"
 	"asyncmediator/internal/async"
+	"asyncmediator/internal/cluster"
 	"asyncmediator/internal/core"
 	"asyncmediator/internal/game"
 	"asyncmediator/internal/mediator"
@@ -21,10 +22,11 @@ import (
 
 // Cluster mode: several mediatord daemons co-host one play, each running
 // only its local players' protocol stacks over the hardened cluster
-// transport (internal/cluster). The daemon that received the session
-// (the coordinator) drives each peer through two idempotent calls on the
-// typed SDK — POST /v1/cluster/join (bind per-player transport
-// listeners, answer with their addresses) and POST /v1/cluster/start
+// transport (internal/cluster), all on the daemon's one cluster
+// endpoint. The daemon that received the session (the coordinator)
+// drives each peer through two idempotent calls on the typed SDK —
+// POST /v1/cluster/join (open the players' transports on the endpoint,
+// answer with its address) and POST /v1/cluster/start
 // (full address table in, terminal player outcomes out) — then resolves
 // the joint profile exactly like a single-process play and persists and
 // announces it on its own store and event bus.
@@ -66,52 +68,31 @@ var ErrClusterUnknown = errors.New("service: unknown cluster play")
 // co-hosted play waits for its coordinator.
 const wireTimeout = 60 * time.Second
 
-// clusterListenAddr is where co-hosted players bind their transport
-// listeners: the configured cluster host with an ephemeral port.
-func (s *Service) clusterListenAddr() string {
-	host := s.cfg.ClusterListen
-	if host == "" {
-		host = "127.0.0.1"
+// newClusterEndpoint builds the daemon's cluster endpoint: one listener
+// on host (default 127.0.0.1) with an ephemeral port, bound on the first
+// wire play. A wildcard host is bound but not advertised: peers are given
+// the bound address as-is.
+func newClusterEndpoint(host string, tlsCfg *cluster.TLS) *cluster.Endpoint {
+	advertise := host
+	switch host {
+	case "":
+		host, advertise = "127.0.0.1", ""
+	case "0.0.0.0", "::":
+		advertise = ""
 	}
-	return net.JoinHostPort(host, "0")
+	return cluster.NewEndpoint(cluster.EndpointConfig{
+		ListenAddr:    net.JoinHostPort(host, "0"),
+		AdvertiseHost: advertise,
+		TLS:           tlsCfg,
+	})
 }
 
-// registerClusterNode tracks a live wire node for the fault-injection
-// hook (DropClusterConns).
-func (s *Service) registerClusterNode(n *wire.Node) {
-	s.clusterMu.Lock()
-	s.clusterNodes[n] = struct{}{}
-	s.clusterMu.Unlock()
-}
-
-func (s *Service) unregisterClusterNode(n *wire.Node) {
-	st := n.Stats().Transport
-	s.clusterMu.Lock()
-	delete(s.clusterNodes, n)
-	// Fold the departing node's monotonic counters into the retired
-	// accumulator so fleet totals never regress as plays come and go.
-	addClusterCounters(&s.clusterRetired, st)
-	s.clusterMu.Unlock()
-}
-
-// DropClusterConns severs every live transport connection of every
-// cluster-mode node this daemon hosts — coordinator-local and co-hosted
-// alike. Links reconnect and replay; the play must still terminate with
-// the same outcome. It is the chaos hook behind POST /v1/cluster/drop
+// DropClusterConns severs every cluster transport connection this daemon
+// holds — serving a play, coordinator-local or co-hosted, or at rest.
+// Links reconnect and replay; the play must still terminate with the
+// same outcome. It is the chaos hook behind POST /v1/cluster/drop
 // (enabled by mediatord -chaos) and returns the connections closed.
-func (s *Service) DropClusterConns() int {
-	s.clusterMu.Lock()
-	nodes := make([]*wire.Node, 0, len(s.clusterNodes))
-	for n := range s.clusterNodes {
-		nodes = append(nodes, n)
-	}
-	s.clusterMu.Unlock()
-	total := 0
-	for _, n := range nodes {
-		total += n.DropConns()
-	}
-	return total
-}
+func (s *Service) DropClusterConns() int { return s.clusterEP.DropConns() }
 
 // buildClusterParams compiles and validates the play parameters a join
 // request describes, mirroring session creation on the coordinator.
@@ -143,11 +124,11 @@ func vetClusterTypes(g *game.Game, raw []int) ([]game.Type, error) {
 	return types, nil
 }
 
-// ClusterJoin accepts a coordinator's invitation: compile the play,
-// bind one transport listener per local player, and answer with their
-// addresses. The play is parked until ClusterStart supplies the full
-// address table; a coordinator that never starts it is reaped after a
-// grace period.
+// ClusterJoin accepts a coordinator's invitation: compile the play, open
+// a transport per local player on the daemon's endpoint, and answer with
+// the endpoint's address for each. The play is parked until ClusterStart
+// supplies the full address table; a coordinator that never starts it is
+// reaped after a grace period.
 func (s *Service) ClusterJoin(req api.ClusterJoinRequest) (api.ClusterJoinResponse, error) {
 	if req.ClusterID == "" {
 		return api.ClusterJoinResponse{}, api.Errorf(api.CodeInvalidArgument, "cluster join needs a cluster_id")
@@ -194,22 +175,25 @@ func (s *Service) ClusterJoin(req api.ClusterJoinRequest) (api.ClusterJoinRespon
 	}
 	abort := func() {
 		for _, nd := range play.nodes {
-			s.unregisterClusterNode(nd)
 			nd.Stop()
-			nd.Wait()
 		}
+	}
+	dupErr := fmt.Errorf("%w: cluster %s already joined", ErrConflict, req.ClusterID)
+	s.clusterMu.Lock()
+	_, dup := s.clusterPlays[req.ClusterID]
+	s.clusterMu.Unlock()
+	if dup {
+		return api.ClusterJoinResponse{}, dupErr
 	}
 	for _, p := range req.Players {
 		node, err := wire.NewNode(wire.NodeConfig{
-			Self:          async.PID(p),
-			Addrs:         make([]string, n),
-			ListenAddr:    s.clusterListenAddr(),
-			AdvertiseHost: s.clusterAdvertiseHost(),
-			ClusterID:     req.ClusterID,
-			TLS:           s.clusterTLS,
-			Proc:          procs[p],
-			Seed:          req.Seed,
-			TraceID:       req.TraceID,
+			Self:      async.PID(p),
+			Addrs:     make([]string, n),
+			Endpoint:  s.clusterEP,
+			ClusterID: req.ClusterID,
+			Proc:      procs[p],
+			Seed:      req.Seed,
+			TraceID:   req.TraceID,
 		})
 		if err == nil {
 			err = node.Listen()
@@ -219,17 +203,16 @@ func (s *Service) ClusterJoin(req api.ClusterJoinRequest) (api.ClusterJoinRespon
 			return api.ClusterJoinResponse{}, err
 		}
 		play.nodes[p] = node
-		s.registerClusterNode(node)
 	}
 
 	s.clusterMu.Lock()
 	if _, dup := s.clusterPlays[req.ClusterID]; dup {
 		s.clusterMu.Unlock()
 		abort()
-		return api.ClusterJoinResponse{}, fmt.Errorf("%w: cluster %s already joined", ErrConflict, req.ClusterID)
+		return api.ClusterJoinResponse{}, dupErr
 	}
 	s.clusterPlays[req.ClusterID] = play
-	// Reap a play whose coordinator never starts it, so its listeners
+	// Reap a play whose coordinator never starts it, so its transports
 	// and goroutines cannot leak.
 	play.expire = time.AfterFunc(2*wireTimeout, func() { s.releaseClusterPlay(req.ClusterID) })
 	s.clusterMu.Unlock()
@@ -261,15 +244,8 @@ func (s *Service) releaseClusterPlay(id string) bool {
 	if !ok {
 		return false
 	}
-	// Quiesce every node before stopping any, so the survivors' links do
-	// not redial the listeners of the nodes stopped first.
 	for _, nd := range play.nodes {
-		nd.Quiesce()
-	}
-	for _, nd := range play.nodes {
-		s.unregisterClusterNode(nd)
 		nd.Stop()
-		nd.Wait()
 	}
 	return true
 }
@@ -497,9 +473,7 @@ func (s *Service) runCluster(sess *Session, types []game.Type, peers []api.PeerS
 	local := make(map[int]*wire.Node)
 	defer func() {
 		for _, nd := range local {
-			s.unregisterClusterNode(nd)
 			nd.Stop()
-			nd.Wait()
 		}
 	}()
 	addrs := make([]string, n)
@@ -508,15 +482,13 @@ func (s *Service) runCluster(sess *Session, types []game.Type, peers []api.PeerS
 			continue
 		}
 		node, err := wire.NewNode(wire.NodeConfig{
-			Self:          async.PID(p),
-			Addrs:         make([]string, n),
-			ListenAddr:    s.clusterListenAddr(),
-			AdvertiseHost: s.clusterAdvertiseHost(),
-			ClusterID:     clusterID,
-			TLS:           s.clusterTLS,
-			Proc:          procs[p],
-			Seed:          sess.Seed(),
-			TraceID:       traceID,
+			Self:      async.PID(p),
+			Addrs:     make([]string, n),
+			Endpoint:  s.clusterEP,
+			ClusterID: clusterID,
+			Proc:      procs[p],
+			Seed:      sess.Seed(),
+			TraceID:   traceID,
 		})
 		if err == nil {
 			err = node.Listen()
@@ -525,17 +497,16 @@ func (s *Service) runCluster(sess *Session, types []game.Type, peers []api.PeerS
 			return nil, nil, fmt.Errorf("service: cluster node %d: %w", p, err)
 		}
 		local[p] = node
-		s.registerClusterNode(node)
 		addrs[p] = node.Addr()
 	}
 
 	// Invite every peer daemon in parallel; each answers with its
-	// players' transport addresses. The fan-out costs max(join), not the
-	// sum — one slow daemon cannot serialize the whole handshake — and
-	// each join is separately bounded by the configured join timeout. The
-	// calls ride the SDK's idempotent retry under keys derived from the
-	// cluster id, so a blip on the control plane does not fail the play
-	// and even a restarted coordinator's retry replays.
+	// endpoint's address for each of its players. The fan-out costs
+	// max(join), not the sum — one slow daemon cannot serialize the whole
+	// handshake — and each join is separately bounded by the configured
+	// join timeout. The calls ride the SDK's idempotent retry under keys
+	// derived from the cluster id, so a blip on the control plane does not
+	// fail the play and even a restarted coordinator's retry replays.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*wireTimeout+30*time.Second)
 	defer cancel()
 	clients := make(map[string]*client.Client, len(peerAddrs))
@@ -548,14 +519,12 @@ func (s *Service) runCluster(sess *Session, types []game.Type, peers []api.PeerS
 	}
 	var joined []string
 	defer func() {
-		// The play is over. Quiesce the local nodes before any node of the
-		// play stops, so no link redials a listener that closed with its
-		// node. Then release every joined peer's lingering transports now
-		// that all outcomes (or the failure) are in hand. Best effort: a
-		// peer we cannot reach reaps itself on its linger timer.
-		for _, nd := range local {
-			nd.Quiesce()
-		}
+		// The play is over: release every joined peer's lingering
+		// transports now that all outcomes (or the failure) are in hand.
+		// Best effort: a peer we cannot reach reaps itself on its linger
+		// timer. A transport's close leaves its connections open on the
+		// endpoints, so no link of the play sees a connection break, and
+		// none redials, whichever daemon closes first.
 		for _, addr := range joined {
 			fctx, fcancel := context.WithTimeout(context.Background(), 15*time.Second)
 			_, _ = clients[addr].ClusterFinish(fctx, api.ClusterFinishRequest{ClusterID: clusterID})
@@ -711,15 +680,4 @@ func intTypes(types []game.Type) []int {
 		out[i] = int(t)
 	}
 	return out
-}
-
-// clusterAdvertiseHost is the host co-hosted listeners advertise: the
-// configured cluster listen host unless it is a wildcard, in which case
-// the bound address is advertised as-is.
-func (s *Service) clusterAdvertiseHost() string {
-	host := s.cfg.ClusterListen
-	if host == "" || host == "0.0.0.0" || host == "::" {
-		return ""
-	}
-	return host
 }

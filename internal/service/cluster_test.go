@@ -189,6 +189,119 @@ func TestCleanTeardownRecordsNoDialErrors(t *testing.T) {
 	}
 }
 
+// simProfile plays the canonical cluster game on the in-process sim
+// backend: the outcome every cluster play of it must reproduce.
+func simProfile(t *testing.T, types []game.Type) View {
+	t.Helper()
+	sim := newFarm(t, Config{Workers: 1})
+	defer sim.Close()
+	sv, err := sim.CreateSession(Spec{Game: "consensus", N: 4, K: 1, Variant: "4.2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.SubmitTypes(sv.ID, types); err != nil {
+		t.Fatal(err)
+	}
+	<-sv.Done()
+	v := sv.Snapshot()
+	if v.State != StateDone {
+		t.Fatalf("sim reference ended %s", v.State)
+	}
+	return v
+}
+
+// TestCleanTeardownThreeDaemons: with players on two peer daemons, the
+// coordinator finishes the peers one after the other. The later peer's
+// links must not take the earlier peer's finish for a fault, so no
+// daemon of the three records a dial error or a redial.
+func TestCleanTeardownThreeDaemons(t *testing.T) {
+	coord, peerA, _, urlA := twoFarms(t, Config{Workers: 2})
+	peerB := newFarm(t, Config{Workers: 2})
+	tsB := httptest.NewServer(peerB.Handler())
+	t.Cleanup(tsB.Close)
+	spec := Spec{Game: "consensus", N: 4, K: 1, Variant: "4.2", Peers: []api.PeerSpec{
+		{Index: 2, Addr: urlA},
+		{Index: 3, Addr: tsB.URL},
+	}}
+	want := []int{0, 0, 0, 0}
+	for i := 0; i < 10; i++ {
+		if v := playCluster(t, coord, spec, make([]game.Type, 4)); v.State != StateDone || !reflect.DeepEqual(v.Profile, want) {
+			t.Fatalf("three-daemon play %d ended %s with profile %v (%s)", i, v.State, v.Profile, v.Error)
+		}
+	}
+	for _, d := range []struct {
+		name string
+		svc  *Service
+	}{{"coordinator", coord}, {"peer A", peerA}, {"peer B", peerB}} {
+		if st := d.svc.clusterLinkStats(); st.DialErrors != 0 || st.Redials != 0 {
+			t.Errorf("%s: %d dial errors, %d redials after clean plays", d.name, st.DialErrors, st.Redials)
+		}
+	}
+}
+
+// TestWarmClusterPlaysDialNothing: once a first play has left its
+// connections at rest on both daemons' endpoints, twenty more
+// two-daemon plays open no TCP connection, and every one ends with the
+// single-process outcome.
+func TestWarmClusterPlaysDialNothing(t *testing.T) {
+	coord, peer, _, peerURL := twoFarms(t, Config{Workers: 2})
+	types := []game.Type{0, 0, 0, 0}
+	want := simProfile(t, types)
+	dials := func() int64 { return coord.clusterEP.Stats().Dials + peer.clusterEP.Stats().Dials }
+	for i := 0; i < 21; i++ {
+		if i == 1 {
+			if d := dials(); d == 0 {
+				t.Fatal("the first play dialed nothing")
+			}
+		}
+		before := dials()
+		v := playCluster(t, coord, clusterSpec(peerURL), types)
+		if v.State != StateDone || !reflect.DeepEqual(v.Profile, want.Profile) || !reflect.DeepEqual(v.Utilities, want.Utilities) {
+			t.Fatalf("play %d ended %s with profile %v utilities %v; sim: %v %v (%s)",
+				i, v.State, v.Profile, v.Utilities, want.Profile, want.Utilities, v.Error)
+		}
+		if d := dials() - before; i > 0 && d != 0 {
+			t.Fatalf("warm play %d dialed %d connections", i, d)
+		}
+	}
+}
+
+// TestClusterPlayAfterPeerConnsCloseOrRestart: the coordinator's
+// connections at rest to a peer die when the peer closes its ends, or
+// when the peer daemon restarts on a new address. The next play still
+// succeeds, and replacing a dead connection counts no dial error and no
+// redial.
+func TestClusterPlayAfterPeerConnsCloseOrRestart(t *testing.T) {
+	coord, peer, _, peerURL := twoFarms(t, Config{Workers: 2})
+	types := []game.Type{0, 0, 0, 0}
+	want := []int{0, 0, 0, 0}
+	play := func(step, url string) {
+		t.Helper()
+		if v := playCluster(t, coord, clusterSpec(url), types); v.State != StateDone || !reflect.DeepEqual(v.Profile, want) {
+			t.Fatalf("%s: play ended %s with profile %v (%s)", step, v.State, v.Profile, v.Error)
+		}
+	}
+	play("warm-up", peerURL)
+	if peer.DropClusterConns() == 0 {
+		t.Fatal("the peer held no connections after a play")
+	}
+	play("after the peer closed its connections", peerURL)
+
+	restarted := newFarm(t, Config{Workers: 2})
+	ts := httptest.NewServer(restarted.Handler())
+	t.Cleanup(ts.Close)
+	peer.Close()
+	play("after the peer restarted", ts.URL)
+	for _, d := range []struct {
+		name string
+		svc  *Service
+	}{{"coordinator", coord}, {"restarted peer", restarted}} {
+		if st := d.svc.clusterLinkStats(); st.DialErrors != 0 || st.Redials != 0 {
+			t.Errorf("%s: %d dial errors, %d redials", d.name, st.DialErrors, st.Redials)
+		}
+	}
+}
+
 // TestClusterJoinStartValidation covers the daemon-to-daemon error
 // surface: unknown cluster ids, double joins, bad address tables.
 func TestClusterJoinStartValidation(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"asyncmediator/api"
+	"asyncmediator/internal/cluster"
 	"asyncmediator/internal/fleet"
 	"asyncmediator/internal/obs"
 )
@@ -26,8 +27,9 @@ type fleetState struct {
 
 // startFleet joins the gossip mesh when the config asks for one. Called
 // from New after the pool and registries exist (the health source reads
-// them) but before the readiness gate opens.
-func (s *Service) startFleet() error {
+// them) but before the readiness gate opens. The gossip transport uses the
+// cluster transport's TLS material (nil: plaintext).
+func (s *Service) startFleet(tlsCfg *cluster.TLS) error {
 	if s.cfg.FleetListen == "" {
 		return nil
 	}
@@ -59,7 +61,7 @@ func (s *Service) startFleet() error {
 		Floor:          s.cfg.FleetFloor,
 		QueueWatermark: s.cfg.ReadyWatermark,
 		Secret:         s.cfg.FleetSecret,
-		TLS:            s.clusterTLS,
+		TLS:            tlsCfg,
 		Source:         s.fleetHealth,
 		OnAlert:        s.publishFleetAlert,
 	})

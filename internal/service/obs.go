@@ -10,7 +10,6 @@ import (
 	"asyncmediator/internal/obs"
 	"asyncmediator/internal/pool"
 	"asyncmediator/internal/store"
-	"asyncmediator/internal/wire"
 )
 
 // This file is the farm's metrics glue: every series the daemon exposes
@@ -81,22 +80,14 @@ func addClusterCounters(dst *api.ClusterLinkStats, st cluster.Stats) {
 	dst.BytesOut += st.BytesOut
 }
 
-// clusterLinkStats sums the cluster transport counters across every
-// retired and live node; depths come from live links only.
+// clusterLinkStats sums the cluster transport counters of every play
+// the daemon's endpoint has carried; depths come from live links only.
 func (s *Service) clusterLinkStats() api.ClusterLinkStats {
-	s.clusterMu.Lock()
-	out := s.clusterRetired
-	nodes := make([]*wire.Node, 0, len(s.clusterNodes))
-	for n := range s.clusterNodes {
-		nodes = append(nodes, n)
-	}
-	s.clusterMu.Unlock()
-	for _, n := range nodes {
-		st := n.Stats().Transport
-		addClusterCounters(&out, st)
-		out.QueueLen += st.QueueLen
-		out.ResendBuffered += st.ResendBuffered
-	}
+	st := s.clusterEP.Stats()
+	var out api.ClusterLinkStats
+	addClusterCounters(&out, st)
+	out.QueueLen = st.QueueLen
+	out.ResendBuffered = st.ResendBuffered
 	return out
 }
 
@@ -181,7 +172,7 @@ func (s *Service) registerObsMetrics() {
 			return out
 		})
 
-	// Cluster transport links (live nodes + retired totals).
+	// Cluster transport links (every play the endpoint has carried).
 	clusterCounter := func(name, help string, get func(api.ClusterLinkStats) int64) {
 		r.CounterFunc(name, help, func() float64 { return float64(get(s.clusterLinkStats())) })
 	}

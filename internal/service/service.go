@@ -40,7 +40,6 @@ import (
 	"asyncmediator/internal/sim"
 	"asyncmediator/internal/store"
 	"asyncmediator/internal/telemetry"
-	"asyncmediator/internal/wire"
 )
 
 // ErrQueueFull signals farm saturation; clients should back off and retry.
@@ -93,8 +92,9 @@ type Config struct {
 	// (and per recovered handler panic) from the middleware stack; nil
 	// disables request logging. Printf-shaped so log.Printf drops in.
 	RequestLog func(format string, args ...any)
-	// ClusterListen is the host cluster-mode transport listeners bind
-	// (one ephemeral port per co-hosted player). It is also the host
+	// ClusterListen is the host the daemon's cluster endpoint binds: one
+	// listener on an ephemeral port, bound on the first wire play and
+	// shared by every player the daemon hosts. It is also the host
 	// advertised to peer daemons, so it must be reachable from them;
 	// default "127.0.0.1" (single-machine clusters).
 	ClusterListen string
@@ -208,17 +208,13 @@ type Service struct {
 	persistErrs *obs.Counter
 
 	// Cluster mode: plays this daemon co-hosts for remote coordinators,
-	// plus every live cluster-transport node (local and co-hosted) for
-	// the fault-injection hook.
+	// and the one cluster endpoint every wire node of the daemon (local
+	// and co-hosted) opens its transport on: its listener, TLS and
+	// connections, and the transport counters of every play.
 	clusterMu     sync.Mutex
 	clusterPlays  map[string]*clusterPlay
-	clusterNodes  map[*wire.Node]struct{}
 	clusterHosted *obs.Counter
-	clusterTLS    *cluster.TLS
-	// clusterRetired accumulates the transport counters of closed nodes
-	// (guarded by clusterMu), so the fleet totals stay monotonic as
-	// plays come and go; clusterLinkStats folds live nodes on top.
-	clusterRetired api.ClusterLinkStats
+	clusterEP     *cluster.Endpoint
 
 	// obsReg is the farm's one metric registry: every series is
 	// registered on it at boot and GET /metrics renders it; plays is the
@@ -288,8 +284,7 @@ func New(cfg Config) (*Service, error) {
 		stopc:        make(chan struct{}),
 		start:        time.Now(),
 		clusterPlays: make(map[string]*clusterPlay),
-		clusterNodes: make(map[*wire.Node]struct{}),
-		clusterTLS:   clusterTLS,
+		clusterEP:    newClusterEndpoint(cfg.ClusterListen, clusterTLS),
 		idem:         newIdemCache(1024, st),
 		obsReg:       obs.NewRegistry(),
 	}
@@ -320,7 +315,7 @@ func New(cfg Config) (*Service, error) {
 	}
 	// The fleet plane joins last: its health source reads the pool and
 	// registry built above, and a bad fleet config must unwind them.
-	if err := s.startFleet(); err != nil {
+	if err := s.startFleet(clusterTLS); err != nil {
 		return fail(err)
 	}
 	// Recovery replayed and the pool accepts submits: the readiness gate
@@ -564,13 +559,11 @@ func (s *Service) Stats() StatsView {
 		v.MessagesPerSec = float64(tot.MessagesSent) / up
 	}
 	// Cluster-link stats appear only once the daemon has actually
-	// clustered (live transport nodes, retired counters, or hosted
-	// plays) — the api doc promises nil for a never-clustered daemon, so
-	// consumers can tell "no transport" from "transport, all zeros".
-	s.clusterMu.Lock()
-	liveNodes := len(s.clusterNodes)
-	s.clusterMu.Unlock()
-	if cl := s.clusterLinkStats(); liveNodes > 0 || s.clusterHosted.Value() > 0 || cl != (api.ClusterLinkStats{}) {
+	// clustered (its endpoint is bound on the first wire play, local or
+	// co-hosted) — the api doc promises nil for a never-clustered daemon,
+	// so consumers can tell "no transport" from "transport, all zeros".
+	if s.clusterEP.Addr() != "" {
+		cl := s.clusterLinkStats()
 		v.Cluster = &cl
 	}
 	pl := poolStats(s.pool)
@@ -606,8 +599,8 @@ func (s *Service) Close() {
 		s.fleet.mesh.Close()
 	}
 	// Release parked co-hosted cluster plays (never-started or
-	// lingering), so their transport listeners and goroutines cannot
-	// outlive the farm.
+	// lingering), so their transports and goroutines cannot outlive the
+	// farm.
 	s.clusterMu.Lock()
 	pending := make([]string, 0, len(s.clusterPlays))
 	for id := range s.clusterPlays {
@@ -621,6 +614,9 @@ func (s *Service) Close() {
 	s.pool.Close()
 	s.jobs.Wait()
 	slow.Stop()
+	// Every wire play has ended: close the cluster endpoint's listener
+	// and connections (and any transport a late linger left open).
+	s.clusterEP.Close()
 	if s.st != nil {
 		_ = s.st.Compact() // graceful shutdown = snapshot + empty WAL
 		_ = s.st.Close()

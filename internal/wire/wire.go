@@ -11,11 +11,11 @@
 // handshake scoped to one cluster session, optional mutual TLS, and
 // automatic reconnect with sequence-numbered resend buffers, so a
 // dropped connection replays its unacknowledged frames instead of
-// silently muting a peer. A daemon
-// builds every wire play node by node (NewNode, Listen, SetAddrs),
-// whether one daemon hosts all players or several share them; only the
-// addresses differ. NewLocalMesh is the one-process shorthand for
-// programs and tests that host a whole mesh themselves.
+// silently muting a peer. A daemon builds every wire play node by node
+// (NewNode, Listen, SetAddrs) on its one cluster endpoint, whether one
+// daemon hosts all players or several share them; only the addresses
+// differ. NewLocalMesh is the one-process shorthand for programs and
+// tests that host a whole mesh themselves.
 package wire
 
 import (
@@ -36,23 +36,19 @@ var ErrTimeout = errors.New("wire: timeout")
 
 // NodeConfig configures one mesh participant.
 type NodeConfig struct {
-	// Self is this node's player id; Addrs[Self] is its listen address
-	// unless ListenAddr overrides it. Entries for peers hosted elsewhere
-	// may be empty at construction and supplied later via SetPeerAddr —
-	// the cluster transport dials lazily with retry.
+	// Self is this node's player id. Entries of Addrs for peers hosted
+	// elsewhere may be empty at construction and supplied later via
+	// SetPeerAddr — the cluster transport dials lazily with retry.
 	Self  async.PID
 	Addrs []string
-	// ListenAddr overrides Addrs[Self] as the bind address (a daemon
-	// co-hosting a play binds "host:0" and advertises the learned port).
-	ListenAddr string
-	// AdvertiseHost replaces the host in Addr() for nodes that bind a
-	// wildcard interface.
-	AdvertiseHost string
+	// Endpoint is the process's cluster endpoint, shared by every node it
+	// hosts: its listener, TLS settings and connections. Nil gives the
+	// node an endpoint of its own, listening on Addrs[Self] (or an
+	// ephemeral loopback port when that is empty), closed by Stop.
+	Endpoint *cluster.Endpoint
 	// ClusterID scopes the transport handshake to one play; every node of
 	// a mesh must agree on it (default "local").
 	ClusterID string
-	// TLS enables mutual TLS between nodes (nil: plaintext loopback).
-	TLS *cluster.TLS
 	// Players is the number of game players (defaults to len(Addrs)).
 	Players int
 	// Proc is the protocol process to run.
@@ -62,9 +58,6 @@ type NodeConfig struct {
 	// async.Runtime derives party Self's, so a cluster node draws what the
 	// simulator's party draws for the same session seed.
 	Seed int64
-	// DialTimeout bounds one dial attempt (the transport retries with
-	// backoff until the node stops).
-	DialTimeout time.Duration
 	// TraceID, when set, is announced in the transport's HELLO so the
 	// play's distributed trace is visible at the wire layer.
 	TraceID string
@@ -76,6 +69,7 @@ type Node struct {
 	cfg    NodeConfig
 	remote *async.Remote
 	tr     *cluster.Transport
+	ownEP  *cluster.Endpoint // the endpoint Listen made (nil: cfg.Endpoint's)
 
 	done    chan struct{}
 	stopped sync.Once
@@ -123,9 +117,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Players == 0 {
 		cfg.Players = len(cfg.Addrs)
 	}
-	if cfg.ListenAddr == "" {
-		cfg.ListenAddr = cfg.Addrs[cfg.Self]
-	}
 	n := &Node{
 		cfg:  cfg,
 		done: make(chan struct{}),
@@ -134,21 +125,23 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	return n, nil
 }
 
-// Listen binds the node's transport listener. Call before Run on all
-// nodes so the mesh can form; Addr reports the bound address.
+// Listen opens the node's transport on its endpoint, binding the
+// endpoint's listener if it is not bound yet. Call before Run on all
+// nodes so the mesh can form; Addr reports the endpoint's address.
 func (n *Node) Listen() error {
 	if n.tr != nil {
 		return nil
 	}
-	tr, err := cluster.New(cluster.Config{
-		Self:          int(n.cfg.Self),
-		N:             len(n.cfg.Addrs),
-		ClusterID:     n.cfg.ClusterID,
-		ListenAddr:    n.cfg.ListenAddr,
-		AdvertiseHost: n.cfg.AdvertiseHost,
-		TLS:           n.cfg.TLS,
-		DialTimeout:   n.cfg.DialTimeout,
-		TraceID:       n.cfg.TraceID,
+	ep := n.cfg.Endpoint
+	if ep == nil {
+		ep = cluster.NewEndpoint(cluster.EndpointConfig{ListenAddr: n.cfg.Addrs[n.cfg.Self]})
+		n.ownEP = ep
+	}
+	tr, err := ep.Open(cluster.Config{
+		Self:      int(n.cfg.Self),
+		N:         len(n.cfg.Addrs),
+		ClusterID: n.cfg.ClusterID,
+		TraceID:   n.cfg.TraceID,
 	})
 	if err != nil {
 		return fmt.Errorf("wire: %w", err)
@@ -164,7 +157,7 @@ func (n *Node) Listen() error {
 
 // SetPeerAddr supplies one peer's transport address after construction —
 // how a co-hosting daemon completes the table once every daemon has
-// bound its listeners.
+// opened its players' transports.
 func (n *Node) SetPeerAddr(peer async.PID, addr string) {
 	if n.tr != nil {
 		n.tr.SetPeerAddr(int(peer), addr)
@@ -178,16 +171,6 @@ func (n *Node) SetAddrs(addrs []string) {
 	}
 }
 
-// Quiesce ends the node's redialing once its play is over on every node:
-// a link whose connection then breaks exits instead of dialing again.
-// Call it on every node of the play before stopping any, so stopping one
-// is not a fault the others' links try to heal.
-func (n *Node) Quiesce() {
-	if n.tr != nil {
-		n.tr.Quiesce()
-	}
-}
-
 // DropConns severs every live transport connection (fault injection);
 // links reconnect and replay. It returns the number closed.
 func (n *Node) DropConns() int {
@@ -198,9 +181,9 @@ func (n *Node) DropConns() int {
 }
 
 // NewLocalMesh builds a complete loopback mesh for the given processes:
-// every node gets its own ephemeral 127.0.0.1 port (no port agreement
-// needed) and is already listening when this returns, so Run may be called
-// on all nodes concurrently. players follows NodeConfig.Players semantics;
+// every node gets an endpoint of its own on an ephemeral 127.0.0.1 port
+// (no port agreement needed) and is already listening when this returns,
+// so Run may be called on all nodes concurrently. players follows NodeConfig.Players semantics;
 // seed is the session seed (NodeConfig.Seed). Same handshake, framing
 // and reconnect semantics as any cluster mesh, all failure domains in
 // one process.
@@ -220,8 +203,7 @@ func NewLocalMesh(procs []async.Process, players int, seed int64) ([]*Node, erro
 	for i, proc := range procs {
 		node, err := NewNode(NodeConfig{
 			Self: async.PID(i), Addrs: make([]string, len(procs)),
-			ListenAddr: "127.0.0.1:0", Players: players,
-			Proc: proc, Seed: seed,
+			Players: players, Proc: proc, Seed: seed,
 		})
 		if err != nil {
 			cleanup()
@@ -240,7 +222,8 @@ func NewLocalMesh(procs []async.Process, players int, seed int64) ([]*Node, erro
 	return nodes, nil
 }
 
-// Addr returns the bound listen address ("" before Listen).
+// Addr returns the address peers dial: the endpoint's ("" before
+// Listen).
 func (n *Node) Addr() string {
 	if n.tr == nil {
 		return ""
@@ -322,13 +305,13 @@ func (n *Node) drainInbox() {
 	}
 }
 
-// Stop tears the node down.
+// Stop tears the node down: its transport, and its endpoint if it has
+// one of its own. A shared endpoint keeps the transport's connections
+// for the next play.
 func (n *Node) Stop() {
 	n.stopped.Do(func() {
 		close(n.done)
-		if n.tr != nil {
-			n.tr.Close()
-		}
+		n.Wait()
 	})
 }
 
@@ -336,5 +319,8 @@ func (n *Node) Stop() {
 func (n *Node) Wait() {
 	if n.tr != nil {
 		n.tr.Close() // idempotent; waits for goroutines
+	}
+	if n.ownEP != nil {
+		n.ownEP.Close()
 	}
 }
