@@ -134,9 +134,8 @@ type Stats struct {
 	// connection found dead at handshake time is replaced by a fresh dial
 	// at once and does not count.
 	DialErrors int64
-	// Rejected counts inbound handshakes refused. A transport reads it
-	// only from an endpoint of its own (New); on a shared endpoint it
-	// reads 0, and the endpoint's Stats count the endpoint's refusals.
+	// Rejected counts inbound handshakes refused. The endpoint refuses
+	// them, so only Endpoint.Stats reports it.
 	Rejected int64
 	// ConnsDropped counts connections severed by DropConns (chaos).
 	ConnsDropped int64
@@ -407,9 +406,6 @@ func (t *Transport) Stats() Stats {
 		GossipSent:     t.gossipSent.Load(),
 		GossipReceived: t.gossipIn.Load(),
 		GossipDropped:  t.gossipDropped.Load(),
-	}
-	if t.ownEP {
-		s.Rejected = t.ep.rejected.Load()
 	}
 	s.QueueLen = t.loop.len()
 	for _, l := range t.links {

@@ -250,11 +250,7 @@ func TestHandshakeRejectsWrongCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := New(Config{Self: 1, N: 2, ClusterID: "beta"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+	bep, b := openOwn(t, Config{Self: 1, N: 2, ClusterID: "beta"})
 	a.SetPeerAddr(1, b.Addr())
 	a.Send(1, payload(0, 0))
 
@@ -264,7 +260,7 @@ func TestHandshakeRejectsWrongCluster(t *testing.T) {
 		t.Fatalf("cross-cluster frame delivered: %+v", f)
 	case <-deadline:
 	}
-	if b.Stats().Rejected == 0 {
+	if bep.Stats().Rejected == 0 {
 		t.Error("no handshake rejection recorded")
 	}
 	if a.Stats().DialErrors == 0 {

@@ -25,18 +25,13 @@ type EndpointConfig struct {
 	TLS *TLS
 }
 
-// The connection pool's sizing. A play at n players opens n(n-1)
-// directed streams, each on a connection of its own, and a farm runs as
-// many plays at once as it has workers (two on a 2-vCPU box). At n=8,
-// the largest play the benchmarks run, that is 2 x 56 = 112 streams, all
-// to one address when one daemon hosts every player; maxIdlePerPeer keeps
-// them all. A connection unused for idleTimeout is closed: far longer
-// than the gap between back-to-back plays, short enough that a daemon
-// whose traffic stopped holds no sockets for long.
-const (
-	maxIdlePerPeer = 128
-	idleTimeout    = 30 * time.Second
-)
+// idleTimeout is how long a connection may rest in the idle pool before
+// it is closed: far longer than the gap between back-to-back plays, short
+// enough that a daemon whose traffic stopped holds no sockets for long.
+// The pool needs no cap of its own: a connection is parked only after a
+// link dialed or took it, so the pool never holds more connections than
+// were in use at once.
+const idleTimeout = 30 * time.Second
 
 // dialTimeout bounds one dial attempt. Links redial with backoff until
 // their transport closes, so mesh formation tolerates peers that bind
@@ -46,6 +41,10 @@ const dialTimeout = time.Second
 // handshakeTimeout bounds how long an inbound connection may take to
 // present a valid HELLO, and how long a dialer waits for the WELCOME.
 const handshakeTimeout = 5 * time.Second
+
+// ErrPlayerOpen is returned by Open for a (cluster id, player) that
+// already has a transport open on the endpoint.
+var ErrPlayerOpen = errors.New("cluster: player already open on this endpoint")
 
 // errEndpointClosed is returned by Open and dial once Close has begun,
 // errTransportClosed by a handshake whose transport closed meanwhile;
@@ -135,7 +134,7 @@ func (e *Endpoint) Open(cfg Config) (*Transport, error) {
 	}
 	r := route{cfg.ClusterID, cfg.Self}
 	if _, taken := e.routes[r]; taken {
-		return nil, fmt.Errorf("cluster: player %d of cluster %q is already open on this endpoint", cfg.Self, cfg.ClusterID)
+		return nil, fmt.Errorf("%w: player %d of cluster %q", ErrPlayerOpen, cfg.Self, cfg.ClusterID)
 	}
 	t := newTransport(e, cfg)
 	e.routes[r] = t
@@ -247,7 +246,7 @@ func (e *Endpoint) pruneGone(now time.Time) []tombstone {
 
 func (e *Endpoint) retire(t *Transport) {
 	st := t.Stats()
-	st.QueueLen, st.ResendBuffered, st.Rejected = 0, 0, 0
+	st.QueueLen, st.ResendBuffered = 0, 0
 	e.mu.Lock()
 	if _, ok := e.open[t]; ok {
 		delete(e.open, t)
@@ -399,12 +398,10 @@ func (e *Endpoint) take(addr string) *conn {
 }
 
 // park puts an outbound connection whose link has let go of it, with its
-// stream's last frame written, back in the idle pool. A dead connection,
-// or one beyond the pool's cap, is closed instead.
+// stream's last frame written, back in the idle pool. A dead connection
+// is left to its reader, and one parked after Close is closed.
 func (e *Endpoint) park(c *conn) {
-	c.mu.Lock()
-	c.link = nil
-	c.mu.Unlock()
+	c.unlink()
 	e.mu.Lock()
 	select {
 	case <-c.dead:
@@ -412,7 +409,7 @@ func (e *Endpoint) park(c *conn) {
 		return
 	default:
 	}
-	if e.closed || len(e.idle[c.addr]) >= maxIdlePerPeer {
+	if e.closed {
 		e.mu.Unlock()
 		c.nc.Close()
 		return
@@ -478,13 +475,22 @@ func (e *Endpoint) readOutbound(c *conn) {
 		if kind, body, err = fr.next(maxHandshakeBytes); err != nil {
 			break
 		}
+		reply := kind == kindWelcome || kind == kindReject
 		c.mu.Lock()
 		l, w := c.link, c.welcome
-		if kind == kindWelcome || kind == kindReject {
+		if reply {
 			c.welcome = nil
+		} else if l != nil && w == nil {
+			// Counted under c.mu, which unlink takes too: once the link
+			// lets go of the conn, its transport's counters are final.
+			l.t.framesIn.Add(1)
+			l.t.bytesIn.Add(int64(5 + len(body)))
+			if kind == kindAck {
+				l.t.acks.Add(1)
+			}
 		}
 		c.mu.Unlock()
-		if kind == kindWelcome || kind == kindReject {
+		if reply {
 			if w == nil {
 				err = errors.New("cluster: handshake reply without a HELLO")
 				break
@@ -495,16 +501,21 @@ func (e *Endpoint) readOutbound(c *conn) {
 		if l == nil || w != nil {
 			continue
 		}
-		l.t.framesIn.Add(1)
-		l.t.bytesIn.Add(int64(5 + len(body)))
 		if kind == kindAck {
-			l.t.acks.Add(1)
 			if n, perr := parseU64(body); perr == nil {
 				l.ackTo(n)
 			}
 		}
 	}
 	e.forget(c, err)
+}
+
+// unlink lets go of an outbound conn: ACKs read from now on are dropped
+// until a link's HELLO attaches it again.
+func (c *conn) unlink() {
+	c.mu.Lock()
+	c.link = nil
+	c.mu.Unlock()
 }
 
 // open attaches an outbound connection to l's stream: it writes the HELLO
@@ -522,6 +533,7 @@ func (c *conn) open(l *link, h hello) (cursor uint64, err error) {
 	parked := false
 	defer func() {
 		if err != nil && !parked {
+			c.unlink()
 			c.nc.Close()
 		}
 	}()
@@ -592,17 +604,24 @@ func (e *Endpoint) readInbound(c *conn) {
 			err = errors.New("cluster: first frame is not a HELLO")
 			break
 		}
+		// Counted under c.mu, which detach takes to end the stream, so
+		// nothing is counted once Close has detached it: the transport's
+		// counters are final when it retires.
 		c.mu.Lock()
 		t, from, st := c.tr, c.from, c.st
+		if t != nil {
+			t.framesIn.Add(1)
+			t.bytesIn.Add(int64(5 + len(body)))
+			if kind == kindGossip {
+				t.gossipIn.Add(1)
+			}
+		}
 		c.mu.Unlock()
 		if t == nil {
 			continue // the stream's transport has closed
 		}
-		t.framesIn.Add(1)
-		t.bytesIn.Add(int64(5 + len(body)))
 		switch kind {
 		case kindGossip:
-			t.gossipIn.Add(1)
 			if fn := t.cfg.GossipHandler; fn != nil {
 				fn(from, body)
 			}

@@ -29,6 +29,19 @@ func pair(t *testing.T, a, b *Endpoint, id string) (*Transport, *Transport) {
 	return ta, tb
 }
 
+// openOwn opens cfg on an endpoint of the test's own, closed at cleanup,
+// so the test can read the endpoint's refusals.
+func openOwn(t *testing.T, cfg Config) (*Endpoint, *Transport) {
+	t.Helper()
+	ep := NewEndpoint(EndpointConfig{})
+	t.Cleanup(ep.Close)
+	tr, err := ep.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ep, tr
+}
+
 // exchange sends msgs payloads each way between a pair and checks both
 // arrive exactly once, in order.
 func exchange(t *testing.T, ta, tb *Transport, msgs int) {
@@ -308,6 +321,68 @@ func TestDeadRestingConnectionRedialsUncounted(t *testing.T) {
 	st.add(b.Stats())
 	if st.DialErrors != 0 || st.Delivered != 120 {
 		t.Fatalf("%d dial errors, %d delivered; want 0 and 120", st.DialErrors, st.Delivered)
+	}
+}
+
+// TestHungPooledConnectionCountsDialError: a pooled connection to a
+// peer that is alive but has stopped reading fails its handshake by
+// timing out, and that counts as a dial error within one handshake
+// timeout, as it would on a fresh connection: a hung peer stays visible
+// in DialErrors instead of sending the link through every pooled
+// connection first.
+func TestHungPooledConnectionCountsDialError(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// The peer answers the first HELLO and reads one DATA frame, then
+	// hangs: it keeps the connection open and reads nothing more.
+	served := make(chan net.Conn, 1)
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		fr := frameReader{r: bufio.NewReader(nc)}
+		if _, _, err := fr.next(maxHandshakeBytes); err == nil {
+			_, _ = nc.Write(binary.BigEndian.AppendUint64(appendHeader(nil, kindWelcome, 8), 0))
+			_, _, _ = fr.next(MaxFrameBytes)
+		}
+		served <- nc
+	}()
+	ep := NewEndpoint(EndpointConfig{})
+	t.Cleanup(ep.Close)
+	first, err := ep.Open(Config{Self: 0, N: 2, ClusterID: "first"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.SetPeerAddr(1, ln.Addr().String())
+	first.Send(1, payload(0, 0))
+	select {
+	case nc := <-served:
+		defer nc.Close()
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first play's frame never arrived")
+	}
+	first.Close() // its connection goes to the idle pool
+
+	second, err := ep.Open(Config{Self: 0, N: 2, ClusterID: "second"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second.SetPeerAddr(1, ln.Addr().String())
+	second.Send(1, payload(0, 0))
+	deadline := time.Now().Add(handshakeTimeout + 2*time.Second)
+	for second.Stats().DialErrors == 0 {
+		if time.Now().After(deadline) {
+			st := second.Stats()
+			t.Fatalf("no dial error %v after taking a connection to a hung peer (%d dials)", handshakeTimeout+2*time.Second, st.Dials)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if st := second.Stats(); st.Dials != 0 {
+		t.Fatalf("the timed-out pooled connection was replaced by %d fresh dials before it counted", st.Dials)
 	}
 }
 

@@ -63,11 +63,7 @@ func TestDataAndAckGoldenBytes(t *testing.T) {
 // generation is refused at HELLO with a reason naming both versions,
 // instead of completing the handshake and sending frames nobody decodes.
 func TestHandshakeRejectsOldVersion(t *testing.T) {
-	tr, err := New(Config{Self: 1, N: 2, ClusterID: "v"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	ep, tr := openOwn(t, Config{Self: 1, N: 2, ClusterID: "v"})
 	conn, err := net.DialTimeout("tcp", tr.Addr(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -84,8 +80,8 @@ func TestHandshakeRejectsOldVersion(t *testing.T) {
 	if kind != kindReject || string(body) != "version 2, want 3" {
 		t.Fatalf("got kind %d %q, want a REJECT naming versions 2 and 3", kind, body)
 	}
-	if tr.Stats().Rejected != 1 {
-		t.Errorf("Rejected = %d, want 1", tr.Stats().Rejected)
+	if r := ep.Stats().Rejected; r != 1 {
+		t.Errorf("Rejected = %d, want 1", r)
 	}
 }
 
@@ -103,11 +99,7 @@ func totalAlloc() uint64 {
 func TestHandshakeRejectsGiantFrame(t *testing.T) {
 	giant := func(kind byte) []byte { return appendHeader(nil, kind, MaxFrameBytes-1) }
 
-	tr, err := New(Config{Self: 1, N: 2, ClusterID: "giant"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	ep, tr := openOwn(t, Config{Self: 1, N: 2, ClusterID: "giant"})
 	before := totalAlloc()
 	conn, err := net.DialTimeout("tcp", tr.Addr(), 5*time.Second)
 	if err != nil {
@@ -124,7 +116,7 @@ func TestHandshakeRejectsGiantFrame(t *testing.T) {
 	if alloc := totalAlloc() - before; alloc > 1<<20 {
 		t.Fatalf("refusing a 64 MiB HELLO allocated %d bytes", alloc)
 	}
-	if r := tr.Stats().Rejected; r != 1 {
+	if r := ep.Stats().Rejected; r != 1 {
 		t.Fatalf("Rejected = %d, want 1", r)
 	}
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -163,6 +164,7 @@ func (l *link) run() {
 		err = l.serve(c, cursor)
 		l.t.untrack(c)
 		if err != nil {
+			c.unlink()
 			c.nc.Close()
 			continue
 		}
@@ -172,9 +174,10 @@ func (l *link) run() {
 
 // connect gets a connection to the peer, from the endpoint's idle pool
 // or by dialing, and opens the link's stream on it, returning the
-// receiver's delivery cursor. A pooled connection that fails its
-// handshake for any reason but a REJECT died at rest: the next one is
-// tried, or a fresh one dialed, at once.
+// receiver's delivery cursor. A pooled connection whose handshake shows
+// it died at rest is replaced at once, by the next pooled one or a fresh
+// dial; any other failure, a timeout or a REJECT, is returned for run to
+// count and back off from.
 func (l *link) connect() (*conn, uint64, error) {
 	h := hello{
 		Version:   ProtocolVersion,
@@ -198,12 +201,21 @@ func (l *link) connect() (*conn, uint64, error) {
 		if err == nil {
 			return c, cursor, nil
 		}
-		var rej rejectError
-		if !pooled || errors.As(err, &rej) {
+		if !pooled || !diedAtRest(err) {
 			return nil, 0, err
 		}
 	}
 	return nil, 0, errTransportClosed
+}
+
+// diedAtRest reports whether a handshake error shows the connection was
+// dead before the HELLO: its reader had exited, or the HELLO's write or
+// the reply's read hit a closed or reset connection. A peer that is alive
+// but does not answer in time is not dead, and its timeout counts.
+func diedAtRest(err error) bool {
+	return errors.Is(err, errConnClosed) || errors.Is(err, net.ErrClosed) ||
+		errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
+		errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)
 }
 
 // maxBatchBytes caps one coalesced write: a link writes whatever is

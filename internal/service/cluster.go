@@ -198,6 +198,9 @@ func (s *Service) ClusterJoin(req api.ClusterJoinRequest) (api.ClusterJoinRespon
 		if err == nil {
 			err = node.Listen()
 		}
+		if errors.Is(err, cluster.ErrPlayerOpen) {
+			err = dupErr // a concurrent join of the same cluster got here first
+		}
 		if err != nil {
 			abort()
 			return api.ClusterJoinResponse{}, err

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"errors"
+	"fmt"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -354,6 +356,43 @@ func TestClusterJoinStartValidation(t *testing.T) {
 	bad.ClusterID, bad.Types = "c-c", []int{0}
 	if _, err := peer.ClusterJoin(bad); err == nil {
 		t.Fatal("join with short types succeeded")
+	}
+}
+
+// TestConcurrentClusterJoinsConflict: of several joins of one cluster
+// racing on a daemon, one succeeds and every other is a lifecycle
+// conflict, whichever step finds the cluster taken.
+func TestConcurrentClusterJoinsConflict(t *testing.T) {
+	peer := newFarm(t, Config{Workers: 1})
+	t.Cleanup(peer.Close)
+	for round := 0; round < 20; round++ {
+		req := api.ClusterJoinRequest{
+			ClusterID: fmt.Sprintf("c-race-%d", round),
+			Spec:      Spec{Game: "consensus", N: 4, K: 1, Variant: "4.2"},
+			Types:     []int{0, 0, 0, 0},
+			Players:   []int{2, 3},
+			Seed:      11,
+		}
+		errs := make(chan error, 4)
+		for j := 0; j < cap(errs); j++ {
+			go func() {
+				_, err := peer.ClusterJoin(req)
+				errs <- err
+			}()
+		}
+		joined := 0
+		for j := 0; j < cap(errs); j++ {
+			switch err := <-errs; {
+			case err == nil:
+				joined++
+			case !errors.Is(err, ErrConflict):
+				t.Fatalf("round %d: a losing join failed with %v, want a conflict", round, err)
+			}
+		}
+		if joined != 1 {
+			t.Fatalf("round %d: %d joins succeeded, want 1", round, joined)
+		}
+		peer.releaseClusterPlay(req.ClusterID)
 	}
 }
 
