@@ -103,7 +103,7 @@ func TestKernelGatePassesWithinThreshold(t *testing.T) {
 }
 
 // TestKernelGateSkipsUnknownCases: benchmarks absent from the seed (new
-// benches) or from the current run (filtered out) are not gated.
+// benches) are not gated.
 func TestKernelGateSkipsUnknownCases(t *testing.T) {
 	seed := kernelSummary(1000, 1000)
 	cur := kernelSummary(1000, 1000)
@@ -112,6 +112,32 @@ func TestKernelGateSkipsUnknownCases(t *testing.T) {
 	var sb strings.Builder
 	if compared, bad := diffKernels(&sb, seed, cur); compared != 1 || bad != 0 {
 		t.Fatalf("compared %d, failed %d; want only BenchmarkMulVec compared, passing: %s", compared, bad, sb.String())
+	}
+}
+
+// TestKernelGateFailsOnMissingCase: a seed case the run lacks, such as a
+// deleted or renamed kernel benchmark, fails the gate by name, and a case
+// present behind a -N GOMAXPROCS suffix does not count as missing.
+func TestKernelGateFailsOnMissingCase(t *testing.T) {
+	seed := kernelSummary(1000, 1000)
+	seed.Benchmarks = append(seed.Benchmarks, Benchmark{Pkg: "asyncmediator/internal/shamir",
+		Name: "BenchmarkReconstruct32/scalar", Iterations: 1, Metrics: map[string]float64{"ns/op": 5000}})
+	cur := kernelSummary(1000, 1000)
+	cur.Benchmarks[0].Name = "BenchmarkMulVec-2"
+	var sb strings.Builder
+	if gate(&sb, seed, cur) {
+		t.Fatalf("a run missing a seed case passed the gate\n%s", sb.String())
+	}
+	out := sb.String()
+	if !strings.Contains(out, "BenchmarkReconstruct32/scalar is in the seed but not in the run") {
+		t.Fatalf("the missing case was not named: %q", out)
+	}
+	if strings.Contains(out, "BenchmarkMulVec") {
+		t.Fatalf("a suffixed case was reported: %q", out)
+	}
+	seed.Benchmarks = seed.Benchmarks[:2]
+	if sb.Reset(); !gate(&sb, seed, cur) {
+		t.Fatalf("a run with every seed case failed the gate: %s", sb.String())
 	}
 }
 

@@ -89,7 +89,6 @@ type envBackend interface {
 	procRand(p PID) *rand.Rand
 	numProcs() int
 	numPlayers() int
-	now() int
 }
 
 // Env is the capability handed to a process during one activation.
@@ -111,11 +110,6 @@ func (e *Env) Players() int { return e.b.numPlayers() }
 
 // Rand returns the process's private randomness source.
 func (e *Env) Rand() *rand.Rand { return e.b.procRand(e.self) }
-
-// Now returns the current global step number (for tracing only; processes
-// in an asynchronous game have no clocks and protocol logic must not
-// branch on it).
-func (e *Env) Now() int { return e.b.now() }
 
 // Send enqueues a message to the given process. Messages sent during one
 // activation form a batch (relaxed schedulers drop batches atomically).
@@ -448,7 +442,6 @@ func (rt *Runtime) setWill(p PID, move any)   { rt.wills[p] = move }
 func (rt *Runtime) procRand(p PID) *rand.Rand { return rt.rngs[p] }
 func (rt *Runtime) numProcs() int             { return len(rt.procs) }
 func (rt *Runtime) numPlayers() int           { return rt.cfg.Players }
-func (rt *Runtime) now() int                  { return rt.steps }
 
 // halt marks p halted, taking its pending messages out of the
 // deliverable index once.

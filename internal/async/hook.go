@@ -39,4 +39,3 @@ func (h *hookedBackend) halt(p PID)                { h.inner.halt(p) }
 func (h *hookedBackend) procRand(p PID) *rand.Rand { return h.inner.procRand(p) }
 func (h *hookedBackend) numProcs() int             { return h.inner.numProcs() }
 func (h *hookedBackend) numPlayers() int           { return h.inner.numPlayers() }
-func (h *hookedBackend) now() int                  { return h.inner.now() }

@@ -102,4 +102,3 @@ func (r *Remote) halt(p PID) {
 func (r *Remote) procRand(p PID) *rand.Rand { return r.rng }
 func (r *Remote) numProcs() int             { return r.n }
 func (r *Remote) numPlayers() int           { return r.players }
-func (r *Remote) now() int                  { return 0 }

@@ -229,10 +229,6 @@ type Transport struct {
 	chaosDrop, acks, framesIn, framesOut atomic.Int64
 	bytesIn, bytesOut                    atomic.Int64
 	gossipSent, gossipIn, gossipDropped  atomic.Int64
-
-	// peerTraceID remembers the last trace id announced by an inbound
-	// HELLO (string; empty until a tracing peer connects).
-	peerTraceID atomic.Value
 }
 
 // New opens a transport on an endpoint of its own, listening on an
@@ -417,15 +413,6 @@ func (t *Transport) Stats() Stats {
 		s.ResendBuffered += buf
 	}
 	return s
-}
-
-// PeerTraceID returns the trace id most recently announced by an inbound
-// handshake ("" until a tracing peer connects).
-func (t *Transport) PeerTraceID() string {
-	if v, ok := t.peerTraceID.Load().(string); ok {
-		return v
-	}
-	return ""
 }
 
 // DropConns severs every connection serving this transport's streams —

@@ -687,9 +687,6 @@ func (e *Endpoint) attach(c *conn, body []byte) error {
 		_ = c.nc.SetReadDeadline(time.Now().Add(idleTimeout + handshakeTimeout))
 		return writeWelcome(c.nc, 0)
 	}
-	if h.TraceID != "" {
-		t.peerTraceID.Store(h.TraceID)
-	}
 	_ = c.nc.SetReadDeadline(time.Time{})
 	st := t.in[h.From]
 	st.mu.Lock()

@@ -234,10 +234,6 @@ func (m *Mesh) SetAddrs(addrs []string) { m.t.SetAddrs(addrs) }
 // DropConns severs every live gossip connection (chaos hook).
 func (m *Mesh) DropConns() int { return m.t.DropConns() }
 
-// TransportStats snapshots the gossip transport's counters (sent,
-// received, and dropped GOSSIP frames among them).
-func (m *Mesh) TransportStats() cluster.Stats { return m.t.Stats() }
-
 // Close stops the tick loop and tears down the transport and its
 // endpoint.
 func (m *Mesh) Close() {

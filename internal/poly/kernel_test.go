@@ -3,18 +3,11 @@ package poly
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"asyncmediator/internal/field"
 )
-
-// withRef runs f with the scalar reference implementations active,
-// restoring the kernel path afterwards.
-func withRef(f func()) {
-	UseReference(true)
-	defer UseReference(false)
-	f()
-}
 
 func randPoly(rng *rand.Rand, deg int) Poly {
 	p := make(Poly, deg+1)
@@ -68,12 +61,19 @@ func TestInterpolateKernelVsRef(t *testing.T) {
 			return pts
 		}()},
 	}
+	// The share sets of shamir's TestReconstructRecoversSecret.
+	shares := rand.New(rand.NewSource(70))
+	for _, tc := range []struct{ n, t int }{{4, 1}, {7, 2}, {16, 5}, {33, 10}} {
+		secret := field.Rand(shares)
+		cases = append(cases, struct {
+			name string
+			pts  []Point
+		}{fmt.Sprintf("shamir-n%d-t%d", tc.n, tc.t), sharePoints(Random(shares, tc.t, secret), tc.n)})
+	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			got, gotErr := Interpolate(c.pts)
-			var want Poly
-			var wantErr error
-			withRef(func() { want, wantErr = Interpolate(c.pts) })
+			want, wantErr := interpolateRef(c.pts)
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("error mismatch: kernel=%v ref=%v", gotErr, wantErr)
 			}
@@ -93,6 +93,98 @@ func TestInterpolateKernelVsRef(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sharePoints evaluates p at x = 1..n, the evaluation points of a play's
+// n players.
+func sharePoints(p Poly, n int) []Point {
+	pts := make([]Point, n)
+	for i := range pts {
+		x := field.Element(i + 1)
+		pts[i] = Point{X: x, Y: p.Eval(x)}
+	}
+	return pts
+}
+
+// dropPoints returns pts without missing of them, chosen by rng, keeping
+// the order of the rest: the shares of players that never sent.
+func dropPoints(rng *rand.Rand, pts []Point, missing int) []Point {
+	gone := map[int]bool{}
+	for _, i := range rng.Perm(len(pts))[:missing] {
+		gone[i] = true
+	}
+	var out []Point
+	for i, pt := range pts {
+		if !gone[i] {
+			out = append(out, pt)
+		}
+	}
+	return out
+}
+
+// sameErr fails t unless the kernel and reference errors are both nil or
+// carry the same text, and reports whether they are nil.
+func sameErr(t *testing.T, what string, got, want error) bool {
+	t.Helper()
+	if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+		t.Fatalf("%s: error mismatch: kernel=%v ref=%v", what, got, want)
+	}
+	return got == nil
+}
+
+// TestKernelVsRefProtocolShapes compares the kernels with their oracles on
+// the inputs plays produce: shares at x = 1..n of a degree-t or degree-2t
+// polynomial, t = (n-1)/3, with up to t shares missing, plus a repeated
+// share for the duplicate-x error path.
+func TestKernelVsRefProtocolShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, n := range []int{4, 5, 8, 9} {
+		tt := (n - 1) / 3
+		for _, deg := range []int{tt, 2 * tt} {
+			src := randPoly(rng, deg)
+			for missing := 0; missing <= tt; missing++ {
+				pts := dropPoints(rng, sharePoints(src, n), missing)
+				t.Run(fmt.Sprintf("n=%d/deg=%d/missing=%d", n, deg, missing), func(t *testing.T) {
+					if got := checkKernelVsRef(t, pts); !got.Equal(src) {
+						t.Fatalf("interpolant %v, want %v", got, src)
+					}
+				})
+			}
+		}
+		dup := append(sharePoints(randPoly(rng, tt), n), Point{X: 2, Y: 7})
+		t.Run(fmt.Sprintf("n=%d/duplicate", n), func(t *testing.T) {
+			checkKernelVsRef(t, dup)
+		})
+	}
+}
+
+// checkKernelVsRef runs Interpolate, EvalAt (at 0 and at x = 1..len+1)
+// and LagrangeCoeffsAtZero on pts against their oracles, and returns the
+// interpolant.
+func checkKernelVsRef(t *testing.T, pts []Point) Poly {
+	t.Helper()
+	got, gotErr := Interpolate(pts)
+	want, wantErr := interpolateRef(pts)
+	if sameErr(t, "Interpolate", gotErr, wantErr) && !got.Equal(want) {
+		t.Fatalf("Interpolate coefficients differ:\nkernel %v\nref    %v", got, want)
+	}
+	for x := 0; x <= len(pts)+1; x++ {
+		gotY, gotErr := EvalAt(pts, field.Element(x))
+		wantY, wantErr := evalAtRef(pts, field.Element(x))
+		if sameErr(t, "EvalAt", gotErr, wantErr) && gotY != wantY {
+			t.Fatalf("EvalAt(%d): kernel %v ref %v", x, gotY, wantY)
+		}
+	}
+	xs := make([]field.Element, len(pts))
+	for i, pt := range pts {
+		xs[i] = pt.X
+	}
+	gotL, gotErr := LagrangeCoeffsAtZero(xs)
+	wantL, wantErr := lagrangeCoeffsAtZeroRef(xs)
+	if sameErr(t, "LagrangeCoeffsAtZero", gotErr, wantErr) && !slices.Equal(gotL, wantL) {
+		t.Fatalf("LagrangeCoeffsAtZero: kernel %v ref %v", gotL, wantL)
+	}
+	return got
 }
 
 // TestInterpolateMaxDegree pins down the exact-degree case: n points
@@ -120,9 +212,7 @@ func TestEvalAtKernelVsRef(t *testing.T) {
 		pts := randPoints(rng, n)
 		x := field.Rand(rng)
 		got, gotErr := EvalAt(pts, x)
-		var want field.Element
-		var wantErr error
-		withRef(func() { want, wantErr = EvalAt(pts, x) })
+		want, wantErr := evalAtRef(pts, x)
 		if (gotErr == nil) != (wantErr == nil) || got != want {
 			t.Fatalf("n=%d: kernel (%v, %v) ref (%v, %v)", n, got, gotErr, want, wantErr)
 		}
@@ -130,8 +220,7 @@ func TestEvalAtKernelVsRef(t *testing.T) {
 	// Duplicate-x error parity.
 	dup := []Point{{X: 2, Y: 1}, {X: 2, Y: 9}}
 	_, gotErr := EvalAt(dup, 5)
-	var wantErr error
-	withRef(func() { _, wantErr = EvalAt(dup, 5) })
+	_, wantErr := evalAtRef(dup, 5)
 	if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
 		t.Fatalf("duplicate-x error mismatch: kernel=%v ref=%v", gotErr, wantErr)
 	}
@@ -151,9 +240,7 @@ func TestLagrangeCoeffsKernelVsRef(t *testing.T) {
 			xs[i] = x
 		}
 		got, gotErr := LagrangeCoeffsAtZero(xs)
-		var want []field.Element
-		var wantErr error
-		withRef(func() { want, wantErr = LagrangeCoeffsAtZero(xs) })
+		want, wantErr := lagrangeCoeffsAtZeroRef(xs)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("n=%d error mismatch: %v vs %v", n, gotErr, wantErr)
 		}
@@ -165,8 +252,7 @@ func TestLagrangeCoeffsKernelVsRef(t *testing.T) {
 	}
 	dup := []field.Element{3, 8, 3}
 	_, gotErr := LagrangeCoeffsAtZero(dup)
-	var wantErr error
-	withRef(func() { _, wantErr = LagrangeCoeffsAtZero(dup) })
+	_, wantErr := lagrangeCoeffsAtZeroRef(dup)
 	if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
 		t.Fatalf("duplicate error mismatch: kernel=%v ref=%v", gotErr, wantErr)
 	}
@@ -231,11 +317,8 @@ func BenchmarkInterpolate(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("scalar-%d", n), func(b *testing.B) {
-			UseReference(true)
-			defer UseReference(false)
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Interpolate(pts); err != nil {
+				if _, err := interpolateRef(pts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -256,11 +339,8 @@ func BenchmarkLagrangeCoeffs64(b *testing.B) {
 		}
 	})
 	b.Run("scalar", func(b *testing.B) {
-		UseReference(true)
-		defer UseReference(false)
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := LagrangeCoeffsAtZero(xs); err != nil {
+			if _, err := lagrangeCoeffsAtZeroRef(xs); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -8,8 +8,8 @@
 // batch inversion per interpolation instead of one per basis polynomial,
 // O(n^2) master-polynomial interpolation instead of O(n^3) basis
 // rebuilding, and vectorized multi-point Horner evaluation. The original
-// scalar implementations remain in ref.go as the correctness oracle (see
-// UseReference).
+// scalar implementations live in ref_test.go as the differential-test
+// oracle.
 package poly
 
 import (
@@ -255,9 +255,6 @@ func dupXErr(points []Point) error {
 // denominators off M'(x_i) with a batched multi-point evaluation, and
 // invert them all with one Montgomery batch inversion.
 func Interpolate(points []Point) (Poly, error) {
-	if useRef.Load() {
-		return interpolateRef(points)
-	}
 	n := len(points)
 	if n == 0 {
 		return nil, nil
@@ -325,9 +322,6 @@ func Interpolate(points []Point) (Poly, error) {
 // The kernel path computes the numerators prod_{j != i} (x - x_j) from
 // prefix/suffix products and inverts all denominators in one batch.
 func EvalAt(points []Point, x field.Element) (field.Element, error) {
-	if useRef.Load() {
-		return evalAtRef(points, x)
-	}
 	n := len(points)
 	if n == 0 {
 		return 0, nil
@@ -384,9 +378,6 @@ func EvalAt(points []Point, x field.Element) (field.Element, error) {
 // The kernel path reads the numerators prod_{j != i} x_j off prefix and
 // suffix products and inverts every denominator with one batch inversion.
 func LagrangeCoeffsAtZero(xs []field.Element) ([]field.Element, error) {
-	if useRef.Load() {
-		return lagrangeCoeffsAtZeroRef(xs)
-	}
 	n := len(xs)
 	out := make([]field.Element, n)
 	if n == 0 {
@@ -460,9 +451,6 @@ func NewBivariate(rng *rand.Rand, t int, secret field.Element) *Bivariate {
 	c[0][0] = uint64(secret)
 	return &Bivariate{t: t, coeff: c}
 }
-
-// Degree returns the per-variable degree bound t.
-func (f *Bivariate) Degree() int { return f.t }
 
 // Secret returns F(0, 0).
 func (f *Bivariate) Secret() field.Element { return field.Element(f.coeff[0][0]) }

@@ -2,22 +2,13 @@ package poly
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"asyncmediator/internal/field"
 )
 
-// useRef routes Interpolate/EvalAt/LagrangeCoeffsAtZero through the
-// original scalar implementations below. The kernel paths are the
-// default; the reference paths are the correctness oracle for the
-// differential tests, the scalar baseline for the kernel benchmarks, and
-// the pre-kernel-swap comparator for the E1-E8 byte-identity test.
-var useRef atomic.Bool
-
-// UseReference toggles the scalar reference implementations package-wide.
-// Intended for tests and benchmarks only; do not toggle concurrently
-// with in-flight protocol work.
-func UseReference(on bool) { useRef.Store(on) }
+// The scalar reference implementations below are the pre-kernel code,
+// kept as the correctness oracle for the differential tests and as the
+// scalar baseline of the kernel benchmarks.
 
 // interpolateRef is the original O(n^3) Lagrange interpolation with one
 // field inversion per basis polynomial.

@@ -10,13 +10,6 @@ import (
 	"asyncmediator/internal/poly"
 )
 
-// withRef runs f with the scalar reference decoder active.
-func withRef(f func()) {
-	UseReference(true)
-	defer UseReference(false)
-	f()
-}
-
 // makeCodeword samples a random degree-deg polynomial, evaluates it at
 // x = 1..m, and corrupts the first nbad points deterministically.
 func makeCodeword(rng *rand.Rand, deg, m, nbad int) (poly.Poly, []poly.Point) {
@@ -53,9 +46,7 @@ func TestDecodeKernelVsRef(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					_, pts := makeCodeword(rng, deg, m, nbad)
 					got, gotErr := Decode(pts, deg, e)
-					var want poly.Poly
-					var wantErr error
-					withRef(func() { want, wantErr = Decode(pts, deg, e) })
+					want, wantErr := decodeRef(pts, deg, e)
 					if (gotErr == nil) != (wantErr == nil) {
 						t.Fatalf("outcome mismatch: kernel=%v ref=%v", gotErr, wantErr)
 					}
@@ -85,8 +76,7 @@ func TestDecodeErrorStringsMatchRef(t *testing.T) {
 	}
 	for _, c := range cases {
 		_, gotErr := Decode(c.pts, c.deg, c.e)
-		var wantErr error
-		withRef(func() { _, wantErr = Decode(c.pts, c.deg, c.e) })
+		_, wantErr := decodeRef(c.pts, c.deg, c.e)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("deg=%d e=%d: outcome mismatch kernel=%v ref=%v", c.deg, c.e, gotErr, wantErr)
 		}
@@ -105,9 +95,7 @@ func TestOECKernelVsRef(t *testing.T) {
 	for m := 1; m <= n; m++ {
 		prefix := pts[:m]
 		got, gotOK := OEC(prefix, deg, tBad)
-		var want poly.Poly
-		var wantOK bool
-		withRef(func() { want, wantOK = OEC(prefix, deg, tBad) })
+		want, wantOK := oecRef(prefix, deg, tBad)
 		if gotOK != wantOK {
 			t.Fatalf("m=%d: kernel ok=%v ref ok=%v", m, gotOK, wantOK)
 		}
@@ -117,6 +105,77 @@ func TestOECKernelVsRef(t *testing.T) {
 			}
 			if !got.Equal(src) {
 				t.Fatalf("m=%d: OEC returned wrong polynomial", m)
+			}
+		}
+	}
+}
+
+// TestOECKernelVsRefRobustShares replays the share sets of shamir's
+// TestRobustReconstructRecoversSecret, corruption and all, through both
+// OEC paths.
+func TestOECKernelVsRefRobustShares(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for trial := 0; trial < 50; trial++ {
+		n := 5 + rng.Intn(20)
+		tDeg := rng.Intn(n / 3)
+		maxBad := rng.Intn(tDeg + 2)
+		secret := field.Rand(rng)
+		pts := sharePoints(poly.Random(rng, tDeg, secret), n)
+		nbad := rng.Intn(maxBad + 1)
+		perm := rng.Perm(n)
+		for i := 0; i < nbad; i++ {
+			pts[perm[i]].Y = pts[perm[i]].Y.Add(field.RandNonZero(rng))
+		}
+		got, gotOK := OEC(pts, tDeg, maxBad)
+		want, wantOK := oecRef(pts, tDeg, maxBad)
+		if gotOK != wantOK || !got.Equal(want) {
+			t.Fatalf("trial %d (n=%d t=%d bad=%d/%d): kernel (%v, %v) ref (%v, %v)",
+				trial, n, tDeg, nbad, maxBad, got, gotOK, want, wantOK)
+		}
+	}
+}
+
+// TestKernelVsRefProtocolShapes compares Decode and OEC with their oracles
+// on the inputs plays produce: shares at x = 1..n of a degree-t or
+// degree-2t polynomial, t = (n-1)/3, with up to t shares missing and 0 up
+// to t (the OEC budget) of the rest corrupted.
+func TestKernelVsRefProtocolShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for _, n := range []int{4, 5, 8, 9} {
+		tt := (n - 1) / 3
+		for _, deg := range []int{tt, 2 * tt} {
+			for missing := 0; missing <= tt; missing++ {
+				for nbad := 0; nbad <= tt; nbad++ {
+					src := poly.Random(rng, deg, field.Rand(rng))
+					var pts []poly.Point
+					for i, j := range rng.Perm(n)[missing:] {
+						x := field.Element(j + 1)
+						pts = append(pts, poly.Point{X: x, Y: src.Eval(x)})
+						if i < nbad {
+							pts[i].Y = pts[i].Y.Add(field.RandNonZero(rng))
+						}
+					}
+					t.Run(fmt.Sprintf("n=%d/deg=%d/missing=%d/bad=%d", n, deg, missing, nbad), func(t *testing.T) {
+						got, gotOK := OEC(pts, deg, tt)
+						want, wantOK := oecRef(pts, deg, tt)
+						if gotOK != wantOK || !got.Equal(want) {
+							t.Fatalf("OEC: kernel (%v, %v) ref (%v, %v)", got, gotOK, want, wantOK)
+						}
+						if len(pts)-nbad >= deg+tt+1 && (!gotOK || !got.Equal(src)) {
+							t.Fatalf("OEC missed the source polynomial with %d agreeing points", len(pts)-nbad)
+						}
+						for e := 0; e <= tt; e++ {
+							got, gotErr := Decode(pts, deg, e)
+							want, wantErr := decodeRef(pts, deg, e)
+							if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+								t.Fatalf("Decode e=%d: error mismatch: kernel=%v ref=%v", e, gotErr, wantErr)
+							}
+							if !got.Equal(want) {
+								t.Fatalf("Decode e=%d: kernel %v ref %v", e, got, want)
+							}
+						}
+					})
+				}
 			}
 		}
 	}
@@ -194,9 +253,7 @@ func FuzzRSDecodeRoundTrip(f *testing.F) {
 			t.Fatalf("round trip mismatch (deg=%d e=%d bad=%d):\nsrc %v\ngot %v",
 				deg, e, bad, src, got)
 		}
-		var ref poly.Poly
-		var refErr error
-		withRef(func() { ref, refErr = Decode(pts, deg, e) })
+		ref, refErr := decodeRef(pts, deg, e)
 		if refErr != nil || !ref.Equal(got) {
 			t.Fatalf("kernel/reference divergence: kernel=%v ref=%v (%v)", got, ref, refErr)
 		}
@@ -224,13 +281,8 @@ func BenchmarkDecodeClean(b *testing.B) {
 		}
 	})
 	b.Run("scalar", func(b *testing.B) {
-		UseReference(true)
-		poly.UseReference(true)
-		defer UseReference(false)
-		defer poly.UseReference(false)
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := Decode(pts, 32, 0); err != nil {
+			if _, err := decodeRef(pts, 32, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -247,13 +299,8 @@ func BenchmarkDecodeE4(b *testing.B) {
 		}
 	})
 	b.Run("scalar", func(b *testing.B) {
-		UseReference(true)
-		poly.UseReference(true)
-		defer UseReference(false)
-		defer poly.UseReference(false)
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := Decode(pts, 8, 4); err != nil {
+			if _, err := decodeRef(pts, 8, 4); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -272,13 +319,8 @@ func BenchmarkOEC(b *testing.B) {
 		}
 	})
 	b.Run("scalar", func(b *testing.B) {
-		UseReference(true)
-		poly.UseReference(true)
-		defer UseReference(false)
-		defer poly.UseReference(false)
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, ok := OEC(pts, deg, tBad); !ok {
+			if _, ok := oecRef(pts, deg, tBad); !ok {
 				b.Fatal("OEC failed")
 			}
 		}

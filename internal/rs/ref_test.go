@@ -3,23 +3,34 @@ package rs
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"asyncmediator/internal/field"
 	"asyncmediator/internal/poly"
 )
 
-// useRef routes Decode/OEC through the original scalar implementation
-// below. The kernel path is the default; the reference path is the
-// correctness oracle for differential tests, the scalar baseline for the
-// kernel benchmarks, and the pre-kernel-swap comparator for the E1-E8
-// byte-identity test.
-var useRef atomic.Bool
+// The scalar reference decoder below is the pre-kernel code, kept as the
+// correctness oracle for the differential tests and as the scalar
+// baseline of the kernel benchmarks. Its e = 0 path interpolates with
+// poly.Interpolate, the kernel, since poly's own oracle is test-only.
 
-// UseReference toggles the scalar reference implementation package-wide.
-// Intended for tests and benchmarks only; do not toggle concurrently
-// with in-flight protocol work.
-func UseReference(on bool) { useRef.Store(on) }
+// oecRef is OEC on the reference decoder: the same admissible error
+// budgets, each tried with decodeRef.
+func oecRef(points []poly.Point, deg, t int) (poly.Poly, bool) {
+	m := len(points)
+	maxE := m - (deg + t + 1)
+	if cap2 := (m - deg - 1) / 2; cap2 < maxE {
+		maxE = cap2
+	}
+	if t < maxE {
+		maxE = t
+	}
+	for e := 0; e <= maxE; e++ {
+		if p, err := decodeRef(points, deg, e); err == nil {
+			return p, true
+		}
+	}
+	return nil, false
+}
 
 // decodeRef is the original Berlekamp-Welch decoder: per-attempt matrix
 // allocation, [][]Element Gaussian elimination, scalar polynomial

@@ -19,8 +19,8 @@
 // error-budget attempts, Gaussian elimination rows are eliminated with
 // fused scalar-multiply-subtract sweeps, and agreement counting evaluates
 // the candidate at every point in one vectorized Horner pass. The
-// original scalar implementation survives in ref.go (see UseReference) as
-// the differential-testing oracle.
+// original scalar implementation lives in ref_test.go as the
+// differential-test oracle.
 package rs
 
 import (
@@ -70,9 +70,6 @@ func grow(buf field.Vec, n int) field.Vec {
 //
 // Requires len(points) >= deg + 1 + 2*e; otherwise an error is returned.
 func Decode(points []poly.Point, deg, e int) (poly.Poly, error) {
-	if useRef.Load() {
-		return decodeRef(points, deg, e)
-	}
 	ws := wsPool.Get().(*workspace)
 	defer wsPool.Put(ws)
 	return ws.decode(points, deg, e)
@@ -294,14 +291,6 @@ func OEC(points []poly.Point, deg, t int) (poly.Poly, bool) {
 	if t < maxE {
 		maxE = t
 	}
-	if useRef.Load() {
-		for e := 0; e <= maxE; e++ {
-			if p, err := decodeRef(points, deg, e); err == nil {
-				return p, true
-			}
-		}
-		return nil, false
-	}
 	ws := wsPool.Get().(*workspace)
 	defer wsPool.Put(ws)
 	for e := 0; e <= maxE; e++ {
@@ -320,7 +309,6 @@ func CountAgreeing(p poly.Poly, points []poly.Point) int {
 }
 
 // Scalar mod-P helpers on raw limbs.
-func addU(a, b uint64) uint64 { return uint64(field.Element(a).Add(field.Element(b))) }
 func subU(a, b uint64) uint64 { return uint64(field.Element(a).Sub(field.Element(b))) }
 func mulU(a, b uint64) uint64 { return uint64(field.Element(a).Mul(field.Element(b))) }
 func negU(a uint64) uint64    { return uint64(field.Element(a).Neg()) }

@@ -38,7 +38,7 @@ var ErrTimeout = errors.New("wire: timeout")
 type NodeConfig struct {
 	// Self is this node's player id. Entries of Addrs for peers hosted
 	// elsewhere may be empty at construction and supplied later via
-	// SetPeerAddr — the cluster transport dials lazily with retry.
+	// SetAddrs — the cluster transport dials lazily with retry.
 	Self  async.PID
 	Addrs []string
 	// Endpoint is the process's cluster endpoint, shared by every node it
@@ -153,15 +153,6 @@ func (n *Node) Listen() error {
 		}
 	}
 	return nil
-}
-
-// SetPeerAddr supplies one peer's transport address after construction —
-// how a co-hosting daemon completes the table once every daemon has
-// opened its players' transports.
-func (n *Node) SetPeerAddr(peer async.PID, addr string) {
-	if n.tr != nil {
-		n.tr.SetPeerAddr(int(peer), addr)
-	}
 }
 
 // SetAddrs fills the whole peer address table (empty entries skipped).
