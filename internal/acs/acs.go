@@ -79,7 +79,7 @@ func (a *ACS) Start(ctx *proto.Ctx) {
 		r := rbc.New(async.PID(j), a.t, func(c *proto.Ctx, v []byte) { a.onRBC(c, j, v) })
 		a.rbcs[j] = r
 		ctx.Spawn(a.rbcIDs[j], r)
-		b := ba.New(a.t, a.coin, func(c *proto.Ctx, d int) { a.onBA(c, j, d) })
+		b := ba.New(a.n, a.t, a.coin, func(c *proto.Ctx, d int) { a.onBA(c, j, d) })
 		a.bas[j] = b
 		ctx.Spawn(a.baIDs[j], b)
 	}

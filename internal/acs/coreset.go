@@ -58,7 +58,7 @@ func (c *CoreSet) Start(ctx *proto.Ctx) {
 	// its peers can decide it on the spot and (onBA) propose to the rest.
 	for j := range c.bas {
 		j := j
-		c.bas[j] = ba.New(c.t, c.coin, func(cc *proto.Ctx, d int) { c.onBA(cc, j, d) })
+		c.bas[j] = ba.New(c.n, c.t, c.coin, func(cc *proto.Ctx, d int) { c.onBA(cc, j, d) })
 		c.baIDs[j] = fmt.Sprintf("%s/ba/%d", inst, j)
 	}
 	for j, b := range c.bas {

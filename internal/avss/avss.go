@@ -64,75 +64,50 @@ type AVSS struct {
 	rowOK  bool // row verified against n-t parties or recovered
 	shared bool // points broadcast
 
-	points  map[async.PID]field.Element
-	matches map[async.PID]bool
+	points  []field.Element // points[p] = f_p(self+1), for p in got
+	got     proto.Senders   // parties whose point arrived
+	matches proto.Senders   // parties whose point lies on the row
 
 	readySent bool
-	readies   map[async.PID]bool
+	readies   proto.Senders
 
 	completed  bool
-	share      field.Element
 	onComplete func(ctx *proto.Ctx, share field.Element)
 }
 
 var _ proto.Module = (*AVSS)(nil)
 
-// New creates a receiving instance for the given dealer with equal privacy
-// degree and fault budget t (the common case). onComplete fires exactly
-// once, delivering this party's share.
-func New(dealer async.PID, n, t int, onComplete func(ctx *proto.Ctx, share field.Element)) *AVSS {
-	return NewWithDegree(dealer, n, t, t, onComplete)
-}
-
-// NewWithDegree creates a receiving instance with separate sharing degree
-// and fault budget (deg >= faults).
-func NewWithDegree(dealer async.PID, n, deg, faults int, onComplete func(ctx *proto.Ctx, share field.Element)) *AVSS {
+// New creates a receiving instance for the given dealer with sharing
+// degree deg and fault budget faults (deg >= faults). onComplete fires
+// exactly once, delivering this party's share.
+func New(dealer async.PID, n, deg, faults int, onComplete func(ctx *proto.Ctx, share field.Element)) *AVSS {
 	return &AVSS{
 		dealer:     dealer,
 		n:          n,
 		deg:        deg,
 		faults:     faults,
-		points:     make(map[async.PID]field.Element),
-		matches:    make(map[async.PID]bool),
-		readies:    make(map[async.PID]bool),
+		points:     make([]field.Element, n),
+		got:        proto.NewSenders(n),
+		matches:    proto.NewSenders(n),
+		readies:    proto.NewSenders(n),
 		onComplete: onComplete,
 	}
 }
 
-// NewDealer creates the dealer-side instance with its secret.
-func NewDealer(dealer async.PID, n, t int, secret field.Element,
+// NewDealer is New for the dealer, which deals secret when it starts.
+func NewDealer(dealer async.PID, n, deg, faults int, secret field.Element,
 	onComplete func(ctx *proto.Ctx, share field.Element)) *AVSS {
-	return NewDealerWithDegree(dealer, n, t, t, secret, onComplete)
-}
-
-// NewDealerWithDegree is NewDealer with separate degree and fault budget.
-func NewDealerWithDegree(dealer async.PID, n, deg, faults int, secret field.Element,
-	onComplete func(ctx *proto.Ctx, share field.Element)) *AVSS {
-	a := NewWithDegree(dealer, n, deg, faults, onComplete)
+	a := New(dealer, n, deg, faults, onComplete)
 	a.secret = secret
 	a.haveSecret = true
 	return a
 }
-
-// Completed reports whether the sharing completed, and the share.
-func (a *AVSS) Completed() (field.Element, bool) { return a.share, a.completed }
 
 // Start implements proto.Module.
 func (a *AVSS) Start(ctx *proto.Ctx) {
 	if ctx.Self() == a.dealer && a.haveSecret {
 		a.deal(ctx)
 	}
-}
-
-// Input supplies the dealer's secret after start. No-op for non-dealers or
-// when already dealt.
-func (a *AVSS) Input(ctx *proto.Ctx, secret field.Element) {
-	if ctx.Self() != a.dealer || a.haveSecret {
-		return
-	}
-	a.secret = secret
-	a.haveSecret = true
-	a.deal(ctx)
 }
 
 func (a *AVSS) deal(ctx *proto.Ctx) {
@@ -157,7 +132,7 @@ func (a *AVSS) Handle(ctx *proto.Ctx, from async.PID, body any) {
 		a.recheckMatches(ctx)
 
 	case MsgPoint:
-		if _, dup := a.points[from]; dup {
+		if !a.got.Add(from) {
 			return
 		}
 		a.points[from] = m.V
@@ -165,10 +140,9 @@ func (a *AVSS) Handle(ctx *proto.Ctx, from async.PID, body any) {
 		a.tryRecover(ctx)
 
 	case MsgReady:
-		if a.readies[from] {
+		if !a.readies.Add(from) {
 			return
 		}
-		a.readies[from] = true
 		a.tryRecover(ctx)
 		a.tryComplete(ctx)
 	}
@@ -194,17 +168,19 @@ func (a *AVSS) checkMatch(ctx *proto.Ctx, from async.PID) {
 		return
 	}
 	if a.points[from] == a.row.Eval(field.Element(int(from)+1)) {
-		a.matches[from] = true
+		a.matches.Add(from)
 	}
-	if !a.readySent && len(a.matches) >= a.n-a.faults {
+	if !a.readySent && a.matches.Len() >= a.n-a.faults {
 		a.rowOK = true
 		a.sendReady(ctx)
 	}
 }
 
 func (a *AVSS) recheckMatches(ctx *proto.Ctx) {
-	for from := range a.points {
-		a.checkMatch(ctx, from)
+	for p := range async.PID(a.n) {
+		if a.got.Has(p) {
+			a.checkMatch(ctx, p)
+		}
 	}
 	a.tryComplete(ctx)
 }
@@ -213,15 +189,10 @@ func (a *AVSS) recheckMatches(ctx *proto.Ctx) {
 // prove a valid dealing exists that this party did not (consistently)
 // receive. Recovery needs 2t+1 agreeing points (degree t, up to t wrong).
 func (a *AVSS) tryRecover(ctx *proto.Ctx) {
-	if a.rowOK || len(a.readies) < a.faults+1 || len(a.points) < a.deg+a.faults+1 {
+	if a.rowOK || a.readies.Len() < a.faults+1 || a.got.Len() < a.deg+a.faults+1 {
 		return
 	}
-	pts := make([]poly.Point, 0, len(a.points))
-	for from, v := range a.points {
-		pts = append(pts, poly.Point{X: field.Element(int(from) + 1), Y: v})
-	}
-	sortPoints(pts)
-	p, ok := rs.OEC(pts, a.deg, a.faults)
+	p, ok := rs.OEC(gathered(a.points, &a.got), a.deg, a.faults)
 	if !ok {
 		return
 	}
@@ -241,21 +212,23 @@ func (a *AVSS) sendReady(ctx *proto.Ctx) {
 }
 
 func (a *AVSS) tryComplete(ctx *proto.Ctx) {
-	if a.completed || !a.rowOK || len(a.readies) < a.n-a.faults {
+	if a.completed || !a.rowOK || a.readies.Len() < a.n-a.faults {
 		return
 	}
 	a.completed = true
-	a.share = a.row.Eval(0)
 	if a.onComplete != nil {
-		a.onComplete(ctx, a.share)
+		a.onComplete(ctx, a.row.Eval(0))
 	}
 }
 
-// sortPoints orders points by X for deterministic decoding.
-func sortPoints(pts []poly.Point) {
-	for i := 1; i < len(pts); i++ {
-		for j := i; j > 0 && pts[j].X < pts[j-1].X; j-- {
-			pts[j], pts[j-1] = pts[j-1], pts[j]
+// gathered returns the points of the parties in got, as (p+1, points[p])
+// in PID order, which is X order, so decoding is deterministic.
+func gathered(points []field.Element, got *proto.Senders) []poly.Point {
+	pts := make([]poly.Point, 0, got.Len())
+	for p, v := range points {
+		if got.Has(async.PID(p)) {
+			pts = append(pts, poly.Point{X: field.Element(p + 1), Y: v})
 		}
 	}
+	return pts
 }

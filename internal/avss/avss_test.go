@@ -17,6 +17,16 @@ import (
 func runAVSS(t *testing.T, n, tf int, secret field.Element,
 	byz map[int]async.Process, sched async.Scheduler, seed int64) []*field.Element {
 	t.Helper()
+	shares, _ := runAVSSWrapped(t, n, tf, secret, byz, sched, seed, nil)
+	return shares
+}
+
+// runAVSSWrapped is runAVSS with each honest party's instance registered
+// as wrap(instance), when wrap is not nil; it also returns the number of
+// messages sent.
+func runAVSSWrapped(t *testing.T, n, tf int, secret field.Element,
+	byz map[int]async.Process, sched async.Scheduler, seed int64, wrap func(*AVSS) proto.Module) ([]*field.Element, int) {
+	t.Helper()
 	shares := make([]*field.Element, n)
 	procs := make([]async.Process, n)
 	for i := 0; i < n; i++ {
@@ -29,11 +39,15 @@ func runAVSS(t *testing.T, n, tf int, secret field.Element,
 		var inst *AVSS
 		cb := func(ctx *proto.Ctx, s field.Element) { sv := s; shares[i] = &sv }
 		if i == 0 {
-			inst = NewDealer(0, n, tf, secret, cb)
+			inst = NewDealer(0, n, tf, tf, secret, cb)
 		} else {
-			inst = New(0, n, tf, cb)
+			inst = New(0, n, tf, tf, cb)
 		}
-		if err := h.Register("avss", inst); err != nil {
+		var m proto.Module = inst
+		if wrap != nil {
+			m = wrap(inst)
+		}
+		if err := h.Register("avss", m); err != nil {
 			t.Fatal(err)
 		}
 		procs[i] = h
@@ -45,10 +59,11 @@ func runAVSS(t *testing.T, n, tf int, secret field.Element,
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.Run(); err != nil {
+	res, err := rt.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return shares
+	return shares, res.Stats.MessagesSent
 }
 
 // reconstructFrom robustly reconstructs from collected shares.
@@ -221,7 +236,7 @@ func TestOpenPrivate(t *testing.T) {
 	for i := 0; i < n; i++ {
 		i := i
 		h := proto.NewHost()
-		o := NewOpen(tf, tf, 2, func(ctx *proto.Ctx, v field.Element) { vv := v; got = &vv })
+		o := NewOpen(n, tf, tf, 2, func(ctx *proto.Ctx, v field.Element) { vv := v; got = &vv })
 		if err := h.Register("open", o); err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +274,7 @@ func TestOpenPublic(t *testing.T) {
 	for i := 0; i < n; i++ {
 		i := i
 		h := proto.NewHost()
-		o := NewPublicOpen(tf, tf, func(ctx *proto.Ctx, v field.Element) { vv := v; got[i] = &vv })
+		o := NewPublicOpen(n, tf, tf, func(ctx *proto.Ctx, v field.Element) { vv := v; got[i] = &vv })
 		if err := h.Register("open", o); err != nil {
 			t.Fatal(err)
 		}
@@ -295,7 +310,7 @@ func TestOpenDegree2t(t *testing.T) {
 	for i := 0; i < n; i++ {
 		i := i
 		h := proto.NewHost()
-		o := NewPublicOpen(2*tf, tf, func(ctx *proto.Ctx, v field.Element) { vv := v; got[i] = &vv })
+		o := NewPublicOpen(n, 2*tf, tf, func(ctx *proto.Ctx, v field.Element) { vv := v; got[i] = &vv })
 		if err := h.Register("open", o); err != nil {
 			t.Fatal(err)
 		}

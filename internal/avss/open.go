@@ -3,7 +3,6 @@ package avss
 import (
 	"asyncmediator/internal/async"
 	"asyncmediator/internal/field"
-	"asyncmediator/internal/poly"
 	"asyncmediator/internal/proto"
 	"asyncmediator/internal/rs"
 )
@@ -27,29 +26,28 @@ type Open struct {
 	public bool
 
 	sent    bool
-	points  map[async.PID]field.Element
+	points  []field.Element // points[p] = p's share, for p in got
+	got     proto.Senders
 	done    bool
-	value   field.Element
 	onValue func(ctx *proto.Ctx, v field.Element)
 }
 
 var _ proto.Module = (*Open)(nil)
 
-// NewOpen creates a private opening towards target.
-func NewOpen(deg, t int, target async.PID, onValue func(ctx *proto.Ctx, v field.Element)) *Open {
-	return &Open{deg: deg, t: t, target: target, points: make(map[async.PID]field.Element), onValue: onValue}
+// NewOpen creates a private opening among n parties towards target.
+func NewOpen(n, deg, t int, target async.PID, onValue func(ctx *proto.Ctx, v field.Element)) *Open {
+	return &Open{deg: deg, t: t, target: target, points: make([]field.Element, n), got: proto.NewSenders(n), onValue: onValue}
 }
 
-// NewPublicOpen creates an opening towards all parties.
-func NewPublicOpen(deg, t int, onValue func(ctx *proto.Ctx, v field.Element)) *Open {
-	return &Open{deg: deg, t: t, public: true, points: make(map[async.PID]field.Element), onValue: onValue}
+// NewPublicOpen creates an opening among n parties towards all of them.
+func NewPublicOpen(n, deg, t int, onValue func(ctx *proto.Ctx, v field.Element)) *Open {
+	o := NewOpen(n, deg, t, 0, onValue)
+	o.public = true
+	return o
 }
 
 // Start implements proto.Module.
 func (o *Open) Start(ctx *proto.Ctx) {}
-
-// Value returns the reconstructed value, if done.
-func (o *Open) Value() (field.Element, bool) { return o.value, o.done }
 
 // Input contributes this party's share. Duplicate calls are ignored.
 func (o *Open) Input(ctx *proto.Ctx, share field.Element) {
@@ -73,22 +71,20 @@ func (o *Open) Handle(ctx *proto.Ctx, from async.PID, body any) {
 	if !o.public && ctx.Self() != o.target {
 		return
 	}
-	if _, dup := o.points[from]; dup {
+	if !o.got.Add(from) {
 		return
 	}
 	o.points[from] = m.V
-	pts := make([]poly.Point, 0, len(o.points))
-	for f, v := range o.points {
-		pts = append(pts, poly.Point{X: field.Element(int(f) + 1), Y: v})
+	// Below deg+t+1 shares OEC admits no error count and always fails.
+	if o.got.Len() < o.deg+o.t+1 {
+		return
 	}
-	sortPoints(pts)
-	p, ok := rs.OEC(pts, o.deg, o.t)
+	p, ok := rs.OEC(gathered(o.points, &o.got), o.deg, o.t)
 	if !ok {
 		return
 	}
 	o.done = true
-	o.value = p.Constant()
 	if o.onValue != nil {
-		o.onValue(ctx, o.value)
+		o.onValue(ctx, p.Constant())
 	}
 }

@@ -18,6 +18,13 @@
 // round r. No scheduler here reads the coin, so the expected round count
 // is measured against oblivious schedules only. The game-theoretic layer
 // above is agnostic to the coin's realization.
+//
+// Per-sender tallies are n-bit sets (proto.Senders), so a sender id
+// outside 0..n-1 counts nowhere. Per-round state stays sparse and bounded
+// by maxRounds: a round's state exists only once a message for it arrives
+// or is sent, and messages for rounds outside 1..maxRounds are dropped, so
+// a Byzantine estimate for a far round costs one round's state, not one
+// per round below it.
 package ba
 
 import (
@@ -97,16 +104,17 @@ type (
 )
 
 type roundState struct {
-	estRecv   [2]map[async.PID]bool
+	estRecv   [2]proto.Senders // who sent EST v
 	estSent   [2]bool
 	binValues [2]bool
 	auxSent   bool
-	auxRecv   map[async.PID]int // sender -> value
+	auxRecv   proto.Senders // who sent an AUX (the first one counts)
+	auxCount  [2]int        // how many of those AUXs carried v
 }
 
 // BA is one binary-agreement instance.
 type BA struct {
-	t    int
+	n, t int
 	coin Coin
 
 	round    int
@@ -118,7 +126,7 @@ type BA struct {
 	decided  bool
 	decision int
 	doneSent bool
-	doneRecv [2]map[async.PID]bool
+	doneRecv [2]proto.Senders
 	halted   bool
 
 	onDecide func(ctx *proto.Ctx, v int)
@@ -126,25 +134,21 @@ type BA struct {
 
 var _ proto.Module = (*BA)(nil)
 
-// New creates a BA instance with fault bound t and the given coin.
-// onDecide fires exactly once with the decision.
-func New(t int, coin Coin, onDecide func(ctx *proto.Ctx, v int)) *BA {
-	b := &BA{
+// New creates a BA instance among n parties with fault bound t and the
+// given coin. onDecide fires exactly once with the decision.
+func New(n, t int, coin Coin, onDecide func(ctx *proto.Ctx, v int)) *BA {
+	return &BA{
+		n:        n,
 		t:        t,
 		coin:     coin,
 		rounds:   make(map[int]*roundState),
+		doneRecv: [2]proto.Senders{proto.NewSenders(n), proto.NewSenders(n)},
 		onDecide: onDecide,
 	}
-	b.doneRecv[0] = make(map[async.PID]bool)
-	b.doneRecv[1] = make(map[async.PID]bool)
-	return b
 }
 
 // Start implements proto.Module. Input arrives via Propose.
 func (b *BA) Start(ctx *proto.Ctx) {}
-
-// Decided reports whether this party has decided, and the value.
-func (b *BA) Decided() (int, bool) { return b.decision, b.decided }
 
 // Propose supplies this party's input. Calling more than once is a no-op.
 func (b *BA) Propose(ctx *proto.Ctx, v int) {
@@ -157,16 +161,16 @@ func (b *BA) Propose(ctx *proto.Ctx, v int) {
 	b.sendEst(ctx, 1, v)
 	// Thresholds may already have been crossed by traffic that arrived
 	// before we proposed (asynchrony!): re-evaluate aux and advancement.
-	b.maybeSendAux(ctx, 1)
 	b.tryAdvance(ctx, 1)
 }
 
 func (b *BA) state(r int) *roundState {
 	st, ok := b.rounds[r]
 	if !ok {
-		st = &roundState{auxRecv: make(map[async.PID]int)}
-		st.estRecv[0] = make(map[async.PID]bool)
-		st.estRecv[1] = make(map[async.PID]bool)
+		st = &roundState{
+			estRecv: [2]proto.Senders{proto.NewSenders(b.n), proto.NewSenders(b.n)},
+			auxRecv: proto.NewSenders(b.n),
+		}
 		b.rounds[r] = st
 	}
 	return st
@@ -192,18 +196,16 @@ func (b *BA) Handle(ctx *proto.Ctx, from async.PID, body any) {
 			return
 		}
 		st := b.state(m.Round)
-		if st.estRecv[m.V][from] {
+		if !st.estRecv[m.V].Add(from) {
 			return
 		}
-		st.estRecv[m.V][from] = true
-		n := len(st.estRecv[m.V])
+		n := st.estRecv[m.V].Len()
 		// BV-broadcast: relay on t+1, accept into bin_values on 2t+1.
 		if n >= b.t+1 {
 			b.sendEst(ctx, m.Round, m.V)
 		}
 		if n >= 2*b.t+1 && !st.binValues[m.V] {
 			st.binValues[m.V] = true
-			b.maybeSendAux(ctx, m.Round)
 			b.tryAdvance(ctx, m.Round)
 		}
 
@@ -212,21 +214,20 @@ func (b *BA) Handle(ctx *proto.Ctx, from async.PID, body any) {
 			return
 		}
 		st := b.state(m.Round)
-		if _, seen := st.auxRecv[from]; seen {
+		if !st.auxRecv.Add(from) {
 			return
 		}
-		st.auxRecv[from] = m.V
+		st.auxCount[m.V]++
 		b.tryAdvance(ctx, m.Round)
 
 	case MsgDone:
 		if m.V < 0 || m.V > 1 {
 			return
 		}
-		if b.doneRecv[m.V][from] {
+		if !b.doneRecv[m.V].Add(from) {
 			return
 		}
-		b.doneRecv[m.V][from] = true
-		cnt := len(b.doneRecv[m.V])
+		cnt := b.doneRecv[m.V].Len()
 		if cnt >= b.t+1 {
 			// Adopt the decision and join the gadget.
 			b.decide(ctx, m.V)
@@ -261,8 +262,9 @@ func (b *BA) maybeSendAux(ctx *proto.Ctx, r int) {
 	ctx.Broadcast(MsgAux{Round: r, V: v})
 }
 
-// tryAdvance checks whether the current round can complete: n-t AUX
-// messages whose values all lie in bin_values.
+// tryAdvance sends this round's AUX once bin_values is non-empty, and
+// checks whether the current round can complete: n-t AUX messages whose
+// values all lie in bin_values.
 func (b *BA) tryAdvance(ctx *proto.Ctx, r int) {
 	if !b.proposed || r != b.round || b.round > maxRounds {
 		return
@@ -272,16 +274,13 @@ func (b *BA) tryAdvance(ctx *proto.Ctx, r int) {
 	if !st.auxSent {
 		return
 	}
-	n := ctx.N()
 	var have [2]int
-	valid := 0
-	for _, v := range st.auxRecv {
-		if st.binValues[v] {
-			have[v]++
-			valid++
+	for v, ok := range st.binValues {
+		if ok {
+			have[v] = st.auxCount[v]
 		}
 	}
-	if valid < n-b.t {
+	if have[0]+have[1] < b.n-b.t {
 		return
 	}
 	c := b.coin.Bit(ctx.Instance(), r)
@@ -307,7 +306,6 @@ func (b *BA) tryAdvance(ctx *proto.Ctx, r int) {
 	b.round = r + 1
 	b.sendEst(ctx, b.round, next)
 	// Aux/advance may already be satisfiable from buffered traffic.
-	b.maybeSendAux(ctx, b.round)
 	b.tryAdvance(ctx, b.round)
 }
 
@@ -323,7 +321,7 @@ func (b *BA) decide(ctx *proto.Ctx, v int) {
 		b.doneSent = true
 		ctx.Broadcast(MsgDone{V: v})
 	}
-	if len(b.doneRecv[b.decision]) >= 2*b.t+1 {
+	if b.doneRecv[b.decision].Len() >= 2*b.t+1 {
 		b.halted = true
 	}
 }

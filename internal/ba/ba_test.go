@@ -21,6 +21,14 @@ type baResult struct {
 func runBA(t *testing.T, n, tf int, proposals []int, coin func(i int) Coin,
 	byz map[int]async.Process, sched async.Scheduler, seed int64) baResult {
 	t.Helper()
+	return runBAWrapped(t, n, tf, proposals, coin, byz, sched, seed, nil)
+}
+
+// runBAWrapped is runBA with each honest party's instance registered as
+// wrap(instance), when wrap is not nil.
+func runBAWrapped(t *testing.T, n, tf int, proposals []int, coin func(i int) Coin,
+	byz map[int]async.Process, sched async.Scheduler, seed int64, wrap func(*BA) proto.Module) baResult {
+	t.Helper()
 	decisions := make([]int, n)
 	for i := range decisions {
 		decisions[i] = -1
@@ -33,8 +41,12 @@ func runBA(t *testing.T, n, tf int, proposals []int, coin func(i int) Coin,
 		}
 		i := i
 		h := proto.NewHost()
-		inst := New(tf, coin(i), func(ctx *proto.Ctx, v int) { decisions[i] = v })
-		if err := h.Register("ba", inst); err != nil {
+		inst := New(n, tf, coin(i), func(ctx *proto.Ctx, v int) { decisions[i] = v })
+		var m proto.Module = inst
+		if wrap != nil {
+			m = wrap(inst)
+		}
+		if err := h.Register("ba", m); err != nil {
 			t.Fatal(err)
 		}
 		v := proposals[i]
@@ -234,7 +246,7 @@ func TestSharedCoinDeterministic(t *testing.T) {
 }
 
 func TestProposeValidation(t *testing.T) {
-	b := New(1, SharedCoin{Seed: 1}, nil)
+	b := New(4, 1, SharedCoin{Seed: 1}, nil)
 	// Invalid values are ignored without a context dereference.
 	b.Propose(nil, -1)
 	b.Propose(nil, 2)

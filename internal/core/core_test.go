@@ -300,23 +300,36 @@ func TestVariantString(t *testing.T) {
 // t=1 Theorem 4.4 play (the benchmark's lib-n8 shape) under the random
 // scheduler, seed 1. Per-message costs dominate the count, so a handler
 // path that starts allocating per message, per recipient or per callback
-// again shows here (per-message costs put it near 30k; per-instance ones
-// near 11k).
+// again shows here (per-message costs put it near 30k, per-sender maps
+// in BA and AVSS near 11.2k; a play makes ~9.3k).
 func TestPlayAllocationBudget(t *testing.T) {
-	const budget = 14_000
-	p, err := Section64Params(8, 1, 1, Punish44)
+	checkPlayAllocs(t, 8, 1, 1, Punish44, func() async.Scheduler { return async.NewRandomScheduler(1) }, 10_000)
+}
+
+// TestSmallPlayAllocationBudget is TestPlayAllocationBudget for the n=5,
+// k=0, t=1 Theorem 4.1 play under the round-robin scheduler (the shape of
+// the benchmark's sim-n5 and cluster-n5 plays).
+func TestSmallPlayAllocationBudget(t *testing.T) {
+	checkPlayAllocs(t, 5, 0, 1, Exact41, func() async.Scheduler { return &async.RoundRobinScheduler{} }, 2_750)
+}
+
+// checkPlayAllocs fails when one seed-1 play of the given shape allocates
+// more than budget times.
+func checkPlayAllocs(t *testing.T, n, k, tf int, v Variant, sched func() async.Scheduler, budget float64) {
+	t.Helper()
+	p, err := Section64Params(n, k, tf, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	types := make([]game.Type, 8)
+	types := make([]game.Type, n)
 	allocs := testing.AllocsPerRun(3, func() {
-		cfg := RunConfig{Params: p, Types: types, Seed: 1, Scheduler: async.NewRandomScheduler(1)}
+		cfg := RunConfig{Params: p, Types: types, Seed: 1, Scheduler: sched()}
 		if _, _, err := Run(cfg); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > budget {
-		t.Fatalf("a play allocates %.0f times, budget %d", allocs, budget)
+		t.Fatalf("a play allocates %.0f times, budget %.0f", allocs, budget)
 	}
 	t.Logf("%.0f allocations per play", allocs)
 }

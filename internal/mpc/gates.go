@@ -73,9 +73,9 @@ func (e *Engine) startReshare(ctx *proto.Ctx, ms *mulState, myProduct field.Elem
 			e.step(cc)
 		}
 		if d == e.self {
-			inst = avss.NewDealerWithDegree(async.PID(d), n, e.cfg.Deg, t, myProduct, cb)
+			inst = avss.NewDealer(async.PID(d), n, e.cfg.Deg, t, myProduct, cb)
 		} else {
-			inst = avss.NewWithDegree(async.PID(d), n, e.cfg.Deg, t, cb)
+			inst = avss.New(async.PID(d), n, e.cfg.Deg, t, cb)
 		}
 		ms.reshares[d] = inst
 		ctx.Spawn(idFor(d), inst)
@@ -202,7 +202,7 @@ func (e *Engine) evalRandBit(ctx *proto.Ctx, g int) bool {
 	if e.Errorless() {
 		if !rb.opened {
 			rb.opened = true
-			op := avss.NewPublicOpen(2*deg, t, func(cc *proto.Ctx, v field.Element) {
+			op := avss.NewPublicOpen(e.cfg.N, 2*deg, t, func(cc *proto.Ctx, v field.Element) {
 				rb.haveC = true
 				rb.c = v
 				if e.cfg.OnPublic != nil {
@@ -232,7 +232,7 @@ func (e *Engine) evalRandBit(ctx *proto.Ctx, g int) bool {
 		}
 		if !rb.opened {
 			rb.opened = true
-			op := avss.NewPublicOpen(deg, t, func(cc *proto.Ctx, v field.Element) {
+			op := avss.NewPublicOpen(e.cfg.N, deg, t, func(cc *proto.Ctx, v field.Element) {
 				rb.haveC = true
 				rb.c = v
 				if e.cfg.OnPublic != nil {

@@ -280,7 +280,7 @@ func (e *Engine) Start(ctx *proto.Ctx) {
 		if out.Player == e.self {
 			e.outWant++
 		}
-		op := avss.NewOpen(e.cfg.Deg, t, async.PID(out.Player), func(cc *proto.Ctx, v field.Element) {
+		op := avss.NewOpen(n, e.cfg.Deg, t, async.PID(out.Player), func(cc *proto.Ctx, v field.Element) {
 			e.onOutputValue(cc, oi, v)
 		})
 		e.outOpens[oi] = op
@@ -297,9 +297,9 @@ func (e *Engine) Start(ctx *proto.Ctx) {
 				if s < len(e.cfg.Inputs) {
 					v = e.cfg.Inputs[s]
 				}
-				inst = avss.NewDealerWithDegree(async.PID(p), n, e.cfg.Deg, t, v, cb)
+				inst = avss.NewDealer(async.PID(p), n, e.cfg.Deg, t, v, cb)
 			} else {
-				inst = avss.NewWithDegree(async.PID(p), n, e.cfg.Deg, t, cb)
+				inst = avss.New(async.PID(p), n, e.cfg.Deg, t, cb)
 			}
 			ctx.Spawn(id, inst)
 		}
@@ -339,9 +339,9 @@ func (e *Engine) spawnDealing(ctx *proto.Ctx, id string, dealer int) {
 	var inst *avss.AVSS
 	cb := e.dealingDone(id, dealer)
 	if dealer == e.self {
-		inst = avss.NewDealerWithDegree(async.PID(dealer), e.cfg.N, e.cfg.Deg, e.cfg.T, field.Rand(ctx.Rand()), cb)
+		inst = avss.NewDealer(async.PID(dealer), e.cfg.N, e.cfg.Deg, e.cfg.T, field.Rand(ctx.Rand()), cb)
 	} else {
-		inst = avss.NewWithDegree(async.PID(dealer), e.cfg.N, e.cfg.Deg, e.cfg.T, cb)
+		inst = avss.New(async.PID(dealer), e.cfg.N, e.cfg.Deg, e.cfg.T, cb)
 	}
 	ctx.Spawn(id, inst)
 }

@@ -108,7 +108,7 @@ func runBA(n, tf int, seed int64, sharedCoin bool) (msgs, steps int, err error) 
 		} else {
 			coin = &ba.LocalCoin{Rng: rand.New(rand.NewSource(seed + int64(i)))}
 		}
-		inst := ba.New(tf, coin, nil)
+		inst := ba.New(n, tf, coin, nil)
 		if err := h.Register("ba", inst); err != nil {
 			return 0, 0, err
 		}
