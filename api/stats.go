@@ -70,7 +70,9 @@ type Stats struct {
 }
 
 // ClusterLinkStats aggregates the cluster transport's per-link counters
-// (every live node's links plus totals retired when nodes closed).
+// (every live node's links plus totals retired when nodes closed). Sent
+// and Delivered count payloads between players; a player's messages to
+// itself never reach a link.
 type ClusterLinkStats struct {
 	Sent       int64 `json:"sent"`
 	Delivered  int64 `json:"delivered"`

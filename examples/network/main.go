@@ -83,9 +83,8 @@ func run() error {
 		}()
 	}
 	wg.Wait()
-	for i := 0; i < n; i++ {
-		nodes[i].Stop()
-		nodes[i].Wait()
+	for _, node := range nodes {
+		node.Stop()
 	}
 	for i, err := range errs {
 		if err != nil {

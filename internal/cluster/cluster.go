@@ -63,9 +63,9 @@
 // Memory is bounded by a play's traffic, not by capacities fixed in
 // advance: the pending queues and the resend buffers hold what the play
 // sent and its peers have not yet taken or acknowledged, and the
-// delivery inbox is small. Self-addressed payloads ride a loopback
-// stream of their own, so the inbox's consumer can send to itself while
-// the inbox is full.
+// delivery inbox is small. The transport carries peer streams only: a
+// player's messages to itself never leave its process (package wire
+// delivers them in-process), so Send drops a self-addressed payload.
 package cluster
 
 import (
@@ -115,7 +115,7 @@ func (c *Config) normalize() error {
 
 // Stats is a snapshot of the transport's cumulative counters.
 type Stats struct {
-	// Sent counts payloads accepted by Send (loopback included).
+	// Sent counts payloads accepted by Send for a peer.
 	Sent int64
 	// Resent counts frames replayed from a resend buffer after reconnect.
 	Resent int64
@@ -158,9 +158,9 @@ type Stats struct {
 	GossipReceived int64
 	GossipDropped  int64
 	// QueueLen is the instantaneous sum of unsent payloads across the
-	// per-peer pending queues and the loopback stream. The queues are
-	// unbounded: Send never blocks, so a peer not yet reached makes this
-	// grow with the traffic sent to it.
+	// per-peer pending queues. The queues are unbounded: Send never
+	// blocks, so a peer not yet reached makes this grow with the traffic
+	// sent to it.
 	QueueLen int
 	// ResendBuffered is the instantaneous sum of sent-but-unacknowledged
 	// frames held for replay across links. With delayed ACKs it reads up
@@ -201,9 +201,9 @@ type inbound struct {
 }
 
 // inboxDepth sizes the delivery channel. Every inbound stream's reader
-// and the loopback stream block on a full inbox, which backpressures the
-// sending link through TCP, never Send; a few bursts of slack keeps the
-// readers from stalling on every frame.
+// blocks on a full inbox, which backpressures the sending link through
+// TCP, never Send; a few bursts of slack keeps the readers from stalling
+// on every frame.
 const inboxDepth = 256
 
 // Transport is one player's node in one play's mesh, opened on an
@@ -215,7 +215,6 @@ type Transport struct {
 	links []*link
 	in    []*inbound
 	inbox chan Frame
-	loop  sendQueue // self-addressed payloads, fed to the inbox by loopback
 
 	connMu sync.Mutex
 	conns  map[*conn]struct{} // the connections serving this transport's streams
@@ -243,8 +242,7 @@ func New(cfg Config) (*Transport, error) {
 	return t, nil
 }
 
-// newTransport builds a transport on ep and starts its links and its
-// loopback stream.
+// newTransport builds a transport on ep and starts one link per peer.
 func newTransport(ep *Endpoint, cfg Config) *Transport {
 	t := &Transport{
 		cfg:   cfg,
@@ -252,7 +250,6 @@ func newTransport(ep *Endpoint, cfg Config) *Transport {
 		links: make([]*link, cfg.N),
 		in:    make([]*inbound, cfg.N),
 		inbox: make(chan Frame, inboxDepth),
-		loop:  newSendQueue(),
 		conns: make(map[*conn]struct{}),
 		done:  make(chan struct{}),
 	}
@@ -265,8 +262,6 @@ func newTransport(ep *Endpoint, cfg Config) *Transport {
 		t.wg.Add(1)
 		go t.links[p].run()
 	}
-	t.wg.Add(1)
-	go t.loopback()
 	return t
 }
 
@@ -290,24 +285,17 @@ func (t *Transport) SetAddrs(addrs []string) {
 	}
 }
 
-// Send appends one payload to a peer's pending queue (the loopback
-// stream for self) and returns. It never blocks and applies no
-// backpressure: what the caller sends is held until the peer
-// acknowledges it, so memory is bounded by the play's traffic. Send is
-// a no-op once the transport closes. The payload buffer is owned by the
-// transport from here on.
+// Send appends one payload to a peer's pending queue and returns. It
+// never blocks and applies no backpressure: what the caller sends is held
+// until the peer acknowledges it, so memory is bounded by the play's
+// traffic. Sending to self or to an index outside [0, N) is a no-op, as
+// is any Send once the transport closes. The payload buffer is owned by
+// the transport from here on.
 func (t *Transport) Send(to int, payload []byte) {
-	if to < 0 || to >= t.cfg.N {
-		return
-	}
-	if t.closing() {
+	if to < 0 || to >= t.cfg.N || to == t.cfg.Self || t.closing() {
 		return
 	}
 	t.sent.Add(1)
-	if to == t.cfg.Self {
-		t.loop.push(payload)
-		return
-	}
 	t.links[to].pending.push(payload)
 }
 
@@ -321,53 +309,13 @@ func (t *Transport) closing() bool {
 	}
 }
 
-// loopback is the self stream's reader: it feeds self-addressed payloads
-// into the inbox in send order, as each inbound stream's reader does for
-// its peer, so a consumer that sends to itself never waits on its own
-// full inbox.
-func (t *Transport) loopback() {
-	defer t.wg.Done()
-	var payloads [][]byte
-	var seq uint64
-	for {
-		select {
-		case <-t.loop.wake:
-		case <-t.done:
-			return
-		}
-		payloads = t.loop.swap(payloads)
-		for i, p := range payloads {
-			seq++
-			select {
-			case t.inbox <- Frame{From: t.cfg.Self, To: t.cfg.Self, Seq: seq, Payload: p}:
-				t.delivered.Add(1)
-			case <-t.done:
-				return
-			}
-			payloads[i] = nil
-		}
-	}
-}
-
 // Gossip enqueues one best-effort payload for a peer. It never blocks:
 // a full gossip lane (dead or slow peer) drops the payload and reports
-// false. Loopback sends dispatch straight to the handler. Delivery has
-// no ordering or exactly-once guarantee — callers are expected to
+// false, as does gossip to self or to an index outside [0, N). Delivery
+// has no ordering or exactly-once guarantee — callers are expected to
 // re-gossip periodically, so any single lost frame costs one interval.
 func (t *Transport) Gossip(to int, payload []byte) bool {
-	if to < 0 || to >= t.cfg.N {
-		return false
-	}
-	if t.closing() {
-		return false
-	}
-	if to == t.cfg.Self {
-		if fn := t.cfg.GossipHandler; fn != nil {
-			t.gossipSent.Add(1)
-			t.gossipIn.Add(1)
-			fn(t.cfg.Self, payload)
-			return true
-		}
+	if to < 0 || to >= t.cfg.N || to == t.cfg.Self || t.closing() {
 		return false
 	}
 	if !t.links[to].enqueueGossip(payload) {
@@ -403,7 +351,6 @@ func (t *Transport) Stats() Stats {
 		GossipReceived: t.gossipIn.Load(),
 		GossipDropped:  t.gossipDropped.Load(),
 	}
-	s.QueueLen = t.loop.len()
 	for _, l := range t.links {
 		if l == nil {
 			continue

@@ -39,8 +39,9 @@ const idleTimeout = 30 * time.Second
 const dialTimeout = time.Second
 
 // handshakeTimeout bounds how long an inbound connection may take to
-// present a valid HELLO, and how long a dialer waits for the WELCOME.
-const handshakeTimeout = 5 * time.Second
+// present a valid HELLO, and how long a dialer waits for the WELCOME. A
+// variable only so tests can shorten it.
+var handshakeTimeout = 5 * time.Second
 
 // ErrPlayerOpen is returned by Open for a (cluster id, player) that
 // already has a transport open on the endpoint.

@@ -331,6 +331,9 @@ func TestDeadRestingConnectionRedialsUncounted(t *testing.T) {
 // in DialErrors instead of sending the link through every pooled
 // connection first.
 func TestHungPooledConnectionCountsDialError(t *testing.T) {
+	saved := handshakeTimeout
+	handshakeTimeout = 200 * time.Millisecond
+	t.Cleanup(func() { handshakeTimeout = saved })
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -122,28 +122,3 @@ func TestGossipDropsWhenPeerUnreachable(t *testing.T) {
 		t.Fatal("GossipDropped counter not incremented")
 	}
 }
-
-func TestGossipLoopback(t *testing.T) {
-	var mu sync.Mutex
-	var got []byte
-	tr, err := New(Config{Self: 0, N: 1, ClusterID: "gossip", GossipHandler: func(from int, payload []byte) {
-		mu.Lock()
-		got = append([]byte(nil), payload...)
-		mu.Unlock()
-		if from != 0 {
-			t.Errorf("loopback gossip from %d", from)
-		}
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	if !tr.Gossip(0, []byte("self")) {
-		t.Fatal("loopback gossip refused")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if string(got) != "self" {
-		t.Fatalf("payload %q", got)
-	}
-}

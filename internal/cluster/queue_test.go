@@ -42,8 +42,9 @@ func TestSendNeverBlocks(t *testing.T) {
 
 // TestLoopbackNeverBlocksConsumer: the inbox's own consumer sends to
 // itself far more frames than the inbox holds without reading any, as a
-// protocol node does when it broadcasts mid-delivery, and then reads
-// them all back in order.
+// protocol node once did when it broadcast mid-delivery. With no self
+// loopback the sends return at once and leave nothing queued or
+// delivered; a wire.Node delivers its self-sends in-process instead.
 func TestLoopbackNeverBlocksConsumer(t *testing.T) {
 	const msgs = 10000
 	tr, err := New(Config{Self: 0, N: 1, ClusterID: "loopback"})
@@ -63,9 +64,38 @@ func TestLoopbackNeverBlocksConsumer(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatalf("self-sends blocked with %d frames in the unread inbox", len(tr.Inbox()))
 	}
-	expectInOrder(t, collect(t, tr, msgs, 10*time.Second), 1, msgs)
-	if q := tr.Stats().QueueLen; q != 0 {
-		t.Errorf("QueueLen %d after every frame was read", q)
+	if st := tr.Stats(); st.Sent != 0 || st.Delivered != 0 || st.QueueLen != 0 {
+		t.Fatalf("self-sends were counted or queued: %+v", st)
+	}
+	select {
+	case f := <-tr.Inbox():
+		t.Fatalf("a self-send reached the inbox: %+v", f)
+	default:
+	}
+}
+
+// TestSelfLoopback: the transport carries peer streams only, so it has
+// no self loopback. Send and Gossip to self are dropped like an
+// out-of-range index: nothing is counted, queued or delivered.
+func TestSelfLoopback(t *testing.T) {
+	tr, err := New(Config{Self: 0, N: 2, ClusterID: "self"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	for _, to := range []int{0, -1, 2} {
+		tr.Send(to, payload(0, 0))
+		if tr.Gossip(to, []byte("g")) {
+			t.Errorf("gossip to %d accepted", to)
+		}
+	}
+	if st := tr.Stats(); st.Sent != 0 || st.QueueLen != 0 || st.GossipSent != 0 || st.GossipDropped != 0 {
+		t.Fatalf("sends to self or out of range were counted: %+v", st)
+	}
+	select {
+	case f := <-tr.Inbox():
+		t.Fatalf("a send to self was delivered: %+v", f)
+	default:
 	}
 }
 

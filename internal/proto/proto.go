@@ -119,7 +119,8 @@ type Host struct {
 	onStart func(env *async.Env)
 	// startOrder preserves registration order for deterministic startup.
 	startOrder []string
-	// unknown counts messages dropped for lack of a module (diagnostics).
+	// unknown counts payloads dropped because they are not an Envelope
+	// (diagnostics).
 	unknown int
 }
 
@@ -170,9 +171,17 @@ func (h *Host) add(instance string, m Module) *entry {
 // signal, before modules start.
 func (h *Host) OnStart(f func(env *async.Env)) { h.onStart = f }
 
-// UnknownCount reports how many message bodies were discarded because no
-// module claimed them by the end of the run (malformed or malicious).
-func (h *Host) UnknownCount() int { return h.unknown }
+// UnknownCount reports how many message bodies no module has claimed:
+// payloads that are not an Envelope, and bodies still buffered for an
+// instance that was never spawned. Read at the end of a run, it counts
+// what the run discarded (malformed or malicious).
+func (h *Host) UnknownCount() int {
+	n := h.unknown
+	for _, pending := range h.buffer {
+		n += len(pending)
+	}
+	return n
+}
 
 // Ctx returns a context bound to the given instance and env, for
 // host-level code (such as OnStart hooks) that needs to call into a

@@ -123,6 +123,9 @@ func TestDuplicateRegister(t *testing.T) {
 	}
 }
 
+// TestNonEnvelopeCounted: UnknownCount counts both bodies no module
+// claims, a payload that is not an Envelope and an Envelope whose
+// instance is never spawned.
 func TestNonEnvelopeCounted(t *testing.T) {
 	var hosts []*Host
 	raw := &rawSender{}
@@ -136,15 +139,18 @@ func TestNonEnvelopeCounted(t *testing.T) {
 	if _, err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if hosts[0].UnknownCount() != 1 {
-		t.Fatalf("UnknownCount = %d, want 1", hosts[0].UnknownCount())
+	if hosts[0].UnknownCount() != 2 {
+		t.Fatalf("UnknownCount = %d, want 2", hosts[0].UnknownCount())
 	}
 }
 
 type rawSender struct{}
 
+// Start sends host 0 a payload that is not an Envelope and an Envelope
+// for an instance host 0 never spawns: neither is ever claimed.
 func (*rawSender) Start(env *async.Env) {
 	env.Send(0, "not an envelope")
+	env.Send(0, Envelope{Instance: "never-spawned", Body: "orphan"})
 	env.Halt()
 }
 func (*rawSender) Deliver(env *async.Env, m async.Message) {}

@@ -169,49 +169,22 @@ func (s *Service) ClusterJoin(req api.ClusterJoinRequest) (api.ClusterJoinRespon
 		params:  params,
 		types:   types,
 		players: append([]int(nil), req.Players...),
-		nodes:   make(map[int]*wire.Node, len(req.Players)),
 		trace:   tr,
 		collect: collect,
 	}
-	abort := func() {
-		for _, nd := range play.nodes {
-			nd.Stop()
-		}
-	}
 	dupErr := fmt.Errorf("%w: cluster %s already joined", ErrConflict, req.ClusterID)
-	s.clusterMu.Lock()
-	_, dup := s.clusterPlays[req.ClusterID]
-	s.clusterMu.Unlock()
-	if dup {
-		return api.ClusterJoinResponse{}, dupErr
+	play.nodes, err = s.openClusterNodes(req.ClusterID, req.Players, procs, req.Seed, req.TraceID)
+	if errors.Is(err, cluster.ErrPlayerOpen) {
+		err = dupErr // this cluster's players are already open here
 	}
-	for _, p := range req.Players {
-		node, err := wire.NewNode(wire.NodeConfig{
-			Self:      async.PID(p),
-			Addrs:     make([]string, n),
-			Endpoint:  s.clusterEP,
-			ClusterID: req.ClusterID,
-			Proc:      procs[p],
-			Seed:      req.Seed,
-			TraceID:   req.TraceID,
-		})
-		if err == nil {
-			err = node.Listen()
-		}
-		if errors.Is(err, cluster.ErrPlayerOpen) {
-			err = dupErr // a concurrent join of the same cluster got here first
-		}
-		if err != nil {
-			abort()
-			return api.ClusterJoinResponse{}, err
-		}
-		play.nodes[p] = node
+	if err != nil {
+		return api.ClusterJoinResponse{}, err
 	}
 
 	s.clusterMu.Lock()
 	if _, dup := s.clusterPlays[req.ClusterID]; dup {
 		s.clusterMu.Unlock()
-		abort()
+		stopNodes(play.nodes)
 		return api.ClusterJoinResponse{}, dupErr
 	}
 	s.clusterPlays[req.ClusterID] = play
@@ -225,6 +198,36 @@ func (s *Service) ClusterJoin(req api.ClusterJoinRequest) (api.ClusterJoinRespon
 		resp.Addrs[p] = node.Addr()
 	}
 	return resp, nil
+}
+
+// openClusterNodes opens a wire node on the daemon's cluster endpoint for
+// each listed player of one play. On error it stops the nodes it opened.
+func (s *Service) openClusterNodes(clusterID string, players []int, procs []async.Process, seed int64, traceID string) (map[int]*wire.Node, error) {
+	nodes := make(map[int]*wire.Node, len(players))
+	for _, p := range players {
+		node, err := wire.NewNode(wire.NodeConfig{
+			Self:      async.PID(p),
+			N:         len(procs),
+			Endpoint:  s.clusterEP,
+			ClusterID: clusterID,
+			Proc:      procs[p],
+			Seed:      seed,
+			TraceID:   traceID,
+		})
+		if err != nil {
+			stopNodes(nodes)
+			return nil, fmt.Errorf("cluster node %d: %w", p, err)
+		}
+		nodes[p] = node
+	}
+	return nodes, nil
+}
+
+// stopNodes stops every node of a play.
+func stopNodes(nodes map[int]*wire.Node) {
+	for _, nd := range nodes {
+		nd.Stop()
+	}
 }
 
 // releaseClusterPlay tears down a parked play — joined-but-never-
@@ -247,9 +250,7 @@ func (s *Service) releaseClusterPlay(id string) bool {
 	if !ok {
 		return false
 	}
-	for _, nd := range play.nodes {
-		nd.Stop()
-	}
+	stopNodes(play.nodes)
 	return true
 }
 
@@ -473,33 +474,19 @@ func (s *Service) runCluster(sess *Session, types []game.Type, peers []api.PeerS
 	}
 
 	// Host the unclaimed players locally.
-	local := make(map[int]*wire.Node)
-	defer func() {
-		for _, nd := range local {
-			nd.Stop()
-		}
-	}()
-	addrs := make([]string, n)
+	var unclaimed []int
 	for p := 0; p < n; p++ {
-		if remote[p] {
-			continue
+		if !remote[p] {
+			unclaimed = append(unclaimed, p)
 		}
-		node, err := wire.NewNode(wire.NodeConfig{
-			Self:      async.PID(p),
-			Addrs:     make([]string, n),
-			Endpoint:  s.clusterEP,
-			ClusterID: clusterID,
-			Proc:      procs[p],
-			Seed:      sess.Seed(),
-			TraceID:   traceID,
-		})
-		if err == nil {
-			err = node.Listen()
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("service: cluster node %d: %w", p, err)
-		}
-		local[p] = node
+	}
+	local, err := s.openClusterNodes(clusterID, unclaimed, procs, sess.Seed(), traceID)
+	if err != nil {
+		return nil, nil, fmt.Errorf("service: %w", err)
+	}
+	defer stopNodes(local)
+	addrs := make([]string, n)
+	for p, node := range local {
 		addrs[p] = node.Addr()
 	}
 

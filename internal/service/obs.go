@@ -177,7 +177,7 @@ func (s *Service) registerObsMetrics() {
 		r.CounterFunc(name, help, func() float64 { return float64(get(s.clusterLinkStats())) })
 	}
 	clusterCounter("mediatord_cluster_link_sent_total",
-		"Payloads accepted by cluster transports for sending (loopback included).",
+		"Payloads accepted by cluster transports for sending to a peer (self-addressed payloads never reach a link).",
 		func(c api.ClusterLinkStats) int64 { return c.Sent })
 	clusterCounter("mediatord_cluster_link_delivered_total",
 		"Frames delivered exactly once to cluster inboxes.",
@@ -213,7 +213,7 @@ func (s *Service) registerObsMetrics() {
 		"Bytes written to cluster connections (frame headers included).",
 		func(c api.ClusterLinkStats) int64 { return c.BytesOut })
 	r.GaugeFunc("mediatord_cluster_link_queue_len",
-		"Unsent payloads pending across live per-peer and loopback queues.",
+		"Unsent payloads pending across live per-peer queues.",
 		func() float64 { return float64(s.clusterLinkStats().QueueLen) })
 	r.GaugeFunc("mediatord_cluster_link_resend_buffered",
 		"Sent-but-unacknowledged frames buffered for replay across live links.",

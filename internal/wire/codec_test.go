@@ -203,22 +203,20 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestSendDropsUnencodable: a payload the codec refuses is dropped by
-// Node.send — not handed to the transport, not counted, no panic.
+// TestSendDropsUnencodable: a payload for a peer that the codec refuses
+// is dropped by Node.send — not handed to the transport, not counted, no
+// panic.
 func TestSendDropsUnencodable(t *testing.T) {
-	node, err := NewNode(NodeConfig{Self: 0, Addrs: []string{"127.0.0.1:0"}, Proc: proto.NewHost()})
+	node, err := newOwnNode(NodeConfig{Self: 0, N: 2, Proc: proto.NewHost()}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := node.Listen(); err != nil {
-		t.Fatal(err)
-	}
 	defer node.Stop()
-	node.send(0, struct{ unexported int }{1})
+	node.send(1, struct{ unexported int }{1})
 	if st := node.Stats(); st.Sent != 0 || st.Transport.Sent != 0 {
 		t.Fatalf("unencodable payload reached the transport: %+v", st)
 	}
-	node.send(0, "ok")
+	node.send(1, "ok")
 	if st := node.Stats(); st.Sent != 1 || st.Transport.Sent != 1 {
 		t.Fatalf("encodable payload not sent: %+v", st)
 	}

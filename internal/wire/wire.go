@@ -11,11 +11,13 @@
 // handshake scoped to one cluster session, optional mutual TLS, and
 // automatic reconnect with sequence-numbered resend buffers, so a
 // dropped connection replays its unacknowledged frames instead of
-// silently muting a peer. A daemon builds every wire play node by node
-// (NewNode, Listen, SetAddrs) on its one cluster endpoint, whether one
-// daemon hosts all players or several share them; only the addresses
-// differ. NewLocalMesh is the one-process shorthand for programs and
-// tests that host a whole mesh themselves.
+// silently muting a peer. A node delivers its self-addressed payloads
+// in-process, unencoded, as async.Runtime does. A daemon builds every
+// wire play node by node (NewNode, SetAddrs, Run, Stop) on its one
+// cluster endpoint, whether one daemon hosts all players or several
+// share them; only the addresses differ. NewLocalMesh is the
+// one-process shorthand for programs and tests that host a whole mesh
+// themselves.
 package wire
 
 import (
@@ -36,20 +38,18 @@ var ErrTimeout = errors.New("wire: timeout")
 
 // NodeConfig configures one mesh participant.
 type NodeConfig struct {
-	// Self is this node's player id. Entries of Addrs for peers hosted
-	// elsewhere may be empty at construction and supplied later via
-	// SetAddrs — the cluster transport dials lazily with retry.
-	Self  async.PID
-	Addrs []string
+	// Self is this node's player id in [0, N).
+	Self async.PID
+	// N is the number of processes in the mesh. Peer addresses come
+	// later, via SetAddrs: the cluster transport dials lazily with retry.
+	N int
 	// Endpoint is the process's cluster endpoint, shared by every node it
-	// hosts: its listener, TLS settings and connections. Nil gives the
-	// node an endpoint of its own, listening on Addrs[Self] (or an
-	// ephemeral loopback port when that is empty), closed by Stop.
+	// hosts: its listener, TLS settings and connections. Required.
 	Endpoint *cluster.Endpoint
 	// ClusterID scopes the transport handshake to one play; every node of
 	// a mesh must agree on it (default "local").
 	ClusterID string
-	// Players is the number of game players (defaults to len(Addrs)).
+	// Players is the number of game players (defaults to N).
 	Players int
 	// Proc is the protocol process to run.
 	Proc async.Process
@@ -69,7 +69,12 @@ type Node struct {
 	cfg    NodeConfig
 	remote *async.Remote
 	tr     *cluster.Transport
-	ownEP  *cluster.Endpoint // the endpoint Listen made (nil: cfg.Endpoint's)
+	ownEP  *cluster.Endpoint // an endpoint of the node's own, closed by Stop
+
+	// self[head:] are the self-addressed payloads Run has yet to
+	// deliver, in send order; only the process's goroutine touches them.
+	self []any
+	head int
 
 	done    chan struct{}
 	stopped sync.Once
@@ -80,11 +85,12 @@ type Node struct {
 }
 
 // NodeStats are the node's cumulative traffic counters. Sent counts every
-// payload handed to the transport (loopback included); Delivered counts
-// frames consumed by the process's Deliver loop; Undecodable counts
-// inbound frames Run dropped because they were not one valid payload — a
-// peer speaking another codec, or a corrupt or hostile one. Transport
-// carries the underlying link counters (resends, reconnects, duplicates).
+// payload sent (to self included); Delivered counts messages consumed by
+// the process's Deliver loop; Undecodable counts inbound frames Run
+// dropped because they were not one valid payload — a peer speaking
+// another codec, or a corrupt or hostile one. Transport carries the
+// underlying link counters (resends, reconnects, duplicates) of peer
+// traffic.
 type NodeStats struct {
 	Sent        int64
 	Delivered   int64
@@ -95,113 +101,79 @@ type NodeStats struct {
 // Stats returns a snapshot of the traffic counters. Safe to call from any
 // goroutine, including while Run is in flight.
 func (n *Node) Stats() NodeStats {
-	st := NodeStats{Sent: n.sent.Load(), Delivered: n.delivered.Load(), Undecodable: n.undecodable.Load()}
-	if n.tr != nil {
-		st.Transport = n.tr.Stats()
-	}
-	return st
+	return NodeStats{Sent: n.sent.Load(), Delivered: n.delivered.Load(), Undecodable: n.undecodable.Load(), Transport: n.tr.Stats()}
 }
 
 // Remote returns the node's local game-state backend (moves, wills, halt
 // flag). Serving layers read it after Run to assemble a run result.
 func (n *Node) Remote() *async.Remote { return n.remote }
 
-// NewNode creates a node (not yet listening).
+// NewNode creates a node and opens its transport on cfg.Endpoint,
+// binding the endpoint's listener if it is not bound yet, so peers may
+// dial it as soon as this returns.
 func NewNode(cfg NodeConfig) (*Node, error) {
-	if int(cfg.Self) < 0 || int(cfg.Self) >= len(cfg.Addrs) {
-		return nil, fmt.Errorf("wire: self %d out of range", cfg.Self)
+	if cfg.Endpoint == nil {
+		return nil, fmt.Errorf("wire: nil endpoint")
 	}
 	if cfg.Proc == nil {
 		return nil, fmt.Errorf("wire: nil process")
 	}
-	if cfg.Players == 0 {
-		cfg.Players = len(cfg.Addrs)
+	tr, err := cfg.Endpoint.Open(cluster.Config{
+		Self:      int(cfg.Self),
+		N:         cfg.N,
+		ClusterID: cfg.ClusterID,
+		TraceID:   cfg.TraceID,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("wire: %w", err)
 	}
-	n := &Node{
-		cfg:  cfg,
-		done: make(chan struct{}),
-	}
-	n.remote = async.NewRemote(cfg.Self, len(cfg.Addrs), cfg.Players, cfg.Seed, n.send)
+	n := &Node{cfg: cfg, tr: tr, done: make(chan struct{})}
+	n.remote = async.NewRemote(cfg.Self, cfg.N, cfg.Players, cfg.Seed, n.send)
 	return n, nil
 }
 
-// Listen opens the node's transport on its endpoint, binding the
-// endpoint's listener if it is not bound yet. Call before Run on all
-// nodes so the mesh can form; Addr reports the endpoint's address.
-func (n *Node) Listen() error {
-	if n.tr != nil {
-		return nil
-	}
-	ep := n.cfg.Endpoint
-	if ep == nil {
-		ep = cluster.NewEndpoint(cluster.EndpointConfig{ListenAddr: n.cfg.Addrs[n.cfg.Self]})
-		n.ownEP = ep
-	}
-	tr, err := ep.Open(cluster.Config{
-		Self:      int(n.cfg.Self),
-		N:         len(n.cfg.Addrs),
-		ClusterID: n.cfg.ClusterID,
-		TraceID:   n.cfg.TraceID,
-	})
+// newOwnNode creates a node on an endpoint of its own, listening on addr
+// (an ephemeral loopback port when empty); Stop closes the endpoint.
+func newOwnNode(cfg NodeConfig, addr string) (*Node, error) {
+	cfg.Endpoint = cluster.NewEndpoint(cluster.EndpointConfig{ListenAddr: addr})
+	n, err := NewNode(cfg)
 	if err != nil {
-		return fmt.Errorf("wire: %w", err)
+		cfg.Endpoint.Close()
+		return nil, err
 	}
-	n.tr = tr
-	for p, addr := range n.cfg.Addrs {
-		if p != int(n.cfg.Self) && addr != "" {
-			tr.SetPeerAddr(p, addr)
-		}
-	}
-	return nil
+	n.ownEP = cfg.Endpoint
+	return n, nil
 }
 
-// SetAddrs fills the whole peer address table (empty entries skipped).
-func (n *Node) SetAddrs(addrs []string) {
-	if n.tr != nil {
-		n.tr.SetAddrs(addrs)
-	}
-}
+// SetAddrs fills the whole peer address table (empty entries and the
+// self slot skipped).
+func (n *Node) SetAddrs(addrs []string) { n.tr.SetAddrs(addrs) }
 
 // DropConns severs every live transport connection (fault injection);
 // links reconnect and replay. It returns the number closed.
-func (n *Node) DropConns() int {
-	if n.tr == nil {
-		return 0
-	}
-	return n.tr.DropConns()
-}
+func (n *Node) DropConns() int { return n.tr.DropConns() }
 
 // NewLocalMesh builds a complete loopback mesh for the given processes:
 // every node gets an endpoint of its own on an ephemeral 127.0.0.1 port
-// (no port agreement needed) and is already listening when this returns,
-// so Run may be called on all nodes concurrently. players follows NodeConfig.Players semantics;
-// seed is the session seed (NodeConfig.Seed). Same handshake, framing
-// and reconnect semantics as any cluster mesh, all failure domains in
-// one process.
+// (no port agreement needed) and knows every peer's address when this
+// returns, so Run may be called on all nodes concurrently. players
+// follows NodeConfig.Players semantics; seed is the session seed
+// (NodeConfig.Seed). Same handshake, framing and reconnect semantics as
+// any cluster mesh, all failure domains in one process.
 func NewLocalMesh(procs []async.Process, players int, seed int64) ([]*Node, error) {
 	if len(procs) == 0 {
 		return nil, fmt.Errorf("wire: empty mesh")
 	}
 	nodes := make([]*Node, len(procs))
-	cleanup := func() {
-		for _, nd := range nodes {
-			if nd != nil {
-				nd.Stop()
-			}
-		}
-	}
 	addrs := make([]string, len(procs))
 	for i, proc := range procs {
-		node, err := NewNode(NodeConfig{
-			Self: async.PID(i), Addrs: make([]string, len(procs)),
-			Players: players, Proc: proc, Seed: seed,
-		})
+		node, err := newOwnNode(NodeConfig{
+			Self: async.PID(i), N: len(procs), Players: players, Proc: proc, Seed: seed,
+		}, "")
 		if err != nil {
-			cleanup()
-			return nil, err
-		}
-		if err := node.Listen(); err != nil {
-			cleanup()
+			for _, nd := range nodes[:i] {
+				nd.Stop()
+			}
 			return nil, err
 		}
 		nodes[i] = node
@@ -213,21 +185,20 @@ func NewLocalMesh(procs []async.Process, players int, seed int64) ([]*Node, erro
 	return nodes, nil
 }
 
-// Addr returns the address peers dial: the endpoint's ("" before
-// Listen).
-func (n *Node) Addr() string {
-	if n.tr == nil {
-		return ""
-	}
-	return n.tr.Addr()
-}
+// Addr returns the address peers dial: the endpoint's.
+func (n *Node) Addr() string { return n.tr.Addr() }
 
-// send transmits a payload to a peer through the transport's per-peer
-// pending queue (the loopback stream for self). It never blocks, not even
-// when the node's own inbox is full; writes to distinct peers never
-// contend on a shared mutex, and a temporarily disconnected peer buffers
-// rather than silently dropping.
+// send queues a self-addressed payload for Run, unencoded, and transmits
+// any other through the transport's per-peer pending queue. It never
+// blocks, not even when the node's own inbox is full; writes to distinct
+// peers never contend on a shared mutex, and a temporarily disconnected
+// peer buffers rather than silently dropping.
 func (n *Node) send(to async.PID, payload any) {
+	if to == n.cfg.Self {
+		n.sent.Add(1)
+		n.self = append(n.self, payload)
+		return
+	}
 	b, err := EncodePayload(payload)
 	if err != nil {
 		return // unencodable payload: a bug the codec's round-trip tests catch
@@ -236,10 +207,12 @@ func (n *Node) send(to async.PID, payload any) {
 	n.tr.Send(int(to), b)
 }
 
-// Run starts the process and pumps transport frames until the process
+// Run starts the process and delivers its messages until the process
 // halts, the timeout elapses, or Stop is called. It returns the decided
-// move (if any). Mesh formation is asynchronous: links dial (and redial)
-// in the background, so Run does not block on peers that bind late.
+// move (if any). Self-addressed payloads are delivered in send order,
+// interleaved with transport frames, and never hold off the deadline or
+// Stop. Mesh formation is asynchronous: links dial (and redial) in the
+// background, so Run does not block on peers that bind late.
 //
 // Run does NOT tear the transport down when its own process halts: the
 // resend buffers may still hold frames a slower peer needs (the
@@ -247,15 +220,31 @@ func (n *Node) send(to async.PID, payload any) {
 // the node keeps replaying — and discarding inbound frames — until the
 // caller invokes Stop after every node of the play has returned.
 func (n *Node) Run(timeout time.Duration) (move any, decided bool, err error) {
-	if n.tr == nil {
-		return nil, false, fmt.Errorf("wire: Run before Listen")
-	}
 	env := n.remote.Env()
 	n.cfg.Proc.Start(env)
 	deadline := time.After(timeout)
+	ready := make(chan struct{}) // closed: its select case is always ready
+	close(ready)
 	seq := 0
+	deliver := func(from async.PID, payload any) {
+		msg := async.Message{From: from, To: n.cfg.Self, Seq: seq, Payload: payload}
+		seq++
+		n.delivered.Add(1)
+		n.cfg.Proc.Deliver(env, msg)
+	}
 	for !n.remote.Halted() {
+		var self <-chan struct{} // nil: no self-delivery pending
+		if n.head < len(n.self) {
+			self = ready
+		}
 		select {
+		case <-self:
+			p := n.self[n.head]
+			n.self[n.head] = nil
+			if n.head++; n.head == len(n.self) {
+				n.self, n.head = n.self[:0], 0 // reuse the buffer
+			}
+			deliver(n.cfg.Self, p)
 		case cf := <-n.tr.Inbox():
 			payload, derr := DecodePayload(cf.Payload)
 			if derr != nil {
@@ -265,10 +254,7 @@ func (n *Node) Run(timeout time.Duration) (move any, decided bool, err error) {
 			// The sender identity is the transport's: the HELLO handshake
 			// (and mTLS) authenticated the stream, and the payload carries
 			// no sender a peer could forge.
-			msg := async.Message{From: async.PID(cf.From), To: n.cfg.Self, Seq: seq, Payload: payload}
-			seq++
-			n.delivered.Add(1)
-			n.cfg.Proc.Deliver(env, msg)
+			deliver(async.PID(cf.From), payload)
 		case <-deadline:
 			go n.drainInbox()
 			mv, ok := n.remote.Move()
@@ -296,22 +282,15 @@ func (n *Node) drainInbox() {
 	}
 }
 
-// Stop tears the node down: its transport, and its endpoint if it has
-// one of its own. A shared endpoint keeps the transport's connections
-// for the next play.
+// Stop tears the node down and waits for its transport's goroutines: the
+// transport, and the endpoint if the node has one of its own. A shared
+// endpoint keeps the transport's connections for the next play.
 func (n *Node) Stop() {
 	n.stopped.Do(func() {
 		close(n.done)
-		n.Wait()
+		n.tr.Close() // waits for the transport's goroutines
+		if n.ownEP != nil {
+			n.ownEP.Close()
+		}
 	})
-}
-
-// Wait blocks until all transport goroutines finished (after Stop).
-func (n *Node) Wait() {
-	if n.tr != nil {
-		n.tr.Close() // idempotent; waits for goroutines
-	}
-	if n.ownEP != nil {
-		n.ownEP.Close()
-	}
 }

@@ -71,15 +71,11 @@ func TestRBCOverTCP(t *testing.T) {
 	addrs := freePorts(t, n)
 	nodes := make([]*Node, n)
 	for i, h := range rbcProcs(t, n, "networked") {
-		node, err := NewNode(NodeConfig{
-			Self: async.PID(i), Addrs: addrs, Proc: h, Seed: int64(i),
-		})
+		node, err := newOwnNode(NodeConfig{Self: async.PID(i), N: n, Proc: h, Seed: int64(i)}, addrs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := node.Listen(); err != nil {
-			t.Fatal(err)
-		}
+		node.SetAddrs(addrs)
 		nodes[i] = node
 	}
 	runMesh(t, nodes, "networked", 20*time.Second)
@@ -180,7 +176,6 @@ func runMesh(t *testing.T, nodes []*Node, want string, timeout time.Duration) {
 	wg.Wait()
 	for _, nd := range nodes {
 		nd.Stop()
-		nd.Wait()
 	}
 	for i := range nodes {
 		if errs[i] != nil {
@@ -193,20 +188,21 @@ func runMesh(t *testing.T, nodes []*Node, want string, timeout time.Duration) {
 }
 
 func TestNodeConfigValidation(t *testing.T) {
-	if _, err := NewNode(NodeConfig{Self: 5, Addrs: []string{"a", "b"}, Proc: nil}); err == nil {
+	h := proto.NewHost()
+	if _, err := newOwnNode(NodeConfig{Self: 5, N: 2, Proc: h}, ""); err == nil {
 		t.Fatal("out-of-range self should fail")
 	}
-	h := proto.NewHost()
-	if _, err := NewNode(NodeConfig{Self: 0, Addrs: []string{"a"}, Proc: nil}); err == nil {
+	if _, err := newOwnNode(NodeConfig{Self: 0, N: 1, Proc: nil}, ""); err == nil {
 		t.Fatal("nil proc should fail")
 	}
-	node, err := NewNode(NodeConfig{Self: 0, Addrs: []string{"127.0.0.1:0"}, Proc: h})
+	if _, err := NewNode(NodeConfig{Self: 0, N: 1, Proc: h}); err == nil {
+		t.Fatal("nil endpoint should fail")
+	}
+	node, err := newOwnNode(NodeConfig{Self: 0, N: 1, Proc: h}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := node.Run(time.Second); err == nil {
-		t.Fatal("Run before Listen should fail")
-	}
+	node.Stop()
 }
 
 // TestMeshSurvivesConnDrops runs reliable broadcast over a mesh whose
