@@ -40,7 +40,9 @@ func (Crash) Start(env *async.Env) {}
 func (Crash) Deliver(env *async.Env, m async.Message) {}
 
 // Rewrite wraps an honest process but filters/rewrites every outgoing
-// message through Hook. The inner process is unaware.
+// message through Hook. The inner process is unaware. A hook that
+// rewrites a *proto.Envelope returns a copy: the envelope it is handed
+// may be shared with other recipients (see proto.Envelope).
 type Rewrite struct {
 	Inner async.Process
 	Hook  async.SendHook
@@ -83,8 +85,8 @@ func CorruptOpens(inner async.Process, offset field.Element) *Rewrite {
 	return &Rewrite{
 		Inner: inner,
 		Hook: func(to async.PID, payload any) (any, bool) {
-			env, ok := payload.(proto.Envelope)
-			if !ok {
+			env, ok := payload.(*proto.Envelope)
+			if !ok || env == nil {
 				return payload, true
 			}
 			sh, ok := env.Body.(avss.MsgShare)
@@ -92,8 +94,7 @@ func CorruptOpens(inner async.Process, offset field.Element) *Rewrite {
 				return payload, true
 			}
 			sh.V = sh.V.Add(offset)
-			env.Body = sh
-			return env, true
+			return rewritten(env, sh), true
 		},
 	}
 }
@@ -105,8 +106,8 @@ func CorruptAVSSPoints(inner async.Process, offset field.Element) *Rewrite {
 	return &Rewrite{
 		Inner: inner,
 		Hook: func(to async.PID, payload any) (any, bool) {
-			env, ok := payload.(proto.Envelope)
-			if !ok {
+			env, ok := payload.(*proto.Envelope)
+			if !ok || env == nil {
 				return payload, true
 			}
 			pt, ok := env.Body.(avss.MsgPoint)
@@ -114,10 +115,16 @@ func CorruptAVSSPoints(inner async.Process, offset field.Element) *Rewrite {
 				return payload, true
 			}
 			pt.V = pt.V.Add(offset)
-			env.Body = pt
-			return env, true
+			return rewritten(env, pt), true
 		},
 	}
+}
+
+// rewritten returns a copy of env carrying body. A sent envelope is
+// immutable (a broadcast shares one across all recipients), so a hook
+// never writes through env.
+func rewritten(env *proto.Envelope, body any) *proto.Envelope {
+	return &proto.Envelope{Instance: env.Instance, Body: body}
 }
 
 // Board is the coalition's shared blackboard: rational and malicious

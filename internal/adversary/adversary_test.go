@@ -5,10 +5,29 @@ import (
 	"testing"
 
 	"asyncmediator/internal/async"
+	"asyncmediator/internal/avss"
 	"asyncmediator/internal/core"
+	"asyncmediator/internal/field"
 	"asyncmediator/internal/game"
 	"asyncmediator/internal/mediator"
+	"asyncmediator/internal/proto"
 )
+
+// countRewrites wraps rw's hook so that every payload it replaces with a
+// different envelope adds one to *n. A corruption test checks *n > 0: a
+// hook that matches no payload corrupts nothing, and the run it guards
+// would pass for the wrong reason.
+func countRewrites(rw *Rewrite, n *int) *Rewrite {
+	hook := rw.Hook
+	rw.Hook = func(to async.PID, p any) (any, bool) {
+		q, ok := hook(to, p)
+		if e, isEnv := q.(*proto.Envelope); isEnv && e != p {
+			*n++
+		}
+		return q, ok
+	}
+	return rw
+}
 
 func sec64Params(t *testing.T, n, k, tf int, v core.Variant) core.Params {
 	t.Helper()
@@ -70,9 +89,10 @@ func TestCorruptOpensToleratedAtTheorem41(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		rewrites := 0
 		prof, res, err := core.Run(core.RunConfig{
 			Params: p, Types: types, Seed: seed,
-			Override: map[int]async.Process{2: CorruptOpens(honest, 7)},
+			Override: map[int]async.Process{2: countRewrites(CorruptOpens(honest, 7), &rewrites)},
 			MaxSteps: 20_000_000,
 		})
 		if err != nil {
@@ -80,6 +100,9 @@ func TestCorruptOpensToleratedAtTheorem41(t *testing.T) {
 		}
 		if res.Deadlocked {
 			t.Fatalf("seed %d: deadlock under share corruption", seed)
+		}
+		if rewrites == 0 {
+			t.Fatalf("seed %d: CorruptOpens rewrote no share", seed)
 		}
 		for i, a := range prof {
 			if i == 2 {
@@ -99,9 +122,10 @@ func TestCorruptAVSSPointsTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rewrites := 0
 	prof, res, err := core.Run(core.RunConfig{
 		Params: p, Types: types, Seed: 9,
-		Override: map[int]async.Process{4: CorruptAVSSPoints(honest, 3)},
+		Override: map[int]async.Process{4: countRewrites(CorruptAVSSPoints(honest, 3), &rewrites)},
 		MaxSteps: 20_000_000,
 	})
 	if err != nil {
@@ -110,9 +134,36 @@ func TestCorruptAVSSPointsTolerated(t *testing.T) {
 	if res.Deadlocked {
 		t.Fatal("deadlock under AVSS point corruption")
 	}
+	if rewrites == 0 {
+		t.Fatal("CorruptAVSSPoints rewrote no point")
+	}
 	for i := 0; i < 4; i++ {
 		if prof[i] != prof[0] {
 			t.Fatalf("profile %v", prof)
+		}
+	}
+}
+
+// TestCorruptHooksCopyBeforeRewrite: a corrupting hook returns a new
+// envelope and leaves the one it was handed untouched, since a broadcast
+// shares that envelope with every other recipient.
+func TestCorruptHooksCopyBeforeRewrite(t *testing.T) {
+	cases := []struct {
+		rw   *Rewrite
+		body any
+	}{
+		{CorruptOpens(Crash{}, 7), avss.MsgShare{V: field.FromInt64(5)}},
+		{CorruptAVSSPoints(Crash{}, 3), avss.MsgPoint{V: field.FromInt64(5)}},
+	}
+	for _, c := range cases {
+		sent := &proto.Envelope{Instance: "i", Body: c.body}
+		got, ok := c.rw.Hook(0, sent)
+		e, isEnv := got.(*proto.Envelope)
+		if !ok || !isEnv || e == sent || e.Instance != "i" || e.Body == c.body {
+			t.Errorf("%T: hook returned %#v, want a rewritten copy", c.body, got)
+		}
+		if sent.Body != c.body {
+			t.Errorf("%T: hook wrote through the shared envelope: %#v", c.body, sent.Body)
 		}
 	}
 }

@@ -18,6 +18,13 @@
 // message count. Filtering schedulers (delay, drop, bait) materialise the
 // pending list in O(pending) and hand their base a filtered view.
 //
+// One message costs the runtime one slot in the pending set (a bare
+// Message, in ID order), one bit in each of two bitmaps (pending, and
+// deliverable) and an update to a Fenwick tree with one leaf per 512
+// slots; the runtime allocates nothing per message, only when the slot
+// array doubles. The runtime counts the processes not yet started and not
+// yet halted, so checking for the end of a run is O(1) per step, not O(n).
+//
 // One in-process runtime executes Processes: Runtime, the
 // scheduler-driven, single-goroutine simulator behind every experiment
 // and adversarial analysis. The paper's bounds are stated against
@@ -184,7 +191,7 @@ type BatchKey struct {
 // runtime's view (a WithPending view answers every query by scanning its
 // list, O(len)):
 //
-//   - Deliverable: O(1);
+//   - Deliverable, Unstarted: O(1);
 //   - KthDeliverable: O(log pending);
 //   - OldestFor: amortised O(1);
 //   - Pending: O(pending), a fresh slice.
@@ -198,7 +205,18 @@ type View struct {
 
 	pend *pendingSet // the runtime's index; nil for a WithPending view
 	list []MsgMeta   // a WithPending view's pending set, in ID order
+	life *lifecycle  // the runtime's lifecycle counts, shared by WithPending views
 }
+
+// lifecycle counts processes by lifecycle stage.
+type lifecycle struct {
+	unstarted int // neither started nor halted
+	running   int // not halted
+}
+
+// Unstarted returns the number of processes that have neither started nor
+// halted: those a scheduler may still start.
+func (v *View) Unstarted() int { return v.life.unstarted }
 
 // Deliverable returns the number of pending messages addressed to a
 // process that has not halted.
@@ -219,7 +237,7 @@ func (v *View) Deliverable() int {
 // order. It requires 0 <= k < Deliverable().
 func (v *View) KthDeliverable(k int) MsgMeta {
 	if v.pend != nil {
-		return meta(v.pend.slots[v.pend.kth(k)].msg)
+		return meta(v.pend.slots[v.pend.kth(k)])
 	}
 	for _, m := range v.list {
 		if !v.Halted[m.To] {
@@ -240,7 +258,7 @@ func (v *View) OldestFor(p PID) (m MsgMeta, ok bool) {
 		if pos < 0 {
 			return MsgMeta{}, false
 		}
-		return meta(v.pend.slots[pos].msg), true
+		return meta(v.pend.slots[pos]), true
 	}
 	for _, m := range v.list {
 		if m.To == p {
@@ -266,7 +284,7 @@ func (v *View) Pending() []MsgMeta {
 func (v *View) WithPending(list []MsgMeta) *View {
 	return &View{
 		N: v.N, Players: v.Players, Started: v.Started, Halted: v.Halted,
-		Decided: v.Decided, Steps: v.Steps, list: list,
+		Decided: v.Decided, Steps: v.Steps, list: list, life: v.life,
 	}
 }
 
@@ -368,6 +386,7 @@ type Runtime struct {
 	started   []bool
 	halted    []bool
 	decided   []bool
+	life      lifecycle
 	moves     map[PID]any
 	wills     map[PID]any
 	steps     int
@@ -410,6 +429,7 @@ func New(cfg Config) (*Runtime, error) {
 		moves:     make(map[PID]any),
 		wills:     make(map[PID]any),
 		perSender: make([]int, n),
+		life:      lifecycle{unstarted: n, running: n},
 	}
 	if cfg.Relaxed {
 		rt.dropped = make(map[BatchKey]bool)
@@ -419,7 +439,7 @@ func New(cfg Config) (*Runtime, error) {
 	rt.view = View{
 		N: n, Players: cfg.Players,
 		Started: rt.started, Halted: rt.halted, Decided: rt.decided,
-		pend: &rt.pend,
+		pend: &rt.pend, life: &rt.life,
 	}
 	for i := range rt.rngs {
 		// Independent, reproducible streams per process.
@@ -449,6 +469,10 @@ func (rt *Runtime) halt(p PID) {
 	if !rt.halted[p] {
 		rt.pend.halt(p)
 		rt.halted[p] = true
+		rt.life.running--
+		if !rt.started[p] {
+			rt.life.unstarted--
+		}
 	}
 }
 
@@ -493,7 +517,7 @@ func (rt *Runtime) Run() (*Result, error) {
 		if rt.steps >= rt.cfg.MaxSteps {
 			return nil, fmt.Errorf("%w after %d steps", ErrMaxSteps, rt.steps)
 		}
-		if rt.allHalted() || rt.quiescent() {
+		if rt.life.running == 0 || rt.quiescent() {
 			break
 		}
 		rt.view.Steps = rt.steps
@@ -511,25 +535,11 @@ func (rt *Runtime) Run() (*Result, error) {
 	return rt.result(), nil
 }
 
-func (rt *Runtime) allHalted() bool {
-	for _, h := range rt.halted {
-		if !h {
-			return false
-		}
-	}
-	return true
-}
-
 // quiescent reports that no further progress is possible: every process
 // has started (so no start signals remain) and no pending message has a
 // live recipient.
 func (rt *Runtime) quiescent() bool {
-	for p := range rt.procs {
-		if !rt.started[p] && !rt.halted[p] {
-			return false
-		}
-	}
-	return rt.pend.deliverable == 0
+	return rt.life.unstarted == 0 && rt.pend.deliverable == 0
 }
 
 func (rt *Runtime) exec(ev Event) error {
@@ -577,6 +587,7 @@ func (rt *Runtime) exec(ev Event) error {
 		rt.batch[p]++
 		if !rt.started[p] {
 			rt.started[p] = true
+			rt.life.unstarted--
 			startedNow = true
 			rt.procs[p].Start(env)
 		}
@@ -588,7 +599,7 @@ func (rt *Runtime) exec(ev Event) error {
 			if pos < 0 {
 				return fmt.Errorf("%w: message %d not pending", ErrBadEvent, id)
 			}
-			if to := rt.pend.slots[pos].msg.To; to != p {
+			if to := rt.pend.slots[pos].To; to != p {
 				return fmt.Errorf("%w: message %d addressed to %d, delivered to %d", ErrBadEvent, id, to, p)
 			}
 			m := rt.pend.remove(pos)

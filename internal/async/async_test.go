@@ -60,9 +60,9 @@ func TestPingPongAllSchedulers(t *testing.T) {
 	scheds := map[string]func() Scheduler{
 		"random":     func() Scheduler { return NewRandomScheduler(7) },
 		"roundrobin": func() Scheduler { return &RoundRobinScheduler{} },
-		"fifo":       func() Scheduler { return FIFOScheduler{} },
+		"fifo":       func() Scheduler { return &FIFOScheduler{} },
 		"delay": func() Scheduler {
-			return &DelayScheduler{Base: FIFOScheduler{}, Slow: map[PID]bool{1: true}}
+			return &DelayScheduler{Base: &FIFOScheduler{}, Slow: map[PID]bool{1: true}}
 		},
 	}
 	for name, mk := range scheds {
@@ -92,7 +92,7 @@ func (silentProc) Deliver(env *Env, m Message) {}
 
 func TestDeadlockAndWills(t *testing.T) {
 	procs := []Process{silentProc{}, silentProc{}}
-	rt, err := New(Config{Procs: procs, Scheduler: FIFOScheduler{}, Seed: 3})
+	rt, err := New(Config{Procs: procs, Scheduler: &FIFOScheduler{}, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestDeadlockAndWills(t *testing.T) {
 func TestMoveBeatsWill(t *testing.T) {
 	// A decided move takes precedence over a will.
 	procs := []Process{&initiatorProc{}, echoProc{}}
-	rt, _ := New(Config{Procs: procs, Scheduler: FIFOScheduler{}, Seed: 4})
+	rt, _ := New(Config{Procs: procs, Scheduler: &FIFOScheduler{}, Seed: 4})
 	res, err := rt.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestMoveBeatsWill(t *testing.T) {
 
 func TestDecideOnlyOnce(t *testing.T) {
 	procs := []Process{&doubleDecider{}, &sender{to: 0, payloads: []any{"a", "b"}}}
-	rt, _ := New(Config{Procs: procs, Scheduler: FIFOScheduler{}, Seed: 5})
+	rt, _ := New(Config{Procs: procs, Scheduler: &FIFOScheduler{}, Seed: 5})
 	res, err := rt.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestSeqNumbersAndBatches(t *testing.T) {
 	procs := []Process{&doubleDecider{}, &sender{to: 0, payloads: []any{"a", "b"}}}
 	rt, _ := New(Config{
 		Procs:     procs,
-		Scheduler: FIFOScheduler{},
+		Scheduler: &FIFOScheduler{},
 		Seed:      6,
 		Trace:     func(te TraceEntry) { entries = append(entries, te) },
 	})
@@ -189,7 +189,7 @@ func TestSeqNumbersAndBatches(t *testing.T) {
 func TestMaxStepsLivelockGuard(t *testing.T) {
 	// Two processes ping each other forever.
 	procs := []Process{&forever{peer: 1}, &forever{peer: 0}}
-	rt, _ := New(Config{Procs: procs, Scheduler: FIFOScheduler{}, Seed: 7, MaxSteps: 500})
+	rt, _ := New(Config{Procs: procs, Scheduler: &FIFOScheduler{}, Seed: 7, MaxSteps: 500})
 	_, err := rt.Run()
 	if !errors.Is(err, ErrMaxSteps) {
 		t.Fatalf("err = %v, want ErrMaxSteps", err)
@@ -205,7 +205,7 @@ func TestUnfairStopRejected(t *testing.T) {
 	// A non-relaxed scheduler stopping with undelivered messages is an error.
 	procs := []Process{&sender{to: 1, payloads: []any{"x"}}, &doubleDecider{}}
 	sched := &StallScheduler{
-		Base:    FIFOScheduler{},
+		Base:    &FIFOScheduler{},
 		Trigger: func(v *View) bool { return len(v.Pending()) > 0 },
 	}
 	rt, _ := New(Config{Procs: procs, Scheduler: sched, Seed: 8})
@@ -218,7 +218,7 @@ func TestUnfairStopRejected(t *testing.T) {
 func TestRelaxedStallProducesDeadlock(t *testing.T) {
 	procs := []Process{&sender{to: 1, payloads: []any{"x"}}, &doubleDecider{}}
 	sched := &StallScheduler{
-		Base:    FIFOScheduler{},
+		Base:    &FIFOScheduler{},
 		Trigger: func(v *View) bool { return len(v.Pending()) > 0 },
 	}
 	rt, _ := New(Config{Procs: procs, Scheduler: sched, Seed: 9, Relaxed: true})
@@ -286,7 +286,7 @@ func TestDropSchedulerDropsMediatorStop(t *testing.T) {
 	// Drop everything player 0 sends: recipient deadlocks.
 	procs := []Process{&sender{to: 1, payloads: []any{"stop"}}, &doubleDecider{}}
 	sched := &DropScheduler{
-		Base:       FIFOScheduler{},
+		Base:       &FIFOScheduler{},
 		ShouldDrop: func(m MsgMeta) bool { return m.From == 0 },
 	}
 	rt, _ := New(Config{Procs: procs, Scheduler: sched, Seed: 12, Relaxed: true})
@@ -304,7 +304,7 @@ func TestDropSchedulerDropsMediatorStop(t *testing.T) {
 
 func TestHaltedProcessGetsNoDeliveries(t *testing.T) {
 	procs := []Process{&haltOnStart{}, &sender{to: 0, payloads: []any{"late"}}}
-	rt, _ := New(Config{Procs: procs, Scheduler: FIFOScheduler{}, Seed: 13})
+	rt, _ := New(Config{Procs: procs, Scheduler: &FIFOScheduler{}, Seed: 13})
 	res, err := rt.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +321,7 @@ func (*haltOnStart) Deliver(env *Env, m Message) { env.Decide(m.Payload) }
 
 func TestSendToInvalidPIDIgnored(t *testing.T) {
 	procs := []Process{&sender{to: 99, payloads: []any{"x"}}}
-	rt, _ := New(Config{Procs: procs, Scheduler: FIFOScheduler{}, Seed: 14})
+	rt, _ := New(Config{Procs: procs, Scheduler: &FIFOScheduler{}, Seed: 14})
 	if _, err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Procs: []Process{echoProc{}}}); err == nil {
 		t.Error("missing scheduler should fail")
 	}
-	if _, err := New(Config{Procs: []Process{echoProc{}}, Scheduler: FIFOScheduler{}, Players: 5}); err == nil {
+	if _, err := New(Config{Procs: []Process{echoProc{}}, Scheduler: &FIFOScheduler{}, Players: 5}); err == nil {
 		t.Error("Players > len(Procs) should fail")
 	}
 }
@@ -359,7 +359,7 @@ func TestAuxiliaryPlayersExcludedFromDeadlock(t *testing.T) {
 	// Process 1 is an auxiliary (mediator-like): it never decides, but the
 	// run is not deadlocked because all real players decided.
 	procs := []Process{&initiatorProc{}, echoProc{}}
-	rt, _ := New(Config{Procs: procs, Players: 1, Scheduler: FIFOScheduler{}, Seed: 15})
+	rt, _ := New(Config{Procs: procs, Players: 1, Scheduler: &FIFOScheduler{}, Seed: 15})
 	res, err := rt.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -371,7 +371,7 @@ func TestAuxiliaryPlayersExcludedFromDeadlock(t *testing.T) {
 
 func TestBroadcast(t *testing.T) {
 	procs := []Process{&broadcaster{}, &doubleDecider{}, &doubleDecider{}, &doubleDecider{}}
-	rt, _ := New(Config{Procs: procs, Scheduler: FIFOScheduler{}, Seed: 16})
+	rt, _ := New(Config{Procs: procs, Scheduler: &FIFOScheduler{}, Seed: 16})
 	res, err := rt.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -5,37 +5,46 @@ import (
 	"sort"
 )
 
-// minSlots is the smallest slot array a pendingSet allocates.
+// minSlots is the smallest slot array a pendingSet allocates. Slot arrays
+// are minSlots times a power of two, so they fill whole bitmap words.
 const minSlots = 64
 
-// slot holds one message the runtime has accepted. A slot dies when its
-// message is delivered or dropped; dead slots are squeezed out by compact.
-type slot struct {
-	msg  Message
-	live bool
-}
+// blockBits is log2 of the positions one leaf of the Fenwick tree counts.
+const blockBits = 9
 
-// pendingSet is the runtime's index of in-flight messages. Slots sit in
-// ID (send) order, so a position orders messages the way IDs do. On top of
-// the slots it keeps:
+// pendingSet is the runtime's index of in-flight messages. Slots are bare
+// Messages in ID (send) order, so a position orders messages the way IDs
+// do. On top of the slots it keeps:
 //
-//   - a Fenwick tree over positions counting deliverable messages (live
-//     and addressed to a process that has not halted), so "the k-th
-//     deliverable message in ID order" is an O(log) descent;
+//   - alive, a bitmap over positions: the slot holds a pending message;
+//   - ready, a bitmap over positions: the message is pending and its
+//     recipient has not halted (it is deliverable);
+//   - a Fenwick tree over 512-position blocks of ready, so "the k-th
+//     deliverable message in ID order" descends the tree to a block, then
+//     popcounts that block's words and selects within one word: O(log
+//     pending);
 //   - one FIFO lane of positions per recipient, trimmed lazily from the
 //     front, so "the oldest pending message to p" is amortised O(1);
-//   - the deliverable count itself.
+//   - the live and deliverable counts.
+//
+// Adding, removing or halting one message flips one bit in each bitmap it
+// is in and updates O(log blocks) tree nodes: a play at n=8 has a tree of
+// a few leaves.
 //
 // Memory is O(pending), not O(messages ever sent): when the slot array is
-// full, compact squeezes out dead slots and rebuilds the tree and lanes,
-// growing the array only when more than half of it is live. The array is
-// thus at most four times the peak pending count (or minSlots), and each
-// compaction is paid for by the sends that filled the freed slots.
+// full, compact squeezes out dead slots and rebuilds the bitmaps, tree and
+// lanes, growing the array only when more than half of it is live. The
+// array is thus at most four times the peak pending count (or minSlots),
+// the bitmaps one bit per slot each, the tree one counter per 512 slots,
+// and each compaction is paid for by the sends that filled the freed
+// slots.
 type pendingSet struct {
-	slots       []slot
-	tree        []int32 // 1-based Fenwick tree over positions; len = cap(slots)+1
-	lanes       [][]int // per recipient: positions in ID order, possibly dead
-	halted      []bool  // the runtime's halted flags (shared, read only)
+	slots       []Message // a dead slot keeps its pattern fields, not its payload
+	alive       []uint64  // bit per slot position: pending
+	ready       []uint64  // bit per slot position: pending, recipient not halted
+	tree        []int32   // 1-based Fenwick tree over blocks of ready
+	lanes       [][]int32 // per recipient: positions in ID order, possibly dead
+	halted      []bool    // the runtime's halted flags (shared, read only)
 	live        int
 	deliverable int
 	// last is the position kth or oldest last returned: the message a
@@ -44,13 +53,25 @@ type pendingSet struct {
 }
 
 func newPendingSet(halted []bool) pendingSet {
-	return pendingSet{halted: halted, lanes: make([][]int, len(halted))}
+	return pendingSet{halted: halted, lanes: make([][]int32, len(halted))}
 }
 
+func bitGet(b []uint64, pos int) bool { return b[pos>>6]&(1<<(pos&63)) != 0 }
+func bitSet(b []uint64, pos int)      { b[pos>>6] |= 1 << (pos & 63) }
+func bitClear(b []uint64, pos int)    { b[pos>>6] &^= 1 << (pos & 63) }
+
+// treeAdd adds d to the deliverable count of pos's block.
 func (s *pendingSet) treeAdd(pos int, d int32) {
-	for i := pos + 1; i < len(s.tree); i += i & -i {
+	for i := pos>>blockBits + 1; i < len(s.tree); i += i & -i {
 		s.tree[i] += d
 	}
+}
+
+// unready takes the deliverable message at pos out of the ready index.
+func (s *pendingSet) unready(pos int) {
+	bitClear(s.ready, pos)
+	s.treeAdd(pos, -1)
+	s.deliverable--
 }
 
 // add appends m, which must carry the highest ID so far.
@@ -59,10 +80,12 @@ func (s *pendingSet) add(m Message) {
 		s.compact()
 	}
 	pos := len(s.slots)
-	s.slots = append(s.slots, slot{msg: m, live: true})
-	s.lanes[m.To] = append(s.lanes[m.To], pos)
+	s.slots = append(s.slots, m)
+	bitSet(s.alive, pos)
+	s.lanes[m.To] = append(s.lanes[m.To], int32(pos))
 	s.live++
 	if !s.halted[m.To] {
+		bitSet(s.ready, pos)
 		s.treeAdd(pos, 1)
 		s.deliverable++
 	}
@@ -74,11 +97,11 @@ func (s *pendingSet) add(m Message) {
 // compaction may since have killed or moved, and binary-searches if that
 // slot does not hold id alive.
 func (s *pendingSet) find(id MsgID) int {
-	if p := s.last; p < len(s.slots) && s.slots[p].msg.ID == id && s.slots[p].live {
+	if p := s.last; p < len(s.slots) && s.slots[p].ID == id && bitGet(s.alive, p) {
 		return p
 	}
-	pos := sort.Search(len(s.slots), func(i int) bool { return s.slots[i].msg.ID >= id })
-	if pos == len(s.slots) || s.slots[pos].msg.ID != id || !s.slots[pos].live {
+	pos := sort.Search(len(s.slots), func(i int) bool { return s.slots[i].ID >= id })
+	if pos == len(s.slots) || s.slots[pos].ID != id || !bitGet(s.alive, pos) {
 		return -1
 	}
 	return pos
@@ -86,14 +109,12 @@ func (s *pendingSet) find(id MsgID) int {
 
 // remove takes the live message at pos out of the set and returns it.
 func (s *pendingSet) remove(pos int) Message {
-	sl := &s.slots[pos]
-	m := sl.msg
-	sl.live = false
-	sl.msg.Payload = nil // let the payload go before the slot is compacted
+	m := s.slots[pos]
+	s.slots[pos].Payload = nil // let the payload go before the slot is compacted
+	bitClear(s.alive, pos)
 	s.live--
-	if !s.halted[m.To] {
-		s.treeAdd(pos, -1)
-		s.deliverable--
+	if bitGet(s.ready, pos) {
+		s.unready(pos)
 	}
 	return m
 }
@@ -102,10 +123,12 @@ func (s *pendingSet) remove(pos int) Message {
 // many it removed.
 func (s *pendingSet) removeIf(drop func(*Message) bool) int {
 	n := 0
-	for pos := range s.slots {
-		if s.slots[pos].live && drop(&s.slots[pos].msg) {
-			s.remove(pos)
-			n++
+	for i, w := range s.alive {
+		for ; w != 0; w &= w - 1 {
+			if pos := i<<6 + bits.TrailingZeros64(w); drop(&s.slots[pos]) {
+				s.remove(pos)
+				n++
+			}
 		}
 	}
 	return n
@@ -115,9 +138,8 @@ func (s *pendingSet) removeIf(drop func(*Message) bool) int {
 // caller sets halted[p] afterwards, so later sends to p are never indexed.
 func (s *pendingSet) halt(p PID) {
 	for _, pos := range s.lanes[p] {
-		if s.slots[pos].live {
-			s.treeAdd(pos, -1)
-			s.deliverable--
+		if bitGet(s.ready, int(pos)) {
+			s.unready(int(pos))
 		}
 	}
 }
@@ -125,22 +147,55 @@ func (s *pendingSet) halt(p PID) {
 // kth returns the position of the k-th (0-based) deliverable message in
 // ID order; 0 <= k < deliverable.
 func (s *pendingSet) kth(k int) int {
-	pos, rem := 0, int32(k)
+	blk, rem := 0, int32(k)
 	for step := 1 << (bits.Len(uint(len(s.tree)-1)) - 1); step > 0; step >>= 1 {
-		if next := pos + step; next < len(s.tree) && s.tree[next] <= rem {
-			pos = next
+		if next := blk + step; next < len(s.tree) && s.tree[next] <= rem {
+			blk = next
 			rem -= s.tree[next]
 		}
 	}
-	s.last = pos
-	return pos // the 1-based index pos+1, as a 0-based position
+	// blk is the 1-based index blk+1 as a 0-based block: scan its words.
+	for i := blk << (blockBits - 6); ; i++ {
+		w := s.ready[i]
+		if c := int32(bits.OnesCount64(w)); rem >= c {
+			rem -= c
+			continue
+		}
+		s.last = i<<6 + selectBit(w, int(rem))
+		return s.last
+	}
+}
+
+// selectBit returns the index of the r-th (0-based) set bit of w, which
+// has more than r set bits.
+func selectBit(w uint64, r int) int {
+	off := 0
+	if c := bits.OnesCount32(uint32(w)); r >= c {
+		r -= c
+		w >>= 32
+		off = 32
+	}
+	if c := bits.OnesCount16(uint16(w)); r >= c {
+		r -= c
+		w >>= 16
+		off += 16
+	}
+	if c := bits.OnesCount8(uint8(w)); r >= c {
+		r -= c
+		w >>= 8
+		off += 8
+	}
+	for ; r > 0; r-- {
+		w &= w - 1
+	}
+	return off + bits.TrailingZeros64(w)
 }
 
 // oldest returns the position of the oldest pending message to p, or -1.
 // Dead positions at the front of p's lane are trimmed on the way.
 func (s *pendingSet) oldest(p PID) int {
 	lane := s.lanes[p]
-	for len(lane) > 0 && !s.slots[lane[0]].live {
+	for len(lane) > 0 && !bitGet(s.alive, int(lane[0])) {
 		lane = lane[1:]
 	}
 	if len(lane) == 0 {
@@ -150,23 +205,24 @@ func (s *pendingSet) oldest(p PID) int {
 	if len(lane) == 0 {
 		return -1
 	}
-	s.last = lane[0]
-	return lane[0]
+	s.last = int(lane[0])
+	return s.last
 }
 
 // list materialises the pending messages in ID order.
 func (s *pendingSet) list() []MsgMeta {
 	out := make([]MsgMeta, 0, s.live)
-	for i := range s.slots {
-		if s.slots[i].live {
-			out = append(out, meta(s.slots[i].msg))
+	for i, w := range s.alive {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, meta(s.slots[i<<6+bits.TrailingZeros64(w)]))
 		}
 	}
 	return out
 }
 
 // compact squeezes dead slots out of a full slot array, doubling it when
-// more than half of it is live, and rebuilds the tree and the lanes.
+// more than half of it is live, and rebuilds the bitmaps, the tree and
+// the lanes. The live messages end up at positions 0..live-1.
 func (s *pendingSet) compact() {
 	size := cap(s.slots)
 	if size < minSlots {
@@ -180,29 +236,36 @@ func (s *pendingSet) compact() {
 	if inPlace {
 		s.slots = old[:0] // the write index never passes the read index
 	} else {
-		s.slots = make([]slot, 0, size)
+		s.slots = make([]Message, 0, size)
 	}
-	for i := range old {
-		if old[i].live {
-			s.slots = append(s.slots, old[i])
+	for i, w := range s.alive {
+		for ; w != 0; w &= w - 1 {
+			s.slots = append(s.slots, old[i<<6+bits.TrailingZeros64(w)])
 		}
 	}
 	if inPlace {
 		clear(old[len(s.slots):]) // the tail's stale copies still hold payloads
 	}
-	if len(s.tree) != size+1 {
-		s.tree = make([]int32, size+1)
+	words, blocks := size/64, (size+1<<blockBits-1)>>blockBits
+	if len(s.alive) != words {
+		s.alive = make([]uint64, words)
+		s.ready = make([]uint64, words)
+		s.tree = make([]int32, blocks+1)
 	} else {
+		clear(s.alive)
+		clear(s.ready)
 		clear(s.tree)
 	}
 	for p := range s.lanes {
 		s.lanes[p] = s.lanes[p][:0]
 	}
 	for pos := range s.slots {
-		to := s.slots[pos].msg.To
-		s.lanes[to] = append(s.lanes[to], pos)
+		to := s.slots[pos].To
+		bitSet(s.alive, pos)
+		s.lanes[to] = append(s.lanes[to], int32(pos))
 		if !s.halted[to] {
-			s.tree[pos+1] = 1
+			bitSet(s.ready, pos)
+			s.tree[pos>>blockBits+1]++
 		}
 	}
 	// Linear-time Fenwick build: push each node's sum to its parent.

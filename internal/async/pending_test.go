@@ -1,6 +1,7 @@
 package async
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"runtime"
@@ -85,8 +86,11 @@ func TestStorageBoundedByPeakPending(t *testing.T) {
 		t.Fatalf("sent %d messages, want >= 1M", rt.stats.MessagesSent)
 	}
 	bound := max(minSlots, 4*sched.peakLive)
-	if sched.maxCap > bound || len(rt.pend.tree) > bound+1 {
+	if sched.maxCap > bound || len(rt.pend.tree) > bound>>blockBits+2 {
 		t.Fatalf("slots %d, tree %d for peak pending %d; want <= %d", sched.maxCap, len(rt.pend.tree), sched.peakLive, bound)
+	}
+	if bits := 64 * (len(rt.pend.alive) + len(rt.pend.ready)); bits > 2*bound {
+		t.Fatalf("bitmaps hold %d bits for peak pending %d; want <= %d", bits, sched.peakLive, 2*bound)
 	}
 	lanes := 0
 	for _, l := range rt.pend.lanes {
@@ -195,7 +199,7 @@ func TestIndexMatchesScan(t *testing.T) {
 // id, or -1.
 func scanFind(s *pendingSet, id MsgID) int {
 	for i := range s.slots {
-		if s.slots[i].msg.ID == id && s.slots[i].live {
+		if s.slots[i].ID == id && bitGet(s.alive, i) {
 			return i
 		}
 	}
@@ -234,15 +238,15 @@ func TestFindMatchesScan(t *testing.T) {
 				// the runtime does after a scheduler picks it.
 				pos := scanFind(&s, looked)
 				if pos < 0 || rng.Intn(2) == 0 {
-					for pos = rng.Intn(len(s.slots)); !s.slots[pos].live; pos = (pos + 1) % len(s.slots) {
+					for pos = rng.Intn(len(s.slots)); !bitGet(s.alive, pos); pos = (pos + 1) % len(s.slots) {
 					}
 				}
 				s.remove(pos)
 			case r < 8 && s.deliverable > 0:
-				looked = s.slots[s.kth(rng.Intn(s.deliverable))].msg.ID
+				looked = s.slots[s.kth(rng.Intn(s.deliverable))].ID
 			case r >= 8:
 				if pos := s.oldest(PID(rng.Intn(n))); pos >= 0 {
-					looked = s.slots[pos].msg.ID
+					looked = s.slots[pos].ID
 				}
 			}
 			switch pos := scanFind(&s, looked); {
@@ -261,4 +265,147 @@ func TestFindMatchesScan(t *testing.T) {
 	if dead == 0 || moved == 0 || compactions == 0 {
 		t.Fatalf("never exercised a case: %d dead, %d moved, %d compactions", dead, moved, compactions)
 	}
+}
+
+// FuzzPendingSet turns bytes into a sequence of add, remove, kth, oldest
+// and halt operations on a pendingSet, across compactions, and after each
+// operation checks find, kth, oldest and the deliverable count against a
+// linear scan of a plain model: the pending messages in ID order.
+//
+// The first byte picks the number of recipients; then every two bytes are
+// one operation (opcode, argument). Only the first maxFuzzOps operations
+// run, so the quadratic model keeps one input to milliseconds.
+func FuzzPendingSet(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 0, 2, 3, 0, 4, 1})
+	f.Add(bytes.Repeat([]byte{0, 7, 1, 200, 2, 3, 3, 128, 4, 2}, 150))
+	f.Add(append(bytes.Repeat([]byte{0, 1, 1, 9}, 300), bytes.Repeat([]byte{2, 1, 2, 40, 5, 1, 3, 250}, 200)...))
+	f.Add(bytes.Repeat([]byte{5, 0, 5, 2, 0, 0, 6, 3, 99, 2, 1}, 100))
+	const maxFuzzOps = 2048
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) == 0 {
+			return
+		}
+		b = b[:min(len(b), 1+2*maxFuzzOps)]
+		n := 1 + int(b[0]%8)
+		halted := make([]bool, n)
+		s := newPendingSet(halted)
+		var model []Message // pending messages, in ID order
+		pending := map[MsgID]bool{}
+		ready := 0 // how many of model are to a process not halted
+		var next MsgID
+		looked := MsgID(-1) // the message kth or oldest last returned
+		kthReady := func(k int) Message {
+			for _, m := range model {
+				if !halted[m.To] {
+					if k == 0 {
+						return m
+					}
+					k--
+				}
+			}
+			panic("kthReady out of range")
+		}
+		for i := 1; i+1 < len(b); i += 2 {
+			op, arg := b[i]%6, int(b[i+1])
+			switch {
+			case op <= 1: // adds weigh double, so the set grows and compacts
+				m := Message{ID: next, To: PID(arg % n), Seq: arg}
+				next++
+				s.add(m)
+				model = append(model, m)
+				pending[m.ID] = true
+				if !halted[m.To] {
+					ready++
+				}
+			case op == 2 && len(model) > 0:
+				// Odd arguments remove what the last lookup returned, as
+				// the runtime does after a scheduler picks it.
+				j := arg % len(model)
+				for k, m := range model {
+					if m.ID == looked && arg%2 == 1 {
+						j = k
+						break
+					}
+				}
+				pos := s.find(model[j].ID)
+				if pos < 0 {
+					t.Fatalf("op %d: pending message %d not found", i, model[j].ID)
+				}
+				if got := s.remove(pos); got != model[j] {
+					t.Fatalf("op %d: remove(%d) = %+v, want %+v", i, pos, got, model[j])
+				}
+				if !halted[model[j].To] {
+					ready--
+				}
+				delete(pending, model[j].ID)
+				model = append(model[:j], model[j+1:]...)
+			case op == 3 && ready > 0:
+				k := arg * ready / 256
+				pos, want := s.kth(k), kthReady(k)
+				if s.slots[pos] != want {
+					t.Fatalf("op %d: kth(%d) = %+v, scan says %+v", i, k, s.slots[pos], want)
+				}
+				looked = want.ID
+			case op == 4:
+				p := PID(arg % n)
+				want := -1
+				for j, m := range model {
+					if m.To == p {
+						want = j
+						break
+					}
+				}
+				switch pos := s.oldest(p); {
+				case want < 0 && pos >= 0:
+					t.Fatalf("op %d: oldest(%d) = %+v, scan says none", i, p, s.slots[pos])
+				case want >= 0 && (pos < 0 || s.slots[pos] != model[want]):
+					t.Fatalf("op %d: oldest(%d) at %d, scan says %+v", i, p, pos, model[want])
+				case want >= 0:
+					looked = model[want].ID
+				}
+			case op == 5 && !halted[arg%n]:
+				s.halt(PID(arg % n))
+				halted[arg%n] = true
+				for _, m := range model {
+					if m.To == PID(arg%n) {
+						ready--
+					}
+				}
+			}
+			if s.live != len(model) || s.deliverable != ready {
+				t.Fatalf("op %d: live %d, deliverable %d; scan says %d, %d", i, s.live, s.deliverable, len(model), ready)
+			}
+			for _, id := range []MsgID{looked, MsgID(arg) - 1, next - 1 - MsgID(arg), next} {
+				switch pos := s.find(id); {
+				case !pending[id] && pos >= 0:
+					t.Fatalf("op %d: find(%d) = %d, scan says not pending", i, id, pos)
+				case pending[id] && (pos < 0 || s.slots[pos].ID != id):
+					t.Fatalf("op %d: find(%d) = %d, scan says pending", i, id, pos)
+				}
+			}
+		}
+		// A last full sweep: every deliverable message by rank, every
+		// pending message by id, every recipient's oldest.
+		for k := 0; k < ready; k++ {
+			if pos, m := s.kth(k), kthReady(k); s.slots[pos] != m {
+				t.Fatalf("kth(%d) = %+v, scan says %+v", k, s.slots[pos], m)
+			}
+		}
+		for _, m := range model {
+			if pos := s.find(m.ID); pos < 0 || s.slots[pos] != m {
+				t.Fatalf("find(%d) = %d, scan says %+v", m.ID, pos, m)
+			}
+		}
+		for p := 0; p < n; p++ {
+			pos := s.oldest(PID(p))
+			for _, m := range model {
+				if m.To == PID(p) {
+					if pos < 0 || s.slots[pos] != m {
+						t.Fatalf("oldest(%d) at %d, scan says %+v", p, pos, m)
+					}
+					break
+				}
+			}
+		}
+	})
 }

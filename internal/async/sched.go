@@ -16,7 +16,7 @@ func SchedulerByName(name string, seed int64) (Scheduler, error) {
 	case "random":
 		return NewRandomScheduler(seed), nil
 	case "fifo":
-		return FIFOScheduler{}, nil
+		return &FIFOScheduler{}, nil
 	default:
 		return nil, fmt.Errorf("async: unknown scheduler %q (want roundrobin, random or fifo)", name)
 	}
@@ -42,26 +42,23 @@ var _ Scheduler = (*RandomScheduler)(nil)
 func (s *RandomScheduler) Next(v *View) (Event, bool) {
 	// Schedulable choices: unstarted processes in PID order, then
 	// deliverable messages (addressed to non-halted processes) in ID order.
-	unstarted := 0
-	for p, st := range v.Started {
-		if !st && !v.Halted[p] {
-			unstarted++
-		}
-	}
+	unstarted := v.Unstarted()
 	total := unstarted + v.Deliverable()
 	if total == 0 {
 		return Event{}, false
 	}
 	k := s.rng.Intn(total)
-	for p, st := range v.Started {
-		if !st && !v.Halted[p] {
-			if k == 0 {
-				return Event{Player: PID(p)}, true
+	if k < unstarted {
+		for p, st := range v.Started {
+			if !st && !v.Halted[p] {
+				if k == 0 {
+					return Event{Player: PID(p)}, true
+				}
+				k--
 			}
-			k--
 		}
 	}
-	m := v.KthDeliverable(k)
+	m := v.KthDeliverable(k - unstarted)
 	s.deliver[0] = m.ID
 	return Event{Player: m.To, Deliver: s.deliver[:]}, true
 }
@@ -99,22 +96,27 @@ func (s *RoundRobinScheduler) Next(v *View) (Event, bool) {
 // FIFOScheduler delivers messages in global send order: the oldest pending
 // deliverable message goes first. Unstarted processes are started before
 // any delivery. Deterministic and fair.
-type FIFOScheduler struct{}
+type FIFOScheduler struct {
+	deliver [1]MsgID // backs the Deliver of the event Next returns
+}
 
-var _ Scheduler = FIFOScheduler{}
+var _ Scheduler = (*FIFOScheduler)(nil)
 
 // Next implements Scheduler.
-func (FIFOScheduler) Next(v *View) (Event, bool) {
-	for p, st := range v.Started {
-		if !st && !v.Halted[p] {
-			return Event{Player: PID(p)}, true
+func (s *FIFOScheduler) Next(v *View) (Event, bool) {
+	if v.Unstarted() > 0 {
+		for p, st := range v.Started {
+			if !st && !v.Halted[p] {
+				return Event{Player: PID(p)}, true
+			}
 		}
 	}
 	if v.Deliverable() == 0 {
 		return Event{}, false
 	}
 	m := v.KthDeliverable(0)
-	return Event{Player: m.To, Deliver: []MsgID{m.ID}}, true
+	s.deliver[0] = m.ID
+	return Event{Player: m.To, Deliver: s.deliver[:]}, true
 }
 
 // DelayScheduler wraps a base scheduler but refuses to deliver messages

@@ -8,7 +8,7 @@ import (
 func TestTraceRecorder(t *testing.T) {
 	rec := &TraceRecorder{}
 	procs := []Process{&initiatorProc{}, echoProc{}, echoProc{}}
-	rt, err := New(Config{Procs: procs, Scheduler: FIFOScheduler{}, Seed: 1, Trace: rec.Record})
+	rt, err := New(Config{Procs: procs, Scheduler: &FIFOScheduler{}, Seed: 1, Trace: rec.Record})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestTraceRecorder(t *testing.T) {
 func TestTimelineLimit(t *testing.T) {
 	rec := &TraceRecorder{}
 	procs := []Process{&initiatorProc{}, echoProc{}, echoProc{}}
-	rt, _ := New(Config{Procs: procs, Scheduler: FIFOScheduler{}, Seed: 2, Trace: rec.Record})
+	rt, _ := New(Config{Procs: procs, Scheduler: &FIFOScheduler{}, Seed: 2, Trace: rec.Record})
 	if _, err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}

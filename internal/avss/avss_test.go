@@ -181,7 +181,7 @@ func (d *withheldDealer) Start(env *async.Env) {
 		row := f.Row(field.Element(j + 1))
 		coeffs := make([]field.Element, len(row))
 		copy(coeffs, row)
-		env.Send(async.PID(j), proto.Envelope{Instance: "avss", Body: MsgRow{Coeffs: coeffs}})
+		env.Send(async.PID(j), &proto.Envelope{Instance: "avss", Body: MsgRow{Coeffs: coeffs}})
 	}
 }
 func (d *withheldDealer) Deliver(env *async.Env, m async.Message) {}
@@ -346,7 +346,7 @@ func (d *inconsistentDealer) Start(env *async.Env) {
 		row := f.Row(field.Element(j + 1))
 		coeffs := make([]field.Element, len(row))
 		copy(coeffs, row)
-		env.Send(async.PID(j), proto.Envelope{Instance: "avss", Body: MsgRow{Coeffs: coeffs}})
+		env.Send(async.PID(j), &proto.Envelope{Instance: "avss", Body: MsgRow{Coeffs: coeffs}})
 	}
 }
 func (d *inconsistentDealer) Deliver(env *async.Env, m async.Message) {}
@@ -386,7 +386,7 @@ type rushingReadySender struct{ n int }
 
 func (r *rushingReadySender) Start(env *async.Env) {
 	for j := 0; j < r.n; j++ {
-		env.Send(async.PID(j), proto.Envelope{Instance: "avss", Body: MsgReady{}})
+		env.Send(async.PID(j), &proto.Envelope{Instance: "avss", Body: MsgReady{}})
 	}
 }
 func (r *rushingReadySender) Deliver(env *async.Env, m async.Message) {}

@@ -128,8 +128,8 @@ func (f *byzFlood) Start(env *async.Env) {
 	for r := 1; r <= 3; r++ {
 		for p := 0; p < f.n; p++ {
 			for v := 0; v <= 1; v++ {
-				env.Send(async.PID(p), proto.Envelope{Instance: "ba", Body: MsgEst{Round: r, V: v}})
-				env.Send(async.PID(p), proto.Envelope{Instance: "ba", Body: MsgAux{Round: r, V: v}})
+				env.Send(async.PID(p), &proto.Envelope{Instance: "ba", Body: MsgEst{Round: r, V: v}})
+				env.Send(async.PID(p), &proto.Envelope{Instance: "ba", Body: MsgAux{Round: r, V: v}})
 			}
 		}
 	}

@@ -301,16 +301,18 @@ func TestVariantString(t *testing.T) {
 // scheduler, seed 1. Per-message costs dominate the count, so a handler
 // path that starts allocating per message, per recipient or per callback
 // again shows here (per-message costs put it near 30k, per-sender maps
-// in BA and AVSS near 11.2k; a play makes ~9.3k).
+// in BA and AVSS near 11.2k, an envelope boxed per send near 9.3k; a play
+// makes ~7.0k).
 func TestPlayAllocationBudget(t *testing.T) {
-	checkPlayAllocs(t, 8, 1, 1, Punish44, func() async.Scheduler { return async.NewRandomScheduler(1) }, 10_000)
+	checkPlayAllocs(t, 8, 1, 1, Punish44, func() async.Scheduler { return async.NewRandomScheduler(1) }, 7_500)
 }
 
 // TestSmallPlayAllocationBudget is TestPlayAllocationBudget for the n=5,
 // k=0, t=1 Theorem 4.1 play under the round-robin scheduler (the shape of
-// the benchmark's sim-n5 and cluster-n5 plays).
+// the benchmark's sim-n5 and cluster-n5 plays): ~2.0k allocations, ~2.5k
+// with an envelope boxed per send.
 func TestSmallPlayAllocationBudget(t *testing.T) {
-	checkPlayAllocs(t, 5, 0, 1, Exact41, func() async.Scheduler { return &async.RoundRobinScheduler{} }, 2_750)
+	checkPlayAllocs(t, 5, 0, 1, Exact41, func() async.Scheduler { return &async.RoundRobinScheduler{} }, 2_250)
 }
 
 // checkPlayAllocs fails when one seed-1 play of the given shape allocates

@@ -73,7 +73,7 @@ func determinismCases(t *testing.T) map[string]detRun {
 	scheds := map[string]func(seed int64) async.Scheduler{
 		"roundrobin": func(int64) async.Scheduler { return &async.RoundRobinScheduler{} },
 		"random":     func(seed int64) async.Scheduler { return async.NewRandomScheduler(seed) },
-		"fifo":       func(int64) async.Scheduler { return async.FIFOScheduler{} },
+		"fifo":       func(int64) async.Scheduler { return &async.FIFOScheduler{} },
 		"delay": func(seed int64) async.Scheduler {
 			return &async.DelayScheduler{Base: async.NewRandomScheduler(seed), Slow: map[async.PID]bool{1: true}}
 		},

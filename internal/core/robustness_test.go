@@ -7,6 +7,7 @@ import (
 	"asyncmediator/internal/async"
 	"asyncmediator/internal/game"
 	"asyncmediator/internal/mediator"
+	"asyncmediator/internal/proto"
 )
 
 // TestLotteryUnbiasedUnderAdversaries checks the secrecy/robustness core
@@ -25,6 +26,9 @@ func TestLotteryUnbiasedUnderAdversaries(t *testing.T) {
 		name string
 		mk   func(seed int64) (map[int]async.Process, error)
 	}
+	// rewrites counts the shares the corrupt-opens deviator rewrote: a
+	// hook that matches no payload would leave the bit unbiased trivially.
+	rewrites := 0
 	advs := []adv{
 		{"crash", func(seed int64) (map[int]async.Process, error) {
 			return map[int]async.Process{3: adversary.Crash{}}, nil
@@ -34,7 +38,16 @@ func TestLotteryUnbiasedUnderAdversaries(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return map[int]async.Process{3: adversary.CorruptOpens(hp, 1)}, nil
+			rw := adversary.CorruptOpens(hp, 1)
+			hook := rw.Hook
+			rw.Hook = func(to async.PID, p any) (any, bool) {
+				q, ok := hook(to, p)
+				if e, isEnv := q.(*proto.Envelope); isEnv && e != p {
+					rewrites++
+				}
+				return q, ok
+			}
+			return map[int]async.Process{3: rw}, nil
 		}},
 		{"mute-late", func(seed int64) (map[int]async.Process, error) {
 			hp, err := NewPlayer(p, 3, 0)
@@ -66,6 +79,9 @@ func TestLotteryUnbiasedUnderAdversaries(t *testing.T) {
 				if b == 1 {
 					ones++
 				}
+			}
+			if a.name == "corrupt-opens" && rewrites == 0 {
+				t.Fatal("CorruptOpens rewrote no share")
 			}
 			frac := float64(ones) / float64(trials)
 			if frac < 0.25 || frac > 0.75 {

@@ -22,12 +22,20 @@ import (
 	"asyncmediator/internal/async"
 )
 
-// Envelope wraps a module message with its instance id. It is the only
-// payload type a Host sends or understands.
+// Envelope wraps a module message with its instance id. A *Envelope is
+// the only payload type a Host sends or understands.
+//
+// A sent envelope is immutable: Broadcast shares one envelope across its
+// n sends, and a Host carves envelopes out of a shared slab, so a send
+// hook that rewrites a message must copy the envelope and send the copy,
+// never write through the pointer.
 type Envelope struct {
 	Instance string
 	Body     any
 }
+
+// envSlab is how many envelopes a Host carves from one allocation.
+const envSlab = 64
 
 // Module is a sub-protocol instance hosted by a Host.
 type Module interface {
@@ -62,22 +70,24 @@ func (c *Ctx) Rand() *rand.Rand { return c.env.Rand() }
 // Instance returns the module's own instance id.
 func (c *Ctx) Instance() string { return c.inst }
 
-// Send sends body to the same instance at party `to`.
+// Send sends body to the same instance at party `to`, in a *Envelope
+// carved from the host's slab. The envelope and body are immutable once
+// sent.
 func (c *Ctx) Send(to async.PID, body any) {
-	c.env.Send(to, Envelope{Instance: c.inst, Body: body})
+	c.env.Send(to, c.host.envelope(c.inst, body))
 }
 
 // SendTo sends body to a *different* instance at party `to`. Used by
 // parent modules addressing their children across parties.
 func (c *Ctx) SendTo(to async.PID, instance string, body any) {
-	c.env.Send(to, Envelope{Instance: instance, Body: body})
+	c.env.Send(to, c.host.envelope(instance, body))
 }
 
 // Broadcast sends body to the same instance at every participant,
-// including self (n point-to-point sends; not atomic). The n sends carry
-// one boxed Envelope: a payload is read only once sent.
+// including self (n point-to-point sends; not atomic). The n sends share
+// one *Envelope, so a hook that rewrites one of them must copy it first.
 func (c *Ctx) Broadcast(body any) {
-	var e any = Envelope{Instance: c.inst, Body: body}
+	e := c.host.envelope(c.inst, body)
 	for p, n := 0, c.N(); p < n; p++ {
 		c.env.Send(async.PID(p), e)
 	}
@@ -119,9 +129,11 @@ type Host struct {
 	onStart func(env *async.Env)
 	// startOrder preserves registration order for deterministic startup.
 	startOrder []string
-	// unknown counts payloads dropped because they are not an Envelope
+	// unknown counts payloads dropped because they are not a *Envelope
 	// (diagnostics).
 	unknown int
+	// slab holds the envelopes not yet carved (see envelope).
+	slab []Envelope
 }
 
 // entry is one registered instance: its module and the Ctx every callback
@@ -129,6 +141,19 @@ type Host struct {
 type entry struct {
 	m   Module
 	ctx Ctx
+}
+
+// envelope returns a new *Envelope carved from the host's slab: one
+// allocation per envSlab sends rather than one per send. A slab is freed
+// once none of its envelopes is referenced.
+func (h *Host) envelope(instance string, body any) *Envelope {
+	if len(h.slab) == 0 {
+		h.slab = make([]Envelope, envSlab)
+	}
+	e := &h.slab[0]
+	h.slab = h.slab[1:]
+	e.Instance, e.Body = instance, body
+	return e
 }
 
 // bind points the entry's Ctx at env and returns it.
@@ -172,7 +197,7 @@ func (h *Host) add(instance string, m Module) *entry {
 func (h *Host) OnStart(f func(env *async.Env)) { h.onStart = f }
 
 // UnknownCount reports how many message bodies no module has claimed:
-// payloads that are not an Envelope, and bodies still buffered for an
+// payloads that are not a non-nil *Envelope, and bodies still buffered for an
 // instance that was never spawned. Read at the end of a run, it counts
 // what the run discarded (malformed or malicious).
 func (h *Host) UnknownCount() int {
@@ -211,8 +236,8 @@ func (h *Host) Start(env *async.Env) {
 
 // Deliver implements async.Process.
 func (h *Host) Deliver(env *async.Env, msg async.Message) {
-	envlp, ok := msg.Payload.(Envelope)
-	if !ok {
+	envlp, ok := msg.Payload.(*Envelope)
+	if !ok || envlp == nil {
 		h.unknown++
 		return
 	}

@@ -124,7 +124,7 @@ func TestDuplicateRegister(t *testing.T) {
 }
 
 // TestNonEnvelopeCounted: UnknownCount counts both bodies no module
-// claims, a payload that is not an Envelope and an Envelope whose
+// claims, a payload that is not a *Envelope and an envelope whose
 // instance is never spawned.
 func TestNonEnvelopeCounted(t *testing.T) {
 	var hosts []*Host
@@ -146,15 +146,59 @@ func TestNonEnvelopeCounted(t *testing.T) {
 
 type rawSender struct{}
 
-// Start sends host 0 a payload that is not an Envelope and an Envelope
+// Start sends host 0 a payload that is not a *Envelope and an envelope
 // for an instance host 0 never spawns: neither is ever claimed.
 func (*rawSender) Start(env *async.Env) {
 	env.Send(0, "not an envelope")
-	env.Send(0, Envelope{Instance: "never-spawned", Body: "orphan"})
+	env.Send(0, &Envelope{Instance: "never-spawned", Body: "orphan"})
 	env.Halt()
 }
 func (*rawSender) Deliver(env *async.Env, m async.Message) {}
 
+// TestDeliverAcceptsOnlyEnvelopePointer: an Envelope value and a nil
+// *Envelope are not envelopes: they reach no module and count in
+// UnknownCount.
+func TestDeliverAcceptsOnlyEnvelopePointer(t *testing.T) {
+	handled := 0
+	h := NewHost()
+	if err := h.Register("m", &FuncModule{OnHandle: func(*Ctx, async.PID, any) { handled++ }}); err != nil {
+		t.Fatal(err)
+	}
+	env := async.NewRemote(0, 2, 0, 1, func(async.PID, any) {}).Env()
+	h.Start(env)
+	for _, p := range []any{Envelope{Instance: "m", Body: 1}, (*Envelope)(nil), &Envelope{Instance: "m", Body: 2}} {
+		h.Deliver(env, async.Message{From: 1, Payload: p})
+	}
+	if handled != 1 || h.UnknownCount() != 2 {
+		t.Fatalf("handled %d, UnknownCount %d; want 1 and 2", handled, h.UnknownCount())
+	}
+}
+
+// TestSendsCarveEnvelopesFromSlab: point-to-point sends carry distinct
+// envelopes, and a host allocates one slab per envSlab of them, not one
+// envelope per send.
+func TestSendsCarveEnvelopesFromSlab(t *testing.T) {
+	var sent []*Envelope
+	env := async.NewRemote(0, 2, 0, 1, func(_ async.PID, p any) { sent = append(sent, p.(*Envelope)) }).Env()
+	h := NewHost()
+	ctx := h.Ctx(env, "m")
+	for i := 0; i < 3; i++ {
+		ctx.Send(1, i)
+	}
+	if sent[0] == sent[1] || sent[1] == sent[2] || sent[2].Instance != "m" || sent[2].Body != 2 {
+		t.Fatalf("sends carried %v %v %v", *sent[0], *sent[1], *sent[2])
+	}
+	env = async.NewRemote(0, 2, 0, 1, func(async.PID, any) {}).Env()
+	ctx = h.Ctx(env, "m")
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < envSlab; i++ {
+			ctx.Send(1, nil)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("%d sends allocate %.1f times, want <= 1", envSlab, allocs)
+	}
+}
 func TestOnStartHook(t *testing.T) {
 	fired := false
 	runHosts(t, 1, func(i int, h *Host) {
@@ -191,12 +235,12 @@ func TestSelfDeliveryViaBroadcast(t *testing.T) {
 func TestCtxFollowsCallbackEnv(t *testing.T) {
 	var sent []any
 	plain := async.NewRemote(0, 2, 0, 1, func(_ async.PID, p any) {
-		sent = append(sent, p.(Envelope).Body)
+		sent = append(sent, p.(*Envelope).Body)
 	}).Env()
 	hooked := async.HookedEnv(plain, func(_ async.PID, p any) (any, bool) {
-		e := p.(Envelope)
+		e := *p.(*Envelope)
 		e.Body = fmt.Sprint("hooked:", e.Body)
-		return e, true
+		return &e, true
 	})
 	var ctxs []*Ctx
 	h := NewHost()
@@ -208,7 +252,7 @@ func TestCtxFollowsCallbackEnv(t *testing.T) {
 	}
 	h.Start(plain)
 	for i, env := range []*async.Env{plain, hooked, plain, hooked} {
-		h.Deliver(env, async.Message{From: 1, Payload: Envelope{Instance: "m", Body: i}})
+		h.Deliver(env, async.Message{From: 1, Payload: &Envelope{Instance: "m", Body: i}})
 	}
 	if want := []any{0, "hooked:1", 2, "hooked:3"}; !reflect.DeepEqual(sent, want) {
 		t.Fatalf("sent %v, want %v", sent, want)
@@ -219,7 +263,8 @@ func TestCtxFollowsCallbackEnv(t *testing.T) {
 }
 
 // TestBroadcastOneEnvelope: a broadcast reaches every participant, self
-// included, each send carrying the caller's instance and the same body.
+// included, every send carrying the same *Envelope with the caller's
+// instance and body.
 func TestBroadcastOneEnvelope(t *testing.T) {
 	const n = 4
 	var to []async.PID
@@ -237,10 +282,10 @@ func TestBroadcastOneEnvelope(t *testing.T) {
 	if len(got) != n {
 		t.Fatalf("broadcast made %d sends, want %d", len(got), n)
 	}
-	want := any(Envelope{Instance: "b", Body: body})
+	want := Envelope{Instance: "b", Body: body}
 	for i := range got {
-		if to[i] != async.PID(i) || got[i] != want {
-			t.Errorf("send %d: %v to %d, want %v to %d", i, got[i], to[i], want, i)
+		if e, ok := got[i].(*Envelope); to[i] != async.PID(i) || !ok || *e != want || got[i] != got[0] {
+			t.Errorf("send %d: %v to %d, want the shared %v to %d", i, got[i], to[i], want, i)
 		}
 	}
 }

@@ -81,7 +81,7 @@ func (e *equivocator) Start(env *async.Env) {
 		if p >= e.n/2 {
 			v = []byte("b")
 		}
-		env.Send(async.PID(p), proto.Envelope{Instance: "rbc", Body: MsgInit{V: v}})
+		env.Send(async.PID(p), &proto.Envelope{Instance: "rbc", Body: MsgInit{V: v}})
 	}
 }
 func (e *equivocator) Deliver(env *async.Env, m async.Message) {}
@@ -114,8 +114,8 @@ type echoForger struct{ n int }
 
 func (f *echoForger) Start(env *async.Env) {
 	for p := 0; p < f.n; p++ {
-		env.Send(async.PID(p), proto.Envelope{Instance: "rbc", Body: MsgEcho{V: []byte("forged")}})
-		env.Send(async.PID(p), proto.Envelope{Instance: "rbc", Body: MsgReady{V: []byte("forged")}})
+		env.Send(async.PID(p), &proto.Envelope{Instance: "rbc", Body: MsgEcho{V: []byte("forged")}})
+		env.Send(async.PID(p), &proto.Envelope{Instance: "rbc", Body: MsgReady{V: []byte("forged")}})
 	}
 }
 func (f *echoForger) Deliver(env *async.Env, m async.Message) {}

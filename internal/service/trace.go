@@ -155,7 +155,7 @@ type tracedProc struct {
 func (t tracedProc) Start(env *async.Env) { t.inner.Start(env) }
 
 func (t tracedProc) Deliver(env *async.Env, msg async.Message) {
-	if e, ok := msg.Payload.(proto.Envelope); ok {
+	if e, ok := msg.Payload.(*proto.Envelope); ok && e != nil {
 		i := phaseIdx(e.Instance)
 		if n := t.buf.counts[i].Add(1); n&(clockSampleEvery-1) == 1 {
 			now := t.tr.NowUS()

@@ -16,7 +16,7 @@ import (
 // The codec: every payload that crosses a process boundary is one tag
 // byte naming its concrete type, followed by that type's fields in
 // declaration order. Lengths and counts are uvarints, int fields zig-zag
-// varints, field elements 8 bytes little-endian. A proto.Envelope is its
+// varints, field elements 8 bytes little-endian. A *proto.Envelope is its
 // instance string followed by exactly one nested, non-envelope payload.
 // The format carries only the payload: framing and the sender's identity
 // belong to the cluster transport.
@@ -27,7 +27,7 @@ import (
 // exactly the bytes it came from. The tags are the wire format: add new
 // ones at the end and never renumber.
 const (
-	tagEnvelope  byte = iota + 1 // proto.Envelope
+	tagEnvelope  byte = iota + 1 // *proto.Envelope
 	tagRBCInit                   // rbc.MsgInit
 	tagRBCEcho                   // rbc.MsgEcho
 	tagRBCReady                  // rbc.MsgReady
@@ -57,8 +57,8 @@ const encodeCap = 64
 // EncodePayload encodes one protocol payload as opaque bytes — how the
 // mesh ships protocol messages, and how cluster mode ships moves and wills
 // between daemons without widening the JSON contract. A type the codec
-// does not know, a nil or nested envelope body, and an unreduced field
-// element are errors.
+// does not know (a proto.Envelope value among them), a nil envelope, a nil
+// or nested envelope body, and an unreduced field element are errors.
 func EncodePayload(v any) ([]byte, error) {
 	e := encoder{b: make([]byte, 0, encodeCap)}
 	e.payload(v, false)
@@ -97,9 +97,13 @@ func (e *encoder) fail(format string, args ...any) {
 
 func (e *encoder) payload(v any, inEnvelope bool) {
 	switch m := v.(type) {
-	case proto.Envelope:
+	case *proto.Envelope:
 		if inEnvelope {
 			e.fail("nested envelope")
+			return
+		}
+		if m == nil {
+			e.fail("nil envelope")
 			return
 		}
 		e.tag(tagEnvelope)
@@ -209,7 +213,7 @@ func (d *decoder) payload(inEnvelope bool) any {
 			return nil
 		}
 		inst := d.string()
-		return proto.Envelope{Instance: inst, Body: d.payload(true)}
+		return &proto.Envelope{Instance: inst, Body: d.payload(true)}
 	case tagRBCInit:
 		return rbc.MsgInit{V: d.bytes()}
 	case tagRBCEcho:

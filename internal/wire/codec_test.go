@@ -22,7 +22,7 @@ import (
 // tags, so a message type cannot ship without a sample here.
 func samplePayloads() []any {
 	return []any{
-		proto.Envelope{Instance: "ct/rbc-3", Body: rbc.MsgEcho{V: []byte{9}}},
+		&proto.Envelope{Instance: "ct/rbc-3", Body: rbc.MsgEcho{V: []byte{9}}},
 		rbc.MsgInit{V: []byte{1, 2, 3}},
 		rbc.MsgEcho{V: []byte{4, 5}},
 		rbc.MsgReady{V: []byte{6}},
@@ -47,7 +47,7 @@ func samplePayloads() []any {
 // slices and strings, negative and extreme ints, the largest element.
 func edgePayloads() []any {
 	return []any{
-		proto.Envelope{Body: avss.MsgReady{}},
+		&proto.Envelope{Body: avss.MsgReady{}},
 		rbc.MsgInit{},
 		rbc.MsgEcho{V: []byte{}},
 		rbc.MsgReady{V: bytes.Repeat([]byte{0xAB}, 300)},
@@ -68,8 +68,8 @@ func roundTripCases() []any {
 	var out []any
 	for _, p := range append(samplePayloads(), edgePayloads()...) {
 		out = append(out, p)
-		if _, isEnv := p.(proto.Envelope); !isEnv {
-			out = append(out, proto.Envelope{Instance: "mpc/mul-2/avss-1", Body: p})
+		if _, isEnv := p.(*proto.Envelope); !isEnv {
+			out = append(out, &proto.Envelope{Instance: "mpc/mul-2/avss-1", Body: p})
 		}
 	}
 	return out
@@ -79,9 +79,8 @@ func roundTripCases() []any {
 // may introduce: the format has a length, not a nil bit.
 func emptyToNil(v any) any {
 	switch m := v.(type) {
-	case proto.Envelope:
-		m.Body = emptyToNil(m.Body)
-		return m
+	case *proto.Envelope:
+		return &proto.Envelope{Instance: m.Instance, Body: emptyToNil(m.Body)}
 	case rbc.MsgInit:
 		if len(m.V) == 0 {
 			m.V = nil
@@ -150,16 +149,19 @@ func TestCodecCoversEveryTag(t *testing.T) {
 	}
 }
 
-// TestEncodeRejectsUnsupported: anything outside the codec's types, and
-// the two envelope shapes the format excludes, are errors.
+// TestEncodeRejectsUnsupported: anything outside the codec's types (an
+// Envelope value among them), and the envelope shapes the format
+// excludes, are errors.
 func TestEncodeRejectsUnsupported(t *testing.T) {
 	for _, v := range []any{
 		struct{}{},
 		nil,
 		42,
 		&rbc.MsgInit{},
-		proto.Envelope{Instance: "x"},
-		proto.Envelope{Instance: "x", Body: proto.Envelope{Body: "y"}},
+		proto.Envelope{Instance: "x", Body: "y"},
+		(*proto.Envelope)(nil),
+		&proto.Envelope{Instance: "x"},
+		&proto.Envelope{Instance: "x", Body: &proto.Envelope{Body: "y"}},
 		avss.MsgRow{Coeffs: []field.Element{field.Element(field.P)}},
 	} {
 		if b, err := EncodePayload(v); err == nil {
@@ -171,7 +173,7 @@ func TestEncodeRejectsUnsupported(t *testing.T) {
 // TestDecodeRejectsMalformed: each way an input can fail to be exactly one
 // canonical encoding is an error (and never a panic).
 func TestDecodeRejectsMalformed(t *testing.T) {
-	env, _ := EncodePayload(proto.Envelope{Instance: "i", Body: "s"})
+	env, _ := EncodePayload(&proto.Envelope{Instance: "i", Body: "s"})
 	cases := map[string][]byte{
 		"empty":            {},
 		"tag zero":         {0},

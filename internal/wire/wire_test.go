@@ -14,7 +14,7 @@ import (
 )
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	in := proto.Envelope{Instance: "rbc", Body: rbc.MsgEcho{V: []byte("hello")}}
+	in := &proto.Envelope{Instance: "rbc", Body: rbc.MsgEcho{V: []byte("hello")}}
 	b, err := EncodePayload(in)
 	if err != nil {
 		t.Fatal(err)
@@ -23,7 +23,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, ok := out.(proto.Envelope)
+	env, ok := out.(*proto.Envelope)
 	if !ok {
 		t.Fatalf("payload type %T", out)
 	}
