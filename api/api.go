@@ -12,7 +12,12 @@
 // renames, removals, and semantic changes do. The pre-/v1 unversioned
 // aliases were removed after their one-release deprecation window; only
 // the infrastructure probes (/metrics, /healthz, /readyz) remain
-// unversioned.
+// unversioned. Retiring automatic placement and the fleet gossip plane
+// removed two endpoints (POST /v1/cluster/plan, GET /v1/cluster/fleet),
+// the ?fleet=1 trace fan-out, the SessionSpec/SessionView "placement"
+// field and two error codes (placement_infeasible, fleet_under_floor)
+// without a version bump: no workload used them, and a spec that still
+// names "placement" fails strict decoding as invalid_argument.
 //
 // Errors. Every non-2xx response carries an ErrorEnvelope with a stable
 // machine-readable Code (see ErrorCode); Message is human-oriented and

@@ -40,9 +40,6 @@ func TestErrorCodeStatusMapping(t *testing.T) {
 		CodePoolSaturated:   http.StatusServiceUnavailable,
 		CodeNotReady:        http.StatusServiceUnavailable,
 		CodeInternal:        http.StatusInternalServerError,
-
-		CodePlacementInfeasible: http.StatusBadRequest,
-		CodeFleetUnderFloor:     http.StatusServiceUnavailable,
 	}
 	codes := ErrorCodes()
 	if len(codes) != len(want) {
@@ -60,10 +57,11 @@ func TestErrorCodeStatusMapping(t *testing.T) {
 	if !CodePoolSaturated.Retryable() || !CodeNotReady.Retryable() || CodeConflict.Retryable() {
 		t.Fatal("retryability misclassified")
 	}
-	// A spec under the floor never succeeds by retrying; a thin fleet may
-	// recover.
-	if CodePlacementInfeasible.Retryable() || !CodeFleetUnderFloor.Retryable() {
-		t.Fatal("placement retryability misclassified")
+	// Retired codes are unknown: a server fault if one ever arrived.
+	for _, retired := range []ErrorCode{"placement_infeasible", "fleet_under_floor"} {
+		if _, listed := want[retired]; listed || retired.HTTPStatus() != http.StatusInternalServerError {
+			t.Fatalf("retired code %s still mapped", retired)
+		}
 	}
 }
 

@@ -103,22 +103,6 @@ type ClusterStartResponse struct {
 	Trace *TraceView `json:"trace,omitempty"`
 }
 
-// ClusterPlanRequest is the body of POST /v1/cluster/plan: a dry-run of
-// the placement scheduler against the daemon's current fleet view. The
-// spec is validated and placed exactly as POST /v1/sessions would, but
-// nothing is created.
-type ClusterPlanRequest struct {
-	Spec SessionSpec `json:"spec"`
-}
-
-// ClusterPlanResponse is the dry-run's decision.
-type ClusterPlanResponse struct {
-	Placement PlacementView `json:"placement"`
-	// HealthyDaemons is how many usable daemons the plan drew from (the
-	// coordinator included).
-	HealthyDaemons int `json:"healthy_daemons"`
-}
-
 // ClusterFinishRequest is the body of POST /v1/cluster/finish: the
 // coordinator, having gathered every daemon's outcomes, releases the
 // play's transports. Until this call (or a linger timeout) a co-hosting

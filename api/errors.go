@@ -6,8 +6,9 @@ import (
 )
 
 // ErrorCode is the stable machine-readable classification every /v1
-// error carries. The set is append-only: codes are never renamed or
-// reused, so a client may switch on them across releases.
+// error carries. Codes are never renamed or reused, so a client may
+// switch on them across releases; a code retires only with the feature
+// that raised it.
 type ErrorCode string
 
 // The error code set.
@@ -32,25 +33,16 @@ const (
 	// CodeInternal is an unexpected server fault (e.g. a recovered
 	// panic). HTTP 500.
 	CodeInternal ErrorCode = "internal"
-	// CodePlacementInfeasible is the placement scheduler refusing the
-	// spec itself: n under the theorem variant's floor (n > 4k+4t, 3k+3t,
-	// 3k+4t or 2k+3t for 4.1, 4.2, 4.4 or 4.5), an unknown strategy, or a
-	// contradictory pinned-peer list. The farm validates the same at
-	// create time, answering CodeInvalidArgument first. HTTP 400.
-	CodePlacementInfeasible ErrorCode = "placement_infeasible"
-	// CodeFleetUnderFloor rejects a placement the fleet cannot serve
-	// right now: fewer healthy daemons than the requested minimum, or a
-	// strict placement whose t-daemon fault budget is unattainable.
-	// Transient — retry once the fleet recovers. HTTP 503.
-	CodeFleetUnderFloor ErrorCode = "fleet_under_floor"
 )
+
+// "placement_infeasible" and "fleet_under_floor" were retired with
+// automatic placement; they are never reused.
 
 // ErrorCodes lists every defined code.
 func ErrorCodes() []ErrorCode {
 	return []ErrorCode{
 		CodeInvalidArgument, CodeNotFound, CodeConflict,
 		CodePoolSaturated, CodeNotReady, CodeInternal,
-		CodePlacementInfeasible, CodeFleetUnderFloor,
 	}
 }
 
@@ -59,13 +51,13 @@ func ErrorCodes() []ErrorCode {
 // it as a server fault, never as success.
 func (c ErrorCode) HTTPStatus() int {
 	switch c {
-	case CodeInvalidArgument, CodePlacementInfeasible:
+	case CodeInvalidArgument:
 		return http.StatusBadRequest
 	case CodeNotFound:
 		return http.StatusNotFound
 	case CodeConflict:
 		return http.StatusConflict
-	case CodePoolSaturated, CodeNotReady, CodeFleetUnderFloor:
+	case CodePoolSaturated, CodeNotReady:
 		return http.StatusServiceUnavailable
 	default:
 		return http.StatusInternalServerError
@@ -73,10 +65,10 @@ func (c ErrorCode) HTTPStatus() int {
 }
 
 // Retryable reports whether a request failing with this code may succeed
-// verbatim later (backpressure, readiness, and fleet health are
-// transient; the rest are client or server bugs).
+// verbatim later (backpressure and readiness are transient; the rest are
+// client or server bugs).
 func (c ErrorCode) Retryable() bool {
-	return c == CodePoolSaturated || c == CodeNotReady || c == CodeFleetUnderFloor
+	return c == CodePoolSaturated || c == CodeNotReady
 }
 
 // Error is the structured error body: a stable Code, a human-oriented

@@ -4,7 +4,7 @@ import "encoding/json"
 
 // The event-subject namespaces carried in Event.Kind and usable as the
 // ?kind= filter of GET /v1/events.
-// KindFleet (fleet.go) joins these as the fleet-telemetry namespace.
+// KindFleet (fleet.go) joins these as the operator-alert namespace.
 const (
 	KindSession    = "session"
 	KindExperiment = "experiment"

@@ -3,7 +3,7 @@ package api
 // ExperimentInfo is one entry of the experiment catalog (GET
 // /v1/experiments): a runnable table from the paper's evaluation suite.
 type ExperimentInfo struct {
-	// ID is the catalog identifier ("e1".."e8").
+	// ID is the catalog identifier ("e1".."e7").
 	ID string `json:"id"`
 	// Title is the one-line claim the experiment regenerates.
 	Title string `json:"title"`
@@ -18,7 +18,7 @@ type CatalogResponse struct {
 // experiment to run asynchronously and with what options. Zero values
 // take the server's quick defaults.
 type ExperimentRequest struct {
-	// Experiment is the catalog id ("e1".."e8").
+	// Experiment is the catalog id ("e1".."e7").
 	Experiment string `json:"experiment"`
 	// Trials per Monte-Carlo estimate (0: quick default).
 	Trials int `json:"trials,omitempty"`
@@ -40,7 +40,7 @@ type CellError struct {
 // Table is one rendered experiment result — the body of GET
 // /v1/experiments/{name} and the payload of a done experiment job.
 type Table struct {
-	// ID is the experiment id ("e1".."e8").
+	// ID is the experiment id ("e1".."e7").
 	ID     string     `json:"id,omitempty"`
 	Title  string     `json:"title"`
 	Header []string   `json:"header"`

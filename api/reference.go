@@ -30,16 +30,14 @@ func Routes() []Route {
 		{Method: "POST", Path: "/sessions/{id}/types", Summary: "submit the realized type profile and queue the play (body: TypesRequest)"},
 		{Method: "GET", Path: "/sessions/{id}/trace", Summary: "the terminal play's stitched trace: per-phase spans across every co-hosting daemon (TraceView)"},
 		{Method: "GET", Path: "/events", Summary: "server-sent event stream of state transitions", Query: "session, kind"},
-		{Method: "GET", Path: "/experiments", Summary: "catalog of the paper's experiments (e1..e8)"},
+		{Method: "GET", Path: "/experiments", Summary: "catalog of the paper's experiments (e1..e7)"},
 		{Method: "GET", Path: "/experiments/{name}", Summary: "run a catalog experiment synchronously in the request, returning its Table", Query: "trials, seed, maxsteps"},
 		{Method: "POST", Path: "/jobs", Summary: "create a persisted asynchronous experiment job (body: ExperimentRequest)"},
 		{Method: "GET", Path: "/jobs/{id}", Summary: "experiment-job snapshot; ?wait= long-polls until terminal", Query: "wait"},
 		{Method: "POST", Path: "/cluster/join", Summary: "co-host a play: open the named players' transports on the daemon's cluster endpoint (body: ClusterJoinRequest)"},
 		{Method: "POST", Path: "/cluster/start", Summary: "run the co-hosted players to termination with the full address table and answer their outcomes (body: ClusterStartRequest)"},
 		{Method: "POST", Path: "/cluster/finish", Summary: "release a finished play's lingering transports once the coordinator gathered every outcome (body: ClusterFinishRequest)"},
-		{Method: "POST", Path: "/cluster/plan", Summary: "dry-run the placement scheduler against the live fleet view: validate the spec and answer the daemon assignment without creating anything (body: ClusterPlanRequest)"},
-		{Method: "GET", Path: "/cluster/fleet", Summary: "this daemon's gossip-derived view of the whole fleet: per-peer health, liveness judgements, firing alerts (FleetView)"},
-		{Method: "GET", Path: "/traces", Summary: "search retained finished-play traces, newest first with cursor pagination; ?fleet=1 fans the query out to every healthy gossiped peer and merges the pages peer-attributed (TracePage)", Query: "variant, phase, min_ms, since, cursor, limit, fleet"},
+		{Method: "GET", Path: "/traces", Summary: "search retained finished-play traces, newest first with cursor pagination (TracePage)", Query: "variant, phase, min_ms, since, cursor, limit"},
 		{Method: "GET", Path: "/slo", Summary: "rolling multi-window burn-rate state of every configured SLO objective, exemplar traces included (SLOView)"},
 		{Method: "GET", Path: "/stats", Summary: "farm-wide aggregate statistics (Stats)"},
 		{Method: "GET", Path: "/metrics", Summary: "Prometheus text exposition", Unversioned: true},
@@ -59,8 +57,6 @@ var errorCodeDocs = []struct {
 	{CodePoolSaturated, "worker queue full; the request had no effect — back off and retry"},
 	{CodeNotReady, "daemon booting (store recovery) or draining for shutdown"},
 	{CodeInternal, "unexpected server fault (recovered panic)"},
-	{CodePlacementInfeasible, "the placement scheduler refused the spec itself: n under its theorem variant's floor, unknown strategy, or contradictory pinned peers (the farm runs the same checks at create time and answers those with invalid_argument first)"},
-	{CodeFleetUnderFloor, "the fleet cannot place this right now: too few healthy daemons for min_daemons, or a strict placement's fault budget is unattainable — retry when the fleet recovers"},
 }
 
 // Reference renders the /v1 API reference as markdown. The README embeds
@@ -106,24 +102,20 @@ func Reference() string {
 	b.WriteString("first completed response is cached under the key (scoped to method +\n")
 	b.WriteString("path) and replayed verbatim — flagged `Idempotency-Replayed: true` —\n")
 	b.WriteString("for every repeat, so creates retry safely over transport failures.\n")
-	b.WriteString("Transient failures (`pool_saturated`, `not_ready`,\n")
-	b.WriteString("`fleet_under_floor`) are not cached. The SDK mints a key per POST\n")
-	b.WriteString("automatically. Keyed create responses persist with the durable store,\n")
-	b.WriteString("so a retried create replays across a daemon restart; cluster join and\n")
-	b.WriteString("start keys are derived from the cluster id, so even a restarted\n")
-	b.WriteString("coordinator's retry replays instead of re-running the play.\n")
+	b.WriteString("Transient failures (`pool_saturated`, `not_ready`) are not cached.\n")
+	b.WriteString("The SDK mints a key per POST automatically. Keyed create responses\n")
+	b.WriteString("persist with the durable store, so a retried create replays across a\n")
+	b.WriteString("daemon restart; cluster join and start keys are derived from the\n")
+	b.WriteString("cluster id, so even a restarted coordinator's retry replays instead of\n")
+	b.WriteString("re-running the play.\n")
 
-	b.WriteString("\n**Placement.** A session spec may carry `\"placement\": \"auto\"` (or\n")
-	b.WriteString("the object form with `strategy` and `min_daemons`): the receiving\n")
-	b.WriteString("daemon consults its gossip fleet view, filters suspect/expired/shedding\n")
-	b.WriteString("peers, and spreads the players across healthy daemons least-loaded\n")
-	b.WriteString("first, deterministically (ties break on the sorted daemon URL). Specs\n")
-	b.WriteString("under their theorem variant's floor (n > 4k+4t, 3k+3t, 3k+4t or\n")
-	b.WriteString("2k+3t for 4.1, 4.2, 4.4 or 4.5) are rejected as `invalid_argument`\n")
-	b.WriteString("before any placement; fleets too unhealthy for the requested\n")
-	b.WriteString("placement answer `fleet_under_floor`. `POST /v1/cluster/plan` dry-runs\n")
-	b.WriteString("the same decision; the chosen assignment rides the SessionView as\n")
-	b.WriteString("`placement`.\n")
+	b.WriteString("\n**Placement.** A session's players run on the coordinator except\n")
+	b.WriteString("those its `peers` list assigns to co-hosting daemons. Automatic\n")
+	b.WriteString("placement is gone: `POST /v1/cluster/plan` and `GET /v1/cluster/fleet`\n")
+	b.WriteString("were removed with the fleet gossip plane, as were the error codes\n")
+	b.WriteString("`placement_infeasible` and `fleet_under_floor` and the `?fleet=1` trace\n")
+	b.WriteString("fan-out. A spec that still carries `placement` is refused as\n")
+	b.WriteString("`invalid_argument` (unknown field).\n")
 
 	b.WriteString("\nThe pre-/v1 unversioned aliases were removed after their one-release\n")
 	b.WriteString("deprecation window; only the infrastructure probes (`/metrics`,\n")

@@ -32,11 +32,6 @@ type SessionSpec struct {
 	// base URL; unnamed indices run on the daemon that received the
 	// create. Requires (and implies) the wire backend.
 	Peers []PeerSpec `json:"peers,omitempty"`
-	// Placement asks the receiving daemon to place the players on the
-	// fleet automatically (`"placement": "auto"` or the object form);
-	// entries in Peers stay pinned and the scheduler fills the rest.
-	// Requires (and implies) the wire backend.
-	Placement *PlacementSpec `json:"placement,omitempty"`
 }
 
 // TypesRequest is the body of POST /v1/sessions/{id}/types: the realized
@@ -69,9 +64,6 @@ type SessionView struct {
 	// Trace is the play's stitched trace (terminal states only; also
 	// served alone at GET /v1/sessions/{id}/trace). List pages omit it.
 	Trace *TraceView `json:"trace,omitempty"`
-	// Placement is the scheduler's resolved assignment for auto-placed
-	// sessions (set once the play is dispatched).
-	Placement *PlacementView `json:"placement,omitempty"`
 }
 
 // SessionPage is the body of GET /v1/sessions: one window of the

@@ -22,9 +22,6 @@ type TraceSummary struct {
 	PhaseMS map[string]float64 `json:"phase_ms,omitempty"`
 	// Spans is how many spans the retained trace holds.
 	Spans int `json:"spans,omitempty"`
-	// Daemon attributes the record in fleet-wide results: the base URL
-	// of the daemon that retained it ("" = the daemon answering).
-	Daemon string `json:"daemon,omitempty"`
 }
 
 // TracePage is the body of GET /v1/traces: retained trace summaries,
@@ -33,23 +30,16 @@ type TracePage struct {
 	// Traces is the result page.
 	Traces []TraceSummary `json:"traces"`
 	// Total counts every retained trace matching the filter (across all
-	// pages). In fleet mode it sums the per-daemon totals.
+	// pages).
 	Total int `json:"total"`
 	// NextCursor, when nonzero, fetches the next (older) page via
-	// ?cursor=. Absent in fleet mode, which merges a bounded newest-first
-	// sample from each daemon instead of paginating.
+	// ?cursor=.
 	NextCursor int64 `json:"next_cursor,omitempty"`
-	// Daemons is how many fleet daemons contributed (fleet mode only).
-	Daemons int `json:"daemons,omitempty"`
-	// Errors lists daemons the fleet fan-out could not reach, as
-	// "url: error" strings (fleet mode only; partial results still
-	// return 200).
-	Errors []string `json:"errors,omitempty"`
 }
 
 // SLOObjectiveView is one objective's rolling state in GET /v1/slo.
 type SLOObjectiveView struct {
-	// Objective is the canonical objective spec, e.g. "phase:rbc:p99:250ms".
+	// Objective is the canonical objective spec, e.g. "phase:ba:p99:250ms".
 	Objective string `json:"objective"`
 	// Kind is the sample stream the objective watches: "variant" or
 	// "phase".

@@ -1,12 +1,12 @@
 package api
 
 // TraceSpan is one named interval on a play's stitched timeline — a
-// protocol phase (AVSS sharing, RBC, BA, MPC gates, opens) or an
+// protocol phase (AVSS sharing, BA, MPC gates, opens) or an
 // explicit stage (the run itself, move resolution). Offsets are
 // microseconds on the recording origin's monotonic clock: spans order
 // exactly within an origin, approximately across origins.
 type TraceSpan struct {
-	// Name is the phase or stage name ("avss.share", "rbc", "ba",
+	// Name is the phase or stage name ("avss.share", "ba",
 	// "mpc.mul", "mpc.open", "run", "resolve").
 	Name string `json:"name"`
 	// Origin is where the span was recorded: "local" for the serving

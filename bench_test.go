@@ -1,4 +1,4 @@
-// Top-level benchmarks: one per experiment E1-E8 of package sim's
+// Top-level benchmarks: one per experiment E1-E7 of package sim's
 // catalog (`mediatorsim -h` lists it). Each bench regenerates (a slice of)
 // the corresponding table's workload; the tables themselves are printed
 // by cmd/mediatorsim, and no expected table is committed. The end-to-end
@@ -142,16 +142,6 @@ func BenchmarkE7_SyncVsAsync(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := sim.Options{Trials: 6, Seed0: int64(i + 1), MaxSteps: 30_000_000}
 		if _, err := sim.E7(o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE8_Substrates regenerates the substrate ablation.
-func BenchmarkE8_Substrates(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		o := sim.Options{Trials: 1, Seed0: int64(i + 1), MaxSteps: 30_000_000}
-		if _, err := sim.E8(o); err != nil {
 			b.Fatal(err)
 		}
 	}

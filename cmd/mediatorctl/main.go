@@ -9,9 +9,7 @@
 //	session create   create a play (-n -k -t -variant ...); -types submits
 //	                 the profile too, -watch follows it to a terminal state,
 //	                 repeatable -peer INDEX=ADDR co-hosts players on other
-//	                 daemons (cluster mode); -place auto asks the fleet
-//	                 scheduler to pick the daemons instead (-strategy,
-//	                 -min-daemons tune it)
+//	                 daemons (cluster mode)
 //	session get      one session snapshot (-wait long-polls to terminal)
 //	session list     page sessions (-state -offset -limit; -all walks pages)
 //	session types    submit a type profile: session types s-000001 0,0,0,0,0
@@ -19,27 +17,21 @@
 //	session trace    render a terminal play's stitched trace: compact
 //	                 per-phase timeline across daemons plus a slowest-phase
 //	                 summary (-json for the raw TraceView)
-//	experiment list  the catalog (e1..e8)
+//	experiment list  the catalog (e1..e7)
 //	experiment run   run an experiment: async job by default (-no-wait to
 //	                 just print the job handle), -sync for in-request
 //	experiment get   one job snapshot (-wait long-polls to terminal)
 //	stats            farm-wide aggregate statistics
 //	traces           search the daemon's retained finished-play traces
 //	                 (-variant -phase -min-ms -within -limit -cursor;
-//	                 -fleet merges every gossiped peer's results,
-//	                 peer-attributed; -json for the raw TracePage)
+//	                 -json for the raw TracePage)
 //	slo              burn-rate state of the configured SLO objectives,
 //	                 exemplar traces included (-json for the raw SLOView)
-//	obs              fleet observability summary: cluster link counters,
+//	obs              observability summary: cluster link counters,
 //	                 worker-pool load, durable-store health
 //	obs profiles     list the continuous profiler's capture ring on the
 //	                 daemon's private pprof listener (-pprof URL)
 //	events tail      stream state transitions (-session -kind) as JSON lines
-//	cluster status   fleet table from the daemon's gossip view: per-peer
-//	                 liveness, load, and firing alerts (-watch refreshes,
-//	                 -json prints the raw FleetView)
-//	cluster plan     dry-run the placement scheduler: the assignment a
-//	                 session create would get, without creating anything
 //	cluster drop     sever live cluster transport conns (daemon runs -chaos)
 //	ready            readiness probe (exit 1 when not ready)
 //	apidoc           print the generated /v1 API reference (markdown)
@@ -130,7 +122,7 @@ func usage(w io.Writer, fs *flag.FlagSet) {
 	fmt.Fprintln(w, "usage: mediatorctl [flags] <command> [command flags] [args]")
 	fmt.Fprintln(w, "commands: session create|get|list|types|watch|trace, experiment list|run|get,")
 	fmt.Fprintln(w, "          stats, traces, slo, obs [profiles], events tail,")
-	fmt.Fprintln(w, "          cluster status|plan|drop, ready, apidoc")
+	fmt.Fprintln(w, "          cluster drop, ready, apidoc")
 	fmt.Fprintln(w, "flags:")
 	fs.PrintDefaults()
 }
@@ -201,23 +193,14 @@ func dispatch(ctx context.Context, c *client.Client, args []string, stdout, stde
 		}
 		return eventsTail(ctx, c, args[2:], stdout, stderr)
 	case "cluster":
-		if len(args) < 2 {
-			return bad("cluster needs a verb: status|drop")
+		if len(args) < 2 || args[1] != "drop" {
+			return bad("cluster needs the drop verb")
 		}
-		switch args[1] {
-		case "status":
-			return clusterStatus(ctx, c, args[2:], stdout, stderr)
-		case "plan":
-			return clusterPlan(ctx, c, args[2:], stdout, stderr)
-		case "drop":
-			n, err := c.ClusterDrop(ctx)
-			if err != nil {
-				return err
-			}
-			return printJSON(stdout, map[string]int{"dropped": n})
-		default:
-			return bad("unknown cluster verb %q (want status, plan, or drop)", args[1])
+		n, err := c.ClusterDrop(ctx)
+		if err != nil {
+			return err
 		}
+		return printJSON(stdout, map[string]int{"dropped": n})
 	case "ready":
 		if err := c.Ready(ctx); err != nil {
 			return err
@@ -259,9 +242,6 @@ func sessionCreate(ctx context.Context, c *client.Client, args []string, stdout,
 		spec.Peers = append(spec.Peers, api.PeerSpec{Index: i, Addr: strings.TrimSpace(addr)})
 		return nil
 	})
-	place := fs.String("place", "", `placement mode: "auto" lets the fleet scheduler pick the daemons (implies the wire backend)`)
-	strategy := fs.String("strategy", "", "auto placement strategy: spread (default), pack, or strict (implies -place auto)")
-	minDaemons := fs.Int("min-daemons", 0, "refuse auto placements using fewer healthy daemons (implies -place auto; 0: no floor)")
 	seed := fs.String("seed", "", "session seed (empty: derived deterministically)")
 	types := fs.String("types", "", "comma-separated type profile; submits after create")
 	watch := fs.Bool("watch", false, "after submitting types, wait for the terminal snapshot")
@@ -273,12 +253,6 @@ func sessionCreate(ctx context.Context, c *client.Client, args []string, stdout,
 		return err
 	}
 	spec.Seed = seedp
-	if *place != "" || *strategy != "" || *minDaemons > 0 {
-		spec.Placement = &api.PlacementSpec{Mode: *place, Strategy: *strategy, MinDaemons: *minDaemons}
-		if spec.Placement.Mode == "" {
-			spec.Placement.Mode = api.PlacementModeAuto
-		}
-	}
 	if *watch && *types == "" {
 		fmt.Fprintln(stderr, "mediatorctl: -watch needs -types")
 		return errUsage
@@ -547,7 +521,7 @@ func fmtAttrs(attrs map[string]string) string {
 	return strings.Join(parts, " ")
 }
 
-// obsSummary prints the fleet-observability slice of /v1/stats: the
+// obsSummary prints the observability slice of /v1/stats: the
 // cluster link counters, worker-pool load, and durable-store health
 // that the full stats dump buries under play statistics. A daemon that
 // never clustered is said so explicitly rather than silently omitted.
@@ -584,24 +558,23 @@ func obsSummary(ctx context.Context, c *client.Client, stdout io.Writer) error {
 }
 
 // tracesSearch implements `mediatorctl traces`: search the daemon's
-// retained-trace ring, optionally fanned out fleet-wide.
+// retained-trace ring.
 func tracesSearch(ctx context.Context, c *client.Client, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("traces", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	variant := fs.String("variant", "", "keep only this theorem variant")
-	phase := fs.String("phase", "", "keep only traces that spent time in this phase (rbc, ba, avss.share, ...)")
+	phase := fs.String("phase", "", "keep only traces that spent time in this phase (ba, avss.share, ...)")
 	minMS := fs.Float64("min-ms", 0, "keep only traces at/above this many milliseconds (the phase's time when -phase is set)")
 	within := fs.Duration("within", 0, "keep only traces finished within this window, e.g. 10m (0: all)")
 	cursor := fs.Int64("cursor", 0, "resume pagination from a previous page's next_cursor")
 	limit := fs.Int("limit", 0, "page size (0: server default)")
-	fleet := fs.Bool("fleet", false, "fan the query out to every healthy gossiped peer and merge, peer-attributed")
 	raw := fs.Bool("json", false, "print the raw TracePage instead of the rendered table")
 	if _, err := parseMixed(fs, args); err != nil {
 		return err
 	}
 	o := client.TracesOptions{
 		Variant: *variant, Phase: *phase, MinMS: *minMS,
-		Cursor: *cursor, Limit: *limit, Fleet: *fleet,
+		Cursor: *cursor, Limit: *limit,
 	}
 	if *within > 0 {
 		o.Since = time.Now().Add(-*within).UnixMilli()
@@ -627,9 +600,6 @@ func renderTraces(w io.Writer, page api.TracePage, phase string) {
 		hdr += "\t" + strings.ToUpper(phase)
 	}
 	hdr += "\tAGE\tSPANS"
-	if page.Daemons > 1 {
-		hdr += "\tDAEMON"
-	}
 	fmt.Fprintln(tw, hdr)
 	for _, t := range page.Traces {
 		variant := t.Variant
@@ -641,28 +611,14 @@ func renderTraces(w io.Writer, page api.TracePage, phase string) {
 			fmt.Fprintf(tw, "\t%s", fmtMS(t.PhaseMS[phase]))
 		}
 		age := time.Since(time.UnixMilli(t.FinishedUnixMS)).Round(time.Second)
-		fmt.Fprintf(tw, "\t%s\t%d", age, t.Spans)
-		if page.Daemons > 1 {
-			daemon := t.Daemon
-			if daemon == "" {
-				daemon = "(local)"
-			}
-			fmt.Fprintf(tw, "\t%s", daemon)
-		}
-		fmt.Fprintln(tw)
+		fmt.Fprintf(tw, "\t%s\t%d\n", age, t.Spans)
 	}
 	_ = tw.Flush()
 	fmt.Fprintf(w, "%d of %d matching trace(s)", len(page.Traces), page.Total)
-	if page.Daemons > 1 {
-		fmt.Fprintf(w, " across %d daemon(s)", page.Daemons)
-	}
 	if page.NextCursor > 0 {
 		fmt.Fprintf(w, "; next page: -cursor %d", page.NextCursor)
 	}
 	fmt.Fprintln(w)
-	for _, e := range page.Errors {
-		fmt.Fprintf(w, "unreachable: %s\n", e)
-	}
 }
 
 // fmtMS renders a millisecond duration compactly ("0.42ms", "1.2s").
@@ -743,148 +699,6 @@ func obsProfiles(ctx context.Context, args []string, stdout, stderr io.Writer) e
 	return tw.Flush()
 }
 
-// clusterStatus renders the daemon's fleet view as a live operator
-// table: one row per fleet slot with liveness, generation, and load.
-func clusterStatus(ctx context.Context, c *client.Client, args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("cluster status", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	raw := fs.Bool("json", false, "print the raw FleetView instead of the table")
-	watch := fs.Duration("watch", 0, "refresh the table every interval until interrupted (e.g. -watch 1s)")
-	if err := fs.Parse(args); err != nil {
-		return errUsage
-	}
-	for {
-		v, err := c.FleetStatus(ctx)
-		if err != nil {
-			return err
-		}
-		if *raw {
-			if err := printJSON(stdout, v); err != nil {
-				return err
-			}
-		} else {
-			renderFleet(stdout, v)
-		}
-		if *watch <= 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-time.After(*watch):
-		}
-		fmt.Fprintln(stdout)
-	}
-}
-
-// renderFleet prints one FleetView as a header line, a tabwriter table,
-// and the firing alerts.
-func renderFleet(w io.Writer, v api.FleetView) {
-	fmt.Fprintf(w, "fleet: %d/%d healthy", v.Healthy, v.Size)
-	if v.Suspect > 0 {
-		fmt.Fprintf(w, ", %d suspect", v.Suspect)
-	}
-	if v.Expired > 0 {
-		fmt.Fprintf(w, ", %d expired", v.Expired)
-	}
-	if v.Unknown > 0 {
-		fmt.Fprintf(w, ", %d unknown", v.Unknown)
-	}
-	if v.Floor > 0 {
-		fmt.Fprintf(w, " (floor %d)", v.Floor)
-	}
-	fmt.Fprintf(w, "; gossip every %s, %d rounds, %d entries merged\n",
-		time.Duration(v.GossipIntervalMS)*time.Millisecond, v.GossipRounds, v.EntriesMerged)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "IDX\tADDR\tSTATE\tGEN\tSILENT\tQUEUE\tSHED\tSESSIONS\tSTORE\tREDIALS\tP99")
-	for _, p := range v.Peers {
-		addr := p.Addr
-		if addr == "" {
-			addr = "-"
-		}
-		if p.Self {
-			addr += " (self)"
-		}
-		shed := "-"
-		if p.Shedding {
-			shed = "yes"
-		}
-		silent := "-"
-		if p.State != api.FleetPeerUnknown {
-			silent = (time.Duration(p.SilentForMS) * time.Millisecond).String()
-		}
-		p99 := "-"
-		if p.PhaseP99MS > 0 {
-			p99 = fmt.Sprintf("%.2fms", p.PhaseP99MS)
-		}
-		fmt.Fprintf(tw, "%d\t%s\t%s\t%d\t%s\t%d\t%s\t%d\t%d\t%d\t%s\n",
-			p.Index, addr, p.State, p.Gen, silent, p.QueueDepth, shed,
-			p.LiveSessions, p.StoreKeys, p.Redials, p99)
-	}
-	tw.Flush()
-	for _, a := range v.Alerts {
-		fmt.Fprintf(w, "ALERT %s: %s\n", a.Rule, a.Message)
-	}
-}
-
-// clusterPlan dry-runs the fleet placement scheduler: the assignment a
-// session created with this spec would get, without creating anything.
-func clusterPlan(ctx context.Context, c *client.Client, args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("cluster plan", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var spec api.SessionSpec
-	fs.StringVar(&spec.Game, "game", "", "game: section64 (default) or consensus")
-	fs.IntVar(&spec.N, "n", 0, "players (0: default 5)")
-	fs.IntVar(&spec.K, "k", 0, "coalition bound")
-	fs.IntVar(&spec.T, "t", 0, "malicious bound (0 with k=0: default t=1)")
-	fs.StringVar(&spec.Variant, "variant", "", "theorem: 4.1 (default), 4.2, 4.4, 4.5")
-	strategy := fs.String("strategy", "", "placement strategy: spread (default), pack, or strict")
-	minDaemons := fs.Int("min-daemons", 0, "refuse placements using fewer healthy daemons (0: no floor)")
-	raw := fs.Bool("json", false, "print the raw ClusterPlanResponse instead of the table")
-	if err := fs.Parse(args); err != nil {
-		return errUsage
-	}
-	spec.Placement = &api.PlacementSpec{Mode: api.PlacementModeAuto, Strategy: *strategy, MinDaemons: *minDaemons}
-	resp, err := c.ClusterPlan(ctx, api.ClusterPlanRequest{Spec: spec})
-	if err != nil {
-		return err
-	}
-	if *raw {
-		return printJSON(stdout, resp)
-	}
-	renderPlan(stdout, resp)
-	return nil
-}
-
-// renderPlan prints one placement dry-run as a header line plus a
-// tabwriter table, one row per daemon in the assignment.
-func renderPlan(w io.Writer, resp api.ClusterPlanResponse) {
-	pl := resp.Placement
-	fmt.Fprintf(w, "plan: strategy=%s floor=%d daemons=%d healthy=%d\n",
-		pl.Strategy, pl.Floor, pl.Daemons, resp.HealthyDaemons)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "ADDR\tROLE\tPLAYERS")
-	for _, a := range pl.Assignments {
-		addr := a.Addr
-		if addr == "" {
-			addr = "-"
-		}
-		role := "peer"
-		if a.Self {
-			role = "coordinator"
-		}
-		players := make([]string, len(a.Players))
-		for i, p := range a.Players {
-			players[i] = strconv.Itoa(p)
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\n", addr, role, strings.Join(players, ","))
-	}
-	tw.Flush()
-	if pl.Degraded != "" {
-		fmt.Fprintf(w, "DEGRADED: %s\n", pl.Degraded)
-	}
-}
-
 func experimentRun(ctx context.Context, c *client.Client, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("experiment run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -898,7 +712,7 @@ func experimentRun(ctx context.Context, c *client.Client, args []string, stdout,
 		return err
 	}
 	if len(pos) != 1 {
-		fmt.Fprintln(stderr, "mediatorctl: experiment run needs exactly one experiment name (e1..e8)")
+		fmt.Fprintln(stderr, "mediatorctl: experiment run needs exactly one experiment name (e1..e7)")
 		return errUsage
 	}
 	name := pos[0]
@@ -986,7 +800,7 @@ func eventsTail(ctx context.Context, c *client.Client, args []string, stdout, st
 }
 
 // parseMixed parses a subcommand line that may put positional arguments
-// before the flags (the natural "experiment run e8 -trials 2" order):
+// before the flags (the natural "experiment run e7 -trials 2" order):
 // leading non-flag tokens are collected, the remainder is flag-parsed,
 // and trailing positionals are appended.
 func parseMixed(fs *flag.FlagSet, args []string) ([]string, error) {

@@ -203,20 +203,20 @@ func TestCtlExperiments(t *testing.T) {
 		t.Fatalf("list exit %d: %s", code, out)
 	}
 	var cat []api.ExperimentInfo
-	if err := json.Unmarshal([]byte(out), &cat); err != nil || len(cat) != 8 {
+	if err := json.Unmarshal([]byte(out), &cat); err != nil || len(cat) != 7 {
 		t.Fatalf("catalog %q: %v", out, err)
 	}
 
-	out, code = ctl("experiment", "run", "e8", "-sync", "-trials", "2", "-seed", "5")
+	out, code = ctl("experiment", "run", "e7", "-sync", "-trials", "2", "-seed", "5")
 	if code != 0 {
 		t.Fatalf("sync run exit %d: %s", code, out)
 	}
 	var tab api.Table
-	if err := json.Unmarshal([]byte(out), &tab); err != nil || tab.ID != "e8" || len(tab.Rows) == 0 {
+	if err := json.Unmarshal([]byte(out), &tab); err != nil || tab.ID != "e7" || len(tab.Rows) == 0 {
 		t.Fatalf("sync table %q: %v", out, err)
 	}
 
-	out, code = ctl("experiment", "run", "e8", "-trials", "2", "-no-wait")
+	out, code = ctl("experiment", "run", "e7", "-trials", "2", "-no-wait")
 	if code != 0 {
 		t.Fatalf("async run exit %d: %s", code, out)
 	}

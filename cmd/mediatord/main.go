@@ -49,26 +49,21 @@
 //	    -peer 2=http://10.0.0.2:8081 -peer 3=http://10.0.0.2:8081 \
 //	    -types 0,0,0,0 -watch
 //
-// Fleet telemetry: daemons gossip signed health summaries to each other
-// and each one can answer for the whole fleet (every daemon gets the
-// same sorted -fleet-peers table, its own -fleet-listen verbatim in it):
-//
-//	mediatord -addr :8080 -fleet-listen 127.0.0.1:9100 \
-//	    -fleet-peers 127.0.0.1:9100,127.0.0.1:9101,127.0.0.1:9102 -fleet-floor 3 &
-//	mediatorctl cluster status -watch        # live fleet table
-//	mediatorctl events tail -kind fleet      # alert-rule transitions
-//	curl -s localhost:8080/v1/cluster/fleet  # the raw FleetView
+// A failed cluster play names its faulty peer: the session's error
+// carries the daemon's URL as its "peer" detail, and /v1/stats and
+// /metrics export the per-link redial, resend and dial-error counters.
 //
 // Telemetry retention and SLOs: finished plays' traces are retained on
 // a bounded ring (searchable at GET /v1/traces, surviving restarts with
-// -data-dir), burn-rate objectives alert on the fleet event bus, and
+// -data-dir), burn-rate objectives alert on the event bus (kind "fleet":
+// `mediatorctl events tail -kind fleet`), and
 // -profile-interval arms continuous pprof capture on the private
 // listener:
 //
 //	mediatord -addr :8080 -data-dir /var/lib/mediatord \
-//	    -trace-retention 8192 -slo phase:rbc:p99:250ms,variant:4.1:p95:1s \
+//	    -trace-retention 8192 -slo phase:ba:p99:250ms,variant:4.1:p95:1s \
 //	    -pprof-listen 127.0.0.1:6060 -profile-interval 5m &
-//	mediatorctl traces -phase rbc -min-ms 5     # search retained traces
+//	mediatorctl traces -phase ba -min-ms 5     # search retained traces
 //	mediatorctl slo                             # objective burn rates
 //	mediatorctl obs profiles -pprof http://127.0.0.1:6060
 //	curl -s 'localhost:8080/v1/traces?variant=4.1&limit=10'
@@ -84,7 +79,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -121,18 +115,12 @@ func run(args []string) error {
 	tlsKey := fs.String("tls-key", "", "PEM private key paired with -tls-cert")
 	tlsCA := fs.String("tls-ca", "", "PEM CA bundle both sides of every cluster connection verify against")
 	readyWatermark := fs.Int("ready-watermark", 0, "queue depth at or above which GET /readyz sheds load with 503 (0: disabled)")
-	fleetListen := fs.String("fleet-listen", "", "host:port this daemon's fleet-gossip listener binds; enables the fleet telemetry plane")
-	fleetPeers := fs.String("fleet-peers", "", "comma-separated gossip address table of the WHOLE fleet, -fleet-listen included verbatim")
-	advertiseURL := fs.String("advertise-url", "", "API base URL gossiped to peers so fleet views name this daemon (default: derived from -addr)")
-	gossipInterval := fs.Duration("gossip-interval", 0, "fleet health-gossip period (0: 1s); suspicion is 3x, expiry 10x")
-	fleetFloor := fs.Int("fleet-floor", 0, "healthy-daemon minimum (the operator's count of live failure domains); fewer fires the fleet_floor alert (0: disabled)")
-	fleetSecret := fs.String("fleet-secret", "", "shared HMAC key signing gossip digests; unsigned digests are rejected when set")
 	chaos := fs.Bool("chaos", false, "mount POST /v1/cluster/drop, the fault-injection hook severing live cluster connections (testing only)")
 	pprofListen := fs.String("pprof-listen", "", "bind net/http/pprof on this separate address (empty: disabled; keep it off public interfaces)")
 	noTrace := fs.Bool("no-trace", false, "disable per-play trace collection (GET /v1/sessions/{id}/trace answers 404)")
 	traceRetention := fs.Int("trace-retention", 0, "finished-play traces retained for GET /v1/traces, oldest evicted first (0: default 4096; -1: disabled)")
 	traceRetentionBytes := fs.Int64("trace-retention-bytes", 0, "byte bound of the retained-trace ring (0: default 64 MiB; -1: unbounded)")
-	sloSpecs := fs.String("slo", "", "comma-separated SLO objectives, each <kind>:<selector>:p<quantile>:<threshold> (e.g. phase:rbc:p99:250ms,variant:4.1:p95:1s)")
+	sloSpecs := fs.String("slo", "", "comma-separated SLO objectives, each <kind>:<selector>:p<quantile>:<threshold> (e.g. phase:ba:p99:250ms,variant:4.1:p95:1s)")
 	sloInterval := fs.Duration("slo-interval", 0, "SLO burn-rate evaluation tick (0: 5s); windows are 2 and 12 ticks")
 	profileInterval := fs.Duration("profile-interval", 0, "continuous-profiling capture period; writes cpu+heap pprof files to a bounded on-disk ring (0: disabled)")
 	profileDir := fs.String("profile-dir", "", "continuous-profiling ring directory (default <data-dir>/profiles)")
@@ -205,11 +193,6 @@ func run(args []string) error {
 		ReadyWatermark:  *readyWatermark,
 		EnableChaos:     *chaos,
 		DisableTracing:  *noTrace,
-		FleetListen:     *fleetListen,
-		AdvertiseURL:    *advertiseURL,
-		GossipInterval:  *gossipInterval,
-		FleetFloor:      *fleetFloor,
-		FleetSecret:     *fleetSecret,
 
 		TraceRetention:      *traceRetention,
 		TraceRetentionBytes: *traceRetentionBytes,
@@ -221,28 +204,6 @@ func run(args []string) error {
 				cfg.SLOObjectives = append(cfg.SLOObjectives, o)
 			}
 		}
-	}
-	if *fleetPeers != "" {
-		for _, p := range strings.Split(*fleetPeers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				cfg.FleetPeers = append(cfg.FleetPeers, p)
-			}
-		}
-	}
-	if cfg.AdvertiseURL == "" && cfg.FleetListen != "" {
-		// Best-effort default: peers reach the API on this host at -addr's
-		// port. Operators behind NAT or a LB should set -advertise-url.
-		host, _, err := net.SplitHostPort(cfg.FleetListen)
-		if err != nil || host == "" {
-			host = "127.0.0.1"
-		}
-		port := *addr
-		if _, p, err := net.SplitHostPort(*addr); err == nil {
-			port = p
-		} else {
-			port = strings.TrimPrefix(port, ":")
-		}
-		cfg.AdvertiseURL = "http://" + net.JoinHostPort(host, port)
 	}
 	if !*quiet {
 		cfg.RequestLog = log.Printf

@@ -1,5 +1,5 @@
 // Command mediatorsim regenerates the paper-reproduction experiment tables
-// (E1-E8, listed by -h from sim.Catalog), sharding each experiment's
+// (E1-E7, listed by -h from sim.Catalog), sharding each experiment's
 // (params x trial) grid across a worker pool. Output is bit-identical at
 // any parallelism level: -parallel only changes how fast the sweep runs.
 //

@@ -1,3 +1,11 @@
+// Package acs agrees on a common core for t < n/3: all honest parties
+// agree on the same set of at least n-t parties, each of which some
+// honest party saw satisfy a local completion predicate. It is the
+// BA-only core of Ben-Or, Kelmer and Rabin's Agreement on a Common Subset
+// (1994): BCG-style MPC uses it to agree on whose inputs are in the
+// computation and on which resharings feed each multiplication's degree
+// reduction. The values themselves travel through AVSS, so no reliable
+// broadcast is needed; the core is n binary agreements (package ba).
 package acs
 
 import (

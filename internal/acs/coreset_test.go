@@ -8,6 +8,12 @@ import (
 	"asyncmediator/internal/proto"
 )
 
+// silent is a party that never sends: a crashed or mute Byzantine party.
+type silent struct{}
+
+func (silent) Start(env *async.Env)                    {}
+func (silent) Deliver(env *async.Env, m async.Message) {}
+
 // runCoreSet builds n parties; readyAt[i] lists the candidates party i
 // marks ready at start (nil = byzantine silent party).
 func runCoreSet(t *testing.T, n, tf int, readyAt [][]int, sched async.Scheduler, seed int64) [][]int {

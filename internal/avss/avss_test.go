@@ -408,3 +408,32 @@ func TestRushedReadiesDoNotForgeCompletion(t *testing.T) {
 		}
 	}
 }
+
+// overDegreeDealer deals every party a consistent row of one symmetric
+// bivariate polynomial of degree t+1: the rows cross-check pairwise, but
+// the shares they define do not lie on a degree-t polynomial.
+type overDegreeDealer struct{ n, t int }
+
+func (d *overDegreeDealer) Start(env *async.Env) {
+	f := poly.NewBivariate(env.Rand(), d.t+1, 5)
+	for j, row := range f.Rows(d.n) {
+		env.Send(async.PID(j), &proto.Envelope{Instance: "avss", Body: MsgRow{Coeffs: row}})
+	}
+}
+func (d *overDegreeDealer) Deliver(env *async.Env, m async.Message) {}
+
+// TestOverDegreeDealingRefused: the commitment holds only if each row's
+// degree is checked. Rows of a degree-(t+1) bivariate agree pairwise, so
+// without the check every honest party would verify its row and complete
+// with a share on a degree-(t+1) polynomial; with it, no honest party
+// accepts a row, so none completes.
+func TestOverDegreeDealingRefused(t *testing.T) {
+	n, tf := 5, 1
+	byz := map[int]async.Process{0: &overDegreeDealer{n: n, t: tf}}
+	shares := runAVSS(t, n, tf, 0, byz, nil, 3)
+	for i := 1; i < n; i++ {
+		if shares[i] != nil {
+			t.Fatalf("party %d completed an over-degree dealing with share %v", i, *shares[i])
+		}
+	}
+}

@@ -7,8 +7,7 @@
 //   - Validity: a decided value was proposed by some honest party.
 //   - Agreement: no two honest parties decide differently.
 //   - Termination: with a common coin, all honest parties decide in O(1)
-//     expected rounds; with local coins termination still holds almost
-//     surely but slower (an ablation measured in the benchmarks).
+//     expected rounds.
 //
 // The common coin is provided by an interface. SharedCoin derives the bit
 // from a seed shared at setup — Rabin's predistributed-coin model. That is
@@ -28,16 +27,13 @@
 package ba
 
 import (
-	"math/rand"
-
 	"asyncmediator/internal/async"
 	"asyncmediator/internal/proto"
 )
 
 // maxRounds bounds per-instance state so malicious parties cannot make an
 // honest party allocate unboundedly. Exceeding it aborts progress for the
-// instance (never observed under honest coins; local-coin runs at small n
-// finish in a handful of rounds).
+// instance (never observed under honest coins).
 const maxRounds = 4096
 
 // Coin supplies the round coins.
@@ -77,15 +73,6 @@ func coinHash(seed int64, instance string, round int) uint64 {
 	}
 	return h
 }
-
-// LocalCoin flips an independent per-party coin (Ben-Or style). Kept for
-// the E8 ablation; expected round counts grow quickly with n.
-type LocalCoin struct{ Rng *rand.Rand }
-
-var _ Coin = (*LocalCoin)(nil)
-
-// Bit implements Coin.
-func (c *LocalCoin) Bit(string, int) int { return int(c.Rng.Int63() & 1) }
 
 // Message kinds.
 type (

@@ -160,6 +160,17 @@ func TestByzantineFloodStillAgrees(t *testing.T) {
 	}
 }
 
+// byzDone announces a decision on v that no honest party proposed: a
+// decision is adopted only from t+1 DONEs, so t of these cannot move it.
+type byzDone struct{ n, v int }
+
+func (d *byzDone) Start(env *async.Env) {
+	for p := 0; p < d.n; p++ {
+		env.Send(async.PID(p), &proto.Envelope{Instance: "ba", Body: MsgDone{V: d.v}})
+	}
+}
+func (d *byzDone) Deliver(env *async.Env, m async.Message) {}
+
 // byzSilent crashes.
 type byzSilent struct{}
 
@@ -189,38 +200,19 @@ func TestToleratesCrashes(t *testing.T) {
 }
 
 func TestValidityUnanimousDespiteByzantine(t *testing.T) {
-	// All honest propose 1; Byzantine parties cannot force 0.
-	for seed := int64(0); seed < 10; seed++ {
-		n, tf := 7, 2
-		props := []int{1, 1, 1, 1, 1, 1, 1}
-		byz := map[int]async.Process{
-			5: &byzFlood{n: n},
-			6: &byzFlood{n: n},
-		}
-		res := runBA(t, n, tf, props, sharedCoins(seed), byz, async.NewRandomScheduler(seed+100), seed)
-		for i := 0; i < 5; i++ {
-			if res.decisions[i] != 1 {
-				t.Fatalf("seed %d: party %d decided %d despite unanimous honest 1", seed, i, res.decisions[i])
+	// All honest propose 1; Byzantine parties flooding conflicting
+	// estimates, or announcing a decision on 0, cannot force 0.
+	n, tf := 7, 2
+	for _, byzantine := range []async.Process{&byzFlood{n: n}, &byzDone{n: n, v: 0}} {
+		for seed := int64(0); seed < 10; seed++ {
+			props := []int{1, 1, 1, 1, 1, 1, 1}
+			byz := map[int]async.Process{5: byzantine, 6: byzantine}
+			res := runBA(t, n, tf, props, sharedCoins(seed), byz, async.NewRandomScheduler(seed+100), seed)
+			for i := 0; i < 5; i++ {
+				if res.decisions[i] != 1 {
+					t.Fatalf("%T seed %d: party %d decided %d despite unanimous honest 1", byzantine, seed, i, res.decisions[i])
+				}
 			}
-		}
-	}
-}
-
-func TestLocalCoinTerminates(t *testing.T) {
-	// Ben-Or-style local coins still terminate at small n.
-	n, tf := 4, 1
-	props := []int{1, 0, 1, 0}
-	coins := func(i int) Coin {
-		return &LocalCoin{Rng: rand.New(rand.NewSource(int64(i) + 77))}
-	}
-	res := runBA(t, n, tf, props, coins, nil, async.NewRandomScheduler(5), 5)
-	first := res.decisions[0]
-	if first < 0 {
-		t.Fatal("undecided with local coins")
-	}
-	for _, d := range res.decisions {
-		if d != first {
-			t.Fatalf("disagreement %v", res.decisions)
 		}
 	}
 }

@@ -92,12 +92,6 @@ type Config struct {
 	// play's distributed trace is visible at the transport layer; peers
 	// that predate the field ignore it.
 	TraceID string
-	// GossipHandler, when set, receives every inbound GOSSIP payload.
-	// It runs on the connection's read goroutine, so it must be fast and
-	// never block; heavy work belongs on the receiver's own goroutine.
-	// Peers that predate the GOSSIP kind skip the frames silently, so a
-	// mixed-generation mesh degrades to "no gossip", not to errors.
-	GossipHandler func(from int, payload []byte)
 }
 
 func (c *Config) normalize() error {
@@ -145,18 +139,12 @@ type Stats struct {
 	// DATA frame count.
 	Acks int64
 	// FramesIn/FramesOut and BytesIn/BytesOut count steady-state traffic
-	// (DATA, ACK, and GOSSIP frames, header included; handshakes
-	// excluded).
+	// (DATA and ACK frames, and any skipped frame of an unknown kind,
+	// header included; handshakes excluded).
 	FramesIn  int64
 	FramesOut int64
 	BytesIn   int64
 	BytesOut  int64
-	// GossipSent/GossipReceived count best-effort GOSSIP frames written
-	// and dispatched; GossipDropped counts digests discarded because a
-	// link's gossip lane was full (dead or slow peer).
-	GossipSent     int64
-	GossipReceived int64
-	GossipDropped  int64
 	// QueueLen is the instantaneous sum of unsent payloads across the
 	// per-peer pending queues. The queues are unbounded: Send never
 	// blocks, so a peer not yet reached makes this grow with the traffic
@@ -185,9 +173,6 @@ func (s *Stats) add(o Stats) {
 	s.FramesOut += o.FramesOut
 	s.BytesIn += o.BytesIn
 	s.BytesOut += o.BytesOut
-	s.GossipSent += o.GossipSent
-	s.GossipReceived += o.GossipReceived
-	s.GossipDropped += o.GossipDropped
 	s.QueueLen += o.QueueLen
 	s.ResendBuffered += o.ResendBuffered
 }
@@ -227,7 +212,6 @@ type Transport struct {
 	dials, reconnects, dialErrs          atomic.Int64
 	chaosDrop, acks, framesIn, framesOut atomic.Int64
 	bytesIn, bytesOut                    atomic.Int64
-	gossipSent, gossipIn, gossipDropped  atomic.Int64
 }
 
 // New opens a transport on an endpoint of its own, listening on an
@@ -309,22 +293,6 @@ func (t *Transport) closing() bool {
 	}
 }
 
-// Gossip enqueues one best-effort payload for a peer. It never blocks:
-// a full gossip lane (dead or slow peer) drops the payload and reports
-// false, as does gossip to self or to an index outside [0, N). Delivery
-// has no ordering or exactly-once guarantee — callers are expected to
-// re-gossip periodically, so any single lost frame costs one interval.
-func (t *Transport) Gossip(to int, payload []byte) bool {
-	if to < 0 || to >= t.cfg.N || to == t.cfg.Self || t.closing() {
-		return false
-	}
-	if !t.links[to].enqueueGossip(payload) {
-		t.gossipDropped.Add(1)
-		return false
-	}
-	return true
-}
-
 // Inbox is the delivery channel: every frame exactly once, in per-stream
 // order. The channel is never closed; consumers should also select on
 // their own shutdown signal.
@@ -346,10 +314,6 @@ func (t *Transport) Stats() Stats {
 		FramesOut:    t.framesOut.Load(),
 		BytesIn:      t.bytesIn.Load(),
 		BytesOut:     t.bytesOut.Load(),
-
-		GossipSent:     t.gossipSent.Load(),
-		GossipReceived: t.gossipIn.Load(),
-		GossipDropped:  t.gossipDropped.Load(),
 	}
 	for _, l := range t.links {
 		if l == nil {
@@ -363,9 +327,9 @@ func (t *Transport) Stats() Stats {
 }
 
 // DropConns severs every connection serving this transport's streams —
-// the chaos hook behind wire.Node.DropConns and fleet.Mesh.DropConns. Links redial and replay their
-// unacknowledged frames; the mesh heals without losing or duplicating a
-// payload. It returns the number of connections closed.
+// the chaos hook behind wire.Node.DropConns. Links redial and replay
+// their unacknowledged frames; the mesh heals without losing or
+// duplicating a payload. It returns the number of connections closed.
 func (t *Transport) DropConns() int {
 	t.connMu.Lock()
 	cs := make([]*conn, 0, len(t.conns))

@@ -570,8 +570,8 @@ func (c *conn) open(l *link, h hello) (cursor uint64, err error) {
 }
 
 // readInbound is an accepted connection's reader for its whole life. The
-// first frame must be a valid HELLO; after it, DATA and GOSSIP frames go
-// to the stream the last HELLO attached, through its dedup cursor, and a
+// first frame must be a valid HELLO; after it, DATA frames go to the
+// stream the last HELLO attached, through its dedup cursor, and a
 // further HELLO re-attaches the connection to a new stream. Frames for a
 // stream whose transport has closed are dropped.
 func (e *Endpoint) readInbound(c *conn) {
@@ -613,20 +613,12 @@ func (e *Endpoint) readInbound(c *conn) {
 		if t != nil {
 			t.framesIn.Add(1)
 			t.bytesIn.Add(int64(5 + len(body)))
-			if kind == kindGossip {
-				t.gossipIn.Add(1)
-			}
 		}
 		c.mu.Unlock()
 		if t == nil {
 			continue // the stream's transport has closed
 		}
 		switch kind {
-		case kindGossip:
-			if fn := t.cfg.GossipHandler; fn != nil {
-				fn(from, body)
-			}
-			// Unsequenced: no dedup cursor, and no ACK of its own.
 		case kindData:
 			var seq uint64
 			var payload []byte
@@ -640,7 +632,8 @@ func (e *Endpoint) readInbound(c *conn) {
 			}
 			err = c.ack.note(cursor)
 		default:
-			// Tolerate unknown-but-framed kinds from newer peers.
+			// Tolerate unknown-but-framed kinds: newer peers' kinds, and
+			// kindReserved6 from older ones.
 		}
 		if err != nil {
 			break

@@ -472,3 +472,49 @@ func TestLateHelloForClosedStreamWelcomed(t *testing.T) {
 		t.Fatalf("Rejected %d, Delivered %d; want 1 and 0", st.Rejected, st.Delivered)
 	}
 }
+
+// TestReservedKindSkipped: an older peer still writes the retired GOSSIP
+// kind (6) onto its established streams. The receiver must skip those
+// frames like any unknown kind and keep delivering the stream's DATA.
+func TestReservedKindSkipped(t *testing.T) {
+	ep := NewEndpoint(EndpointConfig{})
+	t.Cleanup(ep.Close)
+	tr, err := ep.Open(Config{Self: 1, N: 2, ClusterID: "older-peer"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc, err := net.DialTimeout("tcp", ep.Addr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if err := writeHello(nc, hello{Version: ProtocolVersion, ClusterID: "older-peer", From: 0, To: 1}); err != nil {
+		t.Fatal(err)
+	}
+	fr := frameReader{r: bufio.NewReader(nc)}
+	_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if kind, _, err := fr.next(maxHandshakeBytes); err != nil || kind != kindWelcome {
+		t.Fatalf("awaiting WELCOME: kind %d, %v", kind, err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := writeRaw(nc, kindReserved6, []byte("digest")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := nc.Write(appendData(nil, 1, []byte("data"))); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case f := <-tr.Inbox():
+		if string(f.Payload) != "data" || f.Seq != 1 || f.From != 0 {
+			t.Fatalf("frame %+v, want DATA seq 1 from 0", f)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("DATA frame not delivered after the reserved-kind frames")
+	}
+	// FramesIn is counted before a frame is handled; Delivered only after
+	// the inbox send, so it may still lag the frame received above.
+	if st := tr.Stats(); st.FramesIn != 6 {
+		t.Fatalf("%d frames in, want the 5 skipped and the DATA", st.FramesIn)
+	}
+}

@@ -29,13 +29,11 @@ const (
 	kindReject  byte = 3 // listener -> dialer: refuse, with a reason
 	kindData    byte = 4 // dialer -> listener: one sequence-numbered payload
 	kindAck     byte = 5 // listener -> dialer: cumulative delivery ack
-	// kindGossip carries one best-effort, unsequenced payload (fleet
-	// health digests). Gossip frames ride the same handshaken connection
-	// as DATA but bypass the resend buffer and dedup cursor: gossip is
-	// periodic and self-healing, so a lost frame costs one interval, not
-	// correctness. Peers predating this kind tolerate-and-skip unknown
-	// framed kinds, so gossip needs no protocol-version bump.
-	kindGossip byte = 6
+	// kindReserved6 is reserved: it carried the retired fleet gossip
+	// plane's best-effort digests. A receiver skips it like any unknown
+	// framed kind, so a peer that still sends it keeps its stream; never
+	// reuse the number.
+	kindReserved6 byte = 6
 )
 
 // Frame is one delivered transport unit: an opaque payload on the ordered

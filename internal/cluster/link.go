@@ -68,7 +68,6 @@ type link struct {
 	t       *Transport
 	to      int
 	pending sendQueue
-	gossip  chan []byte // best-effort lane; dropped, never backpressured
 
 	mu      sync.Mutex
 	addr    string
@@ -79,17 +78,11 @@ type link struct {
 	addrOnce  sync.Once
 }
 
-// gossipQueueDepth bounds the per-link best-effort lane. Gossip is
-// periodic and self-healing, so a handful of buffered digests is plenty;
-// anything beyond that is stale by construction and better dropped.
-const gossipQueueDepth = 8
-
 func newLink(t *Transport, to int) *link {
 	return &link{
 		t:         t,
 		to:        to,
 		pending:   newSendQueue(),
-		gossip:    make(chan []byte, gossipQueueDepth),
 		addrKnown: make(chan struct{}),
 	}
 }
@@ -108,18 +101,6 @@ func (l *link) currentAddr() string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.addr
-}
-
-// enqueueGossip adds one payload to the best-effort lane. It never
-// blocks: a full lane (dead or slow peer) drops the digest and reports
-// false — the next gossip interval carries fresher state anyway.
-func (l *link) enqueueGossip(payload []byte) bool {
-	select {
-	case l.gossip <- payload:
-		return true
-	default:
-		return false
-	}
 }
 
 // run is the link's writer loop: wait for an address, get a connection
@@ -263,15 +244,6 @@ func (l *link) serve(c *conn, cursor uint64) error {
 			if err != nil {
 				return err // the batch stays buffered; the redial replays it
 			}
-		case payload := <-l.gossip:
-			// Best effort: no sequence number, no resend buffer. A write
-			// error just drops the digest along with the connection.
-			if err := writeRaw(c.nc, kindGossip, payload); err != nil {
-				return err
-			}
-			l.t.gossipSent.Add(1)
-			l.t.framesOut.Add(1)
-			l.t.bytesOut.Add(int64(5 + len(payload)))
 		case <-c.dead:
 			return errConnClosed
 		case <-l.t.done:

@@ -75,7 +75,7 @@ func TestLoopbackNeverBlocksConsumer(t *testing.T) {
 }
 
 // TestSelfLoopback: the transport carries peer streams only, so it has
-// no self loopback. Send and Gossip to self are dropped like an
+// no self loopback. A send to self is dropped like one to an
 // out-of-range index: nothing is counted, queued or delivered.
 func TestSelfLoopback(t *testing.T) {
 	tr, err := New(Config{Self: 0, N: 2, ClusterID: "self"})
@@ -85,11 +85,8 @@ func TestSelfLoopback(t *testing.T) {
 	defer tr.Close()
 	for _, to := range []int{0, -1, 2} {
 		tr.Send(to, payload(0, 0))
-		if tr.Gossip(to, []byte("g")) {
-			t.Errorf("gossip to %d accepted", to)
-		}
 	}
-	if st := tr.Stats(); st.Sent != 0 || st.QueueLen != 0 || st.GossipSent != 0 || st.GossipDropped != 0 {
+	if st := tr.Stats(); st.Sent != 0 || st.QueueLen != 0 {
 		t.Fatalf("sends to self or out of range were counted: %+v", st)
 	}
 	select {

@@ -80,8 +80,8 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // within the bucket holding the target rank, reading each bucket counter
 // once. With no samples it returns 0; ranks landing in the overflow
 // bucket clamp to the highest finite bound. The estimate is approximate
-// by construction — bounded by bucket resolution — which is exactly what
-// a gossiped health summary needs.
+// by construction — bounded by bucket resolution — which is all a
+// p50/p99 readout needs.
 func (h *Histogram) Quantile(q float64) float64 {
 	return h.Snapshot().Quantile(q)
 }

@@ -40,7 +40,7 @@ func DeriveTraceID(parts ...string) TraceID {
 // different daemons order within an origin but only approximately across
 // origins.
 type Span struct {
-	// Name is the span's phase or stage name ("rbc", "mpc.mul", "run").
+	// Name is the span's phase or stage name ("ba", "mpc.mul", "run").
 	Name string `json:"name"`
 	// Origin is the daemon-side label of where the span was recorded
 	// ("local", or the peer address after stitching).

@@ -14,9 +14,7 @@ import (
 	"time"
 
 	"asyncmediator/api"
-	"asyncmediator/internal/fleet"
 	"asyncmediator/internal/game"
-	"asyncmediator/internal/sched"
 	"asyncmediator/pkg/client"
 )
 
@@ -183,24 +181,18 @@ func TestMetricsAgreeWithStats(t *testing.T) {
 }
 
 // TestMetricsKeepParentSeries compares a live scrape of a fully armed
-// daemon (durable, fleet member, SLO objective, one refused placement,
-// one fired alert) against the committed list of family names and types
-// the /metrics of the commit before the obs consolidation emitted: a
-// dashboard built against that daemon finds every family it queried.
+// daemon (durable, with an SLO objective) against the committed list of
+// family names and types the /metrics of the commit before the obs
+// consolidation emitted, less the fleet and placement families retired
+// with those planes: a dashboard built against that daemon finds every
+// family it queried that still has a source.
 func TestMetricsKeepParentSeries(t *testing.T) {
 	raw, err := os.ReadFile("testdata/parent_metrics_series.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	farms := newFleetFarms(t, 2, func(i int, cfg *Config) {
-		cfg.DataDir = t.TempDir()
-		cfg.SLOObjectives = []string{"variant:Theorem4.2:p99:1s"}
-	})
-	f := farms[0]
-	waitFleetHealthy(t, f, 2)
+	f := newFarm(t, Config{DataDir: t.TempDir(), SLOObjectives: []string{"variant:Theorem4.2:p99:1s"}})
 	runSessions(t, f, 2)
-	f.notePlacement(sched.ErrInfeasible)
-	f.publishFleetAlert(fleet.Alert{Rule: "peer_silent"})
 	ts := httptest.NewServer(f.Handler())
 	defer ts.Close()
 	_, types := scrape(t, ts.URL+"/metrics")

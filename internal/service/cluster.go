@@ -97,8 +97,7 @@ func (s *Service) DropClusterConns() int { return s.clusterEP.DropConns() }
 // buildClusterParams compiles and validates the play parameters a join
 // request describes, mirroring session creation on the coordinator.
 func buildClusterParams(spec Spec, seed int64) (core.Params, error) {
-	spec.Peers = nil     // assignment travels in Players, not the spec
-	spec.Placement = nil // placement was resolved on the coordinator
+	spec.Peers = nil // assignment travels in Players, not the spec
 	normalizeSpec(&spec)
 	params, err := buildParams(spec)
 	if err != nil {
@@ -447,14 +446,12 @@ func peerError(op, addr string, err error) error {
 // (each start call returns that daemon's outcomes), and folds every
 // daemon's terminal player states into one async.Result — which then
 // resolves through mediator.ResolveMoves exactly like any other play.
-// peers is the resolved assignment: the spec's literal peer list, the
-// placement scheduler's output for a placement:"auto" session, or empty,
-// in which case every player runs here.
-func (s *Service) runCluster(sess *Session, types []game.Type, peers []api.PeerSpec) (game.Profile, *async.Result, error) {
+// With an empty peers list every player runs here.
+func (s *Service) runCluster(sess *Session, types []game.Type) (game.Profile, *async.Result, error) {
 	params := sess.Params()
 	n := params.Game.N
 	clusterID := fmt.Sprintf("%s.%d", sess.ID, sess.Seed())
-	peerAddrs, byAddr := groupPeers(peers)
+	peerAddrs, byAddr := groupPeers(sess.Spec.Peers)
 
 	remote := make(map[int]bool)
 	for _, players := range byAddr {

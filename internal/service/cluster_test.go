@@ -1,10 +1,14 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -420,5 +424,293 @@ func TestClusterSpecValidation(t *testing.T) {
 	}
 	if sess.Spec.Backend != "wire" {
 		t.Fatalf("peers spec normalized to backend %q", sess.Spec.Backend)
+	}
+}
+
+// TestStatsClusterNilWhenNeverClustered: a daemon
+// that never clustered reports no cluster-link block at all, so clients
+// (mediatorctl obs) can say "no cluster transport" instead of rendering
+// an all-zero struct as if links existed.
+func TestStatsClusterNilWhenNeverClustered(t *testing.T) {
+	svc := newFarm(t, Config{Workers: 1})
+	defer svc.Close()
+	if st := svc.Stats(); st.Cluster != nil {
+		t.Fatalf("Stats().Cluster = %+v, want nil on a never-clustered daemon", st.Cluster)
+	}
+}
+
+// TestClusterJoinFanOutIsParallel stalls two peer joins behind slow stub
+// daemons and bounds the wall clock: the fan-out must cost max(join),
+// not the sum — the sequential loop this replaced would need 2x.
+func TestClusterJoinFanOutIsParallel(t *testing.T) {
+	const delay = 500 * time.Millisecond
+	stub := func() string {
+		mux := http.NewServeMux()
+		mux.HandleFunc("POST /v1/cluster/join", func(w http.ResponseWriter, r *http.Request) {
+			time.Sleep(delay)
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusBadRequest)
+			_ = json.NewEncoder(w).Encode(api.ErrorEnvelope{Error: api.Errorf(api.CodeInvalidArgument, "stub refuses")})
+		})
+		ts := httptest.NewServer(mux)
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	stubA, stubB := stub(), stub()
+
+	svc := newFarm(t, Config{Workers: 1})
+	sess, err := svc.CreateSession(Spec{
+		Game: "consensus", N: 4, K: 1, Variant: "4.2",
+		Peers: []api.PeerSpec{{Index: 2, Addr: stubA}, {Index: 3, Addr: stubB}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := svc.SubmitTypes(sess.ID, make([]game.Type, 4)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-sess.Done():
+	case <-time.After(30 * time.Second):
+		t.Fatal("session did not terminate")
+	}
+	elapsed := time.Since(start)
+	if elapsed >= 2*delay {
+		t.Fatalf("join fan-out took %s — sequential (2x%s); parallel joins must cost max, not sum", elapsed, delay)
+	}
+	v := sess.Snapshot()
+	if v.State != StateFailed {
+		t.Fatalf("stub-backed session ended %s", v.State)
+	}
+	// The per-peer error names the failing daemon's address.
+	if !strings.Contains(v.Error, "cluster join") || !(strings.Contains(v.Error, stubA) || strings.Contains(v.Error, stubB)) {
+		t.Fatalf("join error does not name the failing peer: %q", v.Error)
+	}
+}
+
+// TestClusterStartIsRetrySafe pins the synchronous start's retry
+// contract. Two concurrent keyed starts of one joined play run it once:
+// one executes, the other waits on its single-flight entry (or finds it
+// cached) and replays the outcome. An unkeyed re-start while the play
+// lingers replays the gathered result, and finish then releases it.
+func TestClusterStartIsRetrySafe(t *testing.T) {
+	peer, ts := httpFarm(t, Config{Workers: 2})
+	const clusterID = "c-retry"
+	join, err := peer.ClusterJoin(api.ClusterJoinRequest{
+		ClusterID: clusterID,
+		Spec:      Spec{Game: "consensus", N: 4, K: 1, Variant: "4.2"},
+		Types:     []int{0, 0, 0, 0},
+		Players:   []int{0, 1, 2, 3},
+		Seed:      7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := api.ClusterStartRequest{ClusterID: clusterID, Addrs: join.Addrs}
+	url := ts.URL + "/v1/cluster/start"
+	checkResults := func(what string, out api.ClusterStartResponse) {
+		t.Helper()
+		if len(out.Results) != 4 {
+			t.Fatalf("%s: results %+v", what, out.Results)
+		}
+		for _, r := range out.Results {
+			if r.Error != "" || r.TimedOut || len(r.Move) == 0 {
+				t.Fatalf("%s: player %d result %+v", what, r.Index, r)
+			}
+		}
+	}
+
+	// A coordinator of the old async start protocol is refused up front,
+	// not left waiting for an event that never comes.
+	oldStart := map[string]any{"cluster_id": clusterID, "addrs": join.Addrs, "async": true}
+	if code, _ := postJSON(t, ts.Client(), url, oldStart, nil); code != http.StatusBadRequest {
+		t.Fatalf("async:true start answered %d, want 400 invalid_argument", code)
+	}
+
+	outs := make([]api.ClusterStartResponse, 2)
+	replayed := make([]bool, 2)
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp := postKeyed(t, ts.Client(), url, "cluster-start-"+clusterID, req, &outs[i])
+			replayed[i] = resp.StatusCode == http.StatusOK && resp.Header.Get(api.IdempotencyReplayedHeader) == "true"
+		}()
+	}
+	wg.Wait()
+	for i, out := range outs {
+		checkResults(fmt.Sprintf("keyed start %d", i), out)
+	}
+	if replayed[0] == replayed[1] {
+		t.Fatalf("replayed flags %v: exactly one keyed start must replay", replayed)
+	}
+	if got := peer.Stats().ClusterPlaysHosted; got != 1 {
+		t.Fatalf("two keyed starts hosted %d plays, want 1", got)
+	}
+
+	// The play lingers: an unkeyed re-start (a restarted coordinator
+	// without the key) replays the gathered outcome instead of
+	// conflicting.
+	var again api.ClusterStartResponse
+	if code, err := postJSON(t, ts.Client(), url, req, &again); err != nil || code != http.StatusOK {
+		t.Fatalf("unkeyed re-start: %d %v", code, err)
+	}
+	checkResults("unkeyed re-start", again)
+	if got := peer.Stats().ClusterPlaysHosted; got != 1 {
+		t.Fatalf("re-start re-ran the play: hosted %d", got)
+	}
+	fin, err := peer.ClusterFinish(api.ClusterFinishRequest{ClusterID: clusterID})
+	if err != nil || !fin.Released {
+		t.Fatalf("finish: %+v %v", fin, err)
+	}
+}
+
+// TestIdempotentCreateReplaysAcrossRestart is the durable half of the
+// keyed-retry contract: a keyed session create replays — same id, the
+// replay header set — even when the daemon restarted in between, because
+// the response was mirrored to the store.
+func TestIdempotentCreateReplaysAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	boot := func() (*Service, *httptest.Server) {
+		svc, err := New(Config{Workers: 1, DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return svc, httptest.NewServer(svc.Handler())
+	}
+
+	svc1, ts1 := boot()
+	var h1 api.Handle
+	r1 := postKeyed(t, ts1.Client(), ts1.URL+"/v1/sessions", "restart-key", Spec{}, &h1)
+	if r1.StatusCode != http.StatusCreated || r1.Header.Get(api.IdempotencyReplayedHeader) != "" {
+		t.Fatalf("first create: %d replayed=%q", r1.StatusCode, r1.Header.Get(api.IdempotencyReplayedHeader))
+	}
+	// Run the session to terminal so it persists: the replayed handle must
+	// name a session that still exists after the restart.
+	sess1, err := svc1.SubmitTypes(h1.ID, make([]game.Type, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-sess1.Done():
+	case <-time.After(30 * time.Second):
+		t.Fatal("session did not terminate before restart")
+	}
+	ts1.Close()
+	svc1.Close()
+
+	svc2, ts2 := boot()
+	defer svc2.Close()
+	defer ts2.Close()
+	var h2 api.Handle
+	r2 := postKeyed(t, ts2.Client(), ts2.URL+"/v1/sessions", "restart-key", Spec{}, &h2)
+	if r2.StatusCode != http.StatusCreated || r2.Header.Get(api.IdempotencyReplayedHeader) != "true" {
+		t.Fatalf("post-restart create: %d replayed=%q", r2.StatusCode, r2.Header.Get(api.IdempotencyReplayedHeader))
+	}
+	if h2.ID != h1.ID {
+		t.Fatalf("restart replay minted a new session: %s vs %s", h2.ID, h1.ID)
+	}
+	// A fresh key still executes normally after recovery.
+	var h3 api.Handle
+	r3 := postKeyed(t, ts2.Client(), ts2.URL+"/v1/sessions", "other-key", Spec{}, &h3)
+	if r3.StatusCode != http.StatusCreated || r3.Header.Get(api.IdempotencyReplayedHeader) != "" || h3.ID == h1.ID {
+		t.Fatalf("fresh key after restart: %d %+v", r3.StatusCode, h3)
+	}
+}
+
+// TestGroupPeers pins the peer-grouping contract runCluster relies on:
+// one join per distinct daemon, player
+// indices sorted within a daemon, daemons visited in sorted-address
+// order (determinism across coordinators).
+func TestGroupPeers(t *testing.T) {
+	cases := []struct {
+		name   string
+		peers  []api.PeerSpec
+		addrs  []string
+		byAddr map[string][]int
+	}{
+		{name: "empty", peers: nil, addrs: nil, byAddr: map[string][]int{}},
+		{
+			name:   "one daemon many players",
+			peers:  []api.PeerSpec{{Index: 3, Addr: "http://b"}, {Index: 1, Addr: "http://b"}},
+			addrs:  []string{"http://b"},
+			byAddr: map[string][]int{"http://b": {1, 3}},
+		},
+		{
+			name: "two daemons sorted by address",
+			peers: []api.PeerSpec{
+				{Index: 4, Addr: "http://z"}, {Index: 2, Addr: "http://a"}, {Index: 3, Addr: "http://z"},
+			},
+			addrs:  []string{"http://a", "http://z"},
+			byAddr: map[string][]int{"http://a": {2}, "http://z": {3, 4}},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			addrs, byAddr := groupPeers(tc.peers)
+			if len(addrs) != len(tc.addrs) {
+				t.Fatalf("addrs %v, want %v", addrs, tc.addrs)
+			}
+			for i := range addrs {
+				if addrs[i] != tc.addrs[i] {
+					t.Fatalf("addrs %v, want %v", addrs, tc.addrs)
+				}
+			}
+			if len(byAddr) != len(tc.byAddr) {
+				t.Fatalf("byAddr %v, want %v", byAddr, tc.byAddr)
+			}
+			for a, want := range tc.byAddr {
+				got := byAddr[a]
+				if len(got) != len(want) {
+					t.Fatalf("byAddr[%s] = %v, want %v", a, got, want)
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("byAddr[%s] = %v, want %v", a, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestClosedPeerNamedInError: a failed play names its faulty peer
+// without any gossip view. The peer daemon is closed before the play,
+// so the coordinator's join fails, and the session's error is an
+// api.Error whose "peer" detail is that daemon's URL.
+func TestClosedPeerNamedInError(t *testing.T) {
+	coord := newFarm(t, Config{Workers: 1})
+	peer := newFarm(t, Config{Workers: 1})
+	ts := httptest.NewServer(peer.Handler())
+	peerURL := ts.URL
+	ts.Close()
+	peer.Close()
+
+	sess, err := coord.CreateSession(clusterSpec(peerURL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coord.SubmitTypes(sess.ID, make([]game.Type, 4)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-sess.Done():
+	case <-time.After(60 * time.Second):
+		t.Fatal("session did not terminate")
+	}
+	if v := sess.Snapshot(); v.State != StateFailed {
+		t.Fatalf("play against a closed peer ended %s", v.State)
+	}
+	sess.mu.Lock()
+	playErr := sess.err
+	sess.mu.Unlock()
+	var ae *api.Error
+	if !errors.As(playErr, &ae) {
+		t.Fatalf("play error %v (%T) is not an api.Error", playErr, playErr)
+	}
+	if got := ae.Details["peer"]; got != peerURL {
+		t.Fatalf("peer detail %q, want the closed daemon %q (error %v)", got, peerURL, ae)
 	}
 }

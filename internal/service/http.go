@@ -12,7 +12,6 @@ import (
 	"asyncmediator/api"
 	"asyncmediator/internal/game"
 	"asyncmediator/internal/pool"
-	"asyncmediator/internal/sched"
 	"asyncmediator/internal/sim"
 )
 
@@ -53,10 +52,6 @@ func apiError(err error, fallback api.ErrorCode) *api.Error {
 		return api.Errorf(api.CodePoolSaturated, "%v", err)
 	case errors.Is(err, pool.ErrClosed):
 		return api.Errorf(api.CodeNotReady, "%v", err)
-	case errors.Is(err, sched.ErrInfeasible):
-		return api.Errorf(api.CodePlacementInfeasible, "%v", err)
-	case errors.Is(err, sched.ErrUnderFloor):
-		return api.Errorf(api.CodeFleetUnderFloor, "%v", err)
 	default:
 		return api.Errorf(fallback, "%v", err)
 	}
@@ -77,9 +72,8 @@ func apiError(err error, fallback api.ErrorCode) *api.Error {
 //	GET  /v1/jobs/{id}            job snapshot; ?wait= long-polls
 //	POST /v1/cluster/join         co-host a play (daemon-to-daemon)
 //	POST /v1/cluster/start        run co-hosted players to termination
-//	POST /v1/cluster/plan         dry-run the placement scheduler
-//	GET  /v1/traces               search retained traces; ?fleet=1 fans
-//	                              out to gossiped peers
+//	POST /v1/cluster/finish       release a finished play's transports
+//	GET  /v1/traces               search retained traces
 //	GET  /v1/slo                  burn-rate state of the SLO objectives
 //	GET  /v1/stats                farm-wide aggregate statistics
 //
@@ -110,8 +104,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("POST "+api.Prefix+"/cluster/join", s.idempotent(s.handleClusterJoin))
 	mux.HandleFunc("POST "+api.Prefix+"/cluster/start", s.idempotent(s.handleClusterStart))
 	mux.HandleFunc("POST "+api.Prefix+"/cluster/finish", s.idempotent(s.handleClusterFinish))
-	mux.HandleFunc("POST "+api.Prefix+"/cluster/plan", s.idempotent(s.handleClusterPlan))
-	mux.HandleFunc("GET "+api.Prefix+"/cluster/fleet", s.handleFleet)
 	mux.HandleFunc("GET "+api.Prefix+"/traces", s.handleTraces)
 	mux.HandleFunc("GET "+api.Prefix+"/slo", s.handleSLO)
 	mux.HandleFunc("GET "+api.Prefix+"/stats", s.handleStats)
@@ -122,14 +114,12 @@ func (s *Service) Handler() http.Handler {
 	// transport retries never double a drop.
 	if s.cfg.EnableChaos {
 		mux.HandleFunc("POST "+api.Prefix+"/cluster/drop", s.idempotent(func(w http.ResponseWriter, r *http.Request) {
-			// Severs play transports and the fleet gossip mesh alike: a
-			// chaos round exercises both planes' redial paths.
-			writeJSON(w, http.StatusOK, map[string]int{"dropped": s.DropClusterConns() + s.DropFleetConns()})
+			writeJSON(w, http.StatusOK, map[string]int{"dropped": s.DropClusterConns()})
 		}))
 	}
 
 	// Unversioned infrastructure: scrape and probe endpoints stay where
-	// fleet tooling expects them.
+	// monitoring tooling expects them.
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		s.writeMetrics(w)
 	})
@@ -344,18 +334,6 @@ func (s *Service) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 // handleStats answers GET /v1/stats.
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
-}
-
-// handleFleet answers GET /v1/cluster/fleet: this daemon's gossip-derived
-// view of the whole fleet. A daemon running without a fleet plane (no
-// -fleet-listen) answers not_found — the resource does not exist here.
-func (s *Service) handleFleet(w http.ResponseWriter, r *http.Request) {
-	fv, ok := s.FleetView()
-	if !ok {
-		writeAPIError(w, api.Errorf(api.CodeNotFound, "this daemon is not part of a fleet (started without -fleet-listen)"))
-		return
-	}
-	writeJSON(w, http.StatusOK, fv)
 }
 
 // serveExperimentJob answers GET /v1/jobs/{id} — the async-job view,

@@ -204,7 +204,7 @@ func TestHTTPAsyncExperiments(t *testing.T) {
 	client := ts.Client()
 
 	var created api.Handle
-	code, err := postJSON(t, client, ts.URL+"/v1/jobs", ExpRequest{Experiment: "e8", Trials: 2}, &created)
+	code, err := postJSON(t, client, ts.URL+"/v1/jobs", ExpRequest{Experiment: "e7", Trials: 2}, &created)
 	if err != nil || code != http.StatusCreated {
 		t.Fatalf("create job: %d %v", code, err)
 	}
@@ -215,7 +215,7 @@ func TestHTTPAsyncExperiments(t *testing.T) {
 	if code, err := getJSON(t, client, ts.URL+"/v1/jobs/"+created.ID+"?wait=30s", &v); err != nil || code != http.StatusOK {
 		t.Fatalf("poll job: %d %v", code, err)
 	}
-	if v.State != StateDone || v.Table == nil || v.Table.ID != "e8" || len(v.Table.Rows) == 0 {
+	if v.State != StateDone || v.Table == nil || v.Table.ID != "e7" || len(v.Table.Rows) == 0 {
 		t.Fatalf("job view %+v", v)
 	}
 
@@ -230,7 +230,7 @@ func TestHTTPAsyncExperiments(t *testing.T) {
 	var tab struct {
 		ID string `json:"id"`
 	}
-	if code, err := getJSON(t, client, ts.URL+"/v1/experiments/e8?trials=2", &tab); err != nil || code != http.StatusOK || tab.ID != "e8" {
+	if code, err := getJSON(t, client, ts.URL+"/v1/experiments/e7?trials=2", &tab); err != nil || code != http.StatusOK || tab.ID != "e7" {
 		t.Fatalf("sync path: %d %v %+v", code, err, tab)
 	}
 }

@@ -214,7 +214,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 }
 
 // TestHTTPExperiments drives the farm's experiment entry point: the
-// catalog lists e1..e8, a sweep runs through the farm's own worker pool
+// catalog lists e1..e7, a sweep runs through the farm's own worker pool
 // and returns its JSON table, and bad inputs are rejected.
 func TestHTTPExperiments(t *testing.T) {
 	_, ts := httpFarm(t, Config{Workers: 4})
@@ -226,15 +226,15 @@ func TestHTTPExperiments(t *testing.T) {
 	if code, err := getJSON(t, client, ts.URL+"/v1/experiments", &cat); code != http.StatusOK || err != nil {
 		t.Fatalf("catalog: status %d err %v", code, err)
 	}
-	if len(cat.Experiments) != 8 || cat.Experiments[0].ID != "e1" {
+	if len(cat.Experiments) != 7 || cat.Experiments[0].ID != "e1" {
 		t.Fatalf("unexpected catalog: %+v", cat.Experiments)
 	}
 
 	var tab sim.Table
-	if code, err := getJSON(t, client, ts.URL+"/v1/experiments/e8?trials=2&seed=5", &tab); code != http.StatusOK || err != nil {
-		t.Fatalf("run e8: status %d err %v", code, err)
+	if code, err := getJSON(t, client, ts.URL+"/v1/experiments/e7?trials=2&seed=5", &tab); code != http.StatusOK || err != nil {
+		t.Fatalf("run e7: status %d err %v", code, err)
 	}
-	if tab.ID != "e8" || len(tab.Rows) == 0 {
+	if tab.ID != "e7" || len(tab.Rows) == 0 {
 		t.Fatalf("bad table: %+v", tab)
 	}
 
@@ -242,14 +242,14 @@ func TestHTTPExperiments(t *testing.T) {
 	if code, _ := getJSON(t, client, ts.URL+"/v1/experiments/e99", &e); code != http.StatusNotFound {
 		t.Fatalf("unknown experiment: status %d", code)
 	}
-	if code, _ := getJSON(t, client, ts.URL+"/v1/experiments/e8?trials=zero", &e); code != http.StatusBadRequest {
+	if code, _ := getJSON(t, client, ts.URL+"/v1/experiments/e7?trials=zero", &e); code != http.StatusBadRequest {
 		t.Fatalf("bad trials: status %d", code)
 	}
-	if code, _ := getJSON(t, client, ts.URL+"/v1/experiments/e8?seed=x", &e); code != http.StatusBadRequest {
+	if code, _ := getJSON(t, client, ts.URL+"/v1/experiments/e7?seed=x", &e); code != http.StatusBadRequest {
 		t.Fatalf("bad seed: status %d", code)
 	}
 	// Seeds may be zero or negative — any int64 a CLI sweep accepts.
-	if code, err := getJSON(t, client, ts.URL+"/v1/experiments/e8?trials=2&seed=-3", &tab); code != http.StatusOK || err != nil {
+	if code, err := getJSON(t, client, ts.URL+"/v1/experiments/e7?trials=2&seed=-3", &tab); code != http.StatusOK || err != nil {
 		t.Fatalf("negative seed: status %d err %v", code, err)
 	}
 }

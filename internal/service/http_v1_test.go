@@ -72,11 +72,14 @@ func TestV1ErrorContract(t *testing.T) {
 	svc, ts := httpFarm(t, Config{Workers: 1, QueueDepth: 1})
 	client := ts.Client()
 
-	// invalid_argument: malformed body, unknown field, trailing garbage,
+	// invalid_argument: malformed body, unknown fields, trailing garbage,
 	// oversized body, bad spec, bad query parameter.
 	status, e := postEnvelope(t, client, ts.URL+"/v1/sessions", `{`)
 	expectCode(t, status, e, api.CodeInvalidArgument)
 	status, e = postEnvelope(t, client, ts.URL+"/v1/sessions", `{"bogus":1}`)
+	expectCode(t, status, e, api.CodeInvalidArgument)
+	// The retired placement field is an unknown field like any other.
+	status, e = postEnvelope(t, client, ts.URL+"/v1/sessions", `{"n":5,"placement":"auto"}`)
 	expectCode(t, status, e, api.CodeInvalidArgument)
 	status, e = postEnvelope(t, client, ts.URL+"/v1/sessions", `{"n":5}{"n":5}`)
 	expectCode(t, status, e, api.CodeInvalidArgument)
@@ -265,10 +268,10 @@ func TestV1RouteSplitAndAliases(t *testing.T) {
 
 	// /v1/experiments/{name}: synchronous table.
 	var tab api.Table
-	if code, err := getJSON(t, client, ts.URL+"/v1/experiments/e8?trials=2&seed=5", &tab); err != nil || code != http.StatusOK {
+	if code, err := getJSON(t, client, ts.URL+"/v1/experiments/e7?trials=2&seed=5", &tab); err != nil || code != http.StatusOK {
 		t.Fatalf("sync run: %d %v", code, err)
 	}
-	if tab.ID != "e8" || len(tab.Rows) == 0 {
+	if tab.ID != "e7" || len(tab.Rows) == 0 {
 		t.Fatalf("sync table %+v", tab)
 	}
 	// A job id on the sync route is not_found — ids no longer share the
@@ -278,18 +281,18 @@ func TestV1RouteSplitAndAliases(t *testing.T) {
 
 	// /v1/jobs: create, long-poll, fetch.
 	var created api.Handle
-	if code, err := postJSON(t, client, ts.URL+"/v1/jobs", ExpRequest{Experiment: "e8", Trials: 2}, &created); err != nil || code != http.StatusCreated {
+	if code, err := postJSON(t, client, ts.URL+"/v1/jobs", ExpRequest{Experiment: "e7", Trials: 2}, &created); err != nil || code != http.StatusCreated {
 		t.Fatalf("create job: %d %v", code, err)
 	}
 	var jv ExpView
 	if code, err := getJSON(t, client, ts.URL+"/v1/jobs/"+created.ID+"?wait=30s", &jv); err != nil || code != http.StatusOK {
 		t.Fatalf("poll job: %d %v", code, err)
 	}
-	if jv.State != StateDone || jv.Table == nil || jv.Table.ID != "e8" {
+	if jv.State != StateDone || jv.Table == nil || jv.Table.ID != "e7" {
 		t.Fatalf("job view %+v", jv)
 	}
 	// A catalog name on the jobs route is not_found.
-	status, e = getEnvelope(t, client, ts.URL+"/v1/jobs/e8")
+	status, e = getEnvelope(t, client, ts.URL+"/v1/jobs/e7")
 	expectCode(t, status, e, api.CodeNotFound)
 	// Unknown experiment on job creation is not_found too — the same
 	// stable code whether the name travels in the path or the body.

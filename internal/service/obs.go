@@ -143,10 +143,6 @@ func (s *Service) registerObsMetrics() {
 		"Entries into load-shedding readiness (queue at or above the watermark).")
 	s.clusterHosted = r.Counter("mediatord_cluster_plays_hosted_total",
 		"Plays co-hosted for remote coordinators (cluster mode).")
-	s.placements = r.Counter("mediatord_placements_total",
-		"Sessions placed by the fleet scheduler (placement mode auto).")
-	s.placeRejects = r.CounterVec("mediatord_placement_rejections_total",
-		"Placements the scheduler refused, by reason.", "reason")
 	r.GaugeFunc("mediatord_sessions_live", "Sessions currently held in memory.",
 		func() float64 { return float64(s.reg.Len()) })
 	r.GaugeFunc("mediatord_sessions_persisted", "Session records in the durable store.",
@@ -262,9 +258,9 @@ func (s *Service) registerObsMetrics() {
 		storeMetric(func(m store.Metrics) float64 { return m.ReplayTime.Seconds() }))
 
 	// Play phase latencies, folded once per terminal session from the
-	// play's trace spans; the p99 rides the fleet gossip.
+	// play's trace spans.
 	s.phaseHist = r.Histogram("mediatord_play_phase_seconds",
-		"Protocol phase latencies (avss.share, rbc, ba, acs.core, mpc.*) folded from play traces.",
+		"Protocol phase latencies (avss.share, ba, acs.core, mpc.*) folded from play traces.",
 		phaseLatencyBounds)
 
 	// Cluster join fan-out: wall time of the parallel join phase per

@@ -169,7 +169,7 @@ func TestExperimentJobLifecycleAndRecovery(t *testing.T) {
 	if _, err := svc.CreateExperiment(ExpRequest{Experiment: "e99"}); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
-	job, err := svc.CreateExperiment(ExpRequest{Experiment: "e8", Trials: 2})
+	job, err := svc.CreateExperiment(ExpRequest{Experiment: "e7", Trials: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestExperimentJobLifecycleAndRecovery(t *testing.T) {
 		t.Fatal("job never finished")
 	}
 	v := job.Snapshot()
-	if v.State != StateDone || v.Table == nil || v.Table.ID != "e8" {
+	if v.State != StateDone || v.Table == nil || v.Table.ID != "e7" {
 		t.Fatalf("job snapshot %+v", v)
 	}
 	if v.Trials != 2 {
@@ -220,7 +220,7 @@ func TestExperimentJobLifecycleAndRecovery(t *testing.T) {
 		t.Fatalf("orphan not failed: %+v (%v)", got, ok)
 	}
 	// The watermark cleared the orphan's id.
-	job2, err := svc2.CreateExperiment(ExpRequest{Experiment: "e8", Trials: 1})
+	job2, err := svc2.CreateExperiment(ExpRequest{Experiment: "e7", Trials: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestExperimentJobLifecycleAndRecovery(t *testing.T) {
 func TestExperimentJobSingleWorkerNoDeadlock(t *testing.T) {
 	svc := newFarm(t, Config{Workers: 1})
 	defer svc.Close()
-	job, err := svc.CreateExperiment(ExpRequest{Experiment: "e8", Trials: 2})
+	job, err := svc.CreateExperiment(ExpRequest{Experiment: "e7", Trials: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,11 +263,11 @@ func TestExperimentJobAdmissionControl(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	job1, err := svc.CreateExperiment(ExpRequest{Experiment: "e8", Trials: 2})
+	job1, err := svc.CreateExperiment(ExpRequest{Experiment: "e7", Trials: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.CreateExperiment(ExpRequest{Experiment: "e8", Trials: 2}); !errors.Is(err, ErrQueueFull) {
+	if _, err := svc.CreateExperiment(ExpRequest{Experiment: "e7", Trials: 2}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("want ErrQueueFull, got %v", err)
 	}
 	// The rejected job left an honest failed record.

@@ -36,7 +36,6 @@ import (
 	"asyncmediator/internal/game"
 	"asyncmediator/internal/obs"
 	"asyncmediator/internal/pool"
-	"asyncmediator/internal/sched"
 	"asyncmediator/internal/sim"
 	"asyncmediator/internal/store"
 	"asyncmediator/internal/telemetry"
@@ -113,27 +112,6 @@ type Config struct {
 	// default observability layer). The overhead benchmark uses it to
 	// measure tracing's cost against an untraced baseline.
 	DisableTracing bool
-	// FleetListen, with FleetPeers, turns on the fleet telemetry plane:
-	// the daemon binds this gossip-mesh address and exchanges health
-	// summaries with every peer. FleetListen must appear verbatim in
-	// FleetPeers — fleet indices derive from the sorted table, so every
-	// daemon handed the same list agrees on the numbering.
-	FleetListen string
-	// FleetPeers is the full fleet gossip address table, self included.
-	FleetPeers []string
-	// AdvertiseURL is this daemon's API base URL as peers and operators
-	// should reach it; it travels in the gossiped health summaries.
-	AdvertiseURL string
-	// GossipInterval is the fleet gossip period (default 1s). Suspicion
-	// and expiry derive from it (3x and 10x).
-	GossipInterval time.Duration
-	// FleetFloor, when > 0, arms the fleet_floor alert: fewer healthy
-	// daemons than this (the operator's count of live failure domains)
-	// fires it.
-	FleetFloor int
-	// FleetSecret, when set, HMAC-signs every gossiped digest; digests
-	// failing verification are discarded.
-	FleetSecret string
 	// TraceRetention bounds the retained-trace ring by record count:
 	// every finished play's compacted trace is kept (and persisted, with
 	// a DataDir) for GET /v1/traces and the trace endpoint, oldest
@@ -146,7 +124,7 @@ type Config struct {
 	TraceRetentionBytes int64
 	// SLOObjectives arms the burn-rate engine: each entry is
 	// "<kind>:<selector>:p<quantile>:<threshold>", e.g.
-	// "phase:rbc:p99:250ms" or "variant:4.1:p95:1s". Empty disables the
+	// "phase:ba:p99:250ms" or "variant:4.1:p95:1s". Empty disables the
 	// engine (GET /v1/slo answers 404).
 	SLOObjectives []string
 	// SLOInterval is the burn-rate evaluation tick (default 5s); the
@@ -223,20 +201,12 @@ type Service struct {
 	plays  playStats
 
 	// phaseHist aggregates per-phase protocol latencies across plays
-	// (one fold per terminal session); its p99 rides the fleet gossip.
+	// (one fold per terminal session).
 	phaseHist *obs.Histogram
 
 	// joinHist times the cluster join fan-out (all parallel peer joins of
 	// one play, wall clock).
 	joinHist *obs.Histogram
-
-	// Placement control plane counters: successful scheduler decisions
-	// and refusals by reason.
-	placements   *obs.Counter
-	placeRejects *obs.CounterVec
-
-	// fleet is the gossip-mesh runtime (nil without FleetListen).
-	fleet *fleetState
 
 	// traces is the durable retained-trace ring (nil when retention is
 	// disabled); slo the burn-rate engine (nil without objectives), with
@@ -307,15 +277,10 @@ func New(cfg Config) (*Service, error) {
 		s.bus.Close()
 		return nil, err
 	}
-	// The telemetry plane (trace retention + SLO engine) boots before the
-	// fleet: retained traces replay from the store alongside sessions, and
-	// the SLO alerts ride the same bus the fleet rules use.
+	// The telemetry plane (trace retention + SLO engine) boots last:
+	// retained traces replay from the store alongside sessions, and a bad
+	// objective spec must unwind the pool and store built above.
 	if err := s.startTelemetry(); err != nil {
-		return fail(err)
-	}
-	// The fleet plane joins last: its health source reads the pool and
-	// registry built above, and a bad fleet config must unwind them.
-	if err := s.startFleet(clusterTLS); err != nil {
 		return fail(err)
 	}
 	// Recovery replayed and the pool accepts submits: the readiness gate
@@ -457,23 +422,9 @@ func (s *Service) exec(sess *Session) {
 		res  *async.Result
 		err  error
 	)
-	// Placement resolves at execution time against the fleet view of that
-	// moment: the scheduler pins any caller-supplied peers and fills the
-	// remaining players across healthy daemons. A refused placement fails
-	// the session with the scheduler's error.
-	peers := sess.Spec.Peers
-	if sess.Spec.Placement != nil {
-		var pl sched.Placement
-		if pl, err = s.placeSession(sess.Spec, sess.params); err == nil {
-			sess.setPlacement(&pl)
-			peers = pl.Peers
-		}
-	}
-	switch {
-	case err != nil: // placement refused; nothing ran
-	case sess.Spec.Backend == "wire":
-		prof, res, err = s.runCluster(sess, types, peers)
-	default:
+	if sess.Spec.Backend == "wire" {
+		prof, res, err = s.runCluster(sess, types)
+	} else {
 		prof, res, err = runSim(sess, types)
 	}
 	endRun()
@@ -593,11 +544,6 @@ func (s *Service) Close() {
 	// The SLO ticker parks on stopc; wait it out before the bus (its
 	// alert sink) closes.
 	s.sloWG.Wait()
-	// The fleet mesh stops first: its tick goroutine samples the pool
-	// and registry, which are about to drain.
-	if s.fleet != nil && s.fleet.mesh != nil {
-		s.fleet.mesh.Close()
-	}
 	// Release parked co-hosted cluster plays (never-started or
 	// lingering), so their transports and goroutines cannot outlive the
 	// farm.

@@ -13,7 +13,6 @@ import (
 	"asyncmediator/internal/game"
 	"asyncmediator/internal/mediator"
 	"asyncmediator/internal/obs"
-	"asyncmediator/internal/sched"
 )
 
 // The wire shapes of sessions are defined once, in the api package (the
@@ -56,14 +55,11 @@ func normalizeSpec(s *Spec) {
 		s.Scheduler = "roundrobin"
 	}
 	if s.Backend == "" {
-		if len(s.Peers) > 0 || s.Placement != nil {
+		if len(s.Peers) > 0 {
 			s.Backend = "wire" // cluster mode is the wire backend across daemons
 		} else {
 			s.Backend = "sim"
 		}
-	}
-	if s.Placement != nil && s.Placement.Mode == "" {
-		s.Placement.Mode = api.PlacementModeAuto
 	}
 	if s.MaxSteps == 0 {
 		s.MaxSteps = 50_000_000
@@ -105,23 +101,6 @@ func buildParams(s Spec) (core.Params, error) {
 	case "sim", "wire":
 	default:
 		return core.Params{}, fmt.Errorf("service: unknown backend %q (want sim or wire)", s.Backend)
-	}
-	if s.Placement != nil {
-		if s.Placement.Mode != api.PlacementModeAuto {
-			return core.Params{}, fmt.Errorf("service: unknown placement mode %q (want %q)", s.Placement.Mode, api.PlacementModeAuto)
-		}
-		switch s.Placement.Strategy {
-		case "", sched.StrategySpread, sched.StrategyPack, sched.StrategyStrict:
-		default:
-			return core.Params{}, fmt.Errorf("service: unknown placement strategy %q (want %s, %s, or %s)",
-				s.Placement.Strategy, sched.StrategySpread, sched.StrategyPack, sched.StrategyStrict)
-		}
-		if s.Placement.MinDaemons < 0 {
-			return core.Params{}, fmt.Errorf("service: min_daemons %d out of range", s.Placement.MinDaemons)
-		}
-		if s.Backend != "wire" {
-			return core.Params{}, fmt.Errorf("service: placement requires the wire backend, not %q", s.Backend)
-		}
 	}
 	if len(s.Peers) > 0 {
 		if s.Backend != "wire" {
@@ -183,10 +162,6 @@ type Session struct {
 	// terminal snapshots, so it persists with the session record.
 	trace  *obs.PlayTrace
 	traceV *api.TraceView
-	// placement records the scheduler's decision for a placement:"auto"
-	// session (nil otherwise), set by the executing worker before the
-	// play dispatches.
-	placement *api.PlacementView
 
 	// done closes when the session reaches a terminal state.
 	done chan struct{}
@@ -265,13 +240,6 @@ func (s *Session) beginTrace(enabled bool) *obs.PlayTrace {
 	return tr
 }
 
-// setPlacement records the scheduler's assignment for this play.
-func (s *Session) setPlacement(pl *api.PlacementView) {
-	s.mu.Lock()
-	s.placement = pl
-	s.mu.Unlock()
-}
-
 // tracer returns the session's play trace (nil with tracing off or
 // before execution began).
 func (s *Session) tracer() *obs.PlayTrace {
@@ -329,7 +297,6 @@ func (s *Session) viewLocked(state State) View {
 		Variant: s.params.Variant.String(),
 		Bound:   s.params.Variant.Bound(s.params.K, s.params.T),
 	}
-	v.Placement = s.placement
 	for _, tp := range s.types {
 		v.Types = append(v.Types, int(tp))
 	}

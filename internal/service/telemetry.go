@@ -1,29 +1,23 @@
 package service
 
 import (
-	"context"
-	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"asyncmediator/api"
 	"asyncmediator/internal/telemetry"
-	"asyncmediator/pkg/client"
 )
 
 // This file wires the durable telemetry plane (internal/telemetry) into
 // the farm: every terminal play's compacted trace is retained on a
 // bounded ring that shares the session store (so GET /v1/sessions/{id}/
 // trace survives hot-cache eviction and restarts), GET /v1/traces
-// searches the ring — locally or fleet-wide via the gossiped peer URLs —
-// and the SLO engine turns the same trace stream into multi-window
-// burn-rate alerts on the fleet alert bus.
+// searches the ring, and the SLO engine turns the same trace stream into
+// multi-window burn-rate alerts on the event bus.
 
-// sloBurnRule is the fleet-alert rule name SLO transitions publish
-// under: states "alert.slo_burn" / "clear.slo_burn", kind "fleet".
+// sloBurnRule is the alert rule name SLO transitions publish under:
+// states "alert.slo_burn" / "clear.slo_burn", kind "fleet".
 const sloBurnRule = "slo_burn"
 
 // startTelemetry opens the retained-trace ring (replaying "tr-" records
@@ -108,8 +102,8 @@ func (s *Service) sloLoop() {
 // observePlay feeds one terminal play's latencies to their consumers in
 // a single walk of its trace: the end-to-end latency (and failure flag)
 // to the SLO variant objectives, and each protocol-phase span to the SLO
-// phase objectives, to the rolling phase-latency histogram whose p99
-// rides the fleet gossip, and into the per-phase millisecond digest it
+// phase objectives, to the rolling phase-latency histogram, and into the
+// per-phase millisecond digest it
 // returns (what GET /v1/traces filters on). The exemplar carried on a
 // breaching SLO sample is the play's retained trace.
 func (s *Service) observePlay(view View) (phaseMS map[string]float64) {
@@ -163,15 +157,10 @@ func (s *Service) retainTrace(view View, phaseMS map[string]float64) {
 	}
 }
 
-// publishSLOAlert republishes one burn-rate edge on the event bus the
-// fleet rules use: kind "fleet", state "alert.slo_burn" /
-// "clear.slo_burn", id = the objective spec, with the exemplar trace
-// riding the payload. Works with or without a fleet plane; with one,
-// the transition also counts into the per-rule alert tallies.
+// publishSLOAlert republishes one burn-rate edge on the event bus: kind
+// "fleet", state "alert.slo_burn" / "clear.slo_burn", id = the objective
+// spec, with the exemplar trace riding the payload.
 func (s *Service) publishSLOAlert(a telemetry.SLOAlert) {
-	if s.fleet != nil && !a.Cleared {
-		s.fleet.alerts.With(sloBurnRule).Inc()
-	}
 	state := "alert." + sloBurnRule
 	if a.Cleared {
 		state = "clear." + sloBurnRule
@@ -203,8 +192,7 @@ func (s *Service) SLOView() (api.SLOView, bool) {
 }
 
 // handleSLO answers GET /v1/slo. A daemon without objectives answers
-// not_found — the resource does not exist here, like /cluster/fleet on
-// a fleet-less daemon.
+// not_found — the resource does not exist here.
 func (s *Service) handleSLO(w http.ResponseWriter, r *http.Request) {
 	v, ok := s.SLOView()
 	if !ok {
@@ -216,8 +204,7 @@ func (s *Service) handleSLO(w http.ResponseWriter, r *http.Request) {
 
 // handleTraces answers GET /v1/traces: search the retained-trace ring
 // by variant, phase, latency floor, and finish time, newest first with
-// cursor pagination. ?fleet=1 fans the same query out to every healthy
-// gossiped peer and merges the pages, peer-attributed.
+// cursor pagination.
 func (s *Service) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if s.traces == nil {
 		writeAPIError(w, api.Errorf(api.CodeNotFound, "trace retention is disabled on this daemon (-trace-retention -1)"))
@@ -226,10 +213,6 @@ func (s *Service) handleTraces(w http.ResponseWriter, r *http.Request) {
 	f, e := parseTraceFilter(r)
 	if e != nil {
 		writeAPIError(w, e)
-		return
-	}
-	if fleetRaw := r.URL.Query().Get("fleet"); fleetRaw != "" && fleetRaw != "0" && fleetRaw != "false" {
-		writeJSON(w, http.StatusOK, s.fleetTraces(r.Context(), f))
 		return
 	}
 	page, total, next := s.traces.Query(f)
@@ -275,74 +258,4 @@ func parseTraceFilter(r *http.Request) (telemetry.Filter, *api.Error) {
 	}
 	f.Limit = limit
 	return f, nil
-}
-
-// fleetTraces merges this daemon's page with every healthy peer's: the
-// same filter fans out over the gossiped advertise URLs through the
-// typed SDK, results come back peer-attributed, and unreachable daemons
-// degrade to an Errors entry rather than failing the query. Fleet pages
-// do not paginate (no cross-daemon cursor); narrow the filter instead.
-func (s *Service) fleetTraces(ctx context.Context, f telemetry.Filter) api.TracePage {
-	local, total, _ := s.traces.Query(f)
-	out := api.TracePage{Traces: local, Total: total, Daemons: 1}
-	fv, ok := s.FleetView()
-	if !ok {
-		return out
-	}
-	var targets []string
-	for _, p := range fv.Peers {
-		if p.Self || p.Addr == "" || p.State != api.FleetPeerHealthy {
-			continue
-		}
-		targets = append(targets, p.Addr)
-	}
-	type peerResult struct {
-		addr string
-		page api.TracePage
-		err  error
-	}
-	results := make([]peerResult, len(targets))
-	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	var wg sync.WaitGroup
-	for i, addr := range targets {
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			results[i] = peerResult{addr: addr}
-			cl, err := client.New(addr, client.WithRetries(0))
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			results[i].page, results[i].err = cl.Traces(ctx, client.TracesOptions{
-				Variant: f.Variant, Phase: f.Phase, MinMS: f.MinMS,
-				Since: f.Since, Limit: f.Limit,
-			})
-		}(i, addr)
-	}
-	wg.Wait()
-	for _, r := range results {
-		if r.err != nil {
-			out.Errors = append(out.Errors, fmt.Sprintf("%s: %v", r.addr, r.err))
-			continue
-		}
-		out.Daemons++
-		out.Total += r.page.Total
-		for _, t := range r.page.Traces {
-			t.Daemon = r.addr
-			out.Traces = append(out.Traces, t)
-		}
-	}
-	sort.SliceStable(out.Traces, func(i, j int) bool {
-		return out.Traces[i].FinishedUnixMS > out.Traces[j].FinishedUnixMS
-	})
-	if f.Limit > 0 && len(out.Traces) > f.Limit {
-		out.Traces = out.Traces[:f.Limit]
-	}
-	if out.Traces == nil {
-		out.Traces = []api.TraceSummary{}
-	}
-	sort.Strings(out.Errors)
-	return out
 }

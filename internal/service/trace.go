@@ -20,12 +20,11 @@ const originLocal = "local"
 // The named protocol phases, indexed by the phase* constants below.
 // phaseProto is the catch-all for unclassified instances.
 var phaseNames = [...]string{
-	"rbc", "ba", "avss.share", "acs.core", "mpc.open", "mpc.mul", "mpc.mask", "proto",
+	"ba", "avss.share", "acs.core", "mpc.open", "mpc.mul", "mpc.mask", "proto",
 }
 
 const (
-	phaseRBC = iota
-	phaseBA
+	phaseBA = iota
 	phaseShare
 	phaseCore
 	phaseOpen
@@ -36,7 +35,7 @@ const (
 
 // phaseIdx classifies a protocol instance id into its phase index. The
 // cheap-talk tower's instance ids are hierarchical paths under the root
-// "ct" ("ct/in/3/1", "ct/core/rbc/2", "ct/mulcs/5"); the innermost
+// "ct" ("ct/in/3/1", "ct/core/ba/2", "ct/mulcs/5"); the innermost
 // recognised segment names the phase, so children inherit from the
 // sub-protocol that spawned them. It walks segments right to left
 // without allocating — this sits on the per-message hot path.
@@ -44,8 +43,6 @@ func phaseIdx(instance string) int {
 	for end := len(instance); end > 0; {
 		cut := strings.LastIndexByte(instance[:end], '/')
 		switch instance[cut+1 : end] {
-		case "rbc":
-			return phaseRBC
 		case "ba":
 			return phaseBA
 		case "in":

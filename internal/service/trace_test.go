@@ -13,8 +13,7 @@ func TestPhaseOf(t *testing.T) {
 	cases := map[string]string{
 		"ct/in/3/1":        "avss.share",
 		"ct/in/0":          "avss.share",
-		"ct/core/rbc/2":    "rbc",
-		"ct/rbc":           "rbc",
+		"ct/core/ba/2":     "ba",
 		"ct/ba/0":          "ba",
 		"ct/core":          "acs.core",
 		"ct/out/1":         "mpc.open",
@@ -75,7 +74,7 @@ func TestTraceEndpointSimPlay(t *testing.T) {
 	if !names["sched"] {
 		t.Fatalf("no scheduler lane in %v", names)
 	}
-	if !names["avss.share"] && !names["rbc"] && !names["ba"] {
+	if !names["avss.share"] && !names["ba"] {
 		t.Fatalf("no protocol phase spans in %v", names)
 	}
 

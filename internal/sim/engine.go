@@ -218,7 +218,7 @@ func (e *Engine) meanValue(trials int, fn func(trial int) (float64, error)) (flo
 
 // Experiment is one entry of the paper's evaluation suite.
 type Experiment struct {
-	// ID is the CLI / HTTP identifier ("e1".."e8").
+	// ID is the CLI / HTTP identifier ("e1".."e7").
 	ID string `json:"id"`
 	// Title is the one-line claim the experiment regenerates.
 	Title string `json:"title"`
@@ -235,7 +235,6 @@ var catalog = []Experiment{
 	{ID: "e5", Title: "message complexity O(nNc): sweeps over n, c, and R", run: (*Engine).e5},
 	{ID: "e6", Title: "Section 6.4: leaky vs minimally informative mediator", run: (*Engine).e6},
 	{ID: "e7", Title: "synchronous (R1) vs asynchronous cheap talk crossover", run: (*Engine).e7},
-	{ID: "e8", Title: "substrate ablation: RBC / BA / ACS message costs", run: (*Engine).e8},
 }
 
 // Catalog lists the available experiments in order.
@@ -294,7 +293,7 @@ func (e *Engine) Sweep(ids []string, o Options) (*Report, error) {
 	return r, nil
 }
 
-// runSerial backs the package-level E1..E8 compatibility wrappers.
+// runSerial backs the package-level E1..E7 compatibility wrappers.
 func runSerial(id string, o Options) (*Table, error) {
 	e := NewEngine(1)
 	defer e.Close()

@@ -14,9 +14,9 @@ import (
 // same Seed0 produces byte-identical JSON reports whether the trials run
 // on one worker or sharded across many. The ids cover every accumulator
 // kind: shard-merged histograms (e1), nested small sweeps (e5), ordered
-// float folds (e6), verdict reduction (e7), and cell-level sharding (e8).
+// float folds (e6) and verdict reduction (e7).
 func TestSerialParallelByteIdentical(t *testing.T) {
-	ids := []string{"e1", "e5", "e6", "e7", "e8"}
+	ids := []string{"e1", "e5", "e6", "e7"}
 	o := Options{Trials: 6, Seed0: 7, MaxSteps: 30_000_000}
 
 	sweep := func(workers int) []byte {
@@ -116,7 +116,7 @@ func TestForSpansRunsShardsConcurrently(t *testing.T) {
 // runs, and unknown ids fail with a structural error.
 func TestCatalogAndRunDispatch(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 8 || ids[0] != "e1" || ids[7] != "e8" {
+	if len(ids) != 7 || ids[0] != "e1" || ids[6] != "e7" {
 		t.Fatalf("unexpected catalog ids: %v", ids)
 	}
 	for _, exp := range Catalog() {
@@ -129,11 +129,11 @@ func TestCatalogAndRunDispatch(t *testing.T) {
 	if _, err := e.Run("e99", QuickOptions()); err == nil {
 		t.Fatal("unknown experiment id accepted")
 	}
-	tab, err := e.Run("e8", QuickOptions())
+	tab, err := e.Run("e7", QuickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.ID != "e8" {
-		t.Fatalf("table id %q, want e8", tab.ID)
+	if tab.ID != "e7" {
+		t.Fatalf("table id %q, want e7", tab.ID)
 	}
 }

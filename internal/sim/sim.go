@@ -1,6 +1,6 @@
 // Package sim is the experiment harness: it regenerates, as text tables
 // and machine-readable JSON, the quantitative content of every claim in
-// the paper's Theorems 4.1-4.5 and Section 6.4 (experiments E1-E8, indexed
+// the paper's Theorems 4.1-4.5 and Section 6.4 (experiments E1-E7, indexed
 // by Catalog). The Engine shards each experiment's (params x trial) grid
 // across the shared bounded worker pool (internal/pool, the same pool
 // implementation that executes the session farm's plays); cmd/mediatorsim
@@ -27,7 +27,7 @@ type CellError struct {
 
 // Table is a rendered experiment result.
 type Table struct {
-	// ID is the experiment id ("e1".."e8"); set by Engine.Run.
+	// ID is the experiment id ("e1".."e7"); set by Engine.Run.
 	ID     string     `json:"id,omitempty"`
 	Title  string     `json:"title"`
 	Header []string   `json:"header"`

@@ -140,40 +140,6 @@ func TestE6PaperNumbers(t *testing.T) {
 	}
 }
 
-func TestE8SubstratesShape(t *testing.T) {
-	o := QuickOptions()
-	tab, err := E8(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// RBC rows grow with n.
-	rbcRows := findRows(tab, 0, "rbc")
-	if len(rbcRows) != 3 {
-		t.Fatalf("rbc rows: %d", len(rbcRows))
-	}
-	prev := 0.0
-	for _, r := range rbcRows {
-		v := cell(t, tab, r, 3)
-		if v <= prev {
-			t.Fatalf("rbc messages not increasing:\n%s", tab.Render())
-		}
-		prev = v
-	}
-	// Local-coin BA costs at least as much as shared-coin BA at same n.
-	shared := findRows(tab, 0, "ba (shared coin)")
-	local := findRows(tab, 0, "ba (local coin)")
-	if len(shared) < 2 || len(local) < 2 {
-		t.Fatalf("missing BA rows:\n%s", tab.Render())
-	}
-	for i := range local {
-		ls := cell(t, tab, local[i], 3)
-		ss := cell(t, tab, shared[i], 3)
-		if ls < ss {
-			t.Logf("local coin cheaper than shared at row %d (%v < %v) — possible at tiny n", i, ls, ss)
-		}
-	}
-}
-
 func TestE7Crossover(t *testing.T) {
 	o := QuickOptions()
 	o.Trials = 5

@@ -14,7 +14,7 @@ import (
 
 // An SLO objective watches one sample stream — all plays of a variant,
 // or one protocol phase across plays — against a latency threshold at a
-// target quantile, e.g. "phase:rbc:p99:250ms" ("99% of rbc phases
+// target quantile, e.g. "phase:ba:p99:250ms" ("99% of ba phases
 // complete within 250ms"). Failed plays count as over-threshold on
 // their variant objectives regardless of latency, so the objectives are
 // joint latency/error budgets.
@@ -36,7 +36,7 @@ const (
 type Objective struct {
 	// Kind is KindVariant or KindPhase.
 	Kind string
-	// Selector is the variant name ("4.1") or phase name ("rbc").
+	// Selector is the variant name ("4.1") or phase name ("ba").
 	Selector string
 	// Quantile is the target quantile in (0,1), e.g. 0.99.
 	Quantile float64
@@ -47,7 +47,7 @@ type Objective struct {
 }
 
 // ParseObjective parses "<kind>:<selector>:p<quantile>:<threshold>",
-// e.g. "phase:rbc:p99:250ms" or "variant:4.1:p95:1s". Quantiles accept
+// e.g. "phase:ba:p99:250ms" or "variant:4.1:p95:1s". Quantiles accept
 // decimals ("p99.9").
 func ParseObjective(s string) (Objective, error) {
 	parts := strings.Split(strings.TrimSpace(s), ":")
@@ -100,8 +100,8 @@ func ParseObjectives(specs []string) ([]Objective, error) {
 	return out, nil
 }
 
-// SLOAlert is one burn-rate edge transition, shaped for the fleet
-// alert bus.
+// SLOAlert is one burn-rate edge transition, shaped for the event
+// bus's alert kind.
 type SLOAlert struct {
 	Objective       string
 	ShortBurn       float64

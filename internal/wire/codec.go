@@ -10,7 +10,6 @@ import (
 	"asyncmediator/internal/game"
 	"asyncmediator/internal/mediator"
 	"asyncmediator/internal/proto"
-	"asyncmediator/internal/rbc"
 )
 
 // The codec: every payload that crosses a process boundary is one tag
@@ -25,12 +24,14 @@ import (
 // every element is reduced, every length fits in the bytes that remain,
 // and nothing may trail the payload, so a value that decodes re-encodes to
 // exactly the bytes it came from. The tags are the wire format: add new
-// ones at the end and never renumber.
+// ones at the end and never renumber. Tags 2-4 are reserved: they named
+// the reliable-broadcast messages, which no protocol sends any more, and
+// decode as unknown tags. Never reuse them.
 const (
 	tagEnvelope  byte = iota + 1 // *proto.Envelope
-	tagRBCInit                   // rbc.MsgInit
-	tagRBCEcho                   // rbc.MsgEcho
-	tagRBCReady                  // rbc.MsgReady
+	_                            // 2: reserved
+	_                            // 3: reserved
+	_                            // 4: reserved
 	tagBAEst                     // ba.MsgEst
 	tagBAAux                     // ba.MsgAux
 	tagBADone                    // ba.MsgDone
@@ -46,7 +47,7 @@ const (
 	tagAction                    // game.Action
 	tagString                    // string
 
-	numTags = iota // the number of payload types the codec knows
+	numTags = iota // the tags allocated, the reserved ones included
 )
 
 // encodeCap is the initial capacity of an encoded payload: enough for the
@@ -109,15 +110,6 @@ func (e *encoder) payload(v any, inEnvelope bool) {
 		e.tag(tagEnvelope)
 		e.string(m.Instance)
 		e.payload(m.Body, true)
-	case rbc.MsgInit:
-		e.tag(tagRBCInit)
-		e.bytes(m.V)
-	case rbc.MsgEcho:
-		e.tag(tagRBCEcho)
-		e.bytes(m.V)
-	case rbc.MsgReady:
-		e.tag(tagRBCReady)
-		e.bytes(m.V)
 	case ba.MsgEst:
 		e.tag(tagBAEst)
 		e.int(m.Round)
@@ -174,11 +166,6 @@ func (e *encoder) tag(t byte) { e.b = append(e.b, t) }
 
 func (e *encoder) int(x int) { e.b = binary.AppendVarint(e.b, int64(x)) }
 
-func (e *encoder) bytes(p []byte) {
-	e.b = binary.AppendUvarint(e.b, uint64(len(p)))
-	e.b = append(e.b, p...)
-}
-
 func (e *encoder) string(s string) {
 	e.b = binary.AppendUvarint(e.b, uint64(len(s)))
 	e.b = append(e.b, s...)
@@ -214,12 +201,6 @@ func (d *decoder) payload(inEnvelope bool) any {
 		}
 		inst := d.string()
 		return &proto.Envelope{Instance: inst, Body: d.payload(true)}
-	case tagRBCInit:
-		return rbc.MsgInit{V: d.bytes()}
-	case tagRBCEcho:
-		return rbc.MsgEcho{V: d.bytes()}
-	case tagRBCReady:
-		return rbc.MsgReady{V: d.bytes()}
 	case tagBAEst:
 		return ba.MsgEst{Round: d.int(), V: d.int()}
 	case tagBAAux:
@@ -306,13 +287,6 @@ func (d *decoder) length(size int) int {
 		return 0
 	}
 	return int(n)
-}
-
-func (d *decoder) bytes() []byte {
-	n := d.length(1)
-	p := append([]byte(nil), d.b[:n]...) // nil when empty, never aliasing the input
-	d.b = d.b[n:]
-	return p
 }
 
 func (d *decoder) string() string {

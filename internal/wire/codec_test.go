@@ -2,9 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,18 +16,14 @@ import (
 	"asyncmediator/internal/game"
 	"asyncmediator/internal/mediator"
 	"asyncmediator/internal/proto"
-	"asyncmediator/internal/rbc"
 )
 
 // samplePayloads returns one non-zero instance of every payload type the
 // codec knows. TestCodecCoversEveryTag holds its length to the number of
-// tags, so a message type cannot ship without a sample here.
+// unreserved tags, so a message type cannot ship without a sample here.
 func samplePayloads() []any {
 	return []any{
-		&proto.Envelope{Instance: "ct/rbc-3", Body: rbc.MsgEcho{V: []byte{9}}},
-		rbc.MsgInit{V: []byte{1, 2, 3}},
-		rbc.MsgEcho{V: []byte{4, 5}},
-		rbc.MsgReady{V: []byte{6}},
+		&proto.Envelope{Instance: "ct/mpc/ba-3", Body: ba.MsgEst{Round: 1, V: 1}},
 		ba.MsgEst{Round: 2, V: 1},
 		ba.MsgAux{Round: 3, V: 0},
 		ba.MsgDone{V: 1},
@@ -48,9 +46,7 @@ func samplePayloads() []any {
 func edgePayloads() []any {
 	return []any{
 		&proto.Envelope{Body: avss.MsgReady{}},
-		rbc.MsgInit{},
-		rbc.MsgEcho{V: []byte{}},
-		rbc.MsgReady{V: bytes.Repeat([]byte{0xAB}, 300)},
+		strings.Repeat("\xab", 300),
 		ba.MsgEst{Round: math.MaxInt, V: math.MinInt},
 		ba.MsgAux{Round: -1, V: -64},
 		avss.MsgRow{},
@@ -81,21 +77,6 @@ func emptyToNil(v any) any {
 	switch m := v.(type) {
 	case *proto.Envelope:
 		return &proto.Envelope{Instance: m.Instance, Body: emptyToNil(m.Body)}
-	case rbc.MsgInit:
-		if len(m.V) == 0 {
-			m.V = nil
-		}
-		return m
-	case rbc.MsgEcho:
-		if len(m.V) == 0 {
-			m.V = nil
-		}
-		return m
-	case rbc.MsgReady:
-		if len(m.V) == 0 {
-			m.V = nil
-		}
-		return m
 	case avss.MsgRow:
 		if len(m.Coeffs) == 0 {
 			m.Coeffs = nil
@@ -128,13 +109,14 @@ func TestCodecRoundTripAllPayloadTypes(t *testing.T) {
 	}
 }
 
-// TestCodecCoversEveryTag is the completeness check: one sample per tag,
-// every sample on a distinct tag, so a new message type cannot ship
-// unencoded.
+// TestCodecCoversEveryTag is the completeness check: one sample per
+// unreserved tag, every sample on a distinct tag and none on a reserved
+// one, so a new message type cannot ship unencoded.
 func TestCodecCoversEveryTag(t *testing.T) {
+	reserved := []byte{2, 3, 4}
 	samples := samplePayloads()
-	if len(samples) != numTags {
-		t.Fatalf("%d sample payloads for %d tags: add a sample (and a tag) for every message type", len(samples), numTags)
+	if len(samples) != numTags-len(reserved) {
+		t.Fatalf("%d sample payloads for %d unreserved tags: add a sample (and a tag) for every message type", len(samples), numTags-len(reserved))
 	}
 	seen := map[byte]any{}
 	for _, p := range samples {
@@ -145,7 +127,50 @@ func TestCodecCoversEveryTag(t *testing.T) {
 		if prev, dup := seen[b[0]]; dup {
 			t.Fatalf("%T and %T share tag %d", prev, p, b[0])
 		}
+		if slices.Contains(reserved, b[0]) {
+			t.Fatalf("%T encodes with reserved tag %d", p, b[0])
+		}
 		seen[b[0]] = p
+	}
+}
+
+// TestPayloadGoldenBytes pins the encoding of one payload per tag: the
+// tags and field layouts are the wire format that daemons of one
+// ProtocolVersion share, so a change to any of these bytes is a protocol
+// change, not a refactor. Each case must also decode back to its value.
+func TestPayloadGoldenBytes(t *testing.T) {
+	cases := []struct {
+		v   any
+		hex string
+	}{
+		{&proto.Envelope{Instance: "ct/mpc/ba-3", Body: ba.MsgAux{Round: 2, V: 1}}, "010b63742f6d70632f62612d33060402"},
+		{ba.MsgEst{Round: 2, V: 1}, "050402"},
+		{ba.MsgAux{Round: 3, V: 0}, "060600"},
+		{ba.MsgDone{V: 1}, "0702"},
+		{avss.MsgRow{Coeffs: []field.Element{field.FromInt64(7), field.FromInt64(11)}}, "080207000000000000000b00000000000000"},
+		{avss.MsgPoint{V: field.FromInt64(13)}, "090d00000000000000"},
+		{avss.MsgReady{}, "0a"},
+		{avss.MsgShare{V: field.Element(field.P - 1)}, "0bfeffff7f00000000"},
+		{mediator.MsgInput{Round: 1, X: field.FromInt64(19)}, "0c021300000000000000"},
+		{mediator.MsgRound{R: 4}, "0d08"},
+		{mediator.MsgStop{Action: field.FromInt64(1)}, "0e0100000000000000"},
+		{mediator.MsgHint{V: field.FromInt64(23)}, "0f1700000000000000"},
+		{field.FromInt64(29), "101d00000000000000"},
+		{game.Action(-1), "1101"},
+		{"hello", "120568656c6c6f"},
+	}
+	for _, c := range cases {
+		b, err := EncodePayload(c.v)
+		if err != nil {
+			t.Fatalf("encode %#v: %v", c.v, err)
+		}
+		if got := hex.EncodeToString(b); got != c.hex {
+			t.Errorf("%T encodes to %s, want %s", c.v, got, c.hex)
+		}
+		want, _ := hex.DecodeString(c.hex)
+		if v, err := DecodePayload(want); err != nil || !reflect.DeepEqual(v, c.v) {
+			t.Errorf("%s decodes to %#v (%v), want %#v", c.hex, v, err, c.v)
+		}
 	}
 }
 
@@ -157,7 +182,7 @@ func TestEncodeRejectsUnsupported(t *testing.T) {
 		struct{}{},
 		nil,
 		42,
-		&rbc.MsgInit{},
+		&ba.MsgEst{},
 		proto.Envelope{Instance: "x", Body: "y"},
 		(*proto.Envelope)(nil),
 		&proto.Envelope{Instance: "x"},
@@ -185,6 +210,11 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"nested envelope":  append([]byte{tagEnvelope, 1, 'o'}, env...),
 		"unreduced":        {tagElement, 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0},
 		"row over length":  {tagAVSSRow, 2, 1, 0, 0, 0, 0, 0, 0, 0},
+		// The reserved tags, as a peer that still sent reliable-broadcast
+		// messages would frame them: a tag and a length-prefixed value.
+		"reserved tag 2": {2, 3, 1, 2, 3},
+		"reserved tag 3": {3, 1, 4},
+		"reserved tag 4": {4, 0},
 	}
 	for name, b := range cases {
 		if v, err := DecodePayload(b); err == nil {

@@ -9,12 +9,12 @@ import (
 	"time"
 
 	"asyncmediator/internal/async"
+	"asyncmediator/internal/ba"
 	"asyncmediator/internal/proto"
-	"asyncmediator/internal/rbc"
 )
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	in := &proto.Envelope{Instance: "rbc", Body: rbc.MsgEcho{V: []byte("hello")}}
+	in := &proto.Envelope{Instance: "ba", Body: ba.MsgAux{Round: 3, V: 1}}
 	b, err := EncodePayload(in)
 	if err != nil {
 		t.Fatal(err)
@@ -27,8 +27,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatalf("payload type %T", out)
 	}
-	echo, ok := env.Body.(rbc.MsgEcho)
-	if env.Instance != "rbc" || !ok || string(echo.V) != "hello" {
+	aux, ok := env.Body.(ba.MsgAux)
+	if env.Instance != "ba" || !ok || aux != (ba.MsgAux{Round: 3, V: 1}) {
 		t.Fatalf("round trip gave %+v", env)
 	}
 }
@@ -36,7 +36,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 // TestDecodeRejectsGiantFrame: a length claiming more bytes than the
 // input holds is refused before anything is allocated for it.
 func TestDecodeRejectsGiantFrame(t *testing.T) {
-	b := []byte{tagRBCInit, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 2, 3}
+	b := []byte{tagString, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 2, 3}
 	if _, err := DecodePayload(b); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("got %v, want a length error", err)
 	}
@@ -64,13 +64,13 @@ func freePorts(t *testing.T, n int) []string {
 	return addrs
 }
 
-func TestRBCOverTCP(t *testing.T) {
-	// Four real nodes on pre-agreed localhost ports run Bracha reliable
-	// broadcast; all must deliver the dealer's value.
+func TestBAOverTCP(t *testing.T) {
+	// Four real nodes on pre-agreed localhost ports run one Byzantine
+	// agreement; all propose 1, so all must decide 1.
 	const n = 4
 	addrs := freePorts(t, n)
 	nodes := make([]*Node, n)
-	for i, h := range rbcProcs(t, n, "networked") {
+	for i, h := range baProcs(t, n) {
 		node, err := newOwnNode(NodeConfig{Self: async.PID(i), N: n, Proc: h, Seed: int64(i)}, addrs[i])
 		if err != nil {
 			t.Fatal(err)
@@ -78,19 +78,19 @@ func TestRBCOverTCP(t *testing.T) {
 		node.SetAddrs(addrs)
 		nodes[i] = node
 	}
-	runMesh(t, nodes, "networked", 20*time.Second)
+	runMesh(t, nodes, 20*time.Second)
 }
 
-// TestLocalMeshRBC forms an ephemeral-port mesh (no pre-agreed addresses)
-// and runs reliable broadcast across it, exercising NewLocalMesh end to
+// TestLocalMeshBA forms an ephemeral-port mesh (no pre-agreed addresses)
+// and runs Byzantine agreement across it, exercising NewLocalMesh end to
 // end plus the node traffic counters.
-func TestLocalMeshRBC(t *testing.T) {
+func TestLocalMeshBA(t *testing.T) {
 	const n = 4
-	nodes, err := NewLocalMesh(rbcProcs(t, n, "mesh"), 0, 900)
+	nodes, err := NewLocalMesh(baProcs(t, n), 0, 900)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runMesh(t, nodes, "mesh", 20*time.Second)
+	runMesh(t, nodes, 20*time.Second)
 	for i, nd := range nodes {
 		if st := nd.Stats(); st.Sent == 0 || st.Delivered == 0 {
 			t.Errorf("node %d: counters not advancing: %+v", i, st)
@@ -103,7 +103,7 @@ func TestLocalMeshRBC(t *testing.T) {
 // still finish.
 func TestUndecodableFrameCounted(t *testing.T) {
 	const n = 4
-	nodes, err := NewLocalMesh(rbcProcs(t, n, "garbage"), 0, 31)
+	nodes, err := NewLocalMesh(baProcs(t, n), 0, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestUndecodableFrameCounted(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	runMesh(t, nodes, "garbage", 20*time.Second)
+	runMesh(t, nodes, 20*time.Second)
 	for i, nd := range nodes {
 		want := int64(0)
 		if i == 0 {
@@ -130,33 +130,31 @@ func TestUndecodableFrameCounted(t *testing.T) {
 	}
 }
 
-// rbcProcs builds n hosts running one reliable broadcast of value from
-// dealer 0; each decides the delivered value and halts.
-func rbcProcs(t *testing.T, n int, value string) []async.Process {
+// baProcs builds n hosts running one binary agreement in which every
+// party proposes 1; each decides the agreed bit and halts. The DONE it
+// broadcasts on deciding still goes out: a halted node keeps sending.
+func baProcs(t *testing.T, n int) []async.Process {
 	t.Helper()
 	const tf = 1
 	procs := make([]async.Process, n)
 	for i := 0; i < n; i++ {
 		h := proto.NewHost()
-		cb := func(ctx *proto.Ctx, v []byte) {
-			ctx.Env().Decide(string(v))
+		inst := ba.New(n, tf, ba.SharedCoin{Seed: 1}, func(ctx *proto.Ctx, v int) {
+			ctx.Env().Decide(v)
 			ctx.Env().Halt()
-		}
-		inst := rbc.New(0, tf, cb)
-		if i == 0 {
-			inst = rbc.NewDealer(0, tf, []byte(value), cb)
-		}
-		if err := h.Register("rbc", inst); err != nil {
+		})
+		if err := h.Register("ba", inst); err != nil {
 			t.Fatal(err)
 		}
+		h.OnStart(func(env *async.Env) { inst.Propose(h.Ctx(env, "ba"), 1) })
 		procs[i] = h
 	}
 	return procs
 }
 
 // runMesh runs every node of a mesh to completion, stops them, and
-// asserts each decided want.
-func runMesh(t *testing.T, nodes []*Node, want string, timeout time.Duration) {
+// asserts each decided 1, the agreement every party proposed.
+func runMesh(t *testing.T, nodes []*Node, timeout time.Duration) {
 	t.Helper()
 	moves := make([]any, len(nodes))
 	errs := make([]error, len(nodes))
@@ -181,8 +179,8 @@ func runMesh(t *testing.T, nodes []*Node, want string, timeout time.Duration) {
 		if errs[i] != nil {
 			t.Fatalf("node %d: %v", i, errs[i])
 		}
-		if moves[i] != want {
-			t.Fatalf("node %d delivered %v", i, moves[i])
+		if moves[i] != 1 {
+			t.Fatalf("node %d decided %v, want 1", i, moves[i])
 		}
 	}
 }
@@ -205,13 +203,13 @@ func TestNodeConfigValidation(t *testing.T) {
 	node.Stop()
 }
 
-// TestMeshSurvivesConnDrops runs reliable broadcast over a mesh whose
+// TestMeshSurvivesConnDrops runs Byzantine agreement over a mesh whose
 // connections are severed repeatedly while the play is in flight: the
 // cluster transport's reconnect-with-resend must deliver every frame
-// exactly once, so all nodes still decide the dealer's value.
+// exactly once, so all nodes still decide the proposed bit.
 func TestMeshSurvivesConnDrops(t *testing.T) {
 	const n = 4
-	nodes, err := NewLocalMesh(rbcProcs(t, n, "stormy"), 0, 7)
+	nodes, err := NewLocalMesh(baProcs(t, n), 0, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +218,7 @@ func TestMeshSurvivesConnDrops(t *testing.T) {
 	// over — the transport must replay whatever the drops swallowed and
 	// the play must still terminate. Links dial as soon as the mesh is
 	// built, so the play is held back until one established connection
-	// has been severed: however fast the broadcast runs, it runs on a
+	// has been severed: however fast the agreement runs, it runs on a
 	// mesh that has already had to heal.
 	stop, firstDrop := make(chan struct{}), make(chan struct{})
 	var chaos sync.WaitGroup
@@ -252,7 +250,7 @@ func TestMeshSurvivesConnDrops(t *testing.T) {
 		t.Fatal("no connection came up to sever")
 	}
 
-	runMesh(t, nodes, "stormy", 30*time.Second)
+	runMesh(t, nodes, 30*time.Second)
 	dropped := false
 	for _, nd := range nodes {
 		if nd.Stats().Transport.ConnsDropped > 0 {

@@ -39,13 +39,6 @@ var (
 	ErrPoolSaturated = errors.New("client: pool saturated")
 	// ErrNotReady: the daemon is booting or draining.
 	ErrNotReady = errors.New("client: daemon not ready")
-	// ErrPlacementInfeasible: the placement scheduler refused the spec
-	// itself (a spec under its theorem's bound is ErrInvalidArgument
-	// first).
-	ErrPlacementInfeasible = errors.New("client: placement infeasible")
-	// ErrFleetUnderFloor: the fleet is currently too small or unhealthy
-	// for the requested placement; retry after it recovers.
-	ErrFleetUnderFloor = errors.New("client: fleet under placement floor")
 	// ErrInternal: the server faulted (or answered with an unknown code).
 	ErrInternal = errors.New("client: internal server error")
 )
@@ -63,10 +56,6 @@ func sentinel(code api.ErrorCode) error {
 		return ErrPoolSaturated
 	case api.CodeNotReady:
 		return ErrNotReady
-	case api.CodePlacementInfeasible:
-		return ErrPlacementInfeasible
-	case api.CodeFleetUnderFloor:
-		return ErrFleetUnderFloor
 	default:
 		return ErrInternal
 	}

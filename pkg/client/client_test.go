@@ -272,26 +272,26 @@ func TestClientExperiments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cat) != 8 || cat[0].ID != "e1" {
+	if len(cat) != 7 || cat[0].ID != "e1" {
 		t.Fatalf("catalog %+v", cat)
 	}
 	seed := int64(5)
-	tab, err := c.RunExperiment(ctx, "e8", client.RunOptions{Trials: 2, Seed: &seed})
+	tab, err := c.RunExperiment(ctx, "e7", client.RunOptions{Trials: 2, Seed: &seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.ID != "e8" || len(tab.Rows) == 0 {
+	if tab.ID != "e7" || len(tab.Rows) == 0 {
 		t.Fatalf("table %+v", tab)
 	}
 	if _, err := c.RunExperiment(ctx, "e99", client.RunOptions{}); !errors.Is(err, client.ErrNotFound) {
 		t.Fatalf("unknown experiment: %v", err)
 	}
 
-	jv, err := c.RunJob(ctx, api.ExperimentRequest{Experiment: "e8", Trials: 2})
+	jv, err := c.RunJob(ctx, api.ExperimentRequest{Experiment: "e7", Trials: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jv.State != api.StateDone || jv.Table == nil || jv.Table.ID != "e8" {
+	if jv.State != api.StateDone || jv.Table == nil || jv.Table.ID != "e7" {
 		t.Fatalf("job view %+v", jv)
 	}
 	if _, err := c.CreateJob(ctx, api.ExperimentRequest{Experiment: "e99"}); !errors.Is(err, client.ErrNotFound) {

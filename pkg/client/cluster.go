@@ -42,27 +42,6 @@ func (c *Client) ClusterFinish(ctx context.Context, req api.ClusterFinishRequest
 	return resp, err
 }
 
-// ClusterPlan dry-runs the daemon's placement scheduler: the assignment
-// a session created with this spec would get against the current fleet
-// view, without creating anything. A spec under its theorem's bound
-// yields ErrInvalidArgument, a scheduler refusal ErrPlacementInfeasible,
-// and a fleet too unhealthy for the requested placement
-// ErrFleetUnderFloor.
-func (c *Client) ClusterPlan(ctx context.Context, req api.ClusterPlanRequest) (api.ClusterPlanResponse, error) {
-	var resp api.ClusterPlanResponse
-	err := c.do(ctx, http.MethodPost, "/v1/cluster/plan", nil, req, &resp)
-	return resp, err
-}
-
-// FleetStatus fetches the daemon's gossip-derived view of the whole
-// fleet: per-peer health summaries, liveness judgements, and currently
-// firing alerts. Daemons started without -fleet-listen answer not_found.
-func (c *Client) FleetStatus(ctx context.Context) (api.FleetView, error) {
-	var v api.FleetView
-	err := c.do(ctx, http.MethodGet, "/v1/cluster/fleet", nil, nil, &v)
-	return v, err
-}
-
 // ClusterDrop fires the daemon's fault-injection hook (mediatord
 // -chaos): every live cluster transport connection is severed, and the
 // reconnect/resend machinery must heal the play. It returns how many

@@ -10,7 +10,7 @@ import (
 	"asyncmediator/api"
 )
 
-// Catalog lists the paper's runnable experiments (e1..e8).
+// Catalog lists the paper's runnable experiments (e1..e7).
 func (c *Client) Catalog(ctx context.Context) ([]api.ExperimentInfo, error) {
 	var resp api.CatalogResponse
 	err := c.do(ctx, http.MethodGet, "/v1/experiments", nil, nil, &resp)

@@ -14,7 +14,7 @@ type TracesOptions struct {
 	// Variant matches the play's theorem variant exactly ("" for all).
 	Variant string
 	// Phase keeps only traces that spent time in the named phase
-	// ("rbc", "ba", "avss.share", ...).
+	// ("ba", "avss.share", "mpc.mul", ...).
 	Phase string
 	// MinMS keeps traces at or above this duration: the named phase's
 	// duration when Phase is set, end-to-end otherwise.
@@ -26,10 +26,6 @@ type TracesOptions struct {
 	Cursor int64
 	// Limit caps the page (0: server default).
 	Limit int
-	// Fleet asks the daemon to fan the query out to every healthy
-	// gossiped peer and merge the results, peer-attributed. Fleet pages
-	// do not paginate.
-	Fleet bool
 }
 
 // Traces searches the daemon's retained-trace ring. Daemons running
@@ -53,9 +49,6 @@ func (c *Client) Traces(ctx context.Context, o TracesOptions) (api.TracePage, er
 	}
 	if o.Limit > 0 {
 		q.Set("limit", strconv.Itoa(o.Limit))
-	}
-	if o.Fleet {
-		q.Set("fleet", "1")
 	}
 	var page api.TracePage
 	err := c.do(ctx, http.MethodGet, "/v1/traces", q, nil, &page)
