@@ -61,7 +61,7 @@
 // listener:
 //
 //	mediatord -addr :8080 -data-dir /var/lib/mediatord \
-//	    -trace-retention 8192 -slo phase:ba:p99:250ms,variant:4.1:p95:1s \
+//	    -trace-retention 8192 -slo phase:ba:p99:250ms,variant:Theorem4.1:p95:1s \
 //	    -pprof-listen 127.0.0.1:6060 -profile-interval 5m &
 //	mediatorctl traces -phase ba -min-ms 5     # search retained traces
 //	mediatorctl slo                             # objective burn rates
@@ -120,7 +120,7 @@ func run(args []string) error {
 	noTrace := fs.Bool("no-trace", false, "disable per-play trace collection (GET /v1/sessions/{id}/trace answers 404)")
 	traceRetention := fs.Int("trace-retention", 0, "finished-play traces retained for GET /v1/traces, oldest evicted first (0: default 4096; -1: disabled)")
 	traceRetentionBytes := fs.Int64("trace-retention-bytes", 0, "byte bound of the retained-trace ring (0: default 64 MiB; -1: unbounded)")
-	sloSpecs := fs.String("slo", "", "comma-separated SLO objectives, each <kind>:<selector>:p<quantile>:<threshold> (e.g. phase:ba:p99:250ms,variant:4.1:p95:1s)")
+	sloSpecs := fs.String("slo", "", "comma-separated SLO objectives, each <kind>:<selector>:p<quantile>:<threshold> (e.g. phase:ba:p99:250ms,variant:Theorem4.1:p95:1s)")
 	sloInterval := fs.Duration("slo-interval", 0, "SLO burn-rate evaluation tick (0: 5s); windows are 2 and 12 ticks")
 	profileInterval := fs.Duration("profile-interval", 0, "continuous-profiling capture period; writes cpu+heap pprof files to a bounded on-disk ring (0: disabled)")
 	profileDir := fs.String("profile-dir", "", "continuous-profiling ring directory (default <data-dir>/profiles)")

@@ -101,7 +101,8 @@ func CorruptOpens(inner async.Process, offset field.Element) *Rewrite {
 
 // CorruptAVSSPoints wraps an honest process and corrupts the pairwise
 // check points it sends during verifiable secret sharing, attacking other
-// parties' row verification.
+// parties' row verification: every component of a point vector gets the
+// offset, in a copy, since the sent vector is shared like its envelope.
 func CorruptAVSSPoints(inner async.Process, offset field.Element) *Rewrite {
 	return &Rewrite{
 		Inner: inner,
@@ -114,8 +115,11 @@ func CorruptAVSSPoints(inner async.Process, offset field.Element) *Rewrite {
 			if !ok {
 				return payload, true
 			}
-			pt.V = pt.V.Add(offset)
-			return rewritten(env, pt), true
+			v := make([]field.Element, len(pt.V))
+			for k, x := range pt.V {
+				v[k] = x.Add(offset)
+			}
+			return rewritten(env, avss.MsgPoint{V: v}), true
 		},
 	}
 }

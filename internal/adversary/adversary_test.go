@@ -2,6 +2,8 @@ package adversary
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"asyncmediator/internal/async"
@@ -145,26 +147,32 @@ func TestCorruptAVSSPointsTolerated(t *testing.T) {
 }
 
 // TestCorruptHooksCopyBeforeRewrite: a corrupting hook returns a new
-// envelope and leaves the one it was handed untouched, since a broadcast
-// shares that envelope with every other recipient.
+// envelope carrying the corrupted body and leaves the one it was handed
+// untouched, point vector included, since a broadcast shares that
+// envelope (and its body) with every other recipient. Bodies that carry
+// a slice are compared with reflect.DeepEqual, never with ==.
 func TestCorruptHooksCopyBeforeRewrite(t *testing.T) {
+	sentVec := []field.Element{5, 6}
 	cases := []struct {
-		rw   *Rewrite
-		body any
+		rw         *Rewrite
+		body, want any
 	}{
-		{CorruptOpens(Crash{}, 7), avss.MsgShare{V: field.FromInt64(5)}},
-		{CorruptAVSSPoints(Crash{}, 3), avss.MsgPoint{V: field.FromInt64(5)}},
+		{CorruptOpens(Crash{}, 7), avss.MsgShare{V: 5}, avss.MsgShare{V: 12}},
+		{CorruptAVSSPoints(Crash{}, 3), avss.MsgPoint{V: sentVec}, avss.MsgPoint{V: []field.Element{8, 9}}},
 	}
 	for _, c := range cases {
 		sent := &proto.Envelope{Instance: "i", Body: c.body}
 		got, ok := c.rw.Hook(0, sent)
 		e, isEnv := got.(*proto.Envelope)
-		if !ok || !isEnv || e == sent || e.Instance != "i" || e.Body == c.body {
-			t.Errorf("%T: hook returned %#v, want a rewritten copy", c.body, got)
+		if !ok || !isEnv || e == sent || e.Instance != "i" || !reflect.DeepEqual(e.Body, c.want) {
+			t.Errorf("%T: hook returned %#v, want a copy carrying %#v", c.body, got, c.want)
 		}
-		if sent.Body != c.body {
+		if !reflect.DeepEqual(sent.Body, c.body) {
 			t.Errorf("%T: hook wrote through the shared envelope: %#v", c.body, sent.Body)
 		}
+	}
+	if !slices.Equal(sentVec, []field.Element{5, 6}) {
+		t.Errorf("CorruptAVSSPoints wrote through the sent point vector: %v", sentVec)
 	}
 }
 

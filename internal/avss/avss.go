@@ -2,21 +2,27 @@
 // style of Ben-Or, Canetti and Goldreich (1993), using symmetric bivariate
 // polynomials and pairwise consistency checks.
 //
-// Dealing: the dealer samples a random symmetric bivariate polynomial
-// F(x,y) of degree t in each variable with F(0,0) = secret, and privately
-// sends party i its row f_i(y) = F(i+1, y). Party i then sends each party
-// j the point f_i(j+1); by symmetry an honest pair checks f_i(j+1) =
-// f_j(i+1). A party that verifies agreement with n-t parties broadcasts
-// READY. A party that observes 2t+1 READYs but holds no consistent row
-// recovers its row from received points via online error correction.
-// The sharing completes when a party holds a (verified or recovered) row
-// and has n-t READYs; its share is f_i(0).
+// One instance shares a vector of m secrets (m >= 1) from one dealer, so
+// a party that deals several values at once pays for one dealing.
+//
+// Dealing: for each secret k the dealer samples a random symmetric
+// bivariate polynomial F_k(x,y) of degree deg in each variable with
+// F_k(0,0) = secret k, and privately sends party i its m rows
+// f_{k,i}(y) = F_k(i+1, y) in one message. Party i then sends each party j
+// the m points f_{k,i}(j+1) in one message; by symmetry an honest pair
+// checks f_{k,i}(j+1) = f_{k,j}(i+1) for every k. A party that verifies
+// agreement in every component with n-t parties broadcasts one READY. A
+// party that observes t+1 READYs but holds no consistent rows recovers
+// them from received points via online error correction, one component
+// at a time, and only once every component decodes. The sharing completes
+// when a party holds (verified or recovered) rows and has n-t READYs; its
+// shares are f_{k,i}(0).
 //
 // With n > 4t this errorless construction has the standard guarantees.
 // It is simpler than full BCG in two ways: READY is a plain multicast,
 // not a reliable broadcast, and there is no complaint round — a party
-// whose row disagrees with its peers stays silent and, once enough READYs
-// arrive, recovers its row by online error correction. With
+// whose rows disagree with its peers stays silent and, once enough READYs
+// arrive, recovers its rows by online error correction. With
 // n > 3t the same skeleton is used by the paper's epsilon-theorems: an
 // honest dealer still completes everywhere, while a malicious dealer can
 // cause an epsilon-probability failure, which the game layer accounts for
@@ -33,20 +39,22 @@ import (
 
 // Message kinds.
 type (
-	// MsgRow carries the dealer's private row polynomial for the recipient
-	// (coefficients of f_i(y), low to high).
+	// MsgRow carries the dealer's m private rows for the recipient,
+	// flattened: row k's deg+1 coefficients of f_{k,i}(y), low to high,
+	// fill Coeffs[k(deg+1) : (k+1)(deg+1)]. A row of any other length is
+	// refused, which is also the degree check.
 	MsgRow struct{ Coeffs []field.Element }
-	// MsgPoint carries f_sender(receiver+1): the sender's evaluation of
-	// its row at the receiver's index.
-	MsgPoint struct{ V field.Element }
-	// MsgReady announces the sender verified (or recovered) its row.
+	// MsgPoint carries f_{k,sender}(receiver+1) for every component k: the
+	// sender's evaluations of its rows at the receiver's index.
+	MsgPoint struct{ V []field.Element }
+	// MsgReady announces the sender verified (or recovered) its rows.
 	MsgReady struct{}
 )
 
-// AVSS is one sharing instance for a designated dealer.
+// AVSS is one sharing instance of m secrets for a designated dealer.
 //
 // Two parameters govern it: deg, the sharing polynomial degree (the
-// privacy threshold — deg+1 shares determine the secret, deg reveal
+// privacy threshold — deg+1 shares determine a secret, deg reveal
 // nothing), and faults, the liveness/error budget (how many parties may
 // be malicious or silent). The paper's no-punishment theorems use
 // deg = faults = k+t; the punishment theorems use deg = k+t with
@@ -54,39 +62,39 @@ type (
 // stalling while privacy must still hold against the full coalition.
 type AVSS struct {
 	dealer      async.PID
-	n           int
+	n, m        int
 	deg, faults int
 
-	secret     field.Element
-	haveSecret bool
+	secrets []field.Element // the dealer's, nil elsewhere
 
-	row    poly.Poly
-	rowOK  bool // row verified against n-t parties or recovered
-	shared bool // points broadcast
+	rows   []poly.Poly // rows[k] = f_{k,self}; nil until dealt or recovered
+	rowsOK bool        // rows verified against n-t parties or recovered
+	shared bool        // points broadcast
 
-	points  []field.Element // points[p] = f_p(self+1), for p in got
-	got     proto.Senders   // parties whose point arrived
-	matches proto.Senders   // parties whose point lies on the row
+	points  [][]field.Element // points[p] = p's m points at self+1, for p in got
+	got     proto.Senders     // parties whose points arrived
+	matches proto.Senders     // parties whose points lie on every row
 
 	readySent bool
 	readies   proto.Senders
 
 	completed  bool
-	onComplete func(ctx *proto.Ctx, share field.Element)
+	onComplete func(ctx *proto.Ctx, shares []field.Element)
 }
 
 var _ proto.Module = (*AVSS)(nil)
 
-// New creates a receiving instance for the given dealer with sharing
-// degree deg and fault budget faults (deg >= faults). onComplete fires
-// exactly once, delivering this party's share.
-func New(dealer async.PID, n, deg, faults int, onComplete func(ctx *proto.Ctx, share field.Element)) *AVSS {
+// New creates a receiving instance of m secrets for the given dealer with
+// sharing degree deg and fault budget faults (deg >= faults). onComplete
+// fires exactly once, delivering this party's m shares.
+func New(dealer async.PID, n, m, deg, faults int, onComplete func(ctx *proto.Ctx, shares []field.Element)) *AVSS {
 	return &AVSS{
 		dealer:     dealer,
 		n:          n,
+		m:          m,
 		deg:        deg,
 		faults:     faults,
-		points:     make([]field.Element, n),
+		points:     make([][]field.Element, n),
 		got:        proto.NewSenders(n),
 		matches:    proto.NewSenders(n),
 		readies:    proto.NewSenders(n),
@@ -94,29 +102,34 @@ func New(dealer async.PID, n, deg, faults int, onComplete func(ctx *proto.Ctx, s
 	}
 }
 
-// NewDealer is New for the dealer, which deals secret when it starts.
-func NewDealer(dealer async.PID, n, deg, faults int, secret field.Element,
-	onComplete func(ctx *proto.Ctx, share field.Element)) *AVSS {
-	a := New(dealer, n, deg, faults, onComplete)
-	a.secret = secret
-	a.haveSecret = true
+// NewDealer is New for the dealer, which deals secrets when it starts.
+func NewDealer(dealer async.PID, n, deg, faults int, secrets []field.Element,
+	onComplete func(ctx *proto.Ctx, shares []field.Element)) *AVSS {
+	a := New(dealer, n, len(secrets), deg, faults, onComplete)
+	a.secrets = secrets
 	return a
 }
 
 // Start implements proto.Module.
 func (a *AVSS) Start(ctx *proto.Ctx) {
-	if ctx.Self() == a.dealer && a.haveSecret {
+	if ctx.Self() == a.dealer && a.secrets != nil {
 		a.deal(ctx)
 	}
 }
 
+// deal sends every party its m rows in one message. All n·m rows share
+// one backing array; a row shorter than deg+1 (a zero leading
+// coefficient) keeps its zero padding, so every row has the same length.
 func (a *AVSS) deal(ctx *proto.Ctx) {
-	f := poly.NewBivariate(ctx.Rand(), a.deg, a.secret)
-	// Batched dealing: all n rows are evaluated in one kernel sweep over
-	// a single backing allocation (see poly.Bivariate.Rows) instead of
-	// one scalar Row pass plus one copy per recipient.
-	for j, row := range f.Rows(a.n) {
-		ctx.Send(async.PID(j), MsgRow{Coeffs: row})
+	w := a.deg + 1
+	flat := make([]field.Element, a.n*a.m*w)
+	for k, s := range a.secrets {
+		for j, row := range poly.NewBivariate(ctx.Rand(), a.deg, s).Rows(a.n) {
+			copy(flat[(j*a.m+k)*w:], row)
+		}
+	}
+	for j := range a.n {
+		ctx.Send(async.PID(j), MsgRow{Coeffs: flat[j*a.m*w : (j+1)*a.m*w : (j+1)*a.m*w]})
 	}
 }
 
@@ -124,15 +137,15 @@ func (a *AVSS) deal(ctx *proto.Ctx) {
 func (a *AVSS) Handle(ctx *proto.Ctx, from async.PID, body any) {
 	switch m := body.(type) {
 	case MsgRow:
-		if from != a.dealer || a.row != nil || len(m.Coeffs) > a.deg+1 {
+		if from != a.dealer || a.rows != nil || len(m.Coeffs) != a.m*(a.deg+1) {
 			return
 		}
-		a.row = poly.New(m.Coeffs...)
+		a.rows = split(m.Coeffs, a.m)
 		a.broadcastPoints(ctx)
 		a.recheckMatches(ctx)
 
 	case MsgPoint:
-		if !a.got.Add(from) {
+		if len(m.V) != a.m || !a.got.Add(from) {
 			return
 		}
 		a.points[from] = m.V
@@ -148,32 +161,56 @@ func (a *AVSS) Handle(ctx *proto.Ctx, from async.PID, body any) {
 	}
 }
 
+// split cuts coeffs into m rows of equal length.
+func split(coeffs []field.Element, m int) []poly.Poly {
+	w := len(coeffs) / m
+	rows := make([]poly.Poly, m)
+	for k := range rows {
+		rows[k] = poly.New(coeffs[k*w : (k+1)*w]...)
+	}
+	return rows
+}
+
+// broadcastPoints sends every party the evaluations of this party's rows
+// at its index, all n vectors carved from one backing array.
 func (a *AVSS) broadcastPoints(ctx *proto.Ctx) {
-	if a.shared || a.row == nil {
+	if a.shared || a.rows == nil {
 		return
 	}
 	a.shared = true
-	// One vectorized Horner pass evaluates the row at every party index.
-	xs := make([]field.Element, a.n)
-	for j := range xs {
-		xs[j] = field.Element(j + 1)
-	}
-	for j, v := range poly.EvalMany(a.row, xs) {
+	flat := make([]field.Element, a.n*a.m)
+	for j := range a.n {
+		v := flat[j*a.m : (j+1)*a.m : (j+1)*a.m]
+		for k, row := range a.rows {
+			v[k] = row.Eval(field.Element(j + 1))
+		}
 		ctx.Send(async.PID(j), MsgPoint{V: v})
 	}
 }
 
 func (a *AVSS) checkMatch(ctx *proto.Ctx, from async.PID) {
-	if a.row == nil {
+	if a.rows == nil {
 		return
 	}
-	if a.points[from] == a.row.Eval(field.Element(int(from)+1)) {
+	if a.onRows(from) {
 		a.matches.Add(from)
 	}
 	if !a.readySent && a.matches.Len() >= a.n-a.faults {
-		a.rowOK = true
+		a.rowsOK = true
 		a.sendReady(ctx)
 	}
+}
+
+// onRows reports whether every one of from's points lies on this party's
+// row of the same component.
+func (a *AVSS) onRows(from async.PID) bool {
+	x := field.Element(int(from) + 1)
+	for k, v := range a.points[from] {
+		if v != a.rows[k].Eval(x) {
+			return false
+		}
+	}
+	return true
 }
 
 func (a *AVSS) recheckMatches(ctx *proto.Ctx) {
@@ -185,19 +222,34 @@ func (a *AVSS) recheckMatches(ctx *proto.Ctx) {
 	a.tryComplete(ctx)
 }
 
-// tryRecover reconstructs the row from received points once enough READYs
-// prove a valid dealing exists that this party did not (consistently)
-// receive. Recovery needs 2t+1 agreeing points (degree t, up to t wrong).
+// tryRecover reconstructs the rows from received points once enough
+// READYs prove a valid dealing exists that this party did not
+// (consistently) receive. Each component needs deg+t+1 points agreeing
+// with one degree-deg polynomial; the rows are replaced only when every
+// component decodes.
 func (a *AVSS) tryRecover(ctx *proto.Ctx) {
-	if a.rowOK || a.readies.Len() < a.faults+1 || a.got.Len() < a.deg+a.faults+1 {
+	if a.rowsOK || a.readies.Len() < a.faults+1 || a.got.Len() < a.deg+a.faults+1 {
 		return
 	}
-	p, ok := rs.OEC(gathered(a.points, &a.got), a.deg, a.faults)
-	if !ok {
-		return
+	pts := make([]poly.Point, 0, a.got.Len())
+	rows := make([]poly.Poly, a.m)
+	for k := range rows {
+		// Points in PID order, which is X order, so decoding is
+		// deterministic.
+		pts = pts[:0]
+		for p, v := range a.points {
+			if a.got.Has(async.PID(p)) {
+				pts = append(pts, poly.Point{X: field.Element(p + 1), Y: v[k]})
+			}
+		}
+		row, ok := rs.OEC(pts, a.deg, a.faults)
+		if !ok {
+			return
+		}
+		rows[k] = row
 	}
-	a.row = p
-	a.rowOK = true
+	a.rows = rows
+	a.rowsOK = true
 	a.broadcastPoints(ctx)
 	a.sendReady(ctx)
 	a.tryComplete(ctx)
@@ -212,23 +264,16 @@ func (a *AVSS) sendReady(ctx *proto.Ctx) {
 }
 
 func (a *AVSS) tryComplete(ctx *proto.Ctx) {
-	if a.completed || !a.rowOK || a.readies.Len() < a.n-a.faults {
+	if a.completed || !a.rowsOK || a.readies.Len() < a.n-a.faults {
 		return
 	}
 	a.completed = true
-	if a.onComplete != nil {
-		a.onComplete(ctx, a.row.Eval(0))
+	if a.onComplete == nil {
+		return
 	}
-}
-
-// gathered returns the points of the parties in got, as (p+1, points[p])
-// in PID order, which is X order, so decoding is deterministic.
-func gathered(points []field.Element, got *proto.Senders) []poly.Point {
-	pts := make([]poly.Point, 0, got.Len())
-	for p, v := range points {
-		if got.Has(async.PID(p)) {
-			pts = append(pts, poly.Point{X: field.Element(p + 1), Y: v})
-		}
+	shares := make([]field.Element, a.m)
+	for k, row := range a.rows {
+		shares[k] = row.Constant()
 	}
-	return pts
+	a.onComplete(ctx, shares)
 }

@@ -17,17 +17,26 @@ import (
 func runAVSS(t *testing.T, n, tf int, secret field.Element,
 	byz map[int]async.Process, sched async.Scheduler, seed int64) []*field.Element {
 	t.Helper()
-	shares, _ := runAVSSWrapped(t, n, tf, secret, byz, sched, seed, nil)
+	vecs, _ := runSharing(t, n, tf, tf, []field.Element{secret}, byz, sched, seed, nil)
+	shares := make([]*field.Element, n)
+	for i, v := range vecs {
+		if v != nil {
+			shares[i] = &v[0]
+		}
+	}
 	return shares
 }
 
-// runAVSSWrapped is runAVSS with each honest party's instance registered
-// as wrap(instance), when wrap is not nil; it also returns the number of
-// messages sent.
-func runAVSSWrapped(t *testing.T, n, tf int, secret field.Element,
-	byz map[int]async.Process, sched async.Scheduler, seed int64, wrap func(*AVSS) proto.Module) ([]*field.Element, int) {
+// runSharing executes one sharing of secrets among n parties with sharing
+// degree deg, fault budget faults and dealer 0 (unless a byz process
+// replaces it). It returns each party's shares (nil if the party is
+// byzantine or did not complete) and the number of messages sent. Each
+// honest party's instance is registered as wrap(instance), when wrap is
+// not nil.
+func runSharing(t *testing.T, n, deg, faults int, secrets []field.Element,
+	byz map[int]async.Process, sched async.Scheduler, seed int64, wrap func(*AVSS) proto.Module) ([][]field.Element, int) {
 	t.Helper()
-	shares := make([]*field.Element, n)
+	shares := make([][]field.Element, n)
 	procs := make([]async.Process, n)
 	for i := 0; i < n; i++ {
 		if p, ok := byz[i]; ok {
@@ -37,11 +46,11 @@ func runAVSSWrapped(t *testing.T, n, tf int, secret field.Element,
 		i := i
 		h := proto.NewHost()
 		var inst *AVSS
-		cb := func(ctx *proto.Ctx, s field.Element) { sv := s; shares[i] = &sv }
+		cb := func(ctx *proto.Ctx, s []field.Element) { shares[i] = s }
 		if i == 0 {
-			inst = NewDealer(0, n, tf, tf, secret, cb)
+			inst = NewDealer(0, n, deg, faults, secrets, cb)
 		} else {
-			inst = New(0, n, tf, tf, cb)
+			inst = New(0, n, len(secrets), deg, faults, cb)
 		}
 		var m proto.Module = inst
 		if wrap != nil {
@@ -178,9 +187,8 @@ func (d *withheldDealer) Start(env *async.Env) {
 		if d.hide[j] {
 			continue
 		}
-		row := f.Row(field.Element(j + 1))
-		coeffs := make([]field.Element, len(row))
-		copy(coeffs, row)
+		coeffs := make([]field.Element, d.t+1)
+		copy(coeffs, f.Row(field.Element(j+1)))
 		env.Send(async.PID(j), &proto.Envelope{Instance: "avss", Body: MsgRow{Coeffs: coeffs}})
 	}
 }
@@ -343,9 +351,8 @@ type inconsistentDealer struct {
 func (d *inconsistentDealer) Start(env *async.Env) {
 	for j := 0; j < d.n; j++ {
 		f := poly.NewBivariate(env.Rand(), d.t, field.Element(uint64(j)*17+1))
-		row := f.Row(field.Element(j + 1))
-		coeffs := make([]field.Element, len(row))
-		copy(coeffs, row)
+		coeffs := make([]field.Element, d.t+1)
+		copy(coeffs, f.Row(field.Element(j+1)))
 		env.Send(async.PID(j), &proto.Envelope{Instance: "avss", Body: MsgRow{Coeffs: coeffs}})
 	}
 }
@@ -410,23 +417,27 @@ func TestRushedReadiesDoNotForgeCompletion(t *testing.T) {
 }
 
 // overDegreeDealer deals every party a consistent row of one symmetric
-// bivariate polynomial of degree t+1: the rows cross-check pairwise, but
-// the shares they define do not lie on a degree-t polynomial.
+// bivariate polynomial of degree t+1, as t+2 coefficients: the rows
+// cross-check pairwise, but the shares they define do not lie on a
+// degree-t polynomial.
 type overDegreeDealer struct{ n, t int }
 
 func (d *overDegreeDealer) Start(env *async.Env) {
 	f := poly.NewBivariate(env.Rand(), d.t+1, 5)
-	for j, row := range f.Rows(d.n) {
-		env.Send(async.PID(j), &proto.Envelope{Instance: "avss", Body: MsgRow{Coeffs: row}})
+	for j := range d.n {
+		coeffs := make([]field.Element, d.t+2)
+		copy(coeffs, f.Row(field.Element(j+1)))
+		env.Send(async.PID(j), &proto.Envelope{Instance: "avss", Body: MsgRow{Coeffs: coeffs}})
 	}
 }
 func (d *overDegreeDealer) Deliver(env *async.Env, m async.Message) {}
 
 // TestOverDegreeDealingRefused: the commitment holds only if each row's
-// degree is checked. Rows of a degree-(t+1) bivariate agree pairwise, so
-// without the check every honest party would verify its row and complete
-// with a share on a degree-(t+1) polynomial; with it, no honest party
-// accepts a row, so none completes.
+// degree is checked, which the row's length check does. Rows of a
+// degree-(t+1) bivariate agree pairwise, so without the check every
+// honest party would verify its row and complete with a share on a
+// degree-(t+1) polynomial; with it, no honest party accepts a row, so none
+// completes.
 func TestOverDegreeDealingRefused(t *testing.T) {
 	n, tf := 5, 1
 	byz := map[int]async.Process{0: &overDegreeDealer{n: n, t: tf}}

@@ -3,6 +3,7 @@ package avss
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"asyncmediator/internal/async"
@@ -19,17 +20,20 @@ type delivery struct {
 
 // ignorable lists deliveries an adversary can add next to the delivery
 // (from, body) that an instance among n parties must ignore: the same
-// message again, the message from a sender outside 0..n-1, and a second
-// POINT or SHARE with another value from the same sender.
+// message again, the message from a sender outside 0..n-1, a second POINT
+// or SHARE with another value from the same sender, and a POINT vector
+// one element too long.
 func ignorable(n int, from async.PID, body any) []delivery {
 	out := []delivery{{from, body}}
 	for _, bad := range []async.PID{-1, async.PID(n)} {
-		out = append(out, delivery{bad, body}, delivery{bad, MsgPoint{V: 5}},
+		out = append(out, delivery{bad, body}, delivery{bad, MsgPoint{V: []field.Element{5}}},
 			delivery{bad, MsgReady{}}, delivery{bad, MsgShare{V: 5}})
 	}
 	switch m := body.(type) {
 	case MsgPoint:
-		out = append(out, delivery{from, MsgPoint{V: m.V.Add(1)}})
+		other := slices.Clone(m.V)
+		other[0] = other[0].Add(1)
+		out = append(out, delivery{from, MsgPoint{V: other}}, delivery{from, MsgPoint{V: append(slices.Clone(m.V), 5)}})
 	case MsgShare:
 		out = append(out, delivery{from, MsgShare{V: m.V.Add(1)}})
 	}
@@ -77,8 +81,8 @@ func TestHostileDeliveriesChangeNothing(t *testing.T) {
 			if withhold {
 				byz = map[int]async.Process{0: &withheldDealer{n: n, t: tf, secret: secret, hide: map[int]bool{4: true}}}
 			}
-			run := func(wrap func(*AVSS) proto.Module) ([]*field.Element, int) {
-				return runAVSSWrapped(t, n, tf, secret, byz, async.NewRandomScheduler(seed), seed, wrap)
+			run := func(wrap func(*AVSS) proto.Module) ([][]field.Element, int) {
+				return runSharing(t, n, tf, tf, []field.Element{secret}, byz, async.NewRandomScheduler(seed), seed, wrap)
 			}
 			honest, honestMsgs := run(nil)
 			hostileShares, hostileMsgs := run(func(a *AVSS) proto.Module {
@@ -91,7 +95,7 @@ func TestHostileDeliveriesChangeNothing(t *testing.T) {
 				if _, isByz := byz[i]; isByz {
 					continue
 				}
-				if honest[i] == nil || hostileShares[i] == nil || *hostileShares[i] != *honest[i] {
+				if honest[i] == nil || !slices.Equal(hostileShares[i], honest[i]) {
 					t.Fatalf("withhold=%v seed %d: party %d share %v, honest %v", withhold, seed, i, hostileShares[i], honest[i])
 				}
 			}

@@ -3,6 +3,7 @@ package avss
 import (
 	"asyncmediator/internal/async"
 	"asyncmediator/internal/field"
+	"asyncmediator/internal/poly"
 	"asyncmediator/internal/proto"
 	"asyncmediator/internal/rs"
 )
@@ -87,4 +88,16 @@ func (o *Open) Handle(ctx *proto.Ctx, from async.PID, body any) {
 	if o.onValue != nil {
 		o.onValue(ctx, p.Constant())
 	}
+}
+
+// gathered returns the points of the parties in got, as (p+1, points[p])
+// in PID order, which is X order, so decoding is deterministic.
+func gathered(points []field.Element, got *proto.Senders) []poly.Point {
+	pts := make([]poly.Point, 0, got.Len())
+	for p, v := range points {
+		if got.Has(async.PID(p)) {
+			pts = append(pts, poly.Point{X: field.Element(p + 1), Y: v})
+		}
+	}
+	return pts
 }

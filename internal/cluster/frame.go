@@ -14,7 +14,9 @@ import (
 // across streams, so a HELLO may follow DATA frames on one connection and
 // re-attach it to a new stream. A version-2 peer would take that HELLO for
 // the first frame of a fresh connection, so the two refuse each other.
-const ProtocolVersion uint16 = 3
+// Version 4 changes the codec's avss.MsgPoint from one element to a
+// length-prefixed element vector (one AVSS dealing shares a vector).
+const ProtocolVersion uint16 = 4
 
 // MaxFrameBytes bounds one transport frame (kind byte + body): far above
 // any protocol payload, and small enough that a corrupt length prefix

@@ -70,15 +70,15 @@ func TestHandshakeRejectsOldVersion(t *testing.T) {
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := writeHello(conn, hello{Version: 2, ClusterID: "v", From: 0, To: 1}); err != nil {
+	if err := writeHello(conn, hello{Version: 3, ClusterID: "v", From: 0, To: 1}); err != nil {
 		t.Fatal(err)
 	}
 	kind, body, err := readRaw(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind != kindReject || string(body) != "version 2, want 3" {
-		t.Fatalf("got kind %d %q, want a REJECT naming versions 2 and 3", kind, body)
+	if kind != kindReject || string(body) != "version 3, want 4" {
+		t.Fatalf("got kind %d %q, want a REJECT naming versions 3 and 4", kind, body)
 	}
 	if r := ep.Stats().Rejected; r != 1 {
 		t.Errorf("Rejected = %d, want 1", r)

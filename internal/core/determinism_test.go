@@ -22,46 +22,46 @@ import (
 // async runtime or a scheduler that alters which message an RNG draw
 // picks, or any counter, changes a digest.
 var goldenDigests = map[string]string{
-	"n5-Theorem4.1/delay/seed1":      "610c9ba00d8286dc0be887c4a0c05a7ba4e1cd44434c8a7d1996cf9174fceecf",
-	"n5-Theorem4.1/delay/seed2":      "11fb65fc805713824e74d9b003a77497f9906d8b71271c834ec60b669f190d0e",
-	"n5-Theorem4.1/delay/seed3":      "e26c1ae58f40a7688fb74958e3509261ac659bdd9df0aaa3d7766ad0d2a36066",
-	"n5-Theorem4.1/delay/seed4":      "a632c64133f991ba065cc47512768d30805adc4973be085698e75930d17e0eaf",
-	"n5-Theorem4.1/fifo/seed1":       "9999ea0807a95ee4b341b1691b12111616b0be8e4e9db95b2a093af3db84dfb9",
-	"n5-Theorem4.1/fifo/seed2":       "0201a881b420c23db1066cf78e6f36a95977115507a50aa8970a597b0f66dfbe",
-	"n5-Theorem4.1/fifo/seed3":       "0201a881b420c23db1066cf78e6f36a95977115507a50aa8970a597b0f66dfbe",
-	"n5-Theorem4.1/fifo/seed4":       "9999ea0807a95ee4b341b1691b12111616b0be8e4e9db95b2a093af3db84dfb9",
-	"n5-Theorem4.1/random/seed1":     "64ae88e2b2b52db5823b74d955e1d2c1a32e10a4484c9881f64fec4056c8dbef",
-	"n5-Theorem4.1/random/seed2":     "ed0d9b7465944deba20818be62997bcf5f524a4ae61fb4b347d4ebea1b283046",
-	"n5-Theorem4.1/random/seed3":     "c283c6d787865d97d2d1db821f917b7dddd6143bd6f90fc965de3a9564894c6d",
-	"n5-Theorem4.1/random/seed4":     "18e5749a4bdab216d445f5e36b44e22a5721d2bf90af033bf20d2257e5913e3d",
-	"n5-Theorem4.1/roundrobin/seed1": "9999ea0807a95ee4b341b1691b12111616b0be8e4e9db95b2a093af3db84dfb9",
-	"n5-Theorem4.1/roundrobin/seed2": "0201a881b420c23db1066cf78e6f36a95977115507a50aa8970a597b0f66dfbe",
-	"n5-Theorem4.1/roundrobin/seed3": "0201a881b420c23db1066cf78e6f36a95977115507a50aa8970a597b0f66dfbe",
-	"n5-Theorem4.1/roundrobin/seed4": "9999ea0807a95ee4b341b1691b12111616b0be8e4e9db95b2a093af3db84dfb9",
-	"n8-Theorem4.4/delay/seed1":      "500a804e09fbda27ad00a554b061592aba33f93a6c0f6ce7e31500a2379fc941",
-	"n8-Theorem4.4/delay/seed2":      "62f8e13030db99a310de3003702c055092075cc334880c70490a8fed080ebbb9",
-	"n8-Theorem4.4/delay/seed3":      "496c6d4786f192dd79325093fc2d4db14faef7cc8c80808a1afeaa9885b85470",
-	"n8-Theorem4.4/delay/seed4":      "f4775772f697372666a4f81fffacf87b5df52b7e78852521f2e313e776f054bf",
-	"n8-Theorem4.4/fifo/seed1":       "5b28ae2f0de23dc8f1f97b2025b029184f9802ad79257bf734fb553cdee2ccfb",
-	"n8-Theorem4.4/fifo/seed2":       "5b28ae2f0de23dc8f1f97b2025b029184f9802ad79257bf734fb553cdee2ccfb",
-	"n8-Theorem4.4/fifo/seed3":       "928d3b886c2a76c008bd1a2b2f84f698a93a566f8e789cd9b9668633cdacd3fe",
-	"n8-Theorem4.4/fifo/seed4":       "5b28ae2f0de23dc8f1f97b2025b029184f9802ad79257bf734fb553cdee2ccfb",
-	"n8-Theorem4.4/random/seed1":     "7ded83bb598606a48bc7c8aeb9ab6412e238e4a9551a24311b1ff9ee0f53f3b5",
-	"n8-Theorem4.4/random/seed2":     "1312db8db495072eb31f6fb5b1a0f9a16ac7be7deaf8144db86af9fbef51c0e9",
-	"n8-Theorem4.4/random/seed3":     "1f15e27911df8a3530801d8e4a2fd2ca44bb7066c7e297ac4bedc1174dd3da74",
-	"n8-Theorem4.4/random/seed4":     "02caacccf7fc7a329a2d60117a23bbabd0baf8ad5be3f3de5bde4cc3fa9a9555",
-	"n8-Theorem4.4/roundrobin/seed1": "5b28ae2f0de23dc8f1f97b2025b029184f9802ad79257bf734fb553cdee2ccfb",
-	"n8-Theorem4.4/roundrobin/seed2": "5b28ae2f0de23dc8f1f97b2025b029184f9802ad79257bf734fb553cdee2ccfb",
-	"n8-Theorem4.4/roundrobin/seed3": "928d3b886c2a76c008bd1a2b2f84f698a93a566f8e789cd9b9668633cdacd3fe",
-	"n8-Theorem4.4/roundrobin/seed4": "5b28ae2f0de23dc8f1f97b2025b029184f9802ad79257bf734fb553cdee2ccfb",
+	"n5-Theorem4.1/delay/seed1":      "70f2261984485617b141f79ea31d770d38bcf1173c7d4e3a8a545aa4d46a0973",
+	"n5-Theorem4.1/delay/seed2":      "de1fc1812ce466c0ae519bdfb692b9b3ba60c559c9da970c207f2f789bead326",
+	"n5-Theorem4.1/delay/seed3":      "4c7e07620be9ad08365b0d32159a5ac0d33a0408a9474737606cdbf2cf27bc91",
+	"n5-Theorem4.1/delay/seed4":      "01a75a3891d6b97ca7c650abfd646af0fc6da1a03be5e3f2102131032ec3ad05",
+	"n5-Theorem4.1/fifo/seed1":       "8efc3a861f01732614aec492ba27a9cba81a8e589a51431d2eb8e295dbf2fa1b",
+	"n5-Theorem4.1/fifo/seed2":       "36091f5769a13b546f51a7eb2c100738c2bfa0a7516d299aaa0b1a3914d02f25",
+	"n5-Theorem4.1/fifo/seed3":       "36091f5769a13b546f51a7eb2c100738c2bfa0a7516d299aaa0b1a3914d02f25",
+	"n5-Theorem4.1/fifo/seed4":       "8efc3a861f01732614aec492ba27a9cba81a8e589a51431d2eb8e295dbf2fa1b",
+	"n5-Theorem4.1/random/seed1":     "304565fe500b5ce350c8d1f3fbde5c1058b13c1331de25deb0568795394c36f9",
+	"n5-Theorem4.1/random/seed2":     "355a04c4394ff630c585f1f1cf15ec189396e66d15845e6a306d7f60b2f64570",
+	"n5-Theorem4.1/random/seed3":     "d265c9be6b398f6695b00fc49cafa2c8d02bc827edd825b3d791463b3cd74ca9",
+	"n5-Theorem4.1/random/seed4":     "e7553fde1a54f1da8d66816184959b5ba3c002d7736d21b13f377c29505243b0",
+	"n5-Theorem4.1/roundrobin/seed1": "8efc3a861f01732614aec492ba27a9cba81a8e589a51431d2eb8e295dbf2fa1b",
+	"n5-Theorem4.1/roundrobin/seed2": "36091f5769a13b546f51a7eb2c100738c2bfa0a7516d299aaa0b1a3914d02f25",
+	"n5-Theorem4.1/roundrobin/seed3": "36091f5769a13b546f51a7eb2c100738c2bfa0a7516d299aaa0b1a3914d02f25",
+	"n5-Theorem4.1/roundrobin/seed4": "8efc3a861f01732614aec492ba27a9cba81a8e589a51431d2eb8e295dbf2fa1b",
+	"n8-Theorem4.4/delay/seed1":      "650929d497ce13b0d5b4696f35ee87f05d3341349d77bf17b65cd61fe1638341",
+	"n8-Theorem4.4/delay/seed2":      "fdfa16ae49c47a45dbd66c86cef589ec2f631c01a05159d0e3d0ff826983b386",
+	"n8-Theorem4.4/delay/seed3":      "aaf752a099db2a0944a486df6f58393baac6113f504dacd04734d50cb8351d76",
+	"n8-Theorem4.4/delay/seed4":      "fa33158c27db0d31c58a07a0be023f18b3e9a6fd4a53084743699419c2fbee70",
+	"n8-Theorem4.4/fifo/seed1":       "dfb68d393dbe10784cf154bff2560060f0228735f46e149acac1dd4cf1d4066b",
+	"n8-Theorem4.4/fifo/seed2":       "dfb68d393dbe10784cf154bff2560060f0228735f46e149acac1dd4cf1d4066b",
+	"n8-Theorem4.4/fifo/seed3":       "c2ce380b03f4c7a52bb25495e3cc30104b99150a5d943039b7aee94fc86b3632",
+	"n8-Theorem4.4/fifo/seed4":       "dfb68d393dbe10784cf154bff2560060f0228735f46e149acac1dd4cf1d4066b",
+	"n8-Theorem4.4/random/seed1":     "b9e6213aa4d1d7666fcec178d4da7fc83ceb89aad0e7eb9e48e141453edcde3e",
+	"n8-Theorem4.4/random/seed2":     "2f0cbf45b276387be68e1239773bb7a380ddc20e8da8173601458d8189832b5e",
+	"n8-Theorem4.4/random/seed3":     "03f38bb55373f29e7a1cf3c8e547a39bf84bf72ba88008ff6360b6af5db5433e",
+	"n8-Theorem4.4/random/seed4":     "206fc52f612afc146090269dbd6203e72412fe0622176c926cce290ed2e14d12",
+	"n8-Theorem4.4/roundrobin/seed1": "dfb68d393dbe10784cf154bff2560060f0228735f46e149acac1dd4cf1d4066b",
+	"n8-Theorem4.4/roundrobin/seed2": "dfb68d393dbe10784cf154bff2560060f0228735f46e149acac1dd4cf1d4066b",
+	"n8-Theorem4.4/roundrobin/seed3": "c2ce380b03f4c7a52bb25495e3cc30104b99150a5d943039b7aee94fc86b3632",
+	"n8-Theorem4.4/roundrobin/seed4": "dfb68d393dbe10784cf154bff2560060f0228735f46e149acac1dd4cf1d4066b",
 	"relaxed-bait/seed10":            "4cb81a26c577c07bbc1aec67389a2e5c3756150c85e28901e3a3b0a6173f9a9f",
 	"relaxed-bait/seed11":            "f8e8c070621f27f9f85f9bf9d6d32fa1711781a76bacca664562309e3aabc62a",
 	"relaxed-bait/seed12":            "f8e8c070621f27f9f85f9bf9d6d32fa1711781a76bacca664562309e3aabc62a",
 	"relaxed-bait/seed13":            "f8e8c070621f27f9f85f9bf9d6d32fa1711781a76bacca664562309e3aabc62a",
-	"relaxed-drop/seed1":             "1ca286189a4c773934221e238bca8129d48efb8ccc484428e82c5ca5bb41426e",
-	"relaxed-drop/seed2":             "c50b67c25cd8e4dbf7b77c4962b5e0724fccde48454690d1e7cc5d9e517c1dad",
-	"relaxed-drop/seed3":             "29ff4855906772ba4f1a644054e38f77df79e9e3eafcb45cf30f3f5cddf7624a",
-	"relaxed-drop/seed4":             "1fb5c7c6a30658fc4f27fe97a4023abd8dae0b2238752d5cccf3c4f625ac6d37",
+	"relaxed-drop/seed1":             "c076d5fca4d7541aad526a6f9af2cdce617b321fb9f280c8a3d6284a0b9fae61",
+	"relaxed-drop/seed2":             "3990ba9d932ced52ae9b59d2d6a29a5ffb77f3f8fa87f30b677cf02594a6e230",
+	"relaxed-drop/seed3":             "ba6d689791831d2f8dc90974a6488083f723d2a95bdc1e7f3c84765fc3191676",
+	"relaxed-drop/seed4":             "658d803bd58d02ccf0686aaabbf685aa6aa762ba41f9eea82f2892d3e4895612",
 }
 
 // detRun plays one case with the given trace hook.

@@ -32,7 +32,7 @@ func (e *Engine) evalMulGate(ctx *proto.Ctx, g, aw, bw int) bool {
 	}
 	ms := e.muls[g]
 	if ms == nil {
-		ms = &mulState{reshares: make(map[int]*avss.AVSS), myShares: make(map[int]field.Element)}
+		ms = &mulState{myShares: make(map[int]field.Element)}
 		e.muls[g] = ms
 	}
 	if !ms.started {
@@ -64,21 +64,18 @@ func (e *Engine) startReshare(ctx *proto.Ctx, ms *mulState, myProduct field.Elem
 	n, t := e.cfg.N, e.cfg.T
 	for d := 0; d < n; d++ {
 		d := d
-		var inst *avss.AVSS
-		cb := func(cc *proto.Ctx, share field.Element) {
-			ms.myShares[d] = share
+		cb := func(cc *proto.Ctx, shares []field.Element) {
+			ms.myShares[d] = shares[0]
 			if ms.cs != nil {
 				ms.cs.MarkReady(cc.For(csID), d)
 			}
 			e.step(cc)
 		}
 		if d == e.self {
-			inst = avss.NewDealer(async.PID(d), n, e.cfg.Deg, t, myProduct, cb)
+			ctx.Spawn(idFor(d), avss.NewDealer(async.PID(d), n, e.cfg.Deg, t, []field.Element{myProduct}, cb))
 		} else {
-			inst = avss.New(async.PID(d), n, e.cfg.Deg, t, cb)
+			ctx.Spawn(idFor(d), avss.New(async.PID(d), n, 1, e.cfg.Deg, t, cb))
 		}
-		ms.reshares[d] = inst
-		ctx.Spawn(idFor(d), inst)
 	}
 	ms.cs = acs.NewCoreSet(n, t, e.cfg.Coin, func(cc *proto.Ctx, members []int) {
 		ms.members = members
@@ -166,17 +163,16 @@ func (e *Engine) evalRandBit(ctx *proto.Ctx, g int) bool {
 	deg := e.cfg.Deg
 
 	if !rb.haveR {
-		// Sum core contributions; all core dealings complete locally before
-		// this point only if inDone says so — otherwise wait.
-		var r field.Element
+		// Sum core contributions once every core dealing completed here.
 		for _, d := range e.core {
-			id := e.idRho(g, d)
-			if !e.inDone[id] {
+			if e.dealt[d] == nil {
 				return false
 			}
-			r = r.Add(e.inShare[id])
 		}
-		var z field.Element
+		var r, z field.Element
+		for _, d := range e.core {
+			r = r.Add(e.dealt[d][e.rbSlot(g, d)])
+		}
 		if e.Errorless() {
 			// z_j = sum_l x_j^l * W_l(x_j), W_l = sum of core mask dealings.
 			xj := shamir.XOf(e.self)
@@ -184,11 +180,7 @@ func (e *Engine) evalRandBit(ctx *proto.Ctx, g int) bool {
 			for l := 1; l <= deg; l++ {
 				var wl field.Element
 				for _, d := range e.core {
-					id := e.idMask(g, l, d)
-					if !e.inDone[id] {
-						return false
-					}
-					wl = wl.Add(e.inShare[id])
+					wl = wl.Add(e.dealt[d][e.rbSlot(g, d)+l])
 				}
 				z = z.Add(xp.Mul(wl))
 				xp = xp.Mul(xj)
@@ -217,7 +209,6 @@ func (e *Engine) evalRandBit(ctx *proto.Ctx, g int) bool {
 		// Epsilon regime: degree-reduce r^2 via resharing, then open.
 		if !rb.mul.started {
 			rb.mul.started = true
-			rb.mul.reshares = make(map[int]*avss.AVSS)
 			rb.mul.myShares = make(map[int]field.Element)
 			e.startReshare(ctx, &rb.mul, rb.rShare.Mul(rb.rShare),
 				func(d int) string { return e.idRBMul(g, d) }, e.idRBMulCS(g))

@@ -12,9 +12,11 @@
 //
 // Phases, all fully asynchronous and concurrent per party:
 //
-//  1. Dealing: every party AVSS-shares each of its input values, plus, for
-//     every random-bit gate, a random contribution and t masking
-//     polynomials (used to re-randomize product openings).
+//  1. Dealing: every party deals one AVSS vector sharing, instance
+//     "<inst>/in/<dealer>", of its input values followed, for every
+//     random-bit gate, by a random contribution rho and, in the errorless
+//     regime, Deg mask values (used to re-randomize product openings). A
+//     party with nothing to deal spawns no dealing.
 //  2. Core agreement: a CoreSet (package acs) agrees on >= n-t parties
 //     whose dealings completed; inputs of excluded parties are replaced by
 //     public defaults, and gate randomness is summed over the core only.
@@ -87,8 +89,7 @@ type wireVal struct {
 }
 
 type mulState struct {
-	started   bool // resharing dealt
-	reshares  map[int]*avss.AVSS
+	started   bool                  // resharing dealt
 	myShares  map[int]field.Element // dealer -> my share of dealer's resharing
 	cs        *acs.CoreSet
 	members   []int
@@ -97,8 +98,9 @@ type mulState struct {
 }
 
 type rbState struct {
-	// sumRho / sumMask are ready once the global core is known and all
-	// core dealings for this gate completed locally.
+	ord int // index among the circuit's random-bit gates
+	// rShare / zShare are ready once the global core is known and every
+	// core member's dealing completed locally.
 	haveR    bool
 	rShare   field.Element
 	zShare   field.Element
@@ -118,15 +120,15 @@ type Engine struct {
 	self int
 
 	// Dealing state. Start formats the dealing and output ids once, into
-	// tables every later lookup reads; pendingDeals[d] counts dealer d's
-	// dealings not yet completed here.
-	inIDs        [][]string   // [player][slot]
-	rhoIDs       [][]string   // [gate][dealer]; nil unless a random-bit gate
-	maskIDs      [][][]string // [gate][l-1][dealer]; errorless regime only
-	outIDs       []string     // [output]
+	// tables every later lookup reads. Dealer d's vector is its input
+	// slots, then per random-bit gate (in gate order) rho and the masks;
+	// dealt[d] holds this party's shares of it once the dealing completed,
+	// and pendingDeals[d] is 1 until then (0 for a dealer with nothing to
+	// deal).
+	dealIDs      []string // [dealer]
+	dealt        [][]field.Element
+	outIDs       []string // [output]
 	pendingDeals []int
-	inShare      map[string]field.Element
-	inDone       map[string]bool
 	coreSet      *acs.CoreSet
 	core         []int
 	haveCore     bool
@@ -188,8 +190,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	return &Engine{
 		cfg:      cfg,
-		inShare:  make(map[string]field.Element),
-		inDone:   make(map[string]bool),
 		muls:     make(map[int]*mulState),
 		rbs:      make(map[int]*rbState),
 		lagCache: make(map[string][]field.Element),
@@ -211,51 +211,51 @@ func (e *Engine) Completed() bool { return e.completed }
 
 // Instance id helpers: all parties derive identical ids. The dealing and
 // output ids are read from the tables formatIDs fills.
-func (e *Engine) idRho(g, d int) string     { return e.rhoIDs[g][d] }
-func (e *Engine) idMask(g, l, d int) string { return e.maskIDs[g][l-1][d] }
-func (e *Engine) idCore() string            { return e.inst + "/core" }
-func (e *Engine) idMul(g, d int) string     { return fmt.Sprintf("%s/mul/%d/%d", e.inst, g, d) }
-func (e *Engine) idMulCS(g int) string      { return fmt.Sprintf("%s/mulcs/%d", e.inst, g) }
-func (e *Engine) idRBOpen(g int) string     { return fmt.Sprintf("%s/rbopen/%d", e.inst, g) }
-func (e *Engine) idRBMul(g, d int) string   { return fmt.Sprintf("%s/rbmul/%d/%d", e.inst, g, d) }
-func (e *Engine) idRBMulCS(g int) string    { return fmt.Sprintf("%s/rbmulcs/%d", e.inst, g) }
-func (e *Engine) idOut(oi int) string       { return e.outIDs[oi] }
+func (e *Engine) idCore() string          { return e.inst + "/core" }
+func (e *Engine) idMul(g, d int) string   { return fmt.Sprintf("%s/mul/%d/%d", e.inst, g, d) }
+func (e *Engine) idMulCS(g int) string    { return fmt.Sprintf("%s/mulcs/%d", e.inst, g) }
+func (e *Engine) idRBOpen(g int) string   { return fmt.Sprintf("%s/rbopen/%d", e.inst, g) }
+func (e *Engine) idRBMul(g, d int) string { return fmt.Sprintf("%s/rbmul/%d/%d", e.inst, g, d) }
+func (e *Engine) idRBMulCS(g int) string  { return fmt.Sprintf("%s/rbmulcs/%d", e.inst, g) }
+func (e *Engine) idOut(oi int) string     { return e.outIDs[oi] }
 
-// formatIDs fills the id tables and counts each dealer's dealings.
+// rbWidth is how many values a dealer deals per random-bit gate: rho,
+// plus Deg masks in the errorless regime.
+func (e *Engine) rbWidth() int {
+	if e.Errorless() {
+		return 1 + e.cfg.Deg
+	}
+	return 1
+}
+
+// dealLen is the length of dealer d's vector.
+func (e *Engine) dealLen(d int) int {
+	return e.cfg.Circuit.InputSlots(d) + len(e.rbs)*e.rbWidth()
+}
+
+// rbSlot is the index of random-bit gate g's rho in dealer d's vector;
+// its masks follow it.
+func (e *Engine) rbSlot(g, d int) int {
+	return e.cfg.Circuit.InputSlots(d) + e.rbs[g].ord*e.rbWidth()
+}
+
+// formatIDs fills the id tables, numbers the random-bit gates and marks
+// every dealer with something to deal as pending.
 func (e *Engine) formatIDs() {
 	n, c := e.cfg.N, e.cfg.Circuit
+	for g, gate := range c.Gates() {
+		if gate.Op == circuit.OpRandBit {
+			e.rbs[g] = &rbState{ord: len(e.rbs)}
+		}
+	}
 	e.pendingDeals = make([]int, n)
 	e.coreMk = make([]bool, n)
-	e.inIDs = make([][]string, n)
-	for p := range e.inIDs {
-		e.inIDs[p] = make([]string, c.InputSlots(p))
-		for s := range e.inIDs[p] {
-			e.inIDs[p][s] = fmt.Sprintf("%s/in/%d/%d", e.inst, p, s)
-		}
-		e.pendingDeals[p] = len(e.inIDs[p])
-	}
-	gates := c.Gates()
-	e.rhoIDs = make([][]string, len(gates))
-	e.maskIDs = make([][][]string, len(gates))
-	for g, gate := range gates {
-		if gate.Op != circuit.OpRandBit {
-			continue
-		}
-		e.rhoIDs[g] = make([]string, n)
-		for d := range e.rhoIDs[g] {
-			e.rhoIDs[g][d] = fmt.Sprintf("%s/rho/%d/%d", e.inst, g, d)
-			e.pendingDeals[d]++
-		}
-		if !e.Errorless() {
-			continue
-		}
-		e.maskIDs[g] = make([][]string, e.cfg.Deg)
-		for l := range e.maskIDs[g] {
-			e.maskIDs[g][l] = make([]string, n)
-			for d := range e.maskIDs[g][l] {
-				e.maskIDs[g][l][d] = fmt.Sprintf("%s/w/%d/%d/%d", e.inst, g, l+1, d)
-				e.pendingDeals[d]++
-			}
+	e.dealt = make([][]field.Element, n)
+	e.dealIDs = make([]string, n)
+	for d := range e.dealIDs {
+		if e.dealLen(d) > 0 {
+			e.dealIDs[d] = fmt.Sprintf("%s/in/%d", e.inst, d)
+			e.pendingDeals[d] = 1
 		}
 	}
 	e.outIDs = make([]string, len(c.Outputs()))
@@ -287,38 +287,16 @@ func (e *Engine) Start(ctx *proto.Ctx) {
 		ctx.Spawn(e.idOut(oi), op)
 	}
 
-	// Input sharings for every (player, slot).
-	for p := 0; p < n; p++ {
-		for s, id := range e.inIDs[p] {
-			var inst *avss.AVSS
-			cb := e.dealingDone(id, p)
-			if p == e.self {
-				v := e.cfg.DefaultInput
-				if s < len(e.cfg.Inputs) {
-					v = e.cfg.Inputs[s]
-				}
-				inst = avss.NewDealer(async.PID(p), n, e.cfg.Deg, t, v, cb)
-			} else {
-				inst = avss.New(async.PID(p), n, e.cfg.Deg, t, cb)
-			}
-			ctx.Spawn(id, inst)
-		}
-	}
-
-	// Randomness dealings for every random-bit gate: a contribution rho_d
-	// and, in the errorless regime, t zero-mask polynomials per dealer.
-	for g, gate := range c.Gates() {
-		if gate.Op != circuit.OpRandBit {
+	// One dealing per dealer with something to deal.
+	for d, id := range e.dealIDs {
+		if id == "" {
 			continue
 		}
-		e.rbs[g] = &rbState{}
-		for d := 0; d < n; d++ {
-			e.spawnDealing(ctx, e.idRho(g, d), d)
-			if e.Errorless() {
-				for l := 1; l <= e.cfg.Deg; l++ {
-					e.spawnDealing(ctx, e.idMask(g, l, d), d)
-				}
-			}
+		cb := e.dealingDone(d)
+		if d == e.self {
+			ctx.Spawn(id, avss.NewDealer(async.PID(d), n, e.cfg.Deg, t, e.secrets(ctx), cb))
+		} else {
+			ctx.Spawn(id, avss.New(async.PID(d), n, e.dealLen(d), e.cfg.Deg, t, cb))
 		}
 	}
 
@@ -333,26 +311,31 @@ func (e *Engine) Start(ctx *proto.Ctx) {
 	e.step(ctx)
 }
 
-// spawnDealing spawns one randomness AVSS; the local party deals a fresh
-// random value when it is the dealer.
-func (e *Engine) spawnDealing(ctx *proto.Ctx, id string, dealer int) {
-	var inst *avss.AVSS
-	cb := e.dealingDone(id, dealer)
-	if dealer == e.self {
-		inst = avss.NewDealer(async.PID(dealer), e.cfg.N, e.cfg.Deg, e.cfg.T, field.Rand(ctx.Rand()), cb)
-	} else {
-		inst = avss.New(async.PID(dealer), e.cfg.N, e.cfg.Deg, e.cfg.T, cb)
+// secrets is this party's dealt vector: its inputs (the default input
+// for a slot it was not given), then a fresh random rho and masks per
+// random-bit gate.
+func (e *Engine) secrets(ctx *proto.Ctx) []field.Element {
+	slots := e.cfg.Circuit.InputSlots(e.self)
+	v := make([]field.Element, e.dealLen(e.self))
+	for s := range v {
+		switch {
+		case s >= slots:
+			v[s] = field.Rand(ctx.Rand())
+		case s < len(e.cfg.Inputs):
+			v[s] = e.cfg.Inputs[s]
+		default:
+			v[s] = e.cfg.DefaultInput
+		}
 	}
-	ctx.Spawn(id, inst)
+	return v
 }
 
-// dealingDone records a completed dealing and re-evaluates the dealer-
-// readiness predicate plus overall progress.
-func (e *Engine) dealingDone(id string, dealer int) func(*proto.Ctx, field.Element) {
-	return func(ctx *proto.Ctx, share field.Element) {
-		e.inShare[id] = share
-		e.inDone[id] = true
-		e.pendingDeals[dealer]--
+// dealingDone records dealer's completed dealing and re-evaluates the
+// dealer-readiness predicate plus overall progress.
+func (e *Engine) dealingDone(dealer int) func(*proto.Ctx, []field.Element) {
+	return func(ctx *proto.Ctx, shares []field.Element) {
+		e.dealt[dealer] = shares
+		e.pendingDeals[dealer] = 0
 		e.checkDealerReady(ctx)
 		e.step(ctx)
 	}
@@ -460,15 +443,15 @@ func combineLinear(op circuit.Op, a, b wireVal) wireVal {
 }
 
 func (e *Engine) evalInput(ctx *proto.Ctx, g int, gate circuit.Gate) bool {
-	id := e.inIDs[gate.Player][gate.Slot]
 	if !e.coreHas(gate.Player) {
 		// Excluded dealer: public default input.
 		e.wires[g] = wireVal{ready: true, public: true, v: e.cfg.DefaultInput}
 		return true
 	}
-	if !e.inDone[id] {
+	shares := e.dealt[gate.Player]
+	if shares == nil {
 		return false // AVSS will complete eventually (core membership)
 	}
-	e.wires[g] = wireVal{ready: true, v: e.inShare[id]}
+	e.wires[g] = wireVal{ready: true, v: shares[gate.Slot]}
 	return true
 }

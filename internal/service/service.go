@@ -124,7 +124,7 @@ type Config struct {
 	TraceRetentionBytes int64
 	// SLOObjectives arms the burn-rate engine: each entry is
 	// "<kind>:<selector>:p<quantile>:<threshold>", e.g.
-	// "phase:ba:p99:250ms" or "variant:4.1:p95:1s". Empty disables the
+	// "phase:ba:p99:250ms" or "variant:Theorem4.1:p95:1s". Empty disables the
 	// engine (GET /v1/slo answers 404).
 	SLOObjectives []string
 	// SLOInterval is the burn-rate evaluation tick (default 5s); the

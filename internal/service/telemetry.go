@@ -1,11 +1,15 @@
 package service
 
 import (
+	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"asyncmediator/api"
+	"asyncmediator/internal/core"
 	"asyncmediator/internal/telemetry"
 )
 
@@ -48,6 +52,11 @@ func (s *Service) startTelemetry() error {
 	if err != nil {
 		return err
 	}
+	for _, o := range objs {
+		if err := checkSelector(o); err != nil {
+			return err
+		}
+	}
 	s.slo = telemetry.NewSLOEngine(telemetry.SLOConfig{
 		Objectives: objs,
 		OnAlert:    s.publishSLOAlert,
@@ -56,6 +65,24 @@ func (s *Service) startTelemetry() error {
 		s.registerSLOMetrics()
 		s.sloWG.Add(1)
 		go s.sloLoop()
+	}
+	return nil
+}
+
+// checkSelector refuses an objective that no play can feed: plays are
+// sampled under their variant's String() ("Theorem4.1") and their trace
+// spans under phaseNames, so any other selector would never get a
+// sample and never alert.
+func checkSelector(o telemetry.Objective) error {
+	switch o.Kind {
+	case telemetry.KindPhase:
+		if !slices.Contains(phaseNames[:], o.Selector) {
+			return fmt.Errorf("service: SLO objective %q: no phase %q (want one of %s)", o.Spec, o.Selector, strings.Join(phaseNames[:], ", "))
+		}
+	case telemetry.KindVariant:
+		if v, err := core.ParseVariant(strings.TrimPrefix(o.Selector, "Theorem")); err != nil || v.String() != o.Selector {
+			return fmt.Errorf("service: SLO objective %q: no variant %q (want Theorem4.1, Theorem4.2, Theorem4.4 or Theorem4.5)", o.Spec, o.Selector)
+		}
 	}
 	return nil
 }

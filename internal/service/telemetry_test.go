@@ -4,10 +4,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"asyncmediator/api"
+	"asyncmediator/internal/core"
 	"asyncmediator/internal/game"
 )
 
@@ -237,6 +239,48 @@ func TestRetentionBoundEvictsOldest(t *testing.T) {
 	}
 	if _, ok := svc.traces.Trace(ids[len(ids)-1]); !ok {
 		t.Fatalf("newest trace %s missing", ids[len(ids)-1])
+	}
+}
+
+// TestSLOUnknownPhaseRefused: a phase objective whose selector names no
+// trace phase ("rbc" was retired with reliable broadcast) would never get
+// a sample, so New refuses it; every phase a trace records is accepted.
+func TestSLOUnknownPhaseRefused(t *testing.T) {
+	for _, spec := range []string{"phase:rbc:p99:1s", "phase:mpc.mask:p99:1s", "phase:run:p99:1s"} {
+		if svc, err := New(Config{SLOObjectives: []string{spec}}); err == nil {
+			svc.Close()
+			t.Errorf("New accepted %q", spec)
+		} else if !strings.Contains(err.Error(), "no phase") {
+			t.Errorf("%q: error %v, want a no-phase refusal", spec, err)
+		}
+	}
+	for _, phase := range phaseNames {
+		svc, err := New(Config{SLOObjectives: []string{"phase:" + phase + ":p99:1s"}})
+		if err != nil {
+			t.Fatalf("phase %q refused: %v", phase, err)
+		}
+		svc.Close()
+	}
+}
+
+// TestSLOUnknownVariantRefused: plays are sampled under the variant's
+// String(), so "variant:4.1" would never match; New refuses it and every
+// variant name a play carries is accepted.
+func TestSLOUnknownVariantRefused(t *testing.T) {
+	for _, spec := range []string{"variant:4.1:p95:1s", "variant:Theorem4.3:p95:1s", "variant:theorem4.1:p95:1s"} {
+		if svc, err := New(Config{SLOObjectives: []string{spec}}); err == nil {
+			svc.Close()
+			t.Errorf("New accepted %q", spec)
+		} else if !strings.Contains(err.Error(), "no variant") {
+			t.Errorf("%q: error %v, want a no-variant refusal", spec, err)
+		}
+	}
+	for _, v := range []core.Variant{core.Exact41, core.Epsilon42, core.Punish44, core.Punish45} {
+		svc, err := New(Config{SLOObjectives: []string{"variant:" + v.String() + ":p95:1s"}})
+		if err != nil {
+			t.Fatalf("variant %v refused: %v", v, err)
+		}
+		svc.Close()
 	}
 }
 

@@ -20,7 +20,7 @@ const originLocal = "local"
 // The named protocol phases, indexed by the phase* constants below.
 // phaseProto is the catch-all for unclassified instances.
 var phaseNames = [...]string{
-	"ba", "avss.share", "acs.core", "mpc.open", "mpc.mul", "mpc.mask", "proto",
+	"ba", "avss.share", "acs.core", "mpc.open", "mpc.mul", "proto",
 }
 
 const (
@@ -29,13 +29,12 @@ const (
 	phaseCore
 	phaseOpen
 	phaseMul
-	phaseMask
 	phaseProto
 )
 
 // phaseIdx classifies a protocol instance id into its phase index. The
 // cheap-talk tower's instance ids are hierarchical paths under the root
-// "ct" ("ct/in/3/1", "ct/core/ba/2", "ct/mulcs/5"); the innermost
+// "ct" ("ct/in/3", "ct/core/ba/2", "ct/mulcs/5"); the innermost
 // recognised segment names the phase, so children inherit from the
 // sub-protocol that spawned them. It walks segments right to left
 // without allocating — this sits on the per-message hot path.
@@ -53,8 +52,6 @@ func phaseIdx(instance string) int {
 			return phaseOpen
 		case "mul", "mulcs", "rbmul", "rbmulcs":
 			return phaseMul
-		case "rho", "w":
-			return phaseMask
 		}
 		if cut < 0 {
 			break

@@ -22,8 +22,6 @@ func TestPhaseOf(t *testing.T) {
 		"ct/mulcs/5":       "mpc.mul",
 		"ct/rbmul/1":       "mpc.mul",
 		"ct/rbmulcs/1":     "mpc.mul",
-		"ct/rho/2":         "mpc.mask",
-		"ct/w/0":           "mpc.mask",
 		"ct":               "proto",
 		"":                 "proto",
 		"something/else/3": "proto",

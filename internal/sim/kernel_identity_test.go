@@ -11,7 +11,7 @@ import (
 // with 4. These tables matched the scalar reference implementations of
 // poly and rs (the oracles in their test files) byte for byte. Like the
 // core determinism digests, it changes only in a change that says why.
-const sweepGoldenDigest = "77d336bc40b2e4ab2018701e3c907241050634185dee4ba8e6bdafae73fcfe1e"
+const sweepGoldenDigest = "461ef739c2e24df3c5b6bd03f6501fe4cc1b47ffc14ff2db1033a844575f079a"
 
 // TestKernelVsReferenceByteIdentical is the whole-system check for the
 // batched field kernels: the experiment suite must reproduce, byte for

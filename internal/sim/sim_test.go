@@ -120,6 +120,26 @@ func TestE5MonotoneScaling(t *testing.T) {
 	}
 }
 
+// TestE5RandomBitCostsOneOpening: a dealer deals its rho and masks for
+// every random-bit gate inside its one AVSS dealing, so each further bit
+// in E5's c sweep (n=5) adds no dealing, only the public opening of its
+// r² + z: exactly n² = 25 messages.
+func TestE5RandomBitCostsOneOpening(t *testing.T) {
+	tab, err := E5(QuickOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := findRows(tab, 0, "c (randbits, n=5)")
+	if len(rows) != 3 {
+		t.Fatalf("expected 3 c rows:\n%s", tab.Render())
+	}
+	for i := 1; i < len(rows); i++ {
+		if d := cell(t, tab, rows[i], 2) - cell(t, tab, rows[i-1], 2); d != 25 {
+			t.Fatalf("bit %d adds %v messages, want 25:\n%s", i+1, d, tab.Render())
+		}
+	}
+}
+
 func TestE6PaperNumbers(t *testing.T) {
 	o := QuickOptions()
 	o.Trials = 100 // E6 multiplies by 4 internally

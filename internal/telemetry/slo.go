@@ -36,7 +36,7 @@ const (
 type Objective struct {
 	// Kind is KindVariant or KindPhase.
 	Kind string
-	// Selector is the variant name ("4.1") or phase name ("ba").
+	// Selector is the variant name ("Theorem4.1") or phase name ("ba").
 	Selector string
 	// Quantile is the target quantile in (0,1), e.g. 0.99.
 	Quantile float64
@@ -47,7 +47,7 @@ type Objective struct {
 }
 
 // ParseObjective parses "<kind>:<selector>:p<quantile>:<threshold>",
-// e.g. "phase:ba:p99:250ms" or "variant:4.1:p95:1s". Quantiles accept
+// e.g. "phase:ba:p99:250ms" or "variant:Theorem4.1:p95:1s". Quantiles accept
 // decimals ("p99.9").
 func ParseObjective(s string) (Objective, error) {
 	parts := strings.Split(strings.TrimSpace(s), ":")

@@ -8,32 +8,32 @@ import (
 )
 
 func TestParseObjective(t *testing.T) {
-	o, err := ParseObjective("phase:rbc:p99:250ms")
+	o, err := ParseObjective("phase:ba:p99:250ms")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Kind != KindPhase || o.Selector != "rbc" || o.Quantile != 0.99 || o.Threshold != 250*time.Millisecond {
+	if o.Kind != KindPhase || o.Selector != "ba" || o.Quantile != 0.99 || o.Threshold != 250*time.Millisecond {
 		t.Fatalf("parsed %+v", o)
 	}
-	if o.Spec != "phase:rbc:p99:250ms" {
+	if o.Spec != "phase:ba:p99:250ms" {
 		t.Fatalf("canonical spec %q", o.Spec)
 	}
 	if o, err := ParseObjective("variant:4.1:p99.9:1s"); err != nil || math.Abs(o.Quantile-0.999) > 1e-9 {
 		t.Fatalf("fractional quantile: %+v %v", o, err)
 	}
 	for _, bad := range []string{
-		"", "phase:rbc:p99", "play:rbc:p99:1s", "phase::p99:1s",
-		"phase:rbc:99:1s", "phase:rbc:p0:1s", "phase:rbc:p100:1s",
-		"phase:rbc:p99:zap", "phase:rbc:p99:-1s",
+		"", "phase:ba:p99", "play:ba:p99:1s", "phase::p99:1s",
+		"phase:ba:99:1s", "phase:ba:p0:1s", "phase:ba:p100:1s",
+		"phase:ba:p99:zap", "phase:ba:p99:-1s",
 	} {
 		if _, err := ParseObjective(bad); err == nil {
 			t.Fatalf("objective %q accepted", bad)
 		}
 	}
-	if _, err := ParseObjectives([]string{"phase:rbc:p99:250ms", "phase:rbc:p99:250ms"}); err == nil {
+	if _, err := ParseObjectives([]string{"phase:ba:p99:250ms", "phase:ba:p99:250ms"}); err == nil {
 		t.Fatal("duplicate objective accepted")
 	}
-	if objs, err := ParseObjectives([]string{" ", "phase:rbc:p99:250ms"}); err != nil || len(objs) != 1 {
+	if objs, err := ParseObjectives([]string{" ", "phase:ba:p99:250ms"}); err != nil || len(objs) != 1 {
 		t.Fatalf("blank entries should be skipped: %v %v", objs, err)
 	}
 }
@@ -41,7 +41,7 @@ func TestParseObjective(t *testing.T) {
 // TestSLOBurnFiresAndClears drives the engine through a healthy
 // baseline, a breach (fire with exemplar), and recovery (clear).
 func TestSLOBurnFiresAndClears(t *testing.T) {
-	objs, err := ParseObjectives([]string{"phase:rbc:p90:100ms"})
+	objs, err := ParseObjectives([]string{"phase:ba:p90:100ms"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestSLOBurnFiresAndClears(t *testing.T) {
 
 	// Healthy ticks: everything under threshold.
 	for tick := 0; tick < 5; tick++ {
-		e.Observe(KindPhase, "rbc", 10*time.Millisecond, false, "s-ok", "t-ok")
+		e.Observe(KindPhase, "ba", 10*time.Millisecond, false, "s-ok", "t-ok")
 		e.Tick()
 	}
 	if len(alerts) != 0 {
@@ -64,14 +64,14 @@ func TestSLOBurnFiresAndClears(t *testing.T) {
 
 	// Breach: every sample over threshold, burn = 1/0.1 = 10x budget.
 	for tick := 0; tick < 3; tick++ {
-		e.Observe(KindPhase, "rbc", 500*time.Millisecond, false, "s-slow", "t-slow")
+		e.Observe(KindPhase, "ba", 500*time.Millisecond, false, "s-slow", "t-slow")
 		e.Tick()
 	}
 	if len(alerts) != 1 || alerts[0].Cleared {
 		t.Fatalf("breach alerts: %+v", alerts)
 	}
 	fire := alerts[0]
-	if fire.Objective != "phase:rbc:p90:100ms" || fire.ExemplarTrace != "t-slow" || fire.ExemplarSession != "s-slow" {
+	if fire.Objective != "phase:ba:p90:100ms" || fire.ExemplarTrace != "t-slow" || fire.ExemplarSession != "s-slow" {
 		t.Fatalf("fire alert %+v", fire)
 	}
 	if fire.ShortBurn < 1 || fire.LongBurn < 1 {
@@ -85,7 +85,7 @@ func TestSLOBurnFiresAndClears(t *testing.T) {
 	// Recovery: fast samples age the breach out of the short window.
 	for tick := 0; tick < 6 && len(alerts) == 1; tick++ {
 		for i := 0; i < 20; i++ {
-			e.Observe(KindPhase, "rbc", 5*time.Millisecond, false, "s-ok", "t-ok")
+			e.Observe(KindPhase, "ba", 5*time.Millisecond, false, "s-ok", "t-ok")
 		}
 		e.Tick()
 	}
@@ -126,7 +126,7 @@ func TestSLOEngineNilSafety(t *testing.T) {
 	if e != nil {
 		t.Fatal("engine without objectives must be nil")
 	}
-	e.Observe(KindPhase, "rbc", time.Second, false, "", "")
+	e.Observe(KindPhase, "ba", time.Second, false, "", "")
 	e.Tick()
 	if st := e.Status(); st != nil {
 		t.Fatalf("nil status %+v", st)

@@ -123,13 +123,10 @@ func (e *encoder) payload(v any, inEnvelope bool) {
 		e.int(m.V)
 	case avss.MsgRow:
 		e.tag(tagAVSSRow)
-		e.b = binary.AppendUvarint(e.b, uint64(len(m.Coeffs)))
-		for _, c := range m.Coeffs {
-			e.element(c)
-		}
+		e.elements(m.Coeffs)
 	case avss.MsgPoint:
 		e.tag(tagAVSSPoint)
-		e.element(m.V)
+		e.elements(m.V)
 	case avss.MsgReady:
 		e.tag(tagAVSSReady)
 	case avss.MsgShare:
@@ -178,6 +175,14 @@ func (e *encoder) element(x field.Element) {
 	e.b = binary.LittleEndian.AppendUint64(e.b, uint64(x))
 }
 
+// elements writes a length-prefixed element vector.
+func (e *encoder) elements(xs []field.Element) {
+	e.b = binary.AppendUvarint(e.b, uint64(len(xs)))
+	for _, x := range xs {
+		e.element(x)
+	}
+}
+
 // decoder consumes one payload from b. The first failure sticks in err
 // and empties b, so every later read fails without touching the input.
 type decoder struct {
@@ -208,16 +213,9 @@ func (d *decoder) payload(inEnvelope bool) any {
 	case tagBADone:
 		return ba.MsgDone{V: d.int()}
 	case tagAVSSRow:
-		var cs []field.Element
-		if n := d.length(8); n > 0 {
-			cs = make([]field.Element, n)
-			for i := range cs {
-				cs[i] = d.element()
-			}
-		}
-		return avss.MsgRow{Coeffs: cs}
+		return avss.MsgRow{Coeffs: d.elements()}
 	case tagAVSSPoint:
-		return avss.MsgPoint{V: d.element()}
+		return avss.MsgPoint{V: d.elements()}
 	case tagAVSSReady:
 		return avss.MsgReady{}
 	case tagAVSSShare:
@@ -308,4 +306,16 @@ func (d *decoder) element() field.Element {
 	}
 	d.b = d.b[8:]
 	return field.Element(x)
+}
+
+// elements reads a length-prefixed element vector; an empty one is nil.
+func (d *decoder) elements() []field.Element {
+	var xs []field.Element
+	if n := d.length(8); n > 0 {
+		xs = make([]field.Element, n)
+		for i := range xs {
+			xs[i] = d.element()
+		}
+	}
+	return xs
 }

@@ -28,7 +28,7 @@ func samplePayloads() []any {
 		ba.MsgAux{Round: 3, V: 0},
 		ba.MsgDone{V: 1},
 		avss.MsgRow{Coeffs: []field.Element{field.FromInt64(7), field.FromInt64(11)}},
-		avss.MsgPoint{V: field.FromInt64(13)},
+		avss.MsgPoint{V: []field.Element{field.FromInt64(13), field.FromInt64(14)}},
 		avss.MsgReady{},
 		avss.MsgShare{V: field.FromInt64(17)},
 		mediator.MsgInput{Round: 1, X: field.FromInt64(19)},
@@ -51,7 +51,9 @@ func edgePayloads() []any {
 		ba.MsgAux{Round: -1, V: -64},
 		avss.MsgRow{},
 		avss.MsgRow{Coeffs: []field.Element{}},
-		avss.MsgPoint{V: field.Element(field.P - 1)},
+		avss.MsgPoint{},
+		avss.MsgPoint{V: []field.Element{}},
+		avss.MsgPoint{V: []field.Element{field.Element(field.P - 1)}},
 		mediator.MsgInput{Round: -7},
 		game.NoMove,
 		"",
@@ -80,6 +82,11 @@ func emptyToNil(v any) any {
 	case avss.MsgRow:
 		if len(m.Coeffs) == 0 {
 			m.Coeffs = nil
+		}
+		return m
+	case avss.MsgPoint:
+		if len(m.V) == 0 {
+			m.V = nil
 		}
 		return m
 	}
@@ -148,7 +155,7 @@ func TestPayloadGoldenBytes(t *testing.T) {
 		{ba.MsgAux{Round: 3, V: 0}, "060600"},
 		{ba.MsgDone{V: 1}, "0702"},
 		{avss.MsgRow{Coeffs: []field.Element{field.FromInt64(7), field.FromInt64(11)}}, "080207000000000000000b00000000000000"},
-		{avss.MsgPoint{V: field.FromInt64(13)}, "090d00000000000000"},
+		{avss.MsgPoint{V: []field.Element{field.FromInt64(13), field.FromInt64(17)}}, "09020d000000000000001100000000000000"},
 		{avss.MsgReady{}, "0a"},
 		{avss.MsgShare{V: field.Element(field.P - 1)}, "0bfeffff7f00000000"},
 		{mediator.MsgInput{Round: 1, X: field.FromInt64(19)}, "0c021300000000000000"},
@@ -188,6 +195,7 @@ func TestEncodeRejectsUnsupported(t *testing.T) {
 		&proto.Envelope{Instance: "x"},
 		&proto.Envelope{Instance: "x", Body: &proto.Envelope{Body: "y"}},
 		avss.MsgRow{Coeffs: []field.Element{field.Element(field.P)}},
+		avss.MsgPoint{V: []field.Element{1, field.Element(field.P)}},
 	} {
 		if b, err := EncodePayload(v); err == nil {
 			t.Errorf("EncodePayload(%#v) = %x, want an error", v, b)
@@ -210,6 +218,10 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"nested envelope":  append([]byte{tagEnvelope, 1, 'o'}, env...),
 		"unreduced":        {tagElement, 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0},
 		"row over length":  {tagAVSSRow, 2, 1, 0, 0, 0, 0, 0, 0, 0},
+		// A point vector whose length claims more elements than follow,
+		// and the pre-vector layout of a point: one bare element.
+		"point over length":  {tagAVSSPoint, 2, 1, 0, 0, 0, 0, 0, 0, 0},
+		"point bare element": {tagAVSSPoint, 13, 0, 0, 0, 0, 0, 0, 0},
 		// The reserved tags, as a peer that still sent reliable-broadcast
 		// messages would frame them: a tag and a length-prefixed value.
 		"reserved tag 2": {2, 3, 1, 2, 3},
