@@ -17,7 +17,10 @@
 // the ?fleet=1 trace fan-out, the SessionSpec/SessionView "placement"
 // field and two error codes (placement_infeasible, fleet_under_floor)
 // without a version bump: no workload used them, and a spec that still
-// names "placement" fails strict decoding as invalid_argument.
+// names "placement" fails strict decoding as invalid_argument. /v1 lost
+// one endpoint the same way: GET /v1/experiments/{name}, which ran a
+// sweep inside the request; POST /v1/jobs (with ?wait= on its GET) is
+// the one way to run an experiment.
 //
 // Errors. Every non-2xx response carries an ErrorEnvelope with a stable
 // machine-readable Code (see ErrorCode); Message is human-oriented and

@@ -37,8 +37,8 @@ type CellError struct {
 	Err string `json:"error"`
 }
 
-// Table is one rendered experiment result — the body of GET
-// /v1/experiments/{name} and the payload of a done experiment job.
+// Table is one rendered experiment result: the payload of a done
+// experiment job.
 type Table struct {
 	// ID is the experiment id ("e1".."e7").
 	ID     string     `json:"id,omitempty"`

@@ -31,7 +31,6 @@ func Routes() []Route {
 		{Method: "GET", Path: "/sessions/{id}/trace", Summary: "the terminal play's stitched trace: per-phase spans across every co-hosting daemon (TraceView)"},
 		{Method: "GET", Path: "/events", Summary: "server-sent event stream of state transitions", Query: "session, kind"},
 		{Method: "GET", Path: "/experiments", Summary: "catalog of the paper's experiments (e1..e7)"},
-		{Method: "GET", Path: "/experiments/{name}", Summary: "run a catalog experiment synchronously in the request, returning its Table", Query: "trials, seed, maxsteps"},
 		{Method: "POST", Path: "/jobs", Summary: "create a persisted asynchronous experiment job (body: ExperimentRequest)"},
 		{Method: "GET", Path: "/jobs/{id}", Summary: "experiment-job snapshot; ?wait= long-polls until terminal", Query: "wait"},
 		{Method: "POST", Path: "/cluster/join", Summary: "co-host a play: open the named players' transports on the daemon's cluster endpoint (body: ClusterJoinRequest)"},

@@ -76,26 +76,3 @@ type SLOView struct {
 	// Objectives lists every configured objective's rolling state.
 	Objectives []SLOObjectiveView `json:"objectives"`
 }
-
-// ProfileInfo is one captured profile on the daemon's on-disk ring,
-// listed by GET /profiles on the private pprof listener.
-type ProfileInfo struct {
-	// Name is the file name, fetchable via GET /profiles/{name}.
-	Name string `json:"name"`
-	// Kind is the profile type: "cpu" or "heap".
-	Kind string `json:"kind"`
-	// SizeBytes is the encoded profile's size.
-	SizeBytes int64 `json:"size_bytes"`
-	// CreatedUnixMS is the capture time (unix milliseconds).
-	CreatedUnixMS int64 `json:"created_unix_ms"`
-}
-
-// ProfileList is the body of GET /profiles on the pprof listener.
-type ProfileList struct {
-	// Dir is the on-disk ring directory.
-	Dir string `json:"dir"`
-	// IntervalMS is the capture period in milliseconds.
-	IntervalMS int64 `json:"interval_ms"`
-	// Profiles lists captures newest first.
-	Profiles []ProfileInfo `json:"profiles"`
-}

@@ -126,11 +126,18 @@ func BenchmarkE5_MessageComplexity(b *testing.B) {
 	}
 }
 
+// runExperiment runs one catalog experiment on a single-worker engine.
+func runExperiment(id string, o sim.Options) (*sim.Table, error) {
+	e := sim.NewEngine(1)
+	defer e.Close()
+	return e.Run(id, o)
+}
+
 // BenchmarkE6_PunishmentCounterexample regenerates the Section 6.4 table.
 func BenchmarkE6_PunishmentCounterexample(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := sim.Options{Trials: 25, Seed0: int64(i*1000 + 1), MaxSteps: 30_000_000}
-		if _, err := sim.E6(o); err != nil {
+		if _, err := runExperiment("e6", o); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -141,7 +148,7 @@ func BenchmarkE6_PunishmentCounterexample(b *testing.B) {
 func BenchmarkE7_SyncVsAsync(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := sim.Options{Trials: 6, Seed0: int64(i + 1), MaxSteps: 30_000_000}
-		if _, err := sim.E7(o); err != nil {
+		if _, err := runExperiment("e7", o); err != nil {
 			b.Fatal(err)
 		}
 	}

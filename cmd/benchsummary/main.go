@@ -10,8 +10,8 @@
 //	    | benchsummary -kernels BENCH_kernels.json > BENCH_kernels_ci.json
 //
 // The kernels are tight arithmetic loops with stable timings, so a hard
-// gate is reliable: a >20% ns/op jump on MulVec or batch interpolation is
-// a real regression, not noise. End-to-end play cost is measured by
+// gate is reliable: a >20% ns/op jump on ScalarMulAddVec or batch
+// interpolation is a real regression, not noise. End-to-end play cost is measured by
 // bench/ (`bash bench/run.sh`), not here.
 package main
 

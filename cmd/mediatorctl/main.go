@@ -18,8 +18,8 @@
 //	                 per-phase timeline across daemons plus a slowest-phase
 //	                 summary (-json for the raw TraceView)
 //	experiment list  the catalog (e1..e7)
-//	experiment run   run an experiment: async job by default (-no-wait to
-//	                 just print the job handle), -sync for in-request
+//	experiment run   run an experiment as a job and wait for its table
+//	                 (-no-wait to just print the job handle)
 //	experiment get   one job snapshot (-wait long-polls to terminal)
 //	stats            farm-wide aggregate statistics
 //	traces           search the daemon's retained finished-play traces
@@ -29,8 +29,6 @@
 //	                 exemplar traces included (-json for the raw SLOView)
 //	obs              observability summary: cluster link counters,
 //	                 worker-pool load, durable-store health
-//	obs profiles     list the continuous profiler's capture ring on the
-//	                 daemon's private pprof listener (-pprof URL)
 //	events tail      stream state transitions (-session -kind) as JSON lines
 //	cluster drop     sever live cluster transport conns (daemon runs -chaos)
 //	ready            readiness probe (exit 1 when not ready)
@@ -121,7 +119,7 @@ var errUsage = errors.New("usage")
 func usage(w io.Writer, fs *flag.FlagSet) {
 	fmt.Fprintln(w, "usage: mediatorctl [flags] <command> [command flags] [args]")
 	fmt.Fprintln(w, "commands: session create|get|list|types|watch|trace, experiment list|run|get,")
-	fmt.Fprintln(w, "          stats, traces, slo, obs [profiles], events tail,")
+	fmt.Fprintln(w, "          stats, traces, slo, obs, events tail,")
 	fmt.Fprintln(w, "          cluster drop, ready, apidoc")
 	fmt.Fprintln(w, "flags:")
 	fs.PrintDefaults()
@@ -183,8 +181,8 @@ func dispatch(ctx context.Context, c *client.Client, args []string, stdout, stde
 	case "slo":
 		return sloStatus(ctx, c, args[1:], stdout, stderr)
 	case "obs":
-		if len(args) >= 2 && args[1] == "profiles" {
-			return obsProfiles(ctx, args[2:], stdout, stderr)
+		if len(args) > 1 {
+			return bad("obs takes no verb, got %q", args[1])
 		}
 		return obsSummary(ctx, c, stdout)
 	case "events":
@@ -665,48 +663,13 @@ func sloStatus(ctx context.Context, c *client.Client, args []string, stdout, std
 	return tw.Flush()
 }
 
-// obsProfiles implements `mediatorctl obs profiles`: list the continuous
-// profiler's on-disk capture ring. The profiler serves on the daemon's
-// private pprof listener, so this builds its own client against the
-// -pprof base URL rather than reusing the API-address client.
-func obsProfiles(ctx context.Context, args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("obs profiles", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	pprofAddr := fs.String("pprof", "http://127.0.0.1:6060", "the daemon's private -pprof-listen base URL")
-	raw := fs.Bool("json", false, "print the raw ProfileList instead of the rendered table")
-	if _, err := parseMixed(fs, args); err != nil {
-		return err
-	}
-	pc, err := client.New(*pprofAddr)
-	if err != nil {
-		return err
-	}
-	list, err := pc.Profiles(ctx)
-	if err != nil {
-		return err
-	}
-	if *raw {
-		return printJSON(stdout, list)
-	}
-	fmt.Fprintf(stdout, "profiles: %d capture(s) in %s, every %s; fetch via GET %s/profiles/{name}\n",
-		len(list.Profiles), list.Dir, time.Duration(list.IntervalMS)*time.Millisecond, *pprofAddr)
-	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "NAME\tKIND\tSIZE\tAGE")
-	for _, p := range list.Profiles {
-		age := time.Since(time.UnixMilli(p.CreatedUnixMS)).Round(time.Second)
-		fmt.Fprintf(tw, "%s\t%s\t%dB\t%s\n", p.Name, p.Kind, p.SizeBytes, age)
-	}
-	return tw.Flush()
-}
-
 func experimentRun(ctx context.Context, c *client.Client, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("experiment run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	trials := fs.Int("trials", 0, "trials per estimate (0: server quick default)")
 	seed := fs.String("seed", "", "base seed (empty: server default)")
 	maxSteps := fs.Int("max-steps", 0, "per-run step bound (0: server default)")
-	sync := fs.Bool("sync", false, "run synchronously in the request instead of as a job")
-	noWait := fs.Bool("no-wait", false, "async only: print the job handle instead of waiting")
+	noWait := fs.Bool("no-wait", false, "print the job handle instead of waiting")
 	pos, err := parseMixed(fs, args)
 	if err != nil {
 		return err
@@ -719,13 +682,6 @@ func experimentRun(ctx context.Context, c *client.Client, args []string, stdout,
 	seedp, err := parseSeed(*seed, stderr)
 	if err != nil {
 		return err
-	}
-	if *sync {
-		tab, err := c.RunExperiment(ctx, name, client.RunOptions{Trials: *trials, Seed: seedp, MaxSteps: *maxSteps})
-		if err != nil {
-			return err
-		}
-		return printJSON(stdout, tab)
 	}
 	req := api.ExperimentRequest{Experiment: name, Trials: *trials, Seed: seedp, MaxSteps: *maxSteps}
 	if *noWait {

@@ -194,7 +194,8 @@ func TestCtlCreateTypesWatchOneShot(t *testing.T) {
 	}
 }
 
-// TestCtlExperiments covers catalog, sync run, async run, and job get.
+// TestCtlExperiments covers catalog, a waited run, a -no-wait run, and
+// job get; the retired -sync flag is a usage error.
 func TestCtlExperiments(t *testing.T) {
 	_, ctl := ctlFarm(t)
 
@@ -207,13 +208,16 @@ func TestCtlExperiments(t *testing.T) {
 		t.Fatalf("catalog %q: %v", out, err)
 	}
 
-	out, code = ctl("experiment", "run", "e7", "-sync", "-trials", "2", "-seed", "5")
+	out, code = ctl("experiment", "run", "e7", "-trials", "2", "-seed", "5")
 	if code != 0 {
-		t.Fatalf("sync run exit %d: %s", code, out)
+		t.Fatalf("run exit %d: %s", code, out)
 	}
-	var tab api.Table
-	if err := json.Unmarshal([]byte(out), &tab); err != nil || tab.ID != "e7" || len(tab.Rows) == 0 {
-		t.Fatalf("sync table %q: %v", out, err)
+	var done api.ExperimentJobView
+	if err := json.Unmarshal([]byte(out), &done); err != nil || done.State != api.StateDone || done.Table == nil || done.Table.ID != "e7" || len(done.Table.Rows) == 0 {
+		t.Fatalf("waited run %q: %v", out, err)
+	}
+	if out, code := ctl("experiment", "run", "e7", "-sync"); code != 2 {
+		t.Fatalf("-sync exit %d: %s", code, out)
 	}
 
 	out, code = ctl("experiment", "run", "e7", "-trials", "2", "-no-wait")
@@ -250,6 +254,9 @@ func TestCtlErrorsAndUsage(t *testing.T) {
 	}
 	if out, code := ctl(); code != 2 {
 		t.Fatalf("no command exit %d: %s", code, out)
+	}
+	if out, code := ctl("obs", "profiles"); code != 2 {
+		t.Fatalf("retired obs profiles exit %d: %s", code, out)
 	}
 	if out, code := ctl("ready"); code != 0 || !strings.Contains(out, `"ready": true`) {
 		t.Fatalf("ready exit %d: %s", code, out)

@@ -24,7 +24,6 @@
 //	curl -s 'localhost:8080/v1/sessions/s-000001?wait=30s' # long-poll to terminal
 //	curl -s 'localhost:8080/v1/sessions?state=done&limit=20'
 //	curl -sN localhost:8080/v1/events                      # SSE state transitions
-//	curl -s 'localhost:8080/v1/experiments/e1?trials=12'   # sync sweep
 //	curl -s -X POST localhost:8080/v1/jobs -d '{"experiment":"e1","trials":50}'
 //	curl -s 'localhost:8080/v1/jobs/x-000001?wait=30s'     # poll the async job
 //	curl -s localhost:8080/v1/stats
@@ -55,17 +54,13 @@
 //
 // Telemetry retention and SLOs: finished plays' traces are retained on
 // a bounded ring (searchable at GET /v1/traces, surviving restarts with
-// -data-dir), burn-rate objectives alert on the event bus (kind "fleet":
-// `mediatorctl events tail -kind fleet`), and
-// -profile-interval arms continuous pprof capture on the private
-// listener:
+// -data-dir), and burn-rate objectives alert on the event bus (kind
+// "fleet": `mediatorctl events tail -kind fleet`):
 //
 //	mediatord -addr :8080 -data-dir /var/lib/mediatord \
-//	    -trace-retention 8192 -slo phase:ba:p99:250ms,variant:Theorem4.1:p95:1s \
-//	    -pprof-listen 127.0.0.1:6060 -profile-interval 5m &
+//	    -trace-retention 8192 -slo phase:ba:p99:250ms,variant:Theorem4.1:p95:1s &
 //	mediatorctl traces -phase ba -min-ms 5     # search retained traces
 //	mediatorctl slo                             # objective burn rates
-//	mediatorctl obs profiles -pprof http://127.0.0.1:6060
 //	curl -s 'localhost:8080/v1/traces?variant=4.1&limit=10'
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: /readyz flips to 503 so
@@ -83,12 +78,10 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 
 	"asyncmediator/internal/service"
-	"asyncmediator/internal/telemetry"
 )
 
 func main() {
@@ -122,36 +115,8 @@ func run(args []string) error {
 	traceRetentionBytes := fs.Int64("trace-retention-bytes", 0, "byte bound of the retained-trace ring (0: default 64 MiB; -1: unbounded)")
 	sloSpecs := fs.String("slo", "", "comma-separated SLO objectives, each <kind>:<selector>:p<quantile>:<threshold> (e.g. phase:ba:p99:250ms,variant:Theorem4.1:p95:1s)")
 	sloInterval := fs.Duration("slo-interval", 0, "SLO burn-rate evaluation tick (0: 5s); windows are 2 and 12 ticks")
-	profileInterval := fs.Duration("profile-interval", 0, "continuous-profiling capture period; writes cpu+heap pprof files to a bounded on-disk ring (0: disabled)")
-	profileDir := fs.String("profile-dir", "", "continuous-profiling ring directory (default <data-dir>/profiles)")
-	profileKeep := fs.Int("profile-keep", 0, "profile files kept on the ring, oldest deleted first (0: default 32)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	// The continuous profiler writes periodic cpu+heap captures to a
-	// bounded on-disk ring; the private pprof mux lists and serves them.
-	var prof *telemetry.Profiler
-	if *profileInterval > 0 {
-		dir := *profileDir
-		if dir == "" {
-			if *dataDir == "" {
-				return fmt.Errorf("-profile-interval needs -profile-dir (or -data-dir to derive it from)")
-			}
-			dir = filepath.Join(*dataDir, "profiles")
-		}
-		var err error
-		prof, err = telemetry.StartProfiler(telemetry.ProfilerConfig{
-			Dir:      dir,
-			Interval: *profileInterval,
-			MaxFiles: *profileKeep,
-			Logf:     log.Printf,
-		})
-		if err != nil {
-			return err
-		}
-		defer prof.Stop()
-		log.Printf("mediatord: continuous profiling every %s to %s", *profileInterval, dir)
 	}
 
 	if *pprofListen != "" {
@@ -163,12 +128,6 @@ func run(args []string) error {
 		pm.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		pm.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		pm.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		if prof != nil {
-			// GET /profiles (JSON list) and GET /profiles/{name} (download)
-			// ride the same private listener as the interactive handlers.
-			pm.Handle("/profiles", prof.Handler())
-			pm.Handle("/profiles/", prof.Handler())
-		}
 		go func() {
 			log.Printf("mediatord: pprof listening on %s", *pprofListen)
 			if err := http.ListenAndServe(*pprofListen, pm); err != nil {

@@ -53,9 +53,6 @@ func NewCoreSet(n, t int, coin ba.Coin, onComplete func(ctx *proto.Ctx, members 
 	}
 }
 
-// Completed reports completion and the members.
-func (c *CoreSet) Completed() ([]int, bool) { return c.members, c.completed }
-
 // Start implements proto.Module.
 func (c *CoreSet) Start(ctx *proto.Ctx) {
 	inst := ctx.Instance()

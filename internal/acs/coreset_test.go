@@ -161,7 +161,7 @@ func TestCoreSetMarkReadyOutOfRange(t *testing.T) {
 	// Must not panic before Start or on bad indices.
 	cs.MarkReady(nil, -1)
 	cs.MarkReady(nil, 99)
-	if _, done := cs.Completed(); done {
+	if cs.completed {
 		t.Fatal("should not be complete")
 	}
 }

@@ -99,31 +99,6 @@ func CorruptOpens(inner async.Process, offset field.Element) *Rewrite {
 	}
 }
 
-// CorruptAVSSPoints wraps an honest process and corrupts the pairwise
-// check points it sends during verifiable secret sharing, attacking other
-// parties' row verification: every component of a point vector gets the
-// offset, in a copy, since the sent vector is shared like its envelope.
-func CorruptAVSSPoints(inner async.Process, offset field.Element) *Rewrite {
-	return &Rewrite{
-		Inner: inner,
-		Hook: func(to async.PID, payload any) (any, bool) {
-			env, ok := payload.(*proto.Envelope)
-			if !ok || env == nil {
-				return payload, true
-			}
-			pt, ok := env.Body.(avss.MsgPoint)
-			if !ok {
-				return payload, true
-			}
-			v := make([]field.Element, len(pt.V))
-			for k, x := range pt.V {
-				v[k] = x.Add(offset)
-			}
-			return rewritten(env, avss.MsgPoint{V: v}), true
-		},
-	}
-}
-
 // rewritten returns a copy of env carrying body. A sent envelope is
 // immutable (a broadcast shares one across all recipients), so a hook
 // never writes through env.

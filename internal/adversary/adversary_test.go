@@ -117,6 +117,31 @@ func TestCorruptOpensToleratedAtTheorem41(t *testing.T) {
 	}
 }
 
+// corruptAVSSPoints wraps an honest process and corrupts the pairwise
+// check points it sends during verifiable secret sharing, attacking other
+// parties' row verification: every component of a point vector gets the
+// offset, in a copy, since the sent vector is shared like its envelope.
+func corruptAVSSPoints(inner async.Process, offset field.Element) *Rewrite {
+	return &Rewrite{
+		Inner: inner,
+		Hook: func(to async.PID, payload any) (any, bool) {
+			env, ok := payload.(*proto.Envelope)
+			if !ok || env == nil {
+				return payload, true
+			}
+			pt, ok := env.Body.(avss.MsgPoint)
+			if !ok {
+				return payload, true
+			}
+			v := make([]field.Element, len(pt.V))
+			for k, x := range pt.V {
+				v[k] = x.Add(offset)
+			}
+			return rewritten(env, avss.MsgPoint{V: v}), true
+		},
+	}
+}
+
 func TestCorruptAVSSPointsTolerated(t *testing.T) {
 	p := sec64Params(t, 5, 0, 1, core.Exact41)
 	types := make([]game.Type, 5)
@@ -127,7 +152,7 @@ func TestCorruptAVSSPointsTolerated(t *testing.T) {
 	rewrites := 0
 	prof, res, err := core.Run(core.RunConfig{
 		Params: p, Types: types, Seed: 9,
-		Override: map[int]async.Process{4: countRewrites(CorruptAVSSPoints(honest, 3), &rewrites)},
+		Override: map[int]async.Process{4: countRewrites(corruptAVSSPoints(honest, 3), &rewrites)},
 		MaxSteps: 20_000_000,
 	})
 	if err != nil {
@@ -137,7 +162,7 @@ func TestCorruptAVSSPointsTolerated(t *testing.T) {
 		t.Fatal("deadlock under AVSS point corruption")
 	}
 	if rewrites == 0 {
-		t.Fatal("CorruptAVSSPoints rewrote no point")
+		t.Fatal("corruptAVSSPoints rewrote no point")
 	}
 	for i := 0; i < 4; i++ {
 		if prof[i] != prof[0] {
@@ -158,7 +183,7 @@ func TestCorruptHooksCopyBeforeRewrite(t *testing.T) {
 		body, want any
 	}{
 		{CorruptOpens(Crash{}, 7), avss.MsgShare{V: 5}, avss.MsgShare{V: 12}},
-		{CorruptAVSSPoints(Crash{}, 3), avss.MsgPoint{V: sentVec}, avss.MsgPoint{V: []field.Element{8, 9}}},
+		{corruptAVSSPoints(Crash{}, 3), avss.MsgPoint{V: sentVec}, avss.MsgPoint{V: []field.Element{8, 9}}},
 	}
 	for _, c := range cases {
 		sent := &proto.Envelope{Instance: "i", Body: c.body}

@@ -90,11 +90,9 @@ type Process interface {
 type envBackend interface {
 	send(from, to PID, payload any)
 	decide(p PID, move any)
-	hasDecided(p PID) bool
 	setWill(p PID, move any)
 	halt(p PID)
 	procRand(p PID) *rand.Rand
-	numProcs() int
 	numPlayers() int
 }
 
@@ -109,9 +107,6 @@ type Env struct {
 // Self returns the process's own id.
 func (e *Env) Self() PID { return e.self }
 
-// N returns the number of processes in the run.
-func (e *Env) N() int { return e.b.numProcs() }
-
 // Players returns the number of game players (processes minus auxiliaries).
 func (e *Env) Players() int { return e.b.numPlayers() }
 
@@ -124,25 +119,11 @@ func (e *Env) Send(to PID, payload any) {
 	e.b.send(e.self, to, payload)
 }
 
-// Broadcast sends payload to every player process (0..Players-1),
-// including self. This is a convenience for protocols that "send to all";
-// it is n point-to-point sends, not an atomic primitive.
-func (e *Env) Broadcast(payload any) {
-	for p := 0; p < e.b.numPlayers(); p++ {
-		e.b.send(e.self, PID(p), payload)
-	}
-}
-
 // Decide records the process's move in the underlying game. Only the first
 // call takes effect; later calls are ignored (a player moves at most once,
 // as in the paper's definition of a game extension).
 func (e *Env) Decide(move any) {
 	e.b.decide(e.self, move)
-}
-
-// HasDecided reports whether this process has already moved.
-func (e *Env) HasDecided() bool {
-	return e.b.hasDecided(e.self)
 }
 
 // SetWill records the move this process wants made on its behalf if the
@@ -354,18 +335,6 @@ type Result struct {
 	Stats      Stats
 }
 
-// MoveOrWill returns the effective move of player p under the AH approach:
-// the decided move if any, else the will if any, else missing=false.
-func (r *Result) MoveOrWill(p PID) (any, bool) {
-	if m, ok := r.Moves[p]; ok {
-		return m, true
-	}
-	if w, ok := r.Wills[p]; ok {
-		return w, true
-	}
-	return nil, false
-}
-
 // Errors returned by Run.
 var (
 	ErrMaxSteps       = errors.New("async: step limit exceeded (livelock?)")
@@ -457,10 +426,8 @@ func (rt *Runtime) decide(p PID, move any) {
 	}
 }
 
-func (rt *Runtime) hasDecided(p PID) bool     { return rt.decided[p] }
 func (rt *Runtime) setWill(p PID, move any)   { rt.wills[p] = move }
 func (rt *Runtime) procRand(p PID) *rand.Rand { return rt.rngs[p] }
-func (rt *Runtime) numProcs() int             { return len(rt.procs) }
 func (rt *Runtime) numPlayers() int           { return rt.cfg.Players }
 
 // halt marks p halted, taking its pending messages out of the

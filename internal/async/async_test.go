@@ -16,12 +16,19 @@ func (echoProc) Deliver(env *Env, m Message) {
 	env.Halt()
 }
 
-// initiatorProc sends "ping" to everyone on start, decides when it hears
-// any reply.
-type initiatorProc struct{ decidedOn any }
+// initiatorProc sends "ping" to the first n processes (every player when
+// n is 0) on start, decides when it hears any reply.
+type initiatorProc struct {
+	decidedOn any
+	n         int
+}
 
 func (p *initiatorProc) Start(env *Env) {
-	for i := 0; i < env.N(); i++ {
+	n := p.n
+	if n == 0 {
+		n = env.Players()
+	}
+	for i := 0; i < n; i++ {
 		if PID(i) != env.Self() {
 			env.Send(PID(i), "ping")
 		}
@@ -104,26 +111,9 @@ func TestDeadlockAndWills(t *testing.T) {
 		t.Fatal("expected deadlock")
 	}
 	for p := PID(0); p < 2; p++ {
-		mv, ok := res.MoveOrWill(p)
-		if !ok || mv != "punish" {
-			t.Fatalf("player %d: MoveOrWill = %v, %v; want punish", p, mv, ok)
+		if _, moved := res.Moves[p]; moved || res.Wills[p] != "punish" {
+			t.Fatalf("player %d: move %v, will %v; want only the will punish", p, res.Moves[p], res.Wills[p])
 		}
-	}
-}
-
-func TestMoveBeatsWill(t *testing.T) {
-	// A decided move takes precedence over a will.
-	procs := []Process{&initiatorProc{}, echoProc{}}
-	rt, _ := New(Config{Procs: procs, Scheduler: &FIFOScheduler{}, Seed: 4})
-	res, err := rt.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mv, ok := res.MoveOrWill(0); !ok || mv != "ping" {
-		t.Fatalf("MoveOrWill = %v, %v", mv, ok)
-	}
-	if _, ok := res.MoveOrWill(5); ok {
-		t.Fatal("MoveOrWill for unknown player should be missing")
 	}
 }
 
@@ -358,7 +348,7 @@ func TestDeterminism(t *testing.T) {
 func TestAuxiliaryPlayersExcludedFromDeadlock(t *testing.T) {
 	// Process 1 is an auxiliary (mediator-like): it never decides, but the
 	// run is not deadlocked because all real players decided.
-	procs := []Process{&initiatorProc{}, echoProc{}}
+	procs := []Process{&initiatorProc{n: 2}, echoProc{}}
 	rt, _ := New(Config{Procs: procs, Players: 1, Scheduler: &FIFOScheduler{}, Seed: 15})
 	res, err := rt.Run()
 	if err != nil {
@@ -369,24 +359,4 @@ func TestAuxiliaryPlayersExcludedFromDeadlock(t *testing.T) {
 	}
 }
 
-func TestBroadcast(t *testing.T) {
-	procs := []Process{&broadcaster{}, &doubleDecider{}, &doubleDecider{}, &doubleDecider{}}
-	rt, _ := New(Config{Procs: procs, Scheduler: &FIFOScheduler{}, Seed: 16})
-	res, err := rt.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := PID(1); p <= 3; p++ {
-		if res.Moves[p] != "hello" {
-			t.Fatalf("player %d decided %v", p, res.Moves[p])
-		}
-	}
-}
-
 type broadcaster struct{}
-
-func (*broadcaster) Start(env *Env) {
-	env.Broadcast("hello")
-	env.Halt()
-}
-func (*broadcaster) Deliver(env *Env, m Message) {}

@@ -33,9 +33,7 @@ func (h *hookedBackend) send(from, to PID, payload any) {
 }
 
 func (h *hookedBackend) decide(p PID, move any)    { h.inner.decide(p, move) }
-func (h *hookedBackend) hasDecided(p PID) bool     { return h.inner.hasDecided(p) }
 func (h *hookedBackend) setWill(p PID, move any)   { h.inner.setWill(p, move) }
 func (h *hookedBackend) halt(p PID)                { h.inner.halt(p) }
 func (h *hookedBackend) procRand(p PID) *rand.Rand { return h.inner.procRand(p) }
-func (h *hookedBackend) numProcs() int             { return h.inner.numProcs() }
 func (h *hookedBackend) numPlayers() int           { return h.inner.numPlayers() }

@@ -17,14 +17,14 @@ type chatterProc struct {
 
 func (c *chatterProc) Start(env *Env) {
 	for i := 0; i < c.fanout; i++ {
-		env.Send(PID(env.Rand().Intn(env.N())), "m")
+		env.Send(PID(env.Rand().Intn(env.Players())), "m")
 	}
 }
 
 func (c *chatterProc) Deliver(env *Env, m Message) {
 	if c.sent < c.relays {
 		c.sent++
-		env.Send(PID(env.Rand().Intn(env.N())), "r")
+		env.Send(PID(env.Rand().Intn(env.Players())), "r")
 		return
 	}
 	env.Decide("done")
@@ -116,9 +116,11 @@ func TestDeliveredSubsetOfSent(t *testing.T) {
 		for _, m := range rec.Sent() {
 			sent[m.ID] = true
 		}
-		for _, m := range rec.Delivered() {
-			if !sent[m.ID] {
-				return false
+		for _, e := range rec.Entries {
+			for _, m := range e.Delivered {
+				if !sent[m.ID] {
+					return false
+				}
 			}
 		}
 		return true

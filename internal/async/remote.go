@@ -12,7 +12,6 @@ import (
 // transports deliver from their own goroutines.
 type Remote struct {
 	self    PID
-	n       int
 	players int
 	rng     *rand.Rand
 	sendFn  func(to PID, payload any)
@@ -32,7 +31,6 @@ func NewRemote(self PID, n, players int, seed int64, send func(to PID, payload a
 	}
 	return &Remote{
 		self:    self,
-		n:       n,
 		players: players,
 		rng:     rand.New(rand.NewSource(seed*1_000_003 + int64(self))),
 		sendFn:  send,
@@ -80,12 +78,6 @@ func (r *Remote) decide(p PID, move any) {
 	}
 }
 
-func (r *Remote) hasDecided(p PID) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.decided
-}
-
 func (r *Remote) setWill(p PID, move any) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -100,5 +92,4 @@ func (r *Remote) halt(p PID) {
 }
 
 func (r *Remote) procRand(p PID) *rand.Rand { return r.rng }
-func (r *Remote) numProcs() int             { return r.n }
 func (r *Remote) numPlayers() int           { return r.players }

@@ -6,11 +6,10 @@ import (
 )
 
 // TraceRecorder collects TraceEntries from a run for postmortem analysis:
-// wire Record into Config.Trace. It can reconstruct per-pair message
-// counts, detect which batch a message belonged to, and render a compact
-// textual timeline — the "message pattern" a scheduler saw, which is also
-// exactly what the paper's Section 6.4 equivalence-class counting is
-// about.
+// wire Record into Config.Trace. It can list the sent messages, measure
+// the peak number in flight, and render a compact textual timeline —
+// the "message pattern" a scheduler saw, which is also exactly what the
+// paper's Section 6.4 equivalence-class counting is about.
 type TraceRecorder struct {
 	Entries []TraceEntry
 }
@@ -23,24 +22,6 @@ func (t *TraceRecorder) Sent() []MsgMeta {
 	var out []MsgMeta
 	for _, e := range t.Entries {
 		out = append(out, e.Sent...)
-	}
-	return out
-}
-
-// Delivered returns every delivered-message metadata in order.
-func (t *TraceRecorder) Delivered() []MsgMeta {
-	var out []MsgMeta
-	for _, e := range t.Entries {
-		out = append(out, e.Delivered...)
-	}
-	return out
-}
-
-// PairCounts returns messages sent per (from, to) pair.
-func (t *TraceRecorder) PairCounts() map[[2]PID]int {
-	out := make(map[[2]PID]int)
-	for _, m := range t.Sent() {
-		out[[2]PID{m.From, m.To}]++
 	}
 	return out
 }

@@ -19,12 +19,12 @@ func TestTraceRecorder(t *testing.T) {
 	if len(rec.Sent()) != res.Stats.MessagesSent {
 		t.Fatalf("trace sent %d, stats %d", len(rec.Sent()), res.Stats.MessagesSent)
 	}
-	if len(rec.Delivered()) != res.Stats.MessagesDelivered {
-		t.Fatalf("trace delivered %d, stats %d", len(rec.Delivered()), res.Stats.MessagesDelivered)
+	delivered := 0
+	for _, e := range rec.Entries {
+		delivered += len(e.Delivered)
 	}
-	pc := rec.PairCounts()
-	if pc[[2]PID{0, 1}] != 1 || pc[[2]PID{0, 2}] != 1 {
-		t.Fatalf("pair counts %v", pc)
+	if delivered != res.Stats.MessagesDelivered {
+		t.Fatalf("trace delivered %d, stats %d", delivered, res.Stats.MessagesDelivered)
 	}
 	if rec.MaxInFlight() < 1 {
 		t.Fatal("max in flight should be at least 1")

@@ -85,9 +85,6 @@ type Circuit struct {
 // N returns the number of players the circuit was built for.
 func (c *Circuit) N() int { return c.n }
 
-// Size returns the number of gates ("c" in the paper's O(nNc) bounds).
-func (c *Circuit) Size() int { return len(c.gates) }
-
 // Gates returns the gate list (callers must not modify it).
 func (c *Circuit) Gates() []Gate { return c.gates }
 
@@ -96,18 +93,6 @@ func (c *Circuit) Outputs() []Output { return c.outputs }
 
 // InputSlots returns how many input values the given player provides.
 func (c *Circuit) InputSlots(player int) int { return c.inputs[player] }
-
-// MulCount returns the number of multiplication gates (each costs a degree
-// reduction round in MPC).
-func (c *Circuit) MulCount() int {
-	k := 0
-	for _, g := range c.gates {
-		if g.Op == OpMul {
-			k++
-		}
-	}
-	return k
-}
 
 // RandBitCount returns the number of random-bit gates.
 func (c *Circuit) RandBitCount() int {
@@ -120,95 +105,17 @@ func (c *Circuit) RandBitCount() int {
 	return k
 }
 
-// Depth returns the longest path (in gates) from any input/const/randbit to
-// any output wire.
-func (c *Circuit) Depth() int {
-	depth := make([]int, len(c.gates))
-	maxd := 0
-	for i, g := range c.gates {
-		d := 0
-		switch g.Op {
-		case OpAdd, OpSub, OpMul:
-			d = 1 + max(depth[g.A], depth[g.B])
-		case OpMulConst, OpAddConst:
-			d = 1 + depth[g.A]
-		}
-		depth[i] = d
-		if d > maxd {
-			maxd = d
-		}
-	}
-	return maxd
-}
-
-// MulDepth returns the multiplicative depth: the maximum number of OpMul
-// gates on any input-to-output path. This bounds the number of sequential
-// degree-reduction phases in MPC.
-func (c *Circuit) MulDepth() int {
-	depth := make([]int, len(c.gates))
-	maxd := 0
-	for i, g := range c.gates {
-		d := 0
-		switch g.Op {
-		case OpMul:
-			d = 1 + max(depth[g.A], depth[g.B])
-		case OpAdd, OpSub:
-			d = max(depth[g.A], depth[g.B])
-		case OpMulConst, OpAddConst:
-			d = depth[g.A]
-		}
-		depth[i] = d
-		if d > maxd {
-			maxd = d
-		}
-	}
-	return maxd
-}
-
 // Eval evaluates the circuit in the clear. inputs[p] is player p's input
 // vector; rng supplies random bits. It returns one value per Output, in
 // Outputs() order.
 func (c *Circuit) Eval(inputs [][]field.Element, rng *rand.Rand) ([]field.Element, error) {
-	vals := make([]field.Element, len(c.gates))
-	for i, g := range c.gates {
-		switch g.Op {
-		case OpInput:
-			if g.Player >= len(inputs) || g.Slot >= len(inputs[g.Player]) {
-				return nil, fmt.Errorf("circuit: missing input player=%d slot=%d", g.Player, g.Slot)
-			}
-			vals[i] = inputs[g.Player][g.Slot]
-		case OpConst:
-			vals[i] = g.K
-		case OpAdd:
-			vals[i] = vals[g.A].Add(vals[g.B])
-		case OpSub:
-			vals[i] = vals[g.A].Sub(vals[g.B])
-		case OpMul:
-			vals[i] = vals[g.A].Mul(vals[g.B])
-		case OpMulConst:
-			vals[i] = vals[g.A].Mul(g.K)
-		case OpAddConst:
-			vals[i] = vals[g.A].Add(g.K)
-		case OpRandBit:
-			vals[i] = field.RandBit(rng)
-		default:
-			return nil, fmt.Errorf("circuit: unknown op %v", g.Op)
-		}
-	}
-	out := make([]field.Element, len(c.outputs))
-	for i, o := range c.outputs {
-		out[i] = vals[o.W]
-	}
-	return out, nil
+	return c.eval(inputs, func(int) (field.Element, error) { return field.RandBit(rng), nil })
 }
 
-// EvalWithBits evaluates the circuit with a fixed random-bit tape (bits are
-// consumed by RandBit gates in gate order). Used by tests and by the
-// exhaustive outcome-distribution computation in package game: enumerating
-// all 2^RandBitCount tapes gives the exact output distribution.
-func (c *Circuit) EvalWithBits(inputs [][]field.Element, bits []field.Element) ([]field.Element, error) {
+// eval evaluates the circuit, drawing each random-bit gate's value from
+// bit (called with the gate's index, in gate order).
+func (c *Circuit) eval(inputs [][]field.Element, bit func(gate int) (field.Element, error)) ([]field.Element, error) {
 	vals := make([]field.Element, len(c.gates))
-	bi := 0
 	for i, g := range c.gates {
 		switch g.Op {
 		case OpInput:
@@ -229,11 +136,11 @@ func (c *Circuit) EvalWithBits(inputs [][]field.Element, bits []field.Element) (
 		case OpAddConst:
 			vals[i] = vals[g.A].Add(g.K)
 		case OpRandBit:
-			if bi >= len(bits) {
-				return nil, fmt.Errorf("circuit: random tape exhausted at gate %d", i)
+			v, err := bit(i)
+			if err != nil {
+				return nil, err
 			}
-			vals[i] = bits[bi]
-			bi++
+			vals[i] = v
 		default:
 			return nil, fmt.Errorf("circuit: unknown op %v", g.Op)
 		}
@@ -354,12 +261,6 @@ func (b *Builder) Mux(bit, hi, lo Wire) Wire {
 	diff := b.Sub(hi, lo)
 	sel := b.Mul(bit, diff)
 	return b.Add(lo, sel)
-}
-
-// Not adds gates computing 1 - bit.
-func (b *Builder) Not(bit Wire) Wire {
-	one := b.Const(1)
-	return b.Sub(one, bit)
 }
 
 // SelectUniform adds gates that select uniformly at random among

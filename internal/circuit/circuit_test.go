@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -97,6 +98,19 @@ func TestRandBitIsBit(t *testing.T) {
 	}
 }
 
+// evalWithBits evaluates c with a fixed random-bit tape, consumed by the
+// random-bit gates in gate order; an exhausted tape is an error.
+func evalWithBits(c *Circuit, inputs [][]field.Element, bits []field.Element) ([]field.Element, error) {
+	next := 0
+	return c.eval(inputs, func(gate int) (field.Element, error) {
+		if next >= len(bits) {
+			return 0, fmt.Errorf("circuit: random tape exhausted at gate %d", gate)
+		}
+		next++
+		return bits[next-1], nil
+	})
+}
+
 func TestEvalWithBits(t *testing.T) {
 	b := NewBuilder(1)
 	r1 := b.RandBit()
@@ -112,7 +126,7 @@ func TestEvalWithBits(t *testing.T) {
 		{[]field.Element{1, 0}, 2},
 		{[]field.Element{1, 1}, 3},
 	} {
-		got, err := c.EvalWithBits([][]field.Element{{}}, tt.bits)
+		got, err := evalWithBits(c, [][]field.Element{{}}, tt.bits)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +135,7 @@ func TestEvalWithBits(t *testing.T) {
 		}
 	}
 	// Exhausted tape is an error.
-	if _, err := c.EvalWithBits([][]field.Element{{}}, []field.Element{1}); err == nil {
+	if _, err := evalWithBits(c, [][]field.Element{{}}, []field.Element{1}); err == nil {
 		t.Fatal("expected tape-exhausted error")
 	}
 }
@@ -139,20 +153,6 @@ func TestMux(t *testing.T) {
 	}
 	if got, _ := c.Eval([][]field.Element{{0}}, rng); got[0] != 7 {
 		t.Fatalf("Mux(0) = %v, want 7", got[0])
-	}
-}
-
-func TestNot(t *testing.T) {
-	b := NewBuilder(1)
-	bit := b.Input(0)
-	b.Output(0, b.Not(bit))
-	c := mustBuild(t, b)
-	rng := rand.New(rand.NewSource(4))
-	if got, _ := c.Eval([][]field.Element{{0}}, rng); got[0] != 1 {
-		t.Fatal("Not(0) != 1")
-	}
-	if got, _ := c.Eval([][]field.Element{{1}}, rng); got[0] != 0 {
-		t.Fatal("Not(1) != 0")
 	}
 }
 
@@ -207,7 +207,7 @@ func TestSelectUniformExactDistribution(t *testing.T) {
 	seen := map[field.Element]bool{}
 	for tape := 0; tape < 4; tape++ {
 		bits := []field.Element{field.Element(tape & 1), field.Element(tape >> 1)}
-		got, err := c.EvalWithBits([][]field.Element{{}}, bits)
+		got, err := evalWithBits(c, [][]field.Element{{}}, bits)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,20 +246,11 @@ func TestMetrics(t *testing.T) {
 	s := b.Add(m2, r)
 	b.Output(0, s)
 	c := mustBuild(t, b)
-	if c.Size() != 6 {
-		t.Errorf("Size = %d, want 6", c.Size())
-	}
-	if c.MulCount() != 2 {
-		t.Errorf("MulCount = %d, want 2", c.MulCount())
+	if len(c.Gates()) != 6 {
+		t.Errorf("%d gates, want 6", len(c.Gates()))
 	}
 	if c.RandBitCount() != 1 {
 		t.Errorf("RandBitCount = %d, want 1", c.RandBitCount())
-	}
-	if c.MulDepth() != 2 {
-		t.Errorf("MulDepth = %d, want 2", c.MulDepth())
-	}
-	if c.Depth() != 3 {
-		t.Errorf("Depth = %d, want 3", c.Depth())
 	}
 	if c.N() != 2 {
 		t.Errorf("N = %d, want 2", c.N())

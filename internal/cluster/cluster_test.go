@@ -326,7 +326,7 @@ func TestMutualTLSDelivery(t *testing.T) {
 	pool, issue := testCA(t)
 	tlsCfgs := make([]*TLS, n)
 	for i := range tlsCfgs {
-		tlsCfgs[i] = NewTLS(issue(), pool)
+		tlsCfgs[i] = &TLS{cert: issue(), ca: pool}
 	}
 	trs := mesh(t, n, tlsCfgs)
 	for i, tr := range trs {
@@ -357,8 +357,8 @@ func TestTLSRejectsWrongCA(t *testing.T) {
 
 	// b trusts the real CA; a (the dialer) presents a rogue certificate
 	// and trusts the rogue CA — both directions of verification fail.
-	b := openOn(t, NewEndpoint(EndpointConfig{TLS: NewTLS(issue(), pool)}), Config{Self: 1, N: 2, ClusterID: "tls"})
-	a := openOn(t, NewEndpoint(EndpointConfig{TLS: NewTLS(rogueIssue(), roguePool)}), Config{Self: 0, N: 2, ClusterID: "tls"})
+	b := openOn(t, NewEndpoint(EndpointConfig{TLS: &TLS{cert: issue(), ca: pool}}), Config{Self: 1, N: 2, ClusterID: "tls"})
+	a := openOn(t, NewEndpoint(EndpointConfig{TLS: &TLS{cert: rogueIssue(), ca: roguePool}}), Config{Self: 0, N: 2, ClusterID: "tls"})
 	a.SetPeerAddr(1, b.Addr())
 	a.Send(1, payload(0, 0))
 

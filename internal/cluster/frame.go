@@ -202,10 +202,6 @@ func writeReject(w io.Writer, reason string) error {
 	return writeRaw(w, kindReject, []byte(reason))
 }
 
-// dataOverhead is a DATA frame's size beyond its payload: length prefix,
-// kind byte and sequence number.
-const dataOverhead = 4 + 1 + 8
-
 // appendData appends one DATA frame: header, 8-byte sequence number,
 // payload. Frames appended back to back are exactly the bytes of the same
 // frames written one by one, which is what lets a link coalesce a burst

@@ -17,11 +17,6 @@ type TLS struct {
 	ca   *x509.CertPool
 }
 
-// NewTLS builds a TLS bundle from in-memory material (tests, embedders).
-func NewTLS(cert tls.Certificate, ca *x509.CertPool) *TLS {
-	return &TLS{cert: cert, ca: ca}
-}
-
 // LoadTLS reads the node certificate, its key, and the cluster CA from
 // PEM files — the shapes mediatord's -tls-cert/-tls-key/-tls-ca flags
 // name. All three are required: this package only does mutual TLS, so a

@@ -2,7 +2,6 @@ package core
 
 import (
 	"asyncmediator/internal/async"
-	"asyncmediator/internal/field"
 	"asyncmediator/internal/game"
 	"asyncmediator/internal/mediator"
 )
@@ -106,7 +105,3 @@ func MediatorReference(p Params, types []game.Type, sched async.Scheduler, seed 
 		Seed:      seed,
 	})
 }
-
-// TypeField is a tiny helper re-exported for deviator implementations that
-// need to feed the MPC engine a fabricated type.
-func TypeField(t game.Type) field.Element { return game.TypeToField(t) }

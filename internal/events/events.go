@@ -50,13 +50,12 @@ func NewBus() *Bus {
 // Sub is one subscription. Receive from C; the channel closes when the
 // subscription is cancelled or the bus shuts down.
 type Sub struct {
-	// C delivers events in publish order (with possible gaps under
-	// overflow — see Dropped).
+	// C delivers events in publish order, with gaps in Seq where the
+	// subscriber overflowed.
 	C <-chan Event
 
-	c       chan Event
-	bus     *Bus
-	dropped int64
+	c   chan Event
+	bus *Bus
 }
 
 // Subscribe registers a subscriber with the given buffer depth (<=0: 64).
@@ -88,13 +87,6 @@ func (s *Sub) Cancel() {
 	}
 }
 
-// Dropped returns how many events this subscription lost to overflow.
-func (s *Sub) Dropped() int64 {
-	s.bus.mu.Lock()
-	defer s.bus.mu.Unlock()
-	return s.dropped
-}
-
 // Publish stamps the event with the next sequence number and delivers it
 // to every subscriber without blocking: a full subscriber sheds its oldest
 // buffered event. It returns the assigned sequence number (0 if the bus is
@@ -117,13 +109,11 @@ func (b *Bus) Publish(e Event) int64 {
 		// consumer sees first when it catches up.
 		select {
 		case <-s.c:
-			s.dropped++
 		default:
 		}
 		select {
 		case s.c <- e:
-		default:
-			s.dropped++ // only possible if buf is pathological (<1)
+		default: // only possible if buf is pathological (<1)
 		}
 	}
 	return e.Seq
@@ -134,13 +124,6 @@ func (b *Bus) Seq() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.seq
-}
-
-// Subscribers returns the current subscriber count.
-func (b *Bus) Subscribers() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.subs)
 }
 
 // Close shuts the bus down: every subscription channel closes and further

@@ -46,9 +46,6 @@ func (e Element) Int64() int64 { return int64(e) }
 // String implements fmt.Stringer.
 func (e Element) String() string { return fmt.Sprintf("%d", uint64(e)) }
 
-// IsZero reports whether e is the additive identity.
-func (e Element) IsZero() bool { return e == 0 }
-
 // Add returns e + b (mod P).
 func (e Element) Add(b Element) Element {
 	s := uint64(e) + uint64(b)
@@ -104,7 +101,7 @@ func (e Element) Pow(k uint64) Element {
 }
 
 // Inv returns the multiplicative inverse of e via Fermat's little theorem.
-// Inv of zero is zero (callers that care must check IsZero first).
+// Inv of zero is zero (callers that care must check for zero first).
 func (e Element) Inv() Element {
 	if e == 0 {
 		return 0
@@ -148,22 +145,4 @@ func RandNonZero(rng *rand.Rand) Element {
 // RandBit returns 0 or 1, each with probability 1/2.
 func RandBit(rng *rand.Rand) Element {
 	return Element(rng.Int63() & 1)
-}
-
-// Sum returns the sum of elems (mod P).
-func Sum(elems ...Element) Element {
-	var acc Element
-	for _, e := range elems {
-		acc = acc.Add(e)
-	}
-	return acc
-}
-
-// Prod returns the product of elems (mod P). The empty product is 1.
-func Prod(elems ...Element) Element {
-	acc := Element(1)
-	for _, e := range elems {
-		acc = acc.Mul(e)
-	}
-	return acc
 }

@@ -218,21 +218,6 @@ func TestMulOverflowBoundary(t *testing.T) {
 	}
 }
 
-func TestSumProd(t *testing.T) {
-	if got := Sum(1, 2, 3); got != 6 {
-		t.Errorf("Sum = %v, want 6", got)
-	}
-	if got := Sum(); got != 0 {
-		t.Errorf("empty Sum = %v, want 0", got)
-	}
-	if got := Prod(2, 3, 4); got != 24 {
-		t.Errorf("Prod = %v, want 24", got)
-	}
-	if got := Prod(); got != 1 {
-		t.Errorf("empty Prod = %v, want 1", got)
-	}
-}
-
 func TestRandInRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 1000; i++ {
@@ -248,13 +233,7 @@ func TestRandInRange(t *testing.T) {
 	}
 }
 
-func TestIsZeroAndString(t *testing.T) {
-	if !Element(0).IsZero() {
-		t.Error("0 should be zero")
-	}
-	if Element(1).IsZero() {
-		t.Error("1 should not be zero")
-	}
+func TestString(t *testing.T) {
 	if Element(42).String() != "42" {
 		t.Errorf("String() = %q", Element(42).String())
 	}

@@ -41,27 +41,9 @@ func FuzzVecVsScalar(f *testing.F) {
 		}
 
 		dst := make(Vec, n)
-		AddVec(dst, a, b)
-		for i := range a {
-			check("AddVec", dst[i], uint64(Element(a[i]).Add(Element(b[i]))), i)
-		}
-		SubVec(dst, a, b)
-		for i := range a {
-			check("SubVec", dst[i], uint64(Element(a[i]).Sub(Element(b[i]))), i)
-		}
-		MulVec(dst, a, b)
-		for i := range a {
-			check("MulVec", dst[i], uint64(Element(a[i]).Mul(Element(b[i]))), i)
-		}
 		ScalarMulVec(dst, a, c)
 		for i := range a {
 			check("ScalarMulVec", dst[i], uint64(Element(c).Mul(Element(a[i]))), i)
-		}
-		copy(dst, b)
-		MulAddVec(dst, a, b)
-		for i := range a {
-			check("MulAddVec", dst[i],
-				uint64(Element(b[i]).Add(Element(a[i]).Mul(Element(b[i])))), i)
 		}
 		copy(dst, b)
 		ScalarMulAddVec(dst, a, c)
@@ -80,20 +62,6 @@ func FuzzVecVsScalar(f *testing.F) {
 		for i := range a {
 			check("HornerStepVec", dst[i],
 				uint64(Element(b[i]).Mul(Element(a[i])).Add(Element(c))), i)
-		}
-		var dot Element
-		for i := range a {
-			dot = dot.Add(Element(a[i]).Mul(Element(b[i])))
-		}
-		check("DotVec", DotVec(a, b), uint64(dot), 0)
-		var sum Element
-		for _, v := range a {
-			sum = sum.Add(Element(v))
-		}
-		check("SumVec", SumVec(a), uint64(sum), 0)
-		NegVec(dst, a)
-		for i := range a {
-			check("NegVec", dst[i], uint64(Element(a[i]).Neg()), i)
 		}
 		InvVec(dst, a)
 		for i := range a {

@@ -33,55 +33,11 @@ func mulRed(a, b uint64) uint64 {
 	return csub((p >> 31) + (p & P))
 }
 
-// reduce64 reduces an arbitrary uint64 modulo P: two folds bring any
-// 64-bit value under 2P, then a conditional subtract canonicalizes.
-func reduce64(x uint64) uint64 {
-	x = (x >> 31) + (x & P)
-	x = (x >> 31) + (x & P)
-	return csub(x)
-}
-
-// AddVec sets dst[i] = a[i] + b[i] (mod P). Slices must have equal length.
-func AddVec(dst, a, b Vec) {
-	dst, b = dst[:len(a)], b[:len(a)]
-	for i := range a {
-		dst[i] = csub(a[i] + b[i])
-	}
-}
-
-// SubVec sets dst[i] = a[i] - b[i] (mod P).
-func SubVec(dst, a, b Vec) {
-	dst, b = dst[:len(a)], b[:len(a)]
-	for i := range a {
-		d := a[i] - b[i]
-		dst[i] = d + (P & uint64(int64(d)>>63))
-	}
-}
-
-// MulVec sets dst[i] = a[i] * b[i] (mod P).
-func MulVec(dst, a, b Vec) {
-	dst, b = dst[:len(a)], b[:len(a)]
-	for i := range a {
-		dst[i] = mulRed(a[i], b[i])
-	}
-}
-
 // ScalarMulVec sets dst[i] = c * a[i] (mod P).
 func ScalarMulVec(dst, a Vec, c uint64) {
 	dst = dst[:len(a)]
 	for i := range a {
 		dst[i] = mulRed(a[i], c)
-	}
-}
-
-// MulAddVec sets dst[i] = dst[i] + a[i]*b[i] (mod P) — the fused kernel
-// behind dot-product-shaped accumulations that need the running vector.
-func MulAddVec(dst, a, b Vec) {
-	dst, b = dst[:len(a)], b[:len(a)]
-	for i := range a {
-		p := a[i] * b[i]
-		x := dst[i] + (p >> 31) + (p & P) // <= 3P-2
-		dst[i] = csub((x >> 31) + (x & P))
 	}
 }
 
@@ -123,38 +79,6 @@ func HornerStepVec(acc, x Vec, c uint64) {
 	}
 }
 
-// DotVec returns sum_i a[i]*b[i] (mod P). Products are folded once to
-// [0, 2P) and accumulated lazily — safe for any realistic length (the
-// accumulator overflows only after 2^32 terms).
-func DotVec(a, b Vec) uint64 {
-	b = b[:len(a)]
-	var acc uint64
-	for i := range a {
-		p := a[i] * b[i]
-		acc += (p >> 31) + (p & P)
-	}
-	return reduce64(acc)
-}
-
-// SumVec returns sum_i a[i] (mod P).
-func SumVec(a Vec) uint64 {
-	var acc uint64
-	for _, v := range a {
-		acc += v
-	}
-	return reduce64(acc)
-}
-
-// NegVec sets dst[i] = -a[i] (mod P).
-func NegVec(dst, a Vec) {
-	dst = dst[:len(a)]
-	for i := range a {
-		// P - a is canonical unless a == 0, where it would yield P.
-		d := P - a[i]
-		dst[i] = d & ^(uint64(int64(a[i]-1) >> 63)) // a==0 -> mask clears
-	}
-}
-
 // InvVec sets dst[i] = a[i]^-1 (mod P) using Montgomery's batch-inversion
 // trick: one field inversion plus 3n multiplications, instead of n
 // inversions. Zero elements invert to zero, matching Element.Inv.
@@ -193,19 +117,6 @@ func InvVec(dst, a Vec) {
 		dst[i] = mulRed(inv, pre[i-1])
 		inv = mulRed(inv, v)
 	}
-}
-
-// ToVec copies src into dst as raw limbs, growing dst if needed, and
-// returns it.
-func ToVec(dst Vec, src []Element) Vec {
-	if cap(dst) < len(src) {
-		dst = make(Vec, len(src))
-	}
-	dst = dst[:len(src)]
-	for i, e := range src {
-		dst[i] = uint64(e)
-	}
-	return dst
 }
 
 // FromVec copies src into dst as Elements, growing dst if needed, and

@@ -18,58 +18,16 @@ func randVec(rng *rand.Rand, n int) Vec {
 // size large enough to cover unrolled/tail paths.
 var vecLens = []int{0, 1, 2, 3, 7, 16, 33, 257}
 
-func TestAddVecVsScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range vecLens {
-		a, b := randVec(rng, n), randVec(rng, n)
-		dst := make(Vec, n)
-		AddVec(dst, a, b)
-		for i := range a {
-			if want := uint64(Element(a[i]).Add(Element(b[i]))); dst[i] != want {
-				t.Fatalf("n=%d i=%d: AddVec=%d scalar=%d", n, i, dst[i], want)
-			}
-		}
-	}
-}
-
-func TestSubVecVsScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, n := range vecLens {
-		a, b := randVec(rng, n), randVec(rng, n)
-		dst := make(Vec, n)
-		SubVec(dst, a, b)
-		for i := range a {
-			if want := uint64(Element(a[i]).Sub(Element(b[i]))); dst[i] != want {
-				t.Fatalf("n=%d i=%d: SubVec=%d scalar=%d", n, i, dst[i], want)
-			}
-		}
-	}
-}
-
-func TestMulVecVsScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range vecLens {
-		a, b := randVec(rng, n), randVec(rng, n)
-		dst := make(Vec, n)
-		MulVec(dst, a, b)
-		for i := range a {
-			if want := uint64(Element(a[i]).Mul(Element(b[i]))); dst[i] != want {
-				t.Fatalf("n=%d i=%d: MulVec=%d scalar=%d", n, i, dst[i], want)
-			}
-		}
-	}
-}
-
 func TestMulVecBoundaryValues(t *testing.T) {
 	// P-1 is the largest canonical limb; products of extremes stress the
-	// single-fold reduction bound.
+	// single-fold reduction bound of the vector multiply.
 	ext := Vec{0, 1, 2, P - 2, P - 1}
 	for _, x := range ext {
 		for _, y := range ext {
 			dst := make(Vec, 1)
-			MulVec(dst, Vec{x}, Vec{y})
+			ScalarMulVec(dst, Vec{x}, y)
 			if want := uint64(Element(x).Mul(Element(y))); dst[0] != want {
-				t.Fatalf("MulVec(%d,%d)=%d want %d", x, y, dst[0], want)
+				t.Fatalf("ScalarMulVec(%d,%d)=%d want %d", x, y, dst[0], want)
 			}
 		}
 	}
@@ -85,21 +43,6 @@ func TestScalarMulVecVsScalar(t *testing.T) {
 		for i := range a {
 			if want := uint64(Element(a[i]).Mul(Element(c))); dst[i] != want {
 				t.Fatalf("n=%d i=%d: ScalarMulVec=%d scalar=%d", n, i, dst[i], want)
-			}
-		}
-	}
-}
-
-func TestMulAddVecVsScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, n := range vecLens {
-		a, b, d0 := randVec(rng, n), randVec(rng, n), randVec(rng, n)
-		dst := append(Vec(nil), d0...)
-		MulAddVec(dst, a, b)
-		for i := range a {
-			want := uint64(Element(d0[i]).Add(Element(a[i]).Mul(Element(b[i]))))
-			if dst[i] != want {
-				t.Fatalf("n=%d i=%d: MulAddVec=%d scalar=%d", n, i, dst[i], want)
 			}
 		}
 	}
@@ -153,53 +96,6 @@ func TestHornerStepVecVsScalar(t *testing.T) {
 	}
 }
 
-func TestDotVecVsScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, n := range vecLens {
-		a, b := randVec(rng, n), randVec(rng, n)
-		got := DotVec(a, b)
-		var want Element
-		for i := range a {
-			want = want.Add(Element(a[i]).Mul(Element(b[i])))
-		}
-		if got != uint64(want) {
-			t.Fatalf("n=%d: DotVec=%d scalar=%d", n, got, want)
-		}
-	}
-}
-
-func TestSumVecVsScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for _, n := range vecLens {
-		a := randVec(rng, n)
-		got := SumVec(a)
-		var want Element
-		for _, v := range a {
-			want = want.Add(Element(v))
-		}
-		if got != uint64(want) {
-			t.Fatalf("n=%d: SumVec=%d scalar=%d", n, got, want)
-		}
-	}
-}
-
-func TestNegVecVsScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range vecLens {
-		a := randVec(rng, n)
-		if n > 0 {
-			a[0] = 0 // force the zero special case
-		}
-		dst := make(Vec, n)
-		NegVec(dst, a)
-		for i := range a {
-			if want := uint64(Element(a[i]).Neg()); dst[i] != want {
-				t.Fatalf("n=%d i=%d: NegVec(%d)=%d scalar=%d", n, i, a[i], dst[i], want)
-			}
-		}
-	}
-}
-
 func TestInvVecVsScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, n := range vecLens {
@@ -235,13 +131,16 @@ func TestInvVecInPlace(t *testing.T) {
 func TestVecAliasing(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	a, b := randVec(rng, 64), randVec(rng, 64)
-	want := make(Vec, 64)
-	MulVec(want, a, b)
+	want := append(Vec(nil), b...)
+	ScalarMulAddVec(want, a, 12345)
 	got := append(Vec(nil), a...)
-	MulVec(got, got, b) // dst aliases a
+	ScalarMulAddVec(got, got, 12345) // dst aliases a
 	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("i=%d: aliased MulVec=%d separate=%d", i, got[i], want[i])
+		if got[i] != uint64(Element(a[i]).Add(Element(12345).Mul(Element(a[i])))) {
+			t.Fatalf("i=%d: aliased ScalarMulAddVec=%d", i, got[i])
+		}
+		if want[i] != uint64(Element(b[i]).Add(Element(12345).Mul(Element(a[i])))) {
+			t.Fatalf("i=%d: ScalarMulAddVec=%d", i, want[i])
 		}
 	}
 }
@@ -252,7 +151,10 @@ func TestToFromVecRoundTrip(t *testing.T) {
 	for i := range es {
 		es[i] = Rand(rng)
 	}
-	v := ToVec(nil, es)
+	v := make(Vec, len(es))
+	for i, e := range es {
+		v[i] = uint64(e)
+	}
 	back := FromVec(nil, v)
 	for i := range es {
 		if back[i] != es[i] {
@@ -260,10 +162,10 @@ func TestToFromVecRoundTrip(t *testing.T) {
 		}
 	}
 	// Reuse path: a large-enough destination must be resliced, not grown.
-	big := make(Vec, 100)
-	v2 := ToVec(big, es)
-	if len(v2) != len(es) || &v2[0] != &big[0] {
-		t.Fatal("ToVec did not reuse the provided buffer")
+	big := make([]Element, 100)
+	back2 := FromVec(big, v)
+	if len(back2) != len(es) || &back2[0] != &big[0] {
+		t.Fatal("FromVec did not reuse the provided buffer")
 	}
 }
 
@@ -297,54 +199,12 @@ func benchVecs(b *testing.B) (x, y, z Vec) {
 	return randVec(rng, benchN), randVec(rng, benchN), make(Vec, benchN)
 }
 
-func BenchmarkMulVec(b *testing.B) {
-	x, y, z := benchVecs(b)
-	b.SetBytes(8 * benchN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulVec(z, x, y)
-	}
-}
-
-func BenchmarkMulScalarLoop(b *testing.B) {
-	x, y, z := benchVecs(b)
-	b.SetBytes(8 * benchN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < benchN; j++ {
-			z[j] = uint64(Element(x[j]).Mul(Element(y[j])))
-		}
-	}
-}
-
 func BenchmarkScalarMulAddVec(b *testing.B) {
 	x, _, z := benchVecs(b)
 	b.SetBytes(8 * benchN)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ScalarMulAddVec(z, x, 123456789)
-	}
-}
-
-func BenchmarkDotVec(b *testing.B) {
-	x, y, _ := benchVecs(b)
-	b.SetBytes(8 * benchN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = DotVec(x, y)
-	}
-}
-
-func BenchmarkDotScalarLoop(b *testing.B) {
-	x, y, _ := benchVecs(b)
-	b.SetBytes(8 * benchN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var acc Element
-		for j := 0; j < benchN; j++ {
-			acc = acc.Add(Element(x[j]).Mul(Element(y[j])))
-		}
-		_ = acc
 	}
 }
 

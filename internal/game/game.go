@@ -160,18 +160,6 @@ func (g *Game) SampleTypes(rng *rand.Rand) []Type {
 	return out
 }
 
-// ApplyDefaults replaces NoMove entries using the default-move function.
-// It returns a fresh profile.
-func (g *Game) ApplyDefaults(types []Type, p Profile) Profile {
-	out := p.Clone()
-	for i, a := range out {
-		if a == NoMove && g.Default != nil {
-			out[i] = g.Default(i, types[i])
-		}
-	}
-	return out
-}
-
 // ValidAction reports whether a is a legal action for player i.
 func (g *Game) ValidAction(i int, a Action) bool {
 	return a >= 0 && int(a) < g.NumActions[i]
@@ -237,9 +225,6 @@ func (o *Outcome) Merge(other *Outcome) {
 		o.total += w
 	}
 }
-
-// Total returns the accumulated weight.
-func (o *Outcome) Total() float64 { return o.total }
 
 // Prob returns the empirical probability of profile p.
 func (o *Outcome) Prob(p Profile) float64 {

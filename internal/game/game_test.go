@@ -61,14 +61,6 @@ func TestSampleTypesEmptyDist(t *testing.T) {
 	}
 }
 
-func TestApplyDefaults(t *testing.T) {
-	g := Chicken()
-	p := g.ApplyDefaults([]Type{0, 0}, Profile{NoMove, 0})
-	if p[0] != 1 || p[1] != 0 {
-		t.Fatalf("defaults: got %v", p)
-	}
-}
-
 func TestActionFieldRoundTrip(t *testing.T) {
 	g := Chicken()
 	f := func(a uint8) bool {

@@ -32,19 +32,6 @@ func SelectCircuit(n int, table [][]int) (*circuit.Circuit, error) {
 	return b.Build()
 }
 
-// ConstantCircuit recommends a fixed profile (useful as a trivial
-// mediator and in tests).
-func ConstantCircuit(n int, profile []int) (*circuit.Circuit, error) {
-	if len(profile) != n {
-		return nil, fmt.Errorf("mediator: profile length %d, want %d", len(profile), n)
-	}
-	b := circuit.NewBuilder(n)
-	for p := 0; p < n; p++ {
-		b.Output(p, b.Const(game.ActionToField(game.Action(profile[p]))))
-	}
-	return b.Build()
-}
-
 // MajorityCircuit builds the game-theoretic Byzantine agreement mediator:
 // every player reports a bit; every player is told the majority bit. The
 // majority indicator over the bit-sum s in {0..n} is realized as the

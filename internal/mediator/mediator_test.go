@@ -326,23 +326,6 @@ func TestSection64CircuitUniform(t *testing.T) {
 	}
 }
 
-func TestConstantCircuit(t *testing.T) {
-	circ, err := ConstantCircuit(3, []int{2, 1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, err := circ.Eval(make([][]field.Element, 3), rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outs[0] != 2 || outs[1] != 1 || outs[2] != 0 {
-		t.Fatalf("outs %v", outs)
-	}
-	if _, err := ConstantCircuit(3, []int{1}); err == nil {
-		t.Fatal("length mismatch should fail")
-	}
-}
-
 func TestRelaxedDropStopBatchDeadlocks(t *testing.T) {
 	// Lemma 6.10: a relaxed scheduler dropping the STOP batch (all of it)
 	// deadlocks the run; wills then apply.

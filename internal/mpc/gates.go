@@ -197,9 +197,6 @@ func (e *Engine) evalRandBit(ctx *proto.Ctx, g int) bool {
 			op := avss.NewPublicOpen(e.cfg.N, 2*deg, t, func(cc *proto.Ctx, v field.Element) {
 				rb.haveC = true
 				rb.c = v
-				if e.cfg.OnPublic != nil {
-					e.cfg.OnPublic(g, v)
-				}
 				e.step(cc)
 			})
 			ctx.Spawn(e.idRBOpen(g), op)
@@ -226,9 +223,6 @@ func (e *Engine) evalRandBit(ctx *proto.Ctx, g int) bool {
 			op := avss.NewPublicOpen(e.cfg.N, deg, t, func(cc *proto.Ctx, v field.Element) {
 				rb.haveC = true
 				rb.c = v
-				if e.cfg.OnPublic != nil {
-					e.cfg.OnPublic(g, v)
-				}
 				e.step(cc)
 			})
 			ctx.Spawn(e.idRBOpen(g), op)
@@ -272,7 +266,6 @@ func (e *Engine) feedOutputs(ctx *proto.Ctx) {
 		}
 		if all {
 			e.outFired = true
-			e.completed = true
 			if e.cfg.OnOutput != nil {
 				e.cfg.OnOutput(ctx, map[int]field.Element{})
 			}
@@ -307,7 +300,6 @@ func (e *Engine) onOutputValue(ctx *proto.Ctx, oi int, v field.Element) {
 	e.outVals[oi] = v
 	if !e.outFired && len(e.outVals) == e.outWant {
 		e.outFired = true
-		e.completed = true
 		if e.cfg.OnOutput != nil {
 			vals := make(map[int]field.Element, len(e.outVals))
 			for k, val := range e.outVals {

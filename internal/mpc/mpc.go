@@ -75,9 +75,6 @@ type Config struct {
 	// OnOutput fires once when all outputs addressed to this party have
 	// been reconstructed; values are indexed like Circuit.Outputs().
 	OnOutput func(ctx *proto.Ctx, outputs map[int]field.Element)
-	// OnPublic fires for diagnostics whenever a public opening completes
-	// (random-bit squares). Optional.
-	OnPublic func(gate int, v field.Element)
 }
 
 // wireVal is a wire's local state: either a public value known to all or
@@ -145,11 +142,10 @@ type Engine struct {
 	// the whole circuit.
 	lagCache map[string][]field.Element
 
-	outOpens  map[int]*avss.Open
-	outVals   map[int]field.Element
-	outWant   int
-	outFired  bool
-	completed bool
+	outOpens map[int]*avss.Open
+	outVals  map[int]field.Element
+	outWant  int
+	outFired bool
 }
 
 var _ proto.Module = (*Engine)(nil)
@@ -205,9 +201,6 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) Errorless() bool {
 	return e.cfg.N-e.cfg.T >= 2*e.cfg.Deg+e.cfg.T+1
 }
-
-// Completed reports whether this party obtained all its outputs.
-func (e *Engine) Completed() bool { return e.completed }
 
 // Instance id helpers: all parties derive identical ids. The dealing and
 // output ids are read from the tables formatIDs fills.

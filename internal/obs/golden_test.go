@@ -24,14 +24,11 @@ func TestWritePrometheusGolden(t *testing.T) {
 	// Registered deliberately out of alphabetical order: the format must
 	// follow registration order, not name order.
 	r.Counter("zz_requests_total", "Requests handled.").Add(42)
-	r.Gauge("aa_temperature", `Escaping: a back\slash and a
-newline must both be escaped.`).Set(36.6)
-	nan := r.Gauge("bb_not_a_number", "A gauge holding NaN renders as NaN.")
-	nan.Set(math.NaN())
-	inf := r.Gauge("cc_infinite", "A gauge holding +Inf renders as +Inf.")
-	inf.Set(math.Inf(1))
-	ninf := r.Gauge("dd_negative_infinite", "A gauge holding -Inf renders as -Inf.")
-	ninf.Set(math.Inf(-1))
+	r.GaugeFunc("aa_temperature", `Escaping: a back\slash and a
+newline must both be escaped.`, func() float64 { return 36.6 })
+	r.GaugeFunc("bb_not_a_number", "A gauge holding NaN renders as NaN.", math.NaN)
+	r.GaugeFunc("cc_infinite", "A gauge holding +Inf renders as +Inf.", func() float64 { return math.Inf(1) })
+	r.GaugeFunc("dd_negative_infinite", "A gauge holding -Inf renders as -Inf.", func() float64 { return math.Inf(-1) })
 	r.CounterFunc("ee_pulled_total", "A pull-time counter.", func() float64 { return 7 })
 	r.GaugeFunc("ff_pulled", "A pull-time gauge.", func() float64 { return 0.25 })
 	h := r.Histogram("gg_latency_seconds", "A three-bucket histogram.", []float64{0.1, 1, 10})
@@ -88,7 +85,7 @@ newline must both be escaped.`).Set(36.6)
 // a golden regeneration can't silently bless broken escaping.
 func TestWritePrometheusHelpEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.Gauge("g", "line one\nline two with \\ backslash").Set(1)
+	r.GaugeFunc("g", "line one\nline two with \\ backslash", func() float64 { return 1 })
 	var sb strings.Builder
 	r.WritePrometheus(&sb)
 	out := sb.String()

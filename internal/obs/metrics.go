@@ -31,9 +31,6 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // Gauge is an instantaneous float64 value.
 type Gauge struct{ bits atomic.Uint64 }
 
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
 // Add shifts the value by d.
 func (g *Gauge) Add(d float64) {
 	for {
@@ -75,16 +72,6 @@ func (h *Histogram) Observe(v float64) {
 
 // Count returns the number of samples observed.
 func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Quantile estimates the q-quantile (0 < q <= 1) by linear interpolation
-// within the bucket holding the target rank, reading each bucket counter
-// once. With no samples it returns 0; ranks landing in the overflow
-// bucket clamp to the highest finite bound. The estimate is approximate
-// by construction — bounded by bucket resolution — which is all a
-// p50/p99 readout needs.
-func (h *Histogram) Quantile(q float64) float64 {
-	return h.Snapshot().Quantile(q)
-}
 
 // HistSnapshot is a point-in-time copy of a Histogram's counters. Two
 // snapshots of the same histogram subtract (Sub) into a windowed delta,
@@ -283,9 +270,8 @@ type metric struct {
 	typ  string // "counter" | "gauge" | "histogram"
 
 	counter *Counter
-	gauge   *Gauge
 	hist    *Histogram
-	fn      func() float64 // pull-time value (wins over counter/gauge)
+	fn      func() float64 // pull-time value (wins over counter)
 
 	label string // the family's label name; "" for a plain series
 	cvec  *CounterVec
@@ -323,12 +309,6 @@ func (r *Registry) register(m *metric) *metric {
 func (r *Registry) Counter(name, help string) *Counter {
 	m := r.register(&metric{name: name, help: help, typ: "counter", counter: &Counter{}})
 	return m.counter
-}
-
-// Gauge registers (or returns the existing) gauge `name`.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	m := r.register(&metric{name: name, help: help, typ: "gauge", gauge: &Gauge{}})
-	return m.gauge
 }
 
 // Histogram registers (or returns the existing) histogram `name` with
@@ -386,8 +366,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			fmt.Fprintf(w, "%s %s\n", m.name, formatFloat(m.fn()))
 		case m.counter != nil:
 			fmt.Fprintf(w, "%s %d\n", m.name, m.counter.Value())
-		case m.gauge != nil:
-			fmt.Fprintf(w, "%s %s\n", m.name, formatFloat(m.gauge.Value()))
 		case m.hist != nil:
 			writeHistogram(w, m.name, "", m.hist.Snapshot())
 		case m.cvec != nil:

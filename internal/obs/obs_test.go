@@ -27,9 +27,9 @@ func TestDeriveTraceIDStable(t *testing.T) {
 
 func TestPlayTraceObserveAggregates(t *testing.T) {
 	tr := NewPlayTrace("t1", 0)
-	tr.Observe("rbc", "local")
-	tr.Observe("rbc", "local")
-	tr.Observe("ba", "local")
+	tr.ObserveN("rbc", "local", 1)
+	tr.ObserveN("rbc", "local", 1)
+	tr.ObserveN("ba", "local", 1)
 	spans := tr.Snapshot()
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans, want 2: %+v", len(spans), spans)
@@ -48,11 +48,11 @@ func TestPlayTraceObserveAggregates(t *testing.T) {
 
 func TestPlayTraceBound(t *testing.T) {
 	tr := NewPlayTrace("t2", 3)
-	tr.Observe("a", "x")
-	tr.Observe("b", "x")
-	tr.Observe("c", "x")
-	tr.Observe("d", "x") // over the bound: dropped
-	tr.Observe("a", "x") // existing span: still counted
+	tr.ObserveN("a", "x", 1)
+	tr.ObserveN("b", "x", 1)
+	tr.ObserveN("c", "x", 1)
+	tr.ObserveN("d", "x", 1) // over the bound: dropped
+	tr.ObserveN("a", "x", 1) // existing span: still counted
 	if got := len(tr.Snapshot()); got != 3 {
 		t.Fatalf("bound leaked: %d spans", got)
 	}
@@ -80,7 +80,7 @@ func TestPlayTraceBeginAndAnnotate(t *testing.T) {
 		t.Fatalf("spans %+v", spans)
 	}
 	s := spans[0]
-	if s.Duration() <= 0 {
+	if s.EndUS <= s.StartUS {
 		t.Fatalf("run span has no extent: %+v", s)
 	}
 	if s.Attrs["cpu_ms"] != "1.5" {
@@ -90,7 +90,7 @@ func TestPlayTraceBeginAndAnnotate(t *testing.T) {
 
 func TestPlayTraceMergeStitches(t *testing.T) {
 	tr := NewPlayTrace("t4", 0)
-	tr.Observe("rbc", "local")
+	tr.ObserveN("rbc", "local", 1)
 	tr.Merge([]Span{{Name: "rbc", Origin: "http://peer", StartUS: 5, EndUS: 9, Count: 3}})
 	spans := tr.Snapshot()
 	if len(spans) != 2 {
@@ -107,7 +107,7 @@ func TestPlayTraceMergeStitches(t *testing.T) {
 
 func TestNilPlayTraceIsSafe(t *testing.T) {
 	var tr *PlayTrace
-	tr.Observe("a", "b")
+	tr.ObserveN("a", "b", 1)
 	tr.Begin("a", "b")()
 	tr.Annotate("a", "b", "k", "v")
 	tr.Merge([]Span{{Name: "x"}})
@@ -124,7 +124,7 @@ func TestPlayTraceConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				tr.Observe("phase", "local")
+				tr.ObserveN("phase", "local", 1)
 			}
 		}()
 	}
@@ -140,8 +140,7 @@ func TestRegistryPrometheusRendering(t *testing.T) {
 	c := r.Counter("test_ops_total", "Operations.")
 	c.Add(3)
 	c.Inc()
-	g := r.Gauge("test_depth", "Depth.")
-	g.Set(2.5)
+	r.GaugeFunc("test_depth", "Depth.", func() float64 { return 2.5 })
 	r.GaugeFunc("test_pull", "Pulled.", func() float64 { return 7 })
 	h := r.Histogram("test_wait_seconds", "Wait.", []float64{0.1, 1})
 	h.Observe(0.05)

@@ -75,7 +75,7 @@ func TestHistSnapshotSubWindows(t *testing.T) {
 		t.Fatalf("window sum = %v, want %v", got, want)
 	}
 	// The cumulative quantile still matches the non-windowed accessor.
-	if a, b := h.Quantile(0.9), cur.Quantile(0.9); a != b {
+	if a, b := h.Snapshot().Quantile(0.9), cur.Quantile(0.9); a != b {
 		t.Fatalf("Histogram.Quantile %v != Snapshot().Quantile %v", a, b)
 	}
 	// Mismatched subtraction clamps instead of going negative.

@@ -54,11 +54,6 @@ type Span struct {
 	Attrs map[string]string `json:"attrs,omitempty"`
 }
 
-// Duration returns the span's extent.
-func (s Span) Duration() time.Duration {
-	return time.Duration(s.EndUS-s.StartUS) * time.Microsecond
-}
-
 // DefaultSpanLimit bounds a play trace when NewPlayTrace is given no
 // explicit limit: distinct (name, origin) spans beyond it are dropped
 // (and counted), never grown without bound.
@@ -133,22 +128,6 @@ func (t *PlayTrace) get(name, origin string, at int64) *Span {
 	t.spans[key] = s
 	t.order = append(t.order, key)
 	return s
-}
-
-// Observe records one observation of a phase: the phase span's extent
-// widens to now and its count increments. This is the hot path fed by
-// per-message classification.
-func (t *PlayTrace) Observe(name, origin string) {
-	if t == nil {
-		return
-	}
-	now := t.nowUS()
-	t.mu.Lock()
-	if s := t.get(name, origin, now); s != nil {
-		s.EndUS = now
-		s.Count++
-	}
-	t.mu.Unlock()
 }
 
 // ObserveN folds n observations into the (name, origin) span at once —

@@ -158,8 +158,7 @@ func TestKernelVsRefProtocolShapes(t *testing.T) {
 	}
 }
 
-// checkKernelVsRef runs Interpolate, EvalAt (at 0 and at x = 1..len+1)
-// and LagrangeCoeffsAtZero on pts against their oracles, and returns the
+// checkKernelVsRef runs Interpolate and LagrangeCoeffsAtZero on pts against their oracles, and returns the
 // interpolant.
 func checkKernelVsRef(t *testing.T, pts []Point) Poly {
 	t.Helper()
@@ -167,13 +166,6 @@ func checkKernelVsRef(t *testing.T, pts []Point) Poly {
 	want, wantErr := interpolateRef(pts)
 	if sameErr(t, "Interpolate", gotErr, wantErr) && !got.Equal(want) {
 		t.Fatalf("Interpolate coefficients differ:\nkernel %v\nref    %v", got, want)
-	}
-	for x := 0; x <= len(pts)+1; x++ {
-		gotY, gotErr := EvalAt(pts, field.Element(x))
-		wantY, wantErr := evalAtRef(pts, field.Element(x))
-		if sameErr(t, "EvalAt", gotErr, wantErr) && gotY != wantY {
-			t.Fatalf("EvalAt(%d): kernel %v ref %v", x, gotY, wantY)
-		}
 	}
 	xs := make([]field.Element, len(pts))
 	for i, pt := range pts {
@@ -206,26 +198,6 @@ func TestInterpolateMaxDegree(t *testing.T) {
 	}
 }
 
-func TestEvalAtKernelVsRef(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	for _, n := range []int{0, 1, 2, 5, 33} {
-		pts := randPoints(rng, n)
-		x := field.Rand(rng)
-		got, gotErr := EvalAt(pts, x)
-		want, wantErr := evalAtRef(pts, x)
-		if (gotErr == nil) != (wantErr == nil) || got != want {
-			t.Fatalf("n=%d: kernel (%v, %v) ref (%v, %v)", n, got, gotErr, want, wantErr)
-		}
-	}
-	// Duplicate-x error parity.
-	dup := []Point{{X: 2, Y: 1}, {X: 2, Y: 9}}
-	_, gotErr := EvalAt(dup, 5)
-	_, wantErr := evalAtRef(dup, 5)
-	if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
-		t.Fatalf("duplicate-x error mismatch: kernel=%v ref=%v", gotErr, wantErr)
-	}
-}
-
 func TestLagrangeCoeffsKernelVsRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	for _, n := range []int{0, 1, 2, 7, 41} {
@@ -255,29 +227,6 @@ func TestLagrangeCoeffsKernelVsRef(t *testing.T) {
 	_, wantErr := lagrangeCoeffsAtZeroRef(dup)
 	if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
 		t.Fatalf("duplicate error mismatch: kernel=%v ref=%v", gotErr, wantErr)
-	}
-}
-
-func TestEvalManyVsEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(35))
-	for _, deg := range []int{-1, 0, 1, 10, 100} {
-		var p Poly
-		if deg >= 0 {
-			p = randPoly(rng, deg)
-		}
-		xs := make([]field.Element, 37)
-		for i := range xs {
-			xs[i] = field.Rand(rng)
-		}
-		got := EvalMany(p, xs)
-		for i, x := range xs {
-			if want := p.Eval(x); got[i] != want {
-				t.Fatalf("deg=%d i=%d: EvalMany=%v Eval=%v", deg, i, got[i], want)
-			}
-		}
-	}
-	if out := EvalMany(New(1, 2), nil); len(out) != 0 {
-		t.Fatal("EvalMany(nil xs) not empty")
 	}
 }
 
@@ -343,40 +292,6 @@ func BenchmarkLagrangeCoeffs64(b *testing.B) {
 			if _, err := lagrangeCoeffsAtZeroRef(xs); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-}
-
-func BenchmarkMul256(b *testing.B) {
-	rng := rand.New(rand.NewSource(41))
-	p := randPoly(rng, 255)
-	q := randPoly(rng, 255)
-	b.Run("schoolbook", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = p.Mul(q)
-		}
-	})
-}
-
-func BenchmarkEvalMany64(b *testing.B) {
-	rng := rand.New(rand.NewSource(42))
-	p := randPoly(rng, 32)
-	xs := make([]field.Element, 64)
-	for i := range xs {
-		xs[i] = field.Element(i + 1)
-	}
-	b.Run("kernel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = EvalMany(p, xs)
-		}
-	})
-	b.Run("scalar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			out := make([]field.Element, len(xs))
-			for j, x := range xs {
-				out[j] = p.Eval(x)
-			}
-			_ = out
 		}
 	})
 }

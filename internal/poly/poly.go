@@ -6,10 +6,9 @@
 //
 // The exported entry points run on the batched field.Vec kernels: one
 // batch inversion per interpolation instead of one per basis polynomial,
-// O(n^2) master-polynomial interpolation instead of O(n^3) basis
-// rebuilding, and vectorized multi-point Horner evaluation. The original
-// scalar implementations live in ref_test.go as the differential-test
-// oracle.
+// and O(n^2) master-polynomial interpolation instead of O(n^3) basis
+// rebuilding. The original scalar implementations live in ref_test.go as
+// the differential-test oracle.
 package poly
 
 import (
@@ -81,29 +80,6 @@ func (p Poly) Eval(x field.Element) field.Element {
 	return acc
 }
 
-// EvalMany evaluates p at every x in xs simultaneously, folding the
-// coefficients through one vectorized Horner step per degree. It is the
-// batched form of Eval, used for share generation and Reed-Solomon
-// syndrome checks.
-func EvalMany(p Poly, xs []field.Element) []field.Element {
-	out := make([]field.Element, len(xs))
-	if len(xs) == 0 {
-		return out
-	}
-	xv := field.AcquireVec(len(xs))
-	acc := field.AcquireVec(len(xs))
-	defer field.ReleaseVec(xv)
-	defer field.ReleaseVec(acc)
-	for i, x := range xs {
-		xv[i] = uint64(x)
-	}
-	for i := len(p) - 1; i >= 0; i-- {
-		field.HornerStepVec(acc, xv, uint64(p[i]))
-	}
-	field.FromVec(out, acc)
-	return out
-}
-
 // Constant returns p(0), the constant term.
 func (p Poly) Constant() field.Element {
 	if len(p) == 0 {
@@ -148,33 +124,6 @@ func (p Poly) Sub(q Poly) Poly {
 			b = q[i]
 		}
 		out[i] = a.Sub(b)
-	}
-	return out.trim()
-}
-
-// Mul returns p * q by schoolbook multiplication. Protocol polynomials
-// have degree at most 2(k+t), far below where a transform would pay off.
-func (p Poly) Mul(q Poly) Poly {
-	if p.IsZero() || q.IsZero() {
-		return nil
-	}
-	out := make(Poly, len(p)+len(q)-1)
-	for i, a := range p {
-		if a == 0 {
-			continue
-		}
-		for j, b := range q {
-			out[i+j] = out[i+j].Add(a.Mul(b))
-		}
-	}
-	return out.trim()
-}
-
-// MulScalar returns c * p.
-func (p Poly) MulScalar(c field.Element) Poly {
-	out := make(Poly, len(p))
-	for i, a := range p {
-		out[i] = a.Mul(c)
 	}
 	return out.trim()
 }
@@ -315,60 +264,6 @@ func Interpolate(points []Point) (Poly, error) {
 	return out.trim(), nil
 }
 
-// EvalAt interpolates through points and evaluates at x without building
-// the full polynomial (barycentric-style evaluation). It is equivalent to
-// Interpolate(points).Eval(x) but cheaper. X coordinates must be distinct.
-//
-// The kernel path computes the numerators prod_{j != i} (x - x_j) from
-// prefix/suffix products and inverts all denominators in one batch.
-func EvalAt(points []Point, x field.Element) (field.Element, error) {
-	n := len(points)
-	if n == 0 {
-		return 0, nil
-	}
-	xs := field.AcquireVec(n)
-	dens := field.AcquireVec(n)
-	pre := field.AcquireVec(n + 1)
-	suf := field.AcquireVec(n + 1)
-	defer field.ReleaseVec(xs)
-	defer field.ReleaseVec(dens)
-	defer field.ReleaseVec(pre)
-	defer field.ReleaseVec(suf)
-	for i, pt := range points {
-		xs[i] = uint64(pt.X)
-	}
-	for i := 0; i < n; i++ {
-		d := uint64(1)
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			t := subU(xs[i], xs[j])
-			if t == 0 {
-				return 0, dupXErr(points)
-			}
-			d = mulU(d, t)
-		}
-		dens[i] = d
-	}
-	field.InvVec(dens, dens)
-	xv := uint64(x)
-	pre[0] = 1
-	for i := 0; i < n; i++ {
-		pre[i+1] = mulU(pre[i], subU(xv, xs[i]))
-	}
-	suf[n] = 1
-	for i := n - 1; i >= 0; i-- {
-		suf[i] = mulU(suf[i+1], subU(xv, xs[i]))
-	}
-	var acc uint64
-	for i := 0; i < n; i++ {
-		num := mulU(pre[i], suf[i+1])
-		acc = addU(acc, mulU(uint64(points[i].Y), mulU(num, dens[i])))
-	}
-	return field.Element(acc), nil
-}
-
 // LagrangeCoeffsAtZero returns the Lagrange recombination coefficients
 // lambda_i such that p(0) = sum_i lambda_i * p(x_i) for any polynomial p of
 // degree < len(xs). These are the classic Shamir reconstruction weights and
@@ -451,9 +346,6 @@ func NewBivariate(rng *rand.Rand, t int, secret field.Element) *Bivariate {
 	c[0][0] = uint64(secret)
 	return &Bivariate{t: t, coeff: c}
 }
-
-// Secret returns F(0, 0).
-func (f *Bivariate) Secret() field.Element { return field.Element(f.coeff[0][0]) }
 
 // rowInto accumulates F(x0, ·) into acc (length t+1, zeroed by caller):
 // acc[b] = sum_a coeff[a][b] * x0^a, one fused scalar-multiply-add sweep

@@ -56,33 +56,6 @@ func TestAddSubProperties(t *testing.T) {
 	}
 }
 
-func TestMulProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 100; i++ {
-		p := Random(rng, rng.Intn(5), field.Rand(rng))
-		q := Random(rng, rng.Intn(5), field.Rand(rng))
-		x := field.Rand(rng)
-		if p.Mul(q).Eval(x) != p.Eval(x).Mul(q.Eval(x)) {
-			t.Fatal("Mul does not commute with Eval")
-		}
-	}
-}
-
-func TestMulDegree(t *testing.T) {
-	p := New(1, 1)    // 1 + x
-	q := New(2, 0, 3) // 2 + 3x^2
-	prod := p.Mul(q)
-	if prod.Degree() != 3 {
-		t.Errorf("degree = %d, want 3", prod.Degree())
-	}
-	if prod.Eval(1) != p.Eval(1).Mul(q.Eval(1)) {
-		t.Error("Mul value mismatch")
-	}
-	if !Poly(nil).Mul(p).IsZero() {
-		t.Error("0 * p should be zero")
-	}
-}
-
 func TestRandomConstant(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 50; i++ {
@@ -132,27 +105,6 @@ func TestInterpolateEmpty(t *testing.T) {
 	}
 }
 
-func TestEvalAtMatchesInterpolate(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 50; trial++ {
-		deg := rng.Intn(6)
-		p := Random(rng, deg, field.Rand(rng))
-		pts := make([]Point, deg+1)
-		for i := range pts {
-			x := field.Element(i + 1)
-			pts[i] = Point{X: x, Y: p.Eval(x)}
-		}
-		x := field.Rand(rng)
-		got, err := EvalAt(pts, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != p.Eval(x) {
-			t.Fatalf("EvalAt = %v, want %v", got, p.Eval(x))
-		}
-	}
-}
-
 func TestLagrangeCoeffsAtZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 50; trial++ {
@@ -186,8 +138,8 @@ func TestLagrangeCoeffsDuplicate(t *testing.T) {
 func TestBivariateSymmetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	f := NewBivariate(rng, 3, 42)
-	if f.Secret() != 42 {
-		t.Fatalf("Secret = %v, want 42", f.Secret())
+	if f.Eval(0, 0) != 42 {
+		t.Fatalf("F(0, 0) = %v, want 42", f.Eval(0, 0))
 	}
 	quickCfg := &quick.Config{MaxCount: 50, Rand: rng}
 	prop := func(a, b uint64) bool {

@@ -34,39 +34,21 @@ func interpolateRef(points []Point) (Poly, error) {
 				continue
 			}
 			// basis *= (x - x_j)
-			basis = basis.Mul(Poly{points[j].X.Neg(), 1})
+			next := make(Poly, len(basis)+1)
+			for k, c := range basis {
+				next[k] = next[k].Sub(c.Mul(points[j].X))
+				next[k+1] = next[k+1].Add(c)
+			}
+			basis = next
 			denom = denom.Mul(points[i].X.Sub(points[j].X))
 		}
 		scale := points[i].Y.Div(denom)
-		result = result.Add(basis.MulScalar(scale))
+		for k := range basis {
+			basis[k] = basis[k].Mul(scale)
+		}
+		result = result.Add(basis)
 	}
 	return result, nil
-}
-
-// evalAtRef is the original barycentric evaluation with one inversion per
-// point.
-func evalAtRef(points []Point, x field.Element) (field.Element, error) {
-	n := len(points)
-	if n == 0 {
-		return 0, nil
-	}
-	var acc field.Element
-	for i := 0; i < n; i++ {
-		num := field.Element(1)
-		den := field.Element(1)
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			if points[i].X == points[j].X {
-				return 0, fmt.Errorf("poly: duplicate x coordinate %v", points[i].X)
-			}
-			num = num.Mul(x.Sub(points[j].X))
-			den = den.Mul(points[i].X.Sub(points[j].X))
-		}
-		acc = acc.Add(points[i].Y.Mul(num.Div(den)))
-	}
-	return acc, nil
 }
 
 // lagrangeCoeffsAtZeroRef is the original per-coefficient computation

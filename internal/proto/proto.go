@@ -77,12 +77,6 @@ func (c *Ctx) Send(to async.PID, body any) {
 	c.env.Send(to, c.host.envelope(c.inst, body))
 }
 
-// SendTo sends body to a *different* instance at party `to`. Used by
-// parent modules addressing their children across parties.
-func (c *Ctx) SendTo(to async.PID, instance string, body any) {
-	c.env.Send(to, c.host.envelope(instance, body))
-}
-
 // Broadcast sends body to the same instance at every participant,
 // including self (n point-to-point sends; not atomic). The n sends share
 // one *Envelope, so a hook that rewrites one of them must copy it first.
@@ -98,15 +92,6 @@ func (c *Ctx) Broadcast(body any) {
 // no-op returning the existing module.
 func (c *Ctx) Spawn(instance string, m Module) Module {
 	return c.host.spawn(c.env, instance, m)
-}
-
-// Lookup returns the module registered under instance, if any.
-func (c *Ctx) Lookup(instance string) (Module, bool) {
-	e, ok := c.host.modules[instance]
-	if !ok {
-		return nil, false
-	}
-	return e.m, true
 }
 
 // For returns a Ctx bound to a different instance id, so a parent module
@@ -195,18 +180,6 @@ func (h *Host) add(instance string, m Module) *entry {
 // OnStart sets a hook invoked when the host process receives the start
 // signal, before modules start.
 func (h *Host) OnStart(f func(env *async.Env)) { h.onStart = f }
-
-// UnknownCount reports how many message bodies no module has claimed:
-// payloads that are not a non-nil *Envelope, and bodies still buffered for an
-// instance that was never spawned. Read at the end of a run, it counts
-// what the run discarded (malformed or malicious).
-func (h *Host) UnknownCount() int {
-	n := h.unknown
-	for _, pending := range h.buffer {
-		n += len(pending)
-	}
-	return n
-}
 
 // Ctx returns a context bound to the given instance and env, for
 // host-level code (such as OnStart hooks) that needs to call into a

@@ -73,7 +73,7 @@ func TestBufferingForUnregisteredInstance(t *testing.T) {
 			OnStart: func(ctx *Ctx) {
 				if ctx.Self() == 0 {
 					// Send to "late" BEFORE the peer spawns it, then trigger.
-					ctx.SendTo(1, "late", "early-bird")
+					ctx.For("late").Send(1, "early-bird")
 					ctx.Send(1, "go")
 				}
 			},
@@ -100,11 +100,11 @@ func TestSpawnIdempotent(t *testing.T) {
 				if m1 != m2 {
 					t.Error("Spawn with same id should return existing module")
 				}
-				if _, ok := ctx.Lookup("child"); !ok {
-					t.Error("Lookup failed for spawned child")
+				if _, ok := ctx.host.modules["child"]; !ok {
+					t.Error("spawned child not registered")
 				}
-				if _, ok := ctx.Lookup("ghost"); ok {
-					t.Error("Lookup found nonexistent module")
+				if _, ok := ctx.host.modules["ghost"]; ok {
+					t.Error("nonexistent module registered")
 				}
 			},
 		}); err != nil {
@@ -123,7 +123,18 @@ func TestDuplicateRegister(t *testing.T) {
 	}
 }
 
-// TestNonEnvelopeCounted: UnknownCount counts both bodies no module
+// unknownCount reports how many message bodies no module has claimed:
+// payloads that are not a non-nil *Envelope, and bodies still buffered
+// for an instance that was never spawned.
+func unknownCount(h *Host) int {
+	n := h.unknown
+	for _, pending := range h.buffer {
+		n += len(pending)
+	}
+	return n
+}
+
+// TestNonEnvelopeCounted: unknownCount counts both bodies no module
 // claims, a payload that is not a *Envelope and an envelope whose
 // instance is never spawned.
 func TestNonEnvelopeCounted(t *testing.T) {
@@ -139,8 +150,8 @@ func TestNonEnvelopeCounted(t *testing.T) {
 	if _, err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if hosts[0].UnknownCount() != 2 {
-		t.Fatalf("UnknownCount = %d, want 2", hosts[0].UnknownCount())
+	if n := unknownCount(hosts[0]); n != 2 {
+		t.Fatalf("unknownCount = %d, want 2", n)
 	}
 }
 
@@ -157,7 +168,7 @@ func (*rawSender) Deliver(env *async.Env, m async.Message) {}
 
 // TestDeliverAcceptsOnlyEnvelopePointer: an Envelope value and a nil
 // *Envelope are not envelopes: they reach no module and count in
-// UnknownCount.
+// unknownCount.
 func TestDeliverAcceptsOnlyEnvelopePointer(t *testing.T) {
 	handled := 0
 	h := NewHost()
@@ -169,8 +180,8 @@ func TestDeliverAcceptsOnlyEnvelopePointer(t *testing.T) {
 	for _, p := range []any{Envelope{Instance: "m", Body: 1}, (*Envelope)(nil), &Envelope{Instance: "m", Body: 2}} {
 		h.Deliver(env, async.Message{From: 1, Payload: p})
 	}
-	if handled != 1 || h.UnknownCount() != 2 {
-		t.Fatalf("handled %d, UnknownCount %d; want 1 and 2", handled, h.UnknownCount())
+	if handled != 1 || unknownCount(h) != 2 {
+		t.Fatalf("handled %d, unknownCount %d; want 1 and 2", handled, unknownCount(h))
 	}
 }
 
@@ -299,7 +310,7 @@ func TestForBeforeSpawn(t *testing.T) {
 		if err := h.Register("root", &FuncModule{OnStart: func(ctx *Ctx) {
 			early := ctx.For("child")
 			early.Spawn("child", &FuncModule{OnHandle: func(_ *Ctx, _ async.PID, body any) { got[i] = body }})
-			if _, ok := ctx.Lookup("child"); !ok {
+			if _, ok := ctx.host.modules["child"]; !ok {
 				t.Error("child not registered")
 			}
 			if ctx.Self() == 0 {

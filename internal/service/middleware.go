@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"net/http"
 	"sort"
@@ -15,11 +14,6 @@ import (
 	"asyncmediator/internal/store"
 )
 
-// ctxKey keys the request-scoped values this package stores in contexts.
-type ctxKey int
-
-const ctxKeyRequestID ctxKey = iota
-
 // reqCounter numbers generated request ids process-wide.
 var reqCounter atomic.Int64
 
@@ -30,13 +24,6 @@ var reqEpoch = time.Now().UnixNano() & 0xffffff
 // newRequestID mints a process-unique request id.
 func newRequestID() string {
 	return fmt.Sprintf("req-%06x-%06d", reqEpoch, reqCounter.Add(1))
-}
-
-// requestID returns the id the middleware bound to this request's
-// context ("" outside the middleware stack).
-func requestID(ctx context.Context) string {
-	id, _ := ctx.Value(ctxKeyRequestID).(string)
-	return id
 }
 
 // statusWriter records the status and size of a response for the request
@@ -92,13 +79,12 @@ func canFlush(w http.ResponseWriter) bool {
 func withMiddleware(h http.Handler, logf func(format string, args ...any)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// Propagate the caller's request id; inject one when absent. The
-		// id is echoed on the response and carried in the context so every
-		// log line of the request can name it.
+		// id is echoed on the response and named in the request's log
+		// line.
 		id := r.Header.Get(api.RequestIDHeader)
 		if id == "" {
 			id = newRequestID()
 		}
-		r = r.WithContext(context.WithValue(r.Context(), ctxKeyRequestID, id))
 		sw := &statusWriter{ResponseWriter: w}
 		sw.Header().Set(api.RequestIDHeader, id)
 

@@ -260,7 +260,7 @@ func (s *Service) registerObsMetrics() {
 	// Play phase latencies, folded once per terminal session from the
 	// play's trace spans.
 	s.phaseHist = r.Histogram("mediatord_play_phase_seconds",
-		"Protocol phase latencies (avss.share, ba, acs.core, mpc.*) folded from play traces.",
+		"Protocol phase latencies (avss.share, ba, mpc.*) folded from play traces.",
 		phaseLatencyBounds)
 
 	// Cluster join fan-out: wall time of the parallel join phase per

@@ -397,14 +397,6 @@ func (s *Service) SubmitTypes(id string, types []game.Type) (*Session, error) {
 	return sess, nil
 }
 
-// Experiments runs one experiment table through the farm's worker pool —
-// the same sharded engine cmd/mediatorsim uses, competing for the same
-// workers as hosted plays. This is the synchronous path (GET
-// /experiments/{catalog-id}); CreateExperiment is the async-job path.
-func (s *Service) Experiments(id string, o sim.Options) (*sim.Table, error) {
-	return s.engine.Run(id, o)
-}
-
 // exec runs one session on its backend and then, in this order, persists
 // the terminal view (and its trace), counts the play, turns the session
 // terminal, and announces it. Whoever can observe the terminal state — a

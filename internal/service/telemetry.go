@@ -25,8 +25,8 @@ import (
 const sloBurnRule = "slo_burn"
 
 // startTelemetry opens the retained-trace ring (replaying "tr-" records
-// from the store) and arms the SLO engine. Called from New before the
-// fleet plane; a bad objective spec fails boot.
+// from the store) and arms the SLO engine. Called from New once the pool
+// and store are up; a bad objective spec fails boot.
 func (s *Service) startTelemetry() error {
 	if s.cfg.TraceRetention >= 0 {
 		tr, err := telemetry.OpenRetention(telemetry.RetentionConfig{

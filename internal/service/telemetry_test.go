@@ -243,10 +243,11 @@ func TestRetentionBoundEvictsOldest(t *testing.T) {
 }
 
 // TestSLOUnknownPhaseRefused: a phase objective whose selector names no
-// trace phase ("rbc" was retired with reliable broadcast) would never get
-// a sample, so New refuses it; every phase a trace records is accepted.
+// trace phase ("rbc" was retired with reliable broadcast; no envelope
+// ever classified as "acs.core") would never get a sample, so New
+// refuses it; every phase a trace records is accepted.
 func TestSLOUnknownPhaseRefused(t *testing.T) {
-	for _, spec := range []string{"phase:rbc:p99:1s", "phase:mpc.mask:p99:1s", "phase:run:p99:1s"} {
+	for _, spec := range []string{"phase:rbc:p99:1s", "phase:acs.core:p99:1s", "phase:mpc.mask:p99:1s", "phase:run:p99:1s"} {
 		if svc, err := New(Config{SLOObjectives: []string{spec}}); err == nil {
 			svc.Close()
 			t.Errorf("New accepted %q", spec)

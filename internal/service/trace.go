@@ -20,13 +20,12 @@ const originLocal = "local"
 // The named protocol phases, indexed by the phase* constants below.
 // phaseProto is the catch-all for unclassified instances.
 var phaseNames = [...]string{
-	"ba", "avss.share", "acs.core", "mpc.open", "mpc.mul", "proto",
+	"ba", "avss.share", "mpc.open", "mpc.mul", "proto",
 }
 
 const (
 	phaseBA = iota
 	phaseShare
-	phaseCore
 	phaseOpen
 	phaseMul
 	phaseProto
@@ -46,8 +45,6 @@ func phaseIdx(instance string) int {
 			return phaseBA
 		case "in":
 			return phaseShare
-		case "core":
-			return phaseCore
 		case "out", "rbopen":
 			return phaseOpen
 		case "mul", "mulcs", "rbmul", "rbmulcs":
@@ -60,9 +57,6 @@ func phaseIdx(instance string) int {
 	}
 	return phaseProto
 }
-
-// phaseOf names the phase of a protocol instance id.
-func phaseOf(instance string) string { return phaseNames[phaseIdx(instance)] }
 
 // phaseBuf is one wrapped process's private phase tally: per phase, a
 // count and the first/last observation offsets on the play's trace

@@ -6,7 +6,10 @@ import (
 	"time"
 
 	"asyncmediator/api"
+	"asyncmediator/internal/async"
+	"asyncmediator/internal/core"
 	"asyncmediator/internal/game"
+	"asyncmediator/internal/proto"
 )
 
 func TestPhaseOf(t *testing.T) {
@@ -15,7 +18,7 @@ func TestPhaseOf(t *testing.T) {
 		"ct/in/0":          "avss.share",
 		"ct/core/ba/2":     "ba",
 		"ct/ba/0":          "ba",
-		"ct/core":          "acs.core",
+		"ct/core":          "proto",
 		"ct/out/1":         "mpc.open",
 		"ct/rbopen/2":      "mpc.open",
 		"ct/mul/5":         "mpc.mul",
@@ -27,8 +30,60 @@ func TestPhaseOf(t *testing.T) {
 		"something/else/3": "proto",
 	}
 	for instance, want := range cases {
-		if got := phaseOf(instance); got != want {
-			t.Errorf("phaseOf(%q) = %q, want %q", instance, got, want)
+		if got := phaseNames[phaseIdx(instance)]; got != want {
+			t.Errorf("phase of %q = %q, want %q", instance, got, want)
+		}
+	}
+}
+
+// phaseCounter classifies every envelope delivered to the process it
+// wraps, as tracedProc does.
+type phaseCounter struct {
+	inner async.Process
+	seen  *[len(phaseNames)]int
+}
+
+func (c phaseCounter) Start(env *async.Env) { c.inner.Start(env) }
+
+func (c phaseCounter) Deliver(env *async.Env, msg async.Message) {
+	if e, ok := msg.Payload.(*proto.Envelope); ok {
+		c.seen[phaseIdx(e.Instance)]++
+	}
+	c.inner.Deliver(env, msg)
+}
+
+// TestEveryPhaseObserved: every named phase but the proto catch-all is
+// reached by seeded section64 plays. The n=5 Theorem 4.1 play (the
+// default session) drives the in, rbopen, out and ba instances; its
+// random-bit gate opens r^2 directly, so the n=4 Theorem 4.2 play, whose
+// epsilon regime reshares r^2 first, adds rbmul. A phase no envelope
+// classifies into could never feed a span, so an SLO objective on it
+// would never get a sample.
+func TestEveryPhaseObserved(t *testing.T) {
+	var seen [len(phaseNames)]int
+	for _, pl := range []struct {
+		n, k, tf int
+		v        core.Variant
+	}{{5, 1, 0, core.Exact41}, {4, 1, 0, core.Epsilon42}} {
+		p, err := core.Section64Params(pl.n, pl.k, pl.tf, pl.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, res, err := core.Run(core.RunConfig{
+			Params: p,
+			Types:  make([]game.Type, pl.n),
+			Seed:   1,
+			Wrap: func(_ int, proc async.Process) async.Process {
+				return phaseCounter{inner: proc, seen: &seen}
+			},
+		})
+		if err != nil || res.Deadlocked {
+			t.Fatalf("%+v: err %v, result %+v", pl, err, res)
+		}
+	}
+	for i, name := range phaseNames {
+		if i != phaseProto && seen[i] == 0 {
+			t.Errorf("phase %q: no delivered envelope classifies into it (counts %v)", name, seen)
 		}
 	}
 }

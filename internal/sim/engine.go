@@ -42,9 +42,6 @@ func EngineOn(p *pool.Pool) *Engine {
 	return &Engine{p: p, workers: p.Workers()}
 }
 
-// Workers returns the concurrency bound.
-func (e *Engine) Workers() int { return e.workers }
-
 // Close releases the engine's pool if it owns one.
 func (e *Engine) Close() {
 	if e.owned {
@@ -291,11 +288,4 @@ func (e *Engine) Sweep(ids []string, o Options) (*Report, error) {
 		r.Tables = append(r.Tables, tab)
 	}
 	return r, nil
-}
-
-// runSerial backs the package-level E1..E7 compatibility wrappers.
-func runSerial(id string, o Options) (*Table, error) {
-	e := NewEngine(1)
-	defer e.Close()
-	return e.Run(id, o)
 }

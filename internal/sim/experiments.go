@@ -122,28 +122,21 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// E1 regenerates Theorem 4.1's claim: exact implementation and robustness
-// at n > 4k+4t, rejection below. (Serial compatibility wrapper; sharded
-// sweeps go through Engine.Run.)
-func E1(o Options) (*Table, error) { return runSerial("e1", o) }
-
+// e1 regenerates Theorem 4.1's claim: exact implementation and robustness
+// at n > 4k+4t, rejection below.
 func (e *Engine) e1(o Options) (*Table, error) {
 	return e.boundExperiment("E1: Theorem 4.1 (exact, no punishment; n > 4k+4t)",
 		core.Exact41, [][2]int{{1, 0}, {0, 1}}, o)
 }
 
-// E2 regenerates Theorem 4.2's claim at n > 3k+3t with epsilon error.
-func E2(o Options) (*Table, error) { return runSerial("e2", o) }
-
+// e2 regenerates Theorem 4.2's claim at n > 3k+3t with epsilon error.
 func (e *Engine) e2(o Options) (*Table, error) {
 	return e.boundExperiment("E2: Theorem 4.2 (epsilon, no punishment; n > 3k+3t)",
 		core.Epsilon42, [][2]int{{1, 0}, {0, 1}}, o)
 }
 
-// E3 regenerates Theorem 4.4: punishment wills make stalling unprofitable
+// e3 regenerates Theorem 4.4: punishment wills make stalling unprofitable
 // at n > 3k+4t, and the weak implementation's O(n) mediator messages.
-func E3(o Options) (*Table, error) { return runSerial("e3", o) }
-
 func (e *Engine) e3(o Options) (*Table, error) {
 	t := &Table{
 		Title:  "E3: Theorem 4.4 (exact with (k+t)-punishment, AH wills; n > 3k+4t)",
@@ -192,9 +185,7 @@ func (e *Engine) e3(o Options) (*Table, error) {
 	return t, nil
 }
 
-// E4 regenerates Theorem 4.5 at n > 2k+3t.
-func E4(o Options) (*Table, error) { return runSerial("e4", o) }
-
+// e4 regenerates Theorem 4.5 at n > 2k+3t.
 func (e *Engine) e4(o Options) (*Table, error) {
 	t := &Table{
 		Title:  "E4: Theorem 4.5 (epsilon with (2k+2t)-punishment, AH wills; n > 2k+3t)",
@@ -236,11 +227,9 @@ func (e *Engine) e4(o Options) (*Table, error) {
 	return t, nil
 }
 
-// E5 measures the O(nNc) message-complexity shape: cheap-talk messages as
+// e5 measures the O(nNc) message-complexity shape: cheap-talk messages as
 // a function of n (players), c (random-bit gates), and the mediator-game
 // message count as a function of R (canonical rounds, the paper's N).
-func E5(o Options) (*Table, error) { return runSerial("e5", o) }
-
 func (e *Engine) e5(o Options) (*Table, error) {
 	t := &Table{
 		Title:  "E5: message complexity O(nNc)",
@@ -317,11 +306,9 @@ func multiBitCircuit(n, bits int) (*circuitT, error) {
 	return buildMultiBit(n, bits)
 }
 
-// E6 reproduces the Section 6.4 counterexample: the leaky mediator loses
+// e6 reproduces the Section 6.4 counterexample: the leaky mediator loses
 // 0.05 of equilibrium value to the coalition; the minimally informative
 // mediator restores it.
-func E6(o Options) (*Table, error) { return runSerial("e6", o) }
-
 func (e *Engine) e6(o Options) (*Table, error) {
 	t := &Table{
 		Title:  "E6: Section 6.4 — naive mediator vs minimally informative (n=4, k=1)",

@@ -7,6 +7,14 @@ import (
 )
 
 // cell parses a numeric table cell.
+
+// runSerial runs one catalog experiment on a single-worker engine.
+func runSerial(id string, o Options) (*Table, error) {
+	e := NewEngine(1)
+	defer e.Close()
+	return e.Run(id, o)
+}
+
 func cell(t *testing.T, tab *Table, row, col int) float64 {
 	t.Helper()
 	v, err := strconv.ParseFloat(tab.Rows[row][col], 64)
@@ -42,7 +50,7 @@ func TestTableRender(t *testing.T) {
 func TestE1Shape(t *testing.T) {
 	o := QuickOptions()
 	o.Trials = 8
-	tab, err := E1(o)
+	tab, err := runSerial("e1", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +80,7 @@ func TestE1Shape(t *testing.T) {
 func TestE3PunishmentDeters(t *testing.T) {
 	o := QuickOptions()
 	o.Trials = 8
-	tab, err := E3(o)
+	tab, err := runSerial("e3", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +102,7 @@ func TestE3PunishmentDeters(t *testing.T) {
 
 func TestE5MonotoneScaling(t *testing.T) {
 	o := QuickOptions()
-	tab, err := E5(o)
+	tab, err := runSerial("e5", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +133,7 @@ func TestE5MonotoneScaling(t *testing.T) {
 // in E5's c sweep (n=5) adds no dealing, only the public opening of its
 // r² + z: exactly n² = 25 messages.
 func TestE5RandomBitCostsOneOpening(t *testing.T) {
-	tab, err := E5(QuickOptions())
+	tab, err := runSerial("e5", QuickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +151,7 @@ func TestE5RandomBitCostsOneOpening(t *testing.T) {
 func TestE6PaperNumbers(t *testing.T) {
 	o := QuickOptions()
 	o.Trials = 100 // E6 multiplies by 4 internally
-	tab, err := E6(o)
+	tab, err := runSerial("e6", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +171,7 @@ func TestE6PaperNumbers(t *testing.T) {
 func TestE7Crossover(t *testing.T) {
 	o := QuickOptions()
 	o.Trials = 5
-	tab, err := E7(o)
+	tab, err := runSerial("e7", o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,14 +8,12 @@ import (
 	"asyncmediator/internal/syncct"
 )
 
-// E7 regenerates the paper's headline comparison: synchrony implements the
+// e7 regenerates the paper's headline comparison: synchrony implements the
 // mediator at n > 3k+3t (R1), while exact asynchronous implementation
 // needs n > 4k+4t (Theorem 4.1) — "the cost of asynchrony is an extra
 // k+t". The crossover row is n = 3(k+t)+1: sync succeeds, async-exact is
 // infeasible, async-epsilon succeeds (Theorem 4.2 closes the gap by
 // accepting epsilon error).
-func E7(o Options) (*Table, error) { return runSerial("e7", o) }
-
 func (e *Engine) e7(o Options) (*Table, error) {
 	t := &Table{
 		Title:  "E7: synchronous (R1) vs asynchronous (Thm 4.1/4.2) cheap talk",

@@ -461,14 +461,6 @@ func (s *Store) Recovery() Recovery {
 	return s.rec
 }
 
-// WALRecords returns the records appended since the last compaction — the
-// replay cost of a crash right now.
-func (s *Store) WALRecords() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.walRecords
-}
-
 // Compact writes the full index as a fresh snapshot (atomically: temp file,
 // fsync, rename) and then truncates the WAL. A crash between the rename and
 // the truncation double-applies the WAL records on the next Open, which is
@@ -530,19 +522,6 @@ func (s *Store) compactLocked() error {
 	s.walRecords = 0
 	s.compactions++
 	return nil
-}
-
-// Sync flushes and fsyncs the WAL — full durability up to the last Put.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if err := s.w.Flush(); err != nil {
-		return err
-	}
-	return s.wal.Sync()
 }
 
 // Close flushes, fsyncs, and closes the WAL. It is idempotent.

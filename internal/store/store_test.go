@@ -146,7 +146,10 @@ func TestCompactionSnapshotsAndTruncatesWAL(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		put(t, s, fmt.Sprintf("k-%03d", i%10), fmt.Sprintf("v%d", i))
 	}
-	if n := s.WALRecords(); n >= 8 {
+	s.mu.Lock()
+	n := s.walRecords
+	s.mu.Unlock()
+	if n >= 8 {
 		t.Fatalf("wal holds %d records, auto-compaction never fired", n)
 	}
 	if _, err := os.Stat(filepath.Join(dir, snapName)); err != nil {

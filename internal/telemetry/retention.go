@@ -1,14 +1,12 @@
 // Package telemetry is the farm's durable telemetry plane: bounded
 // retention of finished plays' traces (queryable after hot-cache
-// eviction and daemon restarts), rolling multi-window SLO burn-rate
-// objectives over the trace stream, and a continuous profiler writing
-// periodic pprof captures to an on-disk ring.
+// eviction and daemon restarts) and rolling multi-window SLO burn-rate
+// objectives over the trace stream.
 //
-// The package is deliberately passive — it owns no goroutines except
-// the profiler's capture loop. The service feeds it terminal traces,
-// drives the SLO engine from its own ticker, and surfaces queries over
-// the /v1 API; retention durability rides the service's embedded store
-// under its own "tr-" key prefix.
+// The package is deliberately passive — it owns no goroutines. The
+// service feeds it terminal traces, drives the SLO engine from its own
+// ticker, and surfaces queries over the /v1 API; retention durability
+// rides the service's embedded store under its own "tr-" key prefix.
 package telemetry
 
 import (

@@ -149,10 +149,6 @@ func newOwnNode(cfg NodeConfig, addr string) (*Node, error) {
 // self slot skipped).
 func (n *Node) SetAddrs(addrs []string) { n.tr.SetAddrs(addrs) }
 
-// DropConns severs every live transport connection (fault injection);
-// links reconnect and replay. It returns the number closed.
-func (n *Node) DropConns() int { return n.tr.DropConns() }
-
 // NewLocalMesh builds a complete loopback mesh for the given processes:
 // every node gets an endpoint of its own on an ephemeral 127.0.0.1 port
 // (no port agreement needed) and knows every peer's address when this

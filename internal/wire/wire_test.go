@@ -233,7 +233,7 @@ func TestMeshSurvivesConnDrops(t *testing.T) {
 			default:
 			}
 			for _, nd := range nodes {
-				if nd.DropConns() > 0 {
+				if nd.tr.DropConns() > 0 {
 					once.Do(func() { close(firstDrop) })
 				}
 			}

@@ -261,8 +261,7 @@ func TestClientEventStream(t *testing.T) {
 	}
 }
 
-// TestClientExperiments covers the catalog, the synchronous run, and the
-// async job path.
+// TestClientExperiments covers the catalog and the job path.
 func TestClientExperiments(t *testing.T) {
 	_, c := farmClient(t, service.Config{Workers: 2})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -276,22 +275,11 @@ func TestClientExperiments(t *testing.T) {
 		t.Fatalf("catalog %+v", cat)
 	}
 	seed := int64(5)
-	tab, err := c.RunExperiment(ctx, "e7", client.RunOptions{Trials: 2, Seed: &seed})
+	jv, err := c.RunJob(ctx, api.ExperimentRequest{Experiment: "e7", Trials: 2, Seed: &seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.ID != "e7" || len(tab.Rows) == 0 {
-		t.Fatalf("table %+v", tab)
-	}
-	if _, err := c.RunExperiment(ctx, "e99", client.RunOptions{}); !errors.Is(err, client.ErrNotFound) {
-		t.Fatalf("unknown experiment: %v", err)
-	}
-
-	jv, err := c.RunJob(ctx, api.ExperimentRequest{Experiment: "e7", Trials: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jv.State != api.StateDone || jv.Table == nil || jv.Table.ID != "e7" {
+	if jv.State != api.StateDone || jv.Table == nil || jv.Table.ID != "e7" || len(jv.Table.Rows) == 0 || jv.Seed0 != seed {
 		t.Fatalf("job view %+v", jv)
 	}
 	if _, err := c.CreateJob(ctx, api.ExperimentRequest{Experiment: "e99"}); !errors.Is(err, client.ErrNotFound) {

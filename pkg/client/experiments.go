@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"strconv"
 
 	"asyncmediator/api"
 )
@@ -15,36 +14,6 @@ func (c *Client) Catalog(ctx context.Context) ([]api.ExperimentInfo, error) {
 	var resp api.CatalogResponse
 	err := c.do(ctx, http.MethodGet, "/v1/experiments", nil, nil, &resp)
 	return resp.Experiments, err
-}
-
-// RunOptions tune a synchronous catalog run (zero values take the
-// server's quick defaults).
-type RunOptions struct {
-	Trials   int
-	Seed     *int64
-	MaxSteps int
-}
-
-// RunExperiment runs a catalog experiment synchronously in the request
-// (GET /v1/experiments/{name}) and returns its table. For large sweeps
-// prefer CreateJob: the synchronous path holds the connection for the
-// whole sweep.
-func (c *Client) RunExperiment(ctx context.Context, name string, o RunOptions) (*api.Table, error) {
-	q := url.Values{}
-	if o.Trials > 0 {
-		q.Set("trials", strconv.Itoa(o.Trials))
-	}
-	if o.Seed != nil {
-		q.Set("seed", strconv.FormatInt(*o.Seed, 10))
-	}
-	if o.MaxSteps > 0 {
-		q.Set("maxsteps", strconv.Itoa(o.MaxSteps))
-	}
-	var tab api.Table
-	if err := c.do(ctx, http.MethodGet, "/v1/experiments/"+url.PathEscape(name), q, nil, &tab); err != nil {
-		return nil, err
-	}
-	return &tab, nil
 }
 
 // CreateJob starts a persisted asynchronous experiment sweep on the

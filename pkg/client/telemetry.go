@@ -62,12 +62,3 @@ func (c *Client) SLO(ctx context.Context) (api.SLOView, error) {
 	err := c.do(ctx, http.MethodGet, "/v1/slo", nil, nil, &v)
 	return v, err
 }
-
-// Profiles lists the continuous profiler's on-disk capture ring. The
-// profiler serves on the daemon's private pprof listener, not the API
-// address — build this client against the -pprof-listen base URL.
-func (c *Client) Profiles(ctx context.Context) (api.ProfileList, error) {
-	var list api.ProfileList
-	err := c.doUnversioned(ctx, "/profiles", &list)
-	return list, err
-}
