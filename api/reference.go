@@ -5,9 +5,10 @@ import (
 	"strings"
 )
 
-// Route documents one endpoint of the /v1 surface. The table below is
-// the source the server mounts from and the README's API reference is
-// generated from, so documentation cannot drift from the contract.
+// Route documents one endpoint of the /v1 surface. The README's API
+// reference is generated from the table below, and a service test checks
+// it against the routes the server mounts, so documentation cannot drift
+// from the contract.
 type Route struct {
 	Method string
 	// Path is relative to Prefix ("" means the route is unversioned

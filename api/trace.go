@@ -30,7 +30,7 @@ type TraceSpan struct {
 // spans processes.
 type TraceView struct {
 	// TraceID is the play's stable trace id, shared by every daemon that
-	// co-hosted it (it travels in the cluster HELLO handshake).
+	// co-hosted it (it travels in the cluster join request).
 	TraceID string `json:"trace_id"`
 	// Spans is the stitched span list, ordered by origin then start.
 	Spans []TraceSpan `json:"spans"`

@@ -53,12 +53,13 @@
 // /metrics export the per-link redial, resend and dial-error counters.
 //
 // Telemetry retention and SLOs: finished plays' traces are retained on
-// a bounded ring (searchable at GET /v1/traces, surviving restarts with
-// -data-dir), and burn-rate objectives alert on the event bus (kind
-// "fleet": `mediatorctl events tail -kind fleet`):
+// a ring of the newest 4,096 (at most 64 MiB; searchable at GET
+// /v1/traces, surviving restarts with -data-dir), and burn-rate
+// objectives alert on the event bus (kind "fleet": `mediatorctl events
+// tail -kind fleet`):
 //
 //	mediatord -addr :8080 -data-dir /var/lib/mediatord \
-//	    -trace-retention 8192 -slo phase:ba:p99:250ms,variant:Theorem4.1:p95:1s &
+//	    -slo phase:ba:p99:250ms,variant:Theorem4.1:p95:1s &
 //	mediatorctl traces -phase ba -min-ms 5     # search retained traces
 //	mediatorctl slo                             # objective burn rates
 //	curl -s 'localhost:8080/v1/traces?variant=4.1&limit=10'
@@ -100,10 +101,8 @@ func run(args []string) error {
 	maxN := fs.Int("maxn", 0, "largest per-session player count (0: default 64)")
 	dataDir := fs.String("data-dir", "", "durable store directory; terminal sessions and experiment jobs survive restarts (empty: in-memory only)")
 	maxLive := fs.Int("max-live-sessions", 0, "bound on in-memory sessions; terminal sessions beyond it evict to the store (0: unlimited)")
-	snapEvery := fs.Int("snapshot-every", 0, "WAL records between compacted store snapshots (0: store default)")
 	quiet := fs.Bool("quiet", false, "disable the per-request HTTP log")
 	clusterListen := fs.String("cluster-listen", "", "host the daemon's cluster endpoint binds (one ephemeral port, bound on the first wire play and shared by every player it hosts) and advertises; must be reachable from peer daemons (default 127.0.0.1)")
-	joinTimeout := fs.Duration("join-timeout", 0, "per-peer deadline of the parallel cluster-join fan-out (0: 30s); start deadlines stay on the wire timeout")
 	tlsCert := fs.String("tls-cert", "", "PEM certificate for mutual TLS on cluster transport connections")
 	tlsKey := fs.String("tls-key", "", "PEM private key paired with -tls-cert")
 	tlsCA := fs.String("tls-ca", "", "PEM CA bundle both sides of every cluster connection verify against")
@@ -111,8 +110,6 @@ func run(args []string) error {
 	chaos := fs.Bool("chaos", false, "mount POST /v1/cluster/drop, the fault-injection hook severing live cluster connections (testing only)")
 	pprofListen := fs.String("pprof-listen", "", "bind net/http/pprof on this separate address (empty: disabled; keep it off public interfaces)")
 	noTrace := fs.Bool("no-trace", false, "disable per-play trace collection (GET /v1/sessions/{id}/trace answers 404)")
-	traceRetention := fs.Int("trace-retention", 0, "finished-play traces retained for GET /v1/traces, oldest evicted first (0: default 4096; -1: disabled)")
-	traceRetentionBytes := fs.Int64("trace-retention-bytes", 0, "byte bound of the retained-trace ring (0: default 64 MiB; -1: unbounded)")
 	sloSpecs := fs.String("slo", "", "comma-separated SLO objectives, each <kind>:<selector>:p<quantile>:<threshold> (e.g. phase:ba:p99:250ms,variant:Theorem4.1:p95:1s)")
 	sloInterval := fs.Duration("slo-interval", 0, "SLO burn-rate evaluation tick (0: 5s); windows are 2 and 12 ticks")
 	if err := fs.Parse(args); err != nil {
@@ -143,19 +140,14 @@ func run(args []string) error {
 		MaxN:            *maxN,
 		DataDir:         *dataDir,
 		MaxLiveSessions: *maxLive,
-		SnapshotEvery:   *snapEvery,
 		ClusterListen:   *clusterListen,
-		JoinTimeout:     *joinTimeout,
 		TLSCert:         *tlsCert,
 		TLSKey:          *tlsKey,
 		TLSCA:           *tlsCA,
 		ReadyWatermark:  *readyWatermark,
 		EnableChaos:     *chaos,
 		DisableTracing:  *noTrace,
-
-		TraceRetention:      *traceRetention,
-		TraceRetentionBytes: *traceRetentionBytes,
-		SLOInterval:         *sloInterval,
+		SLOInterval:     *sloInterval,
 	}
 	if *sloSpecs != "" {
 		for _, o := range strings.Split(*sloSpecs, ",") {

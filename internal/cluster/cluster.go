@@ -88,10 +88,6 @@ type Config struct {
 	// ClusterID names the play this mesh carries; handshakes from any
 	// other cluster are rejected. Defaults to "local".
 	ClusterID string
-	// TraceID, when set, is announced in every outbound HELLO so the
-	// play's distributed trace is visible at the transport layer; peers
-	// that predate the field ignore it.
-	TraceID string
 }
 
 func (c *Config) normalize() error {

@@ -50,16 +50,14 @@ type Frame struct {
 
 // hello is the first frame of every connection: it names the protocol
 // version, the cluster session the dialer believes it is part of, and the
-// directed stream (from -> to) this connection will carry. TraceID is an
-// optional observability tail (the play's trace id) appended after the
-// fixed fields; version-1 parsers that predate it already tolerated
-// trailing bytes, so carrying it needs no protocol-version bump.
+// directed stream (from -> to) this connection will carry. A parser
+// ignores bytes after these fixed fields: earlier daemons appended the
+// play's trace id there, and their HELLOs still handshake.
 type hello struct {
 	Version   uint16
 	ClusterID string
 	From      int
 	To        int
-	TraceID   string
 }
 
 // appendHeader appends a frame's length prefix (kind byte plus a body of
@@ -81,7 +79,7 @@ func writeRaw(w io.Writer, kind byte, body []byte) error {
 
 // maxHandshakeBytes bounds the frames read before a peer is admitted
 // (HELLO) and by a dialer awaiting admission (WELCOME or REJECT). A HELLO
-// frame is 17 bytes plus its cluster and trace ids, a WELCOME 9, a REJECT
+// frame is 15 bytes plus its cluster id, a WELCOME 9, a REJECT
 // one line of reason. So 4 KiB is ample, and an unauthenticated client
 // cannot make the listener allocate more.
 const maxHandshakeBytes = 4 << 10
@@ -152,21 +150,18 @@ func (fr *frameReader) next(limit int) (byte, []byte, error) {
 // writeHello frames the handshake's opening.
 func writeHello(w io.Writer, h hello) error {
 	id := []byte(h.ClusterID)
-	tid := []byte(h.TraceID)
-	body := make([]byte, 2+4+len(id)+4+4+2+len(tid))
+	body := make([]byte, 2+4+len(id)+4+4)
 	binary.BigEndian.PutUint16(body[0:2], h.Version)
 	binary.BigEndian.PutUint32(body[2:6], uint32(len(id)))
 	copy(body[6:], id)
 	off := 6 + len(id)
 	binary.BigEndian.PutUint32(body[off:off+4], uint32(int32(h.From)))
 	binary.BigEndian.PutUint32(body[off+4:off+8], uint32(int32(h.To)))
-	binary.BigEndian.PutUint16(body[off+8:off+10], uint16(len(tid)))
-	copy(body[off+10:], tid)
 	return writeRaw(w, kindHello, body)
 }
 
-// parseHello decodes a HELLO body. The trace-id tail is optional: frames
-// from peers predating it simply end after the To field.
+// parseHello decodes a HELLO body, ignoring any bytes after the To field
+// (the trace-id tail earlier daemons appended).
 func parseHello(body []byte) (hello, error) {
 	if len(body) < 2+4 {
 		return hello{}, fmt.Errorf("cluster: short hello (%d bytes)", len(body))
@@ -180,11 +175,6 @@ func parseHello(body []byte) (hello, error) {
 	off := 6 + idLen
 	h.From = int(int32(binary.BigEndian.Uint32(body[off : off+4])))
 	h.To = int(int32(binary.BigEndian.Uint32(body[off+4 : off+8])))
-	if rest := body[off+8:]; len(rest) >= 2 {
-		if n := int(binary.BigEndian.Uint16(rest[0:2])); len(rest) >= 2+n {
-			h.TraceID = string(rest[2 : 2+n])
-		}
-	}
 	return h, nil
 }
 

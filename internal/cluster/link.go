@@ -165,7 +165,6 @@ func (l *link) connect() (*conn, uint64, error) {
 		ClusterID: l.t.cfg.ClusterID,
 		From:      l.t.cfg.Self,
 		To:        l.to,
-		TraceID:   l.t.cfg.TraceID,
 	}
 	for !l.t.closing() {
 		addr := l.currentAddr()

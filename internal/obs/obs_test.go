@@ -1,10 +1,13 @@
 package obs
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"asyncmediator/api"
 )
 
 func TestDeriveTraceIDStable(t *testing.T) {
@@ -26,15 +29,19 @@ func TestDeriveTraceIDStable(t *testing.T) {
 }
 
 func TestPlayTraceObserveAggregates(t *testing.T) {
-	tr := NewPlayTrace("t1", 0)
+	tr := NewPlayTrace("t1")
 	tr.ObserveN("rbc", "local", 1)
 	tr.ObserveN("rbc", "local", 1)
 	tr.ObserveN("ba", "local", 1)
-	spans := tr.Snapshot()
+	v := tr.View()
+	if v.TraceID != "t1" {
+		t.Fatalf("view trace id %q, want t1", v.TraceID)
+	}
+	spans := v.Spans
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans, want 2: %+v", len(spans), spans)
 	}
-	byName := map[string]Span{}
+	byName := map[string]api.TraceSpan{}
 	for _, s := range spans {
 		byName[s.Name] = s
 	}
@@ -47,35 +54,36 @@ func TestPlayTraceObserveAggregates(t *testing.T) {
 }
 
 func TestPlayTraceBound(t *testing.T) {
-	tr := NewPlayTrace("t2", 3)
-	tr.ObserveN("a", "x", 1)
-	tr.ObserveN("b", "x", 1)
-	tr.ObserveN("c", "x", 1)
-	tr.ObserveN("d", "x", 1) // over the bound: dropped
-	tr.ObserveN("a", "x", 1) // existing span: still counted
-	if got := len(tr.Snapshot()); got != 3 {
-		t.Fatalf("bound leaked: %d spans", got)
+	tr := NewPlayTrace("t2")
+	for i := 0; i < spanLimit; i++ {
+		tr.ObserveN(strconv.Itoa(i), "x", 1)
 	}
-	if tr.Dropped() != 1 {
-		t.Fatalf("dropped = %d, want 1", tr.Dropped())
+	tr.ObserveN("over", "x", 1) // over the bound: dropped
+	tr.ObserveN("0", "x", 1)    // existing span: still counted
+	v := tr.View()
+	if len(v.Spans) != spanLimit {
+		t.Fatalf("bound leaked: %d spans", len(v.Spans))
+	}
+	if v.Dropped != 1 {
+		t.Fatalf("dropped = %d, want 1", v.Dropped)
 	}
 	// Merge respects the same bound.
-	tr.Merge([]Span{{Name: "e"}, {Name: "f"}})
-	if got := len(tr.Snapshot()); got != 3 {
-		t.Fatalf("merge leaked past the bound: %d spans", got)
+	tr.Merge(&api.TraceView{Spans: []api.TraceSpan{{Name: "e"}, {Name: "f"}}}, "http://peer")
+	if v = tr.View(); len(v.Spans) != spanLimit {
+		t.Fatalf("merge leaked past the bound: %d spans", len(v.Spans))
 	}
-	if tr.Dropped() != 3 {
-		t.Fatalf("dropped = %d, want 3", tr.Dropped())
+	if v.Dropped != 3 {
+		t.Fatalf("dropped = %d, want 3", v.Dropped)
 	}
 }
 
 func TestPlayTraceBeginAndAnnotate(t *testing.T) {
-	tr := NewPlayTrace("t3", 0)
+	tr := NewPlayTrace("t3")
 	end := tr.Begin("run", "local")
 	time.Sleep(time.Millisecond)
 	end()
 	tr.Annotate("run", "local", "cpu_ms", "1.5")
-	spans := tr.Snapshot()
+	spans := tr.View().Spans
 	if len(spans) != 1 {
 		t.Fatalf("spans %+v", spans)
 	}
@@ -89,19 +97,29 @@ func TestPlayTraceBeginAndAnnotate(t *testing.T) {
 }
 
 func TestPlayTraceMergeStitches(t *testing.T) {
-	tr := NewPlayTrace("t4", 0)
+	tr := NewPlayTrace("t4")
 	tr.ObserveN("rbc", "local", 1)
-	tr.Merge([]Span{{Name: "rbc", Origin: "http://peer", StartUS: 5, EndUS: 9, Count: 3}})
-	spans := tr.Snapshot()
+	// A peer records its own spans as "local"; Merge stamps the origin
+	// the coordinator names the peer by.
+	peer := &api.TraceView{TraceID: "t4", Spans: []api.TraceSpan{
+		{Name: "rbc", Origin: "local", StartUS: 5, EndUS: 9, Count: 3, Attrs: map[string]string{"k": "v"}},
+	}}
+	tr.Merge(peer, "http://peer")
+	peer.Spans[0].Attrs["k"] = "changed" // the merged copy is the trace's own
+	spans := tr.View().Spans
 	if len(spans) != 2 {
 		t.Fatalf("spans %+v", spans)
 	}
-	origins := map[string]bool{}
+	byOrigin := map[string]api.TraceSpan{}
 	for _, s := range spans {
-		origins[s.Origin] = true
+		byOrigin[s.Origin] = s
 	}
-	if !origins["local"] || !origins["http://peer"] {
-		t.Fatalf("origins %+v", origins)
+	got, ok := byOrigin["http://peer"]
+	if _, local := byOrigin["local"]; !local || !ok {
+		t.Fatalf("origins %+v", byOrigin)
+	}
+	if got.Count != 3 || got.StartUS != 5 || got.EndUS != 9 || got.Attrs["k"] != "v" {
+		t.Fatalf("stitched span %+v", got)
 	}
 }
 
@@ -110,14 +128,14 @@ func TestNilPlayTraceIsSafe(t *testing.T) {
 	tr.ObserveN("a", "b", 1)
 	tr.Begin("a", "b")()
 	tr.Annotate("a", "b", "k", "v")
-	tr.Merge([]Span{{Name: "x"}})
-	if tr.ID() != "" || tr.Dropped() != 0 || tr.Snapshot() != nil {
+	tr.Merge(&api.TraceView{Spans: []api.TraceSpan{{Name: "x"}}}, "http://peer")
+	if tr.ID() != "" || tr.NowUS() != 0 || tr.View() != nil {
 		t.Fatal("nil trace leaked state")
 	}
 }
 
 func TestPlayTraceConcurrent(t *testing.T) {
-	tr := NewPlayTrace("t5", 0)
+	tr := NewPlayTrace("t5")
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -129,7 +147,7 @@ func TestPlayTraceConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	spans := tr.Snapshot()
+	spans := tr.View().Spans
 	if len(spans) != 1 || spans[0].Count != 4000 {
 		t.Fatalf("spans %+v", spans)
 	}

@@ -1,20 +1,24 @@
-// Package obs is the zero-dependency observability core of the farm:
+// Package obs is the observability core of the farm:
 // trace ids, monotonic-clock spans aggregated into bounded per-play
 // traces, and a lock-cheap registry of counters/gauges/histograms that
 // internal/service re-exports in Prometheus text format.
 //
-// The package deliberately depends on nothing but the standard library,
-// and its hot paths (Observe, Counter.Add, Histogram.Observe) are a
-// mutex-guarded map hit or a single atomic — cheap enough to leave on
-// for every play the farm hosts.
+// The package deliberately depends on nothing but the standard library
+// and the api contract (itself standard-library only), whose span shape
+// a play trace records directly. Its hot paths (Observe, Counter.Add,
+// Histogram.Observe) are a mutex-guarded map hit or a single atomic —
+// cheap enough to leave on for every play the farm hosts.
 package obs
 
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"sort"
 	"sync"
 	"time"
+
+	"asyncmediator/api"
 )
 
 // TraceID identifies one distributed play across every daemon that
@@ -33,58 +37,33 @@ func DeriveTraceID(parts ...string) TraceID {
 	return TraceID(fmt.Sprintf("%016x", h.Sum64()))
 }
 
-// Span is one named interval on a play's timeline. Protocol phases are
-// aggregated spans: StartUS/EndUS bracket the first and last observation
-// of the phase and Count tallies how many messages landed in it. Offsets
-// are microseconds on the owning origin's monotonic clock, so spans from
-// different daemons order within an origin but only approximately across
-// origins.
-type Span struct {
-	// Name is the span's phase or stage name ("ba", "mpc.mul", "run").
-	Name string `json:"name"`
-	// Origin is the daemon-side label of where the span was recorded
-	// ("local", or the peer address after stitching).
-	Origin string `json:"origin,omitempty"`
-	// StartUS/EndUS are microseconds since the origin's trace started.
-	StartUS int64 `json:"start_us"`
-	EndUS   int64 `json:"end_us"`
-	// Count is how many observations the span aggregates.
-	Count int64 `json:"count"`
-	// Attrs carries span attributes (e.g. cpu_ms on the run span).
-	Attrs map[string]string `json:"attrs,omitempty"`
-}
+// spanLimit bounds a play trace: distinct (name, origin) spans beyond it
+// are dropped (and counted), never grown without bound.
+const spanLimit = 256
 
-// DefaultSpanLimit bounds a play trace when NewPlayTrace is given no
-// explicit limit: distinct (name, origin) spans beyond it are dropped
-// (and counted), never grown without bound.
-const DefaultSpanLimit = 256
-
-// PlayTrace is one session's bounded trace buffer. All methods are
-// nil-receiver safe, so a farm with tracing disabled threads a nil
-// trace through the same code paths at zero cost.
+// PlayTrace is one session's bounded trace buffer. It records spans in
+// their wire shape (api.TraceSpan), so View hands out the trace as the
+// API serves and the retention ring stores it. All methods are
+// nil-receiver safe, so a farm with tracing disabled threads a nil trace
+// through the same code paths at zero cost.
 type PlayTrace struct {
 	id    TraceID
 	start time.Time
-	limit int
 
 	mu      sync.Mutex
-	spans   map[spanKey]*Span
-	order   []spanKey // first-seen key order
-	foreign []Span    // stitched-in spans from other daemons
+	spans   map[spanKey]*api.TraceSpan
+	order   []spanKey       // first-seen key order
+	foreign []api.TraceSpan // stitched-in spans from other daemons
 	dropped int64
 }
 
-// NewPlayTrace creates a trace with the given id, bounded to limit
-// distinct spans (0: DefaultSpanLimit).
-func NewPlayTrace(id TraceID, limit int) *PlayTrace {
-	if limit <= 0 {
-		limit = DefaultSpanLimit
-	}
+// NewPlayTrace creates a trace with the given id, bounded to spanLimit
+// distinct spans.
+func NewPlayTrace(id TraceID) *PlayTrace {
 	return &PlayTrace{
 		id:    id,
 		start: time.Now(),
-		limit: limit,
-		spans: make(map[spanKey]*Span),
+		spans: make(map[spanKey]*api.TraceSpan),
 	}
 }
 
@@ -115,16 +94,16 @@ type spanKey struct{ origin, name string }
 
 // get returns the span for (name, origin), creating it if the bound
 // allows; nil when the trace is full. Callers hold t.mu.
-func (t *PlayTrace) get(name, origin string, at int64) *Span {
+func (t *PlayTrace) get(name, origin string, at int64) *api.TraceSpan {
 	key := spanKey{origin: origin, name: name}
 	if s, ok := t.spans[key]; ok {
 		return s
 	}
-	if len(t.spans)+len(t.foreign) >= t.limit {
+	if len(t.spans)+len(t.foreign) >= spanLimit {
 		t.dropped++
 		return nil
 	}
-	s := &Span{Name: name, Origin: origin, StartUS: at, EndUS: at}
+	s := &api.TraceSpan{Name: name, Origin: origin, StartUS: at, EndUS: at}
 	t.spans[key] = s
 	t.order = append(t.order, key)
 	return s
@@ -210,68 +189,48 @@ func (t *PlayTrace) Annotate(name, origin, key, value string) {
 	s.Attrs[key] = value
 }
 
-// Merge stitches completed spans from another daemon into this trace
-// (the coordinator's finish path). Spans beyond the bound are dropped
-// and counted.
-func (t *PlayTrace) Merge(spans []Span) {
-	if t == nil {
+// Merge stitches a peer daemon's finished trace into this one (the
+// coordinator's finish path), stamping every span with origin, the
+// peer's address. Spans beyond the bound are dropped and counted.
+func (t *PlayTrace) Merge(v *api.TraceView, origin string) {
+	if t == nil || v == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for i, s := range spans {
-		if len(t.spans)+len(t.foreign) >= t.limit {
-			t.dropped += int64(len(spans) - i)
+	for i, s := range v.Spans {
+		if len(t.spans)+len(t.foreign) >= spanLimit {
+			t.dropped += int64(len(v.Spans) - i)
 			break
 		}
-		if s.Attrs != nil {
-			attrs := make(map[string]string, len(s.Attrs))
-			for k, v := range s.Attrs {
-				attrs[k] = v
-			}
-			s.Attrs = attrs
-		}
+		s.Origin = origin
+		s.Attrs = maps.Clone(s.Attrs)
 		t.foreign = append(t.foreign, s)
 	}
 }
 
-// Dropped returns how many observations or spans the bound discarded.
-func (t *PlayTrace) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
-// Snapshot returns a copy of every span, locally recorded ones first in
-// first-seen order, then stitched foreign spans, both sub-sorted by
-// start offset within an origin for a stable render.
-func (t *PlayTrace) Snapshot() []Span {
+// View returns the trace in its wire shape (nil on a nil trace): a copy
+// of every span, locally recorded ones first in first-seen order, then
+// stitched foreign spans, ordered by origin and then by start offset for
+// a stable render.
+func (t *PlayTrace) View() *api.TraceView {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, 0, len(t.order)+len(t.foreign))
+	spans := make([]api.TraceSpan, 0, len(t.order)+len(t.foreign))
 	for _, key := range t.order {
 		s := *t.spans[key]
-		if s.Attrs != nil {
-			attrs := make(map[string]string, len(s.Attrs))
-			for k, v := range s.Attrs {
-				attrs[k] = v
-			}
-			s.Attrs = attrs
-		}
-		out = append(out, s)
+		s.Attrs = maps.Clone(s.Attrs)
+		spans = append(spans, s)
 	}
-	out = append(out, t.foreign...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Origin != out[j].Origin {
-			return out[i].Origin < out[j].Origin
+	spans = append(spans, t.foreign...)
+	sort.SliceStable(spans, func(i, j int) bool {
+		if spans[i].Origin != spans[j].Origin {
+			return spans[i].Origin < spans[j].Origin
 		}
-		return out[i].StartUS < out[j].StartUS
+		return spans[i].StartUS < spans[j].StartUS
 	})
-	return out
+	return &api.TraceView{TraceID: string(t.id), Spans: spans, Dropped: t.dropped}
 }

@@ -68,6 +68,12 @@ var ErrClusterUnknown = errors.New("service: unknown cluster play")
 // co-hosted play waits for its coordinator.
 const wireTimeout = 60 * time.Second
 
+// joinTimeout bounds each cluster join call a coordinator makes against
+// a peer daemon. Joins fan out in parallel, so it also bounds the whole
+// join phase: one slow peer cannot stall the play for the full wire
+// timeout.
+const joinTimeout = 30 * time.Second
+
 // newClusterEndpoint builds the daemon's cluster endpoint: one listener
 // on host (default 127.0.0.1) with an ephemeral port, bound on the first
 // wire play. A wildcard host is bound but not advertised: peers are given
@@ -155,7 +161,7 @@ func (s *Service) ClusterJoin(req api.ClusterJoinRequest) (api.ClusterJoinRespon
 	// response back and stitch into the coordinator's timeline.
 	var tr *obs.PlayTrace
 	if req.TraceID != "" && !s.cfg.DisableTracing {
-		tr = obs.NewPlayTrace(obs.TraceID(req.TraceID), 0)
+		tr = obs.NewPlayTrace(obs.TraceID(req.TraceID))
 	}
 	collect := newCollector(tr)
 	procs, err := core.BuildProcs(core.RunConfig{Params: params, Types: types, Wrap: collect.wrap()})
@@ -172,7 +178,7 @@ func (s *Service) ClusterJoin(req api.ClusterJoinRequest) (api.ClusterJoinRespon
 		collect: collect,
 	}
 	dupErr := fmt.Errorf("%w: cluster %s already joined", ErrConflict, req.ClusterID)
-	play.nodes, err = s.openClusterNodes(req.ClusterID, req.Players, procs, req.Seed, req.TraceID)
+	play.nodes, err = s.openClusterNodes(req.ClusterID, req.Players, procs, req.Seed)
 	if errors.Is(err, cluster.ErrPlayerOpen) {
 		err = dupErr // this cluster's players are already open here
 	}
@@ -201,7 +207,7 @@ func (s *Service) ClusterJoin(req api.ClusterJoinRequest) (api.ClusterJoinRespon
 
 // openClusterNodes opens a wire node on the daemon's cluster endpoint for
 // each listed player of one play. On error it stops the nodes it opened.
-func (s *Service) openClusterNodes(clusterID string, players []int, procs []async.Process, seed int64, traceID string) (map[int]*wire.Node, error) {
+func (s *Service) openClusterNodes(clusterID string, players []int, procs []async.Process, seed int64) (map[int]*wire.Node, error) {
 	nodes := make(map[int]*wire.Node, len(players))
 	for _, p := range players {
 		node, err := wire.NewNode(wire.NodeConfig{
@@ -211,7 +217,6 @@ func (s *Service) openClusterNodes(clusterID string, players []int, procs []asyn
 			ClusterID: clusterID,
 			Proc:      procs[p],
 			Seed:      seed,
-			TraceID:   traceID,
 		})
 		if err != nil {
 			stopNodes(nodes)
@@ -317,7 +322,7 @@ func (s *Service) ClusterStart(req api.ClusterStartRequest) (api.ClusterStartRes
 		// harmless: they are relay traffic and the buffers' atomics keep
 		// the overlap race-free.
 		play.collect.flush()
-		resp := api.ClusterStartResponse{ClusterID: req.ClusterID, Results: results, Trace: traceView(play.trace)}
+		resp := api.ClusterStartResponse{ClusterID: req.ClusterID, Results: results, Trace: play.trace.View()}
 
 		// The local players finished, but their transports must stay
 		// alive: the resend buffers may still hold frames a slower
@@ -460,10 +465,7 @@ func (s *Service) runCluster(sess *Session, types []game.Type) (game.Profile, *a
 		}
 	}
 	tr := sess.tracer()
-	traceID := ""
-	if tr != nil {
-		traceID = string(tr.ID())
-	}
+	traceID := string(tr.ID())
 	collect := newCollector(tr)
 	procs, err := core.BuildProcs(core.RunConfig{Params: params, Types: types, Wrap: collect.wrap()})
 	if err != nil {
@@ -477,7 +479,7 @@ func (s *Service) runCluster(sess *Session, types []game.Type) (game.Profile, *a
 			unclaimed = append(unclaimed, p)
 		}
 	}
-	local, err := s.openClusterNodes(clusterID, unclaimed, procs, sess.Seed(), traceID)
+	local, err := s.openClusterNodes(clusterID, unclaimed, procs, sess.Seed())
 	if err != nil {
 		return nil, nil, fmt.Errorf("service: %w", err)
 	}
@@ -527,7 +529,7 @@ func (s *Service) runCluster(sess *Session, types []game.Type) (game.Profile, *a
 		joinWG.Add(1)
 		go func() {
 			defer joinWG.Done()
-			jctx, jcancel := context.WithTimeout(ctx, s.cfg.JoinTimeout)
+			jctx, jcancel := context.WithTimeout(ctx, joinTimeout)
 			defer jcancel()
 			resp, err := clients[addr].ClusterJoin(jctx, api.ClusterJoinRequest{
 				ClusterID: clusterID,
@@ -648,7 +650,7 @@ func (s *Service) runCluster(sess *Session, types []game.Type) (game.Profile, *a
 		}
 		// Stitch the peer's spans into the coordinator's timeline, rewriting
 		// their origin to the peer's address.
-		tr.Merge(obsSpans(r.resp.Trace, r.addr))
+		tr.Merge(r.resp.Trace, r.addr)
 		if err := fold(r.addr, r.resp.Results); err != nil && firstErr == nil {
 			firstErr = err
 		}

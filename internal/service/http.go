@@ -255,12 +255,13 @@ func (s *Service) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSessionTrace answers GET /v1/sessions/{id}/trace: the terminal
-// play's stitched trace alone. The lookup chain spans the tiers a trace
+// play's stitched trace alone. The lookup chain spans the places a trace
 // can live in — the hot session object, then the retention ring (which
-// survives hot-cache eviction and restarts), then legacy session
-// records that still embed their trace. Pre-terminal sessions and plays
-// traced with tracing disabled answer not_found — the trace exists only
-// once the play finished.
+// survives hot-cache eviction and restarts), then, read-only, session
+// records that embed their trace (earlier daemons wrote them with
+// retention disabled). Pre-terminal sessions and plays run with tracing
+// disabled answer not_found — the trace exists only once the play
+// finished.
 func (s *Service) handleSessionTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if sess, ok := s.Session(id); ok {

@@ -71,11 +71,6 @@ type Config struct {
 	BaseSeed int64
 	// MaxN caps the per-session player count (default 64).
 	MaxN int
-	// JoinTimeout bounds each cluster-mode join call a coordinator makes
-	// against a peer daemon (default 30s). Joins fan out in parallel, so
-	// it also bounds the whole join phase — one slow peer cannot stall
-	// the play for the full wire timeout.
-	JoinTimeout time.Duration
 	// DataDir enables the durable store: terminal sessions and experiment
 	// jobs persist to a WAL + snapshot pair there and survive restarts.
 	// Empty means memory-only (the pre-durability behaviour).
@@ -84,9 +79,6 @@ type Config struct {
 	// Terminal sessions beyond the bound evict to the store; without a
 	// DataDir, evicted sessions are gone (bounded memory, no durability).
 	MaxLiveSessions int
-	// SnapshotEvery is the store's compaction cadence in WAL records
-	// (0: the store default).
-	SnapshotEvery int
 	// RequestLog, when set, receives one structured line per HTTP request
 	// (and per recovered handler panic) from the middleware stack; nil
 	// disables request logging. Printf-shaped so log.Printf drops in.
@@ -112,16 +104,6 @@ type Config struct {
 	// default observability layer). The overhead benchmark uses it to
 	// measure tracing's cost against an untraced baseline.
 	DisableTracing bool
-	// TraceRetention bounds the retained-trace ring by record count:
-	// every finished play's compacted trace is kept (and persisted, with
-	// a DataDir) for GET /v1/traces and the trace endpoint, oldest
-	// evicted first. 0 means the default (4096); negative disables
-	// retention entirely (traces revert to living only inside session
-	// records).
-	TraceRetention int
-	// TraceRetentionBytes bounds the ring by encoded size (0: default
-	// 64 MiB; negative: unbounded).
-	TraceRetentionBytes int64
 	// SLOObjectives arms the burn-rate engine: each entry is
 	// "<kind>:<selector>:p<quantile>:<threshold>", e.g.
 	// "phase:ba:p99:250ms" or "variant:Theorem4.1:p95:1s". Empty disables the
@@ -141,9 +123,6 @@ func (c *Config) normalize() {
 	}
 	if c.BaseSeed == 0 {
 		c.BaseSeed = 1
-	}
-	if c.JoinTimeout == 0 {
-		c.JoinTimeout = 30 * time.Second
 	}
 	if c.SLOInterval == 0 {
 		c.SLOInterval = 5 * time.Second
@@ -208,9 +187,9 @@ type Service struct {
 	// one play, wall clock).
 	joinHist *obs.Histogram
 
-	// traces is the durable retained-trace ring (nil when retention is
-	// disabled); slo the burn-rate engine (nil without objectives), with
-	// sloWG waiting out its ticker goroutine on Close.
+	// traces is the durable retained-trace ring; slo the burn-rate
+	// engine (nil without objectives), with sloWG waiting out its ticker
+	// goroutine on Close.
 	traces *telemetry.Retention
 	slo    *telemetry.SLOEngine
 	sloWG  sync.WaitGroup
@@ -241,7 +220,7 @@ func New(cfg Config) (*Service, error) {
 	var st *store.Store
 	if cfg.DataDir != "" {
 		var err error
-		st, err = store.Open(store.Config{Dir: cfg.DataDir, CompactEvery: cfg.SnapshotEvery})
+		st, err = store.Open(store.Config{Dir: cfg.DataDir})
 		if err != nil {
 			return nil, err
 		}
@@ -429,14 +408,11 @@ func (s *Service) exec(sess *Session) {
 	}
 	view := sess.settle(prof, res, err)
 
-	// Persist. With retention on, the session record spills lean (trace
-	// stripped): the ring is the trace's durable home, so the session
-	// tier stops duplicating span data it never queries.
+	// Persist. The session record spills lean (trace stripped): the
+	// retention ring is the trace's durable home.
 	s.retainTrace(view, s.observePlay(view))
 	lean := view
-	if s.traces != nil {
-		lean.Trace = nil
-	}
+	lean.Trace = nil
 	perr := s.reg.Persist(lean)
 	if perr != nil {
 		s.persistErrs.Inc() // surfaces a sick disk in /v1/stats

@@ -159,7 +159,8 @@ type Session struct {
 	// finish — the live buffer's span map is pointer-dense, and a farm
 	// retaining thousands of terminal sessions would pay for scanning it
 	// every GC cycle. traceV is the flat wire-shape view embedded in
-	// terminal snapshots, so it persists with the session record.
+	// terminal snapshots; the stored session record leaves it out, since
+	// the retention ring stores it.
 	trace  *obs.PlayTrace
 	traceV *api.TraceView
 
@@ -233,7 +234,7 @@ func (s *Session) beginTrace(enabled bool) *obs.PlayTrace {
 	if !enabled {
 		return nil
 	}
-	tr := obs.NewPlayTrace(obs.DeriveTraceID(s.ID, strconv.FormatInt(s.seed, 10)), 0)
+	tr := obs.NewPlayTrace(obs.DeriveTraceID(s.ID, strconv.FormatInt(s.seed, 10)))
 	s.mu.Lock()
 	s.trace = tr
 	s.mu.Unlock()
@@ -265,7 +266,7 @@ func (s *Session) settle(profile game.Profile, res *async.Result, err error) Vie
 		s.profile = profile
 		s.res = res
 	}
-	s.traceV = traceView(s.trace)
+	s.traceV = s.trace.View()
 	s.trace = nil
 	s.finished = time.Now()
 	return s.viewLocked(state)

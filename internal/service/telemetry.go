@@ -24,30 +24,28 @@ import (
 // states "alert.slo_burn" / "clear.slo_burn", kind "fleet".
 const sloBurnRule = "slo_burn"
 
+// traceRingRecords bounds the retained-trace ring by record count. It is
+// a variable so tests can fill a small ring.
+var traceRingRecords = telemetry.MaxRecords
+
 // startTelemetry opens the retained-trace ring (replaying "tr-" records
 // from the store) and arms the SLO engine. Called from New once the pool
 // and store are up; a bad objective spec fails boot.
 func (s *Service) startTelemetry() error {
-	if s.cfg.TraceRetention >= 0 {
-		tr, err := telemetry.OpenRetention(telemetry.RetentionConfig{
-			Store:      s.st,
-			MaxRecords: s.cfg.TraceRetention,
-			MaxBytes:   s.cfg.TraceRetentionBytes,
-		})
-		if err != nil {
-			return err
-		}
-		s.traces = tr
-		s.obsReg.GaugeFunc("mediatord_traces_retained",
-			"Finished-play traces held on the retention ring.",
-			func() float64 { n, _, _ := s.traces.Stats(); return float64(n) })
-		s.obsReg.GaugeFunc("mediatord_traces_retained_bytes",
-			"Encoded size of the retained-trace ring.",
-			func() float64 { _, b, _ := s.traces.Stats(); return float64(b) })
-		s.obsReg.CounterFunc("mediatord_traces_evicted_total",
-			"Traces evicted from the retention ring (count or byte bound).",
-			func() float64 { _, _, e := s.traces.Stats(); return float64(e) })
+	tr, err := telemetry.OpenRetention(s.st, traceRingRecords)
+	if err != nil {
+		return err
 	}
+	s.traces = tr
+	s.obsReg.GaugeFunc("mediatord_traces_retained",
+		"Finished-play traces held on the retention ring.",
+		func() float64 { n, _, _ := s.traces.Stats(); return float64(n) })
+	s.obsReg.GaugeFunc("mediatord_traces_retained_bytes",
+		"Encoded size of the retained-trace ring.",
+		func() float64 { _, b, _ := s.traces.Stats(); return float64(b) })
+	s.obsReg.CounterFunc("mediatord_traces_evicted_total",
+		"Traces evicted from the retention ring (count or byte bound).",
+		func() float64 { _, _, e := s.traces.Stats(); return float64(e) })
 	objs, err := telemetry.ParseObjectives(s.cfg.SLOObjectives)
 	if err != nil {
 		return err
@@ -166,7 +164,7 @@ func (s *Service) observePlay(view View) (phaseMS map[string]float64) {
 // its per-phase digest. A failed store write counts as a persist error,
 // like a failed session write.
 func (s *Service) retainTrace(view View, phaseMS map[string]float64) {
-	if s.traces == nil || view.Trace == nil {
+	if view.Trace == nil {
 		return
 	}
 	sum := api.TraceSummary{
@@ -233,10 +231,6 @@ func (s *Service) handleSLO(w http.ResponseWriter, r *http.Request) {
 // by variant, phase, latency floor, and finish time, newest first with
 // cursor pagination.
 func (s *Service) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if s.traces == nil {
-		writeAPIError(w, api.Errorf(api.CodeNotFound, "trace retention is disabled on this daemon (-trace-retention -1)"))
-		return
-	}
 	f, e := parseTraceFilter(r)
 	if e != nil {
 		writeAPIError(w, e)

@@ -11,6 +11,7 @@ import (
 	"asyncmediator/api"
 	"asyncmediator/internal/core"
 	"asyncmediator/internal/game"
+	"asyncmediator/internal/store"
 )
 
 // TestTraceSurvivesEvictionAndRestart is the retention tentpole's
@@ -198,23 +199,54 @@ func TestTracesEndpointFiltersAndPaginates(t *testing.T) {
 	}
 }
 
-// TestTracesEndpointDisabled pins the opt-out: with retention disabled
-// the search endpoint is an explicit not_found, while session traces
-// still serve from the record-embedded copy (the legacy path).
-func TestTracesEndpointDisabled(t *testing.T) {
-	svc, ts := httpFarm(t, Config{Workers: 2, TraceRetention: -1})
-	ids := runSessions(t, svc, 1)
-	var apiErr struct {
-		Error *api.Error `json:"error"`
+// TestLegacyEmbeddedTraceServed: daemons of an earlier generation run
+// with trace retention disabled stored each play's trace inside its
+// session record, not on the ring. A farm reopened on such a data
+// directory still serves that trace from GET /v1/sessions/{id}/trace.
+func TestLegacyEmbeddedTraceServed(t *testing.T) {
+	mem := newFarm(t, Config{Workers: 1})
+	sess, err := mem.CreateSession(Spec{N: 4, K: 1, T: 0, Variant: "4.2"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	code, err := getJSON(t, ts.Client(), ts.URL+api.Prefix+"/traces", &apiErr)
-	if err != nil || code != http.StatusNotFound {
-		t.Fatalf("disabled retention: code %d err %v", code, err)
+	if _, err := mem.SubmitTypes(sess.ID, make([]game.Type, 4)); err != nil {
+		t.Fatal(err)
+	}
+	<-sess.Done()
+	legacy := sess.Snapshot()
+	mem.Close()
+	if legacy.Trace == nil || len(legacy.Trace.Spans) == 0 {
+		t.Fatalf("play left no trace to embed: %+v", legacy.Trace)
+	}
+
+	dir := t.TempDir()
+	st, err := store.Open(store.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := marshalView(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(legacy.ID, rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	svc, ts := httpFarm(t, Config{Workers: 1, DataDir: dir})
+	if _, ok := svc.traces.Trace(legacy.ID); ok {
+		t.Fatalf("the ring holds %s; the test would not reach the embedded trace", legacy.ID)
 	}
 	var tv api.TraceView
-	code, err = getJSON(t, ts.Client(), ts.URL+api.Prefix+"/sessions/"+ids[0]+"/trace", &tv)
-	if err != nil || code != http.StatusOK || len(tv.Spans) == 0 {
-		t.Fatalf("legacy trace path broke: code %d err %v spans %d", code, err, len(tv.Spans))
+	code, err := getJSON(t, ts.Client(), ts.URL+api.Prefix+"/sessions/"+legacy.ID+"/trace", &tv)
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("embedded trace: code %d err %v", code, err)
+	}
+	if tv.TraceID != legacy.Trace.TraceID || len(tv.Spans) != len(legacy.Trace.Spans) {
+		t.Fatalf("served %s/%d spans, want the embedded %s/%d",
+			tv.TraceID, len(tv.Spans), legacy.Trace.TraceID, len(legacy.Trace.Spans))
 	}
 }
 
@@ -222,7 +254,10 @@ func TestTracesEndpointDisabled(t *testing.T) {
 // service layer: the oldest retained traces leave, the newest stay, and
 // the eviction counter advances.
 func TestRetentionBoundEvictsOldest(t *testing.T) {
-	svc := newFarm(t, Config{Workers: 1, TraceRetention: 4})
+	saved := traceRingRecords
+	traceRingRecords = 4
+	t.Cleanup(func() { traceRingRecords = saved })
+	svc := newFarm(t, Config{Workers: 1})
 	defer svc.Close()
 	ids := runSessions(t, svc, 8)
 	svc.pool.Close()

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"asyncmediator/api"
 	"asyncmediator/internal/async"
 	"asyncmediator/internal/obs"
 	"asyncmediator/internal/proto"
@@ -154,48 +153,4 @@ func (t tracedProc) Deliver(env *async.Env, msg async.Message) {
 		}
 	}
 	t.inner.Deliver(env, msg)
-}
-
-// traceView converts a play trace to its wire shape (nil in, nil out).
-func traceView(tr *obs.PlayTrace) *api.TraceView {
-	if tr == nil {
-		return nil
-	}
-	spans := tr.Snapshot()
-	v := &api.TraceView{
-		TraceID: string(tr.ID()),
-		Spans:   make([]api.TraceSpan, len(spans)),
-		Dropped: tr.Dropped(),
-	}
-	for i, s := range spans {
-		v.Spans[i] = api.TraceSpan{
-			Name:    s.Name,
-			Origin:  s.Origin,
-			StartUS: s.StartUS,
-			EndUS:   s.EndUS,
-			Count:   s.Count,
-			Attrs:   s.Attrs,
-		}
-	}
-	return v
-}
-
-// obsSpans converts a peer's wire-shape trace back to spans, rewriting
-// every origin to the peer's address — the coordinator's stitch step.
-func obsSpans(v *api.TraceView, origin string) []obs.Span {
-	if v == nil {
-		return nil
-	}
-	out := make([]obs.Span, len(v.Spans))
-	for i, s := range v.Spans {
-		out[i] = obs.Span{
-			Name:    s.Name,
-			Origin:  origin,
-			StartUS: s.StartUS,
-			EndUS:   s.EndUS,
-			Count:   s.Count,
-			Attrs:   s.Attrs,
-		}
-	}
-	return out
 }

@@ -74,19 +74,12 @@ type Filter struct {
 	Limit int
 }
 
-// RetentionConfig parameterizes the trace ring.
-type RetentionConfig struct {
-	// Store, when non-nil, mirrors every retained record to disk under
-	// the "tr-" prefix so the ring survives restarts. A nil store keeps
-	// the ring in memory only.
-	Store *store.Store
-	// MaxRecords bounds the ring by count (default 4096; negative
-	// disables retention entirely).
-	MaxRecords int
-	// MaxBytes bounds the ring by encoded size (default 64 MiB; 0 keeps
-	// the default, negative means unbounded).
-	MaxBytes int64
-}
+// The ring's bounds: it keeps at most MaxRecords traces of at most
+// maxBytes encoded bytes in all, evicting the oldest first.
+const (
+	MaxRecords = 4096
+	maxBytes   = 64 << 20
+)
 
 // Retention is the bounded trace ring. All exported methods are safe
 // for concurrent use.
@@ -104,24 +97,21 @@ type Retention struct {
 	evicted int64
 }
 
-// OpenRetention builds the ring, replaying any "tr-" records the store
-// holds from earlier runs (and re-enforcing the bounds against them).
+// OpenRetention builds the ring, bounded to maxRecords records (the
+// farm passes MaxRecords), replaying any "tr-" records st holds from
+// earlier runs and re-enforcing the bounds against them. A non-nil st
+// mirrors every retained record to disk under the "tr-" prefix so the
+// ring survives restarts; a nil one keeps the ring in memory only.
 // Records that fail to decode are dropped from the store rather than
 // wedging boot.
-func OpenRetention(cfg RetentionConfig) (*Retention, error) {
+func OpenRetention(st *store.Store, maxRecords int) (*Retention, error) {
 	r := &Retention{
-		st:         cfg.Store,
-		maxRecords: cfg.MaxRecords,
-		maxBytes:   cfg.MaxBytes,
+		st:         st,
+		maxRecords: maxRecords,
+		maxBytes:   maxBytes,
 		sizes:      make(map[int64]int64),
 		bySess:     make(map[string]int64),
 		nextSeq:    1,
-	}
-	if r.maxRecords == 0 {
-		r.maxRecords = 4096
-	}
-	if r.maxBytes == 0 {
-		r.maxBytes = 64 << 20
 	}
 	if r.st == nil {
 		return r, nil
@@ -166,9 +156,6 @@ func OpenRetention(cfg RetentionConfig) (*Retention, error) {
 // Add retains one finished play's trace, evicting the oldest records
 // if the ring overflows its count or byte bound.
 func (r *Retention) Add(summary api.TraceSummary, trace *api.TraceView) error {
-	if r == nil || r.maxRecords < 0 {
-		return nil
-	}
 	r.mu.Lock()
 	rec := &Record{Seq: r.nextSeq, Summary: summary, Trace: trace}
 	r.nextSeq++
@@ -194,9 +181,7 @@ func (r *Retention) Add(summary api.TraceSummary, trace *api.TraceView) error {
 
 // enforceLocked evicts oldest-first until the ring fits both bounds.
 func (r *Retention) enforceLocked() {
-	for len(r.recs) > 0 &&
-		((r.maxRecords > 0 && len(r.recs) > r.maxRecords) ||
-			(r.maxBytes > 0 && r.bytes > r.maxBytes)) {
+	for len(r.recs) > 0 && (len(r.recs) > r.maxRecords || r.bytes > r.maxBytes) {
 		old := r.recs[0]
 		r.recs = r.recs[1:]
 		r.bytes -= r.sizes[old.Seq]
@@ -213,9 +198,6 @@ func (r *Retention) enforceLocked() {
 
 // Trace returns the retained full trace for a session id.
 func (r *Retention) Trace(session string) (*api.TraceView, bool) {
-	if r == nil {
-		return nil, false
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	seq, ok := r.bySess[session]
@@ -233,9 +215,6 @@ func (r *Retention) Trace(session string) (*api.TraceView, bool) {
 // total counts every match regardless of cursor and limit; nextCursor
 // is nonzero when older matches remain past the returned page.
 func (r *Retention) Query(f Filter) (page []api.TraceSummary, total int, nextCursor int64) {
-	if r == nil {
-		return nil, 0, 0
-	}
 	limit := f.Limit
 	if limit <= 0 {
 		limit = 50
@@ -287,9 +266,6 @@ func matches(s api.TraceSummary, f Filter) bool {
 // Stats reports the ring's occupancy for metrics: retained records,
 // their encoded bytes, and the lifetime eviction count.
 func (r *Retention) Stats() (records int, bytes int64, evicted int64) {
-	if r == nil {
-		return 0, 0, 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.recs), r.bytes, r.evicted

@@ -35,7 +35,7 @@ func TestRetentionRingBound(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
 	defer st.Close()
-	r, err := OpenRetention(RetentionConfig{Store: st, MaxRecords: 5})
+	r, err := OpenRetention(st, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +64,11 @@ func TestRetentionRingBound(t *testing.T) {
 
 // TestRetentionByteBound: a tiny byte cap evicts by encoded size.
 func TestRetentionByteBound(t *testing.T) {
-	r, err := OpenRetention(RetentionConfig{MaxRecords: 1000, MaxBytes: 1})
+	r, err := OpenRetention(nil, MaxRecords)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.maxBytes = 1
 	addTrace(t, r, 1, "4.1", 1, nil)
 	if n, _, evicted := r.Stats(); n != 0 || evicted != 1 {
 		t.Fatalf("byte bound did not evict: n=%d evicted=%d", n, evicted)
@@ -80,7 +81,7 @@ func TestRetentionByteBound(t *testing.T) {
 func TestRetentionSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	r, err := OpenRetention(RetentionConfig{Store: st, MaxRecords: 100})
+	r, err := OpenRetention(st, MaxRecords)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestRetentionSurvivesReopen(t *testing.T) {
 
 	st2 := openStore(t, dir)
 	defer st2.Close()
-	r2, err := OpenRetention(RetentionConfig{Store: st2, MaxRecords: 100})
+	r2, err := OpenRetention(st2, MaxRecords)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestRetentionSurvivesReopen(t *testing.T) {
 // TestRetentionQueryFilters covers variant/phase/latency/since filters
 // and cursor pagination.
 func TestRetentionQueryFilters(t *testing.T) {
-	r, err := OpenRetention(RetentionConfig{MaxRecords: 100})
+	r, err := OpenRetention(nil, MaxRecords)
 	if err != nil {
 		t.Fatal(err)
 	}

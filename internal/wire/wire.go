@@ -58,9 +58,6 @@ type NodeConfig struct {
 	// async.Runtime derives party Self's, so a cluster node draws what the
 	// simulator's party draws for the same session seed.
 	Seed int64
-	// TraceID, when set, is announced in the transport's HELLO so the
-	// play's distributed trace is visible at the wire layer.
-	TraceID string
 }
 
 // Node is one mesh participant executing a Process on the cluster
@@ -122,7 +119,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		Self:      int(cfg.Self),
 		N:         cfg.N,
 		ClusterID: cfg.ClusterID,
-		TraceID:   cfg.TraceID,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("wire: %w", err)

@@ -28,8 +28,8 @@ type TracesOptions struct {
 	Limit int
 }
 
-// Traces searches the daemon's retained-trace ring. Daemons running
-// with retention disabled answer ErrNotFound.
+// Traces searches the daemon's retained-trace ring: the newest 4,096
+// finished plays' traces, at most 64 MiB of them.
 func (c *Client) Traces(ctx context.Context, o TracesOptions) (api.TracePage, error) {
 	q := url.Values{}
 	if o.Variant != "" {
