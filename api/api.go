@@ -20,7 +20,9 @@
 // names "placement" fails strict decoding as invalid_argument. /v1 lost
 // one endpoint the same way: GET /v1/experiments/{name}, which ran a
 // sweep inside the request; POST /v1/jobs (with ?wait= on its GET) is
-// the one way to run an experiment.
+// the one way to run an experiment. FleetAlert lost its "peer" and
+// "index" fields the same way: only the gossip plane's per-peer rules
+// set them, so every slo_burn alert carried "" and -1.
 //
 // Errors. Every non-2xx response carries an ErrorEnvelope with a stable
 // machine-readable Code (see ErrorCode); Message is human-oriented and

@@ -27,7 +27,8 @@ type Hello struct {
 type Event struct {
 	// Seq is the bus-wide monotone sequence number.
 	Seq int64 `json:"seq"`
-	// Kind is the subject namespace: KindSession or KindExperiment.
+	// Kind is the subject namespace: KindSession, KindExperiment or
+	// KindFleet.
 	Kind string `json:"kind"`
 	// ID names the subject (session or experiment-job id).
 	ID string `json:"id"`
@@ -37,7 +38,8 @@ type Event struct {
 	Terminal bool `json:"terminal,omitempty"`
 	// Data optionally carries the subject's snapshot (terminal events):
 	// a SessionView for KindSession, an ExperimentJobView for
-	// KindExperiment — so a subscriber needs no follow-up GET.
+	// KindExperiment — so a subscriber needs no follow-up GET. A
+	// KindFleet event always carries its FleetAlert.
 	Data json.RawMessage `json:"data,omitempty"`
 }
 

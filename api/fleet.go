@@ -14,11 +14,6 @@ const KindFleet = "fleet"
 type FleetAlert struct {
 	// Rule names the threshold: slo_burn.
 	Rule string `json:"rule"`
-	// Peer is the subject daemon's API URL ("" for daemon-wide rules,
-	// which slo_burn is).
-	Peer string `json:"peer,omitempty"`
-	// Index is the subject's index (-1 for daemon-wide rules).
-	Index int `json:"index"`
 	// Message is the operator-readable condition.
 	Message string `json:"message"`
 	// Value is the measured quantity that crossed the threshold.

@@ -9,7 +9,8 @@ type TraceSummary struct {
 	Session string `json:"session"`
 	// TraceID is the play's stable trace id.
 	TraceID string `json:"trace_id"`
-	// Variant is the theorem variant the play ran under ("4.1", "4.2").
+	// Variant is the theorem variant the play ran under ("Theorem4.1",
+	// "Theorem4.2"), the value GET /v1/traces?variant= matches.
 	Variant string `json:"variant,omitempty"`
 	// State is the session's terminal state ("done", "failed").
 	State string `json:"state,omitempty"`
@@ -53,7 +54,7 @@ type SLOObjectiveView struct {
 	// ShortBurn/LongBurn are the burn rates over the short and long
 	// rolling windows: the fraction of samples over threshold divided by
 	// the error budget (1 − quantile). 1.0 means burning exactly the
-	// budget; the alert fires when both windows exceed it.
+	// budget; the alert fires when both windows reach it.
 	ShortBurn float64 `json:"short_burn"`
 	LongBurn  float64 `json:"long_burn"`
 	// Firing reports whether alert.slo_burn is currently active.

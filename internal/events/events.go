@@ -10,27 +10,26 @@
 // Seq stamped on every published event.
 package events
 
-import (
-	"encoding/json"
-	"sync"
-)
+import "sync"
 
 // Event is one state transition. Kind scopes the ID namespace ("session",
-// "experiment"); Data optionally carries the terminal snapshot so a
-// subscriber needs no follow-up GET.
+// "experiment", "fleet"); Data optionally carries the terminal snapshot
+// so a subscriber needs no follow-up GET.
 type Event struct {
 	// Seq is the bus-wide monotone sequence number, assigned by Publish.
-	Seq int64 `json:"seq"`
-	// Kind is the subject namespace: "session" or "experiment".
-	Kind string `json:"kind"`
+	Seq int64
+	// Kind is the subject namespace: "session", "experiment" or "fleet".
+	Kind string
 	// ID names the subject (session or experiment-job id).
-	ID string `json:"id"`
+	ID string
 	// State is the lifecycle state entered.
-	State string `json:"state"`
+	State string
 	// Terminal marks the subject's final transition.
-	Terminal bool `json:"terminal,omitempty"`
-	// Data optionally carries the subject's snapshot (terminal events).
-	Data json.RawMessage `json:"data,omitempty"`
+	Terminal bool
+	// Data optionally carries the subject's snapshot (terminal events) as
+	// a value the publisher no longer mutates; a subscriber that writes
+	// the event out encodes it.
+	Data any
 }
 
 // Bus fans events out to subscribers. The zero value is not usable; call

@@ -53,10 +53,9 @@ type Histogram struct {
 	sum    Gauge
 }
 
-// NewHistogram builds an unregistered histogram with the given upper
-// bounds (sorted ascending) — for subsystems that window and difference
-// their own series rather than exposing them directly.
-func NewHistogram(bounds []float64) *Histogram {
+// newHistogram builds a histogram with the given upper bounds (sorted
+// ascending).
+func newHistogram(bounds []float64) *Histogram {
 	h := &Histogram{bounds: append([]float64(nil), bounds...)}
 	h.counts = make([]atomic.Int64, len(h.bounds)+1)
 	return h
@@ -70,13 +69,8 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.Add(v)
 }
 
-// Count returns the number of samples observed.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// HistSnapshot is a point-in-time copy of a Histogram's counters. Two
-// snapshots of the same histogram subtract (Sub) into a windowed delta,
-// which is how the SLO engine turns cumulative counters into rolling
-// windows.
+// HistSnapshot is a point-in-time copy of a Histogram's counters: what
+// a scrape renders and what quantile estimates read.
 type HistSnapshot struct {
 	Bounds []float64 // upper bounds, shared (do not mutate)
 	Counts []int64   // one per bound, plus +Inf
@@ -86,8 +80,7 @@ type HistSnapshot struct {
 
 // Snapshot copies the histogram's counters. Each counter is one atomic
 // load; concurrent Observes may land between loads, so Count can drift
-// from the bucket total by in-flight samples — harmless at window
-// granularity.
+// from the bucket total by in-flight samples.
 func (h *Histogram) Snapshot() HistSnapshot {
 	s := HistSnapshot{
 		Bounds: h.bounds,
@@ -101,32 +94,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// Sub returns the delta s − prev: the samples observed between the two
-// snapshots. A zero-value prev (fresh window) yields s unchanged.
-// Negative per-bucket deltas (mismatched snapshots) clamp to zero.
-func (s HistSnapshot) Sub(prev HistSnapshot) HistSnapshot {
-	d := HistSnapshot{
-		Bounds: s.Bounds,
-		Counts: make([]int64, len(s.Counts)),
-		Count:  s.Count - prev.Count,
-		Sum:    s.Sum - prev.Sum,
-	}
-	for i := range s.Counts {
-		c := s.Counts[i]
-		if i < len(prev.Counts) {
-			c -= prev.Counts[i]
-		}
-		if c < 0 {
-			c = 0
-		}
-		d.Counts[i] = c
-	}
-	if d.Count < 0 {
-		d.Count = 0
-	}
-	return d
-}
-
 // Total sums the bucket counts (the window's sample count).
 func (s HistSnapshot) Total() int64 {
 	t := int64(0)
@@ -136,8 +103,9 @@ func (s HistSnapshot) Total() int64 {
 	return t
 }
 
-// Quantile estimates the q-quantile of the snapshot's samples with the
-// same interpolation and edge semantics as Histogram.Quantile.
+// Quantile estimates the q-quantile of the snapshot's samples,
+// interpolating linearly within the bucket the rank falls in; a rank in
+// the overflow bucket clamps to the highest finite bound.
 func (s HistSnapshot) Quantile(q float64) float64 {
 	total := s.Total()
 	if total == 0 {
@@ -165,39 +133,6 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 		return lo + (hi-lo)*frac
 	}
 	return s.Bounds[len(s.Bounds)-1]
-}
-
-// FractionAbove estimates the fraction of the snapshot's samples that
-// exceed x, linearly interpolating within the bucket x falls in. Samples
-// in the overflow bucket always count as above any finite x. With no
-// samples it returns 0.
-func (s HistSnapshot) FractionAbove(x float64) float64 {
-	total := s.Total()
-	if total == 0 {
-		return 0
-	}
-	above := int64(0)
-	var part float64
-	for i, c := range s.Counts {
-		lo := 0.0
-		if i > 0 {
-			lo = s.Bounds[i-1]
-		}
-		if i >= len(s.Bounds) {
-			above += c // overflow bucket: above any finite threshold
-			continue
-		}
-		hi := s.Bounds[i]
-		switch {
-		case x < lo:
-			above += c
-		case x >= hi:
-			// entirely at or below
-		default:
-			part += float64(c) * (hi - x) / (hi - lo)
-		}
-	}
-	return (float64(above) + part) / float64(total)
 }
 
 // MaxLabelValues bounds the distinct label values of every vector: each
@@ -314,7 +249,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 // Histogram registers (or returns the existing) histogram `name` with
 // the given upper bounds (sorted ascending).
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	m := r.register(&metric{name: name, help: help, typ: "histogram", hist: NewHistogram(bounds)})
+	m := r.register(&metric{name: name, help: help, typ: "histogram", hist: newHistogram(bounds)})
 	return m.hist
 }
 
@@ -340,7 +275,7 @@ func (r *Registry) CounterVec(name, help, label string) *CounterVec {
 // HistogramVec registers (or returns the existing) histogram family
 // `name`, one histogram over `bounds` per value of `label`.
 func (r *Registry) HistogramVec(name, help, label string, bounds []float64) *HistogramVec {
-	hv := &HistogramVec{vec[Histogram]{mint: func() *Histogram { return NewHistogram(bounds) }}}
+	hv := &HistogramVec{vec[Histogram]{mint: func() *Histogram { return newHistogram(bounds) }}}
 	m := r.register(&metric{name: name, help: help, typ: "histogram", label: label, hvec: hv})
 	return m.hvec
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -404,7 +405,12 @@ func (s *Service) serveEvents(w http.ResponseWriter, r *http.Request) {
 			}
 			frame := api.Event{
 				Seq: e.Seq, Kind: e.Kind, ID: e.ID,
-				State: State(e.State), Terminal: e.Terminal, Data: e.Data,
+				State: State(e.State), Terminal: e.Terminal,
+			}
+			if e.Data != nil {
+				if raw, err := json.Marshal(e.Data); err == nil {
+					frame.Data = raw
+				}
 			}
 			data, err := json.Marshal(frame)
 			if err != nil {
@@ -481,7 +487,9 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) *api.Error {
 		}
 		return api.Errorf(api.CodeInvalidArgument, "bad request body: %v", err)
 	}
-	if dec.More() {
+	// Only whitespace may follow the value. Decoder.More is no test of
+	// that: it reports false in front of a stray ']' or '}'.
+	if _, err := dec.Token(); err != io.EOF {
 		return api.Errorf(api.CodeInvalidArgument, "bad request body: trailing data after the JSON value")
 	}
 	return nil

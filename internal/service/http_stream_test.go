@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"asyncmediator/api"
-	"asyncmediator/internal/events"
 )
 
 // sseEvent is one parsed server-sent event frame.
@@ -76,13 +75,13 @@ func TestSSEDeliversTerminalEvent(t *testing.T) {
 		t.Fatalf("types: %d %v", code, err)
 	}
 
-	var terminal events.Event
+	var terminal api.Event
 	var lastSeq int64
 	readSSE(t, scanner, deadline, func(e sseEvent) bool {
 		if e.name != "session" {
 			return false
 		}
-		var ev events.Event
+		var ev api.Event
 		if err := json.Unmarshal([]byte(e.data), &ev); err != nil {
 			t.Fatalf("bad event payload %q: %v", e.data, err)
 		}
@@ -99,13 +98,13 @@ func TestSSEDeliversTerminalEvent(t *testing.T) {
 		}
 		return false
 	})
-	if terminal.State != string(StateDone) {
+	if terminal.State != StateDone {
 		t.Fatalf("terminal state %s", terminal.State)
 	}
 	// The terminal event carries the snapshot: no follow-up GET needed.
-	var v View
-	if err := json.Unmarshal(terminal.Data, &v); err != nil {
-		t.Fatalf("terminal data: %v", err)
+	v, ok := terminal.Session()
+	if !ok {
+		t.Fatalf("terminal event carries no session view: %+v", terminal)
 	}
 	if v.ID != created.ID || len(v.Profile) != 5 {
 		t.Fatalf("terminal snapshot %+v", v)
@@ -229,7 +228,8 @@ func TestHTTPAsyncExperiments(t *testing.T) {
 }
 
 // TestMetricsEndpoint asserts the Prometheus exposition renders the
-// counters and the per-variant duration histogram.
+// counters, the per-variant duration histogram and the per-phase
+// latency histograms.
 func TestMetricsEndpoint(t *testing.T) {
 	svc, ts := httpFarm(t, Config{Workers: 2})
 	client := ts.Client()
@@ -249,14 +249,15 @@ func TestMetricsEndpoint(t *testing.T) {
 		if strings.Contains(body, "mediatord_sessions_completed_total 3") &&
 			strings.Contains(body, `mediatord_session_duration_seconds_bucket{variant="4.2",le="+Inf"} 3`) &&
 			strings.Contains(body, `mediatord_session_duration_seconds_count{variant="4.2"} 3`) &&
-			strings.Contains(body, "mediatord_workers 2") &&
+			strings.Contains(body, "mediatord_pool_workers 2") &&
+			// Traced plays fold their spans into one histogram per phase.
+			strings.Contains(body, `mediatord_play_phase_seconds_bucket{phase="ba",`) &&
 			// The fleet-observability registry: cluster link, worker pool,
 			// and durable-store series are present (zero on an idle,
 			// memory-only farm) with the expected names.
 			strings.Contains(body, "mediatord_cluster_link_redials_total 0") &&
 			strings.Contains(body, "mediatord_cluster_link_resends_total 0") &&
 			strings.Contains(body, "mediatord_pool_jobs_completed_total 3") &&
-			strings.Contains(body, "mediatord_pool_workers 2") &&
 			strings.Contains(body, "mediatord_store_wal_appends_total 0") {
 			return
 		}

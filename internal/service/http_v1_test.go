@@ -81,8 +81,10 @@ func TestV1ErrorContract(t *testing.T) {
 	// The retired placement field is an unknown field like any other.
 	status, e = postEnvelope(t, client, ts.URL+"/v1/sessions", `{"n":5,"placement":"auto"}`)
 	expectCode(t, status, e, api.CodeInvalidArgument)
-	status, e = postEnvelope(t, client, ts.URL+"/v1/sessions", `{"n":5}{"n":5}`)
-	expectCode(t, status, e, api.CodeInvalidArgument)
+	for _, trailing := range []string{`{"n":5}{"n":5}`, `{"n":5}]`, `{"n":5}}}}`, `{"n":5} x`} {
+		status, e = postEnvelope(t, client, ts.URL+"/v1/sessions", trailing)
+		expectCode(t, status, e, api.CodeInvalidArgument)
+	}
 	big := fmt.Sprintf(`{"game":"%s"}`, strings.Repeat("x", api.MaxBodyBytes))
 	status, e = postEnvelope(t, client, ts.URL+"/v1/sessions", big)
 	expectCode(t, status, e, api.CodeInvalidArgument)

@@ -152,10 +152,6 @@ func (s *Service) registerObsMetrics() {
 			}
 			return float64(s.st.Count(sessionKeyPrefix))
 		})
-	r.GaugeFunc("mediatord_queue_depth", "Jobs queued behind the worker pool.",
-		func() float64 { return float64(s.pool.QueueLen()) })
-	r.GaugeFunc("mediatord_workers", "Worker-pool size.",
-		func() float64 { return float64(s.cfg.Workers) })
 	r.GaugeFunc("mediatord_uptime_seconds", "Seconds since the farm started.",
 		func() float64 { return time.Since(s.start).Seconds() })
 	r.GaugeVecFunc("mediatord_sessions_in_state", "Sessions per lifecycle state (in-memory).", "state",
@@ -259,8 +255,8 @@ func (s *Service) registerObsMetrics() {
 
 	// Play phase latencies, folded once per terminal session from the
 	// play's trace spans.
-	s.phaseHist = r.Histogram("mediatord_play_phase_seconds",
-		"Protocol phase latencies (avss.share, ba, mpc.*) folded from play traces.",
+	s.phaseHist = r.HistogramVec("mediatord_play_phase_seconds",
+		"Protocol phase latencies (avss.share, ba, mpc.*) folded from play traces.", "phase",
 		phaseLatencyBounds)
 
 	// Cluster join fan-out: wall time of the parallel join phase per

@@ -20,7 +20,6 @@
 package service
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
 	"runtime"
@@ -179,9 +178,9 @@ type Service struct {
 	obsReg *obs.Registry
 	plays  playStats
 
-	// phaseHist aggregates per-phase protocol latencies across plays
-	// (one fold per terminal session).
-	phaseHist *obs.Histogram
+	// phaseHist aggregates protocol latencies across plays, one
+	// histogram per phase (one fold per terminal session).
+	phaseHist *obs.HistogramVec
 
 	// joinHist times the cluster join fan-out (all parallel peer joins of
 	// one play, wall clock).
@@ -318,13 +317,7 @@ func (s *Service) StoreRecovery() (store.Recovery, bool) {
 
 // publish emits one lifecycle transition to the bus.
 func (s *Service) publish(kind, id string, state State, data any) {
-	e := events.Event{Kind: kind, ID: id, State: string(state), Terminal: state.Terminal()}
-	if data != nil {
-		if raw, err := json.Marshal(data); err == nil {
-			e.Data = raw
-		}
-	}
-	s.bus.Publish(e)
+	s.bus.Publish(events.Event{Kind: kind, ID: id, State: string(state), Terminal: state.Terminal(), Data: data})
 }
 
 // CreateSession registers a new session awaiting its type profile.

@@ -20,10 +20,6 @@ import (
 // searches the ring, and the SLO engine turns the same trace stream into
 // multi-window burn-rate alerts on the event bus.
 
-// sloBurnRule is the alert rule name SLO transitions publish under:
-// states "alert.slo_burn" / "clear.slo_burn", kind "fleet".
-const sloBurnRule = "slo_burn"
-
 // traceRingRecords bounds the retained-trace ring by record count. It is
 // a variable so tests can fill a small ring.
 var traceRingRecords = telemetry.MaxRecords
@@ -55,10 +51,7 @@ func (s *Service) startTelemetry() error {
 			return err
 		}
 	}
-	s.slo = telemetry.NewSLOEngine(telemetry.SLOConfig{
-		Objectives: objs,
-		OnAlert:    s.publishSLOAlert,
-	})
+	s.slo = telemetry.NewSLOEngine(objs, s.publishSLOAlert)
 	if s.slo != nil {
 		s.registerSLOMetrics()
 		s.sloWG.Add(1)
@@ -127,7 +120,7 @@ func (s *Service) sloLoop() {
 // observePlay feeds one terminal play's latencies to their consumers in
 // a single walk of its trace: the end-to-end latency (and failure flag)
 // to the SLO variant objectives, and each protocol-phase span to the SLO
-// phase objectives, to the rolling phase-latency histogram, and into the
+// phase objectives, to its phase's latency histogram, and into the
 // per-phase millisecond digest it
 // returns (what GET /v1/traces filters on). The exemplar carried on a
 // breaching SLO sample is the play's retained trace.
@@ -150,7 +143,7 @@ func (s *Service) observePlay(view View) (phaseMS map[string]float64) {
 		if d <= 0 {
 			continue
 		}
-		s.phaseHist.Observe(float64(d) / 1e6)
+		s.phaseHist.With(sp.Name).Observe(float64(d) / 1e6)
 		s.slo.Observe(telemetry.KindPhase, sp.Name, time.Duration(d)*time.Microsecond, false, view.ID, traceID)
 		if phaseMS == nil {
 			phaseMS = make(map[string]float64)
@@ -185,20 +178,12 @@ func (s *Service) retainTrace(view View, phaseMS map[string]float64) {
 // publishSLOAlert republishes one burn-rate edge on the event bus: kind
 // "fleet", state "alert.slo_burn" / "clear.slo_burn", id = the objective
 // spec, with the exemplar trace riding the payload.
-func (s *Service) publishSLOAlert(a telemetry.SLOAlert) {
-	state := "alert." + sloBurnRule
+func (s *Service) publishSLOAlert(objective string, a api.FleetAlert) {
+	state := "alert." + a.Rule
 	if a.Cleared {
-		state = "clear." + sloBurnRule
+		state = "clear." + a.Rule
 	}
-	s.publish(api.KindFleet, a.Objective, State(state), api.FleetAlert{
-		Rule:    sloBurnRule,
-		Index:   -1,
-		Message: a.Message,
-		Value:   a.ShortBurn,
-		TraceID: a.ExemplarTrace,
-		Session: a.ExemplarSession,
-		Cleared: a.Cleared,
-	})
+	s.publish(api.KindFleet, objective, State(state), a)
 }
 
 // SLOView renders the engine's rolling state; ok is false when no
@@ -207,11 +192,10 @@ func (s *Service) SLOView() (api.SLOView, bool) {
 	if s.slo == nil {
 		return api.SLOView{}, false
 	}
-	short, long := s.slo.Windows()
 	return api.SLOView{
 		IntervalMS:  s.cfg.SLOInterval.Milliseconds(),
-		ShortWindow: short,
-		LongWindow:  long,
+		ShortWindow: telemetry.ShortWindow,
+		LongWindow:  telemetry.LongWindow,
 		Objectives:  s.slo.Status(),
 	}, true
 }

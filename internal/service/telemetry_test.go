@@ -348,7 +348,7 @@ func TestSLOBurnAlertFiresWithExemplar(t *testing.T) {
 			if e.Kind != api.KindFleet || e.State != "alert.slo_burn" {
 				continue
 			}
-			a, ok := api.Event{Kind: e.Kind, ID: e.ID, State: api.State(e.State), Data: e.Data}.FleetAlert()
+			a, ok := e.Data.(api.FleetAlert)
 			if !ok {
 				t.Fatalf("slo_burn event carries no FleetAlert payload: %+v", e)
 			}

@@ -6,10 +6,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"asyncmediator/api"
-	"asyncmediator/internal/obs"
 )
 
 // An SLO objective watches one sample stream — all plays of a variant,
@@ -21,9 +21,11 @@ import (
 //
 // Burn rate is the classic multi-window form: the fraction of samples
 // over threshold in a rolling window, divided by the error budget
-// (1 − quantile). Burning at 1.0 spends the budget exactly; the alert
+// (1 − quantile). Each objective counts its samples and its
+// over-threshold samples, and the windows difference those two counts
+// across ticks. Burning at 1.0 spends the budget exactly; the alert
 // fires on the first tick where BOTH the short and the long window
-// exceed 1.0 (fast to trigger, robust to blips) and clears when either
+// reach 1.0 (fast to trigger, robust to blips) and clears when either
 // drops back under.
 
 // ObjectiveKind selects an objective's sample stream.
@@ -100,38 +102,29 @@ func ParseObjectives(specs []string) ([]Objective, error) {
 	return out, nil
 }
 
-// SLOAlert is one burn-rate edge transition, shaped for the event
-// bus's alert kind.
-type SLOAlert struct {
-	Objective       string
-	ShortBurn       float64
-	LongBurn        float64
-	ExemplarTrace   string
-	ExemplarSession string
-	Message         string
-	Cleared         bool
-}
+// ShortWindow and LongWindow are the burn-rate windows in ticks of the
+// caller's ticker, so they scale with its period.
+const (
+	ShortWindow = 2
+	LongWindow  = 12
+)
 
-// SLOConfig parameterizes the engine.
-type SLOConfig struct {
-	Objectives []Objective
-	// ShortWindow and LongWindow are rolling window lengths in ticks
-	// (defaults 2 and 12). The caller owns the ticker; windows scale
-	// with its period.
-	ShortWindow int
-	LongWindow  int
-	// OnAlert receives edge transitions, called from Tick without
-	// engine locks held.
-	OnAlert func(SLOAlert)
-}
+// burnRule is the alert rule the engine's transitions carry: the event
+// states "alert.slo_burn" and "clear.slo_burn".
+const burnRule = "slo_burn"
 
-// sloState is one objective's runtime: its histogram (bucketed around
-// the threshold so the over-threshold fraction is exact at the
-// boundary), the snapshot ring the windows difference over, and the
-// edge-trigger latch.
+// tally is an objective's cumulative counts at one tick.
+type tally struct{ total, over int64 }
+
+// sloState is one objective's runtime: two counts, the per-tick ring
+// the windows difference over, and the edge-trigger latch.
 type sloState struct {
-	obj  Objective
-	hist *obs.Histogram
+	obj Objective
+	// under counts the samples at or under the threshold, over those
+	// past it (failed plays included). A sample is one add to one of
+	// them, so it falls wholly into one tick's window: a window never
+	// holds more over-threshold samples than samples.
+	under, over atomic.Int64
 
 	// mu guards the exemplar and the Status-visible rolling results.
 	mu              sync.Mutex
@@ -141,52 +134,45 @@ type sloState struct {
 	short           float64
 	long            float64
 
-	// Owned by Tick (single caller): the snapshot ring.
-	ring   []obs.HistSnapshot
-	pos    int
-	filled int
+	// Owned by Tick (single caller): the tick count and the counts at
+	// the last LongWindow+1 ticks, tick k in slot k mod LongWindow+1.
+	// Slot 0 starts as the zero tally of tick 0, so samples observed
+	// before the first tick count toward the first window.
+	ticks int
+	ring  [LongWindow + 1]tally
+}
+
+// burn is the over-threshold fraction of the samples observed in the
+// last window ticks (all of them, before the window-th tick), divided
+// by the error budget 1 − quantile.
+func (st *sloState) burn(now tally, window int) float64 {
+	then := st.ring[max(st.ticks-window, 0)%len(st.ring)]
+	total := now.total - then.total
+	if total <= 0 {
+		return 0
+	}
+	return float64(now.over-then.over) / float64(total) / (1 - st.obj.Quantile)
 }
 
 // SLOEngine evaluates the objectives. Observe is lock-free on the hot
-// path (histogram atomics plus one small exemplar mutex on breaching
+// path (two atomics plus one small exemplar mutex on breaching
 // samples); Tick is called by exactly one goroutine.
 type SLOEngine struct {
-	cfg    SLOConfig
-	states []*sloState
-	byKey  map[string][]*sloState // "kind:selector" -> objectives
+	states  []*sloState
+	byKey   map[string][]*sloState // "kind:selector" -> objectives
+	onAlert func(objective string, a api.FleetAlert)
 }
 
 // NewSLOEngine builds the engine; nil when no objectives are
-// configured.
-func NewSLOEngine(cfg SLOConfig) *SLOEngine {
-	if len(cfg.Objectives) == 0 {
+// configured. onAlert receives edge transitions with the objective's
+// spec, called from Tick without engine locks held.
+func NewSLOEngine(objs []Objective, onAlert func(objective string, a api.FleetAlert)) *SLOEngine {
+	if len(objs) == 0 {
 		return nil
 	}
-	if cfg.ShortWindow <= 0 {
-		cfg.ShortWindow = 2
-	}
-	if cfg.LongWindow <= cfg.ShortWindow {
-		cfg.LongWindow = 12
-		if cfg.LongWindow <= cfg.ShortWindow {
-			cfg.LongWindow = cfg.ShortWindow * 6
-		}
-	}
-	e := &SLOEngine{cfg: cfg, byKey: make(map[string][]*sloState)}
-	for _, o := range cfg.Objectives {
-		t := o.Threshold.Seconds()
-		st := &sloState{
-			obj: o,
-			// Threshold-relative bounds with the threshold itself a bucket
-			// boundary: FractionAbove(threshold) is then exact, not
-			// interpolated.
-			hist: obs.NewHistogram([]float64{t / 8, t / 4, t / 2, t * 3 / 4, t, t * 3 / 2, t * 2, t * 4, t * 8}),
-			ring: make([]obs.HistSnapshot, cfg.LongWindow+1),
-			// The empty snapshot is the tick-zero baseline, so samples
-			// observed before the first tick count toward the first
-			// window instead of vanishing into the baseline.
-			pos:    1,
-			filled: 1,
-		}
+	e := &SLOEngine{byKey: make(map[string][]*sloState), onAlert: onAlert}
+	for _, o := range objs {
+		st := &sloState{obj: o}
 		e.states = append(e.states, st)
 		key := o.Kind + ":" + o.Selector
 		e.byKey[key] = append(e.byKey[key], st)
@@ -202,20 +188,16 @@ func (e *SLOEngine) Observe(kind, selector string, d time.Duration, failed bool,
 	if e == nil {
 		return
 	}
-	states := e.byKey[kind+":"+selector]
-	for _, st := range states {
-		v := d.Seconds()
-		if failed {
-			// Past every finite bucket: lands in the overflow bucket.
-			v = st.obj.Threshold.Seconds() * 16
+	for _, st := range e.byKey[kind+":"+selector] {
+		if !failed && d <= st.obj.Threshold {
+			st.under.Add(1)
+			continue
 		}
-		st.hist.Observe(v)
-		if failed || d > st.obj.Threshold {
-			st.mu.Lock()
-			st.exemplarTrace = traceID
-			st.exemplarSession = session
-			st.mu.Unlock()
-		}
+		st.over.Add(1)
+		st.mu.Lock()
+		st.exemplarTrace = traceID
+		st.exemplarSession = session
+		st.mu.Unlock()
 	}
 }
 
@@ -225,62 +207,32 @@ func (e *SLOEngine) Tick() {
 	if e == nil {
 		return
 	}
-	var fired []SLOAlert
 	for _, st := range e.states {
-		snap := st.hist.Snapshot()
-		st.ring[st.pos] = snap
-		st.pos = (st.pos + 1) % len(st.ring)
-		if st.filled < len(st.ring) {
-			st.filled++
-		}
-		budget := 1 - st.obj.Quantile
-		burn := func(window int) float64 {
-			avail := st.filled - 1
-			if avail <= 0 {
-				return 0
-			}
-			if window > avail {
-				window = avail
-			}
-			// The snapshot taken `window` ticks ago sits `window+1` slots
-			// behind pos (pos already advanced past the current snapshot).
-			idx := (st.pos - 1 - window + 2*len(st.ring)) % len(st.ring)
-			delta := snap.Sub(st.ring[idx])
-			if delta.Total() == 0 {
-				return 0
-			}
-			return delta.FractionAbove(st.obj.Threshold.Seconds()) / budget
-		}
-		short, long := burn(e.cfg.ShortWindow), burn(e.cfg.LongWindow)
-		over := short >= 1 && long >= 1
+		over := st.over.Load()
+		now := tally{total: over + st.under.Load(), over: over}
+		st.ticks++
+		st.ring[st.ticks%len(st.ring)] = now
+		short, long := st.burn(now, ShortWindow), st.burn(now, LongWindow)
+		firing := short >= 1 && long >= 1
 
 		st.mu.Lock()
 		st.short, st.long = short, long
 		tr, sess := st.exemplarTrace, st.exemplarSession
-		edge := over != st.firing
-		st.firing = over
+		changed := firing != st.firing
+		st.firing = firing
 		st.mu.Unlock()
-		if !edge {
+		if !changed || e.onAlert == nil {
 			continue
 		}
-		if over {
-			fired = append(fired, SLOAlert{
-				Objective: st.obj.Spec, ShortBurn: short, LongBurn: long,
-				ExemplarTrace: tr, ExemplarSession: sess,
-				Message: fmt.Sprintf("slo %s burning %.1fx budget (short) / %.1fx (long); exemplar %s",
-					st.obj.Spec, short, long, orNone(sess)),
-			})
+		a := api.FleetAlert{Rule: burnRule, Value: short, Cleared: !firing}
+		if firing {
+			a.TraceID, a.Session = tr, sess
+			a.Message = fmt.Sprintf("slo %s burning %.1fx budget (short) / %.1fx (long); exemplar %s",
+				st.obj.Spec, short, long, orNone(sess))
 		} else {
-			fired = append(fired, SLOAlert{
-				Objective: st.obj.Spec, ShortBurn: short, LongBurn: long, Cleared: true,
-				Message: fmt.Sprintf("slo %s back under budget (short %.1fx, long %.1fx)", st.obj.Spec, short, long),
-			})
+			a.Message = fmt.Sprintf("slo %s back under budget (short %.1fx, long %.1fx)", st.obj.Spec, short, long)
 		}
-	}
-	if e.cfg.OnAlert != nil {
-		for _, a := range fired {
-			e.cfg.OnAlert(a)
-		}
+		e.onAlert(st.obj.Spec, a)
 	}
 }
 
@@ -311,19 +263,11 @@ func (e *SLOEngine) Status() []api.SLOObjectiveView {
 			Firing:          st.firing,
 			ExemplarTrace:   st.exemplarTrace,
 			ExemplarSession: st.exemplarSession,
-			Samples:         st.hist.Count(),
+			Samples:         st.under.Load() + st.over.Load(),
 		}
 		st.mu.Unlock()
 		out = append(out, v)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Objective < out[j].Objective })
 	return out
-}
-
-// Windows reports the configured window lengths in ticks.
-func (e *SLOEngine) Windows() (short, long int) {
-	if e == nil {
-		return 0, 0
-	}
-	return e.cfg.ShortWindow, e.cfg.LongWindow
 }

@@ -3,8 +3,11 @@ package telemetry
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"asyncmediator/api"
 )
 
 func TestParseObjective(t *testing.T) {
@@ -45,12 +48,10 @@ func TestSLOBurnFiresAndClears(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var alerts []SLOAlert
-	e := NewSLOEngine(SLOConfig{
-		Objectives:  objs,
-		ShortWindow: 2,
-		LongWindow:  4,
-		OnAlert:     func(a SLOAlert) { alerts = append(alerts, a) },
+	var alerts []api.FleetAlert
+	var specs []string
+	e := NewSLOEngine(objs, func(spec string, a api.FleetAlert) {
+		specs, alerts = append(specs, spec), append(alerts, a)
 	})
 
 	// Healthy ticks: everything under threshold.
@@ -71,15 +72,15 @@ func TestSLOBurnFiresAndClears(t *testing.T) {
 		t.Fatalf("breach alerts: %+v", alerts)
 	}
 	fire := alerts[0]
-	if fire.Objective != "phase:ba:p90:100ms" || fire.ExemplarTrace != "t-slow" || fire.ExemplarSession != "s-slow" {
-		t.Fatalf("fire alert %+v", fire)
-	}
-	if fire.ShortBurn < 1 || fire.LongBurn < 1 {
-		t.Fatalf("fire burns %v/%v", fire.ShortBurn, fire.LongBurn)
+	if specs[0] != "phase:ba:p90:100ms" || fire.Rule != burnRule || fire.TraceID != "t-slow" || fire.Session != "s-slow" {
+		t.Fatalf("fire alert %s %+v", specs[0], fire)
 	}
 	st := e.Status()
 	if len(st) != 1 || !st[0].Firing || st[0].ExemplarTrace != "t-slow" {
 		t.Fatalf("status while firing: %+v", st)
+	}
+	if fire.Value < 1 || st[0].LongBurn < 1 {
+		t.Fatalf("fire burns %v/%v", fire.Value, st[0].LongBurn)
 	}
 
 	// Recovery: fast samples age the breach out of the short window.
@@ -104,14 +105,13 @@ func TestSLOFailedPlaysBurnBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var alerts []SLOAlert
-	e := NewSLOEngine(SLOConfig{Objectives: objs, ShortWindow: 1, LongWindow: 2,
-		OnAlert: func(a SLOAlert) { alerts = append(alerts, a) }})
+	var alerts []api.FleetAlert
+	e := NewSLOEngine(objs, func(_ string, a api.FleetAlert) { alerts = append(alerts, a) })
 	for tick := 0; tick < 3; tick++ {
 		e.Observe(KindVariant, "4.1", time.Millisecond, true, "s-err", "t-err")
 		e.Tick()
 	}
-	if len(alerts) != 1 || alerts[0].ExemplarSession != "s-err" {
+	if len(alerts) != 1 || alerts[0].Session != "s-err" {
 		t.Fatalf("failed plays did not burn: %+v", alerts)
 	}
 	if !strings.Contains(alerts[0].Message, "slo variant:4.1:p50:1s burning") {
@@ -122,7 +122,7 @@ func TestSLOFailedPlaysBurnBudget(t *testing.T) {
 // TestSLOEngineNilSafety: a nil engine (no objectives) absorbs every
 // call.
 func TestSLOEngineNilSafety(t *testing.T) {
-	e := NewSLOEngine(SLOConfig{})
+	e := NewSLOEngine(nil, nil)
 	if e != nil {
 		t.Fatal("engine without objectives must be nil")
 	}
@@ -131,7 +131,75 @@ func TestSLOEngineNilSafety(t *testing.T) {
 	if st := e.Status(); st != nil {
 		t.Fatalf("nil status %+v", st)
 	}
-	if s, l := e.Windows(); s != 0 || l != 0 {
-		t.Fatalf("nil windows %d %d", s, l)
+}
+
+// TestSLOBurnIsExact: a window's burn is exactly the over-threshold
+// share of its samples over the error budget. A sample at the threshold
+// is not over it; one a millisecond past it is, and so is a failed play
+// whatever its latency.
+func TestSLOBurnIsExact(t *testing.T) {
+	objs, err := ParseObjectives([]string{"phase:ba:p99:250ms"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewSLOEngine(objs, nil)
+	budget := 1 - objs[0].Quantile
+	e.Observe(KindPhase, "ba", 250*time.Millisecond, false, "s-at", "t-at")
+	e.Observe(KindPhase, "ba", 251*time.Millisecond, false, "s-over", "t-over")
+	e.Observe(KindPhase, "ba", time.Millisecond, true, "s-failed", "t-failed")
+	e.Observe(KindPhase, "ba", 10*time.Millisecond, false, "s-under", "t-under")
+	e.Tick()
+	st := e.Status()[0]
+	if want := 2.0 / 4.0 / budget; st.ShortBurn != want || st.LongBurn != want {
+		t.Fatalf("first tick burns %v/%v, want exactly %v", st.ShortBurn, st.LongBurn, want)
+	}
+	if st.Samples != 4 || st.ExemplarSession != "s-failed" {
+		t.Fatalf("first tick status %+v", st)
+	}
+	e.Observe(KindPhase, "ba", 10*time.Millisecond, false, "s-under", "t-under")
+	e.Tick()
+	e.Tick()
+	st = e.Status()[0]
+	if want := 2.0 / 5.0 / budget; st.ShortBurn != 0 || st.LongBurn != want {
+		t.Fatalf("third tick burns %v/%v, want exactly 0/%v", st.ShortBurn, st.LongBurn, want)
+	}
+}
+
+// TestSLOConcurrentObserve: samples observed while the engine ticks each
+// land in exactly one window, so no window holds more over-threshold
+// samples than samples, and every sample is counted once.
+func TestSLOConcurrentObserve(t *testing.T) {
+	objs, err := ParseObjectives([]string{"phase:ba:p90:100ms"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewSLOEngine(objs, nil)
+	maxBurn := 1 / (1 - objs[0].Quantile)
+	const workers, each = 4, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				e.Observe(KindPhase, "ba", time.Duration(i%2)*time.Second, false, "s", "t")
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for ticking := true; ticking; {
+		select {
+		case <-done:
+			ticking = false
+		default:
+		}
+		e.Tick()
+		if st := e.Status()[0]; st.ShortBurn > maxBurn || st.LongBurn > maxBurn {
+			t.Fatalf("burns %v/%v above the all-over bound %v", st.ShortBurn, st.LongBurn, maxBurn)
+		}
+	}
+	if st := e.Status()[0]; st.Samples != workers*each {
+		t.Fatalf("samples %d, want %d", st.Samples, workers*each)
 	}
 }
