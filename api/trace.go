@@ -1,13 +1,13 @@
 package api
 
 // TraceSpan is one named interval on a play's stitched timeline — a
-// protocol phase (AVSS sharing, BA, MPC gates, opens) or an
-// explicit stage (the run itself, move resolution). Offsets are
+// protocol phase (AVSS dealings, openings, BA) or an explicit stage (the
+// run itself, the scheduler lane). Offsets are
 // microseconds on the recording origin's monotonic clock: spans order
 // exactly within an origin, approximately across origins.
 type TraceSpan struct {
-	// Name is the phase or stage name ("avss.share", "ba",
-	// "mpc.mul", "mpc.open", "run", "resolve").
+	// Name is the phase ("avss", "open" or "ba", each protocol message
+	// classified by its body) or the stage ("run", "sched").
 	Name string `json:"name"`
 	// Origin is where the span was recorded: "local" for the serving
 	// daemon, or the co-hosting peer's base URL after stitching.

@@ -561,7 +561,7 @@ func tracesSearch(ctx context.Context, c *client.Client, args []string, stdout, 
 	fs := flag.NewFlagSet("traces", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	variant := fs.String("variant", "", "keep only this theorem variant")
-	phase := fs.String("phase", "", "keep only traces that spent time in this phase (ba, avss.share, ...)")
+	phase := fs.String("phase", "", "keep only traces that spent time in this phase: avss, open or ba (messages classified by body)")
 	minMS := fs.Float64("min-ms", 0, "keep only traces at/above this many milliseconds (the phase's time when -phase is set)")
 	within := fs.Duration("within", 0, "keep only traces finished within this window, e.g. 10m (0: all)")
 	cursor := fs.Int64("cursor", 0, "resume pagination from a previous page's next_cursor")

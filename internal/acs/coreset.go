@@ -9,8 +9,6 @@
 package acs
 
 import (
-	"fmt"
-
 	"asyncmediator/internal/async"
 	"asyncmediator/internal/ba"
 	"asyncmediator/internal/proto"
@@ -64,7 +62,7 @@ func (c *CoreSet) Start(ctx *proto.Ctx) {
 	for j := range c.bas {
 		j := j
 		c.bas[j] = ba.New(c.n, c.t, c.coin, func(cc *proto.Ctx, d int) { c.onBA(cc, j, d) })
-		c.baIDs[j] = fmt.Sprintf("%s/ba/%d", inst, j)
+		c.baIDs[j] = proto.ChildID(inst, "ba", j)
 	}
 	for j, b := range c.bas {
 		ctx.Spawn(c.baIDs[j], b)

@@ -1,8 +1,7 @@
 package mpc
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"asyncmediator/internal/acs"
 	"asyncmediator/internal/async"
@@ -32,12 +31,9 @@ func (e *Engine) evalMulGate(ctx *proto.Ctx, g, aw, bw int) bool {
 	}
 	ms := e.muls[g]
 	if ms == nil {
-		ms = &mulState{myShares: make(map[int]field.Element)}
+		ms = &mulState{}
 		e.muls[g] = ms
-	}
-	if !ms.started {
-		ms.started = true
-		e.startReshare(ctx, ms, a.v.Mul(b.v), e.idMulPrefix(g), e.idMulCS(g))
+		e.startReshare(ctx, ms, a.v.Mul(b.v), g, "mul", "mulcs")
 	}
 	if ms.completed {
 		return false // already produced (shouldn't happen: wire marked ready)
@@ -51,30 +47,28 @@ func (e *Engine) evalMulGate(ctx *proto.Ctx, g, aw, bw int) bool {
 	return true
 }
 
-// idMulPrefix returns a function mapping dealer -> reshare instance id.
-func (e *Engine) idMulPrefix(g int) func(d int) string {
-	return func(d int) string { return e.idMul(g, d) }
-}
-
-// startReshare begins the degree-reduction subprotocol: this party deals a
-// fresh degree-t sharing of its (degree-2t) product share, spawns receiver
-// instances for all other dealers, and joins the per-gate core agreement.
-func (e *Engine) startReshare(ctx *proto.Ctx, ms *mulState, myProduct field.Element,
-	idFor func(int) string, csID string) {
+// startReshare begins gate g's degree-reduction subprotocol: this party
+// deals a fresh degree-t sharing of its (degree-2t) product share under
+// "<inst>/<kind>/<g>/<dealer>", spawns receiver instances for all other
+// dealers, and joins the per-gate core agreement "<inst>/<csKind>/<g>".
+func (e *Engine) startReshare(ctx *proto.Ctx, ms *mulState, myProduct field.Element, g int, kind, csKind string) {
 	n, t := e.cfg.N, e.cfg.T
+	ms.myShares = make(map[int]field.Element)
+	ms.csID = proto.ChildID(e.inst, csKind, g)
 	for d := 0; d < n; d++ {
 		d := d
 		cb := func(cc *proto.Ctx, shares []field.Element) {
 			ms.myShares[d] = shares[0]
 			if ms.cs != nil {
-				ms.cs.MarkReady(cc.For(csID), d)
+				ms.cs.MarkReady(cc.For(ms.csID), d)
 			}
 			e.step(cc)
 		}
+		id := proto.ChildID(e.inst, kind, g, d)
 		if d == e.self {
-			ctx.Spawn(idFor(d), avss.NewDealer(async.PID(d), n, e.cfg.Deg, t, []field.Element{myProduct}, cb))
+			ctx.Spawn(id, avss.NewDealer(async.PID(d), n, e.cfg.Deg, t, []field.Element{myProduct}, cb))
 		} else {
-			ctx.Spawn(idFor(d), avss.New(async.PID(d), n, 1, e.cfg.Deg, t, cb))
+			ctx.Spawn(id, avss.New(async.PID(d), n, 1, e.cfg.Deg, t, cb))
 		}
 	}
 	ms.cs = acs.NewCoreSet(n, t, e.cfg.Coin, func(cc *proto.Ctx, members []int) {
@@ -82,11 +76,10 @@ func (e *Engine) startReshare(ctx *proto.Ctx, ms *mulState, myProduct field.Elem
 		ms.haveCore = true
 		e.step(cc)
 	})
-	ctx.Spawn(csID, ms.cs)
+	ctx.Spawn(ms.csID, ms.cs)
 	// Mark already-completed dealings (possible when spawned late).
-	for d, sh := range ms.myShares {
-		_ = sh
-		ms.cs.MarkReady(ctx.For(csID), d)
+	for d := range ms.myShares {
+		ms.cs.MarkReady(ctx.For(ms.csID), d)
 	}
 }
 
@@ -121,12 +114,13 @@ func (e *Engine) reshareResult(ms *mulState) (field.Element, bool) {
 // locking. Returns nil on duplicate members (cannot happen for honest
 // core sets).
 func (e *Engine) lagWeights(members []int) []field.Element {
-	var sb strings.Builder
+	var buf [64]byte
+	key := buf[:0]
 	for _, d := range members {
-		fmt.Fprintf(&sb, "%d,", d)
+		key = strconv.AppendInt(key, int64(d), 10)
+		key = append(key, ',')
 	}
-	key := sb.String()
-	if w, ok := e.lagCache[key]; ok {
+	if w, ok := e.lagCache[string(key)]; ok {
 		return w
 	}
 	xs := make([]field.Element, len(members))
@@ -137,7 +131,7 @@ func (e *Engine) lagWeights(members []int) []field.Element {
 	if err != nil {
 		return nil
 	}
-	e.lagCache[key] = w
+	e.lagCache[string(key)] = w
 	return w
 }
 
@@ -159,7 +153,6 @@ func (e *Engine) lagWeights(members []int) []field.Element {
 // reduced by resharing, then opened.
 func (e *Engine) evalRandBit(ctx *proto.Ctx, g int) bool {
 	rb := e.rbs[g]
-	t := e.cfg.T
 	deg := e.cfg.Deg
 
 	if !rb.haveR {
@@ -193,22 +186,12 @@ func (e *Engine) evalRandBit(ctx *proto.Ctx, g int) bool {
 
 	if e.Errorless() {
 		if !rb.opened {
-			rb.opened = true
-			op := avss.NewPublicOpen(e.cfg.N, 2*deg, t, func(cc *proto.Ctx, v field.Element) {
-				rb.haveC = true
-				rb.c = v
-				e.step(cc)
-			})
-			ctx.Spawn(e.idRBOpen(g), op)
-			op.Input(ctx.For(e.idRBOpen(g)), rb.rShare.Mul(rb.rShare).Add(rb.zShare))
+			e.openSquare(ctx, rb, g, 2*deg, rb.rShare.Mul(rb.rShare).Add(rb.zShare))
 		}
 	} else {
 		// Epsilon regime: degree-reduce r^2 via resharing, then open.
-		if !rb.mul.started {
-			rb.mul.started = true
-			rb.mul.myShares = make(map[int]field.Element)
-			e.startReshare(ctx, &rb.mul, rb.rShare.Mul(rb.rShare),
-				func(d int) string { return e.idRBMul(g, d) }, e.idRBMulCS(g))
+		if rb.mul.myShares == nil {
+			e.startReshare(ctx, &rb.mul, rb.rShare.Mul(rb.rShare), g, "rbmul", "rbmulcs")
 		}
 		if !rb.haveProd {
 			share, ok := e.reshareResult(&rb.mul)
@@ -219,14 +202,7 @@ func (e *Engine) evalRandBit(ctx *proto.Ctx, g int) bool {
 			rb.prodWire = share
 		}
 		if !rb.opened {
-			rb.opened = true
-			op := avss.NewPublicOpen(e.cfg.N, deg, t, func(cc *proto.Ctx, v field.Element) {
-				rb.haveC = true
-				rb.c = v
-				e.step(cc)
-			})
-			ctx.Spawn(e.idRBOpen(g), op)
-			op.Input(ctx.For(e.idRBOpen(g)), rb.prodWire)
+			e.openSquare(ctx, rb, g, deg, rb.prodWire)
 		}
 	}
 
@@ -250,6 +226,21 @@ func (e *Engine) evalRandBit(ctx *proto.Ctx, g int) bool {
 	bShare := rb.rShare.Mul(s.Inv()).Add(1).Mul(inv2)
 	e.wires[g] = wireVal{ready: true, v: bShare}
 	return true
+}
+
+// openSquare opens random-bit gate g's square c publicly, as
+// "<inst>/rbopen/<g>", from a degree-deg sharing of which share is this
+// party's point.
+func (e *Engine) openSquare(ctx *proto.Ctx, rb *rbState, g, deg int, share field.Element) {
+	rb.opened = true
+	id := proto.ChildID(e.inst, "rbopen", g)
+	op := avss.NewPublicOpen(e.cfg.N, deg, e.cfg.T, func(cc *proto.Ctx, v field.Element) {
+		rb.haveC = true
+		rb.c = v
+		e.step(cc)
+	})
+	ctx.Spawn(id, op)
+	op.Input(ctx.For(id), share)
 }
 
 // feedOutputs pushes ready output wires into their opening instances.
@@ -284,7 +275,7 @@ func (e *Engine) feedOutputs(ctx *proto.Ctx) {
 			}
 			continue
 		}
-		op.Input(ctx.For(e.idOut(oi)), w.v)
+		op.Input(ctx.For(e.outIDs[oi]), w.v)
 	}
 }
 

@@ -86,8 +86,8 @@ type wireVal struct {
 }
 
 type mulState struct {
-	started   bool                  // resharing dealt
-	myShares  map[int]field.Element // dealer -> my share of dealer's resharing
+	myShares  map[int]field.Element // dealer -> my share of dealer's resharing; nil until dealt
+	csID      string
 	cs        *acs.CoreSet
 	members   []int
 	haveCore  bool
@@ -116,12 +116,13 @@ type Engine struct {
 	inst string
 	self int
 
-	// Dealing state. Start formats the dealing and output ids once, into
-	// tables every later lookup reads. Dealer d's vector is its input
+	// Dealing state. Start builds the core, dealing and output ids once,
+	// and every later lookup reads them. Dealer d's vector is its input
 	// slots, then per random-bit gate (in gate order) rho and the masks;
 	// dealt[d] holds this party's shares of it once the dealing completed,
 	// and pendingDeals[d] is 1 until then (0 for a dealer with nothing to
 	// deal).
+	coreID       string
 	dealIDs      []string // [dealer]
 	dealt        [][]field.Element
 	outIDs       []string // [output]
@@ -202,16 +203,6 @@ func (e *Engine) Errorless() bool {
 	return e.cfg.N-e.cfg.T >= 2*e.cfg.Deg+e.cfg.T+1
 }
 
-// Instance id helpers: all parties derive identical ids. The dealing and
-// output ids are read from the tables formatIDs fills.
-func (e *Engine) idCore() string          { return e.inst + "/core" }
-func (e *Engine) idMul(g, d int) string   { return fmt.Sprintf("%s/mul/%d/%d", e.inst, g, d) }
-func (e *Engine) idMulCS(g int) string    { return fmt.Sprintf("%s/mulcs/%d", e.inst, g) }
-func (e *Engine) idRBOpen(g int) string   { return fmt.Sprintf("%s/rbopen/%d", e.inst, g) }
-func (e *Engine) idRBMul(g, d int) string { return fmt.Sprintf("%s/rbmul/%d/%d", e.inst, g, d) }
-func (e *Engine) idRBMulCS(g int) string  { return fmt.Sprintf("%s/rbmulcs/%d", e.inst, g) }
-func (e *Engine) idOut(oi int) string     { return e.outIDs[oi] }
-
 // rbWidth is how many values a dealer deals per random-bit gate: rho,
 // plus Deg masks in the errorless regime.
 func (e *Engine) rbWidth() int {
@@ -232,9 +223,10 @@ func (e *Engine) rbSlot(g, d int) int {
 	return e.cfg.Circuit.InputSlots(d) + e.rbs[g].ord*e.rbWidth()
 }
 
-// formatIDs fills the id tables, numbers the random-bit gates and marks
-// every dealer with something to deal as pending.
-func (e *Engine) formatIDs() {
+// layout builds the core, dealing and output ids, numbers the random-bit
+// gates and marks every dealer with something to deal as pending.
+func (e *Engine) layout() {
+	e.coreID = proto.ChildID(e.inst, "core")
 	n, c := e.cfg.N, e.cfg.Circuit
 	for g, gate := range c.Gates() {
 		if gate.Op == circuit.OpRandBit {
@@ -247,13 +239,13 @@ func (e *Engine) formatIDs() {
 	e.dealIDs = make([]string, n)
 	for d := range e.dealIDs {
 		if e.dealLen(d) > 0 {
-			e.dealIDs[d] = fmt.Sprintf("%s/in/%d", e.inst, d)
+			e.dealIDs[d] = proto.ChildID(e.inst, "in", d)
 			e.pendingDeals[d] = 1
 		}
 	}
 	e.outIDs = make([]string, len(c.Outputs()))
 	for oi := range e.outIDs {
-		e.outIDs[oi] = fmt.Sprintf("%s/out/%d", e.inst, oi)
+		e.outIDs[oi] = proto.ChildID(e.inst, "out", oi)
 	}
 }
 
@@ -265,7 +257,7 @@ func (e *Engine) Start(ctx *proto.Ctx) {
 	n, t := e.cfg.N, e.cfg.T
 	c := e.cfg.Circuit
 	e.wires = make([]wireVal, len(c.Gates()))
-	e.formatIDs()
+	e.layout()
 
 	// Output openings (targets are static).
 	for oi, out := range c.Outputs() {
@@ -277,7 +269,7 @@ func (e *Engine) Start(ctx *proto.Ctx) {
 			e.onOutputValue(cc, oi, v)
 		})
 		e.outOpens[oi] = op
-		ctx.Spawn(e.idOut(oi), op)
+		ctx.Spawn(e.outIDs[oi], op)
 	}
 
 	// One dealing per dealer with something to deal.
@@ -299,7 +291,7 @@ func (e *Engine) Start(ctx *proto.Ctx) {
 		e.haveCore = true
 		e.step(cc)
 	})
-	ctx.Spawn(e.idCore(), e.coreSet)
+	ctx.Spawn(e.coreID, e.coreSet)
 	e.checkDealerReady(ctx)
 	e.step(ctx)
 }
@@ -340,7 +332,7 @@ func (e *Engine) checkDealerReady(ctx *proto.Ctx) {
 	for d, left := range e.pendingDeals {
 		if left == 0 && !e.coreMk[d] {
 			e.coreMk[d] = true
-			e.coreSet.MarkReady(ctx.For(e.idCore()), d)
+			e.coreSet.MarkReady(ctx.For(e.coreID), d)
 		}
 	}
 }

@@ -18,6 +18,7 @@ package proto
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"asyncmediator/internal/async"
 )
@@ -103,6 +104,20 @@ func (c *Ctx) For(instance string) *Ctx {
 // Env exposes the underlying game environment, for game-level actions
 // (Decide, SetWill, Halt) that outlive any single module.
 func (c *Ctx) Env() *async.Env { return c.env }
+
+// ChildID returns the instance id "parent/kind/i/j...": the one way the
+// tower names a sub-protocol instance ("ct/in/3", "ct/mul/5/2",
+// "ct/core/ba/0"). Every party derives the same ids, and they travel in
+// every Envelope and seed the BA coin, so the format is part of the wire
+// protocol. The id costs one allocation, of its exact length.
+func ChildID(parent, kind string, idx ...int) string {
+	var buf [64]byte
+	b := append(append(append(buf[:0], parent...), '/'), kind...)
+	for _, i := range idx {
+		b = strconv.AppendInt(append(b, '/'), int64(i), 10)
+	}
+	return string(b)
+}
 
 // Host multiplexes modules over one async.Process. The zero value is not
 // usable; call NewHost.

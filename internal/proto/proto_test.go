@@ -326,3 +326,22 @@ func TestForBeforeSpawn(t *testing.T) {
 		}
 	}
 }
+
+// TestChildID: ids keep the "parent/kind/i/j" format the wire and the BA
+// coin depend on, byte for byte.
+func TestChildID(t *testing.T) {
+	for _, c := range []struct {
+		got, want string
+	}{
+		{ChildID("ct", "core"), "ct/core"},
+		{ChildID("ct", "in", 3), "ct/in/3"},
+		{ChildID("ct", "mul", 12, 0), "ct/mul/12/0"},
+		{ChildID("ct/mulcs/5", "ba", 7), "ct/mulcs/5/ba/7"},
+		{ChildID("", "x", -1), "/x/-1"},
+		{ChildID(fmt.Sprintf("%070d", 0), "rbmul", 1, 2), fmt.Sprintf("%070d/rbmul/1/2", 0)},
+	} {
+		if c.got != c.want {
+			t.Errorf("ChildID = %q, want %q", c.got, c.want)
+		}
+	}
+}

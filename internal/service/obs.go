@@ -256,7 +256,7 @@ func (s *Service) registerObsMetrics() {
 	// Play phase latencies, folded once per terminal session from the
 	// play's trace spans.
 	s.phaseHist = r.HistogramVec("mediatord_play_phase_seconds",
-		"Protocol phase latencies (avss.share, ba, mpc.*) folded from play traces.", "phase",
+		"Protocol phase latencies (avss, open, ba; messages classified by body) folded from play traces.", "phase",
 		phaseLatencyBounds)
 
 	// Cluster join fan-out: wall time of the parallel join phase per

@@ -62,13 +62,13 @@ func (s *Service) startTelemetry() error {
 
 // checkSelector refuses an objective that no play can feed: plays are
 // sampled under their variant's String() ("Theorem4.1") and their trace
-// spans under phaseNames, so any other selector would never get a
+// spans under core.Phases, so any other selector would never get a
 // sample and never alert.
 func checkSelector(o telemetry.Objective) error {
 	switch o.Kind {
 	case telemetry.KindPhase:
-		if !slices.Contains(phaseNames[:], o.Selector) {
-			return fmt.Errorf("service: SLO objective %q: no phase %q (want one of %s)", o.Spec, o.Selector, strings.Join(phaseNames[:], ", "))
+		if !slices.Contains(core.Phases[:], o.Selector) {
+			return fmt.Errorf("service: SLO objective %q: no phase %q (want one of %s)", o.Spec, o.Selector, strings.Join(core.Phases[:], ", "))
 		}
 	case telemetry.KindVariant:
 		if v, err := core.ParseVariant(strings.TrimPrefix(o.Selector, "Theorem")); err != nil || v.String() != o.Selector {

@@ -279,10 +279,13 @@ func TestRetentionBoundEvictsOldest(t *testing.T) {
 
 // TestSLOUnknownPhaseRefused: a phase objective whose selector names no
 // trace phase ("rbc" was retired with reliable broadcast; no envelope
-// ever classified as "acs.core") would never get a sample, so New
-// refuses it; every phase a trace records is accepted.
+// ever classified as "acs.core"; "avss.share", "mpc.mul", "mpc.open" and
+// "proto" were the instance-id phases before classification by message
+// body) would never get a sample, so New refuses it; every phase a trace
+// records is accepted.
 func TestSLOUnknownPhaseRefused(t *testing.T) {
-	for _, spec := range []string{"phase:rbc:p99:1s", "phase:acs.core:p99:1s", "phase:mpc.mask:p99:1s", "phase:run:p99:1s"} {
+	for _, spec := range []string{"phase:rbc:p99:1s", "phase:acs.core:p99:1s", "phase:mpc.mask:p99:1s", "phase:run:p99:1s",
+		"phase:avss.share:p99:1s", "phase:mpc.mul:p99:1s", "phase:mpc.open:p99:1s", "phase:proto:p99:1s"} {
 		if svc, err := New(Config{SLOObjectives: []string{spec}}); err == nil {
 			svc.Close()
 			t.Errorf("New accepted %q", spec)
@@ -290,7 +293,7 @@ func TestSLOUnknownPhaseRefused(t *testing.T) {
 			t.Errorf("%q: error %v, want a no-phase refusal", spec, err)
 		}
 	}
-	for _, phase := range phaseNames {
+	for _, phase := range core.Phases {
 		svc, err := New(Config{SLOObjectives: []string{"phase:" + phase + ":p99:1s"}})
 		if err != nil {
 			t.Fatalf("phase %q refused: %v", phase, err)

@@ -1,10 +1,10 @@
 package service
 
 import (
-	"strings"
 	"sync/atomic"
 
 	"asyncmediator/internal/async"
+	"asyncmediator/internal/core"
 	"asyncmediator/internal/obs"
 	"asyncmediator/internal/proto"
 )
@@ -15,47 +15,6 @@ import (
 // the final timeline distinguishes daemons without the peers having to
 // know how the coordinator names them.
 const originLocal = "local"
-
-// The named protocol phases, indexed by the phase* constants below.
-// phaseProto is the catch-all for unclassified instances.
-var phaseNames = [...]string{
-	"ba", "avss.share", "mpc.open", "mpc.mul", "proto",
-}
-
-const (
-	phaseBA = iota
-	phaseShare
-	phaseOpen
-	phaseMul
-	phaseProto
-)
-
-// phaseIdx classifies a protocol instance id into its phase index. The
-// cheap-talk tower's instance ids are hierarchical paths under the root
-// "ct" ("ct/in/3", "ct/core/ba/2", "ct/mulcs/5"); the innermost
-// recognised segment names the phase, so children inherit from the
-// sub-protocol that spawned them. It walks segments right to left
-// without allocating — this sits on the per-message hot path.
-func phaseIdx(instance string) int {
-	for end := len(instance); end > 0; {
-		cut := strings.LastIndexByte(instance[:end], '/')
-		switch instance[cut+1 : end] {
-		case "ba":
-			return phaseBA
-		case "in":
-			return phaseShare
-		case "out", "rbopen":
-			return phaseOpen
-		case "mul", "mulcs", "rbmul", "rbmulcs":
-			return phaseMul
-		}
-		if cut < 0 {
-			break
-		}
-		end = cut
-	}
-	return phaseProto
-}
 
 // phaseBuf is one wrapped process's private phase tally: per phase, a
 // count and the first/last observation offsets on the play's trace
@@ -71,9 +30,9 @@ func phaseIdx(instance string) int {
 // exact, last trails the true end of a phase by at most
 // clockSampleEvery-1 observations.
 type phaseBuf struct {
-	counts [len(phaseNames)]atomic.Int64
-	first  [len(phaseNames)]atomic.Int64
-	last   [len(phaseNames)]atomic.Int64
+	counts [len(core.Phases)]atomic.Int64
+	first  [len(core.Phases)]atomic.Int64
+	last   [len(core.Phases)]atomic.Int64
 }
 
 // clockSampleEvery is the per-phase observation stride between clock
@@ -121,18 +80,18 @@ func (c *playCollector) flush() {
 		return
 	}
 	for _, b := range c.bufs {
-		for i := range phaseNames {
+		for i, name := range core.Phases {
 			if n := b.counts[i].Load(); n > 0 {
-				c.tr.ObserveRange(phaseNames[i], originLocal, n, b.first[i].Load(), b.last[i].Load())
+				c.tr.ObserveRange(name, originLocal, n, b.first[i].Load(), b.last[i].Load())
 			}
 		}
 	}
 }
 
 // tracedProc decorates a compiled player process, classifying every
-// delivered protocol envelope into its phase buffer. It is shared by
-// all three backends (sim, wire, cluster) — each owns the processes
-// before handing them to a runtime.
+// delivered protocol envelope by its body (core.PhaseOf) into its phase
+// buffer. It is shared by all three backends (sim, wire, cluster) — each
+// owns the processes before handing them to a runtime.
 type tracedProc struct {
 	inner async.Process
 	tr    *obs.PlayTrace
@@ -143,13 +102,14 @@ func (t tracedProc) Start(env *async.Env) { t.inner.Start(env) }
 
 func (t tracedProc) Deliver(env *async.Env, msg async.Message) {
 	if e, ok := msg.Payload.(*proto.Envelope); ok && e != nil {
-		i := phaseIdx(e.Instance)
-		if n := t.buf.counts[i].Add(1); n&(clockSampleEvery-1) == 1 {
-			now := t.tr.NowUS()
-			if n == 1 {
-				t.buf.first[i].Store(now)
+		if i, ok := core.PhaseOf(e.Body); ok {
+			if n := t.buf.counts[i].Add(1); n&(clockSampleEvery-1) == 1 {
+				now := t.tr.NowUS()
+				if n == 1 {
+					t.buf.first[i].Store(now)
+				}
+				t.buf.last[i].Store(now)
 			}
-			t.buf.last[i].Store(now)
 		}
 	}
 	t.inner.Deliver(env, msg)

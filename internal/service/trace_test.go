@@ -7,31 +7,36 @@ import (
 
 	"asyncmediator/api"
 	"asyncmediator/internal/async"
+	"asyncmediator/internal/avss"
+	"asyncmediator/internal/ba"
 	"asyncmediator/internal/core"
 	"asyncmediator/internal/game"
 	"asyncmediator/internal/proto"
 )
 
+// TestPhaseOf: every body a protocol module sends classifies into its
+// module's phase, and a foreign body into none.
 func TestPhaseOf(t *testing.T) {
-	cases := map[string]string{
-		"ct/in/3/1":        "avss.share",
-		"ct/in/0":          "avss.share",
-		"ct/core/ba/2":     "ba",
-		"ct/ba/0":          "ba",
-		"ct/core":          "proto",
-		"ct/out/1":         "mpc.open",
-		"ct/rbopen/2":      "mpc.open",
-		"ct/mul/5":         "mpc.mul",
-		"ct/mulcs/5":       "mpc.mul",
-		"ct/rbmul/1":       "mpc.mul",
-		"ct/rbmulcs/1":     "mpc.mul",
-		"ct":               "proto",
-		"":                 "proto",
-		"something/else/3": "proto",
+	cases := []struct {
+		body any
+		want string
+	}{
+		{avss.MsgRow{}, "avss"},
+		{avss.MsgPoint{}, "avss"},
+		{avss.MsgReady{}, "avss"},
+		{avss.MsgShare{}, "open"},
+		{ba.MsgEst{}, "ba"},
+		{ba.MsgAux{}, "ba"},
+		{ba.MsgDone{}, "ba"},
+		{"ct/in/0", ""},
 	}
-	for instance, want := range cases {
-		if got := phaseNames[phaseIdx(instance)]; got != want {
-			t.Errorf("phase of %q = %q, want %q", instance, got, want)
+	for _, c := range cases {
+		got := ""
+		if i, ok := core.PhaseOf(c.body); ok {
+			got = core.Phases[i]
+		}
+		if got != c.want {
+			t.Errorf("phase of %T = %q, want %q", c.body, got, c.want)
 		}
 	}
 }
@@ -40,49 +45,43 @@ func TestPhaseOf(t *testing.T) {
 // wraps, as tracedProc does.
 type phaseCounter struct {
 	inner async.Process
-	seen  *[len(phaseNames)]int
+	seen  *[len(core.Phases)]int
 }
 
 func (c phaseCounter) Start(env *async.Env) { c.inner.Start(env) }
 
 func (c phaseCounter) Deliver(env *async.Env, msg async.Message) {
 	if e, ok := msg.Payload.(*proto.Envelope); ok {
-		c.seen[phaseIdx(e.Instance)]++
+		if i, ok := core.PhaseOf(e.Body); ok {
+			c.seen[i]++
+		}
 	}
 	c.inner.Deliver(env, msg)
 }
 
-// TestEveryPhaseObserved: every named phase but the proto catch-all is
-// reached by seeded section64 plays. The n=5 Theorem 4.1 play (the
-// default session) drives the in, rbopen, out and ba instances; its
-// random-bit gate opens r^2 directly, so the n=4 Theorem 4.2 play, whose
-// epsilon regime reshares r^2 first, adds rbmul. A phase no envelope
-// classifies into could never feed a span, so an SLO objective on it
-// would never get a sample.
+// TestEveryPhaseObserved: every named phase is reached by a seeded
+// section64 play, the n=5 Theorem 4.1 play of the default session. A
+// phase no envelope classifies into could never feed a span, so an SLO
+// objective on it would never get a sample.
 func TestEveryPhaseObserved(t *testing.T) {
-	var seen [len(phaseNames)]int
-	for _, pl := range []struct {
-		n, k, tf int
-		v        core.Variant
-	}{{5, 1, 0, core.Exact41}, {4, 1, 0, core.Epsilon42}} {
-		p, err := core.Section64Params(pl.n, pl.k, pl.tf, pl.v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, res, err := core.Run(core.RunConfig{
-			Params: p,
-			Types:  make([]game.Type, pl.n),
-			Seed:   1,
-			Wrap: func(_ int, proc async.Process) async.Process {
-				return phaseCounter{inner: proc, seen: &seen}
-			},
-		})
-		if err != nil || res.Deadlocked {
-			t.Fatalf("%+v: err %v, result %+v", pl, err, res)
-		}
+	var seen [len(core.Phases)]int
+	p, err := core.Section64Params(5, 1, 0, core.Exact41)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, name := range phaseNames {
-		if i != phaseProto && seen[i] == 0 {
+	_, res, err := core.Run(core.RunConfig{
+		Params: p,
+		Types:  make([]game.Type, 5),
+		Seed:   1,
+		Wrap: func(_ int, proc async.Process) async.Process {
+			return phaseCounter{inner: proc, seen: &seen}
+		},
+	})
+	if err != nil || res.Deadlocked {
+		t.Fatalf("err %v, result %+v", err, res)
+	}
+	for i, name := range core.Phases {
+		if seen[i] == 0 {
 			t.Errorf("phase %q: no delivered envelope classifies into it (counts %v)", name, seen)
 		}
 	}
@@ -127,8 +126,10 @@ func TestTraceEndpointSimPlay(t *testing.T) {
 	if !names["sched"] {
 		t.Fatalf("no scheduler lane in %v", names)
 	}
-	if !names["avss.share"] && !names["ba"] {
-		t.Fatalf("no protocol phase spans in %v", names)
+	for _, phase := range core.Phases {
+		if !names[phase] {
+			t.Fatalf("no %q phase span in %v", phase, names)
+		}
 	}
 
 	// The terminal snapshot embeds the same trace; list pages do not.

@@ -13,8 +13,8 @@ import (
 type TracesOptions struct {
 	// Variant matches the play's theorem variant exactly ("" for all).
 	Variant string
-	// Phase keeps only traces that spent time in the named phase
-	// ("ba", "avss.share", "mpc.mul", ...).
+	// Phase keeps only traces that spent time in the named phase: "avss",
+	// "open" or "ba" (protocol messages are classified by their body).
 	Phase string
 	// MinMS keeps traces at or above this duration: the named phase's
 	// duration when Phase is set, end-to-end otherwise.
