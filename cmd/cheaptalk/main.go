@@ -11,22 +11,24 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"asyncmediator/internal/async"
 	"asyncmediator/internal/core"
 	"asyncmediator/internal/game"
-	"asyncmediator/internal/mediator"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "cheaptalk:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run parses args, plays one session through core.Run and writes the
+// report to w.
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("cheaptalk", flag.ContinueOnError)
 	n := fs.Int("n", 5, "number of players")
 	k := fs.Int("k", 1, "rational coalition bound")
@@ -61,33 +63,24 @@ func run(args []string) error {
 	// Trace only when asked (it is O(messages) memory).
 	rec := &async.TraceRecorder{}
 	types := make([]game.Type, *n)
-	procs, err := core.BuildProcs(core.RunConfig{Params: params, Types: types})
-	if err != nil {
-		return err
-	}
-	cfg := async.Config{Procs: procs, Scheduler: s, Seed: *seed, MaxSteps: 50_000_000}
+	cfg := core.RunConfig{Params: params, Types: types, Scheduler: s, Seed: *seed, MaxSteps: 50_000_000}
 	if *timeline > 0 {
 		cfg.Trace = rec.Record
 	}
-	rt, err := async.New(cfg)
+	prof, res, err := core.Run(cfg)
 	if err != nil {
 		return err
 	}
-	res, err := rt.Run()
-	if err != nil {
-		return err
-	}
-	prof := mediator.ResolveMoves(g, types, res, params.Approach)
 
-	fmt.Printf("variant:    %v (bound n > %d, have n=%d)\n", v, v.Bound(*k, *t)-1, *n)
-	fmt.Printf("profile:    %v\n", prof)
-	fmt.Printf("utility:    %.3g\n", g.Utility(types, prof)[0])
-	fmt.Printf("deadlocked: %v\n", res.Deadlocked)
-	fmt.Printf("messages:   %d sent, %d delivered, %d steps\n",
+	fmt.Fprintf(w, "variant:    %v (bound n > %d, have n=%d)\n", v, v.Bound(*k, *t)-1, *n)
+	fmt.Fprintf(w, "profile:    %v\n", prof)
+	fmt.Fprintf(w, "utility:    %.3g\n", g.Utility(types, prof)[0])
+	fmt.Fprintf(w, "deadlocked: %v\n", res.Deadlocked)
+	fmt.Fprintf(w, "messages:   %d sent, %d delivered, %d steps\n",
 		res.Stats.MessagesSent, res.Stats.MessagesDelivered, res.Stats.Steps)
 	if *timeline > 0 {
-		fmt.Printf("\nscheduler timeline (first %d steps):\n%s", *timeline, rec.Timeline(*timeline))
-		fmt.Printf("max in-flight messages: %d\n", rec.MaxInFlight())
+		fmt.Fprintf(w, "\nscheduler timeline (first %d steps):\n%s", *timeline, rec.Timeline(*timeline))
+		fmt.Fprintf(w, "max in-flight messages: %d\n", rec.MaxInFlight())
 	}
 	return nil
 }

@@ -411,13 +411,20 @@ func New(cfg Config) (*Runtime, error) {
 		pend: &rt.pend, life: &rt.life,
 	}
 	for i := range rt.rngs {
-		// Independent, reproducible streams per process.
-		rt.rngs[i] = rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i)))
+		rt.rngs[i] = procRNG(cfg.Seed, PID(i))
 	}
 	return rt, nil
 }
 
 var _ envBackend = (*Runtime)(nil)
+
+// procRNG is party p's random stream in a play seeded with seed:
+// independent per party, and the same whether the party runs in a Runtime
+// or behind a Remote, so a node of a wire play draws what the party would
+// draw in the sequential runtime.
+func procRNG(seed int64, p PID) *rand.Rand {
+	return rand.New(rand.NewSource(seed*1_000_003 + int64(p)))
+}
 
 func (rt *Runtime) decide(p PID, move any) {
 	if !rt.decided[p] {

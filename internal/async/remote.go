@@ -32,7 +32,7 @@ func NewRemote(self PID, n, players int, seed int64, send func(to PID, payload a
 	return &Remote{
 		self:    self,
 		players: players,
-		rng:     rand.New(rand.NewSource(seed*1_000_003 + int64(self))),
+		rng:     procRNG(seed, self),
 		sendFn:  send,
 	}
 }

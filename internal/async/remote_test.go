@@ -1,6 +1,7 @@
 package async
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -145,5 +146,46 @@ func TestRemoteEnvSurface(t *testing.T) {
 	env.Halt()
 	if !r.Halted() {
 		t.Fatal("halt not recorded")
+	}
+}
+
+// drawProc records the first values its party draws from Env.Rand at
+// Start, then halts.
+type drawProc struct{ got []int64 }
+
+func (d *drawProc) Start(env *Env) {
+	for i := 0; i < 4; i++ {
+		d.got = append(d.got, env.Rand().Int63())
+	}
+	env.Halt()
+}
+
+func (d *drawProc) Deliver(*Env, Message) {}
+
+// TestRemoteDrawsLikeRuntime: a party behind a Remote draws exactly what
+// the same party draws in the sequential runtime with the same seed, for
+// every party, so a wire play's randomness is the simulated play's
+// (wire.NodeConfig.Seed).
+func TestRemoteDrawsLikeRuntime(t *testing.T) {
+	const n = 5
+	for _, seed := range []int64{0, 1, -7, 1 << 40} {
+		procs := make([]Process, n)
+		for i := range procs {
+			procs[i] = &drawProc{}
+		}
+		rt, err := New(Config{Procs: procs, Scheduler: &RoundRobinScheduler{}, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for i := range procs {
+			remote := &drawProc{}
+			remote.Start(NewRemote(PID(i), n, n, seed, nil).Env())
+			if !reflect.DeepEqual(remote.got, procs[i].(*drawProc).got) {
+				t.Fatalf("seed %d party %d: Remote drew %v, Runtime %v", seed, i, remote.got, procs[i].(*drawProc).got)
+			}
+		}
 	}
 }

@@ -62,32 +62,18 @@ func TestCoalescedWriteMatchesSingleFrames(t *testing.T) {
 // zero: the last frame of every burst is acknowledged.
 func TestBurstAcknowledgedPerBurst(t *testing.T) {
 	const burst = 1000
-	a, err := New(Config{Self: 0, N: 2, ClusterID: "burst"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
+	mn := newMemNet()
+	_, a := openOwn(t, mn, "a:1", Config{Self: 0, N: 2, ClusterID: "burst"})
 	for m := 0; m < burst; m++ {
 		a.Send(1, payload(0, m))
 	}
-	b, err := New(Config{Self: 1, N: 2, ClusterID: "burst"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+	_, b := openOwn(t, mn, "b:1", Config{Self: 1, N: 2, ClusterID: "burst"})
 	a.SetPeerAddr(1, b.Addr())
 
 	expectInOrder(t, collect(t, b, burst, 10*time.Second), 1, burst)
 	// The writer counts its frames once its write returns, which may be
 	// after the receiver has already acknowledged them.
-	deadline := time.Now().Add(10 * time.Second)
-	for st := a.Stats(); st.ResendBuffered != 0 || st.FramesOut < burst; st = a.Stats() {
-		if time.Now().After(deadline) {
-			t.Fatalf("resend buffer holds %d frames, %d frames counted out, after every frame was delivered",
-				st.ResendBuffered, st.FramesOut)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitDrained(t, mn, a, burst)
 	st := a.Stats()
 	t.Logf("%d frames: %d ACKs", burst, st.Acks)
 	if st.Acks >= burst {

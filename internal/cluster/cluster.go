@@ -43,6 +43,10 @@
 // connection found dead at handshake time is replaced by a fresh dial at
 // once.
 //
+// Network seam: an Endpoint reaches the network only through its listen
+// and dial functions, net.Listen and net.DialTimeout in production. The
+// package's tests swap in an in-memory network with a seeded fault plan.
+//
 // ACK isolation: an ACK only ever trims the resend buffer of the stream
 // it was written for. On a re-attach the acceptor stops the old stream's
 // acker, waiting out an ACK its timer is writing, before it writes the new

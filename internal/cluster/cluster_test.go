@@ -19,13 +19,27 @@ import (
 // mesh builds an n-node loopback mesh on one cluster id, fully addressed.
 func mesh(t *testing.T, n int, tlsCfg []*TLS) []*Transport {
 	t.Helper()
+	return meshOn(t, nil, n, tlsCfg)
+}
+
+// meshOn builds the mesh on the in-memory network mn, or on loopback
+// sockets when mn is nil. Node i's host on mn is 127.0.0.1:7000+i, a
+// name the test certificates are issued for.
+func meshOn(t *testing.T, mn *memNet, n int, tlsCfg []*TLS) []*Transport {
+	t.Helper()
 	trs := make([]*Transport, n)
 	for i := 0; i < n; i++ {
 		var ecfg EndpointConfig
 		if tlsCfg != nil {
 			ecfg.TLS = tlsCfg[i]
 		}
-		trs[i] = openOn(t, NewEndpoint(ecfg), Config{Self: i, N: n, ClusterID: "test"})
+		var ep *Endpoint
+		if mn != nil {
+			ep = mn.endpoint(t, fmt.Sprintf("127.0.0.1:%d", 7000+i), ecfg)
+		} else {
+			ep = NewEndpoint(ecfg)
+		}
+		trs[i] = openOn(t, ep, Config{Self: i, N: n, ClusterID: "test"})
 	}
 	for i, tr := range trs {
 		for j, peer := range trs {
@@ -231,19 +245,16 @@ func TestLateAddress(t *testing.T) {
 // TestHandshakeRejectsWrongCluster asserts the HELLO guard: a node from
 // a different cluster session is refused and delivers nothing.
 func TestHandshakeRejectsWrongCluster(t *testing.T) {
-	a, err := New(Config{Self: 0, N: 2, ClusterID: "alpha"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	bep, b := openOwn(t, Config{Self: 1, N: 2, ClusterID: "beta"})
+	mn := newMemNet()
+	_, a := openOwn(t, mn, "a:1", Config{Self: 0, N: 2, ClusterID: "alpha"})
+	bep, b := openOwn(t, mn, "b:1", Config{Self: 1, N: 2, ClusterID: "beta"})
 	a.SetPeerAddr(1, b.Addr())
 	a.Send(1, payload(0, 0))
 
-	waitRefused(t, func() bool { return bep.Stats().Rejected >= 5 && a.Stats().DialErrors >= 5 },
-		func() string {
-			return fmt.Sprintf("%d handshake rejections, %d dial errors", bep.Stats().Rejected, a.Stats().DialErrors)
-		})
+	if !mn.await(func() bool { return bep.Stats().Rejected >= 5 && a.Stats().DialErrors >= 5 }) {
+		t.Fatalf("handshakes not refused as often as expected: %d handshake rejections, %d dial errors",
+			bep.Stats().Rejected, a.Stats().DialErrors)
+	}
 	select {
 	case f := <-b.Inbox():
 		t.Fatalf("cross-cluster frame delivered: %+v", f)
@@ -253,15 +264,19 @@ func TestHandshakeRejectsWrongCluster(t *testing.T) {
 
 // waitRefused waits until refused reports that a peer's handshake was
 // refused enough times (five in the callers), and fails naming the
-// counters from state if it never is.
+// counters from state if it never is. Its caller runs on real sockets,
+// so it polls.
 func waitRefused(t *testing.T, refused func() bool, state func() string) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
+	tick := time.NewTicker(5 * time.Millisecond)
+	defer tick.Stop()
+	deadline := time.After(10 * time.Second)
 	for !refused() {
-		if time.Now().After(deadline) {
+		select {
+		case <-tick.C:
+		case <-deadline:
 			t.Fatalf("handshakes not refused as often as expected: %s", state())
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -343,6 +358,36 @@ func TestMutualTLSDelivery(t *testing.T) {
 		for s, idxs := range got {
 			if len(idxs) != msgs {
 				t.Fatalf("sender %d: %d payloads, want %d", s, len(idxs), msgs)
+			}
+		}
+	}
+}
+
+// TestMutualTLSOnMemNet: TLS wraps whatever the network seam returns, so
+// a mutual-TLS mesh runs on the in-memory network as on sockets.
+func TestMutualTLSOnMemNet(t *testing.T) {
+	const n, msgs = 3, 20
+	pool, issue := testCA(t)
+	tlsCfgs := make([]*TLS, n)
+	for i := range tlsCfgs {
+		tlsCfgs[i] = &TLS{cert: issue(), ca: pool}
+	}
+	trs := meshOn(t, newMemNet(), n, tlsCfgs)
+	for i, tr := range trs {
+		for m := 0; m < msgs; m++ {
+			for j := 0; j < n; j++ {
+				if j != i {
+					tr.Send(j, payload(i, m))
+				}
+			}
+		}
+	}
+	for _, tr := range trs {
+		for s, idxs := range collect(t, tr, (n-1)*msgs, 15*time.Second) {
+			for i, idx := range idxs {
+				if idx != i || len(idxs) != msgs {
+					t.Fatalf("sender %d: %d payloads, payload %d at position %d", s, len(idxs), idx, i)
+				}
 			}
 		}
 	}

@@ -47,7 +47,7 @@ var handshakeTimeout = 5 * time.Second
 // already has a transport open on the endpoint.
 var ErrPlayerOpen = errors.New("cluster: player already open on this endpoint")
 
-// errEndpointClosed is returned by Open and dial once Close has begun,
+// errEndpointClosed is returned by Open and dialConn once Close has begun,
 // errTransportClosed by a handshake whose transport closed meanwhile;
 // errConnClosed reports a connection whose reader has exited.
 var (
@@ -64,6 +64,9 @@ var (
 // keyed by peer address, for the next link to that address.
 type Endpoint struct {
 	cfg EndpointConfig
+	// The network seam (see the package doc); TLS wraps what they return.
+	listen func(addr string) (net.Listener, error)
+	dial   func(addr string) (net.Conn, error)
 
 	mu      sync.Mutex
 	ln      net.Listener // nil until the first Open
@@ -104,6 +107,8 @@ func NewEndpoint(cfg EndpointConfig) *Endpoint {
 	}
 	return &Endpoint{
 		cfg:    cfg,
+		listen: func(addr string) (net.Listener, error) { return net.Listen("tcp", addr) },
+		dial:   func(addr string) (net.Conn, error) { return net.DialTimeout("tcp", addr, dialTimeout) },
 		routes: make(map[route]*Transport),
 		open:   make(map[*Transport]struct{}),
 		idle:   make(map[string][]*conn),
@@ -125,7 +130,7 @@ func (e *Endpoint) Open(cfg Config) (*Transport, error) {
 		return nil, errEndpointClosed
 	}
 	if e.ln == nil {
-		ln, err := net.Listen("tcp", e.cfg.ListenAddr)
+		ln, err := e.listen(e.cfg.ListenAddr)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: listen %s: %w", e.cfg.ListenAddr, err)
 		}
@@ -366,9 +371,9 @@ func (e *Endpoint) acceptLoop(ln net.Listener) {
 	}
 }
 
-// dial opens a new outbound connection to addr and starts its reader.
-func (e *Endpoint) dial(addr string) (*conn, error) {
-	nc, err := net.DialTimeout("tcp", addr, dialTimeout)
+// dialConn opens a new outbound connection to addr and starts its reader.
+func (e *Endpoint) dialConn(addr string) (*conn, error) {
+	nc, err := e.dial(addr)
 	if err != nil {
 		return nil, err
 	}

@@ -29,12 +29,12 @@ func pair(t *testing.T, a, b *Endpoint, id string) (*Transport, *Transport) {
 	return ta, tb
 }
 
-// openOwn opens cfg on an endpoint of the test's own, closed at cleanup,
-// so the test can read the endpoint's refusals.
-func openOwn(t *testing.T, cfg Config) (*Endpoint, *Transport) {
+// openOwn opens cfg on an endpoint of the test's own at host of the
+// in-memory network mn, closed at cleanup, so the test can read the
+// endpoint's refusals.
+func openOwn(t *testing.T, mn *memNet, host string, cfg Config) (*Endpoint, *Transport) {
 	t.Helper()
-	ep := NewEndpoint(EndpointConfig{})
-	t.Cleanup(ep.Close)
+	ep := mn.endpoint(t, host, EndpointConfig{})
 	tr, err := ep.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -106,8 +106,8 @@ func TestEndpointReusesConnections(t *testing.T) {
 // replays included, are delivered exactly once, in order, to the new
 // stream only.
 func TestReattachIsolatesOldStream(t *testing.T) {
-	ep := NewEndpoint(EndpointConfig{})
-	t.Cleanup(ep.Close)
+	mn := newMemNet()
+	ep := mn.endpoint(t, "b:1", EndpointConfig{})
 	one, err := ep.Open(Config{Self: 1, N: 2, ClusterID: "one"})
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestReattachIsolatesOldStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nc, err := net.DialTimeout("tcp", ep.Addr(), 5*time.Second)
+	nc, err := mn.dial("a:1", ep.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,8 @@ func TestReusedConnectionAfterUnackedTail(t *testing.T) {
 // sends a stale ACK ahead of its WELCOME, and the link must still replay
 // all five.
 func TestDialerDropsAckBeforeWelcome(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	mn := newMemNet()
+	ln, err := mn.listen("b:1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,11 +280,7 @@ func TestDialerDropsAckBeforeWelcome(t *testing.T) {
 		replayed <- serve(second, true)
 		_, _ = second.Read(make([]byte, 1)) // until the dialer hangs up
 	}()
-	a, err := New(Config{Self: 0, N: 2, ClusterID: "stale"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
+	_, a := openOwn(t, mn, "a:1", Config{Self: 0, N: 2, ClusterID: "stale"})
 	for m := 0; m < 5; m++ {
 		a.Send(1, payload(0, m))
 	}
@@ -334,7 +331,8 @@ func TestHungPooledConnectionCountsDialError(t *testing.T) {
 	saved := handshakeTimeout
 	handshakeTimeout = 200 * time.Millisecond
 	t.Cleanup(func() { handshakeTimeout = saved })
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	mn := newMemNet()
+	ln, err := mn.listen("b:1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,8 +352,7 @@ func TestHungPooledConnectionCountsDialError(t *testing.T) {
 		}
 		served <- nc
 	}()
-	ep := NewEndpoint(EndpointConfig{})
-	t.Cleanup(ep.Close)
+	ep := mn.endpoint(t, "a:1", EndpointConfig{})
 	first, err := ep.Open(Config{Self: 0, N: 2, ClusterID: "first"})
 	if err != nil {
 		t.Fatal(err)
@@ -376,13 +373,11 @@ func TestHungPooledConnectionCountsDialError(t *testing.T) {
 	}
 	second.SetPeerAddr(1, ln.Addr().String())
 	second.Send(1, payload(0, 0))
-	deadline := time.Now().Add(handshakeTimeout + 2*time.Second)
-	for second.Stats().DialErrors == 0 {
-		if time.Now().After(deadline) {
-			st := second.Stats()
-			t.Fatalf("no dial error %v after taking a connection to a hung peer (%d dials)", handshakeTimeout+2*time.Second, st.Dials)
-		}
-		time.Sleep(10 * time.Millisecond)
+	wait := handshakeTimeout + 2*time.Second
+	deadline := time.Now().Add(wait)
+	mn.await(func() bool { return second.Stats().DialErrors != 0 || time.Now().After(deadline) })
+	if st := second.Stats(); st.DialErrors == 0 {
+		t.Fatalf("no dial error %v after taking a connection to a hung peer (%d dials)", wait, st.Dials)
 	}
 	if st := second.Stats(); st.Dials != 0 {
 		t.Fatalf("the timed-out pooled connection was replaced by %d fresh dials before it counted", st.Dials)
@@ -393,16 +388,15 @@ func TestHungPooledConnectionCountsDialError(t *testing.T) {
 // endpoint does not host is refused with a REJECT, and a live stream on
 // the same endpoint carries on untouched.
 func TestUnknownClusterRejectedOnSharedEndpoint(t *testing.T) {
-	a, b := NewEndpoint(EndpointConfig{}), NewEndpoint(EndpointConfig{})
-	t.Cleanup(a.Close)
-	t.Cleanup(b.Close)
+	mn := newMemNet()
+	a, b := mn.endpoint(t, "a:1", EndpointConfig{}), mn.endpoint(t, "b:1", EndpointConfig{})
 	ta, tb := pair(t, a, b, "live")
 	for m := 0; m < 100; m++ {
 		ta.Send(1, payload(0, m))
 	}
 	receive(t, tb, 1, 100)
 
-	nc, err := net.DialTimeout("tcp", b.Addr(), 5*time.Second)
+	nc, err := mn.dial("c:1", b.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,14 +432,10 @@ func TestUnknownClusterRejectedOnSharedEndpoint(t *testing.T) {
 // whose frames are dropped, not refused. A cluster the endpoint never
 // hosted is still refused.
 func TestLateHelloForClosedStreamWelcomed(t *testing.T) {
-	ep := NewEndpoint(EndpointConfig{})
-	t.Cleanup(ep.Close)
-	done, err := ep.Open(Config{Self: 1, N: 2, ClusterID: "done"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mn := newMemNet()
+	ep, done := openOwn(t, mn, "b:1", Config{Self: 1, N: 2, ClusterID: "done"})
 	done.Close()
-	nc, err := net.DialTimeout("tcp", ep.Addr(), 5*time.Second)
+	nc, err := mn.dial("a:1", ep.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,13 +467,9 @@ func TestLateHelloForClosedStreamWelcomed(t *testing.T) {
 // kind (6) onto its established streams. The receiver must skip those
 // frames like any unknown kind and keep delivering the stream's DATA.
 func TestReservedKindSkipped(t *testing.T) {
-	ep := NewEndpoint(EndpointConfig{})
-	t.Cleanup(ep.Close)
-	tr, err := ep.Open(Config{Self: 1, N: 2, ClusterID: "older-peer"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nc, err := net.DialTimeout("tcp", ep.Addr(), 5*time.Second)
+	mn := newMemNet()
+	ep, tr := openOwn(t, mn, "b:1", Config{Self: 1, N: 2, ClusterID: "older-peer"})
+	nc, err := mn.dial("a:1", ep.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
-	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -63,8 +62,9 @@ func TestDataAndAckGoldenBytes(t *testing.T) {
 // generation is refused at HELLO with a reason naming both versions,
 // instead of completing the handshake and sending frames nobody decodes.
 func TestHandshakeRejectsOldVersion(t *testing.T) {
-	ep, tr := openOwn(t, Config{Self: 1, N: 2, ClusterID: "v"})
-	conn, err := net.DialTimeout("tcp", tr.Addr(), 5*time.Second)
+	mn := newMemNet()
+	ep, tr := openOwn(t, mn, "b:1", Config{Self: 1, N: 2, ClusterID: "v"})
+	conn, err := mn.dial("a:1", tr.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,9 +99,10 @@ func totalAlloc() uint64 {
 func TestHandshakeRejectsGiantFrame(t *testing.T) {
 	giant := func(kind byte) []byte { return appendHeader(nil, kind, MaxFrameBytes-1) }
 
-	ep, tr := openOwn(t, Config{Self: 1, N: 2, ClusterID: "giant"})
+	mn := newMemNet()
+	ep, tr := openOwn(t, mn, "b:1", Config{Self: 1, N: 2, ClusterID: "giant"})
 	before := totalAlloc()
-	conn, err := net.DialTimeout("tcp", tr.Addr(), 5*time.Second)
+	conn, err := mn.dial("c:1", tr.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestHandshakeRejectsGiantFrame(t *testing.T) {
 
 	// The dialer's side: a "listener" that reads the HELLO and answers
 	// with a 64 MiB WELCOME header, on every connection the link dials.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := mn.listen("d:1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,10 +150,7 @@ func TestHandshakeRejectsGiantFrame(t *testing.T) {
 			}()
 		}
 	}()
-	a, err := New(Config{Self: 0, N: 2, ClusterID: "giant"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, a := openOwn(t, mn, "a:1", Config{Self: 0, N: 2, ClusterID: "giant"})
 	before = totalAlloc()
 	a.SetPeerAddr(1, ln.Addr().String())
 	select {

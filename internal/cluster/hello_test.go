@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"net"
 	"testing"
 	"time"
 )
@@ -71,14 +70,10 @@ func TestHelloTraceIDRoundTrip(t *testing.T) {
 	want := hello{Version: ProtocolVersion, ClusterID: "c-legacy", From: 0, To: 1}
 	parseOldHello(t, want, "9f86d081deadbeef", 16)
 
-	ep := NewEndpoint(EndpointConfig{})
-	t.Cleanup(ep.Close)
-	tr, err := ep.Open(Config{Self: 1, N: 2, ClusterID: want.ClusterID})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mn := newMemNet()
+	ep, tr := openOwn(t, mn, "b:1", Config{Self: 1, N: 2, ClusterID: want.ClusterID})
 	defer tr.Close()
-	nc, err := net.DialTimeout("tcp", ep.Addr(), 5*time.Second)
+	nc, err := mn.dial("a:1", ep.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

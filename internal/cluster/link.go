@@ -173,7 +173,7 @@ func (l *link) connect() (*conn, uint64, error) {
 		if !pooled {
 			l.t.dials.Add(1)
 			var err error
-			if c, err = l.t.ep.dial(addr); err != nil {
+			if c, err = l.t.ep.dialConn(addr); err != nil {
 				return nil, 0, err
 			}
 		}

@@ -101,7 +101,8 @@ func TestSelfLoopback(t *testing.T) {
 // and the resend buffer still drains once the stream goes idle.
 func TestAcksDelayedAcrossBursts(t *testing.T) {
 	const bursts, perBurst = 10, 10
-	trs := mesh(t, 2, nil)
+	mn := newMemNet()
+	trs := meshOn(t, mn, 2, nil)
 	a, b := trs[0], trs[1]
 
 	// Bring the link up and settle its first ACK, so every burst below
@@ -112,14 +113,19 @@ func TestAcksDelayedAcrossBursts(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("first frame not delivered")
 	}
-	waitDrained(t, a, 1)
+	waitDrained(t, mn, a, 1)
 	acks0 := a.Stats().Acks
 
+	// Each burst leaves in writes of its own: the next is sent once the
+	// network has carried this one.
+	stream := streamKey("test", 0, 1)
 	for burst := 0; burst < bursts; burst++ {
 		for m := 0; m < perBurst; m++ {
 			a.Send(1, payload(0, 1+burst*perBurst+m))
 		}
-		time.Sleep(time.Millisecond)
+		if want := 1 + (burst+1)*perBurst; !mn.await(func() bool { return mn.dataFrames(stream) >= want }) {
+			t.Fatalf("burst %d not written", burst)
+		}
 	}
 	const total = 1 + bursts*perBurst
 	deadline := time.After(10 * time.Second)
@@ -133,7 +139,7 @@ func TestAcksDelayedAcrossBursts(t *testing.T) {
 			t.Fatalf("timed out after %d/%d frames", want-1, total)
 		}
 	}
-	waitDrained(t, a, total)
+	waitDrained(t, mn, a, total)
 	if acks := a.Stats().Acks - acks0; acks >= bursts {
 		t.Errorf("%d bursts drew %d ACKs: ACKs are not delayed", bursts, acks)
 	}
@@ -141,13 +147,11 @@ func TestAcksDelayedAcrossBursts(t *testing.T) {
 
 // waitDrained waits until every one of the frames sent so far is written
 // and acknowledged: the resend buffer is empty.
-func waitDrained(t *testing.T, tr *Transport, frames int64) {
+func waitDrained(t *testing.T, mn *memNet, tr *Transport, frames int64) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for st := tr.Stats(); st.ResendBuffered != 0 || st.FramesOut < frames; st = tr.Stats() {
-		if time.Now().After(deadline) {
-			t.Fatalf("resend buffer holds %d frames, %d of %d frames counted out", st.ResendBuffered, st.FramesOut, frames)
-		}
-		time.Sleep(time.Millisecond)
+	drained := func() bool { st := tr.Stats(); return st.ResendBuffered == 0 && st.FramesOut >= frames }
+	if !mn.await(drained) {
+		st := tr.Stats()
+		t.Fatalf("resend buffer holds %d frames, %d of %d frames counted out", st.ResendBuffered, st.FramesOut, frames)
 	}
 }

@@ -77,9 +77,13 @@ func (e *Engine) startReshare(ctx *proto.Ctx, ms *mulState, myProduct field.Elem
 		e.step(cc)
 	})
 	ctx.Spawn(ms.csID, ms.cs)
-	// Mark already-completed dealings (possible when spawned late).
-	for d := range ms.myShares {
-		ms.cs.MarkReady(ctx.For(ms.csID), d)
+	// Mark already-completed dealings (possible when spawned late), in
+	// dealer order: each mark may propose to an agreement, and a seeded
+	// run must send its proposals in one order.
+	for d := 0; d < n; d++ {
+		if _, ok := ms.myShares[d]; ok {
+			ms.cs.MarkReady(ctx.For(ms.csID), d)
+		}
 	}
 }
 

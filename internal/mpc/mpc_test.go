@@ -17,13 +17,31 @@ import (
 func runMPC(t *testing.T, n, tf int, circ *circuit.Circuit, inputs [][]field.Element,
 	byz map[int]async.Process, sched async.Scheduler, seed int64) ([]map[int]field.Element, *async.Result) {
 	t.Helper()
+	outs, procs := mpcProcs(t, n, tf, circ, inputs, seed)
+	for i, p := range byz {
+		procs[i], outs[i] = p, nil
+	}
+	if sched == nil {
+		sched = &async.RoundRobinScheduler{}
+	}
+	rt, err := async.New(async.Config{Procs: procs, Scheduler: sched, Seed: seed, MaxSteps: 5_000_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rt.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return outs, res
+}
+
+// mpcProcs builds n honest parties, each an engine registered as "mpc" on
+// a host, and the outputs slice their OnOutput callbacks fill.
+func mpcProcs(t *testing.T, n, tf int, circ *circuit.Circuit, inputs [][]field.Element, seed int64) ([]map[int]field.Element, []async.Process) {
+	t.Helper()
 	outs := make([]map[int]field.Element, n)
 	procs := make([]async.Process, n)
 	for i := 0; i < n; i++ {
-		if p, ok := byz[i]; ok {
-			procs[i] = p
-			continue
-		}
 		i := i
 		h := proto.NewHost()
 		eng, err := New(Config{
@@ -41,18 +59,7 @@ func runMPC(t *testing.T, n, tf int, circ *circuit.Circuit, inputs [][]field.Ele
 		}
 		procs[i] = h
 	}
-	if sched == nil {
-		sched = &async.RoundRobinScheduler{}
-	}
-	rt, err := async.New(async.Config{Procs: procs, Scheduler: sched, Seed: seed, MaxSteps: 5_000_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := rt.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return outs, res
+	return outs, procs
 }
 
 // sumCircuit: output to everyone the sum of all parties' single inputs.
