@@ -21,8 +21,11 @@
 // One message costs the runtime one slot in the pending set (a bare
 // Message, in ID order), one bit in each of two bitmaps (pending, and
 // deliverable) and an update to a Fenwick tree with one leaf per 512
-// slots; the runtime allocates nothing per message, only when the slot
-// array doubles. The runtime counts the processes not yet started and not
+// slots; the runtime allocates nothing per message. Nor does a play
+// allocate its pending index or its parties' random streams: a Runtime
+// takes both from pools when it is built and returns them when Run ends,
+// so a play reuses the storage earlier plays grew and re-seeds their
+// streams. The runtime counts the processes not yet started and not
 // yet halted, so checking for the end of a run is O(1) per step, not O(n).
 //
 // One in-process runtime executes Processes: Runtime, the
@@ -44,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 )
 
 // PID identifies a process: players are 0..n-1; auxiliary parties (such as
@@ -110,7 +114,9 @@ func (e *Env) Self() PID { return e.self }
 // Players returns the number of game players (processes minus auxiliaries).
 func (e *Env) Players() int { return e.b.numPlayers() }
 
-// Rand returns the process's private randomness source.
+// Rand returns the process's private randomness source. The stream is
+// valid only while the run lasts: a Runtime recycles it when Run returns,
+// so a process must not keep it beyond its run.
 func (e *Env) Rand() *rand.Rand { return e.b.procRand(e.self) }
 
 // Send enqueues a message to the given process. Messages sent during one
@@ -343,7 +349,9 @@ var (
 	ErrDropNotAllowed = errors.New("async: drop in non-relaxed run")
 )
 
-// Runtime executes an asynchronous game under a scheduler.
+// Runtime executes an asynchronous game under a scheduler, once: Run
+// returns the runtime's storage to the pools it came from, and a second
+// Run is an error.
 type Runtime struct {
 	cfg       Config
 	procs     []Process
@@ -366,6 +374,7 @@ type Runtime struct {
 	touched   map[BatchKey]bool // relaxed runs only: batches with a delivered message
 	view      View              // the scheduler's handle (see Scheduler)
 	env       Env               // the activation's Env (see Env: not retained)
+	ran       bool              // Run was called: the storage is released
 }
 
 // New creates a Runtime. It returns an error for malformed configs.
@@ -404,7 +413,7 @@ func New(cfg Config) (*Runtime, error) {
 		rt.dropped = make(map[BatchKey]bool)
 		rt.touched = make(map[BatchKey]bool)
 	}
-	rt.pend = newPendingSet(rt.halted)
+	rt.pend = newPendingSet(rt.halted, storePool.Get().(*pendStore))
 	rt.view = View{
 		N: n, Players: cfg.Players,
 		Started: rt.started, Halted: rt.halted, Decided: rt.decided,
@@ -418,12 +427,30 @@ func New(cfg Config) (*Runtime, error) {
 
 var _ envBackend = (*Runtime)(nil)
 
+// rngPool recycles party streams: re-seeding a stream puts it in the
+// state a fresh source with that seed starts in, without allocating the
+// source's 607-word table again.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // procRNG is party p's random stream in a play seeded with seed:
 // independent per party, and the same whether the party runs in a Runtime
 // or behind a Remote, so a node of a wire play draws what the party would
-// draw in the sequential runtime.
+// draw in the sequential runtime. The stream comes from rngPool; a
+// Runtime puts its streams back when Run ends.
 func procRNG(seed int64, p PID) *rand.Rand {
-	return rand.New(rand.NewSource(seed*1_000_003 + int64(p)))
+	r := rngPool.Get().(*rand.Rand)
+	r.Seed(seed*1_000_003 + int64(p))
+	return r
+}
+
+// release hands the pending index's storage and the party streams back
+// to their pools.
+func (rt *Runtime) release() {
+	storePool.Put(rt.pend.release())
+	for i, r := range rt.rngs {
+		rngPool.Put(r)
+		rt.rngs[i] = nil
+	}
 }
 
 func (rt *Runtime) decide(p PID, move any) {
@@ -486,7 +513,15 @@ func meta(m Message) MsgMeta {
 // processes started). Ending with a player neither decided nor halted
 // marks the result Deadlocked; layering packages apply wills or default
 // moves to such players.
+//
+// Run may be called once; it returns the runtime's storage to the pools
+// on every return path, and a second call returns an error.
 func (rt *Runtime) Run() (*Result, error) {
+	if rt.ran {
+		return nil, errors.New("async: Run called twice on one Runtime")
+	}
+	rt.ran = true
+	defer rt.release()
 	for {
 		if rt.steps >= rt.cfg.MaxSteps {
 			return nil, fmt.Errorf("%w after %d steps", ErrMaxSteps, rt.steps)

@@ -3,6 +3,7 @@ package async
 import (
 	"math/bits"
 	"sort"
+	"sync"
 )
 
 // minSlots is the smallest slot array a pendingSet allocates. Slot arrays
@@ -23,8 +24,9 @@ const blockBits = 9
 //     deliverable message in ID order" descends the tree to a block, then
 //     popcounts that block's words and selects within one word: O(log
 //     pending);
-//   - one FIFO lane of positions per recipient, trimmed lazily from the
-//     front, so "the oldest pending message to p" is amortised O(1);
+//   - one FIFO lane of positions per recipient, whose head skips dead
+//     positions lazily, so "the oldest pending message to p" is amortised
+//     O(1);
 //   - the live and deliverable counts.
 //
 // Adding, removing or halting one message flips one bit in each bitmap it
@@ -38,22 +40,79 @@ const blockBits = 9
 // the bitmaps one bit per slot each, the tree one counter per 512 slots,
 // and each compaction is paid for by the sends that filled the freed
 // slots.
+//
+// The arrays are carved from a pendStore, which a run takes from
+// storePool and hands back when it ends: a play reuses the storage
+// earlier plays grew, and allocates only when it needs more than any of
+// them did. The sizes above bound the part of the store a run uses.
 type pendingSet struct {
 	slots       []Message // a dead slot keeps its pattern fields, not its payload
 	alive       []uint64  // bit per slot position: pending
 	ready       []uint64  // bit per slot position: pending, recipient not halted
 	tree        []int32   // 1-based Fenwick tree over blocks of ready
-	lanes       [][]int32 // per recipient: positions in ID order, possibly dead
+	lanes       []lane    // per recipient
 	halted      []bool    // the runtime's halted flags (shared, read only)
 	live        int
 	deliverable int
 	// last is the position kth or oldest last returned: the message a
 	// scheduler picks there is the one the runtime then asks find for.
 	last int
+	st   *pendStore
 }
 
-func newPendingSet(halted []bool) pendingSet {
-	return pendingSet{halted: halted, lanes: make([][]int32, len(halted))}
+// lane is one recipient's positions in ID order. Those before head are
+// dead; those after it may be.
+type lane struct {
+	pos  []int32
+	head int
+}
+
+// pendStore is the storage a pendingSet carves its arrays from. Each
+// slice is kept at its full capacity (len == cap); a set uses a prefix.
+// No slot holds a payload while the store is not in use.
+type pendStore struct {
+	slots        []Message
+	alive, ready []uint64
+	tree         []int32
+	lanes        []lane
+}
+
+// storePool recycles pendStores across runs.
+var storePool = sync.Pool{New: func() any { return new(pendStore) }}
+
+// newPendingSet returns an empty set for len(halted) recipients on st's
+// storage, whatever an earlier set left in it. The first add compacts,
+// which sizes and clears the bitmaps and the tree.
+func newPendingSet(halted []bool, st *pendStore) pendingSet {
+	n := len(halted)
+	if len(st.lanes) < n {
+		st.lanes = append(st.lanes, make([]lane, n-len(st.lanes))...)
+	}
+	lanes := st.lanes[:n]
+	for p := range lanes {
+		lanes[p] = lane{pos: lanes[p].pos[:0]}
+	}
+	return pendingSet{slots: st.slots[:0:0], halted: halted, lanes: lanes, st: st}
+}
+
+// release drops the payloads the set still holds and returns its
+// storage. The set is empty afterwards and must not be used again.
+func (s *pendingSet) release() *pendStore {
+	clear(s.slots)
+	st := s.st
+	*s = pendingSet{}
+	return st
+}
+
+// carve returns the first n elements of *buf, zeroed, first replacing
+// *buf with a fresh slice of n elements when it is shorter.
+func carve[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	b := (*buf)[:n]
+	clear(b)
+	return b
 }
 
 func bitGet(b []uint64, pos int) bool { return b[pos>>6]&(1<<(pos&63)) != 0 }
@@ -82,7 +141,8 @@ func (s *pendingSet) add(m Message) {
 	pos := len(s.slots)
 	s.slots = append(s.slots, m)
 	bitSet(s.alive, pos)
-	s.lanes[m.To] = append(s.lanes[m.To], int32(pos))
+	l := &s.lanes[m.To]
+	l.pos = append(l.pos, int32(pos))
 	s.live++
 	if !s.halted[m.To] {
 		bitSet(s.ready, pos)
@@ -137,7 +197,8 @@ func (s *pendingSet) removeIf(drop func(*Message) bool) int {
 // halt takes p's pending messages out of the deliverable index. The
 // caller sets halted[p] afterwards, so later sends to p are never indexed.
 func (s *pendingSet) halt(p PID) {
-	for _, pos := range s.lanes[p] {
+	l := s.lanes[p]
+	for _, pos := range l.pos[l.head:] {
 		if bitGet(s.ready, int(pos)) {
 			s.unready(int(pos))
 		}
@@ -192,20 +253,18 @@ func selectBit(w uint64, r int) int {
 }
 
 // oldest returns the position of the oldest pending message to p, or -1.
-// Dead positions at the front of p's lane are trimmed on the way.
+// p's lane head skips dead positions on the way; a lane with none alive
+// starts again from the front of its storage.
 func (s *pendingSet) oldest(p PID) int {
-	lane := s.lanes[p]
-	for len(lane) > 0 && !bitGet(s.alive, int(lane[0])) {
-		lane = lane[1:]
+	l := &s.lanes[p]
+	for l.head < len(l.pos) && !bitGet(s.alive, int(l.pos[l.head])) {
+		l.head++
 	}
-	if len(lane) == 0 {
-		lane = s.lanes[p][:0] // reuse the lane's storage from the start
-	}
-	s.lanes[p] = lane
-	if len(lane) == 0 {
+	if l.head == len(l.pos) {
+		*l = lane{pos: l.pos[:0]}
 		return -1
 	}
-	s.last = int(lane[0])
+	s.last = int(l.pos[l.head])
 	return s.last
 }
 
@@ -222,7 +281,9 @@ func (s *pendingSet) list() []MsgMeta {
 
 // compact squeezes dead slots out of a full slot array, doubling it when
 // more than half of it is live, and rebuilds the bitmaps, the tree and
-// the lanes. The live messages end up at positions 0..live-1.
+// the lanes. The live messages end up at positions 0..live-1. The new
+// array is a prefix of the store's, so the copy is in place unless the
+// store has to grow.
 func (s *pendingSet) compact() {
 	size := cap(s.slots)
 	if size < minSlots {
@@ -232,12 +293,11 @@ func (s *pendingSet) compact() {
 		size *= 2
 	}
 	old := s.slots
-	inPlace := size == cap(old)
-	if inPlace {
-		s.slots = old[:0] // the write index never passes the read index
-	} else {
-		s.slots = make([]Message, 0, size)
+	inPlace := size <= cap(s.st.slots)
+	if !inPlace {
+		s.st.slots = make([]Message, size)
 	}
+	s.slots = s.st.slots[:0:size] // in place, the write index never passes the read index
 	for i, w := range s.alive {
 		for ; w != 0; w &= w - 1 {
 			s.slots = append(s.slots, old[i<<6+bits.TrailingZeros64(w)])
@@ -246,23 +306,17 @@ func (s *pendingSet) compact() {
 	if inPlace {
 		clear(old[len(s.slots):]) // the tail's stale copies still hold payloads
 	}
-	words, blocks := size/64, (size+1<<blockBits-1)>>blockBits
-	if len(s.alive) != words {
-		s.alive = make([]uint64, words)
-		s.ready = make([]uint64, words)
-		s.tree = make([]int32, blocks+1)
-	} else {
-		clear(s.alive)
-		clear(s.ready)
-		clear(s.tree)
-	}
+	s.alive = carve(&s.st.alive, size/64)
+	s.ready = carve(&s.st.ready, size/64)
+	s.tree = carve(&s.st.tree, (size+1<<blockBits-1)>>blockBits+1)
 	for p := range s.lanes {
-		s.lanes[p] = s.lanes[p][:0]
+		s.lanes[p] = lane{pos: s.lanes[p].pos[:0]}
 	}
 	for pos := range s.slots {
 		to := s.slots[pos].To
 		bitSet(s.alive, pos)
-		s.lanes[to] = append(s.lanes[to], int32(pos))
+		l := &s.lanes[to]
+		l.pos = append(l.pos, int32(pos))
 		if !s.halted[to] {
 			bitSet(s.ready, pos)
 			s.tree[pos>>blockBits+1]++

@@ -13,7 +13,7 @@ import (
 type Remote struct {
 	self    PID
 	players int
-	rng     *rand.Rand
+	rng     *rand.Rand // the party's stream for the node's life, never returned to the pool
 	sendFn  func(to PID, payload any)
 
 	mu      sync.Mutex

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"asyncmediator/internal/async"
@@ -302,37 +304,57 @@ func TestVariantString(t *testing.T) {
 // path that starts allocating per message, per recipient or per callback
 // again shows here (per-message costs put it near 30k, per-sender maps
 // in BA and AVSS near 11.2k, an envelope boxed per send near 9.3k, one
-// AVSS dealing per dealt value near 7.0k; a play makes ~4.4k).
+// AVSS dealing per dealt value near 7.0k; a play makes ~4.0k). The bytes
+// budget guards the runtime storage a warm play reuses: a play that
+// regrows its pending index and allocates new random streams for its
+// parties allocates ~590 KB, one that reuses them ~305 KB.
 func TestPlayAllocationBudget(t *testing.T) {
-	checkPlayAllocs(t, 8, 1, 1, Punish44, func() async.Scheduler { return async.NewRandomScheduler(1) }, 5_500)
+	checkPlayAllocs(t, 8, 1, 1, Punish44, func() async.Scheduler { return async.NewRandomScheduler(1) }, 5_500, 360<<10)
 }
 
 // TestSmallPlayAllocationBudget is TestPlayAllocationBudget for the n=5,
 // k=0, t=1 Theorem 4.1 play under the round-robin scheduler (the shape of
-// the benchmark's sim-n5 and cluster-n5 plays): ~1.5k allocations, ~2.0k
+// the benchmark's sim-n5 and cluster-n5 plays): ~1.3k allocations, ~2.0k
 // with one AVSS dealing per dealt value, ~2.5k with an envelope boxed per
-// send.
+// send; ~112 KB when the runtime's storage is reused, ~205 KB when it is
+// not.
 func TestSmallPlayAllocationBudget(t *testing.T) {
-	checkPlayAllocs(t, 5, 0, 1, Exact41, func() async.Scheduler { return &async.RoundRobinScheduler{} }, 1_900)
+	checkPlayAllocs(t, 5, 0, 1, Exact41, func() async.Scheduler { return &async.RoundRobinScheduler{} }, 1_900, 135<<10)
 }
 
-// checkPlayAllocs fails when one seed-1 play of the given shape allocates
-// more than budget times.
-func checkPlayAllocs(t *testing.T, n, k, tf int, v Variant, sched func() async.Scheduler, budget float64) {
+// checkPlayAllocs fails when one warm seed-1 play of the given shape
+// allocates more than budget times or more than byteBudget bytes
+// (runtime.MemStats.TotalAlloc; the least of five plays, after earlier
+// plays have filled the runtime's pools, so a collection that empties a
+// pool between two plays does not count). A -race build checks only the
+// count.
+func checkPlayAllocs(t *testing.T, n, k, tf int, v Variant, sched func() async.Scheduler, budget, byteBudget float64) {
 	t.Helper()
 	p, err := Section64Params(n, k, tf, v)
 	if err != nil {
 		t.Fatal(err)
 	}
 	types := make([]game.Type, n)
-	allocs := testing.AllocsPerRun(3, func() {
+	play := func() {
 		cfg := RunConfig{Params: p, Types: types, Seed: 1, Scheduler: sched()}
 		if _, _, err := Run(cfg); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	allocs := testing.AllocsPerRun(3, play)
+	bytes := math.Inf(1)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		play()
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc))
+	}
 	if allocs > budget {
 		t.Fatalf("a play allocates %.0f times, budget %.0f", allocs, budget)
 	}
-	t.Logf("%.0f allocations per play", allocs)
+	if bytes > byteBudget && !raceEnabled {
+		t.Fatalf("a play allocates %.0f KB, budget %.0f KB", bytes/1024, byteBudget/1024)
+	}
+	t.Logf("%.0f allocations, %.1f KB per play", allocs, bytes/1024)
 }
