@@ -99,7 +99,7 @@ func run(args []string) error {
 	queue := fs.Int("queue", 0, "session queue depth (0: default 1024)")
 	seed := fs.Int64("seed", 1, "base seed for derived per-session seeds")
 	maxN := fs.Int("maxn", 0, "largest per-session player count (0: default 64)")
-	dataDir := fs.String("data-dir", "", "durable store directory; terminal sessions and experiment jobs survive restarts (empty: in-memory only)")
+	dataDir := fs.String("data-dir", "", "durable store directory; terminal sessions, experiment jobs, retained traces and keyed create responses survive restarts (empty: in-memory only)")
 	maxLive := fs.Int("max-live-sessions", 0, "bound on in-memory sessions; terminal sessions beyond it evict to the store (0: unlimited)")
 	quiet := fs.Bool("quiet", false, "disable the per-request HTTP log")
 	clusterListen := fs.String("cluster-listen", "", "host the daemon's cluster endpoint binds (one ephemeral port, bound on the first wire play and shared by every player it hosts) and advertises; must be reachable from peer daemons (default 127.0.0.1)")

@@ -2,11 +2,13 @@ package async
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -293,38 +295,48 @@ func TestFindMatchesScan(t *testing.T) {
 // FuzzPendingSet turns bytes into a sequence of add, remove, kth, oldest
 // and halt operations on a pendingSet, across compactions, and after each
 // operation checks find, kth, oldest and the deliverable count against a
-// linear scan of a plain model: the pending messages in ID order.
+// plain model: the pending messages in ID order, and the deliverable ones.
 //
 // Each input runs three times: on fresh storage, on the storage the first
-// run released (dirty bitmaps, tree and lanes), and on the storage a
-// larger set released (more recipients, a longer slot array). Released
-// storage must hold no payload.
+// run released (dirty bitmaps, tree and lanes), and on a copy of the
+// storage a larger set released (more recipients, a longer slot array),
+// built once per fuzz process. Released storage must hold no payload.
 //
 // The first byte picks the number of recipients; then every two bytes are
-// one operation (opcode, argument). Only the first maxFuzzOps operations
-// run, so the quadratic model keeps one input to milliseconds.
+// one operation (opcode, argument), run 2^(opcode/6 mod 8) times in a row
+// (adds to successive recipients), so a short input builds and churns a
+// large set. Each input stops after maxFuzzOps operations.
+//
+// Short inputs keep the fuzzer moving: it minimizes every input that
+// finds new coverage, which costs time quadratic in the input's length,
+// and a minimization of the multi-kilobyte inputs that one byte pair per
+// operation needed outlasted a 30 s run. The model answers kth by index
+// and finds by binary search, so an input costs well under a millisecond.
 func FuzzPendingSet(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 0, 2, 3, 0, 4, 1})
-	f.Add(bytes.Repeat([]byte{0, 7, 1, 200, 2, 3, 3, 128, 4, 2}, 150))
-	f.Add(append(bytes.Repeat([]byte{0, 1, 1, 9}, 300), bytes.Repeat([]byte{2, 1, 2, 40, 5, 1, 3, 250}, 200)...))
-	f.Add(bytes.Repeat([]byte{5, 0, 5, 2, 0, 0, 6, 3, 99, 2, 1}, 100))
+	// Eight recipients: 128 adds, lookups, 17 removes, five times over,
+	// so the set passes 512 slots (two tree blocks) through compactions.
+	f.Add(append([]byte{7}, bytes.Repeat([]byte{42, 1, 3, 77, 4, 5, 26, 9, 3, 200, 2, 4}, 5)...))
+	// One recipient: 640 adds, then removes in runs between lookups.
+	f.Add(append(append([]byte{0}, bytes.Repeat([]byte{42, 1}, 5)...), bytes.Repeat([]byte{2, 1, 26, 40, 3, 250, 20, 3}, 12)...))
+	// Six recipients halting one by one while messages wait for them.
+	f.Add(append([]byte{5}, bytes.Repeat([]byte{30, 0, 5, 2, 3, 99, 4, 2, 26, 1, 5, 4, 30, 3, 5, 0}, 4)...))
 	f.Add([]byte{5, 4, 0, 4, 3, 5, 2, 0, 3, 4, 3}) // lookups and a halt before the first send
-	const maxFuzzOps = 2048
+	larger := largerReleasedStore(f)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) == 0 {
 			return
 		}
-		b = b[:min(len(b), 1+2*maxFuzzOps)]
 		st := replayPendingOps(t, b, new(pendStore))
 		replayPendingOps(t, b, st)
-		replayPendingOps(t, b, largerReleasedStore(t))
+		replayPendingOps(t, b, larger.clone())
 	})
 }
 
 // largerReleasedStore returns the storage of a set of 11 recipients that
 // grew to thousands of slots, with one recipient halted and about a third
 // of its messages still pending when it was released.
-func largerReleasedStore(t *testing.T) *pendStore {
+func largerReleasedStore(t testing.TB) *pendStore {
 	halted := make([]bool, 11)
 	s := newPendingSet(halted, new(pendStore))
 	for id := MsgID(0); id < 6000; id++ {
@@ -354,9 +366,30 @@ func largerReleasedStore(t *testing.T) *pendStore {
 	return releaseChecked(t, &s)
 }
 
+// clone returns a deep copy of st: every array at its capacity, with the
+// stale contents a set left in it.
+func (st *pendStore) clone() *pendStore {
+	c := &pendStore{
+		slots: cloneFull(st.slots), alive: cloneFull(st.alive), ready: cloneFull(st.ready),
+		tree: cloneFull(st.tree), lanes: cloneFull(st.lanes),
+	}
+	for i := range c.lanes {
+		c.lanes[i].pos = cloneFull(c.lanes[i].pos)
+	}
+	return c
+}
+
+// cloneFull copies s, the elements past its length up to its capacity
+// included.
+func cloneFull[T any](s []T) []T {
+	c := make([]T, len(s), cap(s))
+	copy(c[:cap(s)], s[:cap(s)])
+	return c
+}
+
 // releaseChecked releases s and fails if the store it returns still holds
 // a payload.
-func releaseChecked(t *testing.T, s *pendingSet) *pendStore {
+func releaseChecked(t testing.TB, s *pendingSet) *pendStore {
 	t.Helper()
 	st := s.release()
 	for i, m := range st.slots {
@@ -367,6 +400,9 @@ func releaseChecked(t *testing.T, s *pendingSet) *pendStore {
 	return st
 }
 
+// maxFuzzOps bounds the operations one FuzzPendingSet input runs.
+const maxFuzzOps = 1024
+
 // replayPendingOps runs FuzzPendingSet's operations b on a set built on
 // st and returns the storage the set releases.
 func replayPendingOps(t *testing.T, b []byte, st *pendStore) *pendStore {
@@ -375,104 +411,98 @@ func replayPendingOps(t *testing.T, b []byte, st *pendStore) *pendStore {
 	halted := make([]bool, n)
 	s := newPendingSet(halted, st)
 	var model []Message // pending messages, in ID order
+	var ready []Message // the messages of model to a process not halted
 	pending := map[MsgID]bool{}
-	ready := 0 // how many of model are to a process not halted
 	var next MsgID
 	looked := MsgID(-1) // the message kth or oldest last returned
-	kthReady := func(k int) Message {
-		for _, m := range model {
-			if !halted[m.To] {
-				if k == 0 {
-					return m
-				}
-				k--
-			}
+	// index returns where the message id sits in ms (ID order), or -1.
+	index := func(ms []Message, id MsgID) int {
+		j, ok := slices.BinarySearchFunc(ms, id, func(m Message, id MsgID) int { return cmp.Compare(m.ID, id) })
+		if !ok {
+			return -1
 		}
-		panic("kthReady out of range")
+		return j
 	}
-	for i := 1; i+1 < len(b); i += 2 {
+	ran := 0 // operations run, repeats included
+	for i := 1; i+1 < len(b) && ran < maxFuzzOps; i += 2 {
 		op, arg := b[i]%6, int(b[i+1])
-		switch {
-		case op <= 1: // adds weigh double, so the set grows and compacts
-			m := Message{ID: next, To: PID(arg % n), Seq: arg, Payload: arg}
-			next++
-			s.add(m)
-			model = append(model, m)
-			pending[m.ID] = true
-			if !halted[m.To] {
-				ready++
-			}
-		case op == 2 && len(model) > 0:
-			// Odd arguments remove what the last lookup returned, as
-			// the runtime does after a scheduler picks it.
-			j := arg % len(model)
-			for k, m := range model {
-				if m.ID == looked && arg%2 == 1 {
+		for r := 0; r < 1<<(b[i]/6%8) && ran < maxFuzzOps; r++ {
+			ran++
+			switch {
+			case op <= 1: // adds weigh double, so the set grows and compacts
+				m := Message{ID: next, To: PID((arg + r) % n), Seq: arg, Payload: arg}
+				next++
+				s.add(m)
+				model = append(model, m)
+				pending[m.ID] = true
+				if !halted[m.To] {
+					ready = append(ready, m)
+				}
+			case op == 2 && len(model) > 0:
+				// Odd arguments remove what the last lookup returned, as
+				// the runtime does after a scheduler picks it.
+				j := arg % len(model)
+				if k := index(model, looked); k >= 0 && arg%2 == 1 {
 					j = k
-					break
 				}
-			}
-			pos := s.find(model[j].ID)
-			if pos < 0 {
-				t.Fatalf("op %d: pending message %d not found", i, model[j].ID)
-			}
-			if got := s.remove(pos); got != model[j] {
-				t.Fatalf("op %d: remove(%d) = %+v, want %+v", i, pos, got, model[j])
-			}
-			if !halted[model[j].To] {
-				ready--
-			}
-			delete(pending, model[j].ID)
-			model = append(model[:j], model[j+1:]...)
-		case op == 3 && ready > 0:
-			k := arg * ready / 256
-			pos, want := s.kth(k), kthReady(k)
-			if s.slots[pos] != want {
-				t.Fatalf("op %d: kth(%d) = %+v, scan says %+v", i, k, s.slots[pos], want)
-			}
-			looked = want.ID
-		case op == 4:
-			p := PID(arg % n)
-			want := -1
-			for j, m := range model {
-				if m.To == p {
-					want = j
-					break
+				pos := s.find(model[j].ID)
+				if pos < 0 {
+					t.Fatalf("op %d: pending message %d not found", i, model[j].ID)
 				}
-			}
-			switch pos := s.oldest(p); {
-			case want < 0 && pos >= 0:
-				t.Fatalf("op %d: oldest(%d) = %+v, scan says none", i, p, s.slots[pos])
-			case want >= 0 && (pos < 0 || s.slots[pos] != model[want]):
-				t.Fatalf("op %d: oldest(%d) at %d, scan says %+v", i, p, pos, model[want])
-			case want >= 0:
-				looked = model[want].ID
-			}
-		case op == 5 && !halted[arg%n]:
-			s.halt(PID(arg % n))
-			halted[arg%n] = true
-			for _, m := range model {
-				if m.To == PID(arg%n) {
-					ready--
+				if got := s.remove(pos); got != model[j] {
+					t.Fatalf("op %d: remove(%d) = %+v, want %+v", i, pos, got, model[j])
 				}
+				if k := index(ready, model[j].ID); k >= 0 {
+					ready = slices.Delete(ready, k, k+1)
+				}
+				delete(pending, model[j].ID)
+				model = slices.Delete(model, j, j+1)
+			case op == 3 && len(ready) > 0:
+				k := arg * len(ready) / 256
+				pos, want := s.kth(k), ready[k]
+				if s.slots[pos] != want {
+					t.Fatalf("op %d: kth(%d) = %+v, scan says %+v", i, k, s.slots[pos], want)
+				}
+				looked = want.ID
+			case op == 4:
+				p := PID(arg % n)
+				want := -1
+				for j, m := range model {
+					if m.To == p {
+						want = j
+						break
+					}
+				}
+				switch pos := s.oldest(p); {
+				case want < 0 && pos >= 0:
+					t.Fatalf("op %d: oldest(%d) = %+v, scan says none", i, p, s.slots[pos])
+				case want >= 0 && (pos < 0 || s.slots[pos] != model[want]):
+					t.Fatalf("op %d: oldest(%d) at %d, scan says %+v", i, p, pos, model[want])
+				case want >= 0:
+					looked = model[want].ID
+				}
+			case op == 5 && !halted[arg%n]:
+				s.halt(PID(arg % n))
+				halted[arg%n] = true
+				ready = slices.DeleteFunc(ready, func(m Message) bool { return m.To == PID(arg%n) })
 			}
-		}
-		if s.live != len(model) || s.deliverable != ready {
-			t.Fatalf("op %d: live %d, deliverable %d; scan says %d, %d", i, s.live, s.deliverable, len(model), ready)
-		}
-		for _, id := range []MsgID{looked, MsgID(arg) - 1, next - 1 - MsgID(arg), next} {
-			switch pos := s.find(id); {
-			case !pending[id] && pos >= 0:
-				t.Fatalf("op %d: find(%d) = %d, scan says not pending", i, id, pos)
-			case pending[id] && (pos < 0 || s.slots[pos].ID != id):
-				t.Fatalf("op %d: find(%d) = %d, scan says pending", i, id, pos)
+			if s.live != len(model) || s.deliverable != len(ready) {
+				t.Fatalf("op %d: live %d, deliverable %d; scan says %d, %d", i, s.live, s.deliverable, len(model), len(ready))
+			}
+			for _, id := range []MsgID{looked, MsgID(arg) - 1, next - 1 - MsgID(arg), next} {
+				switch pos := s.find(id); {
+				case !pending[id] && pos >= 0:
+					t.Fatalf("op %d: find(%d) = %d, scan says not pending", i, id, pos)
+				case pending[id] && (pos < 0 || s.slots[pos].ID != id):
+					t.Fatalf("op %d: find(%d) = %d, scan says pending", i, id, pos)
+				}
 			}
 		}
 	}
 	// A last full sweep: every deliverable message by rank, every
 	// pending message by id, every recipient's oldest.
-	for k := 0; k < ready; k++ {
-		if pos, m := s.kth(k), kthReady(k); s.slots[pos] != m {
+	for k, m := range ready {
+		if pos := s.kth(k); s.slots[pos] != m {
 			t.Fatalf("kth(%d) = %+v, scan says %+v", k, s.slots[pos], m)
 		}
 	}

@@ -64,9 +64,8 @@ func TestTerminalImpliesPersistedAndCounted(t *testing.T) {
 					t.Errorf("%s is done, but stats count %d sessions, %d outcomes, %d durations after %d returned waits",
 						h.ID, tot.Sessions, outcomes, tot.Durations["4.2"].Count, n)
 				}
-				data, ok := svc.st.Get(h.ID)
-				var stored View
-				if !ok || unmarshalView(data, &stored) != nil || stored.State != StateDone {
+				stored, ok := svc.reg.recs.Get(h.ID)
+				if !ok || stored.State != StateDone {
 					t.Errorf("%s is done, but its stored record is missing or not terminal (found %v, state %q)", h.ID, ok, stored.State)
 				}
 				if _, ok := svc.traces.Trace(h.ID); !ok {

@@ -8,6 +8,7 @@ import (
 
 	"asyncmediator/api"
 	"asyncmediator/internal/sim"
+	"asyncmediator/internal/store"
 )
 
 // ErrUnknownExperiment marks a job body naming an experiment the
@@ -149,7 +150,7 @@ func (s *Service) CreateExperiment(req ExpRequest) (*ExpJob, error) {
 
 	s.expMu.Lock()
 	s.expNext++
-	id := fmt.Sprintf("%s%06d", experimentKeyPrefix, s.expNext)
+	id := s.expRecs.Key(s.expNext)
 	job := &ExpJob{
 		ID:      id,
 		Exp:     req.Experiment,
@@ -163,13 +164,13 @@ func (s *Service) CreateExperiment(req ExpRequest) (*ExpJob, error) {
 
 	// Persist and announce the queued job before it can start running, so
 	// the store and the event stream see transitions in lifecycle order.
-	s.persistExp(job.Snapshot())
+	s.persisted(s.expRecs.Put(id, job.Snapshot()))
 	s.publish(kindExperiment, id, StateQueued, nil)
 	if int(s.expPending.Add(1)) > s.cfg.QueueDepth {
 		s.expPending.Add(-1)
 		job.finish(nil, fmt.Errorf("service: experiment rejected: %w", ErrQueueFull))
 		v := job.Snapshot()
-		s.persistExp(v)
+		s.persisted(s.expRecs.Put(v.ID, v))
 		s.evictExp(id)
 		s.publish(kindExperiment, v.ID, v.State, v)
 		return nil, ErrQueueFull
@@ -189,7 +190,7 @@ func (s *Service) runExp(job *ExpJob) {
 	table, err := s.engine.Run(job.Exp, o)
 	job.finish(table, err)
 	v := job.Snapshot()
-	s.persistExp(v)
+	s.persisted(s.expRecs.Put(v.ID, v))
 	s.evictExp(job.ID)
 	s.publish(kindExperiment, v.ID, v.State, v)
 }
@@ -206,20 +207,6 @@ func (s *Service) evictExp(id string) {
 	s.expMu.Unlock()
 }
 
-// persistExp writes the job view to the store (no-op without one).
-func (s *Service) persistExp(v ExpView) {
-	if s.st == nil {
-		return
-	}
-	data, err := marshalView(v)
-	if err == nil {
-		err = s.st.Put(v.ID, data)
-	}
-	if err != nil {
-		s.persistErrs.Add(1)
-	}
-}
-
 // ExperimentJob returns the in-memory job with the given id.
 func (s *Service) ExperimentJob(id string) (*ExpJob, bool) {
 	s.expMu.Lock()
@@ -231,21 +218,7 @@ func (s *Service) ExperimentJob(id string) (*ExpJob, bool) {
 // LookupExperiment returns a view of the job from either tier: the
 // in-memory map first, then the durable store.
 func (s *Service) LookupExperiment(id string) (ExpView, bool) {
-	if j, ok := s.ExperimentJob(id); ok {
-		return j.Snapshot(), true
-	}
-	if s.st == nil {
-		return ExpView{}, false
-	}
-	data, ok := s.st.Get(id)
-	if !ok {
-		return ExpView{}, false
-	}
-	var v ExpView
-	if err := unmarshalView(data, &v); err != nil {
-		return ExpView{}, false
-	}
-	return v, true
+	return lookup(s.ExperimentJob, s.expRecs, id)
 }
 
 // recoverExperiments replays persisted experiment jobs at boot: the id
@@ -254,27 +227,12 @@ func (s *Service) LookupExperiment(id string) (ExpView, bool) {
 // not survive the restart, and the record should say so rather than claim
 // a progress that stopped.
 func (s *Service) recoverExperiments() {
-	if s.st == nil {
-		return
-	}
-	type orphan struct{ v ExpView }
-	var orphans []orphan
-	_ = s.st.Scan(experimentKeyPrefix, func(key string, data []byte) error {
-		if seq, ok := parseKeySeq(key, experimentKeyPrefix); ok && seq > s.expNext {
-			s.expNext = seq
+	s.expNext, _ = s.expRecs.Watermark()
+	s.expRecs.Each(func(e store.Entry[ExpView]) {
+		if !e.Val.State.Terminal() {
+			e.Val.State = StateFailed
+			e.Val.Error = "interrupted by daemon restart"
+			s.persisted(s.expRecs.Put(e.Val.ID, e.Val))
 		}
-		var v ExpView
-		if err := unmarshalView(data, &v); err != nil {
-			return nil
-		}
-		if !v.State.Terminal() {
-			orphans = append(orphans, orphan{v})
-		}
-		return nil
 	})
-	for _, o := range orphans {
-		o.v.State = StateFailed
-		o.v.Error = "interrupted by daemon restart"
-		s.persistExp(o.v)
-	}
 }

@@ -14,6 +14,7 @@ import (
 	"asyncmediator/internal/game"
 	"asyncmediator/internal/pool"
 	"asyncmediator/internal/sim"
+	"asyncmediator/internal/store"
 )
 
 // ErrNotFound marks a lookup of an unknown session id.
@@ -89,14 +90,16 @@ func (s *Service) Handler() http.Handler {
 	// The versioned contract.
 	mux.HandleFunc("POST "+api.Prefix+"/sessions", s.idempotentDurable(s.handleSessionCreate))
 	mux.HandleFunc("GET "+api.Prefix+"/sessions", s.handleSessionList)
-	mux.HandleFunc("GET "+api.Prefix+"/sessions/{id}", s.handleSessionGet)
+	mux.HandleFunc("GET "+api.Prefix+"/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
+		serveView(s, w, r, "session", s.reg.Get, s.reg.recs)
+	})
 	mux.HandleFunc("GET "+api.Prefix+"/sessions/{id}/trace", s.handleSessionTrace)
 	mux.HandleFunc("POST "+api.Prefix+"/sessions/{id}/types", s.idempotent(s.handleTypesSubmit))
 	mux.HandleFunc("GET "+api.Prefix+"/events", s.serveEvents)
 	mux.HandleFunc("GET "+api.Prefix+"/experiments", s.handleCatalog)
 	mux.HandleFunc("POST "+api.Prefix+"/jobs", s.idempotentDurable(s.handleJobCreate))
 	mux.HandleFunc("GET "+api.Prefix+"/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		s.serveExperimentJob(w, r, r.PathValue("id"))
+		serveView(s, w, r, "experiment job", s.ExperimentJob, s.expRecs)
 	})
 	mux.HandleFunc("POST "+api.Prefix+"/cluster/join", s.idempotent(s.handleClusterJoin))
 	mux.HandleFunc("POST "+api.Prefix+"/cluster/start", s.idempotent(s.handleClusterStart))
@@ -231,28 +234,28 @@ func (s *Service) handleSessionList(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleSessionGet answers GET /v1/sessions/{id}; ?wait= long-polls
-// until the session is terminal.
-func (s *Service) handleSessionGet(w http.ResponseWriter, r *http.Request) {
+// serveView answers GET /v1/sessions/{id} and GET /v1/jobs/{id}: the hot
+// object, long-polled with ?wait= until it is terminal, then the store
+// (an evicted or earlier daemon's record), then not_found.
+func serveView[V any, L live[V]](s *Service, w http.ResponseWriter, r *http.Request, what string, hot func(string) (L, bool), recs store.Records[V]) {
 	wait, e := parseWait(r)
 	if e != nil {
 		writeAPIError(w, e)
 		return
 	}
 	id := r.PathValue("id")
-	if sess, ok := s.Session(id); ok {
-		if wait > 0 && !sess.stateNow().Terminal() {
-			s.waitOn(r.Context(), sess.Done(), wait)
+	if obj, ok := hot(id); ok {
+		if wait > 0 && !obj.stateNow().Terminal() {
+			s.waitOn(r.Context(), obj.Done(), wait)
 		}
-		writeJSON(w, http.StatusOK, sess.Snapshot())
+		writeJSON(w, http.StatusOK, obj.Snapshot())
 		return
 	}
-	// Evicted terminal sessions live on in the store.
-	if v, ok := s.Lookup(id); ok {
+	if v, ok := recs.Get(id); ok {
 		writeJSON(w, http.StatusOK, v)
 		return
 	}
-	writeAPIError(w, api.Errorf(api.CodeNotFound, "no such session %s", id))
+	writeAPIError(w, api.Errorf(api.CodeNotFound, "no such %s %s", what, id))
 }
 
 // handleSessionTrace answers GET /v1/sessions/{id}/trace: the terminal
@@ -332,28 +335,6 @@ func (s *Service) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 // handleStats answers GET /v1/stats.
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
-}
-
-// serveExperimentJob answers GET /v1/jobs/{id} — the async-job view,
-// with optional long-poll.
-func (s *Service) serveExperimentJob(w http.ResponseWriter, r *http.Request, id string) {
-	wait, e := parseWait(r)
-	if e != nil {
-		writeAPIError(w, e)
-		return
-	}
-	if job, ok := s.ExperimentJob(id); ok {
-		if wait > 0 && !job.stateNow().Terminal() {
-			s.waitOn(r.Context(), job.Done(), wait)
-		}
-		writeJSON(w, http.StatusOK, job.Snapshot())
-		return
-	}
-	if v, ok := s.LookupExperiment(id); ok {
-		writeJSON(w, http.StatusOK, v)
-		return
-	}
-	writeAPIError(w, api.Errorf(api.CodeNotFound, "no such experiment job %s", id))
 }
 
 // serveEvents streams the farm's event bus as server-sent events. The

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -125,7 +123,7 @@ type idemEntry struct {
 	contentType string
 	body        []byte
 	stored      bool // false: the outcome was transient and not cached
-	durable     bool // true: the outcome is mirrored in the durable store
+	durable     bool // true: the outcome was put to the record store (a no-op on a memory-only farm)
 }
 
 // idemCache is the farm's keyed-response store behind the
@@ -136,7 +134,7 @@ type idemEntry struct {
 type idemCache struct {
 	mu      sync.Mutex
 	cap     int
-	st      *store.Store // nil: memory-only
+	recs    store.Records[idemRecord] // memory-only on a nil store
 	entries map[string]*idemEntry
 	order   []string
 }
@@ -145,46 +143,31 @@ func newIdemCache(cap int, st *store.Store) *idemCache {
 	if cap < 1 {
 		cap = 1
 	}
-	return &idemCache{cap: cap, st: st, entries: make(map[string]*idemEntry)}
+	return &idemCache{cap: cap, recs: idemRecords(st), entries: make(map[string]*idemEntry)}
 }
 
 // recover loads the previous generation's durable keyed responses into
 // the cache (as completed entries), so a client retrying a create over a
-// daemon restart replays instead of re-creating. Entries beyond the cap
-// are dropped from cache and store alike, oldest key first.
+// daemon restart replays instead of re-creating. Entries beyond the cap,
+// in key order, are dropped from cache and store alike.
 func (c *idemCache) recover() {
-	if c.st == nil {
-		return
-	}
-	type rec struct {
-		key  string
-		data []byte
-	}
-	var recs []rec
-	_ = c.st.Scan(idemKeyPrefix, func(key string, data []byte) error {
-		recs = append(recs, rec{key: key, data: append([]byte(nil), data...)})
-		return nil
-	})
-	sort.Slice(recs, func(i, j int) bool { return recs[i].key < recs[j].key })
-	for _, r := range recs {
-		key := strings.TrimPrefix(r.key, idemKeyPrefix)
-		var ir idemRecord
-		if err := unmarshalView(r.data, &ir); err != nil || len(c.entries) >= c.cap {
-			_ = c.st.Delete(r.key)
-			continue
+	c.recs.Each(func(r store.Entry[idemRecord]) {
+		if len(c.entries) >= c.cap {
+			_ = c.recs.Delete(c.recs.Named(r.Name))
+			return
 		}
 		e := &idemEntry{
 			done:        make(chan struct{}),
-			status:      ir.Status,
-			contentType: ir.ContentType,
-			body:        ir.Body,
+			status:      r.Val.Status,
+			contentType: r.Val.ContentType,
+			body:        r.Val.Body,
 			stored:      true,
 			durable:     true,
 		}
 		close(e.done)
-		c.entries[key] = e
-		c.order = append(c.order, key)
-	}
+		c.entries[r.Name] = e
+		c.order = append(c.order, r.Name)
+	})
 }
 
 // begin claims a key: the first caller becomes the owner (executes the
@@ -216,8 +199,8 @@ func (c *idemCache) begin(key string) (*idemEntry, bool) {
 			select {
 			case <-e2.done:
 				delete(c.entries, k)
-				if e2.durable && c.st != nil {
-					_ = c.st.Delete(idemKeyPrefix + k)
+				if e2.durable {
+					_ = c.recs.Delete(c.recs.Named(k))
 				}
 				evicted = true
 			default:
@@ -239,13 +222,8 @@ func (c *idemCache) begin(key string) (*idemEntry, bool) {
 // replays across a restart.
 func (c *idemCache) finish(key string, e *idemEntry, status int, contentType string, body []byte, durable bool) {
 	cacheIt := status < http.StatusInternalServerError && status != http.StatusServiceUnavailable
-	durable = durable && cacheIt && c.st != nil
-	if durable {
-		if data, err := marshalView(idemRecord{Status: status, ContentType: contentType, Body: body}); err == nil {
-			durable = c.st.Put(idemKeyPrefix+key, data) == nil
-		} else {
-			durable = false
-		}
+	if durable = durable && cacheIt; durable {
+		durable = c.recs.Put(c.recs.Named(key), idemRecord{Status: status, ContentType: contentType, Body: body}) == nil
 	}
 	c.mu.Lock()
 	e.status, e.contentType, e.body, e.stored, e.durable = status, contentType, body, cacheIt, durable

@@ -1,22 +1,34 @@
 package service
 
-import (
-	"encoding/json"
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "asyncmediator/internal/store"
 
-// The store's key namespaces: sessions and experiment jobs share one
-// keyspace, disambiguated by prefix, and both carry a zero-padded sequence
-// number so lexicographic key order is creation order.
+// The farm's durable records share one store and one record format,
+// store.Records' (a version byte, then the JSON the /v1 API serves). Each
+// kind owns a key prefix:
+//
+//	s-%06d      terminal sessions (View, trace stripped)
+//	x-%06d      experiment jobs (ExpView), queued and terminal
+//	tr-%08d     retained traces (internal/telemetry's ring)
+//	idem-<key>  keyed create responses (idemRecord)
+//
+// Sequence keys are zero-padded, so key order is creation order.
 const (
 	sessionKeyPrefix    = "s-"
 	experimentKeyPrefix = "x-"
-	// idemKeyPrefix namespaces the durable idempotency mirror: keyed
-	// create responses persisted so a retry replays across a restart.
-	idemKeyPrefix = "idem-"
+	idemKeyPrefix       = "idem-"
 )
+
+func sessionRecords(st *store.Store) store.Records[View] {
+	return store.SeqRecords[View](st, sessionKeyPrefix, 6)
+}
+
+func jobRecords(st *store.Store) store.Records[ExpView] {
+	return store.SeqRecords[ExpView](st, experimentKeyPrefix, 6)
+}
+
+func idemRecords(st *store.Store) store.Records[idemRecord] {
+	return store.NamedRecords[idemRecord](st, idemKeyPrefix)
+}
 
 // idemRecord is the persisted form of one cached keyed response.
 type idemRecord struct {
@@ -25,41 +37,28 @@ type idemRecord struct {
 	Body        []byte `json:"body,omitempty"`
 }
 
-// viewRecVersion versions the persisted view encodings. The byte is the
-// serialization contract between daemon generations: a record whose
-// version this binary does not know is rejected, not misread.
-const viewRecVersion = 1
-
-// parseKeySeq extracts the numeric sequence from a store key of the given
-// prefix ("s-000042" -> 42).
-func parseKeySeq(key, prefix string) (int64, bool) {
-	if !strings.HasPrefix(key, prefix) {
-		return 0, false
-	}
-	n, err := strconv.ParseInt(strings.TrimPrefix(key, prefix), 10, 64)
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
-}
-
-// marshalView is the shared view encoding: a version byte followed by
-// the JSON rendering the /v1 API serves (the api package's view types),
-// so the store and the wire agree on one schema per type.
-func marshalView(v any) ([]byte, error) {
-	b, err := json.Marshal(v)
+// persisted counts a failed store write as a persist error (a sick disk
+// surfaces in /v1/stats) and reports whether the write succeeded.
+func (s *Service) persisted(err error) bool {
 	if err != nil {
-		return nil, err
+		s.persistErrs.Inc()
 	}
-	return append([]byte{viewRecVersion}, b...), nil
+	return err == nil
 }
 
-func unmarshalView(data []byte, v any) error {
-	if len(data) < 1 {
-		return fmt.Errorf("service: empty persisted view")
+// live is a hot session or experiment job: its view, its state, and a
+// channel closed when it turns terminal.
+type live[V any] interface {
+	Snapshot() V
+	stateNow() State
+	Done() <-chan struct{}
+}
+
+// lookup reads a session or job from either tier: the hot object first,
+// then the store.
+func lookup[V any, L live[V]](hot func(string) (L, bool), recs store.Records[V], id string) (V, bool) {
+	if obj, ok := hot(id); ok {
+		return obj.Snapshot(), true
 	}
-	if data[0] != viewRecVersion {
-		return fmt.Errorf("service: persisted view version %d not supported", data[0])
-	}
-	return json.Unmarshal(data[1:], v)
+	return recs.Get(id)
 }

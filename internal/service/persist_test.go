@@ -1,12 +1,18 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"strings"
 	"testing"
 	"time"
 
+	"asyncmediator/api"
 	"asyncmediator/internal/game"
 	"asyncmediator/internal/store"
+	"asyncmediator/internal/telemetry"
 )
 
 // runSessions drives n sessions through the farm to completion. Only a
@@ -196,11 +202,7 @@ func TestExperimentJobLifecycleAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	orphan := ExpView{ID: "x-000007", Experiment: "e1", State: StateQueued, Trials: 4}
-	data, err := marshalView(orphan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(orphan.ID, data); err != nil {
+	if err := st.Put(orphan.ID, parentRecord(t, orphan)); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -283,29 +285,163 @@ func TestExperimentJobAdmissionControl(t *testing.T) {
 	}
 }
 
-// TestViewBinaryContract pins the persisted view encoding: version byte +
-// JSON, with unknown versions rejected.
-func TestViewBinaryContract(t *testing.T) {
-	v := View{ID: "s-000009", State: StateDone, Seed: 7, Profile: []int{1, 0}}
-	data, err := marshalView(v)
+// parentRecord renders v in the record format every daemon generation
+// has written: the version byte 1, then json.Marshal(v).
+func parentRecord(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if data[0] != viewRecVersion {
-		t.Fatalf("version byte %d", data[0])
-	}
-	var back View
-	if err := unmarshalView(data, &back); err != nil {
+	return append([]byte{1}, b...)
+}
+
+// TestViewBinaryContract pins the durable record format: one record of
+// each kind, written through the farm's own record tables, lands under
+// s-%06d, x-%06d, tr-%08d or idem-<key> with the bytes 0x01 followed by
+// json.Marshal of the record, so data directories of earlier daemons
+// still read. A record of an unknown version, or an empty one, misses.
+func TestViewBinaryContract(t *testing.T) {
+	st, err := store.Open(store.Config{Dir: t.TempDir()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if back.ID != v.ID || back.State != v.State || len(back.Profile) != 2 {
-		t.Fatalf("round trip %+v", back)
+	defer st.Close()
+
+	sess := View{ID: "s-000009", State: StateDone, Seed: 7, Profile: []int{1, 0}}
+	reg := NewRegistry(1, 0, 0, st)
+	if err := reg.Persist(sess); err != nil {
+		t.Fatal(err)
 	}
-	data[0] = 42
-	if err := unmarshalView(data, &back); err == nil {
-		t.Fatal("unknown version accepted")
+	job := ExpView{ID: jobRecords(st).Key(3), Experiment: "e7", State: StateFailed, Trials: 2, Error: "boom"}
+	if err := jobRecords(st).Put(job.ID, job); err != nil {
+		t.Fatal(err)
 	}
-	if err := unmarshalView(nil, &back); err == nil {
-		t.Fatal("empty record accepted")
+	ring, err := telemetry.OpenRetention(st, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := api.TraceSummary{Session: sess.ID, TraceID: "t-9", Variant: "Theorem4.2", State: "done", DurationMS: 1.5, Spans: 1}
+	trace := &api.TraceView{TraceID: "t-9", Spans: []api.TraceSpan{{Name: "ba", Origin: "local", StartUS: 3, EndUS: 8, Count: 4}}}
+	if err := ring.Add(sum, trace); err != nil {
+		t.Fatal(err)
+	}
+	idem := newIdemCache(4, st)
+	idemKey := "POST /v1/sessions\x00key-9"
+	e, _ := idem.begin(idemKey)
+	idem.finish(idemKey, e, http.StatusCreated, "application/json", []byte(`{"id":"s-000009"}`), true)
+
+	for _, c := range []struct {
+		key string
+		rec any
+	}{
+		{"s-000009", sess},
+		{"x-000003", job},
+		{"tr-00000001", telemetry.Record{Seq: 1, Summary: sum, Trace: trace}},
+		{"idem-POST /v1/sessions\x00key-9", idemRecord{Status: http.StatusCreated, ContentType: "application/json", Body: []byte(`{"id":"s-000009"}`)}},
+	} {
+		got, ok := st.Get(c.key)
+		if want := parentRecord(t, c.rec); !ok || !bytes.Equal(got, want) {
+			t.Errorf("%q: stored %q (found %v), want %q", c.key, got, ok, want)
+		}
+	}
+	if back, ok := reg.recs.Get(sess.ID); !ok || back.Seed != 7 || len(back.Profile) != 2 {
+		t.Fatalf("round trip %+v (%v)", back, ok)
+	}
+
+	bad := parentRecord(t, View{ID: "s-000010", State: StateDone})
+	bad[0] = 42
+	for key, data := range map[string][]byte{"s-000010": bad, "s-000011": nil} {
+		if err := st.Put(key, data); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := reg.recs.Get(key); ok {
+			t.Fatalf("%s: unreadable record served as %+v", key, v)
+		}
+	}
+}
+
+// TestUnreadableRecordsKept plants a record of an unknown version (42, as
+// a newer daemon might write) under each record prefix and boots a farm
+// on it. Boot succeeds, the record is never served, new session, job and
+// trace numbers land past it, and recovery leaves it on disk. A keyed
+// create whose stored response is unreadable executes again.
+func TestUnreadableRecordsKept(t *testing.T) {
+	const idemKey = "key-newer"
+	for _, c := range []struct {
+		key  string
+		rec  any
+		next string // a key the farm writes past the planted record
+	}{
+		{"s-000050", View{ID: "s-000050", State: StateDone}, "s-000051"},
+		{"x-000050", ExpView{ID: "x-000050", Experiment: "e7", State: StateQueued}, "x-000051"},
+		{"tr-00000050", telemetry.Record{Seq: 50, Summary: api.TraceSummary{Session: "s-000050"}, Trace: &api.TraceView{TraceID: "t-50"}}, "tr-00000051"},
+		{"idem-POST /v1/sessions\x00" + idemKey, idemRecord{Status: http.StatusCreated, Body: []byte(`{"id":"s-000050"}`)}, ""},
+	} {
+		t.Run(c.key[:strings.IndexByte(c.key, '-')+1], func(t *testing.T) {
+			dir := t.TempDir()
+			bad := parentRecord(t, c.rec)
+			bad[0] = 42
+			st, err := store.Open(store.Config{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Put(c.key, bad); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			svc, ts := httpFarm(t, Config{Workers: 1, DataDir: dir})
+			client := ts.Client()
+			if got, ok := svc.st.Get(c.key); !ok || !bytes.Equal(got, bad) {
+				t.Fatalf("recovery removed or rewrote %q: %q (found %v)", c.key, got, ok)
+			}
+			for _, path := range []string{"/sessions/s-000050", "/jobs/x-000050", "/sessions/s-000050/trace"} {
+				var env api.ErrorEnvelope
+				code, err := getJSON(t, client, ts.URL+api.Prefix+path, &env)
+				if err != nil || code != http.StatusNotFound || env.Error == nil || env.Error.Code != api.CodeNotFound {
+					t.Fatalf("GET %s served the unreadable record: %d %+v (%v)", path, code, env.Error, err)
+				}
+			}
+			var page api.SessionPage
+			if code, err := getJSON(t, client, ts.URL+api.Prefix+"/sessions", &page); err != nil || code != http.StatusOK || page.Total != 0 {
+				t.Fatalf("list served the unreadable record: %d %+v (%v)", code, page, err)
+			}
+
+			var h api.Handle
+			resp := postKeyed(t, client, ts.URL+api.Prefix+"/sessions", idemKey, Spec{N: 4, K: 1, T: 0, Variant: "4.2"}, &h)
+			if resp.StatusCode != http.StatusCreated || resp.Header.Get(api.IdempotencyReplayedHeader) != "" || h.ID == "s-000050" {
+				t.Fatalf("keyed create replayed the unreadable response: %d replayed=%q id %s",
+					resp.StatusCode, resp.Header.Get(api.IdempotencyReplayedHeader), h.ID)
+			}
+			if _, err := svc.SubmitTypes(h.ID, make([]game.Type, 4)); err != nil {
+				t.Fatal(err)
+			}
+			var done View
+			if code, err := getJSON(t, client, ts.URL+api.Prefix+"/sessions/"+h.ID+"?wait=30s", &done); err != nil || code != http.StatusOK || done.State != StateDone {
+				t.Fatalf("session %s: %d %+v (%v)", h.ID, code, done.State, err)
+			}
+			job, err := svc.CreateExperiment(ExpRequest{Experiment: "e7", Trials: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-job.Done()
+
+			if c.next == "" {
+				// The re-executed create now owns the key.
+				if r, ok := idemRecords(svc.st).Get(c.key); !ok || !bytes.Contains(r.Body, []byte(h.ID)) {
+					t.Fatalf("re-executed create not recorded under %q: %+v (%v)", c.key, r, ok)
+				}
+				return
+			}
+			if _, ok := svc.st.Get(c.next); !ok {
+				t.Fatalf("no record at %s: new numbers did not land just past %s", c.next, c.key)
+			}
+			if got, ok := svc.st.Get(c.key); !ok || !bytes.Equal(got, bad) {
+				t.Fatalf("%q removed or overwritten: %q (found %v)", c.key, got, ok)
+			}
+		})
 	}
 }

@@ -19,8 +19,8 @@ import (
 type Registry struct {
 	baseSeed int64
 	maxN     int
-	maxLive  int          // in-memory session bound (0: unlimited)
-	st       *store.Store // nil: memory-only (evicted sessions are dropped)
+	maxLive  int                 // in-memory session bound (0: unlimited)
+	recs     store.Records[View] // memory-only on a nil store (evicted sessions are dropped)
 
 	mu       sync.RWMutex
 	sessions map[string]*Session
@@ -43,19 +43,11 @@ func NewRegistry(baseSeed int64, maxN, maxLive int, st *store.Store) *Registry {
 		baseSeed: baseSeed,
 		maxN:     maxN,
 		maxLive:  maxLive,
-		st:       st,
+		recs:     sessionRecords(st),
 		sessions: make(map[string]*Session),
 	}
-	if st != nil {
-		for _, key := range st.Keys(sessionKeyPrefix) {
-			if seq, ok := parseKeySeq(key, sessionKeyPrefix); ok {
-				if seq > r.nextID {
-					r.nextID = seq
-				}
-				r.created++
-			}
-		}
-	}
+	last, n := r.recs.Watermark()
+	r.nextID, r.created = last, int64(n)
 	return r
 }
 
@@ -75,7 +67,7 @@ func (r *Registry) Create(spec Spec) (*Session, error) {
 	defer r.mu.Unlock()
 	r.nextID++
 	r.created++
-	id := fmt.Sprintf("%s%06d", sessionKeyPrefix, r.nextID)
+	id := r.recs.Key(r.nextID)
 	seed := r.baseSeed + r.nextID
 	if spec.Seed != nil {
 		seed = *spec.Seed
@@ -95,8 +87,8 @@ func (r *Registry) Create(spec Spec) (*Session, error) {
 }
 
 // Get returns the in-memory session with the given id. Evicted (terminal,
-// persisted) sessions are not returned here — use Lookup for a view that
-// spans both tiers.
+// persisted) sessions are not returned here — use Service.Lookup for a
+// view that spans both tiers.
 func (r *Registry) Get(id string) (*Session, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -104,38 +96,11 @@ func (r *Registry) Get(id string) (*Session, bool) {
 	return s, ok
 }
 
-// Lookup returns a view of the session from either tier: the hot cache
-// first, then the durable store.
-func (r *Registry) Lookup(id string) (View, bool) {
-	if s, ok := r.Get(id); ok {
-		return s.Snapshot(), true
-	}
-	if r.st == nil {
-		return View{}, false
-	}
-	data, ok := r.st.Get(id)
-	if !ok {
-		return View{}, false
-	}
-	var v View
-	if err := unmarshalView(data, &v); err != nil {
-		return View{}, false
-	}
-	return v, true
-}
-
 // Persist writes a terminal session's view to the store (a no-op on a
 // memory-only farm). The worker that ran the session calls it before the
 // session turns terminal, so "terminal" always implies "persisted".
 func (r *Registry) Persist(v View) error {
-	if r.st == nil {
-		return nil
-	}
-	data, err := marshalView(v)
-	if err != nil {
-		return err
-	}
-	return r.st.Put(v.ID, data)
+	return r.recs.Put(v.ID, v)
 }
 
 // Retire queues a terminal, persisted session for eviction and enforces
@@ -170,25 +135,11 @@ func (r *Registry) evictLocked() {
 // the total number of matching sessions alongside the requested page.
 func (r *Registry) List(state string, offset, limit int) (int, []View) {
 	views := make(map[string]View)
-	if r.st != nil {
-		// Copy the raw records out under the store lock and decode them
-		// lock-free: a JSON decode per record inside Scan would stall every
-		// worker trying to persist a finishing session.
-		var raw [][]byte
-		_ = r.st.Scan(sessionKeyPrefix, func(key string, data []byte) error {
-			raw = append(raw, append([]byte(nil), data...))
-			return nil
-		})
-		for _, data := range raw {
-			var v View
-			if err := unmarshalView(data, &v); err != nil {
-				continue // skip an undecodable record rather than fail the page
-			}
-			if state == "" || string(v.State) == state {
-				views[v.ID] = v
-			}
+	r.recs.Each(func(e store.Entry[View]) {
+		if state == "" || string(e.Val.State) == state {
+			views[e.Val.ID] = e.Val
 		}
-	}
+	})
 	r.mu.RLock()
 	memory := make([]*Session, 0, len(r.sessions))
 	for _, s := range r.sessions {

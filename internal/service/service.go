@@ -70,9 +70,10 @@ type Config struct {
 	BaseSeed int64
 	// MaxN caps the per-session player count (default 64).
 	MaxN int
-	// DataDir enables the durable store: terminal sessions and experiment
-	// jobs persist to a WAL + snapshot pair there and survive restarts.
-	// Empty means memory-only (the pre-durability behaviour).
+	// DataDir enables the durable store: terminal sessions, experiment
+	// jobs, retained traces and keyed create responses persist to a WAL +
+	// snapshot pair there and survive restarts. Empty means memory-only
+	// (the pre-durability behaviour).
 	DataDir string
 	// MaxLiveSessions bounds the in-memory session cache (0: unlimited).
 	// Terminal sessions beyond the bound evict to the store; without a
@@ -141,6 +142,7 @@ type Service struct {
 	expMu   sync.Mutex
 	exps    map[string]*ExpJob
 	expNext int64
+	expRecs store.Records[ExpView]
 	// expPending counts queued+running jobs (driver-goroutine admission);
 	// jobs waits for the drivers on Close.
 	expPending atomic.Int64
@@ -233,6 +235,7 @@ func New(cfg Config) (*Service, error) {
 		start:        time.Now(),
 		clusterPlays: make(map[string]*clusterPlay),
 		clusterEP:    newClusterEndpoint(cfg.ClusterListen, clusterTLS),
+		expRecs:      jobRecords(st),
 		idem:         newIdemCache(1024, st),
 		obsReg:       obs.NewRegistry(),
 	}
@@ -338,7 +341,7 @@ func (s *Service) Session(id string) (*Session, bool) {
 
 // Lookup returns a session view from the hot cache or the durable store.
 func (s *Service) Lookup(id string) (View, bool) {
-	return s.reg.Lookup(id)
+	return lookup(s.reg.Get, s.reg.recs, id)
 }
 
 // ListSessions pages session views across memory and store, optionally
@@ -406,10 +409,7 @@ func (s *Service) exec(sess *Session) {
 	s.retainTrace(view, s.observePlay(view))
 	lean := view
 	lean.Trace = nil
-	perr := s.reg.Persist(lean)
-	if perr != nil {
-		s.persistErrs.Inc() // surfaces a sick disk in /v1/stats
-	}
+	stored := s.persisted(s.reg.Persist(lean))
 
 	// Count.
 	s.plays.sessions.Inc()
@@ -432,7 +432,7 @@ func (s *Service) exec(sess *Session) {
 	// evicted id is served from the store, which already says terminal. A
 	// session whose record failed to persist is never evicted.
 	sess.release(view.State)
-	if perr == nil {
+	if stored {
 		s.reg.Retire(view.ID)
 	}
 	// The terminal event carries the full snapshot (trace included), so a

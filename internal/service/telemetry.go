@@ -170,9 +170,7 @@ func (s *Service) retainTrace(view View, phaseMS map[string]float64) {
 		PhaseMS:        phaseMS,
 		Spans:          len(view.Trace.Spans),
 	}
-	if err := s.traces.Add(sum, view.Trace); err != nil {
-		s.persistErrs.Inc()
-	}
+	s.persisted(s.traces.Add(sum, view.Trace))
 }
 
 // publishSLOAlert republishes one burn-rate edge on the event bus: kind

@@ -224,11 +224,7 @@ func TestLegacyEmbeddedTraceServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := marshalView(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(legacy.ID, rec); err != nil {
+	if err := st.Put(legacy.ID, parentRecord(t, legacy)); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {

@@ -2,10 +2,10 @@
 // append-only write-ahead log (WAL) of length-prefixed, CRC-checked frames
 // in front of periodically compacted snapshots. It is the durability
 // contract behind the session farm (internal/service): every terminal
-// session and experiment job is a keyed record; a daemon restart replays
-// the snapshot and then the WAL, last write per key winning, so replay is
-// idempotent even when a crash lands between the snapshot rename and the
-// WAL truncation.
+// session, experiment job, retained trace and keyed create response is a
+// keyed record; a daemon restart replays the snapshot and then the WAL,
+// last write per key winning, so replay is idempotent even when a crash
+// lands between the snapshot rename and the WAL truncation.
 //
 // Crash semantics: appends are buffered and flushed to the OS per Put (no
 // per-record fsync — the farm's throughput budget), and fsynced on
@@ -21,9 +21,11 @@
 //	frame := u32 payloadLen | u32 crc32(payload) | payload
 //	payload := u8 version | u16 keyLen | key | data
 //
-// Records carry opaque data; callers own the value encoding (the service
-// layer gives its views encoding.BinaryMarshaler contracts, the same
-// discipline lattigo applies to its protocol structures).
+// The raw API (Put, Get, Scan, ...) carries opaque data. The farm's
+// records go through Records (record.go), which alone owns their key
+// format, value encoding (a version byte, then JSON), id watermarks and
+// the policy for a record this binary cannot read: skip it, never delete
+// it.
 package store
 
 import (

@@ -10,11 +10,7 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"asyncmediator/api"
@@ -22,29 +18,9 @@ import (
 )
 
 // traceKeyPrefix namespaces retained-trace records in the shared store
-// (sessions are "s-", experiment jobs "x-", idempotency "idem-").
+// (sessions are "s-", experiment jobs "x-", idempotency "idem-"); a key
+// is the prefix and the record's Seq in 8 digits.
 const traceKeyPrefix = "tr-"
-
-// traceRecVersion is the version byte prefixed to every persisted trace
-// record, mirroring the service's view-record scheme: a record whose
-// version this binary does not know is skipped, not misread.
-const traceRecVersion = 1
-
-// traceKey renders a retention sequence number as its store key.
-// Zero-padding keeps lexicographic order equal to retention order.
-func traceKey(seq int64) string { return fmt.Sprintf("%s%08d", traceKeyPrefix, seq) }
-
-// parseTraceKey inverts traceKey.
-func parseTraceKey(key string) (int64, bool) {
-	if !strings.HasPrefix(key, traceKeyPrefix) {
-		return 0, false
-	}
-	n, err := strconv.ParseInt(strings.TrimPrefix(key, traceKeyPrefix), 10, 64)
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
-}
 
 // Record is one retained trace: the searchable summary plus the full
 // compacted span view. Seq is assigned by Add in finish order — the
@@ -84,7 +60,7 @@ const (
 // Retention is the bounded trace ring. All exported methods are safe
 // for concurrent use.
 type Retention struct {
-	st         *store.Store
+	disk       store.Records[Record] // memory-only on a nil store
 	maxRecords int
 	maxBytes   int64
 
@@ -102,50 +78,28 @@ type Retention struct {
 // earlier runs and re-enforcing the bounds against them. A non-nil st
 // mirrors every retained record to disk under the "tr-" prefix so the
 // ring survives restarts; a nil one keeps the ring in memory only.
-// Records that fail to decode are dropped from the store rather than
-// wedging boot.
+// Records this binary cannot read stay on disk, off the ring, and new
+// records are numbered past them.
 func OpenRetention(st *store.Store, maxRecords int) (*Retention, error) {
 	r := &Retention{
-		st:         st,
+		disk:       store.SeqRecords[Record](st, traceKeyPrefix, 8),
 		maxRecords: maxRecords,
 		maxBytes:   maxBytes,
 		sizes:      make(map[int64]int64),
 		bySess:     make(map[string]int64),
-		nextSeq:    1,
 	}
-	if r.st == nil {
-		return r, nil
-	}
-	var bad []string
-	err := r.st.Scan(traceKeyPrefix, func(key string, data []byte) error {
-		seq, ok := parseTraceKey(key)
-		if !ok {
-			bad = append(bad, key)
-			return nil
-		}
-		var rec Record
-		if len(data) < 1 || data[0] != traceRecVersion || json.Unmarshal(data[1:], &rec) != nil {
-			bad = append(bad, key)
-			return nil
-		}
-		rec.Seq = seq
+	last, _ := r.disk.Watermark()
+	r.nextSeq = last + 1
+	r.disk.Each(func(e store.Entry[Record]) {
+		rec := e.Val
+		rec.Seq = e.Seq
 		r.recs = append(r.recs, &rec)
-		r.sizes[seq] = int64(len(data))
-		r.bytes += int64(len(data))
-		return nil
+		r.sizes[rec.Seq] = int64(e.Size)
+		r.bytes += int64(e.Size)
 	})
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: trace retention recovery: %w", err)
-	}
-	for _, key := range bad {
-		_ = r.st.Delete(key)
-	}
 	sort.Slice(r.recs, func(i, j int) bool { return r.recs[i].Seq < r.recs[j].Seq })
 	for _, rec := range r.recs {
 		r.bySess[rec.Summary.Session] = rec.Seq
-		if rec.Seq >= r.nextSeq {
-			r.nextSeq = rec.Seq + 1
-		}
 	}
 	r.mu.Lock()
 	r.enforceLocked()
@@ -159,22 +113,20 @@ func (r *Retention) Add(summary api.TraceSummary, trace *api.TraceView) error {
 	r.mu.Lock()
 	rec := &Record{Seq: r.nextSeq, Summary: summary, Trace: trace}
 	r.nextSeq++
-	data, err := json.Marshal(rec)
+	data, err := r.disk.Encode(*rec)
 	if err != nil {
 		r.mu.Unlock()
 		return err
 	}
-	data = append([]byte{traceRecVersion}, data...)
 	r.recs = append(r.recs, rec)
 	r.sizes[rec.Seq] = int64(len(data))
 	r.bytes += int64(len(data))
 	r.bySess[summary.Session] = rec.Seq
 	r.enforceLocked()
 	_, still := r.sizes[rec.Seq] // a tiny byte bound can self-evict
-	st := r.st
 	r.mu.Unlock()
-	if st != nil && still {
-		return st.Put(traceKey(rec.Seq), data)
+	if still {
+		return r.disk.PutEncoded(r.disk.Key(rec.Seq), data)
 	}
 	return nil
 }
@@ -190,9 +142,7 @@ func (r *Retention) enforceLocked() {
 			delete(r.bySess, old.Summary.Session)
 		}
 		r.evicted++
-		if r.st != nil {
-			_ = r.st.Delete(traceKey(old.Seq))
-		}
+		_ = r.disk.Delete(r.disk.Key(old.Seq))
 	}
 }
 
