@@ -427,20 +427,24 @@ func New(cfg Config) (*Runtime, error) {
 
 var _ envBackend = (*Runtime)(nil)
 
-// rngPool recycles party streams: re-seeding a stream puts it in the
-// state a fresh source with that seed starts in, without allocating the
-// source's 607-word table again.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// rngPool recycles party streams (*rand.Rand): re-seeding a stream puts
+// it in the state a fresh source with that seed starts in, without
+// allocating the source's 607-word table again.
+var rngPool sync.Pool
 
 // procRNG is party p's random stream in a play seeded with seed:
 // independent per party, and the same whether the party runs in a Runtime
 // or behind a Remote, so a node of a wire play draws what the party would
-// draw in the sequential runtime. The stream comes from rngPool; a
-// Runtime puts its streams back when Run ends.
+// draw in the sequential runtime. The stream comes from rngPool, seeded
+// once; a Runtime puts its streams back when Run ends, a Remote when
+// Release is called.
 func procRNG(seed int64, p PID) *rand.Rand {
-	r := rngPool.Get().(*rand.Rand)
-	r.Seed(seed*1_000_003 + int64(p))
-	return r
+	s := seed*1_000_003 + int64(p)
+	if r, ok := rngPool.Get().(*rand.Rand); ok {
+		r.Seed(s)
+		return r
+	}
+	return rand.New(rand.NewSource(s))
 }
 
 // release hands the pending index's storage and the party streams back

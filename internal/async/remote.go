@@ -13,7 +13,7 @@ import (
 type Remote struct {
 	self    PID
 	players int
-	rng     *rand.Rand // the party's stream for the node's life, never returned to the pool
+	rng     *rand.Rand // the party's stream until Release
 	sendFn  func(to PID, payload any)
 
 	mu      sync.Mutex
@@ -41,6 +41,16 @@ var _ envBackend = (*Remote)(nil)
 
 // Env returns the environment handle to pass into Start/Deliver.
 func (r *Remote) Env() *Env { return &Env{b: r, self: r.self} }
+
+// Release puts the party's stream back in the pool the runtime takes
+// streams from; the process must not draw from Env.Rand afterwards.
+// Package wire calls it when Node.Run ends. A second call does nothing.
+func (r *Remote) Release() {
+	if r.rng != nil {
+		rngPool.Put(r.rng)
+		r.rng = nil
+	}
+}
 
 // Move returns the decided move, if any.
 func (r *Remote) Move() (any, bool) {

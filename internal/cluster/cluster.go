@@ -20,32 +20,39 @@
 //
 // Topology: a Transport is one player's node in one play's mesh. Node i
 // owns one outbound link per peer j, carrying DATA frames i->j; the same
-// TCP connection carries cumulative ACK frames j->i written by the
-// receiver. A HELLO verifies the protocol version, cluster id and stream
-// endpoints (and, under TLS, the peer certificate against the cluster
-// CA). A fresh handshake for a stream supersedes the connection that
-// served it, so a half-dead socket cannot shadow its replacement.
+// connection carries cumulative ACK frames j->i written by the receiver.
+// A HELLO verifies the protocol version, cluster id and stream endpoints
+// (and, under TLS, the peer certificate against the cluster CA). A fresh
+// handshake for a stream supersedes the connection that served it, so a
+// half-dead socket cannot shadow its replacement.
 //
 // Endpoint: the transports of one process share an Endpoint, which owns
-// one listener and every connection. The endpoint routes an inbound HELLO
-// to the transport registered for its (cluster id, To). Connections
-// outlive streams: when a transport closes, its connections are detached,
-// not closed. The dialer's connection goes to the endpoint's idle pool,
-// keyed by peer address, and a link takes a pooled connection before it
-// dials; the acceptor's connection waits for its next HELLO. A HELLO on a
-// live connection re-attaches it to a new stream, so back-to-back plays
-// between the same daemons open no TCP connection at all. One endpoint
-// goroutine reads each connection for its whole life; DATA frames for a
-// stream whose transport has closed are dropped, and a HELLO for one that
-// closed within the handshake timeout is welcomed into such a detached
-// stream rather than refused, so the daemons of a play may finish it in
-// any order. A connection at rest for idleTimeout is closed, and a pooled
-// connection found dead at handshake time is replaced by a fresh dial at
-// once.
+// one listener and every connection, and routes an inbound HELLO to the
+// transport registered for its (cluster id, To). Connections outlive
+// streams. When a transport closes, the dialer's connections go to the
+// endpoint's idle pool, keyed by peer address, and the acceptor's wait
+// for their next HELLO, which re-attaches them to a new stream. A link
+// reserves a pooled connection when its peer's address is set and dials
+// only if the pool has none, and every link with an address leaves one
+// connection at rest when its transport closes, however late its writer
+// ran: back-to-back plays between the same endpoints dial nothing. One
+// endpoint goroutine reads each connection for its whole life; DATA
+// frames for a stream whose transport has closed are dropped, and a
+// HELLO for one that closed within the handshake timeout is welcomed
+// into such a detached stream rather than refused, so the daemons of a
+// play may finish it in any order. A connection at rest for idleTimeout
+// is closed, and a pooled connection found dead at handshake time is
+// replaced by a fresh dial at once.
 //
 // Network seam: an Endpoint reaches the network only through its listen
-// and dial functions, net.Listen and net.DialTimeout in production. The
-// package's tests swap in an in-memory network with a seeded fault plan.
+// and dial functions, net.Listen and net.DialTimeout in production, and
+// the package's tests swap in an in-memory network with a seeded fault
+// plan. A dial to the endpoint's own address reaches neither: it gets
+// one half of a net.Pipe, and the other half is admitted like an
+// accepted connection. TLS, the handshake, the resend buffers, the ACKs
+// and DropConns treat a pipe as they treat a socket, and the frame bytes
+// are the same, so the players one endpoint hosts talk through memory
+// and a play whose players share an endpoint opens no socket.
 //
 // ACK isolation: an ACK only ever trims the resend buffer of the stream
 // it was written for. On a re-attach the acceptor stops the old stream's
@@ -67,9 +74,10 @@
 // Memory is bounded by a play's traffic, not by capacities fixed in
 // advance: the pending queues and the resend buffers hold what the play
 // sent and its peers have not yet taken or acknowledged, and the
-// delivery inbox is small. The transport carries peer streams only: a
-// player's messages to itself never leave its process (package wire
-// delivers them in-process), so Send drops a self-addressed payload.
+// delivery inbox is small. Resend buffers and each connection's write
+// scratch are reused across plays. The transport carries peer streams
+// only: a player's messages to itself never leave its process (package
+// wire delivers them in-process), so Send drops a self-addressed payload.
 package cluster
 
 import (
@@ -117,9 +125,11 @@ type Stats struct {
 	Delivered int64
 	// Duplicates counts inbound frames dropped by the dedup cursor.
 	Duplicates int64
-	// Dials counts the TCP connections the links opened. A link takes a
-	// connection from its endpoint's idle pool when one is there, so once
-	// the pool is warm, plays between the same endpoints dial nothing.
+	// Dials counts the connections the links opened: TCP connections,
+	// and in-memory pipes to their own endpoint, which count as dials
+	// too. A link takes a connection from its endpoint's idle pool when
+	// one is there, so once the pool is warm, plays between the same
+	// endpoints dial nothing.
 	Dials int64
 	// Reconnects counts re-established outbound connections (the first
 	// connection of a link does not count).
@@ -187,9 +197,10 @@ type inbound struct {
 
 // inboxDepth sizes the delivery channel. Every inbound stream's reader
 // blocks on a full inbox, which backpressures the sending link through
-// TCP, never Send; a few bursts of slack keeps the readers from stalling
-// on every frame.
-const inboxDepth = 256
+// its connection, never Send; a burst of slack keeps the readers from
+// stalling on every frame. The channel's buffer is a transport's largest
+// fixed cost, allocated for every play.
+const inboxDepth = 64
 
 // Transport is one player's node in one play's mesh, opened on an
 // Endpoint.
@@ -226,7 +237,8 @@ func New(cfg Config) (*Transport, error) {
 	return t, nil
 }
 
-// newTransport builds a transport on ep and starts one link per peer.
+// newTransport builds a transport on ep with one link per peer; a link's
+// writer starts once its peer's address is known.
 func newTransport(ep *Endpoint, cfg Config) *Transport {
 	t := &Transport{
 		cfg:   cfg,
@@ -239,14 +251,24 @@ func newTransport(ep *Endpoint, cfg Config) *Transport {
 	}
 	for p := 0; p < cfg.N; p++ {
 		t.in[p] = &inbound{}
-		if p == cfg.Self {
-			continue
+		if p != cfg.Self {
+			t.links[p] = &link{t: t, to: p, pending: sendQueue{wake: make(chan struct{}, 1)}}
 		}
-		t.links[p] = newLink(t, p)
-		t.wg.Add(1)
-		go t.links[p].run()
 	}
 	return t
+}
+
+// startWriter counts a link's writer in wg, unless the transport is
+// closing. It holds connMu, which Close takes after closing done and
+// before waiting on wg, so a writer counted here is waited for.
+func (t *Transport) startWriter() bool {
+	t.connMu.Lock()
+	defer t.connMu.Unlock()
+	if t.closing() {
+		return false
+	}
+	t.wg.Add(1)
+	return true
 }
 
 // Addr returns the address peers should dial: its endpoint's.
@@ -273,8 +295,9 @@ func (t *Transport) SetAddrs(addrs []string) {
 // never blocks and applies no backpressure: what the caller sends is held
 // until the peer acknowledges it, so memory is bounded by the play's
 // traffic. Sending to self or to an index outside [0, N) is a no-op, as
-// is any Send once the transport closes. The payload buffer is owned by
-// the transport from here on.
+// is any Send once the transport closes. The transport only reads the
+// payload, so one buffer may go to several peers, but the caller must
+// not modify it afterwards.
 func (t *Transport) Send(to int, payload []byte) {
 	if to < 0 || to >= t.cfg.N || to == t.cfg.Self || t.closing() {
 		return
@@ -316,12 +339,12 @@ func (t *Transport) Stats() Stats {
 		BytesOut:     t.bytesOut.Load(),
 	}
 	for _, l := range t.links {
-		if l == nil {
-			continue
+		if l != nil {
+			s.QueueLen += l.pending.len()
+			l.mu.Lock()
+			s.ResendBuffered += len(l.buf)
+			l.mu.Unlock()
 		}
-		q, buf := l.depths()
-		s.QueueLen += q
-		s.ResendBuffered += buf
 	}
 	return s
 }
@@ -375,8 +398,10 @@ const closeWriteGrace = 100 * time.Millisecond
 // Close tears the transport down. Its connections stay open for the
 // endpoint to reuse: each link lets go of its connection once a write or
 // handshake in progress has finished (or been given up after
-// closeWriteGrace), and each inbound connection is detached to wait for
-// its next HELLO. Frames still in flight are dropped; the consumer's
+// closeWriteGrace), a link whose writer has not opened its stream yet
+// opens it first, and each inbound connection is detached to wait for
+// its next HELLO. When Close returns, every healthy connection its
+// links held is at rest in the endpoint's pool. Frames still in flight are dropped; the consumer's
 // protocol layer owns end-of-play semantics. A transport from New closes
 // its endpoint too.
 func (t *Transport) Close() {

@@ -261,23 +261,28 @@ func (e *Endpoint) retire(t *Transport) {
 	e.mu.Unlock()
 }
 
-// conn is one TCP connection, owned by the endpoint for its whole life
-// and read by one endpoint goroutine throughout. It serves one directed
-// stream at a time. An outbound conn (addr set) is handed to a link,
-// which writes the HELLO that attaches it to the link's stream; when the
-// link's transport closes, the conn goes back to the idle pool for the
-// next link to the same address. An inbound conn waits for a HELLO,
-// serves the stream it names, and on the next HELLO is re-attached to a
-// new stream.
+// conn is one connection, a socket or one half of a self-dial's pipe,
+// owned by the endpoint for its whole life and read by one endpoint
+// goroutine throughout. It serves one directed stream at a time. An
+// outbound conn (addr set) is handed to a link, which writes the HELLO
+// that attaches it to the link's stream; when the link's transport
+// closes, the conn goes back to the idle pool for the next link to the
+// same address. An inbound conn waits for a HELLO, serves the stream it
+// names, and on the next HELLO is re-attached to a new stream.
 type conn struct {
 	ep   *Endpoint
 	nc   net.Conn
 	addr string        // the dialed address; "" for an accepted conn
 	dead chan struct{} // closed once the reader has exited
 
-	// wbuf is the scratch buffer a link builds its DATA frames in; only
-	// the conn's current link touches it.
-	wbuf []byte
+	// The scratch a link's writer reuses while it holds the conn, kept
+	// with the conn so the next play's streams reuse it too: the buffer
+	// DATA frames are built in, the batch being written, and the spare
+	// list swapped with the pending queue. Only the current link touches
+	// them.
+	wbuf  []byte
+	batch []dataFrame
+	spare [][]byte
 
 	mu sync.Mutex
 	// Outbound: the link the conn serves (nil at rest), and the channel
@@ -350,32 +355,52 @@ func (e *Endpoint) forget(c *conn, err error) {
 	e.mu.Unlock()
 }
 
-// acceptLoop admits inbound connections and starts each one's reader
-// after (optional) TLS wrapping.
+// acceptLoop admits inbound connections until the listener closes.
 func (e *Endpoint) acceptLoop(ln net.Listener) {
 	defer e.wg.Done()
 	for {
 		nc, err := ln.Accept()
-		if err != nil {
-			return // listener closed
+		if err != nil || !e.admit(nc) {
+			return // listener closed, or endpoint closing
 		}
-		if e.cfg.TLS != nil {
-			nc = tlsServer(nc, e.cfg.TLS)
-		}
-		c := &conn{ep: e, nc: nc, dead: make(chan struct{})}
-		if !e.track(c) {
-			nc.Close()
-			return
-		}
-		go e.readInbound(c)
 	}
 }
 
+// admit takes in one inbound connection, from the listener or the far
+// half of a self-dial's pipe, and starts its reader after (optional) TLS
+// wrapping. It refuses, closing nc, once the endpoint is closing.
+func (e *Endpoint) admit(nc net.Conn) bool {
+	if e.cfg.TLS != nil {
+		nc = tls.Server(nc, e.cfg.TLS.serverConfig())
+	}
+	c := &conn{ep: e, nc: nc, dead: make(chan struct{})}
+	if !e.track(c) {
+		nc.Close()
+		return false
+	}
+	go e.readInbound(c)
+	return true
+}
+
 // dialConn opens a new outbound connection to addr and starts its reader.
+// A dial to the endpoint's own address opens no socket: it gets one half
+// of an in-memory pipe, and the other half is admitted like an accepted
+// connection, so the players an endpoint hosts talk through memory with
+// the same frames, handshake and resend buffers as over the network.
 func (e *Endpoint) dialConn(addr string) (*conn, error) {
-	nc, err := e.dial(addr)
-	if err != nil {
-		return nil, err
+	var nc net.Conn
+	if addr == e.Addr() {
+		var far net.Conn
+		nc, far = net.Pipe()
+		if !e.admit(far) {
+			nc.Close()
+			return nil, errEndpointClosed
+		}
+	} else {
+		var err error
+		if nc, err = e.dial(addr); err != nil {
+			return nil, err
+		}
 	}
 	if e.cfg.TLS != nil {
 		nc = tls.Client(nc, e.cfg.TLS.clientConfig(addr))

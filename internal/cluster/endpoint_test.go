@@ -504,3 +504,69 @@ func TestReservedKindSkipped(t *testing.T) {
 		t.Fatalf("%d frames in, want the 5 skipped and the DATA", st.FramesIn)
 	}
 }
+
+// TestCoHostedStreamsUseNoSocket: transports on one endpoint, each
+// addressing its peers at the endpoint itself, talk over in-memory pipes,
+// in plaintext and under mutual TLS: the endpoint's network dial is never
+// called. The receivers read nothing until every payload is stamped, so
+// the pipes' writers block with frames in flight, and then every
+// connection is dropped. The links redial over new pipes and replay, and
+// every frame still arrives once and in order. Each link's writer takes
+// its whole queue in one pass, as every payload is sent before the
+// peers' addresses are known.
+func TestCoHostedStreamsUseNoSocket(t *testing.T) {
+	pool, issue := testCA(t)
+	for _, c := range []struct {
+		name string
+		tls  *TLS
+	}{{"plain", nil}, {"mtls", &TLS{cert: issue(), ca: pool}}} {
+		t.Run(c.name, func(t *testing.T) {
+			const n, msgs = 4, 200
+			mn := newMemNet()
+			ep := mn.endpoint(t, "127.0.0.1:7000", EndpointConfig{TLS: c.tls})
+			ep.dial = func(addr string) (net.Conn, error) {
+				t.Errorf("dialed %s over the network", addr)
+				return nil, errors.New("no network here")
+			}
+			trs := make([]*Transport, n)
+			for i := range trs {
+				trs[i] = openOn(t, ep, Config{Self: i, N: n, ClusterID: "co-hosted"})
+				for m := 0; m < msgs; m++ {
+					for j := range trs {
+						trs[i].Send(j, payload(i, m)) // to self: a no-op
+					}
+				}
+			}
+			for _, tr := range trs {
+				for j := range trs {
+					tr.SetPeerAddr(j, ep.Addr())
+				}
+			}
+			if !mn.await(func() bool { return ep.Stats().QueueLen == 0 }) {
+				t.Fatalf("%d payloads never left the pending queues", ep.Stats().QueueLen)
+			}
+			streams := n * (n - 1)
+			if dropped := ep.DropConns(); dropped != 2*streams {
+				t.Fatalf("dropped %d connections, want both halves of %d pipes", dropped, streams)
+			}
+			for i, tr := range trs {
+				got := collect(t, tr, (n-1)*msgs, 10*time.Second)
+				for s := range trs {
+					if idxs := got[s]; s != i && (len(idxs) != msgs || idxs[0] != 0 || idxs[msgs-1] != msgs-1) {
+						t.Fatalf("player %d got %d payloads from %d, want %d in order", i, len(idxs), s, msgs)
+					}
+				}
+			}
+			// A frame is counted just after its inbox send.
+			mn.await(func() bool { return ep.Stats().Delivered == int64(streams*msgs) })
+			st := ep.Stats()
+			if st.Delivered != int64(streams*msgs) || st.Reconnects == 0 || st.Resent == 0 || st.DialErrors != 0 {
+				t.Fatalf("delivered %d of %d, %d reconnects, %d resent, %d dial errors; want every frame, some reconnects and resends, no error",
+					st.Delivered, streams*msgs, st.Reconnects, st.Resent, st.DialErrors)
+			}
+			if st.Dials < int64(2*streams) {
+				t.Fatalf("%d pipes opened for %d streams dropped once", st.Dials, streams)
+			}
+		})
+	}
+}

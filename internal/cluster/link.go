@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"crypto/tls"
 	"errors"
 	"io"
 	"net"
@@ -26,8 +25,6 @@ type sendQueue struct {
 	items [][]byte
 	wake  chan struct{}
 }
-
-func newSendQueue() sendQueue { return sendQueue{wake: make(chan struct{}, 1)} }
 
 // push appends one payload and wakes the consumer.
 func (q *sendQueue) push(payload []byte) {
@@ -72,54 +69,47 @@ type link struct {
 	mu      sync.Mutex
 	addr    string
 	nextSeq uint64
-	buf     []dataFrame // sent, not yet acknowledged; seq-ascending
-
-	addrKnown chan struct{}
-	addrOnce  sync.Once
+	buf     []dataFrame  // sent, not yet acknowledged; seq-ascending
+	box     *[]dataFrame // buf's box in resendBufs: nil before the first frame, and once released
 }
 
-func newLink(t *Transport, to int) *link {
-	return &link{
-		t:         t,
-		to:        to,
-		pending:   newSendQueue(),
-		addrKnown: make(chan struct{}),
-	}
-}
+// resendBufs recycles resend buffers across plays: a link takes one at
+// its first frame and puts it back, emptied, when its writer ends.
+var resendBufs = sync.Pool{New: func() any { return new([]dataFrame) }}
 
-// setAddr records the peer's dial address and unblocks the writer the
-// first time one is known. Later updates (a peer that moved) take effect
-// on the next redial.
+// setAddr records the peer's dial address. The first time, it starts the
+// link's writer with a connection at rest to the address reserved for
+// the first stream, if the endpoint's pool has one: the stream's
+// connection is claimed when the play is set up, however late the writer
+// runs. Later updates (a peer that moved) take effect on the next redial.
 func (l *link) setAddr(addr string) {
 	l.mu.Lock()
+	first := l.addr == ""
 	l.addr = addr
 	l.mu.Unlock()
-	l.addrOnce.Do(func() { close(l.addrKnown) })
-}
-
-func (l *link) currentAddr() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.addr
-}
-
-// run is the link's writer loop: wait for an address, get a connection
-// and open the stream on it, replay the unacknowledged tail, then pump
-// the pending queue — and start over whenever the connection dies. Every
-// frame stays in the resend buffer until the receiver's cumulative ack
-// covers it, so a connection drop loses nothing. When the transport
-// closes, a healthy connection goes back to the endpoint's idle pool.
-func (l *link) run() {
-	defer l.t.wg.Done()
-	select {
-	case <-l.addrKnown:
-	case <-l.t.done:
-		return
+	if first && l.t.startWriter() {
+		go l.run(l.t.ep.take(addr))
 	}
+}
+
+// run is the link's writer loop: get a connection and open the stream on
+// it, replay the unacknowledged tail, then pump the pending queue — and
+// start over whenever the connection dies. Every frame stays in the
+// resend buffer until the receiver's cumulative ack covers it, so a
+// connection drop loses nothing. When the transport closes, a healthy
+// connection goes back to the endpoint's idle pool. The first stream is
+// opened even if the transport closed before the writer ran, on the
+// connection held for it or a new one, so every link of a play leaves
+// one connection at rest and the next play between the same endpoints
+// dials nothing.
+func (l *link) run(held *conn) {
+	defer l.t.wg.Done()
+	defer l.release()
 	backoff := 20 * time.Millisecond
 	served := false
-	for !l.t.closing() {
-		c, cursor, err := l.connect()
+	for first := true; first || !l.t.closing(); first = false {
+		c, cursor, err := l.connect(held, !first)
+		held = nil
 		if err != nil {
 			if err == errTransportClosed || err == errEndpointClosed {
 				return
@@ -153,22 +143,30 @@ func (l *link) run() {
 	}
 }
 
-// connect gets a connection to the peer, from the endpoint's idle pool
-// or by dialing, and opens the link's stream on it, returning the
-// receiver's delivery cursor. A pooled connection whose handshake shows
-// it died at rest is replaced at once, by the next pooled one or a fresh
-// dial; any other failure, a timeout or a REJECT, is returned for run to
-// count and back off from.
-func (l *link) connect() (*conn, uint64, error) {
+// connect opens the link's stream on c, the connection reserved for it,
+// or else on one taken from the endpoint's idle pool (a redial only) or
+// dialed, and returns the receiver's delivery cursor. A pooled
+// connection whose handshake shows it died at rest is replaced at once,
+// by the next pooled one or a fresh dial; any other failure, a timeout
+// or a REJECT, is returned for run to count and back off from.
+func (l *link) connect(c *conn, redial bool) (*conn, uint64, error) {
 	h := hello{
 		Version:   ProtocolVersion,
 		ClusterID: l.t.cfg.ClusterID,
 		From:      l.t.cfg.Self,
 		To:        l.to,
 	}
-	for !l.t.closing() {
-		addr := l.currentAddr()
-		c := l.t.ep.take(addr)
+	for {
+		l.mu.Lock()
+		addr := l.addr
+		l.mu.Unlock()
+		if c != nil && c.addr != addr {
+			l.t.ep.park(c) // reserved before the peer moved
+			c = nil
+		}
+		if c == nil && redial {
+			c = l.t.ep.take(addr)
+		}
 		pooled := c != nil
 		if !pooled {
 			l.t.dials.Add(1)
@@ -184,8 +182,8 @@ func (l *link) connect() (*conn, uint64, error) {
 		if !pooled || !diedAtRest(err) {
 			return nil, 0, err
 		}
+		c, redial = nil, true
 	}
-	return nil, 0, errTransportClosed
 }
 
 // diedAtRest reports whether a handshake error shows the connection was
@@ -194,7 +192,7 @@ func (l *link) connect() (*conn, uint64, error) {
 // but does not answer in time is not dead, and its timeout counts.
 func diedAtRest(err error) bool {
 	return errors.Is(err, errConnClosed) || errors.Is(err, net.ErrClosed) ||
-		errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
+		errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.ErrClosedPipe) ||
 		errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)
 }
 
@@ -227,8 +225,8 @@ func (l *link) serve(c *conn, cursor uint64) error {
 		return err
 	}
 
-	var payloads [][]byte
-	var batch []dataFrame
+	payloads, batch := c.spare, c.batch
+	defer func() { c.spare, c.batch = payloads, batch }()
 	for {
 		select {
 		case <-l.pending.wake:
@@ -251,20 +249,15 @@ func (l *link) serve(c *conn, cursor uint64) error {
 	}
 }
 
-// depths reports the link's instantaneous pending and resend-buffer
-// sizes.
-func (l *link) depths() (pending, buffered int) {
-	l.mu.Lock()
-	buffered = len(l.buf)
-	l.mu.Unlock()
-	return l.pending.len(), buffered
-}
-
 // stamp gives each payload the next stream sequence number, appends it
 // to the resend buffer and to batch, and returns batch.
 func (l *link) stamp(batch []dataFrame, payloads [][]byte) []dataFrame {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.box == nil {
+		l.box = resendBufs.Get().(*[]dataFrame)
+		l.buf = *l.box
+	}
 	for _, payload := range payloads {
 		l.nextSeq++
 		f := dataFrame{seq: l.nextSeq, payload: payload}
@@ -312,6 +305,22 @@ func (l *link) ackTo(n uint64) {
 	l.mu.Unlock()
 }
 
+// release puts the resend buffer, emptied, back in resendBufs when the
+// writer ends. It is swapped out under l.mu, so a late ackTo, from a
+// reader that read an ACK before the connection let go of the link,
+// finds an empty buffer, never one another link now owns.
+func (l *link) release() {
+	l.mu.Lock()
+	buf, box := l.buf, l.box
+	l.buf, l.box = nil, nil
+	l.mu.Unlock()
+	if box != nil {
+		clear(buf)
+		*box = buf[:0]
+		resendBufs.Put(box)
+	}
+}
+
 // replaySnapshot copies the current resend buffer for replay on a fresh
 // connection.
 func (l *link) replaySnapshot() []dataFrame {
@@ -345,6 +354,3 @@ func sleepFor(d time.Duration, done <-chan struct{}) bool {
 		return false
 	}
 }
-
-// tlsServer wraps an accepted connection in the mutual-TLS server side.
-func tlsServer(c net.Conn, t *TLS) net.Conn { return tls.Server(c, t.serverConfig()) }

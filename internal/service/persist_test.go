@@ -321,7 +321,7 @@ func TestViewBinaryContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := api.TraceSummary{Session: sess.ID, TraceID: "t-9", Variant: "Theorem4.2", State: "done", DurationMS: 1.5, Spans: 1}
+	sum := api.TraceSummary{Session: sess.ID, TraceID: "t-9", Variant: "Theorem4.2", State: "done", DurationMS: 1.5, FinishedUnixMS: 1792408389568, Spans: 1}
 	trace := &api.TraceView{TraceID: "t-9", Spans: []api.TraceSpan{{Name: "ba", Origin: "local", StartUS: 3, EndUS: 8, Count: 4}}}
 	if err := ring.Add(sum, trace); err != nil {
 		t.Fatal(err)

@@ -154,21 +154,22 @@ func (s *Service) observePlay(view View) (phaseMS map[string]float64) {
 }
 
 // retainTrace adds a terminal play's compacted trace to the ring under
-// its per-phase digest. A failed store write counts as a persist error,
-// like a failed session write.
+// its per-phase digest. The ring stamps the finish time under the lock
+// that numbers the record, so its sequence order, which trace pages
+// follow, is also time order. A failed store write counts as a persist
+// error, like a failed session write.
 func (s *Service) retainTrace(view View, phaseMS map[string]float64) {
 	if view.Trace == nil {
 		return
 	}
 	sum := api.TraceSummary{
-		Session:        view.ID,
-		TraceID:        view.Trace.TraceID,
-		Variant:        view.Variant,
-		State:          string(view.State),
-		DurationMS:     view.DurationSeconds * 1000,
-		FinishedUnixMS: time.Now().UnixMilli(),
-		PhaseMS:        phaseMS,
-		Spans:          len(view.Trace.Spans),
+		Session:    view.ID,
+		TraceID:    view.Trace.TraceID,
+		Variant:    view.Variant,
+		State:      string(view.State),
+		DurationMS: view.DurationSeconds * 1000,
+		PhaseMS:    phaseMS,
+		Spans:      len(view.Trace.Spans),
 	}
 	s.persisted(s.traces.Add(sum, view.Trace))
 }

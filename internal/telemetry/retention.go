@@ -12,6 +12,7 @@ package telemetry
 import (
 	"sort"
 	"sync"
+	"time"
 
 	"asyncmediator/api"
 	"asyncmediator/internal/store"
@@ -108,9 +109,14 @@ func OpenRetention(st *store.Store, maxRecords int) (*Retention, error) {
 }
 
 // Add retains one finished play's trace, evicting the oldest records
-// if the ring overflows its count or byte bound.
+// if the ring overflows its count or byte bound. A summary without a
+// finish time is stamped under the lock that assigns its sequence
+// number, so the ring's order is also its finish-time order.
 func (r *Retention) Add(summary api.TraceSummary, trace *api.TraceView) error {
 	r.mu.Lock()
+	if summary.FinishedUnixMS == 0 {
+		summary.FinishedUnixMS = time.Now().UnixMilli()
+	}
 	rec := &Record{Seq: r.nextSeq, Summary: summary, Trace: trace}
 	r.nextSeq++
 	data, err := r.disk.Encode(*rec)

@@ -1,23 +1,29 @@
-// Package wire runs the repository's protocol processes over real TCP
-// sockets: a full mesh exchanging protocol messages in one strict binary
-// codec (codec.go: a tag byte per payload type, varint lengths, no
-// reflection and no type registry). The same Process implementations
-// that the deterministic simulator executes — reliable broadcast,
-// Byzantine agreement, the full cheap-talk players — run unmodified
-// across machine boundaries.
+// Package wire runs the repository's protocol processes over the
+// cluster transport: a full mesh exchanging protocol messages in one
+// strict binary codec (codec.go: a tag byte per payload type, varint
+// lengths, no reflection and no type registry). The same Process
+// implementations that the deterministic simulator executes — reliable
+// broadcast, Byzantine agreement, the full cheap-talk players — run
+// unmodified across machine boundaries.
 //
 // The mesh rides on the hardened cluster transport (internal/cluster):
 // per-peer pending queues that never block a send, a versioned HELLO
 // handshake scoped to one cluster session, optional mutual TLS, and
 // automatic reconnect with sequence-numbered resend buffers, so a
 // dropped connection replays its unacknowledged frames instead of
-// silently muting a peer. A node delivers its self-addressed payloads
-// in-process, unencoded, as async.Runtime does. A daemon builds every
-// wire play node by node (NewNode, SetAddrs, Run, Stop) on its one
-// cluster endpoint, whether one daemon hosts all players or several
-// share them; only the addresses differ. NewLocalMesh is the
+// silently muting a peer. A daemon builds every wire play node by node
+// (NewNode, SetAddrs, Run, Stop) on its one cluster endpoint, whether one
+// daemon hosts all players or several share them; only the addresses
+// differ. Players on different daemons talk over TCP. Players one daemon
+// hosts share its endpoint, and their streams run through in-memory
+// pipes with the same frames, handshake and resend buffers, so a play
+// whose players all sit on one daemon opens no socket. Only a player's
+// messages to itself skip the transport: a node delivers them
+// in-process, unencoded, as async.Runtime does. A broadcast is encoded
+// once, and its peer frames share the bytes. NewLocalMesh is the
 // one-process shorthand for programs and tests that host a whole mesh
-// themselves.
+// themselves, one endpoint per node, so its nodes talk over loopback
+// TCP.
 package wire
 
 import (
@@ -29,6 +35,7 @@ import (
 
 	"asyncmediator/internal/async"
 	"asyncmediator/internal/cluster"
+	"asyncmediator/internal/proto"
 )
 
 // ErrTimeout marks a Run that hit its deadline before the process halted
@@ -72,6 +79,12 @@ type Node struct {
 	// deliver, in send order; only the process's goroutine touches them.
 	self []any
 	head int
+	// lastEnv is the envelope send encoded last, and lastEnc its bytes:
+	// a broadcast sends one *proto.Envelope to every party in turn, so
+	// its peer frames share one read-only encoding. Only the process's
+	// goroutine touches them.
+	lastEnv *proto.Envelope
+	lastEnc []byte
 
 	done    chan struct{}
 	stopped sync.Once
@@ -184,16 +197,24 @@ func (n *Node) Addr() string { return n.tr.Addr() }
 // any other through the transport's per-peer pending queue. It never
 // blocks, not even when the node's own inbox is full; writes to distinct
 // peers never contend on a shared mutex, and a temporarily disconnected
-// peer buffers rather than silently dropping.
+// peer buffers rather than silently dropping. An envelope sent again
+// right after it was encoded, as a broadcast sends it, reuses its bytes.
 func (n *Node) send(to async.PID, payload any) {
 	if to == n.cfg.Self {
 		n.sent.Add(1)
 		n.self = append(n.self, payload)
 		return
 	}
-	b, err := EncodePayload(payload)
-	if err != nil {
-		return // unencodable payload: a bug the codec's round-trip tests catch
+	env, isEnv := payload.(*proto.Envelope)
+	b := n.lastEnc
+	if !isEnv || env == nil || env != n.lastEnv {
+		var err error
+		if b, err = EncodePayload(payload); err != nil {
+			return // unencodable payload: a bug the codec's round-trip tests catch
+		}
+		if isEnv {
+			n.lastEnv, n.lastEnc = env, b
+		}
 	}
 	n.sent.Add(1)
 	n.tr.Send(int(to), b)
@@ -204,7 +225,9 @@ func (n *Node) send(to async.PID, payload any) {
 // move (if any). Self-addressed payloads are delivered in send order,
 // interleaved with transport frames, and never hold off the deadline or
 // Stop. Mesh formation is asynchronous: links dial (and redial) in the
-// background, so Run does not block on peers that bind late.
+// background, so Run does not block on peers that bind late. A node runs
+// once: when Run returns, the party's random stream goes back to the pool
+// async.Runtime takes streams from.
 //
 // Run does NOT tear the transport down when its own process halts: the
 // resend buffers may still hold frames a slower peer needs (the
@@ -212,6 +235,7 @@ func (n *Node) send(to async.PID, payload any) {
 // the node keeps replaying — and discarding inbound frames — until the
 // caller invokes Stop after every node of the play has returned.
 func (n *Node) Run(timeout time.Duration) (move any, decided bool, err error) {
+	defer n.remote.Release()
 	env := n.remote.Env()
 	n.cfg.Proc.Start(env)
 	deadline := time.After(timeout)
