@@ -276,7 +276,7 @@ func runLeaky(t *testing.T, seed int64) float64 {
 func TestSection64AttackGains(t *testing.T) {
 	// The paper's numbers: honest value 1.5; with the leaky mediator the
 	// coalition forces 1.1 when b=0 and 2 when b=1, for an expected 1.55.
-	trials := 400
+	trials := 1400
 	sum := 0.0
 	for seed := int64(0); seed < int64(trials); seed++ {
 		sum += runLeaky(t, seed)
@@ -303,7 +303,7 @@ func TestSection64FixedByMinimallyInformative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trials := 400
+	trials := 1400
 	sum := 0.0
 	for seed := int64(0); seed < int64(trials); seed++ {
 		board := NewBoard()

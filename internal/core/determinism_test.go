@@ -271,3 +271,40 @@ func TestSeededRunsBitIdentical(t *testing.T) {
 		t.Logf("digests of this build:\n%s", strings.Join(mismatched, "\n"))
 	}
 }
+
+// TestSeededMessageCounts pins the steps and messages of roundrobin plays
+// at two benchmark shapes: the sim-n5 play (n=5, Theorem 4.1) and the
+// lib-n8 play (n=8, k=1, t=1, Theorem 4.4) under roundrobin instead of
+// random. Under a fixed schedule the message pattern depends on no
+// party's random values, so a change of generator or of what a party
+// draws leaves these counts as they are; a change to what the protocol
+// sends moves them.
+func TestSeededMessageCounts(t *testing.T) {
+	shapes := []struct {
+		n, k, tf    int
+		v           Variant
+		steps, msgs int
+	}{
+		{5, 0, 1, Exact41, 970, 975},
+		{8, 1, 1, Punish44, 3752, 3776},
+	}
+	for _, s := range shapes {
+		p, err := Section64Params(s.n, s.k, s.tf, s.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(1); seed <= 5; seed++ {
+			_, res, err := Run(RunConfig{
+				Params: p, Types: make([]game.Type, s.n), Seed: seed,
+				Scheduler: &async.RoundRobinScheduler{},
+			})
+			if err != nil {
+				t.Fatalf("n=%d seed %d: %v", s.n, seed, err)
+			}
+			if res.Stats.Steps != s.steps || res.Stats.MessagesSent != s.msgs {
+				t.Errorf("n=%d %v seed %d: %d steps, %d messages; want %d, %d",
+					s.n, s.v, seed, res.Stats.Steps, res.Stats.MessagesSent, s.steps, s.msgs)
+			}
+		}
+	}
+}

@@ -150,7 +150,7 @@ func TestE5RandomBitCostsOneOpening(t *testing.T) {
 
 func TestE6PaperNumbers(t *testing.T) {
 	o := QuickOptions()
-	o.Trials = 100 // E6 multiplies by 4 internally
+	o.Trials = 780 // E6 multiplies by 4 internally
 	tab, err := runSerial("e6", o)
 	if err != nil {
 		t.Fatal(err)
