@@ -48,8 +48,11 @@ type ClusterJoinRequest struct {
 	Types []int `json:"types"`
 	// Players are the indices this daemon hosts.
 	Players []int `json:"players"`
-	// Seed is the session seed; every node derives its player's private
-	// randomness from it exactly as the simulator does.
+	// Seed is the session seed. Every node keys its player's private
+	// stream from it and the player's index (async.StreamKey), as
+	// async.Runtime keys the same party's stream, so a node draws what the
+	// simulated party draws. Any daemon given the seed can compute every
+	// player's stream.
 	Seed int64 `json:"seed"`
 	// TraceID is the coordinator's trace id for the play; the daemon's
 	// local spans are recorded under it and travel back in the start

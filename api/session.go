@@ -24,6 +24,8 @@ type SessionSpec struct {
 	Backend string `json:"backend,omitempty"`
 	// Seed fixes the session's randomness; nil derives a deterministic
 	// seed from the session id, so a farm replay reproduces every play.
+	// All 64 bits key the play's streams (async.StreamKey), so every seed
+	// is a distinct play.
 	Seed *int64 `json:"seed,omitempty"`
 	// MaxSteps bounds the simulated run (livelock guard).
 	MaxSteps int `json:"max_steps,omitempty"`

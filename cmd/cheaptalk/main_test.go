@@ -15,8 +15,8 @@ func TestQuickStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := "variant:    Theorem4.1 (bound n > 4, have n=5)\n" +
-		"profile:    [1 1 1 1 1]\n" +
-		"utility:    2\n" +
+		"profile:    [0 0 0 0 0]\n" +
+		"utility:    1\n" +
 		"deadlocked: false\n" +
 		"messages:   925 sent, 915 delivered, 920 steps\n"
 	if got := out.String(); got != want {

@@ -15,7 +15,7 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
+	"math/rand/v2"
 
 	"asyncmediator/internal/async"
 	"asyncmediator/internal/core"
@@ -42,12 +42,12 @@ func run() error {
 		Epsilon: 0.05, CoinSeed: 11,
 	}
 
-	rng := rand.New(rand.NewSource(1))
+	rng := rand.New(rand.NewChaCha8([32]byte{1}))
 	agree, onMajority := 0, 0
 	rounds := 5
 	for r := 0; r < rounds; r++ {
 		types := g.SampleTypes(rng)
-		seed := rng.Int63()
+		seed := rng.Int64()
 		prof, _, err := core.Run(core.RunConfig{
 			Params: params, Types: types,
 			Scheduler: async.NewRandomScheduler(seed), Seed: seed,

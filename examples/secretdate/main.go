@@ -14,7 +14,7 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
+	"math/rand/v2"
 
 	"asyncmediator/internal/game"
 	"asyncmediator/internal/mediator"
@@ -33,7 +33,7 @@ func run() error {
 		return err
 	}
 
-	rng := rand.New(rand.NewSource(42))
+	rng := rand.New(rand.NewChaCha8([32]byte{42}))
 	met, preferred := 0, 0
 	trials := 1000
 	perType := map[string]*game.Outcome{}

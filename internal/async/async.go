@@ -23,9 +23,16 @@
 // deliverable) and an update to a Fenwick tree with one leaf per 512
 // slots; the runtime allocates nothing per message. Nor does a play
 // allocate its pending index or its parties' random streams: a Runtime
-// takes both from pools when it is built and returns them when Run ends,
-// so a play reuses the storage earlier plays grew and re-seeds their
-// streams. The runtime counts the processes not yet started and not
+// takes both from a pooled store when it is built and returns the store
+// when Run ends, so a play reuses the storage earlier plays grew and
+// re-keys their streams in place.
+//
+// Each party draws its private coins (Env.Rand) from a ChaCha8 stream of
+// its own, keyed by the full 64-bit play seed, the party index and a
+// domain label (StreamKey). Every seed is thus a distinct play, the
+// random scheduler's stream (keyed under another label) is independent of
+// the parties', and a party behind a Remote draws what the same party
+// draws in a Runtime. The runtime counts the processes not yet started and not
 // yet halted, so checking for the end of a run is O(1) per step, not O(n).
 //
 // One in-process runtime executes Processes: Runtime, the
@@ -46,8 +53,7 @@ package async
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-	"sync"
+	"math/rand/v2"
 )
 
 // PID identifies a process: players are 0..n-1; auxiliary parties (such as
@@ -114,9 +120,11 @@ func (e *Env) Self() PID { return e.self }
 // Players returns the number of game players (processes minus auxiliaries).
 func (e *Env) Players() int { return e.b.numPlayers() }
 
-// Rand returns the process's private randomness source. The stream is
-// valid only while the run lasts: a Runtime recycles it when Run returns,
-// so a process must not keep it beyond its run.
+// Rand returns the process's private randomness: a ChaCha8 stream keyed
+// by the play's 64-bit seed and the process's id, the same in a Runtime
+// and behind a Remote. The stream is valid only while the run lasts: a
+// Runtime re-keys its storage for a later play once Run returns, so a
+// process must not keep it beyond its run.
 func (e *Env) Rand() *rand.Rand { return e.b.procRand(e.self) }
 
 // Send enqueues a message to the given process. Messages sent during one
@@ -355,7 +363,7 @@ var (
 type Runtime struct {
 	cfg       Config
 	procs     []Process
-	rngs      []*rand.Rand
+	rngs      []stream // on the pooled store, beside the pending index
 	pend      pendingSet
 	nextID    MsgID
 	seq       []int // per (From,To) sequence counter, at From*len(procs)+To
@@ -398,7 +406,6 @@ func New(cfg Config) (*Runtime, error) {
 	rt := &Runtime{
 		cfg:       cfg,
 		procs:     cfg.Procs,
-		rngs:      make([]*rand.Rand, n),
 		seq:       make([]int, n*n),
 		batch:     make([]int, n),
 		started:   make([]bool, n),
@@ -413,48 +420,24 @@ func New(cfg Config) (*Runtime, error) {
 		rt.dropped = make(map[BatchKey]bool)
 		rt.touched = make(map[BatchKey]bool)
 	}
-	rt.pend = newPendingSet(rt.halted, storePool.Get().(*pendStore))
+	st := storePool.Get().(*pendStore)
+	rt.pend = newPendingSet(rt.halted, st)
+	rt.rngs = st.keyParties(cfg.Seed, n)
 	rt.view = View{
 		N: n, Players: cfg.Players,
 		Started: rt.started, Halted: rt.halted, Decided: rt.decided,
 		pend: &rt.pend, life: &rt.life,
-	}
-	for i := range rt.rngs {
-		rt.rngs[i] = procRNG(cfg.Seed, PID(i))
 	}
 	return rt, nil
 }
 
 var _ envBackend = (*Runtime)(nil)
 
-// rngPool recycles party streams (*rand.Rand): re-seeding a stream puts
-// it in the state a fresh source with that seed starts in, without
-// allocating the source's 607-word table again.
-var rngPool sync.Pool
-
-// procRNG is party p's random stream in a play seeded with seed:
-// independent per party, and the same whether the party runs in a Runtime
-// or behind a Remote, so a node of a wire play draws what the party would
-// draw in the sequential runtime. The stream comes from rngPool, seeded
-// once; a Runtime puts its streams back when Run ends, a Remote when
-// Release is called.
-func procRNG(seed int64, p PID) *rand.Rand {
-	s := seed*1_000_003 + int64(p)
-	if r, ok := rngPool.Get().(*rand.Rand); ok {
-		r.Seed(s)
-		return r
-	}
-	return rand.New(rand.NewSource(s))
-}
-
-// release hands the pending index's storage and the party streams back
-// to their pools.
+// release hands the store behind the pending index and the party streams
+// back to the pool.
 func (rt *Runtime) release() {
+	rt.rngs = nil
 	storePool.Put(rt.pend.release())
-	for i, r := range rt.rngs {
-		rngPool.Put(r)
-		rt.rngs[i] = nil
-	}
 }
 
 func (rt *Runtime) decide(p PID, move any) {
@@ -465,7 +448,7 @@ func (rt *Runtime) decide(p PID, move any) {
 }
 
 func (rt *Runtime) setWill(p PID, move any)   { rt.wills[p] = move }
-func (rt *Runtime) procRand(p PID) *rand.Rand { return rt.rngs[p] }
+func (rt *Runtime) procRand(p PID) *rand.Rand { return &rt.rngs[p].r }
 func (rt *Runtime) numPlayers() int           { return rt.cfg.Players }
 
 // halt marks p halted, taking its pending messages out of the

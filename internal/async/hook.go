@@ -1,6 +1,6 @@
 package async
 
-import "math/rand"
+import "math/rand/v2"
 
 // SendHook inspects and possibly rewrites an outgoing message. Returning
 // ok=false drops the message entirely.

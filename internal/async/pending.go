@@ -67,14 +67,16 @@ type lane struct {
 	head int
 }
 
-// pendStore is the storage a pendingSet carves its arrays from. Each
-// slice is kept at its full capacity (len == cap); a set uses a prefix.
-// No slot holds a payload while the store is not in use.
+// pendStore is the storage a pendingSet carves its arrays from, and the
+// one that holds a Runtime's party streams (keyParties). Each slice is
+// kept at its full capacity (len == cap); a set uses a prefix. No slot
+// holds a payload while the store is not in use.
 type pendStore struct {
 	slots        []Message
 	alive, ready []uint64
 	tree         []int32
 	lanes        []lane
+	streams      []stream
 }
 
 // storePool recycles pendStores across runs.

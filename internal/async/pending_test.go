@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"reflect"
 	"runtime"
 	"slices"
@@ -554,9 +555,10 @@ func finish(rt *Runtime, trace []string) ([]string, error) {
 	return append(trace, fmt.Sprint(res.Moves, res.Halted, res.Stats)), nil
 }
 
-// run plays p with its pending index on st and returns the trace, one
-// line per step plus the result, and the error of a second Run. With
-// fresh, the party streams are new sources instead of pooled ones.
+// run plays p with its pending index and party streams on st and returns
+// the trace, one line per step plus the result, and the error of a second
+// Run. With fresh, each party draws from a new ChaCha8 generator keyed by
+// StreamKey instead of a stream re-keyed on st.
 func (p recyclePlay) run(t *testing.T, st *pendStore, fresh bool) (trace []string, again error) {
 	t.Helper()
 	rt, err := p.start(&trace)
@@ -564,9 +566,11 @@ func (p recyclePlay) run(t *testing.T, st *pendStore, fresh bool) (trace []strin
 		t.Fatal(err)
 	}
 	rt.pend = newPendingSet(rt.halted, st)
+	rt.rngs = st.keyParties(p.seed, p.n)
 	if fresh {
+		rt.rngs = make([]stream, p.n)
 		for i := range rt.rngs {
-			rt.rngs[i] = rand.New(rand.NewSource(p.seed*1_000_003 + int64(i)))
+			rt.rngs[i].r = *randv2.New(randv2.NewChaCha8(StreamKey(partyLabel, p.seed, uint64(i))))
 		}
 	}
 	if trace, err = finish(rt, trace); err != nil {
@@ -577,10 +581,10 @@ func (p recyclePlay) run(t *testing.T, st *pendStore, fresh bool) (trace []strin
 }
 
 // TestRecycledStorageReplaysFreshRuns: plays run back to back on one
-// recycled pending store, the larger play's before the smaller's and
-// after it, with pooled party streams, give the traces the same plays
-// give on fresh storage with fresh sources. A second Run on a Runtime is
-// an error.
+// recycled store, the larger play's before the smaller's and after it,
+// with their party streams re-keyed in the store's used streams, give the
+// traces the same plays give on fresh storage with freshly keyed
+// generators. A second Run on a Runtime is an error.
 func TestRecycledStorageReplaysFreshRuns(t *testing.T) {
 	large := recyclePlay{n: 7, fanout: 40, relays: 25, seed: 11}
 	small := recyclePlay{n: 3, fanout: 5, relays: 3, seed: 4}
@@ -598,15 +602,15 @@ func TestRecycledStorageReplaysFreshRuns(t *testing.T) {
 			t.Fatalf("play %d (%+v) on recycled storage: trace differs from a fresh run's (%d against %d steps)", i, p, len(got), len(want[p]))
 		}
 	}
-	if cap(st.slots) < 2*minSlots {
-		t.Fatalf("the store grew to %d slots: the large play never left it dirty", cap(st.slots))
+	if cap(st.slots) < 2*minSlots || len(st.streams) < large.n {
+		t.Fatalf("the store grew to %d slots and %d streams: the large play never left it dirty", cap(st.slots), len(st.streams))
 	}
 }
 
 // TestConcurrentPlaysShareThePools: runtimes on several goroutines at once
-// take their index storage and streams from the shared pools and hand
-// them back, and every play still gives its fresh run's trace. Run it
-// with -race.
+// take their index storage and party streams from the shared store pool
+// and hand them back, and every play still gives its fresh run's trace.
+// Run it with -race.
 func TestConcurrentPlaysShareThePools(t *testing.T) {
 	plays := []recyclePlay{{n: 7, fanout: 40, relays: 25, seed: 11}, {n: 3, fanout: 5, relays: 3, seed: 4}, {n: 5, fanout: 9, relays: 6, seed: 8}}
 	want := make([][]string, len(plays))
@@ -631,7 +635,7 @@ func TestConcurrentPlaysShareThePools(t *testing.T) {
 	wg.Wait()
 }
 
-// pooled plays p on pooled storage and streams and returns its trace as
+// pooled plays p on a pooled store and returns its trace as
 // run does, or the error Run returned.
 func (p recyclePlay) pooled() ([]string, error) {
 	var trace []string

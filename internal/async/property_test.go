@@ -17,14 +17,14 @@ type chatterProc struct {
 
 func (c *chatterProc) Start(env *Env) {
 	for i := 0; i < c.fanout; i++ {
-		env.Send(PID(env.Rand().Intn(env.Players())), "m")
+		env.Send(PID(env.Rand().IntN(env.Players())), "m")
 	}
 }
 
 func (c *chatterProc) Deliver(env *Env, m Message) {
 	if c.sent < c.relays {
 		c.sent++
-		env.Send(PID(env.Rand().Intn(env.Players())), "r")
+		env.Send(PID(env.Rand().IntN(env.Players())), "r")
 		return
 	}
 	env.Decide("done")

@@ -1,7 +1,7 @@
 package async
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 )
 
@@ -13,7 +13,7 @@ import (
 type Remote struct {
 	self    PID
 	players int
-	rng     *rand.Rand // the party's stream until Release
+	rng     stream // the party's stream, keyed as a Runtime keys it
 	sendFn  func(to PID, payload any)
 
 	mu      sync.Mutex
@@ -29,28 +29,15 @@ func NewRemote(self PID, n, players int, seed int64, send func(to PID, payload a
 	if players == 0 {
 		players = n
 	}
-	return &Remote{
-		self:    self,
-		players: players,
-		rng:     procRNG(seed, self),
-		sendFn:  send,
-	}
+	r := &Remote{self: self, players: players, sendFn: send}
+	r.rng.key(partyLabel, seed, uint64(self))
+	return r
 }
 
 var _ envBackend = (*Remote)(nil)
 
 // Env returns the environment handle to pass into Start/Deliver.
 func (r *Remote) Env() *Env { return &Env{b: r, self: r.self} }
-
-// Release puts the party's stream back in the pool the runtime takes
-// streams from; the process must not draw from Env.Rand afterwards.
-// Package wire calls it when Node.Run ends. A second call does nothing.
-func (r *Remote) Release() {
-	if r.rng != nil {
-		rngPool.Put(r.rng)
-		r.rng = nil
-	}
-}
 
 // Move returns the decided move, if any.
 func (r *Remote) Move() (any, bool) {
@@ -101,5 +88,5 @@ func (r *Remote) halt(p PID) {
 	r.halted = true
 }
 
-func (r *Remote) procRand(p PID) *rand.Rand { return r.rng }
+func (r *Remote) procRand(p PID) *rand.Rand { return &r.rng.r }
 func (r *Remote) numPlayers() int           { return r.players }

@@ -155,7 +155,7 @@ type drawProc struct{ got []int64 }
 
 func (d *drawProc) Start(env *Env) {
 	for i := 0; i < 4; i++ {
-		d.got = append(d.got, env.Rand().Int63())
+		d.got = append(d.got, env.Rand().Int64())
 	}
 	env.Halt()
 }

@@ -1,9 +1,6 @@
 package async
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // SchedulerByName constructs one of the fair schedulers by its CLI/API
 // name: "roundrobin", "random" or "fifo". It is the single registry the
@@ -27,13 +24,17 @@ func SchedulerByName(name string, seed int64) (Scheduler, error) {
 // to their count). Every message is eventually delivered almost surely, so
 // it is a *fair* environment strategy in the paper's sense.
 type RandomScheduler struct {
-	rng     *rand.Rand
+	rng     stream
 	deliver [1]MsgID // backs the Deliver of the event Next returns
 }
 
-// NewRandomScheduler returns a fair random scheduler with its own stream.
+// NewRandomScheduler returns a fair random scheduler drawing from the
+// play's scheduler stream: a ChaCha8 stream keyed by seed under a label
+// of its own, independent of every party's stream in the same play.
 func NewRandomScheduler(seed int64) *RandomScheduler {
-	return &RandomScheduler{rng: rand.New(rand.NewSource(seed))}
+	s := new(RandomScheduler)
+	s.rng.key(schedulerLabel, seed, 0)
+	return s
 }
 
 var _ Scheduler = (*RandomScheduler)(nil)
@@ -47,7 +48,7 @@ func (s *RandomScheduler) Next(v *View) (Event, bool) {
 	if total == 0 {
 		return Event{}, false
 	}
-	k := s.rng.Intn(total)
+	k := s.rng.r.IntN(total)
 	if k < unstarted {
 		for p, st := range v.Started {
 			if !st && !v.Halted[p] {

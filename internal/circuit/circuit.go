@@ -11,7 +11,6 @@ package circuit
 
 import (
 	"fmt"
-	"math/rand"
 
 	"asyncmediator/internal/field"
 )
@@ -108,7 +107,7 @@ func (c *Circuit) RandBitCount() int {
 // Eval evaluates the circuit in the clear. inputs[p] is player p's input
 // vector; rng supplies random bits. It returns one value per Output, in
 // Outputs() order.
-func (c *Circuit) Eval(inputs [][]field.Element, rng *rand.Rand) ([]field.Element, error) {
+func (c *Circuit) Eval(inputs [][]field.Element, rng field.Source) ([]field.Element, error) {
 	return c.eval(inputs, func(int) (field.Element, error) { return field.RandBit(rng), nil })
 }
 

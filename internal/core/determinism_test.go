@@ -20,48 +20,49 @@ import (
 // a run's full step trace (step, player, start flag, delivered and sent
 // message patterns), its resolved profile and its Stats. A change to the
 // async runtime or a scheduler that alters which message an RNG draw
-// picks, or any counter, changes a digest.
+// picks, or any counter, changes a digest; so does a change to what a
+// party's keyed stream yields, since values decide the outcome.
 var goldenDigests = map[string]string{
-	"n5-Theorem4.1/delay/seed1":      "70f2261984485617b141f79ea31d770d38bcf1173c7d4e3a8a545aa4d46a0973",
-	"n5-Theorem4.1/delay/seed2":      "de1fc1812ce466c0ae519bdfb692b9b3ba60c559c9da970c207f2f789bead326",
-	"n5-Theorem4.1/delay/seed3":      "4c7e07620be9ad08365b0d32159a5ac0d33a0408a9474737606cdbf2cf27bc91",
-	"n5-Theorem4.1/delay/seed4":      "01a75a3891d6b97ca7c650abfd646af0fc6da1a03be5e3f2102131032ec3ad05",
-	"n5-Theorem4.1/fifo/seed1":       "8efc3a861f01732614aec492ba27a9cba81a8e589a51431d2eb8e295dbf2fa1b",
-	"n5-Theorem4.1/fifo/seed2":       "36091f5769a13b546f51a7eb2c100738c2bfa0a7516d299aaa0b1a3914d02f25",
-	"n5-Theorem4.1/fifo/seed3":       "36091f5769a13b546f51a7eb2c100738c2bfa0a7516d299aaa0b1a3914d02f25",
+	"n5-Theorem4.1/delay/seed1":      "6f21b6cf871341a1c9eb4a8418f950d8b6b579ddf58ee1b47df2ce27353bae7e",
+	"n5-Theorem4.1/delay/seed2":      "57367a0d1126e575c001dd8a8f1c7d5c2d64e206635375f37e0ac61ac3164a4e",
+	"n5-Theorem4.1/delay/seed3":      "d27126c899154c31bb04bfbc554158f7427b014b8dbea114e7b242f1c7d3b538",
+	"n5-Theorem4.1/delay/seed4":      "3f38db7de4f3ef56532c3893d749f8486c82933f46429ccbf8046f10e60da716",
+	"n5-Theorem4.1/fifo/seed1":       "36091f5769a13b546f51a7eb2c100738c2bfa0a7516d299aaa0b1a3914d02f25",
+	"n5-Theorem4.1/fifo/seed2":       "8efc3a861f01732614aec492ba27a9cba81a8e589a51431d2eb8e295dbf2fa1b",
+	"n5-Theorem4.1/fifo/seed3":       "8efc3a861f01732614aec492ba27a9cba81a8e589a51431d2eb8e295dbf2fa1b",
 	"n5-Theorem4.1/fifo/seed4":       "8efc3a861f01732614aec492ba27a9cba81a8e589a51431d2eb8e295dbf2fa1b",
-	"n5-Theorem4.1/random/seed1":     "304565fe500b5ce350c8d1f3fbde5c1058b13c1331de25deb0568795394c36f9",
-	"n5-Theorem4.1/random/seed2":     "355a04c4394ff630c585f1f1cf15ec189396e66d15845e6a306d7f60b2f64570",
-	"n5-Theorem4.1/random/seed3":     "d265c9be6b398f6695b00fc49cafa2c8d02bc827edd825b3d791463b3cd74ca9",
-	"n5-Theorem4.1/random/seed4":     "e7553fde1a54f1da8d66816184959b5ba3c002d7736d21b13f377c29505243b0",
-	"n5-Theorem4.1/roundrobin/seed1": "8efc3a861f01732614aec492ba27a9cba81a8e589a51431d2eb8e295dbf2fa1b",
-	"n5-Theorem4.1/roundrobin/seed2": "36091f5769a13b546f51a7eb2c100738c2bfa0a7516d299aaa0b1a3914d02f25",
-	"n5-Theorem4.1/roundrobin/seed3": "36091f5769a13b546f51a7eb2c100738c2bfa0a7516d299aaa0b1a3914d02f25",
+	"n5-Theorem4.1/random/seed1":     "e7a7a69c0eb0f06536cf1a1bf1a4de590094a4296a14e5e4b28d24965cb5b235",
+	"n5-Theorem4.1/random/seed2":     "8c2738f16eb9e0f222826a3d4fbc702cefeeb5696add9dded51ac58d554195f7",
+	"n5-Theorem4.1/random/seed3":     "d8bca4d76c864f7bbeabc7a9deb0f1becacb7db7ec1bf859bbf02863e346f43f",
+	"n5-Theorem4.1/random/seed4":     "e04964b368fa8e819e3f12fbfba896dd3d4b7a34103e107178284babcd6d6c8e",
+	"n5-Theorem4.1/roundrobin/seed1": "36091f5769a13b546f51a7eb2c100738c2bfa0a7516d299aaa0b1a3914d02f25",
+	"n5-Theorem4.1/roundrobin/seed2": "8efc3a861f01732614aec492ba27a9cba81a8e589a51431d2eb8e295dbf2fa1b",
+	"n5-Theorem4.1/roundrobin/seed3": "8efc3a861f01732614aec492ba27a9cba81a8e589a51431d2eb8e295dbf2fa1b",
 	"n5-Theorem4.1/roundrobin/seed4": "8efc3a861f01732614aec492ba27a9cba81a8e589a51431d2eb8e295dbf2fa1b",
-	"n8-Theorem4.4/delay/seed1":      "650929d497ce13b0d5b4696f35ee87f05d3341349d77bf17b65cd61fe1638341",
-	"n8-Theorem4.4/delay/seed2":      "fdfa16ae49c47a45dbd66c86cef589ec2f631c01a05159d0e3d0ff826983b386",
-	"n8-Theorem4.4/delay/seed3":      "aaf752a099db2a0944a486df6f58393baac6113f504dacd04734d50cb8351d76",
-	"n8-Theorem4.4/delay/seed4":      "fa33158c27db0d31c58a07a0be023f18b3e9a6fd4a53084743699419c2fbee70",
-	"n8-Theorem4.4/fifo/seed1":       "dfb68d393dbe10784cf154bff2560060f0228735f46e149acac1dd4cf1d4066b",
-	"n8-Theorem4.4/fifo/seed2":       "dfb68d393dbe10784cf154bff2560060f0228735f46e149acac1dd4cf1d4066b",
-	"n8-Theorem4.4/fifo/seed3":       "c2ce380b03f4c7a52bb25495e3cc30104b99150a5d943039b7aee94fc86b3632",
-	"n8-Theorem4.4/fifo/seed4":       "dfb68d393dbe10784cf154bff2560060f0228735f46e149acac1dd4cf1d4066b",
-	"n8-Theorem4.4/random/seed1":     "b9e6213aa4d1d7666fcec178d4da7fc83ceb89aad0e7eb9e48e141453edcde3e",
-	"n8-Theorem4.4/random/seed2":     "2f0cbf45b276387be68e1239773bb7a380ddc20e8da8173601458d8189832b5e",
-	"n8-Theorem4.4/random/seed3":     "03f38bb55373f29e7a1cf3c8e547a39bf84bf72ba88008ff6360b6af5db5433e",
-	"n8-Theorem4.4/random/seed4":     "206fc52f612afc146090269dbd6203e72412fe0622176c926cce290ed2e14d12",
-	"n8-Theorem4.4/roundrobin/seed1": "dfb68d393dbe10784cf154bff2560060f0228735f46e149acac1dd4cf1d4066b",
-	"n8-Theorem4.4/roundrobin/seed2": "dfb68d393dbe10784cf154bff2560060f0228735f46e149acac1dd4cf1d4066b",
-	"n8-Theorem4.4/roundrobin/seed3": "c2ce380b03f4c7a52bb25495e3cc30104b99150a5d943039b7aee94fc86b3632",
-	"n8-Theorem4.4/roundrobin/seed4": "dfb68d393dbe10784cf154bff2560060f0228735f46e149acac1dd4cf1d4066b",
-	"relaxed-bait/seed10":            "4cb81a26c577c07bbc1aec67389a2e5c3756150c85e28901e3a3b0a6173f9a9f",
+	"n8-Theorem4.4/delay/seed1":      "66c7e8f4d81014b7c6d6dc46aed0224b30dc6524fbc22d121b5576c9a0bf0349",
+	"n8-Theorem4.4/delay/seed2":      "179ca632a7b22d2b466976bb37625910d15494da1085cbae0548e74dfd2f90e0",
+	"n8-Theorem4.4/delay/seed3":      "7bb3346a420523935dd742d6bc2348bfe328bbc3277979228619f0733260c6d6",
+	"n8-Theorem4.4/delay/seed4":      "e4b74ba6fc72400914eea5a339a36e3d11ac50232925b26d2e6de025d1747316",
+	"n8-Theorem4.4/fifo/seed1":       "c2ce380b03f4c7a52bb25495e3cc30104b99150a5d943039b7aee94fc86b3632",
+	"n8-Theorem4.4/fifo/seed2":       "c2ce380b03f4c7a52bb25495e3cc30104b99150a5d943039b7aee94fc86b3632",
+	"n8-Theorem4.4/fifo/seed3":       "dfb68d393dbe10784cf154bff2560060f0228735f46e149acac1dd4cf1d4066b",
+	"n8-Theorem4.4/fifo/seed4":       "c2ce380b03f4c7a52bb25495e3cc30104b99150a5d943039b7aee94fc86b3632",
+	"n8-Theorem4.4/random/seed1":     "0fd0897460a4bd6054c103bae51438ed30b42ce1ad7d3bb6291798d411ff4756",
+	"n8-Theorem4.4/random/seed2":     "dd1002b88a1b8a994fe5bfca8f1008d88acdc8285b904a0a03e676fdba72fe6f",
+	"n8-Theorem4.4/random/seed3":     "cdbc8451e9dbe518a5a04c01afeec531391a29c8bea92743ee241cad4e795bb3",
+	"n8-Theorem4.4/random/seed4":     "c1d93e5e14ef944251e96f0152592ff23a9d2be330e3cad28dfb54c93b009617",
+	"n8-Theorem4.4/roundrobin/seed1": "c2ce380b03f4c7a52bb25495e3cc30104b99150a5d943039b7aee94fc86b3632",
+	"n8-Theorem4.4/roundrobin/seed2": "c2ce380b03f4c7a52bb25495e3cc30104b99150a5d943039b7aee94fc86b3632",
+	"n8-Theorem4.4/roundrobin/seed3": "dfb68d393dbe10784cf154bff2560060f0228735f46e149acac1dd4cf1d4066b",
+	"n8-Theorem4.4/roundrobin/seed4": "c2ce380b03f4c7a52bb25495e3cc30104b99150a5d943039b7aee94fc86b3632",
+	"relaxed-bait/seed10":            "f8e8c070621f27f9f85f9bf9d6d32fa1711781a76bacca664562309e3aabc62a",
 	"relaxed-bait/seed11":            "f8e8c070621f27f9f85f9bf9d6d32fa1711781a76bacca664562309e3aabc62a",
 	"relaxed-bait/seed12":            "f8e8c070621f27f9f85f9bf9d6d32fa1711781a76bacca664562309e3aabc62a",
 	"relaxed-bait/seed13":            "f8e8c070621f27f9f85f9bf9d6d32fa1711781a76bacca664562309e3aabc62a",
-	"relaxed-drop/seed1":             "c076d5fca4d7541aad526a6f9af2cdce617b321fb9f280c8a3d6284a0b9fae61",
-	"relaxed-drop/seed2":             "3990ba9d932ced52ae9b59d2d6a29a5ffb77f3f8fa87f30b677cf02594a6e230",
-	"relaxed-drop/seed3":             "ba6d689791831d2f8dc90974a6488083f723d2a95bdc1e7f3c84765fc3191676",
-	"relaxed-drop/seed4":             "658d803bd58d02ccf0686aaabbf685aa6aa762ba41f9eea82f2892d3e4895612",
+	"relaxed-drop/seed1":             "abcdbe5a6f8dcb9513c198bc192fa1edd833d1500980e4be2617ea7ddbf96b31",
+	"relaxed-drop/seed2":             "4f73a1a4c2974fe0e0df590880164a4f6910596a171485ea7cfe89a414377bd7",
+	"relaxed-drop/seed3":             "3f75c2026c9924c2c0b193a6652e4734e856244ec615f57c199486f8a6dadae2",
+	"relaxed-drop/seed4":             "47d0ae473773935766b1f0abdd6704fc77a32db79a1c36bf060e98636efc779b",
 }
 
 // detRun plays one case with the given trace hook.
@@ -220,6 +221,28 @@ func putOutcome(h hash.Hash, prof game.Profile, res *async.Result) {
 	}
 }
 
+// digest plays run with a trace and returns the SHA-256 of the trace and
+// the outcome, with the outcome itself.
+func digest(run detRun) (string, game.Profile, *async.Result, error) {
+	h := sha256.New()
+	prof, res, err := run(func(e async.TraceEntry) {
+		putInt(h, int64(e.Step))
+		putInt(h, int64(e.Player))
+		if e.Started {
+			putInt(h, 1)
+		} else {
+			putInt(h, 0)
+		}
+		putMetas(h, e.Delivered)
+		putMetas(h, e.Sent)
+	})
+	if err != nil {
+		return "", nil, nil, err
+	}
+	putOutcome(h, prof, res)
+	return hex.EncodeToString(h.Sum(nil)), prof, res, nil
+}
+
 // TestSeededRunsBitIdentical replays every case with a trace, hashes the
 // trace and outcome, and compares against goldenDigests. It also replays
 // each case without a trace: tracing must not change the outcome.
@@ -233,23 +256,10 @@ func TestSeededRunsBitIdentical(t *testing.T) {
 	var mismatched []string
 	for _, name := range names {
 		run := cases[name]
-		h := sha256.New()
-		prof, res, err := run(func(e async.TraceEntry) {
-			putInt(h, int64(e.Step))
-			putInt(h, int64(e.Player))
-			if e.Started {
-				putInt(h, 1)
-			} else {
-				putInt(h, 0)
-			}
-			putMetas(h, e.Delivered)
-			putMetas(h, e.Sent)
-		})
+		got, prof, res, err := digest(run)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		putOutcome(h, prof, res)
-		got := hex.EncodeToString(h.Sum(nil))
 
 		bare, resBare, err := run(nil)
 		if err != nil {
@@ -305,6 +315,53 @@ func TestSeededMessageCounts(t *testing.T) {
 				t.Errorf("n=%d %v seed %d: %d steps, %d messages; want %d, %d",
 					s.n, s.v, seed, res.Stats.Steps, res.Stats.MessagesSent, s.steps, s.msgs)
 			}
+		}
+	}
+}
+
+// TestSeedsDoNotAlias: seeds s and s+(2^31-1) key different streams, so
+// they give every party different draws and play differently, for s = 1
+// and s = 7 (a generator that reduces its seed modulo 2^31-1 plays them
+// identically). Within one play, no two parties draw alike.
+func TestSeedsDoNotAlias(t *testing.T) {
+	const n = 5
+	p, err := Section64Params(n, 0, 1, Exact41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// draws is party q's first four draws in the play seeded with seed.
+	draws := func(seed int64, q int) [4]uint64 {
+		var d [4]uint64
+		r := async.NewRemote(async.PID(q), n, n, seed, nil).Env().Rand()
+		for i := range d {
+			d[i] = r.Uint64()
+		}
+		return d
+	}
+	play := func(seed int64) string {
+		got, _, _, err := digest(func(trace func(async.TraceEntry)) (game.Profile, *async.Result, error) {
+			return Run(RunConfig{
+				Params: p, Types: make([]game.Type, n), Seed: seed,
+				Scheduler: async.NewRandomScheduler(seed), Trace: trace,
+			})
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		return got
+	}
+	for _, s := range []int64{1, 7} {
+		alias := s + (1<<31 - 1)
+		for q := 0; q < n; q++ {
+			if draws(s, q) == draws(alias, q) {
+				t.Errorf("party %d draws alike at seeds %d and %d", q, s, alias)
+			}
+			if q > 0 && draws(s, q) == draws(s, 0) {
+				t.Errorf("seed %d: parties 0 and %d draw alike", s, q)
+			}
+		}
+		if play(s) == play(alias) {
+			t.Errorf("seeds %d and %d play identically", s, alias)
 		}
 	}
 }

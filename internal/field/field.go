@@ -9,10 +9,7 @@
 // random-bit protocol in package mpc).
 package field
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // P is the field modulus, the Mersenne prime 2^31 - 1.
 const P uint64 = (1 << 31) - 1
@@ -131,18 +128,31 @@ func (e Element) Sqrt() (Element, bool) {
 	return r, true
 }
 
+// Source is a stream of uniformly random 64-bit words. The *Rand of both
+// math/rand and math/rand/v2 satisfies it, as does a bare
+// *math/rand/v2.ChaCha8.
+type Source interface{ Uint64() uint64 }
+
 // Rand returns a uniformly distributed field element drawn from rng.
-func Rand(rng *rand.Rand) Element {
-	// Int63n is uniform over [0, P); P fits in an int64.
-	return Element(rng.Int63n(int64(P)))
+func Rand(rng Source) Element {
+	// The top 31 bits are uniform over [0, P]; reject the one value P.
+	for {
+		if v := rng.Uint64() >> 33; v != P {
+			return Element(v)
+		}
+	}
 }
 
 // RandNonZero returns a uniformly distributed non-zero field element.
-func RandNonZero(rng *rand.Rand) Element {
-	return Element(rng.Int63n(int64(P)-1) + 1)
+func RandNonZero(rng Source) Element {
+	for {
+		if v := rng.Uint64() >> 33; v != 0 && v != P {
+			return Element(v)
+		}
+	}
 }
 
 // RandBit returns 0 or 1, each with probability 1/2.
-func RandBit(rng *rand.Rand) Element {
-	return Element(rng.Int63() & 1)
+func RandBit(rng Source) Element {
+	return Element(rng.Uint64() >> 63)
 }

@@ -2,7 +2,7 @@ package game
 
 import (
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -37,7 +37,7 @@ func TestValidate(t *testing.T) {
 
 func TestSampleTypesMatchesDist(t *testing.T) {
 	g := MatchingGame()
-	rng := rand.New(rand.NewSource(1))
+	rng := rand.New(rand.NewChaCha8([32]byte{1}))
 	counts := map[[2]Type]int{}
 	trials := 8000
 	for i := 0; i < trials; i++ {
@@ -54,7 +54,7 @@ func TestSampleTypesMatchesDist(t *testing.T) {
 
 func TestSampleTypesEmptyDist(t *testing.T) {
 	g := Chicken()
-	rng := rand.New(rand.NewSource(2))
+	rng := rand.New(rand.NewChaCha8([32]byte{2}))
 	tp := g.SampleTypes(rng)
 	if len(tp) != 2 || tp[0] != 0 || tp[1] != 0 {
 		t.Fatalf("empty dist should sample zeros, got %v", tp)

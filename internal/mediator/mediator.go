@@ -26,7 +26,7 @@ package mediator
 import (
 	"fmt"
 	"hash/fnv"
-	"math/rand"
+	"math/rand/v2"
 
 	"asyncmediator/internal/async"
 	"asyncmediator/internal/circuit"
@@ -149,6 +149,10 @@ func (m *CircuitMediator) countComplete() int {
 	return c
 }
 
+// patternLabel keys the stream a PatternSeed mediator evaluates with: the
+// arrival pattern's hash mixed with a draw from its own stream.
+const patternLabel = "mediator/pattern"
+
 // compute evaluates the circuit and sends all STOPs in one activation
 // (one batch): a relaxed scheduler must drop all of them or none.
 func (m *CircuitMediator) compute(env *async.Env) {
@@ -166,7 +170,7 @@ func (m *CircuitMediator) compute(env *async.Env) {
 		}
 		inputs[p] = vec
 	}
-	rng := env.Rand()
+	var rng field.Source = env.Rand()
 	if m.PatternSeed {
 		// Fold the arrival pattern into the randomness, modelling the
 		// scheduler-equivalence-class selection of Lemma 6.8.
@@ -174,7 +178,7 @@ func (m *CircuitMediator) compute(env *async.Env) {
 		for _, p := range m.arrival {
 			_, _ = h.Write([]byte{byte(p)})
 		}
-		rng = rand.New(rand.NewSource(int64(h.Sum64()) ^ rng.Int63()))
+		rng = rand.NewChaCha8(async.StreamKey(patternLabel, int64(h.Sum64()^rng.Uint64()), 0))
 	}
 	outs, err := m.Circ.Eval(inputs, rng)
 	if err != nil {
@@ -273,8 +277,8 @@ func (m *Leaky) Deliver(env *async.Env, msg async.Message) {
 		return
 	}
 	m.started = true
-	a := env.Rand().Int63n(2)
-	b := env.Rand().Int63n(2)
+	a := env.Rand().Int64N(2)
+	b := env.Rand().Int64N(2)
 	// Batch 1: the hints a + b*i (mod 2).
 	for i := 0; i < m.N; i++ {
 		hint := (a + b*int64(i)) % 2

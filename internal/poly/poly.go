@@ -13,7 +13,6 @@ package poly
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"asyncmediator/internal/field"
@@ -40,7 +39,7 @@ func New(coeffs ...field.Element) Poly {
 // Random returns a uniformly random polynomial of degree at most deg with
 // the given constant term. This is exactly a Shamir sharing polynomial for
 // secret = constant term.
-func Random(rng *rand.Rand, deg int, constant field.Element) Poly {
+func Random(rng field.Source, deg int, constant field.Element) Poly {
 	p := make(Poly, deg+1)
 	p[0] = constant
 	for i := 1; i <= deg; i++ {
@@ -330,7 +329,7 @@ type Bivariate struct {
 
 // NewBivariate returns a uniformly random symmetric bivariate polynomial of
 // degree at most t in each variable with F(0,0) = secret.
-func NewBivariate(rng *rand.Rand, t int, secret field.Element) *Bivariate {
+func NewBivariate(rng field.Source, t int, secret field.Element) *Bivariate {
 	c := make([]field.Vec, t+1)
 	backing := make(field.Vec, (t+1)*(t+1))
 	for a := range c {

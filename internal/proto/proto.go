@@ -17,7 +17,7 @@ package proto
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"strconv"
 
 	"asyncmediator/internal/async"
@@ -65,7 +65,7 @@ func (c *Ctx) Self() async.PID { return c.env.Self() }
 // N returns the number of protocol participants (game players).
 func (c *Ctx) N() int { return c.env.Players() }
 
-// Rand returns this party's private randomness.
+// Rand returns this party's private randomness (async.Env.Rand).
 func (c *Ctx) Rand() *rand.Rand { return c.env.Rand() }
 
 // Instance returns the module's own instance id.

@@ -8,7 +8,6 @@ package shamir
 
 import (
 	"fmt"
-	"math/rand"
 
 	"asyncmediator/internal/field"
 	"asyncmediator/internal/poly"
@@ -26,7 +25,7 @@ func XOf(i int) field.Element { return field.Element(i + 1) }
 
 // Split shares secret among n parties with threshold t: any t+1 shares
 // reconstruct, any t shares reveal nothing. Requires 0 <= t < n and n < P.
-func Split(rng *rand.Rand, secret field.Element, n, t int) ([]Share, error) {
+func Split(rng field.Source, secret field.Element, n, t int) ([]Share, error) {
 	if t < 0 || n <= t {
 		return nil, fmt.Errorf("shamir: invalid parameters n=%d t=%d", n, t)
 	}

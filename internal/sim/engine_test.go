@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -88,21 +89,32 @@ func TestPerCellErrorsSurfaceInJSON(t *testing.T) {
 }
 
 // TestForSpansRunsShardsConcurrently proves the dispatch is genuinely
-// parallel — with 4 workers, at least 3 shards must be in flight at once
-// (sleeping shards release the scheduler, so this holds even on one CPU).
+// parallel — with 4 workers, at least 3 shards must be in flight at once.
+// Each shard waits until three have started (blocked shards release the
+// scheduler, so this holds even on one CPU); a serial engine never gets
+// there, and its shards give up at the deadline instead of hanging.
 func TestForSpansRunsShardsConcurrently(t *testing.T) {
 	e := NewEngine(4)
 	defer e.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	three := make(chan struct{})
 	var mu sync.Mutex
-	cur, peak := 0, 0
+	started, cur, peak := 0, 0, 0
 	e.forSpans(8, 1, func(_, _, _ int) {
 		mu.Lock()
 		cur++
 		if cur > peak {
 			peak = cur
 		}
+		if started++; started == 3 {
+			close(three)
+		}
 		mu.Unlock()
-		time.Sleep(20 * time.Millisecond)
+		select {
+		case <-three:
+		case <-ctx.Done():
+		}
 		mu.Lock()
 		cur--
 		mu.Unlock()

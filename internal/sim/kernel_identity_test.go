@@ -9,9 +9,11 @@ import (
 // sweepGoldenDigest is the SHA-256 of the JSON report of the e1,e5,e6,e7
 // sweep below, as the field.Vec kernels produce it with 1 worker and
 // with 4. These tables matched the scalar reference implementations of
-// poly and rs (the oracles in their test files) byte for byte. Like the
-// core determinism digests, it changes only in a change that says why.
-const sweepGoldenDigest = "461ef739c2e24df3c5b6bd03f6501fe4cc1b47ffc14ff2db1033a844575f079a"
+// poly and rs (the oracles in their test files) byte for byte, and were
+// re-recorded when every stream moved to keyed ChaCha8, which changed the
+// values the trials draw. Like the core determinism digests, it changes
+// only in a change that says why.
+const sweepGoldenDigest = "d231fdfb6b1ff22dd6a1f074ef96766a1285613a8ce3fc3ce9888da9bda96f9e"
 
 // TestKernelVsReferenceByteIdentical is the whole-system check for the
 // batched field kernels: the experiment suite must reproduce, byte for

@@ -1,8 +1,9 @@
 package sim
 
 import (
-	"math/rand"
+	"math/rand/v2"
 
+	"asyncmediator/internal/async"
 	"asyncmediator/internal/core"
 	"asyncmediator/internal/game"
 	"asyncmediator/internal/syncct"
@@ -69,11 +70,15 @@ func (e *Engine) runSyncLottery(n, d, faults int, o Options) string {
 	})
 }
 
+// lotteryLabel keys the synchronous lottery players' streams: player i of
+// a trial draws from stream i of the trial's seed.
+const lotteryLabel = "sim/e7-lottery"
+
 func syncLotteryTrial(n, d, faults int, seed0 int64, trial int) string {
 	procs := make([]syncct.Process, n)
 	for i := 0; i < n; i++ {
-		p, err := syncct.NewLotteryPlayer(i, n, d, faults,
-			rand.New(rand.NewSource(seed0+int64(trial)*1000+int64(i))))
+		key := async.StreamKey(lotteryLabel, core.TrialSeed(seed0, trial), uint64(i))
+		p, err := syncct.NewLotteryPlayer(i, n, d, faults, rand.NewChaCha8(key))
 		if err != nil {
 			return "infeasible"
 		}

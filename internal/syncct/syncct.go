@@ -32,7 +32,6 @@ package syncct
 
 import (
 	"fmt"
-	"math/rand"
 
 	"asyncmediator/internal/field"
 	"asyncmediator/internal/game"
@@ -107,7 +106,7 @@ type LotteryPlayer struct {
 	Self, N, D int
 	// Faults bounds wrong/missing values tolerated at decodings (t).
 	Faults int
-	Rng    *rand.Rand
+	Rng    field.Source
 
 	deals   map[int]msgDeal
 	rShare  field.Element
@@ -123,7 +122,7 @@ var _ Process = (*LotteryPlayer)(nil)
 
 // NewLotteryPlayer constructs a player. d is the privacy threshold k+t;
 // faults is the malicious bound t used at decodings.
-func NewLotteryPlayer(self, n, d, faults int, rng *rand.Rand) (*LotteryPlayer, error) {
+func NewLotteryPlayer(self, n, d, faults int, rng field.Source) (*LotteryPlayer, error) {
 	if n < 2*d+faults+1 {
 		// Opening the degree-2d masked square needs 2d+faults+1 agreeing
 		// points among n; with d = k+t, faults = t <= d this is exactly

@@ -225,9 +225,7 @@ func (n *Node) send(to async.PID, payload any) {
 // move (if any). Self-addressed payloads are delivered in send order,
 // interleaved with transport frames, and never hold off the deadline or
 // Stop. Mesh formation is asynchronous: links dial (and redial) in the
-// background, so Run does not block on peers that bind late. A node runs
-// once: when Run returns, the party's random stream goes back to the pool
-// async.Runtime takes streams from.
+// background, so Run does not block on peers that bind late.
 //
 // Run does NOT tear the transport down when its own process halts: the
 // resend buffers may still hold frames a slower peer needs (the
@@ -235,7 +233,6 @@ func (n *Node) send(to async.PID, payload any) {
 // the node keeps replaying — and discarding inbound frames — until the
 // caller invokes Stop after every node of the play has returned.
 func (n *Node) Run(timeout time.Duration) (move any, decided bool, err error) {
-	defer n.remote.Release()
 	env := n.remote.Env()
 	n.cfg.Proc.Start(env)
 	deadline := time.After(timeout)

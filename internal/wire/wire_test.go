@@ -266,7 +266,7 @@ func TestMeshSurvivesConnDrops(t *testing.T) {
 type drawProc struct{ draw *int64 }
 
 func (p drawProc) Start(env *async.Env) {
-	*p.draw = env.Rand().Int63()
+	*p.draw = env.Rand().Int64()
 	env.Halt()
 }
 
@@ -300,7 +300,7 @@ func TestNodeRandMatchesRuntime(t *testing.T) {
 		}
 	}()
 	for i, nd := range nodes {
-		if got := nd.Remote().Env().Rand().Int63(); got != simDraws[i] {
+		if got := nd.Remote().Env().Rand().Int64(); got != simDraws[i] {
 			t.Errorf("node %d drew %d, simulator party %d drew %d", i, got, i, simDraws[i])
 		}
 	}
