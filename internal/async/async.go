@@ -25,15 +25,16 @@
 // allocate its pending index or its parties' random streams: a Runtime
 // takes both from a pooled store when it is built and returns the store
 // when Run ends, so a play reuses the storage earlier plays grew and
-// re-keys their streams in place.
+// re-keys their streams in place. The runtime counts the processes not
+// yet started and not yet halted, so checking for the end of a run is
+// O(1) per step, not O(n).
 //
 // Each party draws its private coins (Env.Rand) from a ChaCha8 stream of
 // its own, keyed by the full 64-bit play seed, the party index and a
 // domain label (StreamKey). Every seed is thus a distinct play, the
 // random scheduler's stream (keyed under another label) is independent of
 // the parties', and a party behind a Remote draws what the same party
-// draws in a Runtime. The runtime counts the processes not yet started and not
-// yet halted, so checking for the end of a run is O(1) per step, not O(n).
+// draws in a Runtime.
 //
 // One in-process runtime executes Processes: Runtime, the
 // scheduler-driven, single-goroutine simulator behind every experiment
