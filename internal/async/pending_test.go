@@ -566,12 +566,13 @@ func (p recyclePlay) run(t *testing.T, st *pendStore, fresh bool) (trace []strin
 		t.Fatal(err)
 	}
 	rt.pend = newPendingSet(rt.halted, st)
-	rt.rngs = st.keyParties(p.seed, p.n)
 	if fresh {
 		rt.rngs = make([]stream, p.n)
 		for i := range rt.rngs {
 			rt.rngs[i].r = *randv2.New(randv2.NewChaCha8(StreamKey(partyLabel, p.seed, uint64(i))))
 		}
+	} else {
+		rt.rngs = st.keyParties(p.seed, p.n)
 	}
 	if trace, err = finish(rt, trace); err != nil {
 		t.Fatal(err)
