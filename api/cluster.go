@@ -1,31 +1,36 @@
 package api
 
 // Cluster mode: several mediatord daemons co-host one cheap-talk play,
-// each running only its local players' protocol stacks over the hardened
-// cluster transport. The coordinating daemon (the one that received
-// POST /v1/sessions with a non-empty peers list) drives two calls
-// against each co-hosting daemon:
+// each running only the protocol stacks of the players it hosts over the
+// hardened cluster transport. The coordinating daemon (the one that
+// received POST /v1/sessions with a non-empty peers list) hosts the
+// players no peer claimed, and drives three calls against each
+// co-hosting daemon:
 //
 //  1. POST /v1/cluster/join  — carry the play's spec, types, seed, and
-//     the player indices that daemon hosts; it opens one transport per
-//     local player on its cluster endpoint (one listener for the whole
-//     daemon) and answers with the endpoint's address for each. The
-//     coordinator joins all peers in parallel.
+//     the player indices that daemon hosts; it builds and opens those
+//     players only, one transport each on its cluster endpoint (one
+//     listener for the whole daemon), and answers with the endpoint's
+//     address for each. The coordinator joins all peers in parallel.
 //  2. POST /v1/cluster/start — carry the complete player->address
-//     table; the daemon runs its local players to termination and the
+//     table; the daemon runs its players to termination and the
 //     response carries their outcomes.
+//  3. POST /v1/cluster/finish — once every daemon's outcomes are in,
+//     release the daemon's lingering transports.
 //
-// The coordinator merges the outcomes with its own players', resolves
-// the joint action profile exactly as a single-process play would, and
-// persists/announces the terminal session on its own store and event
-// bus.
+// The coordinator opens and runs its own players through the same code a
+// co-hosting daemon's join and start use, folds every daemon's outcomes,
+// resolves the joint action profile exactly as a single-process play
+// would, and persists/announces the terminal session on its own store
+// and event bus.
 //
-// Keyed-retry contract: both calls are idempotent. The SDK derives the
-// Idempotency-Key deterministically from the cluster id (not from the
-// client instance), so even a restarted coordinator process that retries
-// a start replays the cached response instead of re-running the play;
-// additionally, a repeated start for a play whose outcome is already
-// gathered answers the cached ClusterStartResponse rather than conflict.
+// Keyed-retry contract: all three calls are idempotent. The SDK derives
+// the Idempotency-Key deterministically from the cluster id (not from
+// the client instance), so even a restarted coordinator process that
+// retries a start replays the cached response instead of re-running the
+// play; additionally, a repeated start for a play whose outcome is
+// already gathered answers the cached ClusterStartResponse rather than
+// conflict, and finishing a play already released is a no-op.
 
 // PeerSpec assigns one player index of a session to a co-hosting
 // daemon, identified by its HTTP base URL (e.g. "http://10.0.0.2:8080").

@@ -277,3 +277,49 @@ func TestSharedCoinIsFNV1a(t *testing.T) {
 		}
 	}
 }
+
+// fixedCoin is a Coin stub that flips the same bit in every round.
+type fixedCoin int
+
+func (c fixedCoin) Bit(string, int) int { return int(c) }
+
+// TestSplitRoundAdoptsCoin drives one instance (party 0 of n=4, t=1)
+// through a round that completes with both values in bin_values and
+// checks that its round-2 estimate is the coin, for either coin value:
+// with both values supported, MMR takes the common coin as the next
+// estimate. It kills the ba-coin-ignored mutant, which takes 0 instead,
+// whatever schedule a seed draws, and ba-aux-quorum, whose round
+// completes on the first two AUXs, both 0.
+func TestSplitRoundAdoptsCoin(t *testing.T) {
+	const n = 4
+	for _, coin := range []int{0, 1} {
+		var round2 []int
+		send := func(to async.PID, payload any) {
+			if m, ok := payload.(*proto.Envelope).Body.(MsgEst); ok && m.Round == 2 && to == 0 {
+				round2 = append(round2, m.V)
+			}
+		}
+		b := New(n, 1, fixedCoin(coin), nil)
+		h := proto.NewHost()
+		if err := h.Register("ba", b); err != nil {
+			t.Fatal(err)
+		}
+		ctx := h.Ctx(async.NewRemote(0, n, 0, 1, send).Env(), "ba")
+		b.Propose(ctx, 0)
+		for _, from := range []async.PID{0, 1, 2} {
+			b.Handle(ctx, from, MsgEst{Round: 1, V: 0})
+		}
+		for _, from := range []async.PID{1, 2, 3} {
+			b.Handle(ctx, from, MsgEst{Round: 1, V: 1})
+		}
+		b.Handle(ctx, 0, MsgAux{Round: 1, V: 0})
+		b.Handle(ctx, 1, MsgAux{Round: 1, V: 0})
+		b.Handle(ctx, 2, MsgAux{Round: 1, V: 1})
+		if b.decided {
+			t.Fatalf("coin %d: a split round decided %d", coin, b.decision)
+		}
+		if len(round2) != 1 || round2[0] != coin {
+			t.Fatalf("coin %d: round-2 estimates sent %v, want [%d]", coin, round2, coin)
+		}
+	}
+}

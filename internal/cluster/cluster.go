@@ -274,8 +274,9 @@ func (t *Transport) startWriter() bool {
 // Addr returns the address peers should dial: its endpoint's.
 func (t *Transport) Addr() string { return t.ep.Addr() }
 
-// SetPeerAddr supplies (or updates) the dial address of one peer. Links
-// without an address wait; links with one dial it with retry.
+// SetPeerAddr supplies the dial address of one peer, once: a later call
+// for the same peer is ignored. Links without an address wait; links
+// with one dial it with retry.
 func (t *Transport) SetPeerAddr(peer int, addr string) {
 	if peer < 0 || peer >= t.cfg.N || peer == t.cfg.Self || addr == "" {
 		return

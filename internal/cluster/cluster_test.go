@@ -242,6 +242,31 @@ func TestLateAddress(t *testing.T) {
 	expectInOrder(t, got, 1, 20)
 }
 
+// TestPeerAddrSetOnce: a second SetPeerAddr for a peer is ignored. When
+// the stream's connection drops, the link redials the first address, so
+// every frame still reaches the peer there and no dial fails.
+func TestPeerAddrSetOnce(t *testing.T) {
+	mn := newMemNet()
+	aep, a := openOwn(t, mn, "a:1", Config{Self: 0, N: 2, ClusterID: "once"})
+	_, b := openOwn(t, mn, "b:1", Config{Self: 1, N: 2, ClusterID: "once"})
+	a.SetPeerAddr(1, b.Addr())
+	for m := 0; m < 10; m++ {
+		a.Send(1, payload(0, m))
+	}
+	receive(t, b, 1, 10)
+	a.SetPeerAddr(1, "nowhere:1")
+	if aep.DropConns() == 0 {
+		t.Fatal("the stream held no connection to drop")
+	}
+	for m := 10; m < 20; m++ {
+		a.Send(1, payload(0, m))
+	}
+	receive(t, b, 11, 10)
+	if st := a.Stats(); st.DialErrors != 0 {
+		t.Fatalf("%d dial errors: the link dialed the second address", st.DialErrors)
+	}
+}
+
 // TestHandshakeRejectsWrongCluster asserts the HELLO guard: a node from
 // a different cluster session is refused and delivers nothing.
 func TestHandshakeRejectsWrongCluster(t *testing.T) {

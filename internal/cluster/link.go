@@ -65,9 +65,9 @@ type link struct {
 	t       *Transport
 	to      int
 	pending sendQueue
+	addrSet sync.Once // the first setAddr starts the writer; later ones do nothing
 
 	mu      sync.Mutex
-	addr    string
 	nextSeq uint64
 	buf     []dataFrame  // sent, not yet acknowledged; seq-ascending
 	box     *[]dataFrame // buf's box in resendBufs: nil before the first frame, and once released
@@ -77,19 +77,17 @@ type link struct {
 // its first frame and puts it back, emptied, when its writer ends.
 var resendBufs = sync.Pool{New: func() any { return new([]dataFrame) }}
 
-// setAddr records the peer's dial address. The first time, it starts the
-// link's writer with a connection at rest to the address reserved for
-// the first stream, if the endpoint's pool has one: the stream's
-// connection is claimed when the play is set up, however late the writer
-// runs. Later updates (a peer that moved) take effect on the next redial.
+// setAddr starts the link's writer on the peer's dial address, with a
+// connection at rest to it reserved for the first stream, if the
+// endpoint's pool has one: the stream's connection is claimed when the
+// play is set up, however late the writer runs. A peer's address is set
+// once; a later call is ignored.
 func (l *link) setAddr(addr string) {
-	l.mu.Lock()
-	first := l.addr == ""
-	l.addr = addr
-	l.mu.Unlock()
-	if first && l.t.startWriter() {
-		go l.run(l.t.ep.take(addr))
-	}
+	l.addrSet.Do(func() {
+		if l.t.startWriter() {
+			go l.run(addr, l.t.ep.take(addr))
+		}
+	})
 }
 
 // run is the link's writer loop: get a connection and open the stream on
@@ -102,13 +100,13 @@ func (l *link) setAddr(addr string) {
 // connection held for it or a new one, so every link of a play leaves
 // one connection at rest and the next play between the same endpoints
 // dials nothing.
-func (l *link) run(held *conn) {
+func (l *link) run(addr string, held *conn) {
 	defer l.t.wg.Done()
 	defer l.release()
 	backoff := 20 * time.Millisecond
 	served := false
 	for first := true; first || !l.t.closing(); first = false {
-		c, cursor, err := l.connect(held, !first)
+		c, cursor, err := l.connect(addr, held, !first)
 		held = nil
 		if err != nil {
 			if err == errTransportClosed || err == errEndpointClosed {
@@ -143,13 +141,13 @@ func (l *link) run(held *conn) {
 	}
 }
 
-// connect opens the link's stream on c, the connection reserved for it,
-// or else on one taken from the endpoint's idle pool (a redial only) or
-// dialed, and returns the receiver's delivery cursor. A pooled
+// connect opens the link's stream to addr on c, the connection reserved
+// for it, or else on one taken from the endpoint's idle pool (a redial
+// only) or dialed, and returns the receiver's delivery cursor. A pooled
 // connection whose handshake shows it died at rest is replaced at once,
 // by the next pooled one or a fresh dial; any other failure, a timeout
 // or a REJECT, is returned for run to count and back off from.
-func (l *link) connect(c *conn, redial bool) (*conn, uint64, error) {
+func (l *link) connect(addr string, c *conn, redial bool) (*conn, uint64, error) {
 	h := hello{
 		Version:   ProtocolVersion,
 		ClusterID: l.t.cfg.ClusterID,
@@ -157,13 +155,6 @@ func (l *link) connect(c *conn, redial bool) (*conn, uint64, error) {
 		To:        l.to,
 	}
 	for {
-		l.mu.Lock()
-		addr := l.addr
-		l.mu.Unlock()
-		if c != nil && c.addr != addr {
-			l.t.ep.park(c) // reserved before the peer moved
-			c = nil
-		}
 		if c == nil && redial {
 			c = l.t.ep.take(addr)
 		}

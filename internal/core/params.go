@@ -54,10 +54,11 @@ func Section64Params(n, k, t int, v Variant) (Params, error) {
 	}, nil
 }
 
-// BuildProcs compiles the player processes for one play, honouring
+// BuildProcs compiles every player's process for one play, honouring
 // Override entries. It is the process-construction half of Run, exported
-// so hosting layers (internal/service, the wire mesh) can run the same
-// players on other runtimes.
+// for a host that runs every player of a play on another runtime (the
+// wire budget test's co-hosted play). A cluster daemon runs only the
+// players it hosts and builds each with NewPlayer.
 func BuildProcs(cfg RunConfig) ([]async.Process, error) {
 	p := cfg.Params
 	if err := p.Validate(); err != nil {

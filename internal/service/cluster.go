@@ -21,31 +21,39 @@ import (
 )
 
 // Cluster mode: several mediatord daemons co-host one play, each running
-// only its local players' protocol stacks over the hardened cluster
-// transport (internal/cluster), all on the daemon's one cluster
-// endpoint. The daemon that received the session (the coordinator)
-// drives each peer through two idempotent calls on the typed SDK —
-// POST /v1/cluster/join (open the players' transports on the endpoint,
-// answer with its address) and POST /v1/cluster/start
-// (full address table in, terminal player outcomes out) — then resolves
-// the joint profile exactly like a single-process play and persists and
-// announces it on its own store and event bus.
+// only the players it hosts over the hardened cluster transport
+// (internal/cluster), all on the daemon's one cluster endpoint. Every
+// daemon hosts its players the same way: openHosted builds only those
+// players' processes and opens their nodes, and hostedPlay.run plays them
+// against the full address table and reports their outcomes.
+// The daemon that received the session (the coordinator) hosts the
+// players no peer claimed and drives each peer through three idempotent
+// calls on the typed SDK — POST /v1/cluster/join (open the peer's
+// players, answer with its endpoint's address), POST /v1/cluster/start
+// (full address table in, terminal player outcomes out) and POST
+// /v1/cluster/finish (release the peer's lingering transports) — then
+// resolves the joint profile exactly like a single-process play and
+// persists and announces it on its own store and event bus.
 
-// clusterPlay is one co-hosted play pending or running on this daemon on
-// behalf of a remote coordinator.
-type clusterPlay struct {
-	id      string
-	params  core.Params
-	types   []game.Type
-	players []int
+// hostedPlay is the players one daemon hosts in one wire play of n
+// players: a node per hosted player on the daemon's cluster endpoint,
+// and the collector that folds their phase counts into the play's trace.
+type hostedPlay struct {
+	n       int
 	nodes   map[int]*wire.Node
+	collect *playCollector
+}
+
+// clusterPlay is the bookkeeping of a play this daemon co-hosts for a
+// remote coordinator, from its join to its finish. A coordinator holds
+// the players it hosts for its own session itself, never here.
+type clusterPlay struct {
+	*hostedPlay
 	started bool
 	// trace collects this daemon's per-phase spans under the
 	// coordinator's trace id; the start response ships it back so the
-	// coordinator can stitch one cross-daemon timeline. collect owns the
-	// per-process buffers feeding it, flushed when the start call ends.
-	trace   *obs.PlayTrace
-	collect *playCollector
+	// coordinator can stitch one cross-daemon timeline.
+	trace *obs.PlayTrace
 	// lingering marks a play whose local players finished but whose
 	// transports stay alive (resend buffers replaying to slower daemons)
 	// until the coordinator's finish call or the linger timer releases
@@ -130,10 +138,10 @@ func vetClusterTypes(g *game.Game, raw []int) ([]game.Type, error) {
 }
 
 // ClusterJoin accepts a coordinator's invitation: compile the play, open
-// a transport per local player on the daemon's endpoint, and answer with
-// the endpoint's address for each. The play is parked until ClusterStart
-// supplies the full address table; a coordinator that never starts it is
-// reaped after a grace period.
+// its players here (openHosted), and answer with the endpoint's address
+// for each. The play is parked until ClusterStart supplies the full
+// address table; a coordinator that never starts it is reaped after a
+// grace period.
 func (s *Service) ClusterJoin(req api.ClusterJoinRequest) (api.ClusterJoinResponse, error) {
 	if req.ClusterID == "" {
 		return api.ClusterJoinResponse{}, api.Errorf(api.CodeInvalidArgument, "cluster join needs a cluster_id")
@@ -149,47 +157,26 @@ func (s *Service) ClusterJoin(req api.ClusterJoinRequest) (api.ClusterJoinRespon
 	if err != nil {
 		return api.ClusterJoinResponse{}, err
 	}
-	n := params.Game.N
-	seen := make(map[int]bool, len(req.Players))
-	for _, p := range req.Players {
-		if p < 0 || p >= n || seen[p] {
-			return api.ClusterJoinResponse{}, api.Errorf(api.CodeInvalidArgument, "bad player index %d for n=%d", p, n)
-		}
-		seen[p] = true
-	}
 	// Adopt the coordinator's trace id: spans recorded here ride the start
 	// response back and stitch into the coordinator's timeline.
 	var tr *obs.PlayTrace
 	if req.TraceID != "" && !s.cfg.DisableTracing {
 		tr = obs.NewPlayTrace(obs.TraceID(req.TraceID))
 	}
-	collect := newCollector(tr)
-	procs, err := core.BuildProcs(core.RunConfig{Params: params, Types: types, Wrap: collect.wrap()})
-	if err != nil {
-		return api.ClusterJoinResponse{}, err
-	}
-
-	play := &clusterPlay{
-		id:      req.ClusterID,
-		params:  params,
-		types:   types,
-		players: append([]int(nil), req.Players...),
-		trace:   tr,
-		collect: collect,
-	}
+	hosted, err := s.openHosted(req.ClusterID, params, types, req.Players, req.Seed, tr)
 	dupErr := fmt.Errorf("%w: cluster %s already joined", ErrConflict, req.ClusterID)
-	play.nodes, err = s.openClusterNodes(req.ClusterID, req.Players, procs, req.Seed)
 	if errors.Is(err, cluster.ErrPlayerOpen) {
 		err = dupErr // this cluster's players are already open here
 	}
 	if err != nil {
 		return api.ClusterJoinResponse{}, err
 	}
+	play := &clusterPlay{hostedPlay: hosted, trace: tr}
 
 	s.clusterMu.Lock()
 	if _, dup := s.clusterPlays[req.ClusterID]; dup {
 		s.clusterMu.Unlock()
-		stopNodes(play.nodes)
+		hosted.stop()
 		return api.ClusterJoinResponse{}, dupErr
 	}
 	s.clusterPlays[req.ClusterID] = play
@@ -198,38 +185,64 @@ func (s *Service) ClusterJoin(req api.ClusterJoinRequest) (api.ClusterJoinRespon
 	play.expire = time.AfterFunc(2*wireTimeout, func() { s.releaseClusterPlay(req.ClusterID) })
 	s.clusterMu.Unlock()
 
-	resp := api.ClusterJoinResponse{ClusterID: req.ClusterID, Addrs: make([]string, n)}
-	for p, node := range play.nodes {
-		resp.Addrs[p] = node.Addr()
-	}
-	return resp, nil
+	return api.ClusterJoinResponse{ClusterID: req.ClusterID, Addrs: hosted.addrs()}, nil
 }
 
-// openClusterNodes opens a wire node on the daemon's cluster endpoint for
-// each listed player of one play. On error it stops the nodes it opened.
-func (s *Service) openClusterNodes(clusterID string, players []int, procs []async.Process, seed int64) (map[int]*wire.Node, error) {
-	nodes := make(map[int]*wire.Node, len(players))
+// openHosted opens the players this daemon hosts in one play: it checks
+// their indices, builds each one's process (and no other player's)
+// wrapped by a collector feeding tr, and opens a node for each on the
+// daemon's cluster endpoint. On error it stops the nodes it opened.
+func (s *Service) openHosted(clusterID string, params core.Params, types []game.Type, players []int, seed int64, tr *obs.PlayTrace) (*hostedPlay, error) {
+	n := params.Game.N
+	seen := make([]bool, n)
 	for _, p := range players {
+		if p < 0 || p >= n || seen[p] {
+			return nil, api.Errorf(api.CodeInvalidArgument, "bad player index %d for n=%d", p, n)
+		}
+		seen[p] = true
+	}
+	h := &hostedPlay{n: n, nodes: make(map[int]*wire.Node, len(players)), collect: newCollector(tr)}
+	wrap := h.collect.wrap()
+	for _, p := range players {
+		pl, err := core.NewPlayer(params, p, types[p])
+		if err != nil {
+			h.stop()
+			return nil, err
+		}
+		var proc async.Process = pl
+		if wrap != nil {
+			proc = wrap(p, pl)
+		}
 		node, err := wire.NewNode(wire.NodeConfig{
 			Self:      async.PID(p),
-			N:         len(procs),
+			N:         n,
 			Endpoint:  s.clusterEP,
 			ClusterID: clusterID,
-			Proc:      procs[p],
+			Proc:      proc,
 			Seed:      seed,
 		})
 		if err != nil {
-			stopNodes(nodes)
+			h.stop()
 			return nil, fmt.Errorf("cluster node %d: %w", p, err)
 		}
-		nodes[p] = node
+		h.nodes[p] = node
 	}
-	return nodes, nil
+	return h, nil
 }
 
-// stopNodes stops every node of a play.
-func stopNodes(nodes map[int]*wire.Node) {
-	for _, nd := range nodes {
+// addrs returns the play's address table with the endpoint's address for
+// each hosted player and "" for every other.
+func (h *hostedPlay) addrs() []string {
+	out := make([]string, h.n)
+	for p, node := range h.nodes {
+		out[p] = node.Addr()
+	}
+	return out
+}
+
+// stop stops every hosted node.
+func (h *hostedPlay) stop() {
+	for _, nd := range h.nodes {
 		nd.Stop()
 	}
 }
@@ -254,7 +267,7 @@ func (s *Service) releaseClusterPlay(id string) bool {
 	if !ok {
 		return false
 	}
-	stopNodes(play.nodes)
+	play.stop()
 	return true
 }
 
@@ -304,10 +317,10 @@ func (s *Service) ClusterStart(req api.ClusterStartRequest) (api.ClusterStartRes
 		s.clusterMu.Unlock()
 		return api.ClusterStartResponse{}, fmt.Errorf("%w: cluster %s already started", ErrConflict, req.ClusterID)
 	}
-	if len(req.Addrs) != play.params.Game.N {
+	if len(req.Addrs) != play.n {
 		s.clusterMu.Unlock()
 		return api.ClusterStartResponse{}, api.Errorf(api.CodeInvalidArgument,
-			"address table has %d entries for n=%d", len(req.Addrs), play.params.Game.N)
+			"address table has %d entries for n=%d", len(req.Addrs), play.n)
 	}
 	play.started = true
 	play.expire.Stop()
@@ -315,14 +328,7 @@ func (s *Service) ClusterStart(req api.ClusterStartRequest) (api.ClusterStartRes
 
 	done := make(chan api.ClusterStartResponse, 1)
 	err := s.pool.TrySubmit(func() {
-		results := runClusterNodes(play.nodes, req.Addrs, wireTimeout)
-		// Fold the per-process phase buffers into the trace before it
-		// ships back. The transports linger past this point (relay
-		// contract), so late deliveries can still tick the buffers —
-		// harmless: they are relay traffic and the buffers' atomics keep
-		// the overlap race-free.
-		play.collect.flush()
-		resp := api.ClusterStartResponse{ClusterID: req.ClusterID, Results: results, Trace: play.trace.View()}
+		resp := api.ClusterStartResponse{ClusterID: req.ClusterID, Results: play.run(req.Addrs), Trace: play.trace.View()}
 
 		// The local players finished, but their transports must stay
 		// alive: the resend buffers may still hold frames a slower
@@ -353,37 +359,36 @@ func (s *Service) ClusterStart(req api.ClusterStartRequest) (api.ClusterStartRes
 	return <-done, nil
 }
 
-// runClusterNodes runs a set of local nodes against a complete address
-// table and collects each player's terminal state. Nodes are stopped by
-// the caller once every co-hosted player of the play has finished.
-func runClusterNodes(nodes map[int]*wire.Node, addrs []string, timeout time.Duration) []api.ClusterPlayerResult {
-	players := make([]int, 0, len(nodes))
-	for p := range nodes {
+// run plays the hosted nodes against the full address table until each
+// player terminates or the wire timeout passes, folds their phase buffers
+// into the trace, and reports each player's terminal state in index
+// order. The nodes stay open, relaying for slower daemons, until stop:
+// deliveries after the fold are relay traffic, uncounted, and the
+// buffers' atomics keep the overlap race-free.
+func (h *hostedPlay) run(addrs []string) []api.ClusterPlayerResult {
+	players := make([]int, 0, len(h.nodes))
+	for p := range h.nodes {
 		players = append(players, p)
 	}
 	sort.Ints(players)
 
 	var wg sync.WaitGroup
-	errs := make(map[int]error, len(nodes))
-	var errMu sync.Mutex
-	for _, p := range players {
-		node := nodes[p]
+	errs := make([]error, len(players))
+	for i, p := range players {
+		node := h.nodes[p]
 		node.SetAddrs(addrs)
-		p := p
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, err := node.Run(timeout)
-			errMu.Lock()
-			errs[p] = err
-			errMu.Unlock()
+			_, _, errs[i] = node.Run(wireTimeout)
 		}()
 	}
 	wg.Wait()
+	h.collect.flush()
 
 	results := make([]api.ClusterPlayerResult, 0, len(players))
-	for _, p := range players {
-		node := nodes[p]
+	for i, p := range players {
+		node := h.nodes[p]
 		r := node.Remote()
 		st := node.Stats()
 		res := api.ClusterPlayerResult{
@@ -392,7 +397,7 @@ func runClusterNodes(nodes map[int]*wire.Node, addrs []string, timeout time.Dura
 			Sent:      st.Sent,
 			Delivered: st.Delivered,
 		}
-		if err := errs[p]; err != nil {
+		if err := errs[i]; err != nil {
 			if errors.Is(err, wire.ErrTimeout) {
 				res.TimedOut = true
 			} else {
@@ -445,49 +450,41 @@ func peerError(op, addr string, err error) error {
 }
 
 // runCluster plays one wire-backend session on real nodes. The
-// coordinator hosts the players no peer claimed, invites each peer daemon
-// over the typed SDK (all joins in parallel, each bounded by the join
-// timeout), distributes the merged address table, starts every peer
-// (each start call returns that daemon's outcomes), and folds every
-// daemon's terminal player states into one async.Result — which then
-// resolves through mediator.ResolveMoves exactly like any other play.
-// With an empty peers list every player runs here.
+// coordinator hosts the players no peer claimed as a peer hosts its own
+// (openHosted, then run), invites each peer daemon over the typed SDK
+// (all joins in parallel, each bounded by the join timeout), distributes
+// the merged address table, starts every peer (each start call returns
+// that daemon's outcomes), and folds every daemon's terminal player
+// states into one async.Result — which then resolves through
+// mediator.ResolveMoves exactly like any other play. With an empty peers
+// list every player runs here.
 func (s *Service) runCluster(sess *Session, types []game.Type) (game.Profile, *async.Result, error) {
 	params := sess.Params()
 	n := params.Game.N
 	clusterID := fmt.Sprintf("%s.%d", sess.ID, sess.Seed())
 	peerAddrs, byAddr := groupPeers(sess.Spec.Peers)
 
-	remote := make(map[int]bool)
-	for _, players := range byAddr {
-		for _, p := range players {
-			remote[p] = true
-		}
+	claimed := make([]bool, n)
+	for _, p := range sess.Spec.Peers {
+		claimed[p.Index] = true
 	}
-	tr := sess.tracer()
-	traceID := string(tr.ID())
-	collect := newCollector(tr)
-	procs, err := core.BuildProcs(core.RunConfig{Params: params, Types: types, Wrap: collect.wrap()})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Host the unclaimed players locally.
 	var unclaimed []int
-	for p := 0; p < n; p++ {
-		if !remote[p] {
+	for p, c := range claimed {
+		if !c {
 			unclaimed = append(unclaimed, p)
 		}
 	}
-	local, err := s.openClusterNodes(clusterID, unclaimed, procs, sess.Seed())
+	// The coordinator's players record straight into the session's trace,
+	// as "local". Their play is held here, not in clusterPlays: a spec may
+	// name this daemon as a peer too, and its join must not collide.
+	tr := sess.tracer()
+	traceID := string(tr.ID())
+	local, err := s.openHosted(clusterID, params, types, unclaimed, sess.Seed(), tr)
 	if err != nil {
 		return nil, nil, fmt.Errorf("service: %w", err)
 	}
-	defer stopNodes(local)
-	addrs := make([]string, n)
-	for p, node := range local {
-		addrs[p] = node.Addr()
-	}
+	defer local.stop()
+	addrs := local.addrs()
 
 	// Invite every peer daemon in parallel; each answers with its
 	// endpoint's address for each of its players. The fan-out costs
@@ -525,7 +522,6 @@ func (s *Service) runCluster(sess *Session, types []game.Type) (game.Profile, *a
 	joinAddrs := make([][]string, len(peerAddrs))
 	var joinWG sync.WaitGroup
 	for i, addr := range peerAddrs {
-		i, addr := i, addr
 		joinWG.Add(1)
 		go func() {
 			defer joinWG.Done()
@@ -573,17 +569,16 @@ func (s *Service) runCluster(sess *Session, types []game.Type) (game.Profile, *a
 		}
 	}
 
-	// Start every daemon's players concurrently: each peer's start call
-	// blocks until its players finish and answers their outcomes, local
-	// nodes run in-process.
+	// Start every peer and run the coordinator's players concurrently:
+	// each peer's start call blocks until its players finish and answers
+	// their outcomes; the coordinator's run inline, on this worker.
 	type startReply struct {
 		addr string
 		resp api.ClusterStartResponse
 		err  error
 	}
-	replies := make(chan startReply, len(peerAddrs))
+	replies := make(chan startReply, len(peerAddrs)+1)
 	for _, addr := range peerAddrs {
-		addr := addr
 		go func() {
 			resp, err := clients[addr].ClusterStart(ctx, api.ClusterStartRequest{ClusterID: clusterID, Addrs: addrs})
 			if err != nil {
@@ -592,55 +587,15 @@ func (s *Service) runCluster(sess *Session, types []game.Type) (game.Profile, *a
 			replies <- startReply{addr: addr, resp: resp, err: err}
 		}()
 	}
-	localResults := runClusterNodes(local, addrs, wireTimeout)
-	// The coordinator's own players are done; fold their phase buffers in
-	// before peer spans stitch on top. The local transports stay up (the
-	// deferred stop) to relay for slower daemons — late deliveries after
-	// this flush are uncounted relay traffic.
-	collect.flush()
+	replies <- startReply{addr: originLocal, resp: api.ClusterStartResponse{Results: local.run(addrs)}}
 
 	res := &async.Result{
 		Moves:  make(map[async.PID]any, n),
 		Wills:  make(map[async.PID]any, n),
 		Halted: make([]bool, n),
 	}
-	fold := func(from string, prs []api.ClusterPlayerResult) error {
-		for _, pr := range prs {
-			if pr.Index < 0 || pr.Index >= n {
-				return fmt.Errorf("service: cluster %s returned player %d for n=%d", from, pr.Index, n)
-			}
-			if pr.Error != "" {
-				return fmt.Errorf("service: cluster %s player %d: %s", from, pr.Index, pr.Error)
-			}
-			pid := async.PID(pr.Index)
-			if len(pr.Move) > 0 {
-				mv, err := wire.DecodePayload(pr.Move)
-				if err != nil {
-					return fmt.Errorf("service: cluster %s player %d move: %w", from, pr.Index, err)
-				}
-				res.Moves[pid] = mv
-			}
-			if len(pr.Will) > 0 {
-				w, err := wire.DecodePayload(pr.Will)
-				if err != nil {
-					return fmt.Errorf("service: cluster %s player %d will: %w", from, pr.Index, err)
-				}
-				res.Wills[pid] = w
-			}
-			res.Halted[pr.Index] = pr.Halted
-			if _, decided := res.Moves[pid]; !decided && !pr.Halted {
-				res.Deadlocked = true
-			}
-			res.Stats.MessagesSent += int(pr.Sent)
-			res.Stats.MessagesDelivered += int(pr.Delivered)
-		}
-		return nil
-	}
 	var firstErr error
-	if err := fold("local", localResults); err != nil {
-		firstErr = err
-	}
-	for range peerAddrs {
+	for range len(peerAddrs) + 1 {
 		r := <-replies
 		if r.err != nil {
 			if firstErr == nil {
@@ -648,10 +603,12 @@ func (s *Service) runCluster(sess *Session, types []game.Type) (game.Profile, *a
 			}
 			continue
 		}
-		// Stitch the peer's spans into the coordinator's timeline, rewriting
-		// their origin to the peer's address.
-		tr.Merge(r.resp.Trace, r.addr)
-		if err := fold(r.addr, r.resp.Results); err != nil && firstErr == nil {
+		if r.addr != originLocal {
+			// Stitch the peer's spans into the coordinator's timeline,
+			// rewriting their origin to the peer's address.
+			tr.Merge(r.resp.Trace, r.addr)
+		}
+		if err := foldResults(res, r.addr, r.resp.Results); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -660,6 +617,42 @@ func (s *Service) runCluster(sess *Session, types []game.Type) (game.Profile, *a
 	}
 	prof := mediator.ResolveMoves(params.Game, types, res, params.Approach)
 	return prof, res, nil
+}
+
+// foldResults decodes one daemon's player outcomes into res; from names
+// the daemon in errors.
+func foldResults(res *async.Result, from string, prs []api.ClusterPlayerResult) error {
+	n := len(res.Halted)
+	for _, pr := range prs {
+		if pr.Index < 0 || pr.Index >= n {
+			return fmt.Errorf("service: cluster %s returned player %d for n=%d", from, pr.Index, n)
+		}
+		if pr.Error != "" {
+			return fmt.Errorf("service: cluster %s player %d: %s", from, pr.Index, pr.Error)
+		}
+		pid := async.PID(pr.Index)
+		if len(pr.Move) > 0 {
+			mv, err := wire.DecodePayload(pr.Move)
+			if err != nil {
+				return fmt.Errorf("service: cluster %s player %d move: %w", from, pr.Index, err)
+			}
+			res.Moves[pid] = mv
+		}
+		if len(pr.Will) > 0 {
+			w, err := wire.DecodePayload(pr.Will)
+			if err != nil {
+				return fmt.Errorf("service: cluster %s player %d will: %w", from, pr.Index, err)
+			}
+			res.Wills[pid] = w
+		}
+		res.Halted[pr.Index] = pr.Halted
+		if _, decided := res.Moves[pid]; !decided && !pr.Halted {
+			res.Deadlocked = true
+		}
+		res.Stats.MessagesSent += int(pr.Sent)
+		res.Stats.MessagesDelivered += int(pr.Delivered)
+	}
+	return nil
 }
 
 // intTypes converts a game type profile to the contract's ints.

@@ -107,19 +107,54 @@ func TestClusterSessionAcrossTwoDaemons(t *testing.T) {
 		t.Fatalf("cluster utilities %v != sim %v", v.Utilities, want.Utilities)
 	}
 
-	// The peer co-hosted exactly one play and holds no parked state.
+	// The peer co-hosted exactly one play, and neither daemon holds
+	// parked state.
 	if got := peer.Stats().ClusterPlaysHosted; got != 1 {
 		t.Fatalf("peer hosted %d plays, want 1", got)
 	}
-	peer.clusterMu.Lock()
-	parked := len(peer.clusterPlays)
-	peer.clusterMu.Unlock()
-	if parked != 0 {
-		t.Fatalf("%d cluster plays still parked on the peer", parked)
+	for _, d := range []struct {
+		name string
+		svc  *Service
+	}{{"coordinator", coord}, {"peer", peer}} {
+		d.svc.clusterMu.Lock()
+		parked := len(d.svc.clusterPlays)
+		d.svc.clusterMu.Unlock()
+		if parked != 0 {
+			t.Fatalf("%d cluster plays still parked on the %s", parked, d.name)
+		}
 	}
 	// The coordinator's messages counters saw both daemons' traffic.
 	if v.MsgsSent == 0 || v.MsgsDeliv == 0 {
 		t.Fatalf("traffic counters empty: %+v", v)
+	}
+}
+
+// TestClusterPeerIsCoordinator: a spec that names the coordinator's own
+// URL as the daemon of players 2 and 3 still plays. The coordinator joins
+// and starts itself over HTTP like any peer, and the players it hosts for
+// its own session are not a joined play that this join could collide
+// with.
+func TestClusterPeerIsCoordinator(t *testing.T) {
+	coord, ts := httpFarm(t, Config{Workers: 2})
+	v := playCluster(t, coord, clusterSpec(ts.URL), make([]game.Type, 4))
+	if want := []int{0, 0, 0, 0}; v.State != StateDone || !reflect.DeepEqual(v.Profile, want) {
+		t.Fatalf("self-peered play ended %s with profile %v, want done %v (%s)", v.State, v.Profile, want, v.Error)
+	}
+}
+
+// TestClusterAllPlayersOnPeers: a play whose every player is hosted by a
+// peer ends done, and the coordinator, which hosts none, opens no node:
+// its cluster endpoint is never bound.
+func TestClusterAllPlayersOnPeers(t *testing.T) {
+	coord, _, _, peerURL := twoFarms(t, Config{Workers: 2})
+	spec := clusterSpec(peerURL)
+	spec.Peers = append(spec.Peers, api.PeerSpec{Index: 0, Addr: peerURL}, api.PeerSpec{Index: 1, Addr: peerURL})
+	v := playCluster(t, coord, spec, make([]game.Type, 4))
+	if want := []int{0, 0, 0, 0}; v.State != StateDone || !reflect.DeepEqual(v.Profile, want) {
+		t.Fatalf("all-peer play ended %s with profile %v, want done %v (%s)", v.State, v.Profile, want, v.Error)
+	}
+	if addr := coord.clusterEP.Addr(); addr != "" {
+		t.Fatalf("the coordinator hosts no player but bound its cluster endpoint at %s", addr)
 	}
 }
 

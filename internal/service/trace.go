@@ -59,8 +59,8 @@ func newCollector(tr *obs.PlayTrace) *playCollector {
 }
 
 // wrap is the collector's core.RunConfig.Wrap hook (nil on a nil
-// collector, so BuildProcs skips the decoration). BuildProcs calls it
-// sequentially, so appending to bufs needs no lock.
+// collector, so BuildProcs skips the decoration). BuildProcs and
+// openHosted call it sequentially, so appending to bufs needs no lock.
 func (c *playCollector) wrap() func(int, async.Process) async.Process {
 	if c == nil {
 		return nil
