@@ -13,8 +13,9 @@ package api
 //     listener for the whole daemon), and answers with the endpoint's
 //     address for each. The coordinator joins all peers in parallel.
 //  2. POST /v1/cluster/start — carry the complete player->address
-//     table; the daemon runs its players to termination and the
-//     response carries their outcomes.
+//     table; the daemon runs its players to termination on the request
+//     itself, not on its worker pool, and the response carries their
+//     outcomes.
 //  3. POST /v1/cluster/finish — once every daemon's outcomes are in,
 //     release the daemon's lingering transports.
 //

@@ -8,8 +8,8 @@
 // n=4 > 3k+3t with k=1, t=0), evaluating the majority circuit jointly.
 // Every round runs under the random scheduler: the environment picks the
 // next player and the messages it receives at random, from a seed, so any
-// round replays exactly with the same seed. (examples/network runs
-// compiled players over real sockets.)
+// round replays exactly with the same seed. (examples/cluster runs
+// compiled players over real sockets, across two daemons.)
 package main
 
 import (

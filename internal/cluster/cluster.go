@@ -50,9 +50,10 @@
 // plan. A dial to the endpoint's own address reaches neither: it gets
 // one half of a net.Pipe, and the other half is admitted like an
 // accepted connection. TLS, the handshake, the resend buffers, the ACKs
-// and DropConns treat a pipe as they treat a socket, and the frame bytes
-// are the same, so the players one endpoint hosts talk through memory
-// and a play whose players share an endpoint opens no socket.
+// and Endpoint.DropConns treat a pipe as they treat a socket, and the
+// frame bytes are the same, so the players one endpoint hosts talk
+// through memory and a play whose players share an endpoint opens no
+// socket.
 //
 // ACK isolation: an ACK only ever trims the resend buffer of the stream
 // it was written for. On a re-attach the acceptor stops the old stream's
@@ -141,8 +142,6 @@ type Stats struct {
 	// Rejected counts inbound handshakes refused. The endpoint refuses
 	// them, so only Endpoint.Stats reports it.
 	Rejected int64
-	// ConnsDropped counts connections severed by DropConns (chaos).
-	ConnsDropped int64
 	// Acks counts cumulative-ack frames this node received on its
 	// outbound links. Receivers delay their ACKs (one per 256 frames, or
 	// once a stream has been idle for 20 ms), so this is far below the
@@ -177,7 +176,6 @@ func (s *Stats) add(o Stats) {
 	s.Reconnects += o.Reconnects
 	s.DialErrors += o.DialErrors
 	s.Rejected += o.Rejected
-	s.ConnsDropped += o.ConnsDropped
 	s.Acks += o.Acks
 	s.FramesIn += o.FramesIn
 	s.FramesOut += o.FramesOut
@@ -219,10 +217,10 @@ type Transport struct {
 	stopped sync.Once
 	wg      sync.WaitGroup
 
-	sent, resent, delivered, duplicates  atomic.Int64
-	dials, reconnects, dialErrs          atomic.Int64
-	chaosDrop, acks, framesIn, framesOut atomic.Int64
-	bytesIn, bytesOut                    atomic.Int64
+	sent, resent, delivered, duplicates atomic.Int64
+	dials, reconnects, dialErrs         atomic.Int64
+	acks, framesIn, framesOut           atomic.Int64
+	bytesIn, bytesOut                   atomic.Int64
 }
 
 // New opens a transport on an endpoint of its own, listening on an
@@ -325,19 +323,18 @@ func (t *Transport) Inbox() <-chan Frame { return t.inbox }
 // Stats snapshots the traffic counters; safe from any goroutine.
 func (t *Transport) Stats() Stats {
 	s := Stats{
-		Sent:         t.sent.Load(),
-		Resent:       t.resent.Load(),
-		Delivered:    t.delivered.Load(),
-		Duplicates:   t.duplicates.Load(),
-		Dials:        t.dials.Load(),
-		Reconnects:   t.reconnects.Load(),
-		DialErrors:   t.dialErrs.Load(),
-		ConnsDropped: t.chaosDrop.Load(),
-		Acks:         t.acks.Load(),
-		FramesIn:     t.framesIn.Load(),
-		FramesOut:    t.framesOut.Load(),
-		BytesIn:      t.bytesIn.Load(),
-		BytesOut:     t.bytesOut.Load(),
+		Sent:       t.sent.Load(),
+		Resent:     t.resent.Load(),
+		Delivered:  t.delivered.Load(),
+		Duplicates: t.duplicates.Load(),
+		Dials:      t.dials.Load(),
+		Reconnects: t.reconnects.Load(),
+		DialErrors: t.dialErrs.Load(),
+		Acks:       t.acks.Load(),
+		FramesIn:   t.framesIn.Load(),
+		FramesOut:  t.framesOut.Load(),
+		BytesIn:    t.bytesIn.Load(),
+		BytesOut:   t.bytesOut.Load(),
 	}
 	for _, l := range t.links {
 		if l != nil {
@@ -350,26 +347,8 @@ func (t *Transport) Stats() Stats {
 	return s
 }
 
-// DropConns severs every connection serving this transport's streams —
-// the chaos hook behind wire.Node.DropConns. Links redial and replay
-// their unacknowledged frames; the mesh heals without losing or
-// duplicating a payload. It returns the number of connections closed.
-func (t *Transport) DropConns() int {
-	t.connMu.Lock()
-	cs := make([]*conn, 0, len(t.conns))
-	for c := range t.conns {
-		cs = append(cs, c)
-	}
-	t.connMu.Unlock()
-	for _, c := range cs {
-		c.nc.Close()
-	}
-	t.chaosDrop.Add(int64(len(cs)))
-	return len(cs)
-}
-
 // track records a connection serving one of the transport's streams, for
-// DropConns and Close. It refuses once the transport is closing, so a
+// Close. It refuses once the transport is closing, so a
 // connection attached concurrently with Close is never left serving it:
 // Close closes done before it sweeps the set under connMu.
 func (t *Transport) track(c *conn) bool {

@@ -185,8 +185,8 @@ func TestReconnectWithResend(t *testing.T) {
 				return
 			default:
 			}
-			a.DropConns()
-			b.DropConns()
+			a.ep.DropConns()
+			b.ep.DropConns()
 			time.Sleep(2 * time.Millisecond)
 		}
 	}()

@@ -215,7 +215,7 @@ func TestReusedConnectionAfterUnackedTail(t *testing.T) {
 	if st := ta.Stats(); st.Dials != 0 {
 		t.Fatalf("second play dialed %d times: the connection at rest was not reused", st.Dials)
 	}
-	ta.DropConns()
+	a.DropConns()
 	for m := 300; m < 600; m++ {
 		ta.Send(1, payload(0, m))
 	}

@@ -293,14 +293,17 @@ func (s *Service) ClusterFinish(req api.ClusterFinishRequest) (api.ClusterFinish
 
 // ClusterStart completes the handshake: the full player->address table
 // arrives, the parked nodes learn their peers, and the local players run
-// to termination — on the farm's bounded worker pool, so co-hosted
-// admission obeys the same backpressure as local plays (a full queue
-// answers pool_saturated with the play still startable). The call
-// blocks until the local players finish and carries their outcomes
-// inline. A repeated start for a play whose outcome is already gathered
-// (still lingering) answers the cached response, so a restarted
-// coordinator's retry cannot conflict; a keyed retry of a running start
-// waits on the idempotency layer's single-flight entry instead.
+// to termination on the calling goroutine, as runCluster runs the
+// coordinator's own. They take no pool worker: a coordinator that names
+// itself as a peer starts itself while its session holds a worker, and a
+// peer's co-hosted plays are already bounded by the workers its
+// coordinators' sessions hold. The call blocks until the local players
+// finish and carries their outcomes inline. A repeated start for a play
+// whose outcome is already gathered (still lingering) answers the cached
+// response, so a restarted coordinator's retry cannot conflict; a keyed
+// retry of a running start waits on the idempotency layer's
+// single-flight entry instead. Once shutdown has begun a start is
+// refused, and Close waits for the starts already running.
 func (s *Service) ClusterStart(req api.ClusterStartRequest) (api.ClusterStartResponse, error) {
 	s.clusterMu.Lock()
 	play, ok := s.clusterPlays[req.ClusterID]
@@ -322,41 +325,33 @@ func (s *Service) ClusterStart(req api.ClusterStartRequest) (api.ClusterStartRes
 		return api.ClusterStartResponse{}, api.Errorf(api.CodeInvalidArgument,
 			"address table has %d entries for n=%d", len(req.Addrs), play.n)
 	}
+	select {
+	case <-s.stopc:
+		s.clusterMu.Unlock()
+		return api.ClusterStartResponse{}, api.Errorf(api.CodeNotReady, "draining for shutdown")
+	default:
+	}
 	play.started = true
 	play.expire.Stop()
+	s.clusterStarts.Add(1) // under clusterMu, which Close takes after stopc closes
 	s.clusterMu.Unlock()
+	defer s.clusterStarts.Done()
 
-	done := make(chan api.ClusterStartResponse, 1)
-	err := s.pool.TrySubmit(func() {
-		resp := api.ClusterStartResponse{ClusterID: req.ClusterID, Results: play.run(req.Addrs), Trace: play.trace.View()}
+	resp := api.ClusterStartResponse{ClusterID: req.ClusterID, Results: play.run(req.Addrs), Trace: play.trace.View()}
 
-		// The local players finished, but their transports must stay
-		// alive: the resend buffers may still hold frames a slower
-		// daemon's players need (wire.Node.Run's contract — honest
-		// players relay until everyone is done). The coordinator releases
-		// the play via /v1/cluster/finish once every daemon's outcomes
-		// are gathered; the linger timer is the backstop for a
-		// coordinator that died first.
-		s.clusterMu.Lock()
-		play.lingering = true
-		play.result = &resp
-		play.expire = time.AfterFunc(2*wireTimeout, func() { s.releaseClusterPlay(req.ClusterID) })
-		s.clusterMu.Unlock()
-		s.clusterHosted.Add(1)
-		done <- resp
-	})
-	if err != nil {
-		// Un-claim the start after a pool rejection: the play returns to
-		// parked (expire re-armed) so a backed-off retry succeeds.
-		s.clusterMu.Lock()
-		if cur, ok := s.clusterPlays[req.ClusterID]; ok && cur == play {
-			play.started = false
-			play.expire = time.AfterFunc(2*wireTimeout, func() { s.releaseClusterPlay(req.ClusterID) })
-		}
-		s.clusterMu.Unlock()
-		return api.ClusterStartResponse{}, err
-	}
-	return <-done, nil
+	// The local players finished, but their transports must stay alive:
+	// the resend buffers may still hold frames a slower daemon's players
+	// need (wire.Node.Run's contract — honest players relay until
+	// everyone is done). The coordinator releases the play via
+	// /v1/cluster/finish once every daemon's outcomes are gathered; the
+	// linger timer is the backstop for a coordinator that died first.
+	s.clusterMu.Lock()
+	play.lingering = true
+	play.result = &resp
+	play.expire = time.AfterFunc(2*wireTimeout, func() { s.releaseClusterPlay(req.ClusterID) })
+	s.clusterMu.Unlock()
+	s.clusterHosted.Add(1)
+	return resp, nil
 }
 
 // run plays the hosted nodes against the full address table until each

@@ -47,7 +47,8 @@ func clusterSpec(peerURL string) Spec {
 }
 
 // playCluster drives one cluster session end to end on the coordinator
-// and returns the terminal view.
+// and returns the terminal view. A play takes milliseconds; its 20 s wait
+// fails a stuck play well inside the suite's timeout.
 func playCluster(t *testing.T, coord *Service, spec Spec, types []game.Type) View {
 	t.Helper()
 	sess, err := coord.CreateSession(spec)
@@ -59,7 +60,7 @@ func playCluster(t *testing.T, coord *Service, spec Spec, types []game.Type) Vie
 	}
 	select {
 	case <-sess.Done():
-	case <-time.After(120 * time.Second):
+	case <-time.After(20 * time.Second):
 		t.Fatalf("cluster session %s did not terminate", sess.ID)
 	}
 	return sess.Snapshot()
@@ -133,12 +134,17 @@ func TestClusterSessionAcrossTwoDaemons(t *testing.T) {
 // URL as the daemon of players 2 and 3 still plays. The coordinator joins
 // and starts itself over HTTP like any peer, and the players it hosts for
 // its own session are not a joined play that this join could collide
-// with.
+// with. With one worker, the session's play holds that worker while it
+// waits on its own start call, so the start must not need a worker.
 func TestClusterPeerIsCoordinator(t *testing.T) {
-	coord, ts := httpFarm(t, Config{Workers: 2})
-	v := playCluster(t, coord, clusterSpec(ts.URL), make([]game.Type, 4))
-	if want := []int{0, 0, 0, 0}; v.State != StateDone || !reflect.DeepEqual(v.Profile, want) {
-		t.Fatalf("self-peered play ended %s with profile %v, want done %v (%s)", v.State, v.Profile, want, v.Error)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			coord, ts := httpFarm(t, Config{Workers: workers})
+			v := playCluster(t, coord, clusterSpec(ts.URL), make([]game.Type, 4))
+			if want := []int{0, 0, 0, 0}; v.State != StateDone || !reflect.DeepEqual(v.Profile, want) {
+				t.Fatalf("self-peered play ended %s with profile %v, want done %v (%s)", v.State, v.Profile, want, v.Error)
+			}
+		})
 	}
 }
 
@@ -395,6 +401,38 @@ func TestClusterJoinStartValidation(t *testing.T) {
 	bad.ClusterID, bad.Types = "c-c", []int{0}
 	if _, err := peer.ClusterJoin(bad); err == nil {
 		t.Fatal("join with short types succeeded")
+	}
+}
+
+// TestClusterStartRefusedOnceDraining: a start that arrives after
+// shutdown has begun is refused with not_ready before it claims the
+// play, so the play stays parked and Close releases it.
+func TestClusterStartRefusedOnceDraining(t *testing.T) {
+	peer := newFarm(t, Config{Workers: 1})
+	join, err := peer.ClusterJoin(api.ClusterJoinRequest{
+		ClusterID: "c-drain",
+		Spec:      Spec{Game: "consensus", N: 4, K: 1, Variant: "4.2"},
+		Types:     []int{0, 0, 0, 0},
+		Players:   []int{0, 1, 2, 3},
+		Seed:      5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer.beginShutdown()
+	_, err = peer.ClusterStart(api.ClusterStartRequest{ClusterID: "c-drain", Addrs: join.Addrs})
+	if ae := apiError(err, api.CodeInternal); err == nil || ae.Code != api.CodeNotReady {
+		t.Fatalf("start while draining = %v, want %s", err, api.CodeNotReady)
+	}
+	peer.clusterMu.Lock()
+	started := peer.clusterPlays["c-drain"].started
+	peer.clusterMu.Unlock()
+	if started {
+		t.Fatal("the refused start claimed the play")
+	}
+	peer.Close()
+	if n := len(peer.clusterPlays); n != 0 {
+		t.Fatalf("%d cluster plays left after Close", n)
 	}
 }
 

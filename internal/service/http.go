@@ -101,9 +101,9 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET "+api.Prefix+"/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		serveView(s, w, r, "experiment job", s.ExperimentJob, s.expRecs)
 	})
-	mux.HandleFunc("POST "+api.Prefix+"/cluster/join", s.idempotent(s.handleClusterJoin))
-	mux.HandleFunc("POST "+api.Prefix+"/cluster/start", s.idempotent(s.handleClusterStart))
-	mux.HandleFunc("POST "+api.Prefix+"/cluster/finish", s.idempotent(s.handleClusterFinish))
+	mux.HandleFunc("POST "+api.Prefix+"/cluster/join", s.idempotent(serveCall(http.StatusCreated, s.ClusterJoin)))
+	mux.HandleFunc("POST "+api.Prefix+"/cluster/start", s.idempotent(serveCall(http.StatusOK, s.ClusterStart)))
+	mux.HandleFunc("POST "+api.Prefix+"/cluster/finish", s.idempotent(serveCall(http.StatusOK, s.ClusterFinish)))
 	mux.HandleFunc("GET "+api.Prefix+"/traces", s.handleTraces)
 	mux.HandleFunc("GET "+api.Prefix+"/slo", s.handleSLO)
 	mux.HandleFunc("GET "+api.Prefix+"/stats", s.handleStats)
@@ -138,52 +138,25 @@ func (s *Service) Handler() http.Handler {
 	return withMiddleware(mux, s.cfg.RequestLog)
 }
 
-// handleClusterJoin answers POST /v1/cluster/join — a coordinator
-// inviting this daemon to co-host a play.
-func (s *Service) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
-	var req api.ClusterJoinRequest
-	if e := decodeBody(w, r, &req); e != nil {
-		writeAPIError(w, e)
-		return
+// serveCall answers a POST whose body is one Req: the daemon-to-daemon
+// cluster calls (join 201, start and finish 200). It decodes the body
+// strictly, calls call, maps a failure to the contract's code
+// (invalid_argument when no sentinel narrows it) and encodes the
+// response with status.
+func serveCall[Req, Resp any](status int, call func(Req) (Resp, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if e := decodeBody(w, r, &req); e != nil {
+			writeAPIError(w, e)
+			return
+		}
+		resp, err := call(req)
+		if err != nil {
+			writeAPIError(w, apiError(err, api.CodeInvalidArgument))
+			return
+		}
+		writeJSON(w, status, resp)
 	}
-	resp, err := s.ClusterJoin(req)
-	if err != nil {
-		writeAPIError(w, apiError(err, api.CodeInvalidArgument))
-		return
-	}
-	writeJSON(w, http.StatusCreated, resp)
-}
-
-// handleClusterStart answers POST /v1/cluster/start: it blocks while the
-// local players run and returns their terminal outcomes.
-func (s *Service) handleClusterStart(w http.ResponseWriter, r *http.Request) {
-	var req api.ClusterStartRequest
-	if e := decodeBody(w, r, &req); e != nil {
-		writeAPIError(w, e)
-		return
-	}
-	resp, err := s.ClusterStart(req)
-	if err != nil {
-		writeAPIError(w, apiError(err, api.CodeInvalidArgument))
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleClusterFinish answers POST /v1/cluster/finish — the coordinator
-// releasing a lingering play's transports.
-func (s *Service) handleClusterFinish(w http.ResponseWriter, r *http.Request) {
-	var req api.ClusterFinishRequest
-	if e := decodeBody(w, r, &req); e != nil {
-		writeAPIError(w, e)
-		return
-	}
-	resp, err := s.ClusterFinish(req)
-	if err != nil {
-		writeAPIError(w, apiError(err, api.CodeInvalidArgument))
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleSessionCreate answers POST /v1/sessions.

@@ -166,11 +166,13 @@ type Service struct {
 	persistErrs *obs.Counter
 
 	// Cluster mode: plays this daemon co-hosts for remote coordinators,
-	// and the one cluster endpoint every wire node of the daemon (local
-	// and co-hosted) opens its transport on: its listener, TLS and
+	// the starts of theirs still running (Close waits for them), and the
+	// one cluster endpoint every wire node of the daemon (local and
+	// co-hosted) opens its transport on: its listener, TLS and
 	// connections, and the transport counters of every play.
 	clusterMu     sync.Mutex
 	clusterPlays  map[string]*clusterPlay
+	clusterStarts sync.WaitGroup
 	clusterHosted *obs.Counter
 	clusterEP     *cluster.Endpoint
 
@@ -507,7 +509,8 @@ func (s *Service) Close() {
 	s.sloWG.Wait()
 	// Release parked co-hosted cluster plays (never-started or
 	// lingering), so their transports and goroutines cannot outlive the
-	// farm.
+	// farm. A start that took clusterMu before this saw stopc open and is
+	// counted in clusterStarts; any later one is refused.
 	s.clusterMu.Lock()
 	pending := make([]string, 0, len(s.clusterPlays))
 	for id := range s.clusterPlays {
@@ -520,6 +523,7 @@ func (s *Service) Close() {
 	slow := time.AfterFunc(drainWarnAfter, func() { log.Print(s.drainReport()) })
 	s.pool.Close()
 	s.jobs.Wait()
+	s.clusterStarts.Wait()
 	slow.Stop()
 	// Every wire play has ended: close the cluster endpoint's listener
 	// and connections (and any transport a late linger left open).

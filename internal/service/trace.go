@@ -90,8 +90,9 @@ func (c *playCollector) flush() {
 
 // tracedProc decorates a compiled player process, classifying every
 // delivered protocol envelope by its body (core.PhaseOf) into its phase
-// buffer. It is shared by all three backends (sim, wire, cluster) — each
-// owns the processes before handing them to a runtime.
+// buffer. It is shared by both backends: the simulator (sim) and the
+// wire nodes every daemon of a play hosts (wire) — each owns the
+// processes before handing them to a runtime.
 type tracedProc struct {
 	inner async.Process
 	tr    *obs.PlayTrace

@@ -4,13 +4,10 @@ import (
 	"asyncmediator/internal/circuit"
 )
 
-// circuitT aliases the circuit type for the experiment file's signatures.
-type circuitT = circuit.Circuit
-
 // buildMultiBit builds a lottery circuit with `bits` random-bit gates in
-// which only the first bit determines the recommendation; the rest just
-// inflate the gate count c for the O(nNc) sweep (their outputs are mixed
-// in with weight 0 so the semantics stay identical).
+// which only the first bit determines the recommendation: everyone gets
+// bit_1. The rest just inflate the gate count c for the O(nNc) sweep
+// (their outputs are mixed in with weight 0, so outcomes stay comparable).
 func buildMultiBit(n, bits int) (*circuit.Circuit, error) {
 	b := circuit.NewBuilder(n)
 	first := b.RandBit()

@@ -48,7 +48,7 @@ func TestShardMergeRace(t *testing.T) {
 	e := NewEngine(8)
 	defer e.Close()
 	o := Options{Trials: 16, Seed0: 3, MaxSteps: 30_000_000}
-	p, err := buildParams(5, 1, 0, core.Exact41)
+	p, err := core.Section64Params(5, 1, 0, core.Exact41)
 	if err != nil {
 		t.Fatal(err)
 	}

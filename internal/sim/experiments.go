@@ -10,13 +10,6 @@ import (
 	"asyncmediator/internal/mediator"
 )
 
-// buildParams assembles core.Params for the Section 6.4 lottery game,
-// which scales to any n > 3k and exercises a full random-bit MPC — the
-// workhorse workload of E1-E5.
-func buildParams(n, k, t int, v core.Variant) (core.Params, error) {
-	return core.Section64Params(n, k, t, v)
-}
-
 func isUnanimous(p game.Profile) bool {
 	for _, a := range p {
 		if a != p[0] || a == game.NoMove {
@@ -44,7 +37,7 @@ func (e *Engine) boundExperiment(title string, v core.Variant, grids [][2]int, o
 			if n <= 3*maxInt(k, 1) {
 				continue // underlying game needs n > 3k
 			}
-			p, err := buildParams(n, k, tf, v)
+			p, err := core.Section64Params(n, k, tf, v)
 			if err != nil {
 				t.AddError(cellKey(k, tf, n), err, k, tf, n)
 				continue
@@ -149,7 +142,7 @@ func (e *Engine) e3(o Options) (*Table, error) {
 			if n <= 3*k {
 				continue
 			}
-			p, err := buildParams(n, k, tf, core.Punish44)
+			p, err := core.Section64Params(n, k, tf, core.Punish44)
 			if err != nil {
 				t.AddError(cellKey(k, tf, n), err, k, tf, n)
 				continue
@@ -198,7 +191,7 @@ func (e *Engine) e4(o Options) (*Table, error) {
 			if n <= 3*k {
 				continue
 			}
-			p, err := buildParams(n, k, tf, core.Punish45)
+			p, err := core.Section64Params(n, k, tf, core.Punish45)
 			if err != nil {
 				t.AddError(cellKey(k, tf, n), err, k, tf, n)
 				continue
@@ -237,7 +230,7 @@ func (e *Engine) e5(o Options) (*Table, error) {
 	}
 	// Sweep n with one random-bit gate.
 	for _, n := range []int{4, 5, 6, 7} {
-		p, err := buildParams(n, 1, 0, core.Epsilon42)
+		p, err := core.Section64Params(n, 1, 0, core.Epsilon42)
 		if err != nil {
 			t.AddError(fmt.Sprintf("n=%d", n), err, "n (c=1 bit)", n)
 			continue
@@ -255,12 +248,12 @@ func (e *Engine) e5(o Options) (*Table, error) {
 	// Sweep circuit size: number of lottery bits (each adds a randbit
 	// gate plus selection gates).
 	for _, bits := range []int{1, 2, 3} {
-		p, err := buildParams(5, 1, 0, core.Exact41)
+		p, err := core.Section64Params(5, 1, 0, core.Exact41)
 		if err != nil {
 			t.AddError(fmt.Sprintf("bits=%d", bits), err, "c (randbits, n=5)", bits)
 			continue
 		}
-		circ, err := multiBitCircuit(5, bits)
+		circ, err := buildMultiBit(5, bits)
 		if err != nil {
 			t.AddError(fmt.Sprintf("bits=%d", bits), err, "c (randbits, n=5)", bits)
 			continue
@@ -298,12 +291,6 @@ func (e *Engine) e5(o Options) (*Table, error) {
 		"R: each mediator round adds 2n messages",
 		"n: superlinear, since every dealing, agreement and opening is all-to-all")
 	return t, nil
-}
-
-// multiBitCircuit recommends the XOR-free multi-bit lottery: everyone gets
-// bit_1 (the extra bits only inflate c, keeping outcomes comparable).
-func multiBitCircuit(n, bits int) (*circuitT, error) {
-	return buildMultiBit(n, bits)
 }
 
 // e6 reproduces the Section 6.4 counterexample: the leaky mediator loses

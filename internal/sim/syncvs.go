@@ -101,7 +101,7 @@ func syncLotteryTrial(n, d, faults int, seed0 int64, trial int) string {
 }
 
 func (e *Engine) runAsyncLottery(n, k, tf int, v core.Variant, o Options) string {
-	p, err := buildParams(n, k, tf, v)
+	p, err := core.Section64Params(n, k, tf, v)
 	if err != nil {
 		return "infeasible"
 	}

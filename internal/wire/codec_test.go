@@ -251,7 +251,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 // is dropped by Node.send — not handed to the transport, not counted, no
 // panic.
 func TestSendDropsUnencodable(t *testing.T) {
-	node, err := newOwnNode(NodeConfig{Self: 0, N: 2, Proc: proto.NewHost()}, "")
+	node, err := NewNode(NodeConfig{Self: 0, N: 2, Endpoint: endpoints(t, "")[0], Proc: proto.NewHost()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,11 +66,7 @@ func (p *selfSender) check(t *testing.T) {
 func TestSelfSendsNeverReachTransport(t *testing.T) {
 	const msgs = 10000
 	proc := &selfSender{msgs: msgs}
-	nodes, err := NewLocalMesh([]async.Process{proc}, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nodes[0].Stop()
+	nodes := openMesh(t, shared(t, 1), []async.Process{proc}, 1)
 	if _, _, err := nodes[0].Run(20 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -90,15 +86,7 @@ func TestSelfSendsNeverReachTransport(t *testing.T) {
 func TestSelfSendsUnderInboxFlood(t *testing.T) {
 	const msgs = 10000
 	proc := &selfSender{msgs: msgs}
-	nodes, err := NewLocalMesh([]async.Process{proc, &selfSender{}}, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, nd := range nodes {
-			nd.Stop()
-		}
-	}()
+	nodes := openMesh(t, shared(t, 2), []async.Process{proc, &selfSender{}}, 2)
 	frame, err := EncodePayload("flood")
 	if err != nil {
 		t.Fatal(err)
@@ -163,15 +151,7 @@ func (selfLoop) Deliver(env *async.Env, msg async.Message) {
 // itself cannot hang a play. Run returns ErrTimeout at its deadline, and
 // a Stop during Run ends it.
 func TestSelfSendLoopHonoursDeadline(t *testing.T) {
-	nodes, err := NewLocalMesh([]async.Process{selfLoop{}, selfLoop{}}, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, nd := range nodes {
-			nd.Stop()
-		}
-	}()
+	nodes := openMesh(t, shared(t, 2), []async.Process{selfLoop{}, selfLoop{}}, 3)
 
 	start := time.Now()
 	if _, _, err := nodes[0].Run(200 * time.Millisecond); !errors.Is(err, ErrTimeout) {

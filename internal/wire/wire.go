@@ -11,19 +11,16 @@
 // handshake scoped to one cluster session, optional mutual TLS, and
 // automatic reconnect with sequence-numbered resend buffers, so a
 // dropped connection replays its unacknowledged frames instead of
-// silently muting a peer. A daemon builds every wire play node by node
-// (NewNode, SetAddrs, Run, Stop) on its one cluster endpoint, whether one
-// daemon hosts all players or several share them; only the addresses
-// differ. Players on different daemons talk over TCP. Players one daemon
-// hosts share its endpoint, and their streams run through in-memory
-// pipes with the same frames, handshake and resend buffers, so a play
-// whose players all sit on one daemon opens no socket. Only a player's
-// messages to itself skip the transport: a node delivers them
-// in-process, unencoded, as async.Runtime does. A broadcast is encoded
-// once, and its peer frames share the bytes. NewLocalMesh is the
-// one-process shorthand for programs and tests that host a whole mesh
-// themselves, one endpoint per node, so its nodes talk over loopback
-// TCP.
+// silently muting a peer. There is one way to host players: the caller
+// owns a cluster.Endpoint and builds each node on it (NewNode, SetAddrs,
+// Run, Stop), whether one daemon hosts all players or several share
+// them; only the addresses differ. Players on different endpoints talk
+// over TCP. Players on one endpoint share it, and their streams run
+// through in-memory pipes with the same frames, handshake and resend
+// buffers, so a play whose players all sit on one endpoint opens no
+// socket. Only a player's messages to itself skip the transport: a node
+// delivers them in-process, unencoded, as async.Runtime does. A
+// broadcast is encoded once, and its peer frames share the bytes.
 package wire
 
 import (
@@ -56,8 +53,6 @@ type NodeConfig struct {
 	// ClusterID scopes the transport handshake to one play; every node of
 	// a mesh must agree on it (default "local").
 	ClusterID string
-	// Players is the number of game players (defaults to N).
-	Players int
 	// Proc is the protocol process to run.
 	Proc async.Process
 	// Seed is the play's session seed, the same on every node. The node
@@ -73,7 +68,6 @@ type Node struct {
 	cfg    NodeConfig
 	remote *async.Remote
 	tr     *cluster.Transport
-	ownEP  *cluster.Endpoint // an endpoint of the node's own, closed by Stop
 
 	// self[head:] are the self-addressed payloads Run has yet to
 	// deliver, in send order; only the process's goroutine touches them.
@@ -137,58 +131,13 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		return nil, fmt.Errorf("wire: %w", err)
 	}
 	n := &Node{cfg: cfg, tr: tr, done: make(chan struct{})}
-	n.remote = async.NewRemote(cfg.Self, cfg.N, cfg.Players, cfg.Seed, n.send)
-	return n, nil
-}
-
-// newOwnNode creates a node on an endpoint of its own, listening on addr
-// (an ephemeral loopback port when empty); Stop closes the endpoint.
-func newOwnNode(cfg NodeConfig, addr string) (*Node, error) {
-	cfg.Endpoint = cluster.NewEndpoint(cluster.EndpointConfig{ListenAddr: addr})
-	n, err := NewNode(cfg)
-	if err != nil {
-		cfg.Endpoint.Close()
-		return nil, err
-	}
-	n.ownEP = cfg.Endpoint
+	n.remote = async.NewRemote(cfg.Self, cfg.N, cfg.N, cfg.Seed, n.send)
 	return n, nil
 }
 
 // SetAddrs fills the whole peer address table (empty entries and the
 // self slot skipped).
 func (n *Node) SetAddrs(addrs []string) { n.tr.SetAddrs(addrs) }
-
-// NewLocalMesh builds a complete loopback mesh for the given processes:
-// every node gets an endpoint of its own on an ephemeral 127.0.0.1 port
-// (no port agreement needed) and knows every peer's address when this
-// returns, so Run may be called on all nodes concurrently. players
-// follows NodeConfig.Players semantics; seed is the session seed
-// (NodeConfig.Seed). Same handshake, framing and reconnect semantics as
-// any cluster mesh, all failure domains in one process.
-func NewLocalMesh(procs []async.Process, players int, seed int64) ([]*Node, error) {
-	if len(procs) == 0 {
-		return nil, fmt.Errorf("wire: empty mesh")
-	}
-	nodes := make([]*Node, len(procs))
-	addrs := make([]string, len(procs))
-	for i, proc := range procs {
-		node, err := newOwnNode(NodeConfig{
-			Self: async.PID(i), N: len(procs), Players: players, Proc: proc, Seed: seed,
-		}, "")
-		if err != nil {
-			for _, nd := range nodes[:i] {
-				nd.Stop()
-			}
-			return nil, err
-		}
-		nodes[i] = node
-		addrs[i] = node.Addr()
-	}
-	for _, node := range nodes {
-		node.SetAddrs(addrs)
-	}
-	return nodes, nil
-}
 
 // Addr returns the address peers dial: the endpoint's.
 func (n *Node) Addr() string { return n.tr.Addr() }
@@ -295,15 +244,12 @@ func (n *Node) drainInbox() {
 	}
 }
 
-// Stop tears the node down and waits for its transport's goroutines: the
-// transport, and the endpoint if the node has one of its own. A shared
-// endpoint keeps the transport's connections for the next play.
+// Stop tears the node down and waits for its transport's goroutines. The
+// endpoint keeps the transport's connections for the next play; its
+// owner closes it.
 func (n *Node) Stop() {
 	n.stopped.Do(func() {
 		close(n.done)
 		n.tr.Close() // waits for the transport's goroutines
-		if n.ownEP != nil {
-			n.ownEP.Close()
-		}
 	})
 }

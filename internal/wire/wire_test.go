@@ -10,6 +10,7 @@ import (
 
 	"asyncmediator/internal/async"
 	"asyncmediator/internal/ba"
+	"asyncmediator/internal/cluster"
 	"asyncmediator/internal/proto"
 )
 
@@ -64,32 +65,59 @@ func freePorts(t *testing.T, n int) []string {
 	return addrs
 }
 
-func TestBAOverTCP(t *testing.T) {
-	// Four real nodes on pre-agreed localhost ports run one Byzantine
-	// agreement; all propose 1, so all must decide 1.
-	const n = 4
-	addrs := freePorts(t, n)
-	nodes := make([]*Node, n)
-	for i, h := range baProcs(t, n) {
-		node, err := newOwnNode(NodeConfig{Self: async.PID(i), N: n, Proc: h, Seed: int64(i)}, addrs[i])
+// endpoints opens one cluster endpoint per listen address ("" for an
+// ephemeral loopback port), each closed at the test's cleanup. Nodes on
+// different endpoints talk over loopback TCP.
+func endpoints(t *testing.T, addrs ...string) []*cluster.Endpoint {
+	t.Helper()
+	eps := make([]*cluster.Endpoint, len(addrs))
+	for i, a := range addrs {
+		eps[i] = cluster.NewEndpoint(cluster.EndpointConfig{ListenAddr: a})
+		t.Cleanup(eps[i].Close)
+	}
+	return eps
+}
+
+// shared returns one endpoint n times, for n nodes that share it as a
+// daemon's players do: their streams run through in-memory pipes.
+func shared(t *testing.T, n int) []*cluster.Endpoint {
+	t.Helper()
+	ep := endpoints(t, "")[0]
+	eps := make([]*cluster.Endpoint, n)
+	for i := range eps {
+		eps[i] = ep
+	}
+	return eps
+}
+
+// openMesh opens a node for each process, node i on eps[i], all with
+// the session seed seed, and gives every node the full address table.
+// The nodes stop at the test's cleanup, before their endpoints close.
+func openMesh(t *testing.T, eps []*cluster.Endpoint, procs []async.Process, seed int64) []*Node {
+	t.Helper()
+	nodes := make([]*Node, len(procs))
+	addrs := make([]string, len(procs))
+	for i, proc := range procs {
+		node, err := NewNode(NodeConfig{Self: async.PID(i), N: len(procs), Endpoint: eps[i], Proc: proc, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		node.SetAddrs(addrs)
-		nodes[i] = node
+		t.Cleanup(node.Stop)
+		nodes[i], addrs[i] = node, node.Addr()
 	}
-	runMesh(t, nodes, 20*time.Second)
+	for _, nd := range nodes {
+		nd.SetAddrs(addrs)
+	}
+	return nodes
 }
 
-// TestLocalMeshBA forms an ephemeral-port mesh (no pre-agreed addresses)
-// and runs Byzantine agreement across it, exercising NewLocalMesh end to
-// end plus the node traffic counters.
-func TestLocalMeshBA(t *testing.T) {
+// TestBAOverTCP: four nodes, each on an endpoint of its own at a
+// pre-agreed localhost port, run one Byzantine agreement over TCP. All
+// propose 1, so all must decide 1, and every node's traffic counters
+// advance.
+func TestBAOverTCP(t *testing.T) {
 	const n = 4
-	nodes, err := NewLocalMesh(baProcs(t, n), 0, 900)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nodes := openMesh(t, endpoints(t, freePorts(t, n)...), baProcs(t, n), 900)
 	runMesh(t, nodes, 20*time.Second)
 	for i, nd := range nodes {
 		if st := nd.Stats(); st.Sent == 0 || st.Delivered == 0 {
@@ -103,10 +131,7 @@ func TestLocalMeshBA(t *testing.T) {
 // still finish.
 func TestUndecodableFrameCounted(t *testing.T) {
 	const n = 4
-	nodes, err := NewLocalMesh(baProcs(t, n), 0, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nodes := openMesh(t, shared(t, n), baProcs(t, n), 31)
 	// Node 1's transport carries the garbage to node 0 over the real link;
 	// the play starts only once it sits in node 0's inbox, so Run reads it
 	// first whatever the schedule.
@@ -186,33 +211,32 @@ func runMesh(t *testing.T, nodes []*Node, timeout time.Duration) {
 }
 
 func TestNodeConfigValidation(t *testing.T) {
-	h := proto.NewHost()
-	if _, err := newOwnNode(NodeConfig{Self: 5, N: 2, Proc: h}, ""); err == nil {
+	h, ep := proto.NewHost(), endpoints(t, "")[0]
+	if _, err := NewNode(NodeConfig{Self: 5, N: 2, Endpoint: ep, Proc: h}); err == nil {
 		t.Fatal("out-of-range self should fail")
 	}
-	if _, err := newOwnNode(NodeConfig{Self: 0, N: 1, Proc: nil}, ""); err == nil {
+	if _, err := NewNode(NodeConfig{Self: 0, N: 1, Endpoint: ep, Proc: nil}); err == nil {
 		t.Fatal("nil proc should fail")
 	}
 	if _, err := NewNode(NodeConfig{Self: 0, N: 1, Proc: h}); err == nil {
 		t.Fatal("nil endpoint should fail")
 	}
-	node, err := newOwnNode(NodeConfig{Self: 0, N: 1, Proc: h}, "")
+	node, err := NewNode(NodeConfig{Self: 0, N: 1, Endpoint: ep, Proc: h})
 	if err != nil {
 		t.Fatal(err)
 	}
 	node.Stop()
 }
 
-// TestMeshSurvivesConnDrops runs Byzantine agreement over a mesh whose
-// connections are severed repeatedly while the play is in flight: the
-// cluster transport's reconnect-with-resend must deliver every frame
-// exactly once, so all nodes still decide the proposed bit.
+// TestMeshSurvivesConnDrops runs Byzantine agreement over a TCP mesh
+// (one endpoint per node) whose connections are severed repeatedly
+// through the endpoints while the play is in flight: the cluster
+// transport's reconnect-with-resend must deliver every frame exactly
+// once, so all nodes still decide the proposed bit.
 func TestMeshSurvivesConnDrops(t *testing.T) {
 	const n = 4
-	nodes, err := NewLocalMesh(baProcs(t, n), 0, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eps := endpoints(t, make([]string, n)...)
+	nodes := openMesh(t, eps, baProcs(t, n), 7)
 
 	// Chaos: sever every live connection repeatedly until the play is
 	// over — the transport must replay whatever the drops swallowed and
@@ -232,8 +256,8 @@ func TestMeshSurvivesConnDrops(t *testing.T) {
 				return
 			default:
 			}
-			for _, nd := range nodes {
-				if nd.tr.DropConns() > 0 {
+			for _, ep := range eps {
+				if ep.DropConns() > 0 {
 					once.Do(func() { close(firstDrop) })
 				}
 			}
@@ -251,15 +275,6 @@ func TestMeshSurvivesConnDrops(t *testing.T) {
 	}
 
 	runMesh(t, nodes, 30*time.Second)
-	dropped := false
-	for _, nd := range nodes {
-		if nd.Stats().Transport.ConnsDropped > 0 {
-			dropped = true
-		}
-	}
-	if !dropped {
-		t.Error("chaos loop severed no connections; the test exercised nothing")
-	}
 }
 
 // drawProc records its first private random draw and halts.
@@ -290,15 +305,7 @@ func TestNodeRandMatchesRuntime(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	nodes, err := NewLocalMesh(procs, 0, seed) // never started: only their Envs draw
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, nd := range nodes {
-			nd.Stop()
-		}
-	}()
+	nodes := openMesh(t, shared(t, n), procs, seed) // never started: only their Envs draw
 	for i, nd := range nodes {
 		if got := nd.Remote().Env().Rand().Int64(); got != simDraws[i] {
 			t.Errorf("node %d drew %d, simulator party %d drew %d", i, got, i, simDraws[i])
